@@ -172,13 +172,13 @@ def main(argv=None):
     ap = argparse.ArgumentParser(prog="ysyslab")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    def add_case_args(p):
-        p.add_argument("--family", required=True, choices=["C", "F4", "G2", "A", "D", "E6"])
+    def add_case_args(p, families=("C", "F4", "G2")):
+        p.add_argument("--family", required=True, choices=families)
         p.add_argument("--rank", type=int, default=None)
         p.add_argument("--level", type=int, default=2)
 
     p = sub.add_parser("build", help="emit a quiver as JSON")
-    add_case_args(p)
+    add_case_args(p, ("C", "F4", "G2", "A", "D", "E6"))
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_build)
 
@@ -202,7 +202,6 @@ def main(argv=None):
     p.set_defaults(fn=_cmd_numeric)
 
     p = sub.add_parser("orbits", help="print sigma orbits on almost positive roots")
-    p.add_argument("--type", choices=["D", "E6"], default="D")
     p.add_argument("--rank", type=int, default=None)
     p.add_argument("--sigma", choices=["C", "F4", "G2"], required=True)
     p.set_defaults(fn=_cmd_orbits)

@@ -3,12 +3,14 @@ dilogarithm identities (constant and functional)."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
 from scipy import integrate, special
 
 from .builders import cartan_data
+from .gfun import transpose_factors
 from .numeric import NumericRun
 from .tropical import expected_counts
 
@@ -47,55 +49,32 @@ def rogers_L_quad(x):
 # -- constant coefficient system ----------------------------------------------
 
 
-def _constant_rhs(family, rank, level, Y):
-    """RHS of the squared constant relations, per (a, m)."""
+def constant_relations(family, rank, level):
+    """(numerator, denominator) factor keys of the constant Y-relation at each (a, m).
+
+    The numerator factors (1 + Y_(b,k)) are those of gfun.transpose_factors
+    with the time shifts dropped, since a constant solution does not depend
+    on u; the denominator factors (1 + 1/Y_(a,m+-1)) are dropped at the
+    boundary rows.
+    """
     cd = cartan_data(family, rank)
-    cap = {a: cd["t_a"][a] * level for a in cd["t_a"]}
+    rows = {a: range(1, cd["t_a"][a] * level) for a in range(1, rank + 1)}
+    return {
+        (a, m): (
+            [(b, k) for b, k, _ in transpose_factors(family, rank, level, a, m)],
+            [(a, k) for k in (m - 1, m + 1) if k in rows[a]],
+        )
+        for a in rows
+        for m in rows[a]
+    }
 
-    def n(b, k):  # numerator factor (1 + Y^{(b)}_k), boundary -> 1
-        if b < 1 or k < 1:
-            return 1.0
-        return 1.0 + Y[(b, k)]
 
-    def d(a, k):  # denominator factor (1 + 1/Y^{(a)}_k), boundary -> 1
-        if k < 1 or k > cap[a] - 1:
-            return 1.0
-        return 1.0 + 1.0 / Y[(a, k)]
-
-    out = {}
-    r = rank
-    for (a, m) in Y:
-        if family == "C":
-            if a <= r - 2:
-                num = n(a - 1, m) * n(a + 1, m)
-            elif a == r - 1:
-                num = n(r - 2, m) * (n(r, m // 2) if m % 2 == 0 else 1.0)
-            else:
-                num = n(r - 1, 2 * m - 1) * n(r - 1, 2 * m) ** 2 * n(r - 1, 2 * m + 1)
-        elif family == "F4":
-            if a == 1:
-                num = n(2, m)
-            elif a == 2:
-                num = n(1, m) * n(3, 2 * m - 1) * n(3, 2 * m) ** 2 * n(3, 2 * m + 1)
-            elif a == 3:
-                num = (n(2, m // 2) if m % 2 == 0 else 1.0) * n(4, m)
-            else:
-                num = n(3, m)
-        elif family == "G2":
-            if a == 1:
-                num = (
-                    n(2, 3 * m - 2)
-                    * n(2, 3 * m - 1) ** 2
-                    * n(2, 3 * m) ** 3
-                    * n(2, 3 * m + 1) ** 2
-                    * n(2, 3 * m + 2)
-                )
-            else:
-                num = n(1, m // 3) if m % 3 == 0 else 1.0
-        else:
-            raise ValueError(f"unknown family {family!r}")
-        out[(a, m)] = num / (d(a, m - 1) * d(a, m + 1))
-    return out
+def _constant_rhs(relations, Y):
+    """RHS of the squared constant relations, per (a, m)."""
+    return {
+        key: math.prod([1.0 + Y[f] for f in num]) / math.prod([1.0 + 1.0 / Y[f] for f in den])
+        for key, (num, den) in relations.items()
+    }
 
 
 def solve_constant_Y(family, rank, level, start=None, damping=0.5, tol=1e-13, max_iter=100000):
@@ -105,11 +84,11 @@ def solve_constant_Y(family, rank, level, start=None, damping=0.5, tol=1e-13, ma
     start (or a supplied one) until the largest relative update drops
     below tol.  Raises on non-convergence.
     """
-    cd = cartan_data(family, rank)
-    keys = [(a, m) for a in range(1, rank + 1) for m in range(1, cd["t_a"][a] * level)]
+    relations = constant_relations(family, rank, level)
+    keys = list(relations)
     Y = {k: 1.0 for k in keys} if start is None else dict(start)
     for _ in range(max_iter):
-        rhs = _constant_rhs(family, rank, level, Y)
+        rhs = _constant_rhs(relations, Y)
         delta = 0.0
         for k in keys:
             new = (1.0 - damping) * Y[k] + damping * np.sqrt(rhs[k])
@@ -123,7 +102,7 @@ def solve_constant_Y(family, rank, level, start=None, damping=0.5, tol=1e-13, ma
 
 
 def constant_residuals(family, rank, level, Y):
-    rhs = _constant_rhs(family, rank, level, Y)
+    rhs = _constant_rhs(constant_relations(family, rank, level), Y)
     return {k: abs(Y[k] ** 2 - rhs[k]) / rhs[k] for k in Y}
 
 

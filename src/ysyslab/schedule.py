@@ -11,7 +11,7 @@ One period of the quiver sequence is two time units, i.e. 2t steps:
   circle regions I..VI, passing through column-permuted (and opposite)
   copies of the quiver.
 
-The expected quiver at every intermediate step is asserted during a run;
+Every run first verifies the expected quiver at each slot over one period;
 a failure means a transcription or sign-convention fault in the builders.
 """
 
@@ -240,52 +240,78 @@ class ScheduleError(AssertionError):
     """A step produced a quiver different from the expected transform."""
 
 
-def run_schedule(model, s_lo, s_hi, payload=None, check_quiver=True, record=None):
-    """Drive the seed from time 0 forward to s_hi and backward to s_lo.
+def slot_matrices(model):
+    """The exchange matrix at each slot, verified by one period of mutation.
 
-    payload, when given, must provide copy() and mutate(k, B) and is carried
-    along; record(s, payload) is called at every visited grid time.  Returns
-    the dict of recorded values when record is None (snapshot per time).
+    The initial quiver is mutated through one forward period with
+    Quiver.mutate, and every step is compared with expected_quivers.  Each
+    slot set must be pairwise non-adjacent, so its composite mutation is an
+    involution: the one forward period also certifies every backward step
+    and every later period.
     """
     t = model.cartan["t"]
-    sets = slot_sets(model)
-    expected = expected_quivers(model) if check_quiver else None
-    snapshots = {}
-
-    def emit(s, pl):
-        if record is not None:
-            record(s, pl)
-        elif pl is not None:
-            snapshots[s] = pl.snapshot()
-
-    def advance(Q, pl, s, direction):
-        if direction > 0:
-            slot = s % (2 * t)
-            s_next = s + 1
-        else:
-            s_next = s - 1
-            slot = s_next % (2 * t)
-        for k in sets[slot]:
-            if pl is not None:
-                pl.mutate(k, Q.B)
-            Q = Q.mutate(k)
-        if expected is not None and not np.array_equal(Q.B, expected[s_next % (2 * t)]):
+    expected = expected_quivers(model)
+    Q = model.quiver
+    for s, ks in enumerate(slot_sets(model)):
+        try:
+            Q = Q.composite_mutate(ks)
+        except ValueError as err:
+            raise ScheduleError(f"step from u={Fraction(s, t)}: {err}") from err
+        if not np.array_equal(Q.B, expected[(s + 1) % (2 * t)]):
             raise ScheduleError(
-                f"quiver mismatch after step to u={Fraction(s_next, t)} "
+                f"quiver mismatch after step to u={Fraction(s + 1, t)} "
                 f"(family {model.spec.family}, rank {model.spec.rank}, "
                 f"level {model.spec.level})"
             )
-        return Q, s_next
+    return expected
 
-    pl = payload.copy() if payload is not None else None
-    emit(0, pl)
-    Q, s = model.quiver, 0
-    while s < s_hi:
-        Q, s = advance(Q, pl, s, +1)
-        emit(s, pl)
-    pl = payload.copy() if payload is not None else None
-    Q, s = model.quiver, 0
-    while s > s_lo:
-        Q, s = advance(Q, pl, s, -1)
-        emit(s, pl)
+
+def mutate_slot(B, ks, L, oplus1, logx=None):
+    """Mutate the seed (L, logx) at the pairwise non-adjacent vertices ks of B.
+
+    The seed is written additively: L holds the coefficients (one entry, or
+    one exponent row, per vertex) of a semifield whose y (+) 1 is oplus1,
+    and logx the log cluster.  Each k in ks sends
+
+        L_j    -> L_j + [B_kj]+ L_k - B_kj oplus1(L_k)   (j != k),   L_k -> -L_k,
+        logx_k -> logaddexp(L_k + sum_i [-B_ki]+ logx_i, sum_i [B_ki]+ logx_i)
+                  - oplus1(L_k) - logx_k.
+
+    Non-adjacency keeps the rows of B at ks fixed inside the slot, so the
+    slot is one array update.  Returns new arrays.
+    """
+    ks = list(ks)
+    P = B[ks]
+    Lk = L[ks]
+    plus1 = oplus1(Lk)
+    L = L + np.maximum(P, 0).T @ Lk - P.T @ plus1
+    L[ks] = -Lk
+    if logx is not None:
+        xk = np.logaddexp(Lk + np.maximum(-P, 0) @ logx, np.maximum(P, 0) @ logx)
+        logx = logx.copy()
+        logx[ks] = xk - plus1 - logx[ks]
+    return L, logx
+
+
+def run_schedule(model, s_lo, s_hi, L=None, oplus1=None, logx=None):
+    """Verify the slot matrices, then drive the seed (L, logx) of mutate_slot
+    from time 0 forward to s_hi and backward to s_lo.
+
+    Returns {s: (L, logx)} at every visited time, or {} without a seed.
+    """
+    t = model.cartan["t"]
+    sets = slot_sets(model)
+    mats = slot_matrices(model)
+    if L is None:
+        return {}
+    snapshots = {0: (L, logx)}
+    for step, stop in ((1, s_hi), (-1, s_lo)):
+        s, Ls, xs = 0, L, logx
+        while (stop - s) * step > 0:
+            # a backward step from s undoes the slot before s, applying its
+            # composite mutation to the matrix at s
+            ks = sets[s % (2 * t) if step > 0 else (s - 1) % (2 * t)]
+            Ls, xs = mutate_slot(mats[s % (2 * t)], ks, Ls, oplus1, xs)
+            s += step
+            snapshots[s] = (Ls, xs)
     return snapshots

@@ -4,10 +4,7 @@ emits machine-readable report rows (one JSON object per case and check)."""
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-
 
 from .builders import FamilySpec, build
 from .dilog import check_DI, check_functional_DI
@@ -79,7 +76,7 @@ def _case_rows(case, cfg):
     def row(check, status, statement, **metrics):
         rows.append(VerificationReport(cid, check, status, statement, metrics))
 
-    # scheduled mutation cycle (quiver transforms asserted on every step)
+    # scheduled mutation cycle (quiver transforms asserted over one period)
     try:
         mdl = build(FamilySpec(family, rank, level))
         t = mdl.cartan["t"]
@@ -231,25 +228,19 @@ def _extra_dilog_rows(cfg):
 
 
 def run_suite(config=None):
-    """Run every verification over the configured cases; returns report rows."""
-    cfg = dict(DEFAULT_CONFIG)
-    if config:
-        cfg.update(config)
+    """Run every verification over the configured cases; returns report rows.
+
+    Raises ValueError on a config key that DEFAULT_CONFIG does not have.
+    """
+    config = config or {}
+    unknown = sorted(set(config) - set(DEFAULT_CONFIG))
+    if unknown:
+        raise ValueError(f"unknown config keys: {', '.join(map(repr, unknown))}")
+    cfg = {**DEFAULT_CONFIG, **config}
     cfg["cases"] = [tuple(c) for c in cfg["cases"]]
     cfg["pairs"] = [tuple(map(tuple, p)) for p in cfg["pairs"]]
-    workers = int(os.environ.get("YSYSLAB_THREADS", "1"))
-    jobs = [("case", c) for c in cfg["cases"]] + [("pair", p) for p in cfg["pairs"]]
-
-    def work(job):
-        kind, payload = job
-        return _case_rows(payload, cfg) if kind == "case" else _pair_rows(payload, cfg)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(work, jobs))
-    else:
-        batches = [work(j) for j in jobs]
-    rows = [row for batch in batches for row in batch]
+    rows = [row for case in cfg["cases"] for row in _case_rows(case, cfg)]
+    rows += [row for pair in cfg["pairs"] for row in _pair_rows(pair, cfg)]
     rows += _extra_dilog_rows(cfg)
     rows.sort(key=lambda r: (r.case, r.check))
     return rows

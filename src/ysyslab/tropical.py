@@ -2,13 +2,9 @@
 
 A tropical coefficient is a Laurent monomial in the initial generators
 y_v (one per vertex), stored as its integer exponent vector.  Tropical
-addition takes componentwise minima, so the mutation rule
-
-    y'_k = y_k^{-1},
-    y'_j = y_j * y_k^{max(B_kj, 0)} * (y_k (+) 1)^{-B_kj}   (j != k)
-
-acts on exponent vectors by integer arithmetic only: (y_k (+) 1) has
-exponent vector min(e_k, 0).
+addition takes componentwise minima, so y (+) 1 has exponent vector
+min(e, 0), and the exchange rule of schedule.mutate_slot acts on the
+exponent rows by exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -27,23 +23,9 @@ UNIT = "unit"
 MIXED = "mixed"
 
 
-class TropicalCoefficients:
-    """Seed payload: row v of E is the exponent vector of y_v."""
-
-    def __init__(self, n, E=None):
-        self.E = np.eye(n, dtype=np.int64) if E is None else np.array(E, dtype=np.int64)
-
-    def copy(self):
-        return TropicalCoefficients(self.E.shape[0], self.E)
-
-    def mutate(self, k, B):
-        row = B[k, :]
-        ek = self.E[k].copy()
-        self.E += np.outer(np.maximum(row, 0), ek) - np.outer(row, np.minimum(ek, 0))
-        self.E[k] = -ek
-
-    def snapshot(self):
-        return self.E.copy()
+def tropical_plus1(E):
+    """Exponent rows of y (+) 1 for the monomials with exponent rows E."""
+    return np.minimum(E, 0)
 
 
 def sign_of(vec):
@@ -69,15 +51,16 @@ def specialize(vec, kill):
 class TropicalRun:
     """Tropical evaluation of the coefficient tuple over a time window."""
 
-    def __init__(self, family, rank, level, lo_u=None, hi_u=None):
+    def __init__(self, family, rank, level):
         self.model = model(family, rank, level)
         cd = self.model.cartan
         self.t = cd["t"]
         self.half_s = (cd["h_dual"] + level) * self.t
         self.full_s = 2 * self.half_s
-        lo_s = -cd["h_dual"] * self.t - 1 if lo_u is None else int(Fraction(lo_u) * self.t)
-        hi_s = 2 * self.full_s if hi_u is None else int(Fraction(hi_u) * self.t)
-        self.tuples = run_schedule(self.model, lo_s, hi_s, TropicalCoefficients(self.model.n))
+        E0 = np.eye(self.model.n, dtype=np.int64)
+        lo_s, hi_s = -cd["h_dual"] * self.t - 1, 2 * self.full_s
+        runs = run_schedule(self.model, lo_s, hi_s, E0, tropical_plus1)
+        self.tuples = {s: E for s, (E, _) in runs.items()}
         self.sets = slot_sets(self.model)
         self.omega = involutions(self.model)["omega"]
 
@@ -206,10 +189,6 @@ class TropicalRun:
             if want is not None and got != want:
                 bad.append((self.model.position(v), Fraction(s, self.t), got, want))
         return bad
-
-
-def run_tropical(family, rank, level, **kw):
-    return TropicalRun(family, rank, level, **kw)
 
 
 def expected_counts(family, rank, level):

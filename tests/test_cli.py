@@ -42,13 +42,22 @@ def test_dilog_report(capsys):
     assert abs(rep["constant"]["lhs"] - 60 / 11) < 1e-8
 
 
+@pytest.mark.parametrize("cmd", ["tropical", "numeric", "dilog", "schedule"])
+def test_case_commands_refuse_families_without_schedule(cmd, capsys):
+    # A, D and E6 have square-product quivers only: no Cartan data, no schedule
+    with pytest.raises(SystemExit) as err:
+        main([cmd, "--family", "A"])
+    assert err.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
 def test_orbits_refuses_missing_rank():
     with pytest.raises(SystemExit):
         main(["orbits", "--sigma", "C"])
 
 
 def test_orbits_output(capsys):
-    main(["orbits", "--sigma", "C", "--type", "D", "--rank", "10"])
+    main(["orbits", "--sigma", "C", "--rank", "10"])
     out = capsys.readouterr().out
     assert "-a1 -> " in out and "{" in out
 
@@ -94,12 +103,9 @@ def test_suite_rows_deterministic():
     assert first == second
 
 
-def test_suite_threaded_dispatch_matches_serial(monkeypatch):
-    cfg = {"cases": [["C", 2, 2], ["G2", 2, 2]], "pairs": [], "seeds": [0], "extra_dilog_levels": []}
-    serial = [r.to_json() for r in run_suite(cfg)]
-    monkeypatch.setenv("YSYSLAB_THREADS", "2")
-    threaded = [r.to_json() for r in run_suite(cfg)]
-    assert serial == threaded
+def test_suite_rejects_unknown_config_key():
+    with pytest.raises(ValueError, match="'casez'"):
+        run_suite({"casez": []})
 
 
 def test_suite_exit_status_on_failure(tmp_path):

@@ -51,17 +51,17 @@ def test_constant_solution_positive_with_tiny_residuals():
 def test_constant_relation_structure():
     # the long-root relation carries the doubled middle factor, and the G2
     # thin-row relation carries exponents 1,2,3,2,1 on its five factors
-    from ysyslab.dilog import _constant_rhs
+    from ysyslab.dilog import _constant_rhs, constant_relations
 
     Y = solve_constant_Y("C", 3, 2)
-    got = _constant_rhs("C", 3, 2, Y)[(3, 1)]
+    got = _constant_rhs(constant_relations("C", 3, 2), Y)[(3, 1)]
     manual = (
         (1 + Y[(2, 1)]) * (1 + Y[(2, 2)]) ** 2 * (1 + Y[(2, 3)])
     )  # m-neighbour denominators are boundary terms at level 2
     assert abs(got - manual) < 1e-12 * manual
 
     Yg = solve_constant_Y("G2", 2, 2)
-    got = _constant_rhs("G2", 2, 2, Yg)[(1, 1)]
+    got = _constant_rhs(constant_relations("G2", 2, 2), Yg)[(1, 1)]
     manual = (
         (1 + Yg[(2, 1)])
         * (1 + Yg[(2, 2)]) ** 2

@@ -4,13 +4,17 @@ import numpy as np
 import pytest
 
 from tests.conftest import CASES, cached_model, cached_numeric
+from tests.oracle import NumericSeedPayload, run_payload
+from ysyslab import numeric
 from ysyslab.gfun import g_exponent, g_factors, transpose_factors
 from ysyslab.numeric import (
-    NumericSeedPayload,
+    NumericRun,
     positivity_violations,
-    trivial_matches_projected,
+    real_plus1,
+    trivial_plus1,
     tropical_shadow_mismatches,
 )
+from ysyslab.schedule import mutate_slot, run_schedule, slot_sets
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -69,14 +73,28 @@ def test_y_numerator_matches_printed_relations():
 def test_seed_double_mutation_restores():
     rng = np.random.default_rng(4)
     m = cached_model("C", 3, 2)
-    x = rng.uniform(0.5, 2.0, m.n)
-    y = rng.uniform(0.5, 2.0, m.n)
-    pay = NumericSeedPayload(x, y, tracked=True)
-    ref = pay.copy()
-    pay.mutate(0, m.quiver.B)
-    pay.mutate(0, m.quiver.mutate(0).B)
-    assert np.allclose(pay.x, ref.x, rtol=1e-12)
-    assert np.allclose(pay.y, ref.y, rtol=1e-12)
+    logx = np.log(rng.uniform(0.5, 2.0, m.n))
+    logy = np.log(rng.uniform(0.5, 2.0, m.n))
+    for ks in ([0], slot_sets(m)[0]):
+        L, lx = mutate_slot(m.quiver.B, ks, logy, real_plus1, logx)
+        L, lx = mutate_slot(m.quiver.composite_mutate(ks).B, ks, L, real_plus1, lx)
+        assert np.allclose(np.exp(lx), np.exp(logx), rtol=1e-12)
+        assert np.allclose(np.exp(L), np.exp(logy), rtol=1e-12)
+
+
+def test_overflow_raises(monkeypatch):
+    # the runs work in logs; a cluster value or a coefficient past the
+    # float range fails when the run turns them into values
+    for which in (0, 1):
+
+        def huge(model, s_lo, s_hi, L, oplus1, logx):
+            seed = [L, logx]
+            seed[which] = np.full(model.n, 800.0)
+            return {0: tuple(seed)}
+
+        monkeypatch.setattr(numeric, "run_schedule", huge)
+        with pytest.raises(FloatingPointError):
+            NumericRun("C", 2, 2, tracked=True)
 
 
 @pytest.mark.parametrize("family,rank,level", CASES)
@@ -98,8 +116,18 @@ def test_tropical_shadow(family, rank, level):
 
 
 def test_trivial_semifield_projection():
+    # the coefficient-free run is the exchange rule in the one-element
+    # semifield; it agrees value for value with the plain two-monomial
+    # exchange, and its coefficients never move
     for family, rank, level in [("C", 2, 2), ("F4", 4, 2), ("G2", 2, 2)]:
-        assert trivial_matches_projected(family, rank, level)
+        mdl = cached_model(family, rank, level)
+        t = mdl.cartan["t"]
+        x0 = np.random.default_rng(0).uniform(0.5, 2.0, mdl.n)
+        plain = run_payload(mdl, -2 * t, 2 * t, NumericSeedPayload(x0))
+        projected = run_schedule(mdl, -2 * t, 2 * t, np.zeros(mdl.n), trivial_plus1, np.log(x0))
+        for s, (L, logx) in projected.items():
+            assert np.max(np.abs(np.exp(logx) - plain[s][0])) <= 1e-12
+            assert not L.any()
 
 
 def test_y_residuals_need_tracking():

@@ -1,8 +1,10 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from tests.conftest import CASES, cached_model
+from tests.conftest import CASES, cached_model, cached_numeric, cached_tropical
+from tests.oracle import NumericSeedPayload, TropicalCoefficients, run_payload
 from ysyslab.builders import involutions
 from ysyslab.quiver import Quiver
 from ysyslab.schedule import (
@@ -16,6 +18,7 @@ from ysyslab.schedule import (
     schedule_steps,
     slot_sets,
 )
+from ysyslab.tropical import tropical_plus1
 
 
 def test_gridpoint_time():
@@ -109,19 +112,61 @@ def test_flipped_orientation_rule_fails_first_step():
         run_schedule(bad, 0, 1)
 
 
+def test_adjacent_slot_vertices_fail():
+    # the slot step mutates a whole slot at once, which needs its vertices
+    # pairwise non-adjacent in the slot's matrix
+    m = cached_model("C", 3, 2)
+    i, j = slot_sets(m)[0][:2]
+    B = m.quiver.B.copy()
+    B[i, j], B[j, i] = 1, -1
+    bad = type(m)(m.spec, Quiver(B, m.quiver.meta), dict(m.index))
+    with pytest.raises(ScheduleError, match="adjacent"):
+        run_schedule(bad, 0, 1)
+
+
+@pytest.mark.parametrize("family,rank,level", CASES)
+def test_tropical_run_matches_per_vertex_oracle(family, rank, level):
+    run = cached_tropical(family, rank, level)
+    want = run_payload(
+        run.model, min(run.tuples), max(run.tuples), TropicalCoefficients(np.eye(run.model.n))
+    )
+    assert want.keys() == run.tuples.keys()
+    for s, E in want.items():
+        assert np.array_equal(run.tuples[s], E), s
+
+
+@pytest.mark.parametrize("family,rank,level", CASES)
+@pytest.mark.parametrize("tracked", [True, False])
+def test_numeric_run_matches_per_vertex_oracle(family, rank, level, tracked):
+    # the window includes the backward margin, where a step from s must use
+    # the matrix at s, not the one at s - 1
+    run = cached_numeric(family, rank, level, 0, tracked)
+    assert run.lo_s < 0
+    want = run_payload(run.model, run.lo_s, run.hi_s, NumericSeedPayload(*run.snaps[0]))
+    assert want.keys() == run.snaps.keys()
+    for s, (x, y) in want.items():
+        got_x, got_y = run.snaps[s]
+        assert np.max(np.abs(got_x - x) / x) <= 1e-13, s
+        if tracked:
+            assert np.max(np.abs(got_y - y) / y) <= 1e-13, s
+        else:
+            assert got_y is None and y is None
+
+
 def test_global_opposite_passes_cycle_but_flips_tropical_signs():
     # a global arrow flip commutes with mutation, so the quiver cycle alone
     # cannot see it; the forward-window tropical positivity does
-    from ysyslab.tropical import POSITIVE, TropicalCoefficients, sign_of
+    from ysyslab.tropical import POSITIVE, sign_of
 
     m = cached_model("C", 3, 2)
     flipped = type(m)(m.spec, m.quiver.opposite(), dict(m.index))
     run_schedule(flipped, 0, 4)  # passes by the negation symmetry
 
     def window_signs(mdl):
-        snaps = run_schedule(mdl, 0, 4, TropicalCoefficients(mdl.n))
+        E0 = np.eye(mdl.n, dtype=np.int64)
+        snaps = run_schedule(mdl, 0, 4, E0, tropical_plus1)
         sets = slot_sets(mdl)
-        return {sign_of(snaps[s][v]) for s in range(4) for v in sets[s]}
+        return {sign_of(snaps[s][0][v]) for s in range(4) for v in sets[s]}
 
     assert window_signs(m) == {POSITIVE}
     assert window_signs(flipped) != {POSITIVE}

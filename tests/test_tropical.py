@@ -5,16 +5,17 @@ import pytest
 
 from tests.conftest import CASES, cached_tropical
 from ysyslab.quiver import FILL_CIRCLE, Quiver
+from ysyslab.schedule import mutate_slot
 from ysyslab.tropical import (
     MIXED,
     NEGATIVE,
     POSITIVE,
     UNIT,
-    TropicalCoefficients,
     expected_counts,
     sign_of,
     specialize,
     total_points,
+    tropical_plus1,
 )
 
 
@@ -39,9 +40,8 @@ def rank2_quiver():
 def test_mutation_rule_hand_example():
     # one arrow 1 -> 2; mutating at 1 sends y2 to y2*y1
     Q = rank2_quiver()
-    pay = TropicalCoefficients(2)
-    pay.mutate(0, Q.B)
-    assert pay.E.tolist() == [[-1, 0], [1, 1]]
+    E, _ = mutate_slot(Q.B, [0], np.eye(2, dtype=np.int64), tropical_plus1)
+    assert E.tolist() == [[-1, 0], [1, 1]]
 
 
 def test_mutation_involution_randomized():
@@ -55,11 +55,18 @@ def test_mutation_involution_randomized():
                 B[j, i] = -B[i, j]
         Q = Quiver(B, strict=False)
         E0 = rng.integers(-3, 4, (n, n))
-        pay = TropicalCoefficients(n, E0)
-        k = int(rng.integers(0, n))
-        pay.mutate(k, Q.B)
-        pay.mutate(k, Q.mutate(k).B)
-        assert np.array_equal(pay.E, E0)
+        # a single vertex half the time, else a random maximal set of
+        # pairwise non-adjacent vertices
+        order = rng.permutation(n)
+        if rng.integers(0, 2):
+            order = order[:1]
+        ks = []
+        for k in order:
+            if not B[k, ks].any():
+                ks.append(int(k))
+        E, _ = mutate_slot(Q.B, ks, E0, tropical_plus1)
+        E, _ = mutate_slot(Q.composite_mutate(ks).B, ks, E, tropical_plus1)
+        assert np.array_equal(E, E0)
 
 
 def test_first_window_positivity_level2():
