@@ -11,7 +11,7 @@ from fractions import Fraction
 from .builders import FamilySpec, build
 from .dilog import check_DI, check_functional_DI
 from .mutclass import search_equivalence
-from .numeric import NumericRun
+from .numeric import NumericRun, run_pairs, worst_errors
 from .quiver import find_isomorphism
 from .roots import format_d_symbol, sigma_C, sigma_F4, sigma_G2
 from .schedule import schedule_steps
@@ -34,7 +34,7 @@ def _emit(data, path=None):
 
 
 def _cmd_build(args):
-    mdl = build(FamilySpec(args.family, args.rank, args.level))
+    mdl = build(args.spec)
     text = mdl.quiver.to_json()
     if args.out:
         with open(args.out, "w") as fh:
@@ -44,7 +44,7 @@ def _cmd_build(args):
 
 
 def _cmd_schedule(args):
-    mdl = build(FamilySpec(args.family, args.rank, args.level))
+    mdl = build(args.spec)
     steps = schedule_steps(mdl, Fraction(args.frm), Fraction(args.to))
     _emit(
         [
@@ -86,21 +86,8 @@ def _cmd_tropical(args):
 
 
 def _cmd_numeric(args):
-    worst_res, worst_per = 0.0, 0.0
-    for seed in range(args.seeds):
-        tracked = NumericRun(args.family, args.rank, args.level, seed=seed, tracked=True)
-        plain = NumericRun(args.family, args.rank, args.level, seed=seed, tracked=False)
-        worst_res = max(
-            worst_res,
-            plain.t_residuals().max(),
-            tracked.t_residuals().max(),
-            tracked.y_residuals().max(),
-        )
-        worst_per = max(
-            worst_per,
-            plain.t_periodicity_errors().max(),
-            tracked.y_periodicity_errors().max(),
-        )
+    pairs = run_pairs(args.family, args.rank, args.level, range(args.seeds))
+    worst_res, worst_per = worst_errors(pairs)
     _emit(
         {
             "case": f"{args.family}:{args.rank}:{args.level}",
@@ -134,7 +121,8 @@ def _cmd_dilog(args):
     lhs, rhs, err = check_DI(args.family, args.rank, args.level)
     out = {"constant": {"lhs": lhs, "rhs": rhs, "abs_error": err}}
     if args.functional:
-        out["functional"] = check_functional_DI(args.family, args.rank, args.level)
+        runs = [NumericRun(args.family, args.rank, args.level, seed=seed) for seed in range(5)]
+        out["functional"] = check_functional_DI(runs)
     _emit(out, args.out)
 
 
@@ -225,8 +213,15 @@ def main(argv=None):
     p.set_defaults(fn=_cmd_suite)
 
     args = ap.parse_args(argv)
-    if getattr(args, "rank", None) is None and getattr(args, "family", None):
-        args.rank = {"C": 3, "F4": 4, "G2": 2, "E6": 6}.get(args.family, 3)
+    if getattr(args, "family", None):
+        if args.rank is None:
+            args.rank = {"C": 3, "F4": 4, "G2": 2, "E6": 6}.get(args.family, 3)
+        try:
+            args.spec = FamilySpec(args.family, args.rank, args.level)
+        except ValueError as err:
+            ap.error(str(err))
+    if getattr(args, "seeds", 1) < 1:
+        ap.error("--seeds must be at least 1")
     args.fn(args)
 
 

@@ -57,15 +57,13 @@ def constant_relations(family, rank, level):
     on u; the denominator factors (1 + 1/Y_(a,m+-1)) are dropped at the
     boundary rows.
     """
-    cd = cartan_data(family, rank)
-    rows = {a: range(1, cd["t_a"][a] * level) for a in range(1, rank + 1)}
+    numerators = transpose_factors(family, rank, level)
     return {
         (a, m): (
-            [(b, k) for b, k, _ in transpose_factors(family, rank, level, a, m)],
-            [(a, k) for k in (m - 1, m + 1) if k in rows[a]],
+            [(b, k) for b, k, _ in num],
+            [(a, k) for k in (m - 1, m + 1) if (a, k) in numerators],
         )
-        for a in rows
-        for m in rows[a]
+        for (a, m), num in numerators.items()
     }
 
 
@@ -149,25 +147,23 @@ def functional_rhs_doubled(family, rank, level):
     raise ValueError(f"unknown family {family!r}")
 
 
-def check_functional_DI(family, rank, level, seeds=(0, 1, 2, 3, 4)):
-    """Functional identities across several random initializations.
+def check_functional_DI(runs):
+    """Functional identities across tracked NumericRuns of one case, one per
+    random initialization.
 
-    Returns a dict with the per-seed sums, the worst deviation from the
-    tropical tallies (N-, N+), and the spread across seeds.
+    Returns a dict with the per-run sums, the worst deviation from the
+    tropical tallies (N-, N+), and the spread across runs.
     """
-    npos, nneg = expected_counts(family, rank, level)
-    sums = []
-    for seed in seeds:
-        run = NumericRun(family, rank, level, seed=seed, tracked=True)
-        sums.append(functional_sums(run))
-    sums = np.array(sums)
+    spec = runs[0].spec
+    npos, nneg = expected_counts(spec.family, spec.rank, spec.level)
+    sums = np.array([functional_sums(run) for run in runs])
     dev_minus = float(np.max(np.abs(sums[:, 0] - nneg)))
     dev_plus = float(np.max(np.abs(sums[:, 1] - npos)))
     spread = float(max(np.ptp(sums[:, 0]), np.ptp(sums[:, 1])))
     return {
         "sums": sums.tolist(),
         "targets": (nneg, npos),
-        "doubled_targets": functional_rhs_doubled(family, rank, level),
+        "doubled_targets": functional_rhs_doubled(spec.family, spec.rank, spec.level),
         "max_deviation": max(dev_minus, dev_plus),
         "seed_spread": spread,
     }

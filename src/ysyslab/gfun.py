@@ -3,9 +3,9 @@
 For the relation centered at (a, m, u) the second exchange monomial is a
 product of variables T^{(b)}_k(u + dv); g_factors returns those (b, k, dv)
 triples with boundary factors (index 0, component 0, or top row t_b*level)
-already dropped.  transpose_factors inverts the table: it lists the
-(b, k, dv) with (1 + Y^{(b)}_k(u + dv)) in the numerator of the Y-relation
-at (a, m, u).
+already dropped.  transpose_factors inverts the whole table at once: for
+each (a, m) it lists the (b, k, dv) with (1 + Y^{(b)}_k(u + dv)) in the
+numerator of the Y-relation at (a, m, u).
 """
 
 from __future__ import annotations
@@ -83,18 +83,16 @@ def g_factors(family, rank, level, a, m):
     return out
 
 
-def g_exponent(family, rank, level, b, k, dv, a, m):
-    """Multiplicity of T^{(b)}_k(u+dv) in the relation at (a, m, u)."""
-    return g_factors(family, rank, level, a, m).count((b, k, Fraction(dv)))
+def transpose_factors(family, rank, level):
+    """The Y-relation numerators, built in one pass over g_factors.
 
-
-def transpose_factors(family, rank, level, a, m):
-    """(b, k, dv) with (1+Y^{(b)}_k(u+dv)) in the Y-relation numerator at (a, m, u)."""
+    Returns {(a, m): [(b, k, dv)]}: the factors (1+Y^{(b)}_k(u+dv)) in the
+    numerator of the Y-relation at (a, m, u), listed in ascending (b, k).
+    """
     cd = cartan_data(family, rank)
-    out = []
-    for b in range(1, rank + 1):
-        for k in range(1, cd["t_a"][b] * level):
-            for (c, m2, dv) in g_factors(family, rank, level, b, k):
-                if c == a and m2 == m:
-                    out.append((b, k, -dv))
+    rows = [(a, m) for a in range(1, rank + 1) for m in range(1, cd["t_a"][a] * level)]
+    out = {row: [] for row in rows}
+    for b, k in rows:
+        for a, m, dv in g_factors(family, rank, level, b, k):
+            out[(a, m)].append((b, k, -dv))
     return out

@@ -15,24 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quiver import Quiver, find_isomorphism, invert_perm
+from .quiver import Quiver, find_isomorphism, invert_perm, refine_colors
 
 SIZE_CAP = 24
-
-
-def _refine(B, colors):
-    n = len(colors)
-    nbrs = [np.nonzero(B[i])[0] for i in range(n)]
-    while True:
-        sigs = [
-            (colors[i], tuple(sorted((colors[j], int(B[i, j])) for j in nbrs[i])))
-            for i in range(n)
-        ]
-        lookup = {s: c for c, s in enumerate(sorted(set(sigs)))}
-        new = [lookup[s] for s in sigs]
-        if new == colors:
-            return colors
-        colors = new
 
 
 def canonical_key(Q):
@@ -68,9 +53,9 @@ def canonical_key(Q):
         for v in branch:
             child = list(colors)
             child[v] = fresh
-            search(_refine(B, child))
+            search(refine_colors(B, child))
 
-    search(_refine(B, [0] * n))
+    search(refine_colors(B, [0] * n))
     return best
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .builders import model
 from .gfun import g_factors, transpose_factors
-from .schedule import label_g, label_g_prime, parity_plus, run_schedule
+from .schedule import grid_points, label_g, label_g_prime, run_schedule
 
 
 def real_plus1(L):
@@ -72,14 +72,8 @@ class NumericRun:
 
     # -- relation residuals -------------------------------------------------
 
-    def _relation_centers(self, prime, s_lo, s_hi):
-        fam, rank = self.spec.family, self.spec.rank
-        cd = self.model.cartan
-        for s in range(s_lo, s_hi):
-            for a in range(1, rank + 1):
-                for m in range(1, cd["t_a"][a] * self.spec.level):
-                    if parity_plus(fam, rank, a, m, s, prime=prime):
-                        yield a, m, s
+    def _grid(self, prime, s_lo, s_hi):
+        return grid_points(self.spec.family, self.spec.rank, self.spec.level, s_lo, s_hi, prime)
 
     def t_residuals(self):
         """Relative residuals of the cluster-variable recursion at all P'+
@@ -87,7 +81,7 @@ class NumericRun:
         fam, rank, lev = self.spec.family, self.spec.rank, self.spec.level
         cd = self.model.cartan
         out = []
-        for a, m, s in self._relation_centers(True, 0, self.full_s):
+        for a, m, s in self._grid(True, 0, self.full_s):
             dt = self.t // cd["t_a"][a]
             lhs = self.X(a, m, s - dt) * self.X(a, m, s + dt)
             adj = self.X(a, m - 1, s) * self.X(a, m + 1, s)
@@ -106,59 +100,77 @@ class NumericRun:
         """Relative residuals of the coefficient recursion at all P+ centers."""
         if not self.tracked:
             raise ValueError("coefficient residuals need a tracked run")
-        fam, rank, lev = self.spec.family, self.spec.rank, self.spec.level
         cd = self.model.cartan
+        numerators = transpose_factors(self.spec.family, self.spec.rank, self.spec.level)
         out = []
-        for a, m, s in self._relation_centers(False, 0, self.full_s):
+        for a, m, s in self._grid(False, 0, self.full_s):
             dt = self.t // cd["t_a"][a]
             lhs = self.Y(a, m, s - dt) * self.Y(a, m, s + dt)
             num = 1.0
-            for b, k, dv in transpose_factors(fam, rank, lev, a, m):
+            for b, k, dv in numerators[(a, m)]:
                 num *= 1.0 + self.Y(b, k, s + int(dv * self.t))
             den = 1.0
-            top = cd["t_a"][a] * lev
-            if m - 1 >= 1:
-                den *= 1.0 + 1.0 / self.Y(a, m - 1, s)
-            if m + 1 <= top - 1:
-                den *= 1.0 + 1.0 / self.Y(a, m + 1, s)
+            for k in (m - 1, m + 1):  # the boundary rows carry no factor
+                if (a, k) in numerators:
+                    den *= 1.0 + 1.0 / self.Y(a, k, s)
             rhs = num / den
             out.append(abs(lhs - rhs) / max(abs(lhs), abs(rhs)))
         return np.array(out)
 
     # -- periodicity ----------------------------------------------------------
 
-    def t_periodicity_errors(self):
-        """Relative half/full periodicity errors of the labelled T values.
+    def _periodicity_errors(self, value, prime):
+        """Relative half/full periodicity errors of the labelled values.
 
-        The half statement is checked as T_{top-m}(u + half) = T_m(u); the
+        The half statement is checked as V_{top-m}(u + half) = V_m(u); the
         row flip compensates the parity-class swap of the half shift, so
         both ends carry labels of the realized parity class.
         """
         cd = self.model.cartan
         half = self.full_s // 2
         errs = []
-        for a, m, s in self._relation_centers(False, 0, 2 * self.t):
-            base = self.X(a, m, s)
+        for a, m, s in self._grid(prime, 0, 2 * self.t):
+            base = value(a, m, s)
             top = cd["t_a"][a] * self.spec.level
-            errs.append(abs(self.X(a, m, s + self.full_s) - base) / abs(base))
-            errs.append(abs(self.X(a, top - m, s + half) - base) / abs(base))
+            errs.append(abs(value(a, m, s + self.full_s) - base) / abs(base))
+            errs.append(abs(value(a, top - m, s + half) - base) / abs(base))
         return np.array(errs)
 
+    def t_periodicity_errors(self):
+        """Periodicity errors of the labelled T values, on the P+ class."""
+        return self._periodicity_errors(self.X, prime=False)
+
     def y_periodicity_errors(self):
-        cd = self.model.cartan
-        half = self.full_s // 2
-        errs = []
-        for a, m, s in self._relation_centers(True, 0, 2 * self.t):
-            base = self.Y(a, m, s)
-            top = cd["t_a"][a] * self.spec.level
-            errs.append(abs(self.Y(a, m, s + self.full_s) - base) / abs(base))
-            errs.append(abs(self.Y(a, top - m, s + half) - base) / abs(base))
-        return np.array(errs)
+        """Periodicity errors of the labelled Y values, on the P'+ class."""
+        return self._periodicity_errors(self.Y, prime=True)
 
     def labelled_coefficients(self, s_lo, s_hi):
         """(a, m, s, y) over the P'+ grid points in the window."""
-        for a, m, s in self._relation_centers(True, s_lo, s_hi):
+        for a, m, s in self._grid(True, s_lo, s_hi):
             yield a, m, s, self.Y(a, m, s)
+
+
+def run_pairs(family, rank, level, seeds):
+    """A (tracked, plain) pair of runs of one case for each seed."""
+    return [
+        (NumericRun(family, rank, level, seed=seed), NumericRun(family, rank, level, seed=seed, tracked=False))
+        for seed in seeds
+    ]
+
+
+def worst_errors(pairs):
+    """(worst residual, worst periodicity error) over (tracked, plain) run pairs:
+    the T-recursion in both runs and the Y-recursion in the tracked one, the
+    T values of the plain run and the Y values of the tracked one."""
+    res = max(
+        max(plain.t_residuals().max(), tracked.t_residuals().max(), tracked.y_residuals().max())
+        for tracked, plain in pairs
+    )
+    per = max(
+        max(plain.t_periodicity_errors().max(), tracked.y_periodicity_errors().max())
+        for tracked, plain in pairs
+    )
+    return float(res), float(per)
 
 
 def positivity_violations(run):
@@ -175,16 +187,13 @@ def positivity_violations(run):
 # -- tropical shadow -----------------------------------------------------------
 
 
-def tropical_shadow_mismatches(family, rank, level, seed=0, n_points=20, eps=1e-12):
-    """Compare tropical exponents against small-parameter numeric slopes.
+def tropical_shadow_mismatches(trop, seed=0, n_points=20, eps=1e-12):
+    """Compare the exponents of a TropicalRun against small-parameter numeric slopes.
 
     Coefficients are started at y_v = eps**(e_v) for a random integer
     direction e; after running the schedule, log(y_i(u)) / log(eps) must
     approach the pairing of the tropical exponent vector with e.
     """
-    from .tropical import TropicalRun
-
-    trop = TropicalRun(family, rank, level)
     mdl = trop.model
     rng = np.random.default_rng(seed)
     e = rng.integers(1, 4, mdl.n)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 
@@ -172,16 +171,18 @@ def invert_perm(p):
     return tuple(inv)
 
 
-def _refine_colors(B, colors):
-    """Iterative color refinement on the directed {-1,0,1} graph."""
-    n = B.shape[0]
+def refine_colors(B, colors):
+    """Iterative color refinement on the directed graph of B.  New colors are
+    the ranks of the signatures (color, sorted neighbour (color, entry) pairs),
+    so isomorphic inputs refine to isomorphic colorings."""
+    n = len(colors)
+    nbrs = [np.nonzero(B[i])[0] for i in range(n)]
     while True:
-        sigs = []
-        for i in range(n):
-            out_sig = sorted((colors[j], int(B[i, j])) for j in range(n) if B[i, j])
-            sigs.append((colors[i], tuple(out_sig)))
-        order = sorted(set(sigs))
-        lookup = {s: c for c, s in enumerate(order)}
+        sigs = [
+            (colors[i], tuple(sorted((colors[j], int(B[i, j])) for j in nbrs[i])))
+            for i in range(n)
+        ]
+        lookup = {s: c for c, s in enumerate(sorted(set(sigs)))}
         new = [lookup[s] for s in sigs]
         if new == colors:
             return colors
@@ -198,8 +199,8 @@ def find_isomorphism(Q1, Q2):
         return None
     n = Q1.n
     B1, B2 = Q1.B, Q2.B
-    c1 = _refine_colors(B1, [0] * n)
-    c2 = _refine_colors(B2, [0] * n)
+    c1 = refine_colors(B1, [0] * n)
+    c2 = refine_colors(B2, [0] * n)
     if sorted(c1) != sorted(c2):
         return None
 
@@ -237,13 +238,3 @@ def find_isomorphism(Q1, Q2):
     if not place(0):
         return None
     return tuple(assignment)
-
-
-def exhaustive_isomorphism(Q1, Q2):
-    """Brute-force isomorphism search; oracle for find_isomorphism tests."""
-    if Q1.n != Q2.n:
-        return None
-    for p in permutations(range(Q1.n)):
-        if Q1.apply_perm(p) == Q2:
-            return p
-    return None

@@ -22,22 +22,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .builders import ROMAN, involutions
+from .builders import ROMAN, cartan_data, involutions
 from .quiver import FILL_BULLET, FILL_CIRCLE
-
-
-@dataclass(frozen=True)
-class GridPoint:
-    """Triple (a, m, u) with u = s/t kept as an exact scaled integer."""
-
-    a: int
-    m: int
-    s: int
-    t: int
-
-    @property
-    def u(self):
-        return Fraction(self.s, self.t)
 
 
 # -- parity conditions on grid triplets --------------------------------------
@@ -61,26 +47,8 @@ def parity_plus(family, rank, a, m, s, prime=False):
     raise ValueError(f"unknown family {family!r}")
 
 
-def vertex_parity(model, v, s):
-    """Forward/backward mutation membership of (vertex, time s/t).
-
-    Returns "p+" when the vertex is mutated by the step leaving time s,
-    "p-" when it was mutated by the step arriving there, and None when the
-    schedule never touches it at that time.
-    """
-    t = model.cartan["t"]
-    sets = slot_sets(model)
-    if v in sets[s % (2 * t)]:
-        return "p+"
-    if v in sets[(s - 1) % (2 * t)]:
-        return "p-"
-    return None
-
-
 def grid_points(family, rank, level, s_lo, s_hi, prime=False):
     """All (a, m, s) in the given class with s_lo <= s < s_hi."""
-    from .builders import cartan_data
-
     cd = cartan_data(family, rank)
     out = []
     for s in range(s_lo, s_hi):
@@ -212,25 +180,12 @@ def label_g_prime(model, a, m, s):
 
 
 def label_g(model, a, m, s_w):
-    """Cluster-variable label: (a, m, w=s_w/t) in P+ -> (vertex, s_w + t/t_a)."""
-    fam, rank = model.spec.family, model.spec.rank
-    t = model.cartan["t"]
-    if not parity_plus(fam, rank, a, m, s_w, prime=False):
-        raise ValueError(f"({a},{m},{s_w}/{t}) violates the P+ parity condition")
-    s = s_w + t // model.cartan["t_a"][a]
-    if fam == "C":
-        col = a if a != rank else _c_column(rank, m, s // 2)
-    elif fam == "F4":
-        if a in (1, 2):
-            col = a if (a + m + s // 2) % 2 == 0 else 7 - a
-        else:
-            col = a
-    else:
-        if a == 1:
-            col = {0: 1, 4: 2, 2: 3}[(3 * m + s) % 6]
-        else:
-            col = 4
-    return model.vid(col, m), s
+    """Cluster-variable label: (a, m, w=s_w/t) in P+ -> (vertex, s_w + t/t_a).
+
+    (a, m, w) is in P+ exactly when (a, m, w + 1/t_a) is in P'+, and the
+    cluster variable sits at the mutation point of that coefficient.
+    """
+    return label_g_prime(model, a, m, s_w + model.cartan["t"] // model.cartan["t_a"][a])
 
 
 # -- the runner ----------------------------------------------------------------

@@ -6,10 +6,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .builders import FamilySpec, build
+from .builders import FamilySpec, build, cartan_data
 from .dilog import check_DI, check_functional_DI
 from .mutclass import search_equivalence
-from .numeric import NumericRun, tropical_shadow_mismatches
+from .numeric import run_pairs, tropical_shadow_mismatches, worst_errors
 from .quiver import find_isomorphism
 from .roots import apart_mismatches_C, tvector_mismatches
 from .schedule import ScheduleError, run_schedule
@@ -128,17 +128,8 @@ def _case_rows(case, cfg):
             mismatches=len(bad),
         )
 
-    res_t, res_x, res_y, per_t, per_y = [], [], [], [], []
-    for seed in cfg["seeds"]:
-        tracked = NumericRun(family, rank, level, seed=seed, tracked=True)
-        plain = NumericRun(family, rank, level, seed=seed, tracked=False)
-        res_t.append(plain.t_residuals().max())
-        res_x.append(tracked.t_residuals().max())
-        res_y.append(tracked.y_residuals().max())
-        per_t.append(plain.t_periodicity_errors().max())
-        per_y.append(tracked.y_periodicity_errors().max())
-    worst_res = float(max(max(res_t), max(res_x), max(res_y)))
-    worst_per = float(max(max(per_t), max(per_y)))
+    pairs = run_pairs(family, rank, level, cfg["seeds"])
+    worst_res, worst_per = worst_errors(pairs)
     row(
         "numeric-residuals",
         "pass" if worst_res < cfg["residual_tol"] else "fail",
@@ -153,7 +144,7 @@ def _case_rows(case, cfg):
         max_error=worst_per,
         tol=cfg["periodicity_tol"],
     )
-    shadow = tropical_shadow_mismatches(family, rank, level, seed=cfg["seeds"][0])
+    shadow = tropical_shadow_mismatches(trop, seed=cfg["seeds"][0])
     row(
         "tropical-shadow",
         "pass" if not shadow else "fail",
@@ -170,7 +161,7 @@ def _case_rows(case, cfg):
         rhs=rhs,
         abs_error=err,
     )
-    rep = check_functional_DI(family, rank, level, seeds=tuple(cfg["seeds"]))
+    rep = check_functional_DI([tracked for tracked, _ in pairs])
     ok = rep["max_deviation"] < cfg["functional_tol"] and rep["seed_spread"] < cfg["functional_tol"]
     row(
         "dilog-functional",
@@ -227,10 +218,26 @@ def _extra_dilog_rows(cfg):
     return rows
 
 
+def _validate(cfg):
+    """Raise ValueError on a seed list, case or pair that cannot be run."""
+    if not cfg["seeds"]:
+        raise ValueError("seeds must list at least one seed")
+    extra = [(f, r, lev) for f, r, _ in cfg["cases"] for lev in cfg["extra_dilog_levels"]]
+    for case in cfg["cases"] + extra + [side for pair in cfg["pairs"] for side in pair]:
+        try:
+            FamilySpec(*case)
+            if case in cfg["cases"]:
+                cartan_data(case[0], case[1])  # a case needs a schedule: C, F4 or G2
+        except (TypeError, ValueError) as err:
+            raise ValueError(f"case {':'.join(map(str, case))}: {err}") from err
+
+
 def run_suite(config=None):
     """Run every verification over the configured cases; returns report rows.
 
-    Raises ValueError on a config key that DEFAULT_CONFIG does not have.
+    Raises ValueError, before any work starts, on a config key that
+    DEFAULT_CONFIG does not have, an empty seed list, or an invalid case or
+    pair.
     """
     config = config or {}
     unknown = sorted(set(config) - set(DEFAULT_CONFIG))
@@ -239,6 +246,7 @@ def run_suite(config=None):
     cfg = {**DEFAULT_CONFIG, **config}
     cfg["cases"] = [tuple(c) for c in cfg["cases"]]
     cfg["pairs"] = [tuple(map(tuple, p)) for p in cfg["pairs"]]
+    _validate(cfg)
     rows = [row for case in cfg["cases"] for row in _case_rows(case, cfg)]
     rows += [row for pair in cfg["pairs"] for row in _pair_rows(pair, cfg)]
     rows += _extra_dilog_rows(cfg)

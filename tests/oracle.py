@@ -1,9 +1,13 @@
-"""The per-vertex exchange rules, driven by Quiver.mutate.
+"""Reference implementations the tests check ysyslab against.
 
-This is the reference the slot step of ysyslab.schedule is checked against:
-each payload mutates one vertex at a time, with the exchange matrix that
-Quiver.mutate produces before that vertex, in multiplicative notation.
+The per-vertex exchange rules, driven by Quiver.mutate, are the reference
+for the slot step of ysyslab.schedule: each payload mutates one vertex at a
+time, with the exchange matrix that Quiver.mutate produces before that
+vertex, in multiplicative notation.  exhaustive_isomorphism is the
+brute-force reference for quiver.find_isomorphism.
 """
+
+from itertools import permutations
 
 import numpy as np
 
@@ -75,3 +79,13 @@ def run_payload(model, s_lo, s_hi, payload):
             s += step
             snapshots[s] = pl.snapshot()
     return snapshots
+
+
+def exhaustive_isomorphism(Q1, Q2):
+    """Brute-force isomorphism search over all vertex permutations."""
+    if Q1.n != Q2.n:
+        return None
+    for p in permutations(range(Q1.n)):
+        if Q1.apply_perm(p) == Q2:
+            return p
+    return None

@@ -1,9 +1,18 @@
+import ast
+import importlib
 import json
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
+from ysyslab import suite
 from ysyslab.cli import main
+from ysyslab.numeric import NumericRun
 from ysyslab.suite import VerificationReport, run_suite, suite_passed
+from ysyslab.tropical import TropicalRun
+
+TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
 
 def test_build_json(capsys, tmp_path):
@@ -34,6 +43,22 @@ def test_numeric_report(capsys):
     main(["numeric", "--family", "G2", "--rank", "2", "--level", "2", "--seeds", "2", "--tol", "1e-8"])
     rep = json.loads(capsys.readouterr().out)
     assert rep["ok"] is True
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["numeric", "--family", "F4", "--rank", "3"], "type F4 has rank 4"),
+        (["tropical", "--family", "C", "--rank", "1"], "type C needs rank >= 2"),
+        (["numeric", "--family", "C", "--level", "1"], "level must be >= 2"),
+        (["numeric", "--family", "C", "--seeds", "0"], "--seeds must be at least 1"),
+    ],
+)
+def test_case_commands_reject_bad_input(argv, message, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_dilog_report(capsys):
@@ -106,6 +131,59 @@ def test_suite_rows_deterministic():
 def test_suite_rejects_unknown_config_key():
     with pytest.raises(ValueError, match="'casez'"):
         run_suite({"casez": []})
+
+
+def test_suite_rejects_empty_seeds():
+    with pytest.raises(ValueError, match="seeds"):
+        run_suite({"cases": [["C", 2, 2]], "pairs": [], "seeds": []})
+
+
+@pytest.mark.parametrize(
+    "config,bad",
+    [
+        ({"cases": [["C", 2, 2], ["X", 2, 2]]}, "X:2:2"),
+        ({"cases": [["C", 2, 2], ["A", 3, 2]]}, "A:3:2"),  # no schedule
+        ({"cases": [["C", 2, 2]], "extra_dilog_levels": [1]}, "C:2:1"),
+        ({"cases": [], "pairs": [[["C", 3, 2], ["D", 4, 1]]]}, "D:4:1"),
+    ],
+)
+def test_suite_validates_cases_before_work(config, bad, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("a case or pair ran before validation")
+
+    monkeypatch.setattr(suite, "_case_rows", no_work)
+    monkeypatch.setattr(suite, "_pair_rows", no_work)
+    with pytest.raises(ValueError, match=bad):
+        run_suite(config)
+
+
+def test_suite_builds_each_run_once(monkeypatch):
+    counts = Counter()
+    for cls in (NumericRun, TropicalRun):
+        def counted(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+            counts[_name] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    seeds = [0, 1, 2]
+    run_suite({"cases": [["C", 2, 2]], "pairs": [], "seeds": seeds, "extra_dilog_levels": []})
+    assert counts == {"NumericRun": 2 * len(seeds), "TropicalRun": 1}
+
+
+def test_tracer_targets_resolve():
+    # the benchmark's tracer wraps these names; a rename must fail here
+    tree = ast.parse(TRACER.read_text())
+    targets = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "TARGETS"
+    )
+    assert targets
+    for module, attr, *_ in targets:
+        obj = importlib.import_module(f"ysyslab.{module}")
+        for part in attr.split("."):
+            obj = getattr(obj, part)
+        assert callable(obj), (module, attr)
 
 
 def test_suite_exit_status_on_failure(tmp_path):

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from tests.conftest import CASES
+from tests.conftest import CASES, cached_numeric
 from ysyslab.dilog import (
     check_DI,
     check_functional_DI,
@@ -98,7 +98,7 @@ def test_constant_identity(family, rank, level):
 
 def test_functional_identity_small_cases():
     for family, rank, level in [("C", 2, 2), ("G2", 2, 2)]:
-        rep = check_functional_DI(family, rank, level, seeds=(0, 1, 2, 3, 4))
+        rep = check_functional_DI([cached_numeric(family, rank, level, seed, True) for seed in range(5)])
         assert rep["max_deviation"] < 1e-6
         assert rep["seed_spread"] < 1e-6
         npos, nneg = expected_counts(family, rank, level)

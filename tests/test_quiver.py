@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from tests.oracle import exhaustive_isomorphism
 from ysyslab.quiver import (
     Quiver,
-    exhaustive_isomorphism,
     find_isomorphism,
     invert_perm,
 )

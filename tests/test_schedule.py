@@ -8,7 +8,6 @@ from tests.oracle import NumericSeedPayload, TropicalCoefficients, run_payload
 from ysyslab.builders import involutions
 from ysyslab.quiver import Quiver
 from ysyslab.schedule import (
-    GridPoint,
     ScheduleError,
     grid_points,
     label_g,
@@ -19,10 +18,6 @@ from ysyslab.schedule import (
     slot_sets,
 )
 from ysyslab.tropical import tropical_plus1
-
-
-def test_gridpoint_time():
-    assert GridPoint(1, 2, -5, 3).u == Fraction(-5, 3)
 
 
 def test_parity_shift_relation():
@@ -177,24 +172,6 @@ def test_composite_after_first_step_gives_reflection():
     sets = slot_sets(m)
     Q = m.quiver.composite_mutate(sets[0]).composite_mutate(sets[1])
     assert Q == m.quiver.apply_perm(involutions(m)["r"])
-
-
-def test_vertex_parity_classification():
-    from ysyslab.schedule import vertex_parity
-
-    m = cached_model("C", 3, 2)
-    circle_plus = next(
-        v for v in range(m.n)
-        if m.quiver.meta[v].fill == "circle" and m.quiver.meta[v].tag == "+"
-    )
-    # mutated going out of even times, arriving into the next half-step,
-    # and untouched at the two slots in between
-    assert vertex_parity(m, circle_plus, 0) == "p+"
-    assert vertex_parity(m, circle_plus, 1) == "p-"
-    assert vertex_parity(m, circle_plus, 2) is None
-    assert vertex_parity(m, circle_plus, 3) is None
-    bullet = next(v for v in range(m.n) if m.quiver.meta[v].fill == "bullet")
-    assert all(vertex_parity(m, bullet, s) is not None for s in range(4))
 
 
 def test_mutation_sets_match_printed_cycle():
