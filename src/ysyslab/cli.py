@@ -15,17 +15,27 @@ from .numeric import NumericRun, run_pairs, worst_errors
 from .quiver import find_isomorphism
 from .roots import format_d_symbol, sigma_C, sigma_F4, sigma_G2
 from .schedule import schedule_steps
-from .suite import run_suite, suite_passed
+from .suite import resolve_config, run_suite, suite_passed
 from .tropical import TropicalRun, sign_of
 
 
 def _parse_case(text):
-    family, rank, level = text.split(":")
-    return FamilySpec(family, int(rank), int(level))
+    try:
+        family, rank, level = text.split(":")
+        return FamilySpec(family, int(rank), int(level))
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a case family:rank:level ({err})") from err
 
 
-def _emit(data, path=None):
-    text = json.dumps(data, indent=2, default=str)
+def _load_config(path):
+    try:
+        with open(path) as fh:
+            return resolve_config(json.load(fh))
+    except (OSError, ValueError) as err:
+        raise argparse.ArgumentTypeError(f"{path}: {err}") from err
+
+
+def _write(text, path=None):
     if path:
         with open(path, "w") as fh:
             fh.write(text + "\n")
@@ -33,14 +43,12 @@ def _emit(data, path=None):
         print(text)
 
 
+def _emit(data, path=None):
+    _write(json.dumps(data, indent=2, default=str), path)
+
+
 def _cmd_build(args):
-    mdl = build(args.spec)
-    text = mdl.quiver.to_json()
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write(build(args.spec).quiver.to_json(), args.out)
 
 
 def _cmd_schedule(args):
@@ -127,8 +135,8 @@ def _cmd_dilog(args):
 
 
 def _cmd_mutclass(args):
-    Q1 = build(_parse_case(args.left)).quiver
-    Q2 = build(_parse_case(args.right)).quiver
+    Q1 = build(args.left).quiver
+    Q2 = build(args.right).quiver
     res = search_equivalence(Q1, Q2, depth_cap=args.depth, node_cap=args.nodes)
     if res is None:
         _emit({"found": False, "depth_cap": args.depth, "node_cap": args.nodes})
@@ -139,15 +147,9 @@ def _cmd_mutclass(args):
 
 
 def _cmd_suite(args):
-    config = None
-    if args.config:
-        with open(args.config) as fh:
-            config = json.load(fh)
-    rows = run_suite(config)
-    lines = [r.to_json() for r in rows]
+    rows = run_suite(args.config)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _write("\n".join(r.to_json() for r in rows), args.out)
     for r in rows:
         print(f"{r.status:12s} {r.case:12s} {r.check}")
     n_fail = sum(r.status != "pass" for r in rows)
@@ -201,14 +203,14 @@ def main(argv=None):
     p.set_defaults(fn=_cmd_dilog)
 
     p = sub.add_parser("mutclass", help="search a mutation equivalence")
-    p.add_argument("--left", required=True, help="family:rank:level")
-    p.add_argument("--right", required=True, help="family:rank:level")
+    p.add_argument("--left", required=True, type=_parse_case, help="family:rank:level")
+    p.add_argument("--right", required=True, type=_parse_case, help="family:rank:level")
     p.add_argument("--depth", type=int, default=12)
     p.add_argument("--nodes", type=int, default=10**6)
     p.set_defaults(fn=_cmd_mutclass)
 
     p = sub.add_parser("suite", help="run the whole verification suite")
-    p.add_argument("--config")
+    p.add_argument("--config", type=_load_config)
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_suite)
 

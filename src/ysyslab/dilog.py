@@ -75,24 +75,27 @@ def _constant_rhs(relations, Y):
     }
 
 
-def solve_constant_Y(family, rank, level, start=None, damping=0.5, tol=1e-13, max_iter=100000):
+DAMPING, TOL, MAX_ITER = 0.5, 1e-13, 100000
+
+
+def solve_constant_Y(family, rank, level, start=None):
     """Damped fixed-point solution of the constant coefficient system.
 
-    Iterates Y <- (1-damping)*Y + damping*sqrt(RHS(Y)) from the all-ones
+    Iterates Y <- (1-DAMPING)*Y + DAMPING*sqrt(RHS(Y)) from the all-ones
     start (or a supplied one) until the largest relative update drops
-    below tol.  Raises on non-convergence.
+    below TOL.  Raises after MAX_ITER iterations.
     """
     relations = constant_relations(family, rank, level)
     keys = list(relations)
     Y = {k: 1.0 for k in keys} if start is None else dict(start)
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         rhs = _constant_rhs(relations, Y)
         delta = 0.0
         for k in keys:
-            new = (1.0 - damping) * Y[k] + damping * np.sqrt(rhs[k])
+            new = (1.0 - DAMPING) * Y[k] + DAMPING * np.sqrt(rhs[k])
             delta = max(delta, abs(new - Y[k]) / Y[k])
             Y[k] = new
-        if delta < tol:
+        if delta < TOL:
             break
     else:
         raise RuntimeError(f"constant system did not converge for {family} level {level}")
@@ -129,7 +132,7 @@ def functional_sums(run: NumericRun):
     S_plus the companion sum of L(1/(1+y)); they target the negative and
     positive tropical tallies respectively.
     """
-    ys = np.array([y for (_, _, _, y) in run.labelled_coefficients(0, run.full_s)])
+    ys = run.labelled_coefficients(0, run.full_s)
     s_minus = 6.0 / np.pi**2 * float(np.sum(rogers_L(ys / (1.0 + ys))))
     s_plus = 6.0 / np.pi**2 * float(np.sum(rogers_L(1.0 / (1.0 + ys))))
     return s_minus, s_plus

@@ -1,4 +1,4 @@
-"""Time-indexed mutation schedules, parity bookkeeping, and label bijections.
+"""Time-indexed mutation schedules, the column fold, and the schedule runner.
 
 Time u runs over (1/t)*Z and is stored as the exact scaled integer s = t*u.
 One period of the quiver sequence is two time units, i.e. 2t steps:
@@ -13,6 +13,10 @@ One period of the quiver sequence is two time units, i.e. 2t steps:
 
 Every run first verifies the expected quiver at each slot over one period;
 a failure means a transcription or sign-convention fault in the builders.
+
+The labelled values T^{(a)}_m(u) and Y^{(a)}_m(u) sit at the mutation
+points: the vertex of column col and row m mutated at time u carries
+Y^{(a)}_m(u) and T^{(a)}_m(u - 1/t_a), with a = column_fold(col).
 """
 
 from __future__ import annotations
@@ -22,44 +26,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .builders import ROMAN, cartan_data, involutions
+from .builders import ROMAN, involutions
 from .quiver import FILL_BULLET, FILL_CIRCLE
 
 
-# -- parity conditions on grid triplets --------------------------------------
-
-
-def parity_plus(family, rank, a, m, s, prime=False):
-    """Membership of (a, m, u=s/t) in the forward parity class (P+ or P'+)."""
-    if family == "C":
-        if a == rank:
-            return s % 2 == 0
-        odd = (rank + a + m + s) % 2 == 1
-        return odd if not prime else not odd
-    if family == "F4":
-        if a in (1, 2):
-            return s % 2 == 0
-        odd = (a + m + s) % 2 == 1
-        return odd if not prime else not odd
-    if family == "G2":
-        even = (a + m + s) % 2 == 0
-        return even if not prime else not even
-    raise ValueError(f"unknown family {family!r}")
-
-
-def grid_points(family, rank, level, s_lo, s_hi, prime=False):
-    """All (a, m, s) in the given class with s_lo <= s < s_hi."""
-    cd = cartan_data(family, rank)
-    out = []
-    for s in range(s_lo, s_hi):
-        for a in range(1, rank + 1):
-            for m in range(1, cd["t_a"][a] * level):
-                if parity_plus(family, rank, a, m, s, prime=prime):
-                    out.append((a, m, s))
-    return out
-
-
-# -- mutation slots ------------------------------------------------------------
+# -- mutation slots and the column fold -----------------------------------------
 
 
 def slot_sets(model):
@@ -84,6 +55,22 @@ def slot_sets(model):
             sets.append(tuple(sorted(circ + (bullets_plus if k % 2 == 0 else bullets_minus))))
         return sets
     raise ValueError(f"no schedule for family {fam!r}")
+
+
+def column_fold(family, rank, col):
+    """The Dynkin node a of quiver column col.
+
+    The vertex in column col and row m that is mutated at time u carries
+    Y^{(a)}_m(u) and T^{(a)}_m(u - 1/t_a); these mutation points are the
+    labelled values, one for each point of the P'+ grid.
+    """
+    if family == "C":
+        return min(col, rank)  # the two circle columns both carry a = r
+    if family == "F4":
+        return col if col <= 4 else 7 - col  # columns 6, 5 mirror 1, 2
+    if family == "G2":
+        return 1 if col <= 3 else 2
+    raise ValueError(f"unknown family {family!r}")
 
 
 def expected_quivers(model):
@@ -149,43 +136,6 @@ def schedule_steps(model, u_from, u_to):
             )
         )
     return steps
-
-
-# -- label bijections ---------------------------------------------------------
-
-
-def _c_column(rank, m, u_int):
-    return rank + 1 if (m + u_int) % 2 == 0 else rank
-
-
-def label_g_prime(model, a, m, s):
-    """Coefficient label: grid point (a, m, u=s/t) in P'+ -> (vertex, s)."""
-    fam, rank = model.spec.family, model.spec.rank
-    t = model.cartan["t"]
-    if not parity_plus(fam, rank, a, m, s, prime=True):
-        raise ValueError(f"({a},{m},{s}/{t}) violates the P'+ parity condition")
-    if fam == "C":
-        col = a if a != rank else _c_column(rank, m, s // 2)
-    elif fam == "F4":
-        if a in (1, 2):
-            col = a if (a + m + s // 2) % 2 == 0 else 7 - a
-        else:
-            col = a
-    else:  # G2
-        if a == 1:
-            col = {0: 1, 4: 2, 2: 3}[(3 * m + s) % 6]
-        else:
-            col = 4
-    return model.vid(col, m), s
-
-
-def label_g(model, a, m, s_w):
-    """Cluster-variable label: (a, m, w=s_w/t) in P+ -> (vertex, s_w + t/t_a).
-
-    (a, m, w) is in P+ exactly when (a, m, w + 1/t_a) is in P'+, and the
-    cluster variable sits at the mutation point of that coefficient.
-    """
-    return label_g_prime(model, a, m, s_w + model.cartan["t"] // model.cartan["t_a"][a])
 
 
 # -- the runner ----------------------------------------------------------------

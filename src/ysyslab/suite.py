@@ -4,7 +4,7 @@ emits machine-readable report rows (one JSON object per case and check)."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .builders import FamilySpec, build, cartan_data
 from .dilog import check_DI, check_functional_DI
@@ -52,16 +52,7 @@ class VerificationReport:
     metrics: dict = field(default_factory=dict)
 
     def to_json(self):
-        return json.dumps(
-            {
-                "case": self.case,
-                "check": self.check,
-                "status": self.status,
-                "statement": self.statement,
-                "metrics": self.metrics,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 def _case_id(family, rank, level):
@@ -218,8 +209,22 @@ def _extra_dilog_rows(cfg):
     return rows
 
 
-def _validate(cfg):
-    """Raise ValueError on a seed list, case or pair that cannot be run."""
+def resolve_config(config=None):
+    """DEFAULT_CONFIG updated by config, with the cases and pairs as tuples.
+
+    Raises ValueError on a config that is not a mapping, a key that
+    DEFAULT_CONFIG does not have, an empty seed list, or a case or pair
+    that cannot be run.
+    """
+    config = config or {}
+    if not isinstance(config, dict):
+        raise ValueError("the config must be a mapping of settings")
+    unknown = sorted(set(config) - set(DEFAULT_CONFIG))
+    if unknown:
+        raise ValueError(f"unknown config keys: {', '.join(map(repr, unknown))}")
+    cfg = {**DEFAULT_CONFIG, **config}
+    cfg["cases"] = [tuple(c) for c in cfg["cases"]]
+    cfg["pairs"] = [tuple(map(tuple, p)) for p in cfg["pairs"]]
     if not cfg["seeds"]:
         raise ValueError("seeds must list at least one seed")
     extra = [(f, r, lev) for f, r, _ in cfg["cases"] for lev in cfg["extra_dilog_levels"]]
@@ -230,23 +235,16 @@ def _validate(cfg):
                 cartan_data(case[0], case[1])  # a case needs a schedule: C, F4 or G2
         except (TypeError, ValueError) as err:
             raise ValueError(f"case {':'.join(map(str, case))}: {err}") from err
+    return cfg
 
 
 def run_suite(config=None):
     """Run every verification over the configured cases; returns report rows.
 
-    Raises ValueError, before any work starts, on a config key that
-    DEFAULT_CONFIG does not have, an empty seed list, or an invalid case or
-    pair.
+    resolve_config rejects a bad config with a ValueError before any work
+    starts.
     """
-    config = config or {}
-    unknown = sorted(set(config) - set(DEFAULT_CONFIG))
-    if unknown:
-        raise ValueError(f"unknown config keys: {', '.join(map(repr, unknown))}")
-    cfg = {**DEFAULT_CONFIG, **config}
-    cfg["cases"] = [tuple(c) for c in cfg["cases"]]
-    cfg["pairs"] = [tuple(map(tuple, p)) for p in cfg["pairs"]]
-    _validate(cfg)
+    cfg = resolve_config(config)
     rows = [row for case in cfg["cases"] for row in _case_rows(case, cfg)]
     rows += [row for pair in cfg["pairs"] for row in _pair_rows(pair, cfg)]
     rows += _extra_dilog_rows(cfg)

@@ -5,12 +5,17 @@ for the slot step of ysyslab.schedule: each payload mutates one vertex at a
 time, with the exchange matrix that Quiver.mutate produces before that
 vertex, in multiplicative notation.  exhaustive_isomorphism is the
 brute-force reference for quiver.find_isomorphism.
+
+The parity classes P+ / P'+ and the label maps label_g / label_g_prime are
+the per-family formulas of the grid bijection: the reference for
+schedule.column_fold and for the labelled arrays of numeric.NumericRun.
 """
 
 from itertools import permutations
 
 import numpy as np
 
+from ysyslab.builders import cartan_data
 from ysyslab.schedule import slot_sets
 
 
@@ -89,3 +94,67 @@ def exhaustive_isomorphism(Q1, Q2):
         if Q1.apply_perm(p) == Q2:
             return p
     return None
+
+
+def parity_plus(family, rank, a, m, s, prime=False):
+    """Membership of (a, m, u=s/t) in the forward parity class (P+ or P'+)."""
+    if family == "C":
+        if a == rank:
+            return s % 2 == 0
+        odd = (rank + a + m + s) % 2 == 1
+        return odd if not prime else not odd
+    if family == "F4":
+        if a in (1, 2):
+            return s % 2 == 0
+        odd = (a + m + s) % 2 == 1
+        return odd if not prime else not odd
+    if family == "G2":
+        even = (a + m + s) % 2 == 0
+        return even if not prime else not even
+    raise ValueError(f"unknown family {family!r}")
+
+
+def grid_points(family, rank, level, s_lo, s_hi, prime=False):
+    """All (a, m, s) in the given class with s_lo <= s < s_hi."""
+    cd = cartan_data(family, rank)
+    out = []
+    for s in range(s_lo, s_hi):
+        for a in range(1, rank + 1):
+            for m in range(1, cd["t_a"][a] * level):
+                if parity_plus(family, rank, a, m, s, prime=prime):
+                    out.append((a, m, s))
+    return out
+
+
+def _c_column(rank, m, u_int):
+    return rank + 1 if (m + u_int) % 2 == 0 else rank
+
+
+def label_g_prime(model, a, m, s):
+    """Coefficient label: grid point (a, m, u=s/t) in P'+ -> (vertex, s)."""
+    fam, rank = model.spec.family, model.spec.rank
+    t = model.cartan["t"]
+    if not parity_plus(fam, rank, a, m, s, prime=True):
+        raise ValueError(f"({a},{m},{s}/{t}) violates the P'+ parity condition")
+    if fam == "C":
+        col = a if a != rank else _c_column(rank, m, s // 2)
+    elif fam == "F4":
+        if a in (1, 2):
+            col = a if (a + m + s // 2) % 2 == 0 else 7 - a
+        else:
+            col = a
+    else:  # G2
+        if a == 1:
+            col = {0: 1, 4: 2, 2: 3}[(3 * m + s) % 6]
+        else:
+            col = 4
+    return model.vid(col, m), s
+
+
+def label_g(model, a, m, s_w):
+    """Cluster-variable label: (a, m, w=s_w/t) in P+ -> (vertex, s_w + t/t_a).
+
+    (a, m, w) is in P+ exactly when (a, m, w + 1/t_a) is in P'+, and the
+    cluster variable sits at the mutation point of that coefficient.
+    """
+    return label_g_prime(model, a, m, s_w + model.cartan["t"] // model.cartan["t_a"][a])

@@ -52,11 +52,31 @@ def test_numeric_report(capsys):
         (["tropical", "--family", "C", "--rank", "1"], "type C needs rank >= 2"),
         (["numeric", "--family", "C", "--level", "1"], "level must be >= 2"),
         (["numeric", "--family", "C", "--seeds", "0"], "--seeds must be at least 1"),
+        (["mutclass", "--left", "X:2:2", "--right", "C:3:2"], "unknown family 'X'"),
+        (["mutclass", "--left", "C:3", "--right", "C:3:2"], "'C:3' is not a case"),
+        (["suite", "--config", "no-such-config.json"], "No such file"),
     ],
 )
 def test_case_commands_reject_bad_input(argv, message, capsys):
     with pytest.raises(SystemExit) as err:
         main(argv)
+    assert err.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ('{"seeds": []}', "seeds must list at least one seed"),
+        ("{bad", "Expecting property name"),
+        ("5", "must be a mapping"),
+    ],
+)
+def test_suite_rejects_bad_config_file(text, message, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    with pytest.raises(SystemExit) as err:
+        main(["suite", "--config", str(cfg)])
     assert err.value.code == 2
     assert message in capsys.readouterr().err
 

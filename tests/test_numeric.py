@@ -1,10 +1,8 @@
-from fractions import Fraction
-
 import numpy as np
 import pytest
 
 from tests.conftest import CASES, cached_model, cached_numeric, cached_tropical
-from tests.oracle import NumericSeedPayload, run_payload
+from tests.oracle import NumericSeedPayload, grid_points, label_g, label_g_prime, run_payload
 from ysyslab import numeric
 from ysyslab.gfun import g_factors, transpose_factors
 from ysyslab.numeric import (
@@ -13,31 +11,31 @@ from ysyslab.numeric import (
     real_plus1,
     trivial_plus1,
     tropical_shadow_mismatches,
+    worst_errors,
 )
-from ysyslab.schedule import mutate_slot, run_schedule, slot_sets
-
-HALF = Fraction(1, 2)
-THIRD = Fraction(1, 3)
-
+from ysyslab.schedule import column_fold, mutate_slot, run_schedule, slot_sets
 
 def test_g_factors_tables():
+    # shifts are integers in scaled time: one unit is 1/2 for C and F4 (t=2)
+    # and 1/3 for G2 (t=3)
     # long-root row couples to the doubled row below it
-    assert g_factors("C", 3, 2, 3, 1) == [(2, 2, Fraction(0))]
+    assert g_factors("C", 3, 2, 3, 1) == [(2, 2, 0)]
     # short chain rows couple to both neighbours, boundary dropped
-    assert g_factors("C", 4, 2, 1, 1) == [(2, 1, Fraction(0))]
-    assert set(g_factors("C", 4, 2, 2, 1)) == {(1, 1, Fraction(0)), (3, 1, Fraction(0))}
+    assert g_factors("C", 4, 2, 1, 1) == [(2, 1, 0)]
+    assert set(g_factors("C", 4, 2, 2, 1)) == {(1, 1, 0), (3, 1, 0)}
     # the doubled row splits by parity: even rows reach across half-steps
-    assert g_factors("C", 3, 3, 2, 2) == [(1, 2, Fraction(0)), (3, 1, -HALF), (3, 1, HALF)]
-    assert g_factors("C", 3, 3, 2, 1) == [(1, 1, Fraction(0)), (3, 1, Fraction(0))]
-    assert g_factors("C", 3, 3, 2, 5) == [(1, 5, Fraction(0)), (3, 2, Fraction(0))]
+    assert g_factors("C", 3, 3, 2, 2) == [(1, 2, 0), (3, 1, -1), (3, 1, 1)]
+    assert g_factors("C", 3, 3, 2, 1) == [(1, 1, 0), (3, 1, 0)]
+    assert g_factors("C", 3, 3, 2, 5) == [(1, 5, 0), (3, 2, 0)]
     # G2: the tall rows couple to the thin row in three phase patterns
-    assert g_factors("G2", 2, 2, 2, 1) == [(1, 1, Fraction(0))]
-    assert g_factors("G2", 2, 2, 2, 3) == [(1, 1, -2 * THIRD), (1, 1, Fraction(0)), (1, 1, 2 * THIRD)]
-    assert g_factors("G2", 2, 2, 2, 2) == [(1, 1, -THIRD), (1, 1, THIRD)]
-    assert g_factors("G2", 2, 2, 1, 1) == [(2, 3, Fraction(0))]
+    assert g_factors("G2", 2, 2, 2, 1) == [(1, 1, 0)]
+    assert g_factors("G2", 2, 2, 2, 3) == [(1, 1, -2), (1, 1, 0), (1, 1, 2)]
+    assert g_factors("G2", 2, 2, 2, 2) == [(1, 1, -1), (1, 1, 1)]
+    assert g_factors("G2", 2, 2, 1, 1) == [(2, 3, 0)]
     # F4 middle rows
-    assert g_factors("F4", 4, 2, 2, 1) == [(1, 1, Fraction(0)), (3, 2, Fraction(0))]
-    assert g_factors("F4", 4, 2, 3, 2) == [(2, 1, -HALF), (2, 1, HALF), (4, 2, Fraction(0))]
+    assert g_factors("F4", 4, 2, 2, 1) == [(1, 1, 0), (3, 2, 0)]
+    assert g_factors("F4", 4, 2, 3, 2) == [(2, 1, -1), (2, 1, 1), (4, 2, 0)]
+    assert all(type(ds) is int for _, _, ds in g_factors("G2", 2, 2, 2, 3))
 
 
 def test_transpose_is_adjoint():
@@ -51,24 +49,24 @@ def test_transpose_is_adjoint():
         for _ in range(250):
             a, m = rows[rng.integers(len(rows))]
             b, k = rows[rng.integers(len(rows))]
-            for dv in (Fraction(0), HALF, -HALF, THIRD, -THIRD, 2 * THIRD, -2 * THIRD, Fraction(1), Fraction(-1)):
-                lhs = table[(a, m)].count((b, k, dv))
-                rhs = g_factors(family, rank, level, b, k).count((a, m, -dv))
+            for ds in range(-2, 3):
+                lhs = table[(a, m)].count((b, k, ds))
+                rhs = g_factors(family, rank, level, b, k).count((a, m, -ds))
                 assert lhs == rhs
 
 
 def test_y_numerator_matches_printed_relations():
     # type C long-root relation: four neighbour factors across a full step
     facs = transpose_factors("C", 3, 2)[(3, 1)]
-    assert sorted(facs) == [(2, 1, Fraction(0)), (2, 2, -HALF), (2, 2, HALF), (2, 3, Fraction(0))]
+    assert sorted(facs) == [(2, 1, 0), (2, 2, -1), (2, 2, 1), (2, 3, 0)]
     # G2 thin-row relation: nine factors spread over thirds
     facs = transpose_factors("G2", 2, 2)[(1, 1)]
     assert len(facs) == 9
-    assert facs.count((2, 3, Fraction(0))) == 1
-    assert {dv for (_, k, dv) in facs if k == 3} == {-2 * THIRD, Fraction(0), 2 * THIRD}
-    assert {dv for (_, k, dv) in facs if k == 2} == {-THIRD, THIRD}
-    assert {dv for (_, k, dv) in facs if k == 4} == {-THIRD, THIRD}
-    assert {dv for (_, k, dv) in facs if k in (1, 5)} == {Fraction(0)}
+    assert facs.count((2, 3, 0)) == 1
+    assert {ds for (_, k, ds) in facs if k == 3} == {-2, 0, 2}
+    assert {ds for (_, k, ds) in facs if k == 2} == {-1, 1}
+    assert {ds for (_, k, ds) in facs if k == 4} == {-1, 1}
+    assert {ds for (_, k, ds) in facs if k in (1, 5)} == {0}
 
 
 def test_seed_double_mutation_restores():
@@ -139,6 +137,57 @@ def test_y_residuals_need_tracking():
 
 def test_boundary_labels_are_unit():
     run = cached_numeric("C", 2, 2, 0, False)
-    assert run.X(1, 0, 0) == 1.0
-    assert run.X(0, 1, 0) == 1.0
-    assert run.X(2, 2, 0) == 1.0  # top row for the long root at level 2
+    assert (run.T[0] == 1.0).all()
+    assert (run.T[1, 0] == 1.0).all()
+    assert (run.T[1, 4] == 1.0).all()  # top row for a short root at level 2
+    assert (run.T[2, 2] == 1.0).all()  # top row for the long root at level 2
+
+
+@pytest.mark.parametrize("family,rank,level", CASES)
+def test_column_fold_inverts_label_map(family, rank, level):
+    # each mutation point of a run's window, folded to (a, m, s), is the
+    # point the per-family label map sends to it; the image is the P'+ grid
+    run = cached_numeric(family, rank, level, 0, True)
+    sets = slot_sets(run.model)
+    image = []
+    for s in range(run.lo_s, run.hi_s + 1):
+        for v in sets[s % (2 * run.t)]:
+            col, m = run.model.position(v)
+            a = column_fold(family, rank, col)
+            assert label_g_prime(run.model, a, m, s) == (v, s)
+            image.append((a, m, s))
+    assert sorted(image) == sorted(grid_points(family, rank, level, run.lo_s, run.hi_s + 1, prime=True))
+
+
+@pytest.mark.parametrize("family,rank,level", CASES)
+@pytest.mark.parametrize("tracked", [True, False])
+def test_labelled_arrays_match_label_lookups(family, rank, level, tracked):
+    # the filled arrays equal, bit for bit, the per-point label lookups into
+    # the snapshots; every other entry is NaN, apart from the unit boundary
+    run = cached_numeric(family, rank, level, 0, tracked)
+    T, Y = np.full_like(run.T, np.nan), np.full_like(run.Y, np.nan)
+    T[0] = 1.0
+    for a, t_a in run.model.cartan["t_a"].items():
+        T[a, 0] = T[a, t_a * level] = 1.0
+    for a, m, s in grid_points(family, rank, level, run.lo_s, run.hi_s + 1, prime=True):
+        v, _ = label_g_prime(run.model, a, m, s)
+        Y[a, m, s - run.s0] = run.snaps[s][1][v] if tracked else 1.0
+    for a, m, s_w in grid_points(family, rank, level, run.s0, run.hi_s + 1):
+        v, s = label_g(run.model, a, m, s_w)
+        if s in run.snaps:
+            T[a, m, s_w - run.s0] = run.snaps[s][0][v]
+    assert np.array_equal(run.T, T, equal_nan=True)
+    assert np.array_equal(run.Y, Y, equal_nan=True)
+
+
+def test_off_grid_gather_raises(monkeypatch):
+    # a factor off the parity class lands on an unfilled entry; it must
+    # raise, not carry a NaN into the maxima of worst_errors
+    pair = (cached_numeric("C", 2, 2, 0, True), cached_numeric("C", 2, 2, 0, False))
+    monkeypatch.setattr(numeric, "g_factors", lambda family, rank, level, a, m: [(a, m, 0)])
+    with pytest.raises(ValueError, match=r"\(1, 1, 0/2\) is off the grid"):
+        worst_errors([pair])
+    monkeypatch.undo()
+    monkeypatch.setattr(numeric, "transpose_factors", lambda *args: {row: [(*row, 0)] for row in pair[0].rows})
+    with pytest.raises(ValueError, match="off the grid"):
+        pair[0].y_residuals()

@@ -4,19 +4,18 @@ import numpy as np
 import pytest
 
 from tests.conftest import CASES, cached_model, cached_numeric, cached_tropical
-from tests.oracle import NumericSeedPayload, TropicalCoefficients, run_payload
-from ysyslab.builders import involutions
-from ysyslab.quiver import Quiver
-from ysyslab.schedule import (
-    ScheduleError,
+from tests.oracle import (
+    NumericSeedPayload,
+    TropicalCoefficients,
     grid_points,
     label_g,
     label_g_prime,
     parity_plus,
-    run_schedule,
-    schedule_steps,
-    slot_sets,
+    run_payload,
 )
+from ysyslab.builders import involutions
+from ysyslab.quiver import Quiver
+from ysyslab.schedule import ScheduleError, run_schedule, schedule_steps, slot_sets
 from ysyslab.tropical import tropical_plus1
 
 
