@@ -3,11 +3,10 @@ dilogarithm identities (constant and functional)."""
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .builders import cartan_data
 from .gfun import transpose_factors
@@ -34,18 +33,6 @@ def rogers_L(x):
     return out if out.ndim else float(out)
 
 
-def rogers_L_quad(x):
-    """Adaptive quadrature of the defining integral; slow reference route."""
-    if x == 0:
-        return 0.0
-
-    def integrand(y):
-        return np.log1p(-y) / y + np.log(y) / (1.0 - y)
-
-    val, _ = integrate.quad(integrand, 0.0, x, points=[0.0, x], limit=200)
-    return -0.5 * val
-
-
 # -- constant coefficient system ----------------------------------------------
 
 
@@ -67,44 +54,61 @@ def constant_relations(family, rank, level):
     }
 
 
-def _constant_rhs(relations, Y):
-    """RHS of the squared constant relations, per (a, m)."""
-    return {
-        key: math.prod([1.0 + Y[f] for f in num]) / math.prod([1.0 + 1.0 / Y[f] for f in den])
-        for key, (num, den) in relations.items()
-    }
+def constant_system(family, rank, level):
+    """(keys, N, D): the unknowns Y_(a,m) of the constant system in a fixed
+    order, and the count matrices of its numerator and denominator factors.
 
-
-DAMPING, TOL, MAX_ITER = 0.5, 1e-13, 100000
-
-
-def solve_constant_Y(family, rank, level, start=None):
-    """Damped fixed-point solution of the constant coefficient system.
-
-    Iterates Y <- (1-DAMPING)*Y + DAMPING*sqrt(RHS(Y)) from the all-ones
-    start (or a supplied one) until the largest relative update drops
-    below TOL.  Raises after MAX_ITER iterations.
+    N[i, j] (D[i, j]) counts the factors (1 + Y_j) ((1 + 1/Y_j)) in the
+    relation of keys[i]; a factor can repeat.
     """
     relations = constant_relations(family, rank, level)
     keys = list(relations)
-    Y = {k: 1.0 for k in keys} if start is None else dict(start)
-    for _ in range(MAX_ITER):
-        rhs = _constant_rhs(relations, Y)
-        delta = 0.0
-        for k in keys:
-            new = (1.0 - DAMPING) * Y[k] + DAMPING * np.sqrt(rhs[k])
-            delta = max(delta, abs(new - Y[k]) / Y[k])
-            Y[k] = new
-        if delta < TOL:
+    index = {key: i for i, key in enumerate(keys)}
+    N, D = np.zeros((2, len(keys), len(keys)))
+    for i, (num, den) in enumerate(relations.values()):
+        np.add.at(N[i], [index[f] for f in num], 1)
+        np.add.at(D[i], [index[f] for f in den], 1)
+    return keys, N, D
+
+
+def _constant_F(N, D, z):
+    """log(Y^2 / RHS) of the constant relations at z = log Y."""
+    return 2.0 * z - N @ np.logaddexp(0.0, z) + D @ np.logaddexp(0.0, -z)
+
+
+def solve_constant_Y(family, rank, level, start=None):
+    """Positive solution of the constant coefficient system, by Newton's method
+    in z = log Y.
+
+    Solves F(z) = 2z - N log(1+e^z) + D log(1+e^-z) = 0, whose Jacobian is
+    2I - N diag(sigma(z)) - D diag(1 - sigma(z)), from z = 0 (or the log of
+    a supplied start).  Stops once max|F| is a few ulps of z, or stops
+    decreasing, or after 100 steps, and raises a RuntimeError if max|F| is
+    then above 1e-12.
+    """
+    keys, N, D = constant_system(family, rank, level)
+    z = np.zeros(len(keys)) if start is None else np.log([start[k] for k in keys])
+    F = _constant_F(N, D, z)
+    for _ in range(100):
+        err = np.max(np.abs(F))
+        if err <= 4.0 * np.finfo(float).eps * max(1.0, np.max(np.abs(z))):
             break
-    else:
+        sig = special.expit(z)
+        z_new = z - np.linalg.solve(2.0 * np.eye(len(z)) - N * sig - D * (1.0 - sig), F)
+        F_new = _constant_F(N, D, z_new)
+        if not np.max(np.abs(F_new)) < err:
+            break
+        z, F = z_new, F_new
+    if not np.max(np.abs(F)) <= 1e-12:
         raise RuntimeError(f"constant system did not converge for {family} level {level}")
-    return Y
+    return dict(zip(keys, np.exp(z).tolist()))
 
 
 def constant_residuals(family, rank, level, Y):
-    rhs = _constant_rhs(constant_relations(family, rank, level), Y)
-    return {k: abs(Y[k] ** 2 - rhs[k]) / rhs[k] for k in Y}
+    """|Y^2 / RHS - 1| of each constant relation at Y."""
+    keys, N, D = constant_system(family, rank, level)
+    F = _constant_F(N, D, np.log([Y[k] for k in keys]))
+    return dict(zip(keys, np.abs(np.expm1(F)).tolist()))
 
 
 def di_rhs_exact(family, rank, level):

@@ -133,8 +133,10 @@ def search_equivalence(Q1, Q2, depth_cap=12, node_cap=10**6):
         nxt = deque()
         while frontiers[side]:
             key = frontiers[side].popleft()
-            rep = sides[side][key][0]
+            rep, _, last = sides[side][key]
             for k in range(rep.n):
+                if k == last:  # mu_k mu_k is the identity: the parent is seen
+                    continue
                 child = rep.mutate(k)
                 ckey = canonical_key(child)
                 if ckey in sides[side]:

@@ -4,6 +4,8 @@ emits machine-readable report rows (one JSON object per case and check)."""
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import asdict, dataclass, field
 
 from .builders import FamilySpec, build, cartan_data
@@ -59,22 +61,27 @@ def _case_id(family, rank, level):
     return f"{family}:{rank}:{level}"
 
 
+def _row(case, check, ok, statement, **metrics):
+    """A report row that passes when ok holds and fails otherwise."""
+    return VerificationReport(case, check, "pass" if ok else "fail", statement, metrics)
+
+
 def _case_rows(case, cfg):
     family, rank, level = case
     cid = _case_id(family, rank, level)
     rows = []
 
-    def row(check, status, statement, **metrics):
-        rows.append(VerificationReport(cid, check, status, statement, metrics))
+    def row(check, ok, statement, **metrics):
+        rows.append(_row(cid, check, ok, statement, **metrics))
 
     # scheduled mutation cycle (quiver transforms asserted over one period)
     try:
         mdl = build(FamilySpec(family, rank, level))
         t = mdl.cartan["t"]
         run_schedule(mdl, -2 * t, 2 * t)
-        row("schedule", "pass", "scheduled-quiver-cycle", vertices=mdl.n)
+        row("schedule", True, "scheduled-quiver-cycle", vertices=mdl.n)
     except ScheduleError as err:
-        row("schedule", "fail", "scheduled-quiver-cycle", error=str(err))
+        row("schedule", False, "scheduled-quiver-cycle", error=str(err))
         return rows
 
     trop = TropicalRun(family, rank, level)
@@ -82,85 +89,38 @@ def _case_rows(case, cfg):
         counts = trop.count_signs()
         want = expected_counts(family, rank, level)
         ok = counts == want and sum(counts) == total_points(family, rank, level)
-        row(
-            "tropical-counts",
-            "pass" if ok else "fail",
-            "sign-count-closed-form",
-            got=list(counts),
-            expected=list(want),
-        )
+        row("tropical-counts", ok, "sign-count-closed-form", got=list(counts), expected=list(want))
     except ArithmeticError as err:
-        row("tropical-counts", "fail", "sign-count-closed-form", error=str(err))
+        row("tropical-counts", False, "sign-count-closed-form", error=str(err))
     per = trop.periodicity_mismatches()
-    row(
-        "tropical-periodicity",
-        "pass" if not per else "fail",
-        "tropical-half-full-periodicity",
-        mismatches=len(per),
-    )
+    row("tropical-periodicity", not per, "tropical-half-full-periodicity", mismatches=len(per))
     sgn = trop.sign_pattern_mismatches()
     bnd = trop.boundary_mismatches()
     row(
-        "tropical-signs",
-        "pass" if not (sgn or bnd) else "fail",
-        "region-sign-classification",
-        region_mismatches=len(sgn),
-        boundary_mismatches=len(bnd),
+        "tropical-signs", not (sgn or bnd), "region-sign-classification",
+        region_mismatches=len(sgn), boundary_mismatches=len(bnd),
     )
 
     if level == 2:
         bad = tvector_mismatches(trop)
         if family == "C":
             bad += apart_mismatches_C(trop)
-        row(
-            "tvectors",
-            "pass" if not bad else "fail",
-            "level2-root-identities",
-            mismatches=len(bad),
-        )
+        row("tvectors", not bad, "level2-root-identities", mismatches=len(bad))
 
     pairs = run_pairs(family, rank, level, cfg["seeds"])
     worst_res, worst_per = worst_errors(pairs)
-    row(
-        "numeric-residuals",
-        "pass" if worst_res < cfg["residual_tol"] else "fail",
-        "recursion-residuals",
-        max_residual=worst_res,
-        tol=cfg["residual_tol"],
-    )
-    row(
-        "numeric-periodicity",
-        "pass" if worst_per < cfg["periodicity_tol"] else "fail",
-        "labelled-periodicity",
-        max_error=worst_per,
-        tol=cfg["periodicity_tol"],
-    )
+    res_tol, per_tol = cfg["residual_tol"], cfg["periodicity_tol"]
+    row("numeric-residuals", worst_res < res_tol, "recursion-residuals", max_residual=worst_res, tol=res_tol)
+    row("numeric-periodicity", worst_per < per_tol, "labelled-periodicity", max_error=worst_per, tol=per_tol)
     shadow = tropical_shadow_mismatches(trop, seed=cfg["seeds"][0])
-    row(
-        "tropical-shadow",
-        "pass" if not shadow else "fail",
-        "small-parameter-slopes",
-        mismatches=len(shadow),
-    )
+    row("tropical-shadow", not shadow, "small-parameter-slopes", mismatches=len(shadow))
 
-    lhs, rhs, err = check_DI(family, rank, level)
-    row(
-        "dilog-constant",
-        "pass" if err < cfg["dilog_tol"] else "fail",
-        "constant-dilog-identity",
-        lhs=lhs,
-        rhs=rhs,
-        abs_error=err,
-    )
+    rows.append(_constant_dilog_row(family, rank, level, cfg))
     rep = check_functional_DI([tracked for tracked, _ in pairs])
     ok = rep["max_deviation"] < cfg["functional_tol"] and rep["seed_spread"] < cfg["functional_tol"]
     row(
-        "dilog-functional",
-        "pass" if ok else "fail",
-        "functional-dilog-identity",
-        max_deviation=rep["max_deviation"],
-        seed_spread=rep["seed_spread"],
-        targets=list(rep["targets"]),
+        "dilog-functional", ok, "functional-dilog-identity",
+        max_deviation=rep["max_deviation"], seed_spread=rep["seed_spread"], targets=list(rep["targets"]),
     )
     return rows
 
@@ -181,40 +141,61 @@ def _pair_rows(pair, cfg):
     path, _ = res
     verified = find_isomorphism(path.replay(), Q2) is not None
     return [
-        VerificationReport(
-            cid,
-            "mutation-equivalence",
-            "pass" if verified else "fail",
-            "mutation-equivalence",
-            {"path_length": len(path.moves), "moves": list(path.moves)},
+        _row(
+            cid, "mutation-equivalence", verified, "mutation-equivalence",
+            path_length=len(path.moves), moves=list(path.moves),
         )
     ]
 
 
+def _constant_dilog_row(family, rank, level, cfg):
+    lhs, rhs, err = check_DI(family, rank, level)
+    return _row(
+        _case_id(family, rank, level), "dilog-constant", err < cfg["dilog_tol"], "constant-dilog-identity",
+        lhs=lhs, rhs=rhs, abs_error=err,
+    )
+
+
 def _extra_dilog_rows(cfg):
-    rows = []
     families = sorted({(f, r) for f, r, _ in cfg["cases"]})
-    for lev in cfg["extra_dilog_levels"]:
-        for family, rank in families:
-            lhs, rhs, err = check_DI(family, rank, lev)
-            rows.append(
-                VerificationReport(
-                    _case_id(family, rank, lev),
-                    "dilog-constant",
-                    "pass" if err < cfg["dilog_tol"] else "fail",
-                    "constant-dilog-identity",
-                    {"lhs": lhs, "rhs": rhs, "abs_error": err},
-                )
-            )
-    return rows
+    return [_constant_dilog_row(f, r, lev, cfg) for lev in cfg["extra_dilog_levels"] for f, r in families]
+
+
+def _lists(v, depth):
+    """v is a list (or tuple) of lists, depth levels deep."""
+    return isinstance(v, (list, tuple)) and (depth == 1 or all(_lists(x, depth - 1) for x in v))
+
+
+def _number(v, kind, low=0):
+    """v is a finite number of the numbers-ABC kind, above low; bools are not numbers here."""
+    return isinstance(v, kind) and not isinstance(v, bool) and low < v < math.inf
+
+
+_TOLERANCE = ("a positive real number", lambda v: _number(v, numbers.Real))
+_CAP = ("a positive int", lambda v: _number(v, numbers.Integral))
+_VALUE_TYPES = {  # key: (what its value must be, the test)
+    "cases": ("a list of cases", lambda v: _lists(v, 2)),
+    "pairs": ("a list of pairs of cases", lambda v: _lists(v, 3)),
+    "seeds": (
+        "a list of non-negative ints",
+        lambda v: _lists(v, 1) and all(_number(x, numbers.Integral, low=-1) for x in v),
+    ),
+    "extra_dilog_levels": ("a list", lambda v: _lists(v, 1)),
+    "residual_tol": _TOLERANCE,
+    "periodicity_tol": _TOLERANCE,
+    "dilog_tol": _TOLERANCE,
+    "functional_tol": _TOLERANCE,
+    "depth_cap": _CAP,
+    "node_cap": _CAP,
+}
 
 
 def resolve_config(config=None):
     """DEFAULT_CONFIG updated by config, with the cases and pairs as tuples.
 
     Raises ValueError on a config that is not a mapping, a key that
-    DEFAULT_CONFIG does not have, an empty seed list, or a case or pair
-    that cannot be run.
+    DEFAULT_CONFIG does not have, a value of the wrong type, an empty seed
+    list, or a case or pair that cannot be run.
     """
     config = config or {}
     if not isinstance(config, dict):
@@ -223,6 +204,9 @@ def resolve_config(config=None):
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(map(repr, unknown))}")
     cfg = {**DEFAULT_CONFIG, **config}
+    for key, (kind, ok) in _VALUE_TYPES.items():
+        if not ok(cfg[key]):
+            raise ValueError(f"{key} must be {kind}, not {cfg[key]!r}")
     cfg["cases"] = [tuple(c) for c in cfg["cases"]]
     cfg["pairs"] = [tuple(map(tuple, p)) for p in cfg["pairs"]]
     if not cfg["seeds"]:

@@ -4,18 +4,24 @@ The per-vertex exchange rules, driven by Quiver.mutate, are the reference
 for the slot step of ysyslab.schedule: each payload mutates one vertex at a
 time, with the exchange matrix that Quiver.mutate produces before that
 vertex, in multiplicative notation.  exhaustive_isomorphism is the
-brute-force reference for quiver.find_isomorphism.
+brute-force reference for quiver.find_isomorphism.  damped_constant_Y, a
+damped fixed-point loop over the constant relations, is the reference for
+the Newton solve of dilog.solve_constant_Y, and rogers_L_quad, adaptive
+quadrature of the defining integral, the reference for dilog.rogers_L.
 
 The parity classes P+ / P'+ and the label maps label_g / label_g_prime are
 the per-family formulas of the grid bijection: the reference for
 schedule.column_fold and for the labelled arrays of numeric.NumericRun.
 """
 
+import math
 from itertools import permutations
 
 import numpy as np
+from scipy import integrate
 
 from ysyslab.builders import cartan_data
+from ysyslab.dilog import constant_relations
 from ysyslab.schedule import slot_sets
 
 
@@ -94,6 +100,43 @@ def exhaustive_isomorphism(Q1, Q2):
         if Q1.apply_perm(p) == Q2:
             return p
     return None
+
+
+def rogers_L_quad(x):
+    """Rogers dilogarithm by adaptive quadrature of its defining integral."""
+    if x == 0:
+        return 0.0
+
+    def integrand(y):
+        return np.log1p(-y) / y + np.log(y) / (1.0 - y)
+
+    val, _ = integrate.quad(integrand, 0.0, x, points=[0.0, x], limit=200)
+    return -0.5 * val
+
+
+def damped_constant_Y(family, rank, level):
+    """Damped fixed-point solution of the constant coefficient system.
+
+    Iterates Y <- (1-damping)*Y + damping*sqrt(RHS(Y)) with damping 0.5 from
+    the all-ones start until the largest relative update drops below 1e-13.
+    Raises after 100000 iterations.
+    """
+    damping = 0.5
+    relations = constant_relations(family, rank, level)
+    Y = {k: 1.0 for k in relations}
+    for _ in range(100000):
+        rhs = {
+            key: math.prod([1.0 + Y[f] for f in num]) / math.prod([1.0 + 1.0 / Y[f] for f in den])
+            for key, (num, den) in relations.items()
+        }
+        delta = 0.0
+        for k in relations:
+            new = (1.0 - damping) * Y[k] + damping * math.sqrt(rhs[k])
+            delta = max(delta, abs(new - Y[k]) / Y[k])
+            Y[k] = new
+        if delta < 1e-13:
+            return Y
+    raise RuntimeError(f"constant system did not converge for {family} level {level}")
 
 
 def parity_plus(family, rank, a, m, s, prime=False):

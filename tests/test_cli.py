@@ -4,6 +4,7 @@ import json
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ysyslab import suite
@@ -70,6 +71,12 @@ def test_case_commands_reject_bad_input(argv, message, capsys):
         ('{"seeds": []}', "seeds must list at least one seed"),
         ("{bad", "Expecting property name"),
         ("5", "must be a mapping"),
+        ('{"seeds": 5}', "seeds must be a list of non-negative ints"),
+        ('{"cases": 5}', "cases must be a list of cases"),
+        ('{"pairs": [5]}', "pairs must be a list of pairs of cases"),
+        ('{"extra_dilog_levels": 5}', "extra_dilog_levels must be a list"),
+        ('{"residual_tol": "x"}', "residual_tol must be a positive real number"),
+        ('{"depth_cap": 1.5}', "depth_cap must be a positive int"),
     ],
 )
 def test_suite_rejects_bad_config_file(text, message, tmp_path, capsys):
@@ -158,6 +165,17 @@ def test_suite_rejects_empty_seeds():
         run_suite({"cases": [["C", 2, 2]], "pairs": [], "seeds": []})
 
 
+BAD_VALUES = [
+    ("seeds", 5), ("seeds", "01"), ("seeds", [0, "1"]), ("seeds", [-1]), ("seeds", [True]),
+    ("cases", 5), ("cases", "C:2:2"), ("cases", [5]),
+    ("pairs", 5), ("pairs", [5]), ("pairs", [[["C", 3, 2], 5]]),
+    ("extra_dilog_levels", 5), ("extra_dilog_levels", "5"),
+    ("residual_tol", "x"), ("periodicity_tol", 0), ("dilog_tol", -1e-8),
+    ("functional_tol", float("nan")), ("functional_tol", float("inf")), ("residual_tol", True),
+    ("depth_cap", 1.5), ("depth_cap", 0), ("node_cap", "10"), ("node_cap", -1), ("node_cap", False),
+]
+
+
 @pytest.mark.parametrize(
     "config,bad",
     [
@@ -165,7 +183,8 @@ def test_suite_rejects_empty_seeds():
         ({"cases": [["C", 2, 2], ["A", 3, 2]]}, "A:3:2"),  # no schedule
         ({"cases": [["C", 2, 2]], "extra_dilog_levels": [1]}, "C:2:1"),
         ({"cases": [], "pairs": [[["C", 3, 2], ["D", 4, 1]]]}, "D:4:1"),
-    ],
+    ]
+    + [({"cases": [["C", 2, 2]], key: value}, f"^{key} must be") for key, value in BAD_VALUES],
 )
 def test_suite_validates_cases_before_work(config, bad, monkeypatch):
     def no_work(*args):
@@ -173,8 +192,16 @@ def test_suite_validates_cases_before_work(config, bad, monkeypatch):
 
     monkeypatch.setattr(suite, "_case_rows", no_work)
     monkeypatch.setattr(suite, "_pair_rows", no_work)
+    monkeypatch.setattr(suite, "_extra_dilog_rows", no_work)
     with pytest.raises(ValueError, match=bad):
         run_suite(config)
+
+
+def test_suite_accepts_numpy_and_tuple_values():
+    cfg = suite.resolve_config(
+        {"cases": (("C", 2, 2),), "seeds": (np.int64(3),), "dilog_tol": np.float64(1e-8), "depth_cap": np.int64(4)}
+    )
+    assert cfg["cases"] == [("C", 2, 2)] and cfg["depth_cap"] == 4
 
 
 def test_suite_builds_each_run_once(monkeypatch):
@@ -213,7 +240,7 @@ def test_suite_exit_status_on_failure(tmp_path):
         "pairs": [],
         "seeds": [0],
         "extra_dilog_levels": [],
-        "residual_tol": 0.0,  # impossible tolerance forces a fail row
+        "residual_tol": 1e-300,  # a tolerance below any float residual forces a fail row
     }))
     with pytest.raises(SystemExit) as err:
         main(["suite", "--config", str(cfg)])

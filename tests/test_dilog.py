@@ -1,17 +1,21 @@
+import timeit
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from tests.conftest import CASES, cached_numeric
+from tests.oracle import damped_constant_Y, rogers_L_quad
+from ysyslab import dilog
 from ysyslab.dilog import (
     check_DI,
     check_functional_DI,
+    constant_relations,
     constant_residuals,
+    constant_system,
     di_rhs_exact,
     functional_rhs_doubled,
     rogers_L,
-    rogers_L_quad,
     solve_constant_Y,
 )
 from ysyslab.tropical import expected_counts, total_points
@@ -51,17 +55,20 @@ def test_constant_solution_positive_with_tiny_residuals():
 def test_constant_relation_structure():
     # the long-root relation carries the doubled middle factor, and the G2
     # thin-row relation carries exponents 1,2,3,2,1 on its five factors
-    from ysyslab.dilog import _constant_rhs, constant_relations
+    def rhs(family, rank, level, key):
+        keys, N, D = constant_system(family, rank, level)
+        Y = solve_constant_Y(family, rank, level)
+        y = np.array([Y[k] for k in keys])
+        i = keys.index(key)
+        return np.prod((1 + y) ** N[i]) / np.prod((1 + 1 / y) ** D[i]), Y
 
-    Y = solve_constant_Y("C", 3, 2)
-    got = _constant_rhs(constant_relations("C", 3, 2), Y)[(3, 1)]
+    got, Y = rhs("C", 3, 2, (3, 1))
     manual = (
         (1 + Y[(2, 1)]) * (1 + Y[(2, 2)]) ** 2 * (1 + Y[(2, 3)])
     )  # m-neighbour denominators are boundary terms at level 2
     assert abs(got - manual) < 1e-12 * manual
 
-    Yg = solve_constant_Y("G2", 2, 2)
-    got = _constant_rhs(constant_relations("G2", 2, 2), Yg)[(1, 1)]
+    got, Yg = rhs("G2", 2, 2, (1, 1))
     manual = (
         (1 + Yg[(2, 1)])
         * (1 + Yg[(2, 2)]) ** 2
@@ -70,6 +77,53 @@ def test_constant_relation_structure():
         * (1 + Yg[(2, 5)])
     )
     assert abs(got - manual) < 1e-12 * manual
+
+
+def test_constant_system_counts_repeated_factors():
+    for family, rank, level in CASES:
+        keys, N, D = constant_system(family, rank, level)
+        for i, (num, den) in enumerate(constant_relations(family, rank, level).values()):
+            assert N[i].sum() == len(num) and D[i].sum() == len(den)
+    keys, N, _ = constant_system("G2", 2, 2)
+    assert N[keys.index((1, 1)), keys.index((2, 3))] == 3
+
+
+@pytest.mark.parametrize("family,rank,level", CASES)
+def test_newton_matches_damped_oracle(family, rank, level):
+    Y = solve_constant_Y(family, rank, level)
+    ref = damped_constant_Y(family, rank, level)
+    assert Y.keys() == ref.keys()
+    assert max(abs(Y[k] - ref[k]) / ref[k] for k in ref) <= 1e-10
+
+
+def test_constant_identity_at_high_level():
+    cases = [("G2", 2, 20), ("F4", 4, 12), ("C", 4, 40)]
+    for family, rank, level in cases:
+        lhs, rhs, err = check_DI(family, rank, level)
+        assert err < 1e-12, (family, rank, level, err)
+    # the best of three rounds, so that one slow spell of a shared machine
+    # does not decide the timing
+    rounds = timeit.repeat(lambda: [check_DI(*case) for case in cases], number=1, repeat=3)
+    assert min(rounds) < 1.0
+
+
+def test_solver_raises_when_not_converged(monkeypatch):
+    # a system without a root: its residual never falls below 1e-9
+    real = dilog._constant_F
+    monkeypatch.setattr(dilog, "_constant_F", lambda N, D, z: np.abs(real(N, D, z)) + 1e-9)
+    with pytest.raises(RuntimeError, match="did not converge"):
+        solve_constant_Y("C", 2, 2)
+
+
+def test_check_DI_returns_three_floats():
+    # the benchmark unpacks exactly (lhs, rhs, abs_error)
+    for case in [("C", 2, 2), ("F4", 4, 2), ("G2", 2, 5)]:
+        result = check_DI(*case)
+        assert isinstance(result, tuple) and len(result) == 3
+        assert all(type(v) is float for v in result)
+        lhs, rhs, err = result
+        assert rhs == float(di_rhs_exact(*case))
+        assert err == abs(lhs - rhs)
 
 
 def test_uniqueness_from_many_starts():

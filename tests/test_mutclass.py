@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tests.conftest import cached_model
+from ysyslab import mutclass
 from ysyslab.builders import FamilySpec, build, involutions
 from ysyslab.mutclass import MutationPath, canonical_key, search_equivalence
 from ysyslab.quiver import Quiver, find_isomorphism
@@ -100,3 +101,16 @@ def test_replay_standalone():
     Q = cached_model("C", 2, 2).quiver
     path = MutationPath(Q, (0, 1, 0))
     assert path.replay() == Q.relaxed().mutate(0).mutate(1).mutate(0)
+
+
+def test_search_skips_the_undo_move(monkeypatch):
+    # mu_k mu_k is the identity, so a node never re-keys the child that
+    # undoes its own move; the path found is the one the full expansion finds
+    keyed = []
+    real = mutclass.canonical_key
+    monkeypatch.setattr(mutclass, "canonical_key", lambda Q: keyed.append(1) or real(Q))
+    Q1 = build(FamilySpec("F4", 4, 2)).quiver
+    Q2 = build(FamilySpec("D", 5, 3)).quiver
+    path, _ = search_equivalence(Q1, Q2)
+    assert path.moves == (7, 0, 2, 6, 7, 1, 8, 6, 4)
+    assert len(keyed) == 5922  # 6578 when every node also keys its undo child

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from ysyslab.numeric import (
     worst_errors,
 )
 from ysyslab.schedule import column_fold, mutate_slot, run_schedule, slot_sets
+from ysyslab.tropical import TropicalRun
 
 def test_g_factors_tables():
     # shifts are integers in scaled time: one unit is 1/2 for C and F4 (t=2)
@@ -112,6 +115,16 @@ def test_residuals_and_periodicity(family, rank, level):
 @pytest.mark.parametrize("family,rank,level", CASES)
 def test_tropical_shadow(family, rank, level):
     assert tropical_shadow_mismatches(cached_tropical(family, rank, level), seed=11) == []
+
+
+@pytest.mark.parametrize("delta", [1, -1])
+def test_tropical_shadow_reports_one_wrong_exponent(delta):
+    trop = TropicalRun("G2", 2, 2)
+    v, s = list(trop.p_plus_points(0, trop.t))[-1]
+    trop.tuples[s] = trop.tuples[s].copy()
+    trop.tuples[s][v, 0] += delta
+    bad = tropical_shadow_mismatches(trop, seed=11)
+    assert [(pos, u) for pos, u, *_ in bad] == [(trop.model.position(v), Fraction(s, trop.t))]
 
 
 def test_trivial_semifield_projection():
