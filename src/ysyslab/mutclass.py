@@ -10,27 +10,31 @@ independently, so spurious key collisions cannot produce a false result.
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass
 
-import numpy as np
-
-from .quiver import Quiver, find_isomorphism, invert_perm, refine_colors
+from .quiver import Quiver, find_isomorphism, invert_perm, neighbours, refine_colors
 
 SIZE_CAP = 24
+ENTRY_CAP = 32767  # the key stores entries as int16
 
 
 def canonical_key(Q):
-    """Permutation-invariant byte encoding of a quiver (n <= 24)."""
+    """Permutation-invariant byte encoding of a quiver (n <= 24, entries
+    within +-32767): the int16 bytes of B reordered by a discrete coloring."""
     n = Q.n
     if n > SIZE_CAP:
         raise ValueError(f"canonical_key supports at most {SIZE_CAP} vertices")
-    B = Q.B
+    rows, adj = Q.B.tolist(), neighbours(Q.B)
     best = None
 
     def encode(colors):
-        order = np.array(sorted(range(n), key=lambda v: colors[v]))
-        return B[np.ix_(order, order)].astype(np.int16).tobytes()
+        order = sorted(range(n), key=colors.__getitem__)
+        try:
+            return array("h", [rows[i][j] for i in order for j in order]).tobytes()
+        except OverflowError:
+            raise ValueError(f"canonical_key supports entries of at most {ENTRY_CAP} in absolute value") from None
 
     def search(colors):
         nonlocal best
@@ -53,9 +57,9 @@ def canonical_key(Q):
         for v in branch:
             child = list(colors)
             child[v] = fresh
-            search(refine_colors(B, child))
+            search(refine_colors(adj, child))
 
-    search(refine_colors(B, [0] * n))
+    search(refine_colors(adj, [0] * n))
     return best
 
 

@@ -56,7 +56,7 @@ class NumericRun:
         else:  # coefficient-free: the trivial semifield
             L0, oplus1 = np.zeros(self.model.n), trivial_plus1
         runs = run_schedule(self.model, lo_s, hi_s, L0, oplus1, logx0)
-        with np.errstate(over="raise"):  # a value past the float range raises
+        with np.errstate(over="raise", under="raise"):  # a value off the float range raises
             self.snaps = {
                 s: (np.exp(logx), np.exp(L) if tracked else None) for s, (L, logx) in runs.items()
             }
@@ -195,17 +195,6 @@ def worst_errors(pairs):
         for tracked, plain in pairs
     )
     return float(res), float(per)
-
-
-def positivity_violations(run):
-    """Times at which any cluster or coefficient entry fails to be positive."""
-    bad = []
-    for s, (x, y) in run.snaps.items():
-        if x is not None and not (x > 0).all():
-            bad.append(("x", s))
-        if y is not None and not (y > 0).all():
-            bad.append(("y", s))
-    return bad
 
 
 # -- tropical shadow -----------------------------------------------------------

@@ -171,21 +171,31 @@ def invert_perm(p):
     return tuple(inv)
 
 
-def refine_colors(B, colors):
-    """Iterative color refinement on the directed graph of B.  New colors are
-    the ranks of the signatures (color, sorted neighbour (color, entry) pairs),
-    so isomorphic inputs refine to isomorphic colorings."""
+def neighbours(B):
+    """Per row of B, the (column, entry) pairs of its nonzero entries, as Python ints."""
+    return [[(j, b) for j, b in enumerate(row) if b] for row in B.tolist()]
+
+
+def refine_colors(adj, colors):
+    """Iterative color refinement on the directed graph with neighbour lists
+    adj (see neighbours).  New colors are the ranks of the signatures (color,
+    sorted neighbour (color, entry) pairs), so isomorphic inputs refine to
+    isomorphic colorings.  colors must be ranks in range(n).  A vertex alone in
+    its color class has the signature (color, ()), since its color decides its
+    rank, and a discrete coloring is final."""
     n = len(colors)
-    nbrs = [np.nonzero(B[i])[0] for i in range(n)]
     while True:
+        size = [0] * n
+        for c in colors:
+            size[c] += 1
         sigs = [
-            (colors[i], tuple(sorted((colors[j], int(B[i, j])) for j in nbrs[i])))
-            for i in range(n)
+            (c, tuple(sorted([(colors[j], b) for j, b in nbrs])) if size[c] > 1 else ())
+            for c, nbrs in zip(colors, adj)
         ]
         lookup = {s: c for c, s in enumerate(sorted(set(sigs)))}
         new = [lookup[s] for s in sigs]
-        if new == colors:
-            return colors
+        if len(lookup) == n or new == colors:
+            return new
         colors = new
 
 
@@ -198,9 +208,9 @@ def find_isomorphism(Q1, Q2):
     if Q1.n != Q2.n:
         return None
     n = Q1.n
-    B1, B2 = Q1.B, Q2.B
-    c1 = refine_colors(B1, [0] * n)
-    c2 = refine_colors(B2, [0] * n)
+    B1, B2 = Q1.B.tolist(), Q2.B.tolist()
+    c1 = refine_colors(neighbours(Q1.B), [0] * n)
+    c2 = refine_colors(neighbours(Q2.B), [0] * n)
     if sorted(c1) != sorted(c2):
         return None
 
@@ -223,7 +233,7 @@ def find_isomorphism(Q1, Q2):
             for qpos in range(pos):
                 i2 = order[qpos]
                 j2 = assignment[i2]
-                if B1[i, i2] != B2[j, j2] or B1[i2, i] != B2[j2, j]:
+                if B1[i][i2] != B2[j][j2] or B1[i2][i] != B2[j2][j]:
                     ok = False
                     break
             if ok:

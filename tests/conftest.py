@@ -2,8 +2,12 @@
 
 from functools import lru_cache
 
+import numpy as np
+
 from ysyslab.builders import FamilySpec, build
+from ysyslab.mutclass import SIZE_CAP
 from ysyslab.numeric import NumericRun
+from ysyslab.quiver import Quiver
 from ysyslab.tropical import TropicalRun
 
 
@@ -27,3 +31,22 @@ CASES = (
     + [("F4", 4, 2), ("F4", 4, 3)]
     + [("G2", 2, lev) for lev in (2, 3, 4)]
 )
+
+
+@lru_cache(maxsize=None)
+def key_quivers():
+    """Quivers to check canonical keys on: four random mutation walks of 10
+    steps from each CASES quiver the key supports, a relabelled copy of every
+    step, and 1000 random relaxed skew matrices with entries in {0, +-1, +-2}."""
+    rng = np.random.default_rng(17)
+    out = []
+    starts = [cached_model(*case).quiver.relaxed() for case in CASES]
+    for Q in [Q for Q in starts if Q.n <= SIZE_CAP] * 4:
+        for _ in range(10):
+            Q = Q.mutate(int(rng.integers(Q.n)))
+            out += [Q, Q.apply_perm(rng.permutation(Q.n).tolist())]
+    for _ in range(1000):
+        n = int(rng.integers(2, 13))
+        U = np.triu(rng.integers(-2, 3, (n, n)), 1)
+        out.append(Quiver(U - U.T, strict=False))
+    return tuple(out)

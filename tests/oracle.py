@@ -4,7 +4,9 @@ The per-vertex exchange rules, driven by Quiver.mutate, are the reference
 for the slot step of ysyslab.schedule: each payload mutates one vertex at a
 time, with the exchange matrix that Quiver.mutate produces before that
 vertex, in multiplicative notation.  exhaustive_isomorphism is the
-brute-force reference for quiver.find_isomorphism.  damped_constant_Y, a
+brute-force reference for quiver.find_isomorphism, and matrix_refine_colors
+and matrix_canonical_key, which read the exchange matrix entry by entry, the
+reference for quiver.refine_colors and mutclass.canonical_key.  damped_constant_Y, a
 damped fixed-point loop over the constant relations, is the reference for
 the Newton solve of dilog.solve_constant_Y, and rogers_L_quad, adaptive
 quadrature of the defining integral, the reference for dilog.rogers_L.
@@ -100,6 +102,59 @@ def exhaustive_isomorphism(Q1, Q2):
         if Q1.apply_perm(p) == Q2:
             return p
     return None
+
+
+def matrix_refine_colors(B, colors):
+    """Iterative color refinement on the directed graph of B.  New colors are
+    the ranks of the signatures (color, sorted neighbour (color, entry) pairs)."""
+    n = len(colors)
+    nbrs = [np.nonzero(B[i])[0] for i in range(n)]
+    while True:
+        sigs = [
+            (colors[i], tuple(sorted((colors[j], int(B[i, j])) for j in nbrs[i])))
+            for i in range(n)
+        ]
+        lookup = {s: c for c, s in enumerate(sorted(set(sigs)))}
+        new = [lookup[s] for s in sigs]
+        if new == colors:
+            return colors
+        colors = new
+
+
+def matrix_canonical_key(Q):
+    """Smallest int16 encoding of B over the leaves of the individualization
+    tree of matrix_refine_colors."""
+    n = Q.n
+    B = Q.B
+    best = None
+
+    def encode(colors):
+        order = np.array(sorted(range(n), key=lambda v: colors[v]))
+        return B[np.ix_(order, order)].astype(np.int16).tobytes()
+
+    def search(colors):
+        nonlocal best
+        cells = {}
+        for v, c in enumerate(colors):
+            cells.setdefault(c, []).append(v)
+        branch = min(
+            (vs for vs in cells.values() if len(vs) > 1),
+            key=lambda vs: (len(vs), colors[vs[0]]),
+            default=None,
+        )
+        if branch is None:
+            key = encode(colors)
+            if best is None or key < best:
+                best = key
+            return
+        fresh = max(colors) + 1
+        for v in branch:
+            child = list(colors)
+            child[v] = fresh
+            search(matrix_refine_colors(B, child))
+
+    search(matrix_refine_colors(B, [0] * n))
+    return best
 
 
 def rogers_L_quad(x):

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from tests.conftest import cached_model
+from tests.conftest import cached_model, key_quivers
+from tests.oracle import matrix_canonical_key
 from ysyslab import mutclass
 from ysyslab.builders import FamilySpec, build, involutions
 from ysyslab.mutclass import MutationPath, canonical_key, search_equivalence
 from ysyslab.quiver import Quiver, find_isomorphism
+from ysyslab.suite import DEFAULT_PAIRS
 
 
 def arrow_quiver(arrows, n):
@@ -46,6 +48,21 @@ def test_key_of_column_cycled_quiver():
 def test_key_size_cap():
     with pytest.raises(ValueError):
         canonical_key(Quiver(np.zeros((30, 30), dtype=np.int64)))
+
+
+def test_key_entry_cap():
+    # the key stores int16 entries; a wider one must not wrap into another class
+    B = np.zeros((3, 3), dtype=np.int64)
+    B[0, 1], B[1, 0] = 40000, -40000
+    with pytest.raises(ValueError, match="32767"):
+        canonical_key(Quiver(B, strict=False))
+
+
+def test_key_matches_matrix_oracle():
+    quivers = key_quivers()
+    assert len(quivers) >= 2000
+    for Q in quivers:
+        assert canonical_key(Q) == matrix_canonical_key(Q)
 
 
 def test_key_equality_iff_isomorphic_small_class():
@@ -103,14 +120,27 @@ def test_replay_standalone():
     assert path.replay() == Q.relaxed().mutate(0).mutate(1).mutate(0)
 
 
-def test_search_skips_the_undo_move(monkeypatch):
-    # mu_k mu_k is the identity, so a node never re-keys the child that
-    # undoes its own move; the path found is the one the full expansion finds
+# the path each default pair finds, and its canonical_key calls; mu_k mu_k is
+# the identity, so a node never re-keys the child that undoes its own move
+# (F4:4:2~D:5:3 makes 6578 calls when every node also keys its undo child)
+DEFAULT_PAIR_SEARCHES = {
+    "C:3:2~D:4:3": ((7, 4, 6), 19),
+    "F4:4:2~D:5:3": ((7, 0, 2, 6, 7, 1, 8, 6, 4), 5922),
+    "C:2:3~A:3:4": ((0, 4), 12),
+    "G2:2:2~C:3:2": ((2,), 5),
+    "G2:2:3~C:3:3": ((2, 1, 3, 12, 7), 345),
+}
+
+
+def pair_id(pair):
+    return "~".join(":".join(map(str, side)) for side in pair)
+
+
+@pytest.mark.parametrize("pair", DEFAULT_PAIRS, ids=pair_id)
+def test_default_pair_moves_and_key_calls(pair, monkeypatch):
     keyed = []
     real = mutclass.canonical_key
     monkeypatch.setattr(mutclass, "canonical_key", lambda Q: keyed.append(1) or real(Q))
-    Q1 = build(FamilySpec("F4", 4, 2)).quiver
-    Q2 = build(FamilySpec("D", 5, 3)).quiver
+    Q1, Q2 = (build(FamilySpec(*side)).quiver for side in pair)
     path, _ = search_equivalence(Q1, Q2)
-    assert path.moves == (7, 0, 2, 6, 7, 1, 8, 6, 4)
-    assert len(keyed) == 5922  # 6578 when every node also keys its undo child
+    assert (path.moves, len(keyed)) == DEFAULT_PAIR_SEARCHES[pair_id(pair)]

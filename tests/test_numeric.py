@@ -9,7 +9,6 @@ from ysyslab import numeric
 from ysyslab.gfun import g_factors, transpose_factors
 from ysyslab.numeric import (
     NumericRun,
-    positivity_violations,
     real_plus1,
     trivial_plus1,
     tropical_shadow_mismatches,
@@ -99,6 +98,21 @@ def test_overflow_raises(monkeypatch):
             NumericRun("C", 2, 2, tracked=True)
 
 
+def test_underflow_raises(monkeypatch):
+    # values are exp of logs, so they can fail to be positive only by
+    # underflowing to 0, and that raises too
+    for which in (0, 1):
+
+        def tiny(model, s_lo, s_hi, L, oplus1, logx):
+            seed = [L, logx]
+            seed[which] = np.full(model.n, -800.0)
+            return {0: tuple(seed)}
+
+        monkeypatch.setattr(numeric, "run_schedule", tiny)
+        with pytest.raises(FloatingPointError):
+            NumericRun("C", 2, 2, tracked=True)
+
+
 @pytest.mark.parametrize("family,rank,level", CASES)
 def test_residuals_and_periodicity(family, rank, level):
     for seed in range(5):
@@ -109,7 +123,6 @@ def test_residuals_and_periodicity(family, rank, level):
         assert tracked.y_residuals().max() < 1e-9
         assert plain.t_periodicity_errors().max() < 1e-8
         assert tracked.y_periodicity_errors().max() < 1e-8
-        assert positivity_violations(tracked) == []
 
 
 @pytest.mark.parametrize("family,rank,level", CASES)

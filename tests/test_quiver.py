@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
-from tests.oracle import exhaustive_isomorphism
+from tests.conftest import key_quivers
+from tests.oracle import exhaustive_isomorphism, matrix_refine_colors
 from ysyslab.quiver import (
     Quiver,
     find_isomorphism,
     invert_perm,
+    neighbours,
+    refine_colors,
 )
 
 
@@ -119,6 +122,20 @@ def test_find_isomorphism_self_and_negative():
     # directed path vs its reverse on an asymmetric shape
     fork = path_quiver([(0, 1), (2, 1), (1, 3)], 4)
     assert find_isomorphism(fork, fork.opposite()) is None
+
+
+def test_refine_colors_matches_matrix_oracle():
+    # from the uniform coloring, and after individualizing each vertex of the
+    # first non-singleton class, as canonical_key does
+    for Q in key_quivers():
+        adj, n = neighbours(Q.B), Q.n
+        colors = refine_colors(adj, [0] * n)
+        assert colors == matrix_refine_colors(Q.B, [0] * n)
+        shared = [v for v in range(n) if colors.count(colors[v]) > 1]
+        for v in [w for w in shared if colors[w] == colors[shared[0]]]:
+            child = list(colors)
+            child[v] = max(colors) + 1
+            assert refine_colors(adj, child) == matrix_refine_colors(Q.B, child)
 
 
 def test_json_round_trip():
