@@ -321,10 +321,6 @@ def build(spec):
     return _build_square_product(spec)
 
 
-def model(family, rank, level):
-    return build(FamilySpec(family, rank, level))
-
-
 # -- involutions -------------------------------------------------------------
 
 

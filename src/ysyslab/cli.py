@@ -14,7 +14,7 @@ from .mutclass import search_equivalence
 from .numeric import NumericRun, run_pairs, worst_errors
 from .quiver import find_isomorphism
 from .roots import format_d_symbol, sigma_C, sigma_F4, sigma_G2
-from .schedule import schedule_steps
+from .schedule import Schedule, schedule_steps
 from .suite import resolve_config, run_suite, suite_passed
 from .tropical import TropicalRun, sign_of
 
@@ -70,7 +70,7 @@ def _cmd_schedule(args):
 
 
 def _cmd_tropical(args):
-    run = TropicalRun(args.family, args.rank, args.level)
+    run = TropicalRun(Schedule(build(args.spec)))
     counts = run.count_signs()
     points = [
         {
@@ -94,7 +94,7 @@ def _cmd_tropical(args):
 
 
 def _cmd_numeric(args):
-    pairs = run_pairs(args.family, args.rank, args.level, range(args.seeds))
+    pairs = run_pairs(Schedule(build(args.spec)), range(args.seeds))
     worst_res, worst_per = worst_errors(pairs)
     _emit(
         {
@@ -129,7 +129,8 @@ def _cmd_dilog(args):
     lhs, rhs, err = check_DI(args.family, args.rank, args.level)
     out = {"constant": {"lhs": lhs, "rhs": rhs, "abs_error": err}}
     if args.functional:
-        runs = [NumericRun(args.family, args.rank, args.level, seed=seed) for seed in range(5)]
+        sched = Schedule(build(args.spec))
+        runs = [NumericRun(sched, seed=seed) for seed in range(5)]
         out["functional"] = check_functional_DI(runs)
     _emit(out, args.out)
 

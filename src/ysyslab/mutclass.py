@@ -3,9 +3,11 @@
 Quivers are deduplicated up to isomorphism through a canonical key
 (iterative color refinement plus individualization backtracking on the
 directed {-1,0,1} graph).  The search itself is a bidirectional BFS over
-mutation classes; a returned path replays from the left quiver to an
-isomorphic copy of the right one, and the final isomorphism is recomputed
-independently, so spurious key collisions cannot produce a false result.
+mutation classes that holds each exchange matrix as int rows and mutates
+it in plain Python (mutate_rows); a returned path replays from the
+left quiver with Quiver.mutate to an isomorphic copy of the right one, and
+the final isomorphism is recomputed independently, so neither a spurious
+key collision nor a fault of the row mutation can produce a false result.
 """
 
 from __future__ import annotations
@@ -20,13 +22,36 @@ SIZE_CAP = 24
 ENTRY_CAP = 32767  # the key stores entries as int16
 
 
-def canonical_key(Q):
-    """Permutation-invariant byte encoding of a quiver (n <= 24, entries
-    within +-32767): the int16 bytes of B reordered by a discrete coloring."""
-    n = Q.n
+def mutate_rows(rows, k):
+    """Fomin-Zelevinsky mutation at vertex k of an exchange matrix held as int
+    rows; returns a tuple of int tuples.  Row k is negated; a row i with
+    b = B_ik != 0 gets B_ij + b * max(sgn(b) B_kj, 0) off column k and -b in
+    it; every other row is shared with the input, which is not modified.
+    Tuples are sized exactly, so a search holding thousands of matrices
+    keeps no spare list capacity."""
+    rk = rows[k]
+    ups = ([max(x, 0) for x in rk], [max(-x, 0) for x in rk])
+    out = []
+    for i, row in enumerate(rows):
+        b = row[k]
+        if i == k:
+            row = tuple([-x for x in row])
+        elif b:
+            new = [x + b * up for x, up in zip(row, ups[b < 0])]
+            new[k] = -b
+            row = tuple(new)
+        out.append(row)
+    return tuple(out)
+
+
+def canonical_key(rows):
+    """Permutation-invariant byte encoding of an exchange matrix B given by its
+    int rows (n <= 24, entries within +-32767): the int16 bytes of B
+    reordered by a discrete coloring."""
+    n = len(rows)
     if n > SIZE_CAP:
         raise ValueError(f"canonical_key supports at most {SIZE_CAP} vertices")
-    rows, adj = Q.B.tolist(), neighbours(Q.B)
+    adj = neighbours(rows)
     best = None
 
     def encode(colors):
@@ -85,13 +110,13 @@ def search_equivalence(Q1, Q2, depth_cap=12, node_cap=10**6):
     """
     if Q1.n != Q2.n:
         return None
-    Q1r, Q2r = Q1.relaxed(), Q2.relaxed()
-    key1, key2 = canonical_key(Q1r), canonical_key(Q2r)
+    rows1, rows2 = Q1.B.tolist(), Q2.B.tolist()
+    key1, key2 = canonical_key(rows1), canonical_key(rows2)
 
-    # store per side: key -> (representative, parent key, vertex mutated)
+    # store per side: key -> (representative rows, parent key, vertex mutated)
     sides = [
-        {key1: (Q1r, None, None)},
-        {key2: (Q2r, None, None)},
+        {key1: (rows1, None, None)},
+        {key2: (rows2, None, None)},
     ]
     frontiers = [deque([key1]), deque([key2])]
     depths = [0, 0]
@@ -109,8 +134,8 @@ def search_equivalence(Q1, Q2, depth_cap=12, node_cap=10**6):
     def stitch(meet_key):
         pa = path_to_root(0, meet_key)
         pb = path_to_root(1, meet_key)
-        Ma = sides[0][meet_key][0]
-        Mb = sides[1][meet_key][0]
+        Ma = Quiver(sides[0][meet_key][0], strict=False)
+        Mb = Quiver(sides[1][meet_key][0], strict=False)
         sigma = find_isomorphism(Ma, Mb)
         if sigma is None:  # key collision; treat the meet as spurious
             return None
@@ -138,10 +163,10 @@ def search_equivalence(Q1, Q2, depth_cap=12, node_cap=10**6):
         while frontiers[side]:
             key = frontiers[side].popleft()
             rep, _, last = sides[side][key]
-            for k in range(rep.n):
+            for k in range(len(rep)):
                 if k == last:  # mu_k mu_k is the identity: the parent is seen
                     continue
-                child = rep.mutate(k)
+                child = mutate_rows(rep, k)
                 ckey = canonical_key(child)
                 if ckey in sides[side]:
                     continue

@@ -17,9 +17,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .builders import model
 from .gfun import g_factors, transpose_factors
-from .schedule import column_fold, run_schedule, slot_sets
+from .schedule import column_fold, run_schedule
 
 
 def real_plus1(L):
@@ -38,13 +37,15 @@ class NumericRun:
     T[a, m, s - s0] and Y[a, m, s - s0] hold T^{(a)}_m(s/t) and
     Y^{(a)}_m(s/t).  T is filled on the P+ grid and is 1 on the boundary
     rows (a = 0, m = 0 and m = t_a*level); Y is filled on the P'+ grid, with
-    1 throughout a coefficient-free run.  Every other entry is NaN.
+    1 throughout a coefficient-free run.  Every other entry is NaN.  The run
+    is driven by a verified schedule.Schedule.
     """
 
-    def __init__(self, family, rank, level, seed=0, tracked=True):
-        self.model = model(family, rank, level)
-        cd = self.model.cartan
-        self.t = cd["t"]
+    def __init__(self, schedule, seed=0, tracked=True):
+        self.schedule = schedule
+        self.model = schedule.model
+        cd, level = self.model.cartan, self.spec.level
+        self.t = schedule.t
         self.full_s = 2 * (cd["h_dual"] + level) * self.t
         # the checked times [0, full_s + 2t), widened by three time units
         lo_s, hi_s = -3 * self.t, self.full_s + 5 * self.t
@@ -55,7 +56,7 @@ class NumericRun:
             L0, oplus1 = np.log(rng.uniform(0.5, 2.0, self.model.n)), real_plus1
         else:  # coefficient-free: the trivial semifield
             L0, oplus1 = np.zeros(self.model.n), trivial_plus1
-        runs = run_schedule(self.model, lo_s, hi_s, L0, oplus1, logx0)
+        runs = run_schedule(schedule, lo_s, hi_s, L0, oplus1, logx0)
         with np.errstate(over="raise", under="raise"):  # a value off the float range raises
             self.snaps = {
                 s: (np.exp(logx), np.exp(L) if tracked else None) for s, (L, logx) in runs.items()
@@ -77,7 +78,7 @@ class NumericRun:
         node = np.array([column_fold(self.spec.family, self.spec.rank, col) for col, _ in pos])
         row = np.array([m for _, m in pos])
         lag = np.array([self.lags[a] for a in node])
-        slots = [np.array(vs) for vs in slot_sets(self.model)]
+        slots = [np.array(vs) for vs in self.schedule.sets]
         for s, (x, y) in self.snaps.items():
             vs = slots[s % (2 * self.t)]
             self.T[node[vs], row[vs], s - lag[vs] - s0] = x[vs]
@@ -174,12 +175,9 @@ class NumericRun:
         return ys[~np.isnan(ys)]
 
 
-def run_pairs(family, rank, level, seeds):
-    """A (tracked, plain) pair of runs of one case for each seed."""
-    return [
-        (NumericRun(family, rank, level, seed=seed), NumericRun(family, rank, level, seed=seed, tracked=False))
-        for seed in seeds
-    ]
+def run_pairs(schedule, seeds):
+    """A (tracked, plain) pair of runs of one verified Schedule for each seed."""
+    return [(NumericRun(schedule, seed=seed), NumericRun(schedule, seed=seed, tracked=False)) for seed in seeds]
 
 
 def worst_errors(pairs):
@@ -204,15 +202,16 @@ def tropical_shadow_mismatches(trop, seed=0, eps=1e-12):
     """Compare the exponents of a TropicalRun against small-parameter numeric slopes.
 
     Coefficients are started at y_v = eps**(e_v) for a random integer
-    direction e; after running the schedule, log(y_i(u)) / log(eps) must
-    approach the pairing of the tropical exponent vector with e at every
-    mutation point with -2 <= u < 2, to within sqrt(eps).
+    direction e; after running the TropicalRun's own verified schedule,
+    log(y_i(u)) / log(eps) must approach the pairing of the tropical
+    exponent vector with e at every mutation point with -2 <= u < 2, to
+    within sqrt(eps).
     """
     mdl = trop.model
     e = np.random.default_rng(seed).integers(1, 4, mdl.n)
     logy0 = e * np.log(eps)
     t = trop.t
-    snaps = run_schedule(mdl, -2 * t, 2 * t, logy0, real_plus1)
+    snaps = run_schedule(trop.schedule, -2 * t, 2 * t, logy0, real_plus1)
     bad = []
     for v, s in trop.p_plus_points(-2 * t, 2 * t):
         slope = snaps[s][0][v] / np.log(eps)

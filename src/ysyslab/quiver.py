@@ -171,9 +171,10 @@ def invert_perm(p):
     return tuple(inv)
 
 
-def neighbours(B):
-    """Per row of B, the (column, entry) pairs of its nonzero entries, as Python ints."""
-    return [[(j, b) for j, b in enumerate(row) if b] for row in B.tolist()]
+def neighbours(rows):
+    """Per row of the int rows of B (B.tolist()), the (column, entry) pairs of
+    its nonzero entries."""
+    return [[(j, b) for j, b in enumerate(row) if b] for row in rows]
 
 
 def refine_colors(adj, colors):
@@ -209,8 +210,8 @@ def find_isomorphism(Q1, Q2):
         return None
     n = Q1.n
     B1, B2 = Q1.B.tolist(), Q2.B.tolist()
-    c1 = refine_colors(neighbours(Q1.B), [0] * n)
-    c2 = refine_colors(neighbours(Q2.B), [0] * n)
+    c1 = refine_colors(neighbours(B1), [0] * n)
+    c2 = refine_colors(neighbours(B2), [0] * n)
     if sorted(c1) != sorted(c2):
         return None
 

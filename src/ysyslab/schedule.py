@@ -11,8 +11,9 @@ One period of the quiver sequence is two time units, i.e. 2t steps:
   circle regions I..VI, passing through column-permuted (and opposite)
   copies of the quiver.
 
-Every run first verifies the expected quiver at each slot over one period;
-a failure means a transcription or sign-convention fault in the builders.
+A Schedule verifies the expected quiver at each slot over one period when
+it is made, and every run is driven by one; a failure means a transcription
+or sign-convention fault in the builders.
 
 The labelled values T^{(a)}_m(u) and Y^{(a)}_m(u) sit at the mutation
 points: the vertex of column col and row m mutated at time u carries
@@ -145,19 +146,19 @@ class ScheduleError(AssertionError):
     """A step produced a quiver different from the expected transform."""
 
 
-def slot_matrices(model):
+def slot_matrices(model, sets):
     """The exchange matrix at each slot, verified by one period of mutation.
 
-    The initial quiver is mutated through one forward period with
-    Quiver.mutate, and every step is compared with expected_quivers.  Each
-    slot set must be pairwise non-adjacent, so its composite mutation is an
-    involution: the one forward period also certifies every backward step
-    and every later period.
+    The initial quiver is mutated through one forward period at the slot
+    sets with Quiver.mutate, and every step is compared with
+    expected_quivers.  Each slot set must be pairwise non-adjacent, so its
+    composite mutation is an involution: the one forward period also
+    certifies every backward step and every later period.
     """
     t = model.cartan["t"]
     expected = expected_quivers(model)
     Q = model.quiver
-    for s, ks in enumerate(slot_sets(model)):
+    for s, ks in enumerate(sets):
         try:
             Q = Q.composite_mutate(ks)
         except ValueError as err:
@@ -169,6 +170,22 @@ def slot_matrices(model):
                 f"level {model.spec.level})"
             )
     return expected
+
+
+class Schedule:
+    """The verified schedule of one case: its model, the vertex sets of the
+    2t slots and the exchange matrix at each slot.
+
+    Making one runs slot_matrices, which raises ScheduleError on a mismatch,
+    so holding a Schedule means its one-period check has passed.  Instances
+    hash by identity.
+    """
+
+    def __init__(self, model):
+        self.model = model
+        self.t = model.cartan["t"]
+        self.sets = slot_sets(model)
+        self.matrices = slot_matrices(model, self.sets)
 
 
 def mutate_slot(B, ks, L, oplus1, logx=None):
@@ -198,17 +215,13 @@ def mutate_slot(B, ks, L, oplus1, logx=None):
     return L, logx
 
 
-def run_schedule(model, s_lo, s_hi, L=None, oplus1=None, logx=None):
-    """Verify the slot matrices, then drive the seed (L, logx) of mutate_slot
+def run_schedule(schedule, s_lo, s_hi, L, oplus1, logx=None):
+    """Drive the seed (L, logx) of mutate_slot through a verified Schedule,
     from time 0 forward to s_hi and backward to s_lo.
 
-    Returns {s: (L, logx)} at every visited time, or {} without a seed.
+    Returns {s: (L, logx)} at every visited time.
     """
-    t = model.cartan["t"]
-    sets = slot_sets(model)
-    mats = slot_matrices(model)
-    if L is None:
-        return {}
+    t, sets, mats = schedule.t, schedule.sets, schedule.matrices
     snapshots = {0: (L, logx)}
     for step, stop in ((1, s_hi), (-1, s_lo)):
         s, Ls, xs = 0, L, logx

@@ -14,7 +14,7 @@ from .mutclass import search_equivalence
 from .numeric import run_pairs, tropical_shadow_mismatches, worst_errors
 from .quiver import find_isomorphism
 from .roots import apart_mismatches_C, tvector_mismatches
-from .schedule import ScheduleError, run_schedule
+from .schedule import Schedule, ScheduleError
 from .tropical import TropicalRun, expected_counts, total_points
 
 DEFAULT_CASES = (
@@ -74,17 +74,16 @@ def _case_rows(case, cfg):
     def row(check, ok, statement, **metrics):
         rows.append(_row(cid, check, ok, statement, **metrics))
 
-    # scheduled mutation cycle (quiver transforms asserted over one period)
+    # scheduled mutation cycle (quiver transforms asserted over one period),
+    # checked once here; every run of the case is driven by this Schedule
     try:
-        mdl = build(FamilySpec(family, rank, level))
-        t = mdl.cartan["t"]
-        run_schedule(mdl, -2 * t, 2 * t)
-        row("schedule", True, "scheduled-quiver-cycle", vertices=mdl.n)
+        sched = Schedule(build(FamilySpec(family, rank, level)))
+        row("schedule", True, "scheduled-quiver-cycle", vertices=sched.model.n)
     except ScheduleError as err:
         row("schedule", False, "scheduled-quiver-cycle", error=str(err))
         return rows
 
-    trop = TropicalRun(family, rank, level)
+    trop = TropicalRun(sched)
     try:
         counts = trop.count_signs()
         want = expected_counts(family, rank, level)
@@ -107,7 +106,7 @@ def _case_rows(case, cfg):
             bad += apart_mismatches_C(trop)
         row("tvectors", not bad, "level2-root-identities", mismatches=len(bad))
 
-    pairs = run_pairs(family, rank, level, cfg["seeds"])
+    pairs = run_pairs(sched, cfg["seeds"])
     worst_res, worst_per = worst_errors(pairs)
     res_tol, per_tol = cfg["residual_tol"], cfg["periodicity_tol"]
     row("numeric-residuals", worst_res < res_tol, "recursion-residuals", max_residual=worst_res, tol=res_tol)
@@ -130,14 +129,13 @@ def _pair_rows(pair, cfg):
     cid = f"{_case_id(*left)}~{_case_id(*right)}"
     Q1 = build(FamilySpec(*left)).quiver
     Q2 = build(FamilySpec(*right)).quiver
-    res = search_equivalence(Q1, Q2, depth_cap=cfg["depth_cap"], node_cap=cfg["node_cap"])
+    metrics = {"depth_cap": cfg["depth_cap"], "node_cap": cfg["node_cap"]}
+    try:
+        res = search_equivalence(Q1, Q2, **metrics)
+    except ValueError as err:  # a quiver past canonical_key's size or entry bound
+        res, metrics["error"] = None, str(err)
     if res is None:
-        return [
-            VerificationReport(
-                cid, "mutation-equivalence", "inconclusive", "mutation-equivalence",
-                {"depth_cap": cfg["depth_cap"], "node_cap": cfg["node_cap"]},
-            )
-        ]
+        return [VerificationReport(cid, "mutation-equivalence", "inconclusive", "mutation-equivalence", metrics)]
     path, _ = res
     verified = find_isomorphism(path.replay(), Q2) is not None
     return [

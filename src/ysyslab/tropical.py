@@ -13,9 +13,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .builders import involutions, model
+from .builders import involutions
 from .quiver import FILL_CIRCLE
-from .schedule import run_schedule, slot_sets
+from .schedule import run_schedule
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
@@ -49,19 +49,20 @@ def specialize(vec, kill):
 
 
 class TropicalRun:
-    """Tropical evaluation of the coefficient tuple over a time window."""
+    """Tropical evaluation of the coefficient tuple over a time window, driven
+    by a verified schedule.Schedule."""
 
-    def __init__(self, family, rank, level):
-        self.model = model(family, rank, level)
+    def __init__(self, schedule):
+        self.schedule = schedule
+        self.model = schedule.model
         cd = self.model.cartan
-        self.t = cd["t"]
-        self.half_s = (cd["h_dual"] + level) * self.t
+        self.t = schedule.t
+        self.half_s = (cd["h_dual"] + self.spec.level) * self.t
         self.full_s = 2 * self.half_s
         E0 = np.eye(self.model.n, dtype=np.int64)
         lo_s, hi_s = -cd["h_dual"] * self.t - 1, 2 * self.full_s
-        runs = run_schedule(self.model, lo_s, hi_s, E0, tropical_plus1)
+        runs = run_schedule(schedule, lo_s, hi_s, E0, tropical_plus1)
         self.tuples = {s: E for s, (E, _) in runs.items()}
-        self.sets = slot_sets(self.model)
         self.omega = involutions(self.model)["omega"]
 
     @property
@@ -74,7 +75,7 @@ class TropicalRun:
     def p_plus_points(self, s_lo, s_hi):
         """Vertex-time mutation points (v, s) with s_lo <= s < s_hi."""
         for s in range(s_lo, s_hi):
-            for v in self.sets[s % (2 * self.t)]:
+            for v in self.schedule.sets[s % (2 * self.t)]:
                 yield v, s
 
     # -- headline checks ------------------------------------------------------

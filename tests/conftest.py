@@ -8,6 +8,7 @@ from ysyslab.builders import FamilySpec, build
 from ysyslab.mutclass import SIZE_CAP
 from ysyslab.numeric import NumericRun
 from ysyslab.quiver import Quiver
+from ysyslab.schedule import Schedule
 from ysyslab.tropical import TropicalRun
 
 
@@ -17,13 +18,18 @@ def cached_model(family, rank, level):
 
 
 @lru_cache(maxsize=None)
+def cached_schedule(family, rank, level):
+    return Schedule(cached_model(family, rank, level))
+
+
+@lru_cache(maxsize=None)
 def cached_tropical(family, rank, level):
-    return TropicalRun(family, rank, level)
+    return TropicalRun(cached_schedule(family, rank, level))
 
 
 @lru_cache(maxsize=None)
 def cached_numeric(family, rank, level, seed, tracked):
-    return NumericRun(family, rank, level, seed=seed, tracked=tracked)
+    return NumericRun(cached_schedule(family, rank, level), seed=seed, tracked=tracked)
 
 
 CASES = (

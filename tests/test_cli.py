@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ysyslab import suite
+from ysyslab import builders, mutclass, schedule, suite
 from ysyslab.cli import main
 from ysyslab.numeric import NumericRun
 from ysyslab.suite import VerificationReport, run_suite, suite_passed
@@ -205,16 +205,47 @@ def test_suite_accepts_numpy_and_tuple_values():
 
 
 def test_suite_builds_each_run_once(monkeypatch):
+    # one case builds its quiver once and verifies its schedule once; every
+    # run of the case is driven by that one verified Schedule
     counts = Counter()
-    for cls in (NumericRun, TropicalRun):
-        def counted(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
-            counts[_name] += 1
-            _init(self, *args, **kwargs)
 
-        monkeypatch.setattr(cls, "__init__", counted)
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for cls in (NumericRun, TropicalRun):
+        monkeypatch.setattr(cls, "__init__", counted(cls.__name__, cls.__init__))
+    monkeypatch.setattr(schedule, "slot_matrices", counted("slot_matrices", schedule.slot_matrices))
+    build = counted("build", builders.build)
+    for module in (builders, suite):
+        monkeypatch.setattr(module, "build", build)
     seeds = [0, 1, 2]
     run_suite({"cases": [["C", 2, 2]], "pairs": [], "seeds": seeds, "extra_dilog_levels": []})
-    assert counts == {"NumericRun": 2 * len(seeds), "TropicalRun": 1}
+    assert counts == {"NumericRun": 2 * len(seeds), "TropicalRun": 1, "slot_matrices": 1, "build": 1}
+
+
+def test_suite_key_overflow_is_inconclusive(monkeypatch, tmp_path, capsys):
+    # canonical_key refuses an entry past ENTRY_CAP; the suite reports the
+    # pair inconclusive with the error, and the CLI ends without a traceback
+    message = f"canonical_key supports entries of at most {mutclass.ENTRY_CAP} in absolute value"
+
+    def overflow(rows):
+        raise ValueError(message)
+
+    monkeypatch.setattr(mutclass, "canonical_key", overflow)
+    config = {"cases": [], "pairs": [[["G2", 2, 2], ["C", 3, 2]]], "extra_dilog_levels": []}
+    (row,) = run_suite(config)
+    assert (row.case, row.check, row.status) == ("G2:2:2~C:3:2", "mutation-equivalence", "inconclusive")
+    assert row.metrics == {"depth_cap": 12, "node_cap": 10**6, "error": message}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    with pytest.raises(SystemExit) as err:
+        main(["suite", "--config", str(cfg)])
+    assert err.value.code == 1
+    assert "inconclusive" in capsys.readouterr().out
 
 
 def test_tracer_targets_resolve():

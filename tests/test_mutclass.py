@@ -5,9 +5,13 @@ from tests.conftest import cached_model, key_quivers
 from tests.oracle import matrix_canonical_key
 from ysyslab import mutclass
 from ysyslab.builders import FamilySpec, build, involutions
-from ysyslab.mutclass import MutationPath, canonical_key, search_equivalence
+from ysyslab.mutclass import MutationPath, canonical_key, mutate_rows, search_equivalence
 from ysyslab.quiver import Quiver, find_isomorphism
 from ysyslab.suite import DEFAULT_PAIRS
+
+
+def key(Q):
+    return canonical_key(Q.B.tolist())
 
 
 def arrow_quiver(arrows, n):
@@ -26,28 +30,28 @@ def test_key_invariant_under_permutation():
         cached_model("F4", 4, 2).quiver,
     ]
     for Q in quivers:
-        key = canonical_key(Q)
+        want = key(Q)
         for _ in range(333):
             p = tuple(rng.permutation(Q.n).tolist())
-            assert canonical_key(Q.apply_perm(p)) == key
+            assert key(Q.apply_perm(p)) == want
 
 
 def test_key_separates_orientation():
     # a 3-cycle with a pendant arrow is chiral: its opposite is not isomorphic
     Q = arrow_quiver([(0, 1), (1, 2), (2, 0), (2, 3)], 4)
-    assert canonical_key(Q) != canonical_key(Q.opposite())
+    assert key(Q) != key(Q.opposite())
     assert find_isomorphism(Q, Q.opposite()) is None
 
 
 def test_key_of_column_cycled_quiver():
     m = cached_model("G2", 2, 2)
     nu = involutions(m)["nu_231"]
-    assert canonical_key(m.quiver.apply_perm(nu)) == canonical_key(m.quiver)
+    assert key(m.quiver.apply_perm(nu)) == key(m.quiver)
 
 
 def test_key_size_cap():
     with pytest.raises(ValueError):
-        canonical_key(Quiver(np.zeros((30, 30), dtype=np.int64)))
+        key(Quiver(np.zeros((30, 30), dtype=np.int64)))
 
 
 def test_key_entry_cap():
@@ -55,14 +59,24 @@ def test_key_entry_cap():
     B = np.zeros((3, 3), dtype=np.int64)
     B[0, 1], B[1, 0] = 40000, -40000
     with pytest.raises(ValueError, match="32767"):
-        canonical_key(Quiver(B, strict=False))
+        key(Quiver(B, strict=False))
 
 
 def test_key_matches_matrix_oracle():
     quivers = key_quivers()
     assert len(quivers) >= 2000
     for Q in quivers:
-        assert canonical_key(Q) == matrix_canonical_key(Q)
+        assert key(Q) == matrix_canonical_key(Q)
+
+
+def test_row_mutation_matches_quiver_mutate():
+    # the search's plain-Python mutation against the numpy Quiver.mutate that
+    # MutationPath.replay keeps as the independent check
+    for Q in key_quivers():
+        rows = Q.B.tolist()
+        for k in range(Q.n):
+            assert np.array_equal(mutate_rows(rows, k), Q.mutate(k).B)
+        assert rows == Q.B.tolist()  # the input rows are left as they were
 
 
 def test_key_equality_iff_isomorphic_small_class():
@@ -80,7 +94,7 @@ def test_key_equality_iff_isomorphic_small_class():
     rng = np.random.default_rng(3)
     idx = rng.integers(0, len(seen), (80, 2))
     for a, b in idx:
-        same_key = canonical_key(seen[a]) == canonical_key(seen[b])
+        same_key = key(seen[a]) == key(seen[b])
         same_iso = find_isomorphism(seen[a], seen[b]) is not None
         assert same_key == same_iso
 

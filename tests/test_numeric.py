@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from tests.conftest import CASES, cached_model, cached_numeric, cached_tropical
+from tests.conftest import CASES, cached_model, cached_numeric, cached_schedule, cached_tropical
 from tests.oracle import NumericSeedPayload, grid_points, label_g, label_g_prime, run_payload
 from ysyslab import numeric
 from ysyslab.gfun import g_factors, transpose_factors
@@ -88,14 +88,14 @@ def test_overflow_raises(monkeypatch):
     # float range fails when the run turns them into values
     for which in (0, 1):
 
-        def huge(model, s_lo, s_hi, L, oplus1, logx):
+        def huge(schedule, s_lo, s_hi, L, oplus1, logx):
             seed = [L, logx]
-            seed[which] = np.full(model.n, 800.0)
+            seed[which] = np.full(schedule.model.n, 800.0)
             return {0: tuple(seed)}
 
         monkeypatch.setattr(numeric, "run_schedule", huge)
         with pytest.raises(FloatingPointError):
-            NumericRun("C", 2, 2, tracked=True)
+            NumericRun(cached_schedule("C", 2, 2), tracked=True)
 
 
 def test_underflow_raises(monkeypatch):
@@ -103,14 +103,14 @@ def test_underflow_raises(monkeypatch):
     # underflowing to 0, and that raises too
     for which in (0, 1):
 
-        def tiny(model, s_lo, s_hi, L, oplus1, logx):
+        def tiny(schedule, s_lo, s_hi, L, oplus1, logx):
             seed = [L, logx]
-            seed[which] = np.full(model.n, -800.0)
+            seed[which] = np.full(schedule.model.n, -800.0)
             return {0: tuple(seed)}
 
         monkeypatch.setattr(numeric, "run_schedule", tiny)
         with pytest.raises(FloatingPointError):
-            NumericRun("C", 2, 2, tracked=True)
+            NumericRun(cached_schedule("C", 2, 2), tracked=True)
 
 
 @pytest.mark.parametrize("family,rank,level", CASES)
@@ -132,7 +132,7 @@ def test_tropical_shadow(family, rank, level):
 
 @pytest.mark.parametrize("delta", [1, -1])
 def test_tropical_shadow_reports_one_wrong_exponent(delta):
-    trop = TropicalRun("G2", 2, 2)
+    trop = TropicalRun(cached_schedule("G2", 2, 2))
     v, s = list(trop.p_plus_points(0, trop.t))[-1]
     trop.tuples[s] = trop.tuples[s].copy()
     trop.tuples[s][v, 0] += delta
@@ -149,7 +149,9 @@ def test_trivial_semifield_projection():
         t = mdl.cartan["t"]
         x0 = np.random.default_rng(0).uniform(0.5, 2.0, mdl.n)
         plain = run_payload(mdl, -2 * t, 2 * t, NumericSeedPayload(x0))
-        projected = run_schedule(mdl, -2 * t, 2 * t, np.zeros(mdl.n), trivial_plus1, np.log(x0))
+        projected = run_schedule(
+            cached_schedule(family, rank, level), -2 * t, 2 * t, np.zeros(mdl.n), trivial_plus1, np.log(x0)
+        )
         for s, (L, logx) in projected.items():
             assert np.max(np.abs(np.exp(logx) - plain[s][0])) <= 1e-12
             assert not L.any()

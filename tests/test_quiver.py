@@ -128,7 +128,7 @@ def test_refine_colors_matches_matrix_oracle():
     # from the uniform coloring, and after individualizing each vertex of the
     # first non-singleton class, as canonical_key does
     for Q in key_quivers():
-        adj, n = neighbours(Q.B), Q.n
+        adj, n = neighbours(Q.B.tolist()), Q.n
         colors = refine_colors(adj, [0] * n)
         assert colors == matrix_refine_colors(Q.B, [0] * n)
         shared = [v for v in range(n) if colors.count(colors[v]) > 1]

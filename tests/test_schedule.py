@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from tests.conftest import CASES, cached_model, cached_numeric, cached_tropical
+from tests.conftest import CASES, cached_model, cached_numeric, cached_schedule, cached_tropical
 from tests.oracle import (
     NumericSeedPayload,
     TropicalCoefficients,
@@ -15,8 +15,10 @@ from tests.oracle import (
 )
 from ysyslab.builders import involutions
 from ysyslab.quiver import Quiver
-from ysyslab.schedule import ScheduleError, run_schedule, schedule_steps, slot_sets
-from ysyslab.tropical import tropical_plus1
+from ysyslab import schedule
+from ysyslab.schedule import Schedule, ScheduleError, run_schedule, schedule_steps, slot_sets
+from ysyslab.numeric import NumericRun
+from ysyslab.tropical import TropicalRun, tropical_plus1
 
 
 def test_parity_shift_relation():
@@ -85,12 +87,17 @@ def test_schedule_steps_listing():
 
 @pytest.mark.parametrize("family,rank,level", CASES)
 def test_full_period_returns_quiver(family, rank, level):
-    m = cached_model(family, rank, level)
-    t = m.cartan["t"]
-    run_schedule(m, -2 * t, 2 * t)  # raises ScheduleError on any mismatch
+    sched = Schedule(cached_model(family, rank, level))  # raises ScheduleError on any mismatch
+    for got, want in zip(sched.matrices, schedule.expected_quivers(sched.model), strict=True):
+        assert np.array_equal(got, want)
+    assert sched.sets == slot_sets(sched.model)
 
 
-def test_flipped_orientation_rule_fails_first_step():
+def refuse_slot_step(*args, **kwargs):
+    raise AssertionError("a seed was mutated through an unverified schedule")
+
+
+def test_flipped_orientation_rule_fails_first_step(monkeypatch):
     # negative control: flipping one local orientation rule (the vertical
     # arrows) breaks the expected quiver transform at the very first step
     m = cached_model("C", 3, 2)
@@ -102,11 +109,12 @@ def test_flipped_orientation_rule_fails_first_step():
             if ci == cj and abs(ri - rj) == 1:
                 B[i, j] = -m.quiver.B[i, j]
     bad = type(m)(m.spec, Quiver(B, m.quiver.meta), dict(m.index))
-    with pytest.raises(ScheduleError):
-        run_schedule(bad, 0, 1)
+    monkeypatch.setattr(schedule, "mutate_slot", refuse_slot_step)
+    with pytest.raises(ScheduleError):  # raised before any run exists
+        NumericRun(Schedule(bad))
 
 
-def test_adjacent_slot_vertices_fail():
+def test_adjacent_slot_vertices_fail(monkeypatch):
     # the slot step mutates a whole slot at once, which needs its vertices
     # pairwise non-adjacent in the slot's matrix
     m = cached_model("C", 3, 2)
@@ -114,8 +122,9 @@ def test_adjacent_slot_vertices_fail():
     B = m.quiver.B.copy()
     B[i, j], B[j, i] = 1, -1
     bad = type(m)(m.spec, Quiver(B, m.quiver.meta), dict(m.index))
-    with pytest.raises(ScheduleError, match="adjacent"):
-        run_schedule(bad, 0, 1)
+    monkeypatch.setattr(schedule, "mutate_slot", refuse_slot_step)
+    with pytest.raises(ScheduleError, match="adjacent"):  # raised before any run exists
+        TropicalRun(Schedule(bad))
 
 
 @pytest.mark.parametrize("family,rank,level", CASES)
@@ -153,16 +162,14 @@ def test_global_opposite_passes_cycle_but_flips_tropical_signs():
     from ysyslab.tropical import POSITIVE, sign_of
 
     m = cached_model("C", 3, 2)
-    flipped = type(m)(m.spec, m.quiver.opposite(), dict(m.index))
-    run_schedule(flipped, 0, 4)  # passes by the negation symmetry
+    flipped = Schedule(type(m)(m.spec, m.quiver.opposite(), dict(m.index)))  # passes by the negation symmetry
 
-    def window_signs(mdl):
-        E0 = np.eye(mdl.n, dtype=np.int64)
-        snaps = run_schedule(mdl, 0, 4, E0, tropical_plus1)
-        sets = slot_sets(mdl)
-        return {sign_of(snaps[s][0][v]) for s in range(4) for v in sets[s]}
+    def window_signs(sched):
+        E0 = np.eye(sched.model.n, dtype=np.int64)
+        snaps = run_schedule(sched, 0, 4, E0, tropical_plus1)
+        return {sign_of(snaps[s][0][v]) for s in range(4) for v in sched.sets[s]}
 
-    assert window_signs(m) == {POSITIVE}
+    assert window_signs(cached_schedule("C", 3, 2)) == {POSITIVE}
     assert window_signs(flipped) != {POSITIVE}
 
 

@@ -147,7 +147,7 @@ def test_mixed_monomial_raises():
     broken = copy.copy(run)
     broken.tuples = dict(run.tuples)
     planted = run.tuples[0].copy()
-    planted[broken.sets[0][0]] = np.array([1, -1, 0, 0, 0])
+    planted[broken.schedule.sets[0][0]] = np.array([1, -1, 0, 0, 0])
     broken.tuples[0] = planted
     with pytest.raises(ArithmeticError):
         broken.count_signs()
