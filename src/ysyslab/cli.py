@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 from fractions import Fraction
 
 
@@ -14,9 +15,37 @@ from .mutclass import search_equivalence
 from .numeric import NumericRun, run_pairs, worst_errors
 from .quiver import find_isomorphism
 from .roots import format_d_symbol, sigma_C, sigma_F4, sigma_G2
-from .schedule import Schedule, schedule_steps
+from .schedule import TRANSFORMS, Schedule
 from .suite import resolve_config, run_suite, suite_passed
-from .tropical import TropicalRun, sign_of
+from .tropical import TropicalRun
+
+
+class UsageError(Exception):
+    """A command-line value that the parser cannot check alone; main reports
+    it as a usage error."""
+
+
+def _positive(kind):
+    """An argparse type: a finite number of the given kind above 0."""
+
+    def parse(text):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = math.nan
+        if not 0 < value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be a positive finite {kind.__name__}, not {text!r}")
+        return value
+
+    return parse
+
+
+def _time(text):
+    """An argparse type: a time u as an exact fraction."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as err:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a time ({err})") from err
 
 
 def _parse_case(text):
@@ -53,33 +82,36 @@ def _cmd_build(args):
 
 def _cmd_schedule(args):
     mdl = build(args.spec)
-    steps = schedule_steps(mdl, Fraction(args.frm), Fraction(args.to))
-    _emit(
-        [
-            {
-                "from": str(st.u_from),
-                "to": str(st.u_to),
-                "mutate": [list(v) for v in st.vertices],
-                "expected_perm": st.expected_perm,
-                "expected_opposite": st.expected_op,
-            }
-            for st in steps
-        ],
-        args.out,
-    )
+    t = mdl.cartan["t"]
+    s_from, s_to = args.frm * t, args.to * t
+    if s_from.denominator != 1 or s_to.denominator != 1:
+        raise UsageError(f"--from and --to must be multiples of 1/{t} for type {args.family}")
+    sched = Schedule(mdl)
+    steps = []
+    for s in range(int(s_from), int(s_to)):
+        perm, opposite = TRANSFORMS[args.family][(s + 1) % (2 * t)]
+        steps.append({
+            "from": str(Fraction(s, t)),
+            "to": str(Fraction(s + 1, t)),
+            "mutate": [list(mdl.position(v)) for v in sched.sets[s % (2 * t)]],
+            "expected_perm": perm,
+            "expected_opposite": opposite,
+        })
+    _emit(steps, args.out)
 
 
 def _cmd_tropical(args):
     run = TropicalRun(Schedule(build(args.spec)))
     counts = run.count_signs()
+    s, v, classes = run.point_signs(0, run.full_s)
     points = [
         {
             "vertex": list(run.model.position(v)),
             "u": str(Fraction(s, run.t)),
             "exponents": run.monomial(v, s).tolist(),
-            "sign": sign_of(run.monomial(v, s)),
+            "sign": sign,
         }
-        for v, s in run.p_plus_points(0, run.full_s)
+        for s, v, sign in zip(s.tolist(), v.tolist(), classes.tolist())
     ]
     _emit(
         {
@@ -111,8 +143,8 @@ def _cmd_numeric(args):
 
 def _cmd_orbits(args):
     if args.sigma == "C":
-        if args.rank is None:
-            raise SystemExit("--rank (of the D diagram) is required with --sigma C")
+        if args.rank is None or args.rank < 3:
+            raise UsageError("--sigma C needs --rank, the rank of the D diagram, of at least 3")
         sig = sigma_C(args.rank - 1)
         fmt = lambda vec: format_d_symbol(args.rank - 1, vec)
     elif args.sigma == "F4":
@@ -175,8 +207,8 @@ def main(argv=None):
 
     p = sub.add_parser("schedule", help="list composite mutation steps")
     add_case_args(p)
-    p.add_argument("--from", dest="frm", default="0")
-    p.add_argument("--to", dest="to", default="2")
+    p.add_argument("--from", dest="frm", type=_time, default="0")
+    p.add_argument("--to", dest="to", type=_time, default="2")
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_schedule)
 
@@ -188,7 +220,7 @@ def main(argv=None):
     p = sub.add_parser("numeric", help="numeric residual and periodicity report")
     add_case_args(p)
     p.add_argument("--seeds", type=int, default=5)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=_positive(float), default=1e-8)
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_numeric)
 
@@ -206,8 +238,8 @@ def main(argv=None):
     p = sub.add_parser("mutclass", help="search a mutation equivalence")
     p.add_argument("--left", required=True, type=_parse_case, help="family:rank:level")
     p.add_argument("--right", required=True, type=_parse_case, help="family:rank:level")
-    p.add_argument("--depth", type=int, default=12)
-    p.add_argument("--nodes", type=int, default=10**6)
+    p.add_argument("--depth", type=_positive(int), default=12)
+    p.add_argument("--nodes", type=_positive(int), default=10**6)
     p.set_defaults(fn=_cmd_mutclass)
 
     p = sub.add_parser("suite", help="run the whole verification suite")
@@ -225,7 +257,10 @@ def main(argv=None):
             ap.error(str(err))
     if getattr(args, "seeds", 1) < 1:
         ap.error("--seeds must be at least 1")
-    args.fn(args)
+    try:
+        args.fn(args)
+    except UsageError as err:
+        ap.error(str(err))
 
 
 if __name__ == "__main__":

@@ -1,13 +1,13 @@
 """Coefficient and cluster dynamics over positive reals along the schedule.
 
 A run carries a cluster tuple x and (in tracked mode) a coefficient tuple
-y through the mutation schedule and records the full tuples at every
-time.  One pass over its mutation points fills the labelled arrays
-T[a, m, s] and Y[a, m, s] (schedule.column_fold names the node a of each
-point).  Residual checks then certify the recursion relations and the
-periodicity claims row by row on slices of those arrays; they are
-initialization-free in the sense that any positive starting data must
-satisfy them.
+y through the mutation schedule and records the full tuples at every time,
+in one array indexed by time.  One indexed assignment at its mutation
+points fills the labelled arrays T[a, m, s] and Y[a, m, s]
+(schedule.column_fold names the node a of each point).  Residual checks
+then certify the recursion relations and the periodicity claims row by
+row on slices of those arrays; they are initialization-free in the sense
+that any positive starting data must satisfy them.
 """
 
 from __future__ import annotations
@@ -34,6 +34,8 @@ def trivial_plus1(L):
 class NumericRun:
     """Labelled values of one schedule run over a window around one period.
 
+    The run record x[s - lo_s] (and y[s - lo_s] in a tracked run) holds the
+    cluster (and coefficient) tuple at time s, for lo_s <= s <= hi_s.
     T[a, m, s - s0] and Y[a, m, s - s0] hold T^{(a)}_m(s/t) and
     Y^{(a)}_m(s/t).  T is filled on the P+ grid and is 1 on the boundary
     rows (a = 0, m = 0 and m = t_a*level); Y is filled on the P'+ grid, with
@@ -56,11 +58,10 @@ class NumericRun:
             L0, oplus1 = np.log(rng.uniform(0.5, 2.0, self.model.n)), real_plus1
         else:  # coefficient-free: the trivial semifield
             L0, oplus1 = np.zeros(self.model.n), trivial_plus1
-        runs = run_schedule(schedule, lo_s, hi_s, L0, oplus1, logx0)
+        Ls, logxs = run_schedule(schedule, lo_s, hi_s, L0, oplus1, logx0)
         with np.errstate(over="raise", under="raise"):  # a value off the float range raises
-            self.snaps = {
-                s: (np.exp(logx), np.exp(L) if tracked else None) for s, (L, logx) in runs.items()
-            }
+            self.x = np.exp(logxs, out=logxs)
+            self.y = np.exp(Ls, out=Ls) if tracked else None
         self.lo_s, self.hi_s = lo_s, hi_s
         self.tops = {a: t_a * level for a, t_a in cd["t_a"].items()}
         self.lags = {a: self.t // t_a for a, t_a in cd["t_a"].items()}
@@ -68,7 +69,7 @@ class NumericRun:
         self._fill(lo_s - self.t)  # T of a point at s sits at s - t/t_a >= lo_s - t
 
     def _fill(self, s0):
-        """Fill T and Y in one pass over the mutation points; s0 is the first time."""
+        """Fill T and Y from the mutation points of the run; s0 is the first time."""
         shape = (self.spec.rank + 1, max(self.tops.values()) + 1, self.hi_s + 1 - s0)
         self.s0, self.T, self.Y = s0, np.full(shape, np.nan), np.full(shape, np.nan)
         self.T[0] = 1.0
@@ -78,11 +79,9 @@ class NumericRun:
         node = np.array([column_fold(self.spec.family, self.spec.rank, col) for col, _ in pos])
         row = np.array([m for _, m in pos])
         lag = np.array([self.lags[a] for a in node])
-        slots = [np.array(vs) for vs in self.schedule.sets]
-        for s, (x, y) in self.snaps.items():
-            vs = slots[s % (2 * self.t)]
-            self.T[node[vs], row[vs], s - lag[vs] - s0] = x[vs]
-            self.Y[node[vs], row[vs], s - s0] = 1.0 if y is None else y[vs]
+        s, v = self.schedule.points(self.lo_s, self.hi_s + 1)
+        self.T[node[v], row[v], s - lag[v] - s0] = self.x[s - self.lo_s, v]
+        self.Y[node[v], row[v], s - s0] = 1.0 if self.y is None else self.y[s - self.lo_s, v]
 
     @property
     def spec(self):
@@ -211,11 +210,11 @@ def tropical_shadow_mismatches(trop, seed=0, eps=1e-12):
     e = np.random.default_rng(seed).integers(1, 4, mdl.n)
     logy0 = e * np.log(eps)
     t = trop.t
-    snaps = run_schedule(trop.schedule, -2 * t, 2 * t, logy0, real_plus1)
-    bad = []
-    for v, s in trop.p_plus_points(-2 * t, 2 * t):
-        slope = snaps[s][0][v] / np.log(eps)
-        want = int(trop.monomial(v, s) @ e)
-        if abs(slope - want) > math.sqrt(eps):
-            bad.append((mdl.position(v), Fraction(s, t), slope, want))
-    return bad
+    Ls, _ = run_schedule(trop.schedule, -2 * t, 2 * t, logy0, real_plus1)
+    s, v = trop.schedule.points(-2 * t, 2 * t)
+    slopes = Ls[s + 2 * t, v] / np.log(eps)
+    want = trop.E[s - trop.lo_s, v] @ e
+    return [
+        (mdl.position(v[i]), Fraction(int(s[i]), t), slopes[i], int(want[i]))
+        for i in np.flatnonzero(np.abs(slopes - want) > math.sqrt(eps))
+    ]

@@ -18,11 +18,13 @@ or sign-convention fault in the builders.
 The labelled values T^{(a)}_m(u) and Y^{(a)}_m(u) sit at the mutation
 points: the vertex of column col and row m mutated at time u carries
 Y^{(a)}_m(u) and T^{(a)}_m(u - 1/t_a), with a = column_fold(col).
+Schedule.points lists the mutation points of a time window, and
+run_schedule records a seed at every time of one, so a run's value at a
+point (s, v) is one array read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -34,28 +36,20 @@ from .quiver import FILL_BULLET, FILL_CIRCLE
 # -- mutation slots and the column fold -----------------------------------------
 
 
+#: The tag of the circles mutated at each of the 2t slots; the "+" bullets
+#: join them at even slots and the "-" bullets make up the odd ones.
+CIRCLE_TAGS = {"C": ("+", None, "-", None), "F4": ("+", None, "-", None), "G2": ROMAN}
+
+
 def slot_sets(model):
     """Vertex sets mutated at each of the 2t schedule slots."""
-    q = model.quiver
-    fam = model.spec.family
-    bullets_plus = [v for v in range(q.n) if q.meta[v].fill == FILL_BULLET and q.meta[v].tag == "+"]
-    bullets_minus = [v for v in range(q.n) if q.meta[v].fill == FILL_BULLET and q.meta[v].tag == "-"]
-    if fam in ("C", "F4"):
-        circ_plus = [v for v in range(q.n) if q.meta[v].fill == FILL_CIRCLE and q.meta[v].tag == "+"]
-        circ_minus = [v for v in range(q.n) if q.meta[v].fill == FILL_CIRCLE and q.meta[v].tag == "-"]
-        return [
-            tuple(sorted(circ_plus + bullets_plus)),
-            tuple(bullets_minus),
-            tuple(sorted(circ_minus + bullets_plus)),
-            tuple(bullets_minus),
-        ]
-    if fam == "G2":
-        sets = []
-        for k, tag in enumerate(ROMAN):
-            circ = [v for v in range(q.n) if q.meta[v].tag == tag]
-            sets.append(tuple(sorted(circ + (bullets_plus if k % 2 == 0 else bullets_minus))))
-        return sets
-    raise ValueError(f"no schedule for family {fam!r}")
+    if model.spec.family not in CIRCLE_TAGS:
+        raise ValueError(f"no schedule for family {model.spec.family!r}")
+    meta, bullets = model.quiver.meta, ((FILL_BULLET, "+"), (FILL_BULLET, "-"))
+    return [
+        tuple(v for v, m in enumerate(meta) if (m.fill, m.tag) in ((FILL_CIRCLE, tag), bullets[k % 2]))
+        for k, tag in enumerate(CIRCLE_TAGS[model.spec.family])
+    ]
 
 
 def column_fold(family, rank, col):
@@ -74,69 +68,27 @@ def column_fold(family, rank, col):
     raise ValueError(f"unknown family {family!r}")
 
 
+#: The expected quiver at each of the 2t slots, as the involution of
+#: builders.involutions that relabels the initial quiver and whether the
+#: slot's quiver is its opposite ("id" leaves the labels as they are).
+TRANSFORMS = {
+    "C": (("id", False), ("id", True), ("r", False), ("r", True)),
+    "F4": (("id", False), ("id", True), ("r", False), ("r", True)),
+    # G2: the six-step cycle alternates opposite copies with column 3-cycles
+    "G2": (
+        ("id", False), ("nu_132", True), ("nu_312", False), ("nu_321", True), ("nu_231", False), ("nu_213", True),
+    ),
+}
+
+
 def expected_quivers(model):
     """Expected exchange matrix at each slot, relative to the initial quiver."""
-    B0 = model.quiver.B
     invs = involutions(model)
-
-    def permuted(perm):
-        Bp = np.zeros_like(B0)
-        p = np.asarray(perm)
-        Bp[np.ix_(p, p)] = B0
-        return Bp
-
-    if model.spec.family in ("C", "F4"):
-        rB = permuted(invs["r"])
-        return [B0, -B0, rB, -rB]
-    # G2: the six-step cycle alternates opposite copies with column 3-cycles.
-    nu = {name: permuted(invs[name]) for name in ("nu_132", "nu_213", "nu_321", "nu_231", "nu_312")}
-    return [B0, -nu["nu_132"], nu["nu_312"], -nu["nu_321"], nu["nu_231"], -nu["nu_213"]]
-
-
-def expected_transform_names(family):
-    if family in ("C", "F4"):
-        return [("id", False), ("id", True), ("r", False), ("r", True)]
-    return [
-        ("id", False),
-        ("nu_132", True),
-        ("nu_312", False),
-        ("nu_321", True),
-        ("nu_231", False),
-        ("nu_213", True),
-    ]
-
-
-@dataclass(frozen=True)
-class ScheduleStep:
-    u_from: Fraction
-    u_to: Fraction
-    vertices: tuple
-    expected_perm: str
-    expected_op: bool
-
-
-def schedule_steps(model, u_from, u_to):
-    """The composite-mutation steps covering [u_from, u_to]."""
-    t = model.cartan["t"]
-    s_from, s_to = Fraction(u_from) * t, Fraction(u_to) * t
-    if s_from.denominator != 1 or s_to.denominator != 1:
-        raise ValueError("schedule endpoints must be multiples of 1/t")
-    sets = slot_sets(model)
-    names = expected_transform_names(model.spec.family)
-    steps = []
-    for s in range(int(s_from), int(s_to)):
-        slot_next = (s + 1) % (2 * t)
-        perm, op = names[slot_next]
-        steps.append(
-            ScheduleStep(
-                Fraction(s, t),
-                Fraction(s + 1, t),
-                tuple(model.position(v) for v in sets[s % (2 * t)]),
-                perm,
-                op,
-            )
-        )
-    return steps
+    out = []
+    for name, opposite in TRANSFORMS[model.spec.family]:
+        B = model.quiver.B if name == "id" else model.quiver.apply_perm(invs[name]).B
+        out.append(-B if opposite else B)
+    return out
 
 
 # -- the runner ----------------------------------------------------------------
@@ -187,6 +139,13 @@ class Schedule:
         self.sets = slot_sets(model)
         self.matrices = slot_matrices(model, self.sets)
 
+    def points(self, s_lo, s_hi):
+        """The mutation points (s, v) with s_lo <= s < s_hi, as two int arrays
+        in time order: vertex v is mutated at time s, in the slot s mod 2t."""
+        pairs = [(s, v) for s in range(s_lo, s_hi) for v in self.sets[s % (2 * self.t)]]
+        s, v = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+        return s, v
+
 
 def mutate_slot(B, ks, L, oplus1, logx=None):
     """Mutate the seed (L, logx) at the pairwise non-adjacent vertices ks of B.
@@ -217,19 +176,27 @@ def mutate_slot(B, ks, L, oplus1, logx=None):
 
 def run_schedule(schedule, s_lo, s_hi, L, oplus1, logx=None):
     """Drive the seed (L, logx) of mutate_slot through a verified Schedule,
-    from time 0 forward to s_hi and backward to s_lo.
+    from time 0 forward to s_hi and backward to s_lo, with s_lo <= 0 <= s_hi.
 
-    Returns {s: (L, logx)} at every visited time.
+    Returns the run record (Ls, xs): Ls[s - s_lo] and xs[s - s_lo] are L
+    and logx at time s, for s_lo <= s <= s_hi; xs is None without logx.
     """
+    if not s_lo <= 0 <= s_hi:
+        raise ValueError(f"the window [{s_lo}, {s_hi}] must contain time 0")
     t, sets, mats = schedule.t, schedule.sets, schedule.matrices
-    snapshots = {0: (L, logx)}
+    Ls = np.empty((s_hi - s_lo + 1, *L.shape), dtype=L.dtype)
+    xs = None if logx is None else np.empty((s_hi - s_lo + 1, *logx.shape))
     for step, stop in ((1, s_hi), (-1, s_lo)):
-        s, Ls, xs = 0, L, logx
-        while (stop - s) * step > 0:
+        s, Lc, xc = 0, L, logx
+        while True:
+            Ls[s - s_lo] = Lc
+            if xs is not None:
+                xs[s - s_lo] = xc
+            if s == stop:
+                break
             # a backward step from s undoes the slot before s, applying its
             # composite mutation to the matrix at s
             ks = sets[s % (2 * t) if step > 0 else (s - 1) % (2 * t)]
-            Ls, xs = mutate_slot(mats[s % (2 * t)], ks, Ls, oplus1, xs)
+            Lc, xc = mutate_slot(mats[s % (2 * t)], ks, Lc, oplus1, xc)
             s += step
-            snapshots[s] = (Ls, xs)
-    return snapshots
+    return Ls, xs

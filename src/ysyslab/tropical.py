@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .builders import involutions
+from .builders import cartan_data, involutions
 from .quiver import FILL_CIRCLE
 from .schedule import run_schedule
 
@@ -28,16 +28,11 @@ def tropical_plus1(E):
     return np.minimum(E, 0)
 
 
-def sign_of(vec):
-    """Classify an exponent vector: positive / negative / unit / mixed."""
-    vec = np.asarray(vec)
-    if not vec.any():
-        return UNIT
-    if (vec >= 0).all():
-        return POSITIVE
-    if (vec <= 0).all():
-        return NEGATIVE
-    return MIXED
+def sign_classes(E):
+    """The sign class of each exponent vector along the last axis of E:
+    positive, negative, unit or mixed."""
+    pos, neg = (E > 0).any(-1), (E < 0).any(-1)
+    return np.select([pos & neg, pos, neg], [MIXED, POSITIVE, NEGATIVE], UNIT)
 
 
 def specialize(vec, kill):
@@ -48,9 +43,30 @@ def specialize(vec, kill):
     return out
 
 
+def boundary_targets(model, omega):
+    """{s: dst}: the closed-form coefficient tuples at u = level and u = -h_dual.
+
+    At time s the coefficient of vertex v is the inverse of the initial
+    generator at dst[v]: the half-period involution omega read on one
+    coordinate.  At u = level dst[v] is (column of v, row of omega(v)); at
+    u = -h_dual it is (column of omega(v), row of v).
+    """
+    t = model.cartan["t"]
+    pos = [model.position(v) for v in range(model.n)]
+    img = [pos[w] for w in omega]
+    return {
+        model.spec.level * t: [(col, w_row) for (col, _), (_, w_row) in zip(pos, img)],
+        -model.cartan["h_dual"] * t: [(w_col, row) for (_, row), (w_col, _) in zip(pos, img)],
+    }
+
+
 class TropicalRun:
     """Tropical evaluation of the coefficient tuple over a time window, driven
-    by a verified schedule.Schedule."""
+    by a verified schedule.Schedule.
+
+    E[s - lo_s] holds the exponent rows of the coefficients at time s: row v
+    is the monomial of y_v.
+    """
 
     def __init__(self, schedule):
         self.schedule = schedule
@@ -59,154 +75,105 @@ class TropicalRun:
         self.t = schedule.t
         self.half_s = (cd["h_dual"] + self.spec.level) * self.t
         self.full_s = 2 * self.half_s
+        self.lo_s = -cd["h_dual"] * self.t - 1
         E0 = np.eye(self.model.n, dtype=np.int64)
-        lo_s, hi_s = -cd["h_dual"] * self.t - 1, 2 * self.full_s
-        runs = run_schedule(schedule, lo_s, hi_s, E0, tropical_plus1)
-        self.tuples = {s: E for s, (E, _) in runs.items()}
-        self.omega = involutions(self.model)["omega"]
+        self.E, _ = run_schedule(schedule, self.lo_s, 2 * self.full_s, E0, tropical_plus1)
+        self.omega = np.array(involutions(self.model)["omega"])
 
     @property
     def spec(self):
         return self.model.spec
 
     def monomial(self, v, s):
-        return self.tuples[s][v]
+        return self.E[s - self.lo_s, v]
 
-    def p_plus_points(self, s_lo, s_hi):
-        """Vertex-time mutation points (v, s) with s_lo <= s < s_hi."""
-        for s in range(s_lo, s_hi):
-            for v in self.schedule.sets[s % (2 * self.t)]:
-                yield v, s
+    def point_signs(self, s_lo, s_hi):
+        """(s, v, classes): the mutation points with s_lo <= s < s_hi, as
+        Schedule.points lists them, and the sign class of each one's monomial."""
+        s, v = self.schedule.points(s_lo, s_hi)
+        classes = sign_classes(self.E[s_lo - self.lo_s : s_hi - self.lo_s])
+        return s, v, classes[s - s_lo, v]
 
     # -- headline checks ------------------------------------------------------
 
     def count_signs(self):
         """(N+, N-) over one full period; raises on a mixed or unit monomial."""
-        npos = nneg = 0
-        for v, s in self.p_plus_points(0, self.full_s):
-            cls = sign_of(self.monomial(v, s))
-            if cls == POSITIVE:
-                npos += 1
-            elif cls == NEGATIVE:
-                nneg += 1
-            else:
-                pos = self.model.position(v)
-                raise ArithmeticError(
-                    f"{cls} tropical monomial at vertex {pos}, u={Fraction(s, self.t)}"
-                )
-        return npos, nneg
+        s, v, classes = self.point_signs(0, self.full_s)
+        for i in np.flatnonzero((classes != POSITIVE) & (classes != NEGATIVE))[:1]:
+            pos, u = self.model.position(v[i]), Fraction(int(s[i]), self.t)
+            raise ArithmeticError(f"{classes[i]} tropical monomial at vertex {pos}, u={u}")
+        return int((classes == POSITIVE).sum()), int((classes == NEGATIVE).sum())
 
     def periodicity_mismatches(self):
         """Coordinates violating half (with omega) or full periodicity."""
         bad = []
         for s in range(0, self.full_s):
-            Eh = self.tuples[s + self.half_s]
-            E0 = self.tuples[s]
-            for v in range(self.model.n):
-                if not np.array_equal(Eh[v], E0[self.omega[v]]):
-                    bad.append(("half", self.model.position(v), Fraction(s, self.t)))
-            Ef = self.tuples[s + self.full_s]
+            E0, Eh, Ef = (self.E[s + ds - self.lo_s] for ds in (0, self.half_s, self.full_s))
+            for v in np.flatnonzero((Eh != E0[self.omega]).any(1)):
+                bad.append(("half", self.model.position(v), Fraction(s, self.t)))
             if not np.array_equal(Ef, E0):
                 bad.append(("full", None, Fraction(s, self.t)))
         return bad
 
     def boundary_mismatches(self):
-        """Check the closed-form coefficient tuples at u = level and u = -h_dual.
-
-        At u = level every y_{(i,k)} equals the inverse of an initial
-        generator with the row index reflected inside its column; at
-        u = -h_dual the tuple is the inverse of the initial one up to the
-        families' column swaps.
-        """
+        """Vertices whose coefficient at u = level or u = -h_dual is not its
+        closed form (boundary_targets)."""
         m = self.model
-        fam, r, lev = m.spec.family, m.spec.rank, m.spec.level
         bad = []
-
-        def expect_inverse(s, src_pos, dst_pos):
-            vec = self.monomial(m.vid(*src_pos), s)
-            want = np.zeros(m.n, dtype=np.int64)
-            want[m.vid(*dst_pos)] = -1
-            if not np.array_equal(vec, want):
-                bad.append((Fraction(s, self.t), src_pos, dst_pos))
-
-        for v in range(m.n):
-            col, row = m.position(v)
-            if fam == "C":
-                top = 2 * lev if col <= r - 1 else lev
-                expect_inverse(lev * self.t, (col, row), (col, top - row))
-                swap = col if (r % 2 == 1 or col <= r - 1) else 2 * r + 1 - col
-                expect_inverse(-m.cartan["h_dual"] * self.t, (col, row), (swap, row))
-            elif fam == "F4":
-                top = 2 * lev if col in (3, 4) else lev
-                expect_inverse(lev * self.t, (col, row), (col, top - row))
-                swap = col if col in (3, 4) else 7 - col
-                expect_inverse(-m.cartan["h_dual"] * self.t, (col, row), (swap, row))
-            else:
-                top = 3 * lev if col == 4 else lev
-                expect_inverse(lev * self.t, (col, row), (col, top - row))
-                expect_inverse(-m.cartan["h_dual"] * self.t, (col, row), (col, row))
+        for s, dst in boundary_targets(m, self.omega).items():
+            want = -np.eye(m.n, dtype=np.int64)[[m.vid(*pos) for pos in dst]]
+            for v in np.flatnonzero((self.E[s - self.lo_s] != want).any(1)):
+                bad.append((Fraction(s, self.t), m.position(v), dst[v]))
         return bad
 
     def expected_sign(self, v, s):
         """Sign predicted by the region/row classification, or None outside it.
 
         Region one (0 <= u < level): every mutation-point monomial is
-        positive.  Region two (-h_dual <= u < 0): circle rows and the even
-        (for G2: multiple-of-three) bullet rows are negative; the remaining
-        bullet rows are negative except at an explicit finite list of
-        times, where they are positive.
+        positive.  Region two (-h_dual <= u < 0): circle rows and the bullet
+        rows that are multiples of t are negative; the remaining bullet rows
+        are negative except at an explicit finite list of times, where they
+        are positive.
         """
         m = self.model
-        fam = m.spec.family
         u = Fraction(s, self.t)
         if 0 <= u < m.spec.level:
             return POSITIVE
         if not -m.cartan["h_dual"] <= u < 0:
             return None
         meta = m.quiver.meta[v]
-        if fam == "C":
-            if meta.fill == FILL_CIRCLE or meta.row % 2 == 0:
-                return NEGATIVE
-            hd = Fraction(m.cartan["h_dual"])
-            return POSITIVE if u in (-hd / 2, -hd / 2 - Fraction(1, 2)) else NEGATIVE
-        if fam == "F4":
-            if meta.fill == FILL_CIRCLE or meta.row % 2 == 0:
-                return NEGATIVE
-            pos_times = [Fraction(x) for x in ("-2", "-5/2", "-9/2", "-5", "-7", "-15/2")]
-            return POSITIVE if u in pos_times else NEGATIVE
-        if meta.fill == FILL_CIRCLE or meta.row % 3 == 0:
+        if meta.fill == FILL_CIRCLE or meta.row % self.t == 0:
             return NEGATIVE
-        pos_times = [Fraction(x) for x in ("-1", "-4/3", "-5/3", "-8/3", "-3", "-10/3")]
+        if m.spec.family == "C":
+            hd = Fraction(m.cartan["h_dual"])
+            pos_times = [-hd / 2, -hd / 2 - Fraction(1, 2)]
+        elif m.spec.family == "F4":
+            pos_times = [Fraction(x) for x in ("-2", "-5/2", "-9/2", "-5", "-7", "-15/2")]
+        else:
+            pos_times = [Fraction(x) for x in ("-1", "-4/3", "-5/3", "-8/3", "-3", "-10/3")]
         return POSITIVE if u in pos_times else NEGATIVE
 
     def sign_pattern_mismatches(self):
         """Mutation points whose tropical sign contradicts the classification."""
         bad = []
         lo = -self.model.cartan["h_dual"] * self.t
-        hi = self.model.spec.level * self.t
-        for v, s in self.p_plus_points(lo, hi):
+        s, v, classes = self.point_signs(lo, self.model.spec.level * self.t)
+        for s, v, got in zip(s.tolist(), v.tolist(), classes.tolist()):
             want = self.expected_sign(v, s)
-            got = sign_of(self.monomial(v, s))
             if want is not None and got != want:
                 bad.append((self.model.position(v), Fraction(s, self.t), got, want))
         return bad
 
 
 def expected_counts(family, rank, level):
-    """Closed forms for the (N+, N-) sign tallies over one full period."""
-    r, lev = rank, level
-    if family == "C":
-        return 2 * lev * (2 * r * lev - lev - 1), 2 * r * (2 * lev * r - r - 1)
-    if family == "F4":
-        return 4 * lev * (3 * lev + 1), 24 * (4 * lev - 3)
-    if family == "G2":
-        return 6 * lev * (2 * lev + 1), 12 * (3 * lev - 2)
-    raise ValueError(f"unknown family {family!r}")
+    """The (N+, N-) sign tallies over one full period, from the Lie data:
+    N+ = t*l*((sum_a t_a)(h_dual + l) - dim g) and N- = t*r*(l*h - h_dual)."""
+    cd = cartan_data(family, rank)
+    t, hd, lev = cd["t"], cd["h_dual"], level
+    return t * lev * (sum(cd["t_a"].values()) * (hd + lev) - cd["dim"]), t * rank * (lev * cd["h"] - hd)
 
 
 def total_points(family, rank, level):
     """t*(h_dual+level)*((sum_a t_a)*level - rank): mutation points per period."""
-    from .builders import cartan_data
-
     cd = cartan_data(family, rank)
     return cd["t"] * (cd["h_dual"] + level) * (sum(cd["t_a"].values()) * level - rank)

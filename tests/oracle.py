@@ -14,6 +14,10 @@ quadrature of the defining integral, the reference for dilog.rogers_L.
 The parity classes P+ / P'+ and the label maps label_g / label_g_prime are
 the per-family formulas of the grid bijection: the reference for
 schedule.column_fold and for the labelled arrays of numeric.NumericRun.
+The per-family closed forms of the tropical boundary tuples, the sign
+tallies and the doubled functional sums, as printed, are the reference for
+tropical.boundary_targets, which reads them off omega, and for
+tropical.expected_counts, which reads them off the Lie data.
 """
 
 import math
@@ -256,3 +260,58 @@ def label_g(model, a, m, s_w):
     cluster variable sits at the mutation point of that coefficient.
     """
     return label_g_prime(model, a, m, s_w + model.cartan["t"] // model.cartan["t_a"][a])
+
+
+def family_boundary_targets(model):
+    """{s: dst}: the initial generator whose inverse is the coefficient of
+    vertex v at u = level and at u = -h_dual, by the per-family formulas."""
+    fam, r, lev = model.spec.family, model.spec.rank, model.spec.level
+    t, hd = model.cartan["t"], model.cartan["h_dual"]
+    at_level, at_minus_hd = [], []
+    for v in range(model.n):
+        col, row = model.position(v)
+        if fam == "C":
+            top = 2 * lev if col <= r - 1 else lev
+            swap = col if (r % 2 == 1 or col <= r - 1) else 2 * r + 1 - col
+        elif fam == "F4":
+            top = 2 * lev if col in (3, 4) else lev
+            swap = col if col in (3, 4) else 7 - col
+        else:
+            top = 3 * lev if col == 4 else lev
+            swap = col
+        at_level.append((col, top - row))
+        at_minus_hd.append((swap, row))
+    return {lev * t: at_level, -hd * t: at_minus_hd}
+
+
+def family_expected_counts(family, rank, level):
+    """Closed forms for the (N+, N-) sign tallies over one full period."""
+    r, lev = rank, level
+    if family == "C":
+        return 2 * lev * (2 * r * lev - lev - 1), 2 * r * (2 * lev * r - r - 1)
+    if family == "F4":
+        return 4 * lev * (3 * lev + 1), 24 * (4 * lev - 3)
+    if family == "G2":
+        return 6 * lev * (2 * lev + 1), 12 * (3 * lev - 2)
+    raise ValueError(f"unknown family {family!r}")
+
+
+def functional_rhs_doubled(family, rank, level):
+    """Printed closed forms for the doubled functional sums (2N-, 2N+)."""
+    r, lev = rank, level
+    if family == "C":
+        return 4 * r * (2 * r * lev - r - 1), 4 * lev * (2 * r * lev - lev - 1)
+    if family == "F4":
+        return 48 * (4 * lev - 3), 8 * lev * (3 * lev + 1)
+    if family == "G2":
+        return 24 * (3 * lev - 2), 12 * lev * (2 * lev + 1)
+    raise ValueError(f"unknown family {family!r}")
+
+
+#: C at ranks 2..8 and levels 2..7, F4 at levels 2..7 and G2 at levels 2..8:
+#: the cases the closed forms are compared on.
+CLOSED_FORM_CASES = (
+    [("C", r, lev) for r in range(2, 9) for lev in range(2, 8)]
+    + [("F4", 4, lev) for lev in range(2, 8)]
+    + [("G2", 2, lev) for lev in range(2, 9)]
+)

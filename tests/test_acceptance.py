@@ -66,14 +66,14 @@ def test_criterion_3_sign_patterns():
         assert run.boundary_mismatches() == [], (family, rank, level)
         lo = -run.model.cartan["h_dual"] * run.t
         positives = set()
-        for v, s in run.p_plus_points(lo, 0):
+        for s, v in zip(*run.schedule.points(lo, 0)):
             meta = run.model.quiver.meta[v]
             period = 3 if family == "G2" else 2
             if meta.fill == "circle" or meta.row % period == 0:
                 continue
-            from ysyslab.tropical import POSITIVE, sign_of
+            from ysyslab.tropical import POSITIVE, sign_classes
 
-            if sign_of(run.monomial(v, s)) == POSITIVE:
+            if sign_classes(run.monomial(v, s)) == POSITIVE:
                 positives.add(Fraction(s, run.t))
         if family == "F4":
             assert positives == f4

@@ -7,9 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ysyslab import builders, mutclass, schedule, suite
+from ysyslab import builders, cli, mutclass, schedule, suite
 from ysyslab.cli import main
 from ysyslab.numeric import NumericRun
+from ysyslab.quiver import Quiver
 from ysyslab.suite import VerificationReport, run_suite, suite_passed
 from ysyslab.tropical import TropicalRun
 
@@ -30,6 +31,21 @@ def test_schedule_listing(capsys):
     steps = json.loads(capsys.readouterr().out)
     assert len(steps) == 6
     assert steps[0]["from"] == "0" and steps[-1]["to"] == "2"
+
+
+def test_schedule_listing_is_verified(monkeypatch):
+    # the listing comes from a verified Schedule: a quiver with an arrow
+    # inside the first slot fails the one-period check and is not listed
+    def with_arrow_in_slot(spec):
+        m = builders.build(spec)
+        i, j = schedule.slot_sets(m)[0][:2]
+        B = m.quiver.B.copy()
+        B[i, j], B[j, i] = 1, -1
+        return type(m)(m.spec, Quiver(B, m.quiver.meta), dict(m.index))
+
+    monkeypatch.setattr(cli, "build", with_arrow_in_slot)
+    with pytest.raises(schedule.ScheduleError, match="adjacent"):
+        main(["schedule", "--family", "C", "--rank", "3", "--level", "2"])
 
 
 def test_tropical_report(capsys):
@@ -56,6 +72,15 @@ def test_numeric_report(capsys):
         (["mutclass", "--left", "X:2:2", "--right", "C:3:2"], "unknown family 'X'"),
         (["mutclass", "--left", "C:3", "--right", "C:3:2"], "'C:3' is not a case"),
         (["suite", "--config", "no-such-config.json"], "No such file"),
+        (["schedule", "--family", "C", "--from", "abc"], "'abc' is not a time"),
+        (["schedule", "--family", "C", "--from", "1/3"], "multiples of 1/2 for type C"),
+        (["schedule", "--family", "G2", "--to", "1/0"], "'1/0' is not a time"),
+        (["orbits", "--sigma", "C", "--rank", "2"], "--sigma C needs --rank"),
+        (["numeric", "--family", "C", "--tol", "nan"], "must be a positive finite float, not 'nan'"),
+        (["numeric", "--family", "C", "--tol", "0"], "must be a positive finite float, not '0'"),
+        (["numeric", "--family", "C", "--tol", "x"], "must be a positive finite float, not 'x'"),
+        (["mutclass", "--left", "C:2:2", "--right", "C:2:2", "--nodes", "0"], "must be a positive finite int"),
+        (["mutclass", "--left", "C:2:2", "--right", "C:2:2", "--depth", "-1"], "must be a positive finite int"),
     ],
 )
 def test_case_commands_reject_bad_input(argv, message, capsys):

@@ -89,9 +89,9 @@ def test_overflow_raises(monkeypatch):
     for which in (0, 1):
 
         def huge(schedule, s_lo, s_hi, L, oplus1, logx):
-            seed = [L, logx]
-            seed[which] = np.full(schedule.model.n, 800.0)
-            return {0: tuple(seed)}
+            record = [L[None], logx[None]]  # the run record of time 0 alone
+            record[which] = np.full((1, schedule.model.n), 800.0)
+            return tuple(record)
 
         monkeypatch.setattr(numeric, "run_schedule", huge)
         with pytest.raises(FloatingPointError):
@@ -104,9 +104,9 @@ def test_underflow_raises(monkeypatch):
     for which in (0, 1):
 
         def tiny(schedule, s_lo, s_hi, L, oplus1, logx):
-            seed = [L, logx]
-            seed[which] = np.full(schedule.model.n, -800.0)
-            return {0: tuple(seed)}
+            record = [L[None], logx[None]]  # the run record of time 0 alone
+            record[which] = np.full((1, schedule.model.n), -800.0)
+            return tuple(record)
 
         monkeypatch.setattr(numeric, "run_schedule", tiny)
         with pytest.raises(FloatingPointError):
@@ -133,9 +133,8 @@ def test_tropical_shadow(family, rank, level):
 @pytest.mark.parametrize("delta", [1, -1])
 def test_tropical_shadow_reports_one_wrong_exponent(delta):
     trop = TropicalRun(cached_schedule("G2", 2, 2))
-    v, s = list(trop.p_plus_points(0, trop.t))[-1]
-    trop.tuples[s] = trop.tuples[s].copy()
-    trop.tuples[s][v, 0] += delta
+    s, v = (a[-1] for a in trop.schedule.points(0, trop.t))
+    trop.E[s - trop.lo_s, v, 0] += delta
     bad = tropical_shadow_mismatches(trop, seed=11)
     assert [(pos, u) for pos, u, *_ in bad] == [(trop.model.position(v), Fraction(s, trop.t))]
 
@@ -149,12 +148,13 @@ def test_trivial_semifield_projection():
         t = mdl.cartan["t"]
         x0 = np.random.default_rng(0).uniform(0.5, 2.0, mdl.n)
         plain = run_payload(mdl, -2 * t, 2 * t, NumericSeedPayload(x0))
-        projected = run_schedule(
+        Ls, logxs = run_schedule(
             cached_schedule(family, rank, level), -2 * t, 2 * t, np.zeros(mdl.n), trivial_plus1, np.log(x0)
         )
-        for s, (L, logx) in projected.items():
-            assert np.max(np.abs(np.exp(logx) - plain[s][0])) <= 1e-12
-            assert not L.any()
+        assert sorted(plain) == list(range(-2 * t, 2 * t + 1)) and len(logxs) == len(plain)
+        for s, (x, _) in plain.items():
+            assert np.max(np.abs(np.exp(logxs[s + 2 * t]) - x)) <= 1e-12
+        assert not Ls.any()
 
 
 def test_y_residuals_need_tracking():
@@ -191,7 +191,7 @@ def test_column_fold_inverts_label_map(family, rank, level):
 @pytest.mark.parametrize("tracked", [True, False])
 def test_labelled_arrays_match_label_lookups(family, rank, level, tracked):
     # the filled arrays equal, bit for bit, the per-point label lookups into
-    # the snapshots; every other entry is NaN, apart from the unit boundary
+    # the run record; every other entry is NaN, apart from the unit boundary
     run = cached_numeric(family, rank, level, 0, tracked)
     T, Y = np.full_like(run.T, np.nan), np.full_like(run.Y, np.nan)
     T[0] = 1.0
@@ -199,11 +199,11 @@ def test_labelled_arrays_match_label_lookups(family, rank, level, tracked):
         T[a, 0] = T[a, t_a * level] = 1.0
     for a, m, s in grid_points(family, rank, level, run.lo_s, run.hi_s + 1, prime=True):
         v, _ = label_g_prime(run.model, a, m, s)
-        Y[a, m, s - run.s0] = run.snaps[s][1][v] if tracked else 1.0
+        Y[a, m, s - run.s0] = run.y[s - run.lo_s, v] if tracked else 1.0
     for a, m, s_w in grid_points(family, rank, level, run.s0, run.hi_s + 1):
         v, s = label_g(run.model, a, m, s_w)
-        if s in run.snaps:
-            T[a, m, s_w - run.s0] = run.snaps[s][0][v]
+        if run.lo_s <= s <= run.hi_s:
+            T[a, m, s_w - run.s0] = run.x[s - run.lo_s, v]
     assert np.array_equal(run.T, T, equal_nan=True)
     assert np.array_equal(run.Y, Y, equal_nan=True)
 

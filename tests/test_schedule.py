@@ -1,4 +1,4 @@
-from fractions import Fraction
+import json
 
 import numpy as np
 import pytest
@@ -16,8 +16,9 @@ from tests.oracle import (
 from ysyslab.builders import involutions
 from ysyslab.quiver import Quiver
 from ysyslab import schedule
-from ysyslab.schedule import Schedule, ScheduleError, run_schedule, schedule_steps, slot_sets
+from ysyslab.schedule import Schedule, ScheduleError, run_schedule, slot_sets
 from ysyslab.numeric import NumericRun
+from ysyslab.cli import main
 from ysyslab.tropical import TropicalRun, tropical_plus1
 
 
@@ -72,17 +73,41 @@ def test_label_parity_violation_raises():
         label_g(m, 1, 1, 0)
 
 
-def test_schedule_steps_listing():
+def test_schedule_steps_listing(capsys):
     g = cached_model("G2", 2, 3)
-    steps = schedule_steps(g, 0, 2)
+    main(["schedule", "--family", "G2", "--rank", "2", "--level", "3", "--from", "0", "--to", "2"])
+    steps = json.loads(capsys.readouterr().out)
     assert len(steps) == 6
     # the second step pairs region II circles with the minus bullets
-    cols = {pos for pos in steps[1].vertices}
-    tags = {g.quiver.meta[g.vid(*p)].tag for p in cols}
+    tags = {g.quiver.meta[g.vid(*p)].tag for p in steps[1]["mutate"]}
     assert tags == {"II", "-"}
-    assert steps[0].expected_perm == "nu_132" and steps[0].expected_op
-    with pytest.raises(ValueError):
-        schedule_steps(g, 0, Fraction(1, 2))
+    assert steps[0]["expected_perm"] == "nu_132" and steps[0]["expected_opposite"]
+    with pytest.raises(SystemExit) as err:
+        main(["schedule", "--family", "G2", "--rank", "2", "--level", "3", "--from", "0", "--to", "1/2"])
+    assert err.value.code == 2
+
+
+@pytest.mark.parametrize("family,rank,level", [("C", 3, 2), ("F4", 4, 2), ("G2", 2, 3)])
+def test_points_match_slot_loop(family, rank, level):
+    # the mutation points of a window, negative times included: slot s mod 2t
+    # at every time s, its vertices in order
+    sched = cached_schedule(family, rank, level)
+    t = sched.t
+    want = [(s, v) for s in range(-3 * t - 1, 2 * t + 1) for v in sched.sets[s % (2 * t)]]
+    s, v = sched.points(-3 * t - 1, 2 * t + 1)
+    assert s.dtype == v.dtype == np.int64
+    assert list(zip(s.tolist(), v.tolist())) == want
+    assert [a.size for a in sched.points(2, 2)] == [0, 0]
+
+
+def test_run_schedule_window_must_contain_time_zero():
+    sched = cached_schedule("C", 2, 2)
+    E0 = np.eye(sched.model.n, dtype=np.int64)
+    for s_lo, s_hi in ((1, 4), (-4, -1)):
+        with pytest.raises(ValueError, match="must contain time 0"):
+            run_schedule(sched, s_lo, s_hi, E0, tropical_plus1)
+    Ls, xs = run_schedule(sched, 0, 0, E0, tropical_plus1)
+    assert xs is None and np.array_equal(Ls, E0[None])
 
 
 @pytest.mark.parametrize("family,rank,level", CASES)
@@ -130,12 +155,11 @@ def test_adjacent_slot_vertices_fail(monkeypatch):
 @pytest.mark.parametrize("family,rank,level", CASES)
 def test_tropical_run_matches_per_vertex_oracle(family, rank, level):
     run = cached_tropical(family, rank, level)
-    want = run_payload(
-        run.model, min(run.tuples), max(run.tuples), TropicalCoefficients(np.eye(run.model.n))
-    )
-    assert want.keys() == run.tuples.keys()
+    hi = run.lo_s + len(run.E) - 1
+    want = run_payload(run.model, run.lo_s, hi, TropicalCoefficients(np.eye(run.model.n)))
+    assert sorted(want) == list(range(run.lo_s, hi + 1))
     for s, E in want.items():
-        assert np.array_equal(run.tuples[s], E), s
+        assert np.array_equal(run.E[s - run.lo_s], E), s
 
 
 @pytest.mark.parametrize("family,rank,level", CASES)
@@ -145,29 +169,30 @@ def test_numeric_run_matches_per_vertex_oracle(family, rank, level, tracked):
     # the matrix at s, not the one at s - 1
     run = cached_numeric(family, rank, level, 0, tracked)
     assert run.lo_s < 0
-    want = run_payload(run.model, run.lo_s, run.hi_s, NumericSeedPayload(*run.snaps[0]))
-    assert want.keys() == run.snaps.keys()
+    i0 = -run.lo_s
+    want = run_payload(run.model, run.lo_s, run.hi_s, NumericSeedPayload(run.x[i0], run.y[i0] if tracked else None))
+    assert sorted(want) == list(range(run.lo_s, run.hi_s + 1)) and len(run.x) == len(want)
     for s, (x, y) in want.items():
-        got_x, got_y = run.snaps[s]
-        assert np.max(np.abs(got_x - x) / x) <= 1e-13, s
+        assert np.max(np.abs(run.x[s - run.lo_s] - x) / x) <= 1e-13, s
         if tracked:
-            assert np.max(np.abs(got_y - y) / y) <= 1e-13, s
+            assert np.max(np.abs(run.y[s - run.lo_s] - y) / y) <= 1e-13, s
         else:
-            assert got_y is None and y is None
+            assert run.y is None and y is None
 
 
 def test_global_opposite_passes_cycle_but_flips_tropical_signs():
     # a global arrow flip commutes with mutation, so the quiver cycle alone
     # cannot see it; the forward-window tropical positivity does
-    from ysyslab.tropical import POSITIVE, sign_of
+    from ysyslab.tropical import POSITIVE, sign_classes
 
     m = cached_model("C", 3, 2)
     flipped = Schedule(type(m)(m.spec, m.quiver.opposite(), dict(m.index)))  # passes by the negation symmetry
 
     def window_signs(sched):
         E0 = np.eye(sched.model.n, dtype=np.int64)
-        snaps = run_schedule(sched, 0, 4, E0, tropical_plus1)
-        return {sign_of(snaps[s][0][v]) for s in range(4) for v in sched.sets[s]}
+        Es, _ = run_schedule(sched, 0, 4, E0, tropical_plus1)
+        s, v = sched.points(0, 4)
+        return set(sign_classes(Es[s, v]).tolist())
 
     assert window_signs(cached_schedule("C", 3, 2)) == {POSITIVE}
     assert window_signs(flipped) != {POSITIVE}

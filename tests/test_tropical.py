@@ -1,9 +1,18 @@
+import copy
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from tests.conftest import CASES, cached_tropical
+from tests.oracle import (
+    CLOSED_FORM_CASES,
+    family_boundary_targets,
+    family_expected_counts,
+    functional_rhs_doubled,
+)
+from ysyslab.builders import FamilySpec, build, involutions
 from ysyslab.quiver import FILL_CIRCLE, Quiver
 from ysyslab.schedule import mutate_slot
 from ysyslab.tropical import (
@@ -11,8 +20,9 @@ from ysyslab.tropical import (
     NEGATIVE,
     POSITIVE,
     UNIT,
+    boundary_targets,
     expected_counts,
-    sign_of,
+    sign_classes,
     specialize,
     total_points,
     tropical_plus1,
@@ -20,10 +30,12 @@ from ysyslab.tropical import (
 
 
 def test_sign_classification():
-    assert sign_of([0, 0, 0]) == UNIT
-    assert sign_of([1, 0, 2]) == POSITIVE
-    assert sign_of([-1, 0, 0]) == NEGATIVE
-    assert sign_of([1, -1]) == MIXED
+    assert sign_classes(np.array([0, 0, 0])) == UNIT
+    assert sign_classes(np.array([1, 0, 2])) == POSITIVE
+    assert sign_classes(np.array([-1, 0, 0])) == NEGATIVE
+    assert sign_classes(np.array([1, -1])) == MIXED
+    rows = np.array([[[0, 0], [2, 0]], [[0, -1], [1, -1]]])
+    assert sign_classes(rows).tolist() == [[UNIT, POSITIVE], [NEGATIVE, MIXED]]
 
 
 def test_specialize():
@@ -71,8 +83,8 @@ def test_mutation_involution_randomized():
 
 def test_first_window_positivity_level2():
     run = cached_tropical("C", 2, 2)
-    for v, s in run.p_plus_points(0, 2 * run.t):
-        assert sign_of(run.monomial(v, s)) == POSITIVE
+    for s, v in zip(*run.schedule.points(0, 2 * run.t)):
+        assert sign_classes(run.monomial(v, s)) == POSITIVE
 
 
 @pytest.mark.parametrize("family,rank,level", CASES)
@@ -111,14 +123,14 @@ def _positive_exception_times(run):
     """Times in the backward window at which any thin-row monomial is positive."""
     times = set()
     lo = -run.model.cartan["h_dual"] * run.t
-    for v, s in run.p_plus_points(lo, 0):
+    for s, v in zip(*run.schedule.points(lo, 0)):
         meta = run.model.quiver.meta[v]
         if meta.fill == FILL_CIRCLE:
             continue
         period = 3 if run.spec.family == "G2" else 2
         if meta.row % period == 0:
             continue
-        if sign_of(run.monomial(v, s)) == POSITIVE:
+        if sign_classes(run.monomial(v, s)) == POSITIVE:
             times.add(Fraction(s, run.t))
     return times
 
@@ -140,14 +152,59 @@ def test_exceptional_positive_times_exact():
     }
 
 
-def test_mixed_monomial_raises():
-    import copy
-
-    run = cached_tropical("C", 2, 2)
+def planted(run, s, v, vec):
+    """A copy of the run whose monomial of vertex v at time s is vec."""
     broken = copy.copy(run)
-    broken.tuples = dict(run.tuples)
-    planted = run.tuples[0].copy()
-    planted[broken.schedule.sets[0][0]] = np.array([1, -1, 0, 0, 0])
-    broken.tuples[0] = planted
-    with pytest.raises(ArithmeticError):
+    broken.E = run.E.copy()
+    broken.E[s - run.lo_s, v] = vec
+    return broken
+
+
+def test_mixed_monomial_raises():
+    run = cached_tropical("C", 2, 2)
+    broken = planted(run, 0, run.schedule.sets[0][0], [1, -1, 0, 0, 0])
+    with pytest.raises(ArithmeticError, match="mixed"):
         broken.count_signs()
+
+
+def test_unit_monomial_raises():
+    run = cached_tropical("C", 2, 2)
+    v = run.schedule.sets[1][0]
+    broken = planted(run, 1, v, 0)
+    message = f"unit tropical monomial at vertex {run.model.position(v)}, u=1/2"
+    with pytest.raises(ArithmeticError, match=re.escape(message)):
+        broken.count_signs()
+
+
+def test_planted_periodicity_fault_is_reported():
+    # one changed exponent at time s = 1 breaks the half statement at the
+    # vertex omega maps it to, and the full statement, both at u = 1/2
+    run = cached_tropical("C", 3, 2)
+    v = 2
+    broken = planted(run, 1, v, run.monomial(v, 1) + np.eye(run.model.n, dtype=np.int64)[0])
+    u = Fraction(1, 2)
+    assert broken.periodicity_mismatches() == [
+        ("half", run.model.position(run.omega[v]), u),
+        ("full", None, u),
+    ]
+
+
+def test_planted_boundary_fault_is_reported():
+    run = cached_tropical("G2", 2, 3)
+    s, v = 3 * run.t, 5
+    broken = planted(run, s, v, -run.monomial(v, s))
+    dst = boundary_targets(run.model, run.omega)[s][v]
+    assert broken.boundary_mismatches() == [(Fraction(3), run.model.position(v), dst)]
+
+
+@pytest.mark.parametrize("family,rank,level", CLOSED_FORM_CASES)
+def test_closed_forms_match_family_formulas(family, rank, level):
+    # the boundary targets read off omega and the tallies read off the Lie
+    # data equal the per-family closed forms, and the doubled tallies the
+    # printed doubled functional sums
+    model = build(FamilySpec(family, rank, level))
+    assert boundary_targets(model, involutions(model)["omega"]) == family_boundary_targets(model)
+    npos, nneg = expected_counts(family, rank, level)
+    assert (npos, nneg) == family_expected_counts(family, rank, level)
+    assert npos + nneg == total_points(family, rank, level)
+    assert (2 * nneg, 2 * npos) == functional_rhs_doubled(family, rank, level)
