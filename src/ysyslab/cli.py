@@ -14,7 +14,7 @@ from .dilog import check_DI, check_functional_DI
 from .mutclass import search_equivalence
 from .numeric import NumericRun, run_pairs, worst_errors
 from .quiver import find_isomorphism
-from .roots import format_d_symbol, sigma_C, sigma_F4, sigma_G2
+from .roots import format_d_symbol, level2_core, pl_dynamics
 from .schedule import TRANSFORMS, Schedule
 from .suite import resolve_config, run_suite, suite_passed
 from .tropical import TropicalRun
@@ -142,17 +142,18 @@ def _cmd_numeric(args):
 
 
 def _cmd_orbits(args):
+    """The orbits of sigma on the level-2 core of C_{rank-1} (a D_rank
+    diagram), F4 (E6) or G2 (D4)."""
     if args.sigma == "C":
         if args.rank is None or args.rank < 3:
             raise UsageError("--sigma C needs --rank, the rank of the D diagram, of at least 3")
-        sig = sigma_C(args.rank - 1)
-        fmt = lambda vec: format_d_symbol(args.rank - 1, vec)
-    elif args.sigma == "F4":
-        sig = sigma_F4()
-        fmt = str
+        spec, fmt = FamilySpec("C", args.rank - 1, 2), lambda vec: format_d_symbol(args.rank - 1, vec)
+    elif args.rank is not None:
+        raise UsageError(f"--sigma {args.sigma} takes no --rank")
     else:
-        sig = sigma_G2()
-        fmt = str
+        spec, fmt = FamilySpec(args.sigma, {"F4": 4, "G2": 2}[args.sigma], 2), str
+    mdl = build(spec)
+    sig, _ = pl_dynamics(Schedule(mdl), level2_core(mdl))
     for orbit in sig.orbit_decomposition():
         print(" -> ".join(fmt(v) for v in orbit) + " -> " + fmt(orbit[0]))
 

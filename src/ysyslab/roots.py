@@ -1,6 +1,6 @@
 """Simply laced root systems with the piecewise-linear reflection action
-on almost positive roots, composite sigma maps, orbit decompositions, and
-the identities tying level-2 tropical exponent vectors to negated roots.
+on almost positive roots, the level-2 root dynamics of a verified schedule,
+and the identities tying level-2 tropical exponent vectors to negated roots.
 
 Roots are kept as integer tuples over the simple-root basis.  An almost
 positive root is either a positive root or the negative of a simple root.
@@ -12,21 +12,21 @@ from fractions import Fraction
 
 import numpy as np
 
-from .builders import dynkin_edges
-from .tropical import specialize
+from .schedule import column_fold
 
 
 class RootSystem:
-    """Positive roots and simple reflections of a simply laced type."""
+    """Positive roots and simple reflections of the simply laced Dynkin
+    diagram with nodes 1..rank and the given edges."""
 
-    def __init__(self, family, rank):
-        self.family = family
+    def __init__(self, rank, edges):
         self.rank = rank
-        self.edges = dynkin_edges(family, rank)
+        self.edges = list(edges)
         A = 2 * np.eye(rank, dtype=np.int64)
         for a, b in self.edges:
             A[a - 1, b - 1] = A[b - 1, a - 1] = -1
         self.cartan = A
+        self._rows = A.tolist()
         self.positive_roots = self._enumerate_positive()
 
     def _enumerate_positive(self):
@@ -37,6 +37,8 @@ class RootSystem:
             for root in frontier:
                 for i in range(1, self.rank + 1):
                     img = self.reflect(i, root)
+                    if max(img) > 6:  # above every coefficient of E8's highest root
+                        raise ValueError(f"edges {self.edges} do not form a Dynkin diagram of finite type")
                     if any(c > 0 for c in img) and img not in found:
                         found.add(img)
                         nxt.append(img)
@@ -48,16 +50,12 @@ class RootSystem:
 
     def reflect(self, i, vec):
         """Linear simple reflection s_i in the simple-root basis."""
-        pairing = int(self.cartan[i - 1] @ np.asarray(vec))
         out = list(vec)
-        out[i - 1] -= pairing
+        out[i - 1] -= sum(a * c for a, c in zip(self._rows[i - 1], vec))
         return tuple(out)
 
     def is_positive_root(self, vec):
         return tuple(vec) in self.positive_roots
-
-    def is_almost_positive(self, vec):
-        return self.is_positive_root(vec) or self._negative_simple(vec) is not None
 
     def _negative_simple(self, vec):
         if sum(abs(c) for c in vec) == 1 and min(vec) == -1:
@@ -97,7 +95,7 @@ class SigmaMap:
         order starting from its seed.
         """
         rs = self.rs
-        seeds = [tuple(-c for c in rs.simple(i)) for i in range(1, rs.rank + 1)]
+        seeds = [neg_simple(rs, i) for i in range(1, rs.rank + 1)]
         seeds += sorted(rs.positive_roots, reverse=True)
         cap = len(rs.positive_roots) + rs.rank + 2
         seen = set()
@@ -118,94 +116,52 @@ class SigmaMap:
         return orbits
 
 
-# -- the composite sigma maps used by each family -----------------------------
+def neg_simple(rs, i):
+    return tuple(-c for c in rs.simple(i))
 
 
-def d_part_signs_C(rank):
-    """+/- classes on the D_{rank+1} nodes 1..rank-1 (none on rank, rank+1)."""
-    plus = [i for i in range(1, rank) if (i - rank) % 2 == 0]
-    minus = [i for i in range(1, rank) if (i - rank) % 2 == 1]
-    return plus, minus
+# -- the level-2 dynamics of a schedule -----------------------------------------
 
 
-def sigma_C(rank):
-    """sigma = s- s+ s_{r+1} s- s+ s_r on D_{rank+1} almost positive roots."""
-    plus, minus = d_part_signs_C(rank)
-    word = [rank] + plus + minus + [rank + 1] + plus + minus
-    return SigmaMap(RootSystem("D", rank + 1), word)
+def level2_core(model):
+    """The level-2 core: the vertex in row t_a of each quiver column, with
+    a = column_fold(col), in column order."""
+    spec, t_a = model.spec, model.cartan["t_a"]
+    cols = sorted({meta.col for meta in model.quiver.meta})
+    return [model.vid(col, t_a[column_fold(spec.family, spec.rank, col)]) for col in cols]
 
 
-def sigma_C_apart(rank):
-    """sigma = s- s+ on A_{rank-1} (the thin-row analysis for type C)."""
-    plus = [i for i in range(1, rank) if (i + rank) % 2 == 1]
-    minus = [i for i in range(1, rank) if (i + rank) % 2 == 0]
-    return SigmaMap(RootSystem("A", rank - 1), plus + minus)
+def pl_dynamics(schedule, vertices):
+    """The piecewise-linear root dynamics of a verified Schedule on vertices.
 
+    The arrows among the vertices form a simply laced Dynkin diagram, with
+    node i the vertex vertices[i-1] and Cartan matrix 2I - |B|.  Each slot
+    applies sigma_i for the nodes it mutates; sigma is one period's slots in
+    time order.  alpha[(s, v)] is the image of -alpha_i (v = vertices[i-1])
+    under the slots s, s+1, ..., -1, for each mutation point (s, v) with
+    -h_dual*t <= s < 0.
 
-def sigma_F4():
-    """sigma = s3 (s4 s2 s6) s3 (s4 s1 s5) on E6 almost positive roots."""
-    return SigmaMap(RootSystem("E6", 6), [4, 1, 5, 3, 4, 2, 6, 3])
-
-
-def sigma_G2():
-    """sigma = s3 s4 s1 s4 s2 s4 on D4 almost positive roots (node 4 central)."""
-    return SigmaMap(_D4Outer(), [4, 2, 4, 1, 4, 3])
-
-
-class _D4Outer(RootSystem):
-    """D4 with nodes 1,2,3 outer and node 4 central."""
-
-    def __init__(self):
-        self.family = "D"
-        self.rank = 4
-        self.edges = [(1, 4), (2, 4), (3, 4)]
-        A = 2 * np.eye(4, dtype=np.int64)
-        for a, b in self.edges:
-            A[a - 1, b - 1] = A[b - 1, a - 1] = -1
-        self.cartan = A
-        self.positive_roots = self._enumerate_positive()
+    Returns (sigma, alpha); sigma.rs is the root system.
+    """
+    B = np.abs(schedule.model.quiver.B[np.ix_(vertices, vertices)])
+    if B.max(initial=0) > 1:
+        raise ValueError("the arrows among the vertices are not simply laced")
+    rs = RootSystem(len(vertices), [(a + 1, b + 1) for a, b in np.argwhere(np.triu(B)).tolist()])
+    node = {v: i for i, v in enumerate(vertices, start=1)}
+    words = [[node[v] for v in ks if v in node] for ks in schedule.sets]
+    alpha = {}
+    s, v = schedule.points(-schedule.model.cartan["h_dual"] * schedule.t, 0)
+    for s, v in zip(s.tolist(), v.tolist()):
+        if v in node:
+            vec = neg_simple(rs, node[v])
+            for k in range(s, 0):
+                for i in words[k % len(words)]:
+                    vec = rs.sigma(i, vec)
+            alpha[s, v] = vec
+    return SigmaMap(rs, [i for word in words for i in word]), alpha
 
 
 # -- bracket notation for D_{r+1} roots ---------------------------------------
-
-
-def d_bracket(rank, i, j=None):
-    """[i,j] = a_i + ... + a_j (j <= rank); [i] when j is None or j == i."""
-    j = i if j is None else j
-    vec = [0] * (rank + 1)
-    for k in range(i, j + 1):
-        vec[k - 1] = 1
-    return tuple(vec)
-
-
-def d_brace(rank, i, j=None):
-    """{i,j} = (a_i+...+a_{rank-1}) + (a_j+...+a_{rank+1}); {rank+1} if j is None."""
-    vec = [0] * (rank + 1)
-    if j is None:  # {rank+1}
-        vec[rank] = 1
-        return tuple(vec)
-    for k in range(i, rank):
-        vec[k - 1] += 1
-    for k in range(j, rank + 2):
-        vec[k - 1] += 1
-    return tuple(vec)
-
-
-def parse_d_symbol(rank, text):
-    """Parse "[i,j]", "[i]", "{i,j}", "{r+1}"-style entries, and "-a<i>"."""
-    text = text.strip()
-    if text.startswith("-a"):
-        i = int(text[2:])
-        return tuple(-1 if k == i - 1 else 0 for k in range(rank + 1))
-    body = text[1:-1]
-    parts = [int(p) for p in body.split(",")]
-    if text.startswith("["):
-        return d_bracket(rank, *parts)
-    if len(parts) == 1:
-        if parts[0] != rank + 1:
-            raise ValueError(f"brace singleton must be rank+1, got {text}")
-        return d_brace(rank, parts[0])
-    return d_brace(rank, *parts)
 
 
 def a_interval(rank, i, j):
@@ -217,7 +173,9 @@ def a_interval(rank, i, j):
 
 
 def format_d_symbol(rank, vec):
-    """Inverse of parse_d_symbol on almost positive D_{rank+1} roots."""
+    """The symbol of an almost positive D_{rank+1} root: "-a<i>", "[i,j]" or
+    "[i]" for a_i + ... + a_j (j <= rank), "{i,j}" for
+    (a_i + ... + a_{rank-1}) + (a_j + ... + a_{rank+1}), or "{rank+1}"."""
     c = list(vec)
     if min(c) == -1:
         return f"-a{c.index(-1) + 1}"
@@ -233,242 +191,45 @@ def format_d_symbol(rank, vec):
     return "{%d,%d}" % (c.index(1) + 1, rank)
 
 
-# -- the time-indexed positive roots alpha_i(u) -------------------------------
-
-
-def alpha_domain(family, rank):
-    """All (i, u) pairs covered by the level-2 root description."""
-    if family == "C":
-        h_dual = rank + 1
-        plus, minus = d_part_signs_C(rank)
-        out = []
-        for i in plus:
-            out += [(i, Fraction(u)) for u in range(-h_dual, 0)]
-        for i in minus:
-            out += [(i, Fraction(2 * u - 1, 2)) for u in range(-h_dual + 1, 1)]
-        out += [(rank, Fraction(u)) for u in range(-h_dual, 0) if u % 2 == 0]
-        out += [(rank + 1, Fraction(u)) for u in range(-h_dual, 0) if u % 2 == 1]
-        return out
-    if family == "F4":
-        out = []
-        for i in (1, 4, 5):
-            out += [(i, Fraction(u)) for u in range(-9, 0) if u % 2 == 0]
-        for i in (2, 4, 6):
-            out += [(i, Fraction(u)) for u in range(-9, 0) if u % 2 == 1]
-        out += [(3, Fraction(2 * u - 1, 2)) for u in range(-8, 1)]
-        return out
-    if family == "G2":
-        return [(i, Fraction(u)) for i, us in (
-            (1, ("-1", "-3")),
-            (2, ("-5/3", "-11/3")),
-            (3, ("-1/3", "-7/3")),
-            (4, ("-2/3", "-8/3", "-4/3", "-10/3", "-2", "-4")),
-        ) for u in us]
-    raise ValueError(f"unknown family {family!r}")
-
-
-def alpha_of(family, rank, i, u):
-    """The positive root attached to row i at time u in the level-2 analysis."""
-    u = Fraction(u)
-    if family == "C":
-        sig = sigma_C(rank)
-        rs = sig.rs
-        plus, _ = d_part_signs_C(rank)
-        mod = u % 2
-        if i <= rank - 1 and i in plus:
-            if mod == 0:
-                return sig(neg_simple(rs, i), power=int(-u // 2))
-            if mod == 1:
-                return sig(rs.simple(i), power=int(-(u - 1) // 2))
-        elif i <= rank - 1:
-            if mod == Fraction(1, 2):
-                return sig(neg_simple(rs, i), power=int(-(2 * u - 1) // 4))
-            if mod == Fraction(3, 2):
-                return sig(rs.simple(i), power=int(-(2 * u + 1) // 4))
-        elif i == rank and mod == 0:
-            return sig(neg_simple(rs, rank), power=int(-u // 2))
-        elif i == rank + 1 and mod == 1:
-            return sig(neg_simple(rs, rank + 1), power=int(-(u - 1) // 2))
-        raise ValueError(f"(i={i}, u={u}) outside the type C case table")
-    if family == "F4":
-        sig = sigma_F4()
-        rs = sig.rs
-        mod = u % 2
-        if i in (1, 4, 5) and mod == 0:
-            return sig(neg_simple(rs, i), power=int(-u // 2))
-        if i in (2, 6) and mod == 1:
-            return sig(neg_simple(rs, i), power=int(-(u - 1) // 2))
-        if i == 4 and mod == 1:
-            return sig(rs.simple(4), power=int(-(u - 1) // 2))
-        if i == 3 and mod == Fraction(1, 2):
-            return sig(neg_simple(rs, 3), power=int(-(2 * u - 1) // 4))
-        if i == 3 and mod == Fraction(3, 2):
-            return sig(rs.simple(3), power=int(-(2 * u + 1) // 4))
-        raise ValueError(f"(i={i}, u={u}) outside the F4 case table")
-    if family == "G2":
-        sig = sigma_G2()
-        rs = sig.rs
-        s3 = 3 * u
-        if i == 1 and u in (-1, -3):
-            return sig(neg_simple(rs, 1), power=int(-(u - 1) // 2))
-        if i == 2 and s3 % 6 == 1:
-            return sig(neg_simple(rs, 2), power=int(-(s3 - 1) // 6))
-        if i == 3 and s3 % 6 == 5:
-            return sig(neg_simple(rs, 3), power=int(-(s3 - 5) // 6))
-        if i == 4:
-            if s3 % 6 == 4:
-                return sig((0, 0, 1, 1), power=int(-(s3 + 2) // 6))
-            if s3 % 6 == 2:
-                return sig(rs.simple(1), power=int(-(s3 + 4) // 6))
-            if s3 % 6 == 0:
-                return sig(neg_simple(rs, 4), power=int(-u // 2))
-        raise ValueError(f"(i={i}, u={u}) outside the G2 case table")
-    raise ValueError(f"unknown family {family!r}")
-
-
-def neg_simple(rs, i):
-    return tuple(-c for c in rs.simple(i))
-
-
-# -- the bijection rho: positive D_{r+1} roots into A_{2r+1} orbits ------------
-
-
-def rho_C(rank, vec):
-    """Map a positive D_{rank+1} root to its A_{2rank+1} companion root."""
-    r = rank
-    c = list(vec)
-    if c[r] == 0:  # bracket [i, j]
-        i = c.index(1) + 1
-        j = max(k + 1 for k in range(r + 1) if c[k] == 1)
-        if (j - r) % 2 == 1:
-            return a_interval(2 * r + 1, i, j)
-        return a_interval(2 * r + 1, 2 * r + 2 - j, 2 * r + 2 - i)
-    if sum(c) == 1:  # {r+1}
-        return a_interval(2 * r + 1, r, r + 1)
-    if c[r - 1] == 0:  # {i, r+1}: a_i+...+a_{r-1} + a_{r+1}
-        i = c.index(1) + 1
-        j = r + 1
-    elif 2 in c:  # {i, j}, j <= r-1
-        i = c.index(1) + 1
-        j = c.index(2) + 1
-    else:  # {i, r}: all ones from i through r+1
-        i = c.index(1) + 1
-        j = r
-    if (j - r) % 2 == 1:
-        return a_interval(2 * r + 1, i, 2 * r + 2 - j)
-    return a_interval(2 * r + 1, j, 2 * r + 2 - i)
-
-
-def sigma_companion_A(rank):
-    """The bipartite pl Coxeter map on A_{2rank+1} used by the companion
-    description of the type C core orbits."""
-    r = rank
-    rs = RootSystem("A", 2 * r + 1)
-    plus = [i for i in range(1, 2 * r + 2) if (i - r) % 2 == 0]
-    minus = [i for i in range(1, 2 * r + 2) if (i - r) % 2 == 1]
-    return SigmaMap(rs, plus + minus)
-
-
-def rho_orbit_targets(rank):
-    """The union of A_{2rank+1} orbits O'_1..O'_rank hit by rho_C."""
-    sig = sigma_companion_A(rank)
-    targets = set()
-    for i in range(1, rank + 1):
-        cur = neg_simple(sig.rs, i)
-        for _ in range(rank + 1):
-            cur = sig(cur)
-            if not sig.rs.is_positive_root(cur):
-                raise RuntimeError("orbit left the positive roots early")
-            targets.add(cur)
-    return targets
-
-
-def rho_conjugation_mismatches(rank):
-    """Check that rho transports the core orbit map to the squared bipartite
-    Coxeter map of the companion type A system.
-
-    The squared map steps outside the orbit union exactly at the cyclic
-    wrap-around, where it lands on the diagram-mirror image of the right
-    answer; the comparison folds through the mirror at those points.
-    """
-    sig = sigma_C(rank)
-    rsD = sig.rs
-    sigA = sigma_companion_A(rank)
-    targets = rho_orbit_targets(rank)
-    bad = []
-    for vec in rsD.positive_roots:
-        image = sig(vec)
-        if not rsD.is_positive_root(image):
-            continue
-        lhs = rho_C(rank, image)
-        step = sigA(rho_C(rank, vec), power=2)
-        if step not in targets:
-            step = tuple(reversed(step))
-        if lhs != step or step not in targets:
-            bad.append((vec, image, lhs, step))
-    return bad
-
-
 # -- t-vector identities at level 2 -------------------------------------------
 
 
-def _core_vertices(run):
-    """Level-2 core rows and their root-system node order, per family."""
-    m = run.model
-    fam, r = m.spec.family, m.spec.rank
-    if fam == "C":
-        return [m.vid(i, 2) for i in range(1, r)] + [m.vid(r, 1), m.vid(r + 1, 1)]
-    if fam == "F4":
-        return [m.vid(1, 1), m.vid(2, 1), m.vid(3, 2), m.vid(4, 2), m.vid(5, 1), m.vid(6, 1)]
-    return [m.vid(1, 1), m.vid(2, 1), m.vid(3, 1), m.vid(4, 3)]
-
-
 def tvector_mismatches(run):
-    """Check core-part tropical exponents against -alpha_i(u) at level 2.
+    """Check core-part tropical exponents against -alpha at level 2.
 
-    run must be a TropicalRun at level 2.  Returns a list of offending
+    run must be a TropicalRun at level 2; alpha is the pl_dynamics of its
+    schedule on the level-2 core.  Returns a list of offending
     (i, u, got, want) tuples; empty means the identities hold exactly.
     """
     m = run.model
-    fam, r = m.spec.family, m.spec.rank
     if m.spec.level != 2:
         raise ValueError("t-vector identities are a level-2 statement")
-    core = _core_vertices(run)
-    kill = [v for v in range(m.n) if v not in core]
+    core = level2_core(m)
+    _, alpha = pl_dynamics(run.schedule, core)
     bad = []
-    for i, u in alpha_domain(fam, r):
-        if fam == "C":
-            vertex = m.vid(i, 2) if i <= r - 1 else m.vid(i, 1)
-        elif fam == "F4":
-            vertex = m.vid(i, 1) if i in (1, 2, 5, 6) else m.vid(i, 2)
-        else:
-            vertex = m.vid(i, 1) if i != 4 else m.vid(4, 3)
-        s = int(Fraction(u) * run.t)
-        got = tuple(specialize(run.monomial(vertex, s), kill)[core].tolist())
-        want = tuple(-c for c in alpha_of(fam, r, i, u))
+    for (s, v), root in alpha.items():
+        got = tuple(run.monomial(v, s)[core].tolist())
+        want = tuple(-c for c in root)
         if got != want:
-            bad.append((i, u, got, want))
+            bad.append((core.index(v) + 1, Fraction(s, run.t), got, want))
     return bad
 
 
 def apart_mismatches_C(run):
     """Check the thin-row (A_{r-1}) exponent formulas for type C at level 2.
 
-    Covers the closed forms for rows 1 and 2 of the tall columns, the
-    vanishing of row 3 under the thin-row projection, the interval formulas
-    for the circle columns, and the vanishing of the core projection at the
-    off-parity times.
+    Row 1 of the tall columns follows the pl_dynamics of the schedule on
+    that row, and row 3 vanishes under the thin-row projection at the same
+    times.  Also covers the interval formulas for row 2 and the circle
+    columns, and the vanishing of the core projection at the off-parity
+    times.
     """
     m = run.model
     r = m.spec.rank
     if m.spec.family != "C" or m.spec.level != 2:
         raise ValueError("this check is specific to type C at level 2")
-    sig = sigma_C_apart(r)
-    rs = sig.rs
     keep = [m.vid(i, 1) for i in range(1, r)]
-    kill = [v for v in range(m.n) if v not in keep]
-    core = _core_vertices(run)
-    kill_core = [v for v in range(m.n) if v not in core]
+    core = level2_core(m)
     h_dual = r + 1
     bad = []
 
@@ -476,24 +237,22 @@ def apart_mismatches_C(run):
         return range(int(2 * lo), int(2 * hi))
 
     def pi_a(vertex, s):
-        return tuple(specialize(run.monomial(vertex, s), kill)[keep].tolist())
+        return tuple(run.monomial(vertex, s)[keep].tolist())
 
     def record(i_row, s, got, want):
         if got != tuple(want):
             bad.append((i_row, Fraction(s, 2), got, tuple(want)))
 
+    _, alpha = pl_dynamics(run.schedule, keep)
+    for (s, v), root in alpha.items():
+        i = m.position(v)[0]
+        record((i, 1), s, pi_a(v, s), [-c for c in root])
+        # row 3 never meets the thin-row generators
+        record((i, 3), s, pi_a(m.vid(i, 3), s), [0] * (r - 1))
     for i in range(1, r):
-        sign_plus = (r + i) % 2 == 1  # row (i,1) mutates at integer times iff +
         for s in halves(-h_dual, 0):
             u = Fraction(s, 2)
-            # row 1: sigma-orbit formula at the row's own mutation times
-            if (s % 2 == 0) == sign_plus:
-                power = int(-u) if s % 2 == 0 else int(Fraction(1, 2) - u)
-                want = [-c for c in sig(neg_simple(rs, i), power=power)]
-                record((i, 1), s, pi_a(m.vid(i, 1), s), want)
-                # row 3 never meets the thin-row generators
-                record((i, 3), s, pi_a(m.vid(i, 3), s), [0] * (r - 1))
-            # row 2 mutates on the complementary parity
+            # row 2 mutates on the parity complementary to row 1
             if (s % 2 == 0) == ((r + i) % 2 == 0):
                 if u >= -Fraction(h_dual, 2):
                     want = [-c for c in a_interval(r - 1, 2 * r + 2 - i + s, r - 1)]
@@ -503,7 +262,7 @@ def apart_mismatches_C(run):
             # core projection of rows 1 and 3 vanishes off the mutation parity
             if (r + i + s) % 2 == 0:
                 for row in (1, 3):
-                    got = tuple(specialize(run.monomial(m.vid(i, row), s), kill_core)[core].tolist())
+                    got = tuple(run.monomial(m.vid(i, row), s)[core].tolist())
                     record((i, row), s, got, [0] * (r + 1))
     for col, par in ((r, 0), (r + 1, 1)):
         for s in halves(-h_dual, 0):

@@ -35,14 +35,6 @@ def sign_classes(E):
     return np.select([pos & neg, pos, neg], [MIXED, POSITIVE, NEGATIVE], UNIT)
 
 
-def specialize(vec, kill):
-    """Set the generators listed in kill to 1 (zero out their exponents)."""
-    out = np.array(vec, dtype=np.int64)
-    for v in kill:
-        out[v] = 0
-    return out
-
-
 def boundary_targets(model, omega):
     """{s: dst}: the closed-form coefficient tuples at u = level and u = -h_dual.
 
@@ -65,7 +57,8 @@ class TropicalRun:
     by a verified schedule.Schedule.
 
     E[s - lo_s] holds the exponent rows of the coefficients at time s: row v
-    is the monomial of y_v.
+    is the monomial of y_v.  The record spans the times the checks read,
+    -h_dual*t <= s < 2*full_s.
     """
 
     def __init__(self, schedule):
@@ -75,9 +68,9 @@ class TropicalRun:
         self.t = schedule.t
         self.half_s = (cd["h_dual"] + self.spec.level) * self.t
         self.full_s = 2 * self.half_s
-        self.lo_s = -cd["h_dual"] * self.t - 1
+        self.lo_s = -cd["h_dual"] * self.t
         E0 = np.eye(self.model.n, dtype=np.int64)
-        self.E, _ = run_schedule(schedule, self.lo_s, 2 * self.full_s, E0, tropical_plus1)
+        self.E, _ = run_schedule(schedule, self.lo_s, 2 * self.full_s - 1, E0, tropical_plus1)
         self.omega = np.array(involutions(self.model)["omega"])
 
     @property
@@ -172,8 +165,3 @@ def expected_counts(family, rank, level):
     t, hd, lev = cd["t"], cd["h_dual"], level
     return t * lev * (sum(cd["t_a"].values()) * (hd + lev) - cd["dim"]), t * rank * (lev * cd["h"] - hd)
 
-
-def total_points(family, rank, level):
-    """t*(h_dual+level)*((sum_a t_a)*level - rank): mutation points per period."""
-    cd = cartan_data(family, rank)
-    return cd["t"] * (cd["h_dual"] + level) * (sum(cd["t_a"].values()) * level - rank)

@@ -1,5 +1,6 @@
 """Shared cached builders so expensive runs are computed once per session."""
 
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -8,6 +9,7 @@ from ysyslab.builders import FamilySpec, build
 from ysyslab.mutclass import SIZE_CAP
 from ysyslab.numeric import NumericRun
 from ysyslab.quiver import Quiver
+from ysyslab.roots import level2_core, pl_dynamics
 from ysyslab.schedule import Schedule
 from ysyslab.tropical import TropicalRun
 
@@ -30,6 +32,18 @@ def cached_tropical(family, rank, level):
 @lru_cache(maxsize=None)
 def cached_numeric(family, rank, level, seed, tracked):
     return NumericRun(cached_schedule(family, rank, level), seed=seed, tracked=tracked)
+
+
+@lru_cache(maxsize=None)
+def cached_dynamics(family, rank, thin=False):
+    """(sigma, alpha) of roots.pl_dynamics on the level-2 core of a case, or
+    on the thin row (i, 1), i < rank, of type C, with alpha keyed by
+    (node i, time u)."""
+    sched = cached_schedule(family, rank, 2)
+    m = sched.model
+    verts = [m.vid(i, 1) for i in range(1, rank)] if thin else level2_core(m)
+    sigma, alpha = pl_dynamics(sched, verts)
+    return sigma, {(verts.index(v) + 1, Fraction(s, sched.t)): root for (s, v), root in alpha.items()}
 
 
 CASES = (

@@ -17,17 +17,25 @@ schedule.column_fold and for the labelled arrays of numeric.NumericRun.
 The per-family closed forms of the tropical boundary tuples, the sign
 tallies and the doubled functional sums, as printed, are the reference for
 tropical.boundary_targets, which reads them off omega, and for
-tropical.expected_counts, which reads them off the Lie data.
+tropical.expected_counts, which reads them off the Lie data, and
+total_points, the number of mutation points per period, is the reference
+for their sum.
+
+The typed sigma words and alpha tables, one per family, are the reference
+for roots.pl_dynamics, which derives both from the verified schedule on the
+level-2 core (and, for type C, on the thin row).
 """
 
 import math
+from fractions import Fraction
 from itertools import permutations
 
 import numpy as np
 from scipy import integrate
 
-from ysyslab.builders import cartan_data
+from ysyslab.builders import cartan_data, dynkin_edges
 from ysyslab.dilog import constant_relations
+from ysyslab.roots import RootSystem, SigmaMap, neg_simple
 from ysyslab.schedule import slot_sets
 
 
@@ -315,3 +323,145 @@ CLOSED_FORM_CASES = (
     + [("F4", 4, lev) for lev in range(2, 8)]
     + [("G2", 2, lev) for lev in range(2, 9)]
 )
+
+
+def total_points(family, rank, level):
+    """t*(h_dual+level)*((sum_a t_a)*level - rank): mutation points per period."""
+    cd = cartan_data(family, rank)
+    return cd["t"] * (cd["h_dual"] + level) * (sum(cd["t_a"].values()) * level - rank)
+
+
+# -- the typed level-2 root dynamics: sigma words and alpha tables -------------
+
+#: D4 with nodes 1, 2, 3 outer and node 4 central
+D4_OUTER_EDGES = ((1, 4), (2, 4), (3, 4))
+
+
+def d_part_signs_C(rank):
+    """+/- classes on the D_{rank+1} nodes 1..rank-1 (none on rank, rank+1)."""
+    plus = [i for i in range(1, rank) if (i - rank) % 2 == 0]
+    minus = [i for i in range(1, rank) if (i - rank) % 2 == 1]
+    return plus, minus
+
+
+def sigma_C(rank):
+    """sigma = s- s+ s_{r+1} s- s+ s_r on D_{rank+1} almost positive roots."""
+    plus, minus = d_part_signs_C(rank)
+    word = [rank] + plus + minus + [rank + 1] + plus + minus
+    return SigmaMap(RootSystem(rank + 1, dynkin_edges("D", rank + 1)), word)
+
+
+def sigma_C_apart(rank):
+    """sigma = s- s+ on A_{rank-1} (the thin-row analysis for type C)."""
+    plus = [i for i in range(1, rank) if (i + rank) % 2 == 1]
+    minus = [i for i in range(1, rank) if (i + rank) % 2 == 0]
+    return SigmaMap(RootSystem(rank - 1, dynkin_edges("A", rank - 1)), plus + minus)
+
+
+def sigma_F4():
+    """sigma = s3 (s4 s2 s6) s3 (s4 s1 s5) on E6 almost positive roots."""
+    return SigmaMap(RootSystem(6, dynkin_edges("E6", 6)), [4, 1, 5, 3, 4, 2, 6, 3])
+
+
+def sigma_G2():
+    """sigma = s3 s4 s1 s4 s2 s4 on D4 almost positive roots (node 4 central)."""
+    return SigmaMap(RootSystem(4, D4_OUTER_EDGES), [4, 2, 4, 1, 4, 3])
+
+
+def alpha_domain(family, rank):
+    """All (i, u) pairs covered by the level-2 root description."""
+    if family == "C":
+        h_dual = rank + 1
+        plus, minus = d_part_signs_C(rank)
+        out = []
+        for i in plus:
+            out += [(i, Fraction(u)) for u in range(-h_dual, 0)]
+        for i in minus:
+            out += [(i, Fraction(2 * u - 1, 2)) for u in range(-h_dual + 1, 1)]
+        out += [(rank, Fraction(u)) for u in range(-h_dual, 0) if u % 2 == 0]
+        out += [(rank + 1, Fraction(u)) for u in range(-h_dual, 0) if u % 2 == 1]
+        return out
+    if family == "F4":
+        out = []
+        for i in (1, 4, 5):
+            out += [(i, Fraction(u)) for u in range(-9, 0) if u % 2 == 0]
+        for i in (2, 4, 6):
+            out += [(i, Fraction(u)) for u in range(-9, 0) if u % 2 == 1]
+        out += [(3, Fraction(2 * u - 1, 2)) for u in range(-8, 1)]
+        return out
+    if family == "G2":
+        return [(i, Fraction(u)) for i, us in (
+            (1, ("-1", "-3")),
+            (2, ("-5/3", "-11/3")),
+            (3, ("-1/3", "-7/3")),
+            (4, ("-2/3", "-8/3", "-4/3", "-10/3", "-2", "-4")),
+        ) for u in us]
+    raise ValueError(f"unknown family {family!r}")
+
+
+def alpha_of(family, rank, i, u):
+    """The positive root attached to row i at time u in the level-2 analysis."""
+    u = Fraction(u)
+    if family == "C":
+        sig = sigma_C(rank)
+        rs = sig.rs
+        plus, _ = d_part_signs_C(rank)
+        mod = u % 2
+        if i <= rank - 1 and i in plus:
+            if mod == 0:
+                return sig(neg_simple(rs, i), power=int(-u // 2))
+            if mod == 1:
+                return sig(rs.simple(i), power=int(-(u - 1) // 2))
+        elif i <= rank - 1:
+            if mod == Fraction(1, 2):
+                return sig(neg_simple(rs, i), power=int(-(2 * u - 1) // 4))
+            if mod == Fraction(3, 2):
+                return sig(rs.simple(i), power=int(-(2 * u + 1) // 4))
+        elif i == rank and mod == 0:
+            return sig(neg_simple(rs, rank), power=int(-u // 2))
+        elif i == rank + 1 and mod == 1:
+            return sig(neg_simple(rs, rank + 1), power=int(-(u - 1) // 2))
+        raise ValueError(f"(i={i}, u={u}) outside the type C case table")
+    if family == "F4":
+        sig = sigma_F4()
+        rs = sig.rs
+        mod = u % 2
+        if i in (1, 4, 5) and mod == 0:
+            return sig(neg_simple(rs, i), power=int(-u // 2))
+        if i in (2, 6) and mod == 1:
+            return sig(neg_simple(rs, i), power=int(-(u - 1) // 2))
+        if i == 4 and mod == 1:
+            return sig(rs.simple(4), power=int(-(u - 1) // 2))
+        if i == 3 and mod == Fraction(1, 2):
+            return sig(neg_simple(rs, 3), power=int(-(2 * u - 1) // 4))
+        if i == 3 and mod == Fraction(3, 2):
+            return sig(rs.simple(3), power=int(-(2 * u + 1) // 4))
+        raise ValueError(f"(i={i}, u={u}) outside the F4 case table")
+    if family == "G2":
+        sig = sigma_G2()
+        rs = sig.rs
+        s3 = 3 * u
+        if i == 1 and u in (-1, -3):
+            return sig(neg_simple(rs, 1), power=int(-(u - 1) // 2))
+        if i == 2 and s3 % 6 == 1:
+            return sig(neg_simple(rs, 2), power=int(-(s3 - 1) // 6))
+        if i == 3 and s3 % 6 == 5:
+            return sig(neg_simple(rs, 3), power=int(-(s3 - 5) // 6))
+        if i == 4:
+            if s3 % 6 == 4:
+                return sig((0, 0, 1, 1), power=int(-(s3 + 2) // 6))
+            if s3 % 6 == 2:
+                return sig(rs.simple(1), power=int(-(s3 + 4) // 6))
+            if s3 % 6 == 0:
+                return sig(neg_simple(rs, 4), power=int(-u // 2))
+        raise ValueError(f"(i={i}, u={u}) outside the G2 case table")
+    raise ValueError(f"unknown family {family!r}")
+
+
+def thin_row_alpha_C(rank, i, u):
+    """The typed thin-row root of row (i, 1) at time u for type C at level 2:
+    sigma_C_apart to the power -u (a "+" row, integer u) or 1/2 - u (a "-"
+    row, half-integer u), applied to -alpha_i."""
+    sig = sigma_C_apart(rank)
+    power = -u if u.denominator == 1 else Fraction(1, 2) - u
+    return sig(neg_simple(sig.rs, i), power=int(power))

@@ -7,8 +7,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from tests.conftest import CASES, cached_numeric, cached_tropical
-from ysyslab.builders import FamilySpec, build
+from tests.conftest import CASES, cached_dynamics, cached_numeric, cached_tropical
+from tests.oracle import D4_OUTER_EDGES, total_points
+from ysyslab.builders import FamilySpec, build, dynkin_edges
 from ysyslab.dilog import (
     check_DI,
     check_functional_DI,
@@ -17,14 +18,8 @@ from ysyslab.dilog import (
 )
 from ysyslab.mutclass import search_equivalence
 from ysyslab.quiver import Quiver, find_isomorphism
-from ysyslab.roots import (
-    RootSystem,
-    _D4Outer,
-    apart_mismatches_C,
-    neg_simple,
-    tvector_mismatches,
-)
-from ysyslab.tropical import expected_counts, total_points
+from ysyslab.roots import RootSystem, apart_mismatches_C, neg_simple, tvector_mismatches
+from ysyslab.tropical import expected_counts
 
 TVECTOR_CASES = [("C", r) for r in (2, 3, 4, 5, 6)] + [("F4", 4), ("G2", 2)]
 
@@ -95,12 +90,8 @@ def test_criterion_4_orbit_tables(capsys=None):
     tr.test_orbit_table_rank9()
     tr.test_e6_orbits_verbatim()
     tr.test_d4_orbits_verbatim()
-    for sig, count in [
-        (tr.sigma_C(10), 110),
-        (tr.sigma_C(9), 90),
-        (tr.sigma_F4(), 36),
-        (tr.sigma_G2(), 12),
-    ]:
+    for family, rank, count in [("C", 10, 110), ("C", 9, 90), ("F4", 4, 36), ("G2", 2, 12)]:
+        sig, _ = cached_dynamics(family, rank)
         orbits = sig.orbit_decomposition()
         positives = [v for orb in orbits for v in orb if sig.rs.is_positive_root(v)]
         assert len(positives) == len(set(positives)) == count
@@ -114,6 +105,9 @@ def test_criterion_5_tvector_identities():
         assert tvector_mismatches(run) == [], (family, rank)
         if family == "C":
             assert apart_mismatches_C(run) == [], (family, rank)
+        # the identities reach every positive root of the core's root system
+        sig, alpha = cached_dynamics(family, rank)
+        assert sorted(alpha.values()) == sorted(sig.rs.positive_roots), (family, rank)
     _ok("criterion-5", f"exponent vectors equal negated roots on {len(TVECTOR_CASES)} cases")
 
 
@@ -206,7 +200,10 @@ def test_criterion_10_property_suite():
     assert len(results) == 1
 
     # pl reflections are involutions
-    for rs in (RootSystem("A", 4), RootSystem("D", 5), RootSystem("E6", 6), _D4Outer()):
+    for rank, edges in (
+        (4, dynkin_edges("A", 4)), (5, dynkin_edges("D", 5)), (6, dynkin_edges("E6", 6)), (4, D4_OUTER_EDGES),
+    ):
+        rs = RootSystem(rank, edges)
         elements = list(rs.positive_roots) + [neg_simple(rs, i) for i in range(1, rs.rank + 1)]
         for i in range(1, rs.rank + 1):
             for alpha in elements:

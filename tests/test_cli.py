@@ -81,6 +81,7 @@ def test_numeric_report(capsys):
         (["numeric", "--family", "C", "--tol", "x"], "must be a positive finite float, not 'x'"),
         (["mutclass", "--left", "C:2:2", "--right", "C:2:2", "--nodes", "0"], "must be a positive finite int"),
         (["mutclass", "--left", "C:2:2", "--right", "C:2:2", "--depth", "-1"], "must be a positive finite int"),
+        (["orbits", "--sigma", "F4", "--rank", "99"], "--sigma F4 takes no --rank"),
     ],
 )
 def test_case_commands_reject_bad_input(argv, message, capsys):

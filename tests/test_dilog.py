@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from tests.conftest import CASES, cached_numeric
-from tests.oracle import damped_constant_Y, functional_rhs_doubled, rogers_L_quad
+from tests.oracle import damped_constant_Y, functional_rhs_doubled, rogers_L_quad, total_points
 from ysyslab import dilog
 from ysyslab.dilog import (
     check_DI,
@@ -17,7 +17,7 @@ from ysyslab.dilog import (
     rogers_L,
     solve_constant_Y,
 )
-from ysyslab.tropical import expected_counts, total_points
+from ysyslab.tropical import expected_counts
 
 
 def test_endpoint_values():

@@ -11,6 +11,7 @@ from tests.oracle import (
     family_boundary_targets,
     family_expected_counts,
     functional_rhs_doubled,
+    total_points,
 )
 from ysyslab.builders import FamilySpec, build, involutions
 from ysyslab.quiver import FILL_CIRCLE, Quiver
@@ -23,8 +24,6 @@ from ysyslab.tropical import (
     boundary_targets,
     expected_counts,
     sign_classes,
-    specialize,
-    total_points,
     tropical_plus1,
 )
 
@@ -36,13 +35,6 @@ def test_sign_classification():
     assert sign_classes(np.array([1, -1])) == MIXED
     rows = np.array([[[0, 0], [2, 0]], [[0, -1], [1, -1]]])
     assert sign_classes(rows).tolist() == [[UNIT, POSITIVE], [NEGATIVE, MIXED]]
-
-
-def test_specialize():
-    vec = np.array([2, -1, 3])
-    assert np.array_equal(specialize(vec, []), vec)
-    assert np.array_equal(specialize(vec, [0, 2]), [0, -1, 0])
-    assert np.array_equal(specialize([1, 2], [0, 1]), [0, 0])
 
 
 def rank2_quiver():
