@@ -3,10 +3,10 @@ dilogarithm identities (constant and functional)."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
-from scipy import special
 
 from .builders import cartan_data
 from .gfun import transpose_factors
@@ -14,22 +14,47 @@ from .numeric import NumericRun
 from .tropical import expected_counts
 
 
+def _bernoulli(n):
+    """B_0, ..., B_n as exact fractions, with B_1 = -1/2."""
+    B = [Fraction(1)]
+    for m in range(1, n + 1):
+        B.append(-sum(math.comb(m + 1, j) * B[j] for j in range(m)) / (m + 1))
+    return B
+
+
+#: B_2k / (2k+1)! for k = 1..12: the series of Li2 in u = -log(1-y) past its
+#: first two terms, in powers of u^2 since the odd B_n after B_1 vanish.  At
+#: u <= log 2 the first term left out is below 1e-26.
+_LI2_U2_COEFFS = tuple(
+    float(b / math.factorial(2 * k + 1)) for k, b in enumerate(_bernoulli(24)[2::2], start=1)
+)
+
+
 def rogers_L(x):
     """Rogers dilogarithm on [0, 1], normalized so L(1) = pi^2/6.
 
-    Evaluated as Li2(x) + log(x)log(1-x)/2 away from the endpoints, where
-    both terms are finite and the product term's log singularities cancel
-    in the limit.
+    L(y) = Li2(y) + log(y)log(1-y)/2 for y = min(x, 1-x) <= 1/2, with Li2
+    as its Bernoulli series in u = -log(1-y):
+
+        L(y) = u - u^2/4 + sum_k B_2k u^(2k+1)/(2k+1)! - u log(y)/2,
+
+    and L(x) = pi^2/6 - L(1-x) for x > 1/2, so x = 0 and x = 1 give exactly
+    0 and pi^2/6.  Raises ValueError for input outside [0, 1], NaN included.
     """
     x = np.asarray(x, dtype=float)
-    if np.any((x < 0) | (x > 1)):
+    if np.any(~((x >= 0) & (x <= 1))):
         raise ValueError("rogers_L is defined on [0, 1]")
-    out = np.empty_like(x)
-    inner = (x > 0) & (x < 1)
-    xi = x[inner]
-    out[inner] = special.spence(1.0 - xi) + 0.5 * np.log(xi) * np.log(1.0 - xi)
-    out[x <= 0] = 0.0
-    out[x >= 1] = np.pi**2 / 6.0
+    upper = x > 0.5
+    y = np.where(upper, 1.0 - x, x)
+    u = -np.log1p(-y)
+    w = u * u
+    series = np.zeros_like(u)
+    for c in reversed(_LI2_U2_COEFFS):
+        series = series * w + c
+    # u = 0 at y = 0, so log(y) is replaced there by 0 and the value is 0
+    log_y = np.log(np.where(y > 0, y, 1.0))
+    low = u - 0.25 * w + u * w * series - 0.5 * u * log_y
+    out = np.where(upper, np.pi**2 / 6.0 - low, low)
     return out if out.ndim else float(out)
 
 
@@ -93,7 +118,7 @@ def solve_constant_Y(family, rank, level, start=None):
         err = np.max(np.abs(F))
         if err <= 4.0 * np.finfo(float).eps * max(1.0, np.max(np.abs(z))):
             break
-        sig = special.expit(z)
+        sig = 0.5 * (1.0 + np.tanh(0.5 * z))
         z_new = z - np.linalg.solve(2.0 * np.eye(len(z)) - N * sig - D * (1.0 - sig), F)
         F_new = _constant_F(N, D, z_new)
         if not np.max(np.abs(F_new)) < err:
@@ -102,13 +127,6 @@ def solve_constant_Y(family, rank, level, start=None):
     if not np.max(np.abs(F)) <= 1e-12:
         raise RuntimeError(f"constant system did not converge for {family} level {level}")
     return dict(zip(keys, np.exp(z).tolist()))
-
-
-def constant_residuals(family, rank, level, Y):
-    """|Y^2 / RHS - 1| of each constant relation at Y."""
-    keys, N, D = constant_system(family, rank, level)
-    F = _constant_F(N, D, np.log([Y[k] for k in keys]))
-    return dict(zip(keys, np.abs(np.expm1(F)).tolist()))
 
 
 def di_rhs_exact(family, rank, level):

@@ -17,6 +17,10 @@ from fractions import Fraction
 
 import numpy as np
 
+# numpy 2 loads numpy.random on first use; load it at import, with the rest
+# of the start-up, so that the first run does not pay for it
+import numpy.random  # noqa: F401
+
 from .gfun import g_factors, transpose_factors
 from .schedule import column_fold, run_schedule
 

@@ -147,22 +147,6 @@ class Quiver:
             }
         )
 
-    @classmethod
-    def from_json(cls, text):
-        data = json.loads(text)
-        n = data["n"]
-        B = np.zeros((n, n), dtype=np.int64)
-        for i, j in data["edges"]:
-            B[i, j] = 1
-            B[j, i] = -1
-        meta = [Vertex(m["col"], m["row"], m["fill"], m["tag"]) for m in data["meta"]]
-        return cls(B, meta)
-
-
-def compose_perms(p, q):
-    """Composition acting as i -> p[q[i]]."""
-    return tuple(p[q[i]] for i in range(len(q)))
-
 
 def invert_perm(p):
     inv = [0] * len(p)

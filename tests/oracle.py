@@ -6,10 +6,15 @@ time, with the exchange matrix that Quiver.mutate produces before that
 vertex, in multiplicative notation.  exhaustive_isomorphism is the
 brute-force reference for quiver.find_isomorphism, and matrix_refine_colors
 and matrix_canonical_key, which read the exchange matrix entry by entry, the
-reference for quiver.refine_colors and mutclass.canonical_key.  damped_constant_Y, a
-damped fixed-point loop over the constant relations, is the reference for
-the Newton solve of dilog.solve_constant_Y, and rogers_L_quad, adaptive
-quadrature of the defining integral, the reference for dilog.rogers_L.
+reference for quiver.refine_colors and mutclass.canonical_key.  quiver_from_json
+reads back what Quiver.to_json writes, and compose_perms composes vertex
+permutations.  damped_constant_Y, a damped fixed-point loop over the
+constant relations, is the reference for the Newton solve of
+dilog.solve_constant_Y, and constant_residuals measures how far a solution
+is from those relations.  rogers_L_quad, adaptive quadrature of the
+defining integral, is the reference for the Bernoulli series of
+dilog.rogers_L; it is the only user of scipy, which the tests need and
+ysyslab itself does not.
 
 The parity classes P+ / P'+ and the label maps label_g / label_g_prime are
 the per-family formulas of the grid bijection: the reference for
@@ -26,6 +31,7 @@ for roots.pl_dynamics, which derives both from the verified schedule on the
 level-2 core (and, for type C, on the thin row).
 """
 
+import json
 import math
 from fractions import Fraction
 from itertools import permutations
@@ -35,6 +41,7 @@ from scipy import integrate
 
 from ysyslab.builders import cartan_data, dynkin_edges
 from ysyslab.dilog import constant_relations
+from ysyslab.quiver import Quiver, Vertex
 from ysyslab.roots import RootSystem, SigmaMap, neg_simple
 from ysyslab.schedule import slot_sets
 
@@ -104,6 +111,22 @@ def run_payload(model, s_lo, s_hi, payload):
             s += step
             snapshots[s] = pl.snapshot()
     return snapshots
+
+
+def quiver_from_json(text):
+    """The Quiver that Quiver.to_json wrote as text."""
+    data = json.loads(text)
+    n = data["n"]
+    B = np.zeros((n, n), dtype=np.int64)
+    for i, j in data["edges"]:
+        B[i, j] = 1
+        B[j, i] = -1
+    return Quiver(B, [Vertex(m["col"], m["row"], m["fill"], m["tag"]) for m in data["meta"]])
+
+
+def compose_perms(p, q):
+    """Composition acting as i -> p[q[i]]."""
+    return tuple(p[q[i]] for i in range(len(q)))
 
 
 def exhaustive_isomorphism(Q1, Q2):
@@ -204,6 +227,15 @@ def damped_constant_Y(family, rank, level):
         if delta < 1e-13:
             return Y
     raise RuntimeError(f"constant system did not converge for {family} level {level}")
+
+
+def constant_residuals(family, rank, level, Y):
+    """|Y^2 / RHS - 1| of each constant relation at Y."""
+    out = {}
+    for key, (num, den) in constant_relations(family, rank, level).items():
+        rhs = math.prod([1.0 + Y[f] for f in num]) / math.prod([1.0 + 1.0 / Y[f] for f in den])
+        out[key] = abs(Y[key] ** 2 / rhs - 1.0)
+    return out
 
 
 def parity_plus(family, rank, a, m, s, prime=False):

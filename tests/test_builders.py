@@ -1,8 +1,9 @@
 import pytest
 
 from tests.conftest import cached_model
+from tests.oracle import compose_perms
 from ysyslab.builders import FamilySpec, build, cartan_data, involutions
-from ysyslab.quiver import FILL_BULLET, FILL_CIRCLE, compose_perms
+from ysyslab.quiver import FILL_BULLET, FILL_CIRCLE
 
 
 def vertex_count(family, rank, level):

@@ -1,6 +1,9 @@
 import ast
 import importlib
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -14,7 +17,8 @@ from ysyslab.quiver import Quiver
 from ysyslab.suite import VerificationReport, run_suite, suite_passed
 from ysyslab.tropical import TropicalRun
 
-TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "bench" / "tracer.py"
 
 
 def test_build_json(capsys, tmp_path):
@@ -288,6 +292,16 @@ def test_tracer_targets_resolve():
         for part in attr.split("."):
             obj = getattr(obj, part)
         assert callable(obj), (module, attr)
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy is a test dependency only; every command line call would pay its
+    # import at start-up, so no module of ysyslab may load it
+    path = [str(ROOT / "src")] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    code = "import sys, ysyslab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_suite_exit_status_on_failure(tmp_path):

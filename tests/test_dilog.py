@@ -1,3 +1,4 @@
+import math
 import timeit
 from fractions import Fraction
 
@@ -5,13 +6,18 @@ import numpy as np
 import pytest
 
 from tests.conftest import CASES, cached_numeric
-from tests.oracle import damped_constant_Y, functional_rhs_doubled, rogers_L_quad, total_points
+from tests.oracle import (
+    constant_residuals,
+    damped_constant_Y,
+    functional_rhs_doubled,
+    rogers_L_quad,
+    total_points,
+)
 from ysyslab import dilog
 from ysyslab.dilog import (
     check_DI,
     check_functional_DI,
     constant_relations,
-    constant_residuals,
     constant_system,
     di_rhs_exact,
     rogers_L,
@@ -22,8 +28,25 @@ from ysyslab.tropical import expected_counts
 
 def test_endpoint_values():
     assert rogers_L(0.0) == 0.0
-    assert abs(rogers_L(1.0) - np.pi**2 / 6) < 1e-14
+    assert rogers_L(1.0) == np.pi**2 / 6
+    assert rogers_L(np.array([0.0, 1.0])).tolist() == [0.0, np.pi**2 / 6]
     assert abs(rogers_L(0.5) - np.pi**2 / 12) < 1e-12
+
+
+def test_closed_values():
+    # L(1/2), and L at the two golden-ratio points (Zagier, "The Dilogarithm
+    # Function", section 1)
+    r5 = math.sqrt(5.0)
+    for x, value in [(0.5, np.pi**2 / 12), ((3 - r5) / 2, np.pi**2 / 15), ((r5 - 1) / 2, np.pi**2 / 10)]:
+        assert abs(rogers_L(x) - value) < 1e-15, x
+
+
+def test_small_x_tail():
+    # L(x) = x - x log(x)/2 + O(x^2 log x) as x -> 0; a form through
+    # Li2(1 - x) loses this tail, since 1 - x rounds to 1 below about 1e-16
+    for x in (1e-12, 1e-17):
+        tail = x - 0.5 * x * math.log(x)
+        assert abs(rogers_L(x) / tail - 1.0) < 1e-10, x
 
 
 def test_against_quadrature():
@@ -42,6 +65,15 @@ def test_domain_guard():
         rogers_L(1.5)
     with pytest.raises(ValueError):
         rogers_L(-0.1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_input_raises(bad):
+    # NaN fails both range comparisons, so it must not pass the guard
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        rogers_L(bad)
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        rogers_L(np.array([0.25, bad, 0.75]))
 
 
 def test_constant_solution_positive_with_tiny_residuals():
