@@ -16,6 +16,7 @@ are provided for the mutation-equivalence checks.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +60,10 @@ class FamilySpec:
     level: int
 
     def __post_init__(self):
+        for name in ("rank", "level"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"the {name} must be an integer, not {value!r}")
         if self.level < 2:
             raise ValueError("level must be >= 2")
         if self.family == "C" and self.rank < 2:

@@ -8,9 +8,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .builders import cartan_data
-from .gfun import transpose_factors
+from .builders import FamilySpec, build, cartan_data
 from .numeric import NumericRun
+from .schedule import Schedule
 from .tropical import expected_counts
 
 
@@ -61,15 +61,16 @@ def rogers_L(x):
 # -- constant coefficient system ----------------------------------------------
 
 
-def constant_relations(family, rank, level):
-    """(numerator, denominator) factor keys of the constant Y-relation at each (a, m).
+def constant_relations(schedule):
+    """(numerator, denominator) factor keys of the constant Y-relation at each
+    (a, m) of a verified Schedule.
 
-    The numerator factors (1 + Y_(b,k)) are those of gfun.transpose_factors
-    with the time shifts dropped, since a constant solution does not depend
-    on u; the denominator factors (1 + 1/Y_(a,m+-1)) are dropped at the
-    boundary rows.
+    The numerator factors (1 + Y_(b,k)) are those of the schedule's
+    numerators with the time shifts dropped, since a constant solution does
+    not depend on u; the denominator factors (1 + 1/Y_(a,m+-1)) are dropped
+    at the boundary rows.
     """
-    numerators = transpose_factors(family, rank, level)
+    numerators = schedule.numerators
     return {
         (a, m): (
             [(b, k) for b, k, _ in num],
@@ -79,14 +80,14 @@ def constant_relations(family, rank, level):
     }
 
 
-def constant_system(family, rank, level):
+def constant_system(schedule):
     """(keys, N, D): the unknowns Y_(a,m) of the constant system in a fixed
     order, and the count matrices of its numerator and denominator factors.
 
     N[i, j] (D[i, j]) counts the factors (1 + Y_j) ((1 + 1/Y_j)) in the
     relation of keys[i]; a factor can repeat.
     """
-    relations = constant_relations(family, rank, level)
+    relations = constant_relations(schedule)
     keys = list(relations)
     index = {key: i for i, key in enumerate(keys)}
     N, D = np.zeros((2, len(keys), len(keys)))
@@ -101,9 +102,9 @@ def _constant_F(N, D, z):
     return 2.0 * z - N @ np.logaddexp(0.0, z) + D @ np.logaddexp(0.0, -z)
 
 
-def solve_constant_Y(family, rank, level, start=None):
-    """Positive solution of the constant coefficient system, by Newton's method
-    in z = log Y.
+def solve_constant_Y(schedule, start=None):
+    """Positive solution of the constant coefficient system of a verified
+    Schedule, by Newton's method in z = log Y.
 
     Solves F(z) = 2z - N log(1+e^z) + D log(1+e^-z) = 0, whose Jacobian is
     2I - N diag(sigma(z)) - D diag(1 - sigma(z)), from z = 0 (or the log of
@@ -111,7 +112,7 @@ def solve_constant_Y(family, rank, level, start=None):
     decreasing, or after 100 steps, and raises a RuntimeError if max|F| is
     then above 1e-12.
     """
-    keys, N, D = constant_system(family, rank, level)
+    keys, N, D = constant_system(schedule)
     z = np.zeros(len(keys)) if start is None else np.log([start[k] for k in keys])
     F = _constant_F(N, D, z)
     for _ in range(100):
@@ -125,7 +126,8 @@ def solve_constant_Y(family, rank, level, start=None):
             break
         z, F = z_new, F_new
     if not np.max(np.abs(F)) <= 1e-12:
-        raise RuntimeError(f"constant system did not converge for {family} level {level}")
+        spec = schedule.model.spec
+        raise RuntimeError(f"constant system did not converge for {spec.family} level {spec.level}")
     return dict(zip(keys, np.exp(z).tolist()))
 
 
@@ -135,13 +137,19 @@ def di_rhs_exact(family, rank, level):
     return Fraction(rank * (level * cd["h"] - cd["h_dual"]), cd["h_dual"] + level)
 
 
-def check_DI(family, rank, level):
-    """Constant dilogarithm identity; returns (lhs, rhs, abs error)."""
-    Y = solve_constant_Y(family, rank, level)
-    vals = np.array(list(Y.values()))
+def constant_DI(schedule):
+    """Constant dilogarithm identity of a verified Schedule; returns
+    (lhs, rhs, abs error)."""
+    spec = schedule.model.spec
+    vals = np.array(list(solve_constant_Y(schedule).values()))
     lhs = 6.0 / np.pi**2 * float(np.sum(rogers_L(vals / (1.0 + vals))))
-    rhs = float(di_rhs_exact(family, rank, level))
+    rhs = float(di_rhs_exact(spec.family, spec.rank, spec.level))
     return lhs, rhs, abs(lhs - rhs)
+
+
+def check_DI(family, rank, level):
+    """constant_DI of the case, whose schedule it builds and verifies."""
+    return constant_DI(Schedule(build(FamilySpec(family, rank, level))))
 
 
 # -- functional identities ------------------------------------------------------

@@ -1,92 +1,61 @@
-"""The exponent function coupling a T/Y relation to its neighbour variables.
+"""The exponent function coupling a T/Y relation to its neighbour variables,
+read off the exchange matrices of a verified schedule.
 
-For the relation centered at (a, m, u) the second exchange monomial is a
-product of variables T^{(b)}_k(u + ds/t), with the shift ds an integer in
-scaled time; g_factors returns those (b, k, ds) triples with boundary
-factors (index 0, component 0, or top row t_b*level) already dropped.
-transpose_factors inverts the whole table at once: for each (a, m) it
-lists the (b, k, ds) with (1 + Y^{(b)}_k(u + ds/t)) in the numerator of
-the Y-relation at (a, m, u).
+At the mutation point (s, v) labelled (a, m) the exchange relation is the
+T-relation centered at (a, m, s/t): the arrows out of v reach the
+T^{(a)}_{m+-1}(s/t) of the rows above and below (a boundary row has no
+vertex), and the arrows into v reach the neighbour product g(a, m).  A
+neighbour w labelled (b, k) and last mutated at s' < s carries
+T^{(b)}_k(u + ds/t), with the shift ds = s' + t/t_b - s an integer.
 """
 
 from __future__ import annotations
 
-from .builders import cartan_data
+import numpy as np
 
 
-def g_factors(family, rank, level, a, m):
-    """Neighbour factors (b, k, ds) of the relation centered at (a, m, u)."""
-    cd = cartan_data(family, rank)
-    out = []
+def g_factors(schedule):
+    """The factors {(a, m): [(b, k, ds)]} of the neighbour products g, each
+    list ascending, read at every mutation point of one period of schedule
+    (its t, sets, matrices, the (a, m) labels of the vertices and model).
 
-    def add(b, k, ds=0):
-        if b < 1 or k < 1 or k > cd["t_a"][b] * level - 1:
-            return
-        out.append((b, k, ds))
-
-    if family == "C":
-        r = rank
-        if a <= r - 2:
-            add(a - 1, m)
-            add(a + 1, m)
-        elif a == r - 1:
-            add(r - 2, m)
-            if m % 2 == 0:
-                add(r, m // 2, -1)
-                add(r, m // 2, +1)
-            else:
-                add(r, (m - 1) // 2)
-                add(r, (m + 1) // 2)
-        else:
-            add(r - 1, 2 * m)
-    elif family == "F4":
-        if a == 1:
-            add(2, m)
-        elif a == 2:
-            add(1, m)
-            add(3, 2 * m)
-        elif a == 3:
-            if m % 2 == 0:
-                add(2, m // 2, -1)
-                add(2, m // 2, +1)
-            else:
-                add(2, (m - 1) // 2)
-                add(2, (m + 1) // 2)
-            add(4, m)
-        else:
-            add(3, m)
-    elif family == "G2":
-        if a == 1:
-            add(2, 3 * m)
-        else:
-            q, rem = divmod(m, 3)
-            if rem == 0:
-                add(1, q, -2)
-                add(1, q)
-                add(1, q, +2)
-            elif rem == 1:
-                add(1, q, -1)
-                add(1, q, +1)
-                add(1, q + 1)
-            else:
-                add(1, q)
-                add(1, q + 1, -1)
-                add(1, q + 1, +1)
-    else:
-        raise ValueError(f"unknown family {family!r}")
-    return out
-
-
-def transpose_factors(family, rank, level):
-    """The Y-relation numerators, built in one pass over g_factors.
-
-    Returns {(a, m): [(b, k, ds)]}: the factors (1+Y^{(b)}_k(u+ds/t)) in the
-    numerator of the Y-relation at (a, m, u), listed in ascending (b, k).
+    Raises ValueError, naming the point, when the arrows out of a point are
+    not its rows m+-1 inside the grid, when two points of one (a, m) differ,
+    and when a vertex or a row of the grid has no point.
     """
-    cd = cartan_data(family, rank)
-    rows = [(a, m) for a in range(1, rank + 1) for m in range(1, cd["t_a"][a] * level)]
-    out = {row: [] for row in rows}
-    for b, k in rows:
-        for a, m, ds in g_factors(family, rank, level, b, k):
+    t, sets, labels = schedule.t, schedule.sets, schedule.labels
+    t_a, level = schedule.model.cartan["t_a"], schedule.model.spec.level
+    last = {w: s for s in range(-len(sets), 0) for w in sets[s]}  # the period before time 0
+    if len(last) != len(labels):
+        raise ValueError(f"the vertices {sorted(set(range(len(labels))) - set(last))} are never mutated")
+    g = {}
+    for s, (ks, B) in enumerate(zip(sets, schedule.matrices)):
+        for v in ks:
+            a, m = labels[v]
+            out, into = [], []
+            for w in np.flatnonzero(B[v]).tolist():
+                b, k = labels[w]
+                (out if B[v, w] > 0 else into).append((b, k, last[w] + t // t_a[b] - s))
+            out.sort()
+            into.sort()
+            adjacent = [(a, k, 0) for k in (m - 1, m + 1) if 0 < k < t_a[a] * level]
+            if out != adjacent:
+                raise ValueError(f"the arrows out of vertex {v} at s={s} reach {out}, not {adjacent}")
+            if g.setdefault((a, m), into) != into:
+                raise ValueError(f"vertex {v} at s={s} gives ({a}, {m}) the factors {into}, not {g[a, m]}")
+        last.update((v, s) for v in ks)
+    rows = [(a, m) for a in sorted(t_a) for m in range(1, t_a[a] * level)]
+    if sorted(g) != rows:
+        raise ValueError(f"the grid rows and the labels of the mutation points differ at {sorted(set(g) ^ set(rows))}")
+    return {row: g[row] for row in rows}
+
+
+def transpose_factors(g):
+    """The Y-relation numerators of a g_factors table, in one pass over it:
+    {(a, m): [(b, k, ds)]}, the factors (1+Y^{(b)}_k(u+ds/t)) in the
+    numerator of the Y-relation at (a, m, u), in ascending (b, k)."""
+    out = {row: [] for row in g}
+    for (b, k), factors in g.items():
+        for a, m, ds in factors:
             out[(a, m)].append((b, k, -ds))
     return out

@@ -3,11 +3,12 @@
 A run carries a cluster tuple x and (in tracked mode) a coefficient tuple
 y through the mutation schedule and records the full tuples at every time,
 in one array indexed by time.  One indexed assignment at its mutation
-points fills the labelled arrays T[a, m, s] and Y[a, m, s]
-(schedule.column_fold names the node a of each point).  Residual checks
-then certify the recursion relations and the periodicity claims row by
-row on slices of those arrays; they are initialization-free in the sense
-that any positive starting data must satisfy them.
+points fills the labelled arrays T[a, m, s] and Y[a, m, s] (the schedule's
+labels name the (a, m) of each point).  Residual checks then certify the
+recursion relations and the periodicity claims row by row on slices of
+those arrays; they are initialization-free in the sense that any positive
+starting data must satisfy them.  The relations are the tables of the
+schedule (Schedule.g, Schedule.numerators), read off its exchange matrices.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ import numpy as np
 # of the start-up, so that the first run does not pay for it
 import numpy.random  # noqa: F401
 
-from .gfun import g_factors, transpose_factors
-from .schedule import column_fold, run_schedule
+from .schedule import run_schedule
 
 
 def real_plus1(L):
@@ -69,7 +69,7 @@ class NumericRun:
         self.lo_s, self.hi_s = lo_s, hi_s
         self.tops = {a: t_a * level for a, t_a in cd["t_a"].items()}
         self.lags = {a: self.t // t_a for a, t_a in cd["t_a"].items()}
-        self.rows = [(a, m) for a, top in self.tops.items() for m in range(1, top)]
+        self.rows = list(schedule.g)
         self._fill(lo_s - self.t)  # T of a point at s sits at s - t/t_a >= lo_s - t
 
     def _fill(self, s0):
@@ -79,9 +79,7 @@ class NumericRun:
         self.T[0] = 1.0
         for a, top in self.tops.items():
             self.T[a, [0, top]] = 1.0
-        pos = [self.model.position(v) for v in range(self.model.n)]
-        node = np.array([column_fold(self.spec.family, self.spec.rank, col) for col, _ in pos])
-        row = np.array([m for _, m in pos])
+        node, row = np.array(self.schedule.labels).T
         lag = np.array([self.lags[a] for a in node])
         s, v = self.schedule.points(self.lo_s, self.hi_s + 1)
         self.T[node[v], row[v], s - lag[v] - s0] = self.x[s - self.lo_s, v]
@@ -109,14 +107,13 @@ class NumericRun:
     def t_residuals(self):
         """Relative residuals of the cluster-variable recursion at all P'+
         centers inside one period (coefficient-free in untracked mode)."""
-        fam, rank, lev = self.spec.family, self.spec.rank, self.spec.level
         out = []
         for a, m in self.rows:
             s, dt = self._times(self.Y, a, m, 0, self.full_s), self.lags[a]
             lhs = self._at(self.T, a, m, s - dt) * self._at(self.T, a, m, s + dt)
             adj = self._at(self.T, a, m - 1, s) * self._at(self.T, a, m + 1, s)
             mon = 1.0
-            for b, k, ds in g_factors(fam, rank, lev, a, m):
+            for b, k, ds in self.schedule.g[(a, m)]:
                 mon *= self._at(self.T, b, k, s + ds)
             if self.tracked:
                 yk = self._at(self.Y, a, m, s)
@@ -130,7 +127,7 @@ class NumericRun:
         """Relative residuals of the coefficient recursion at all P+ centers."""
         if not self.tracked:
             raise ValueError("coefficient residuals need a tracked run")
-        numerators = transpose_factors(self.spec.family, self.spec.rank, self.spec.level)
+        numerators = self.schedule.numerators
         out = []
         for a, m in self.rows:
             s, dt = self._times(self.T, a, m, 0, self.full_s), self.lags[a]

@@ -70,9 +70,6 @@ class Quiver:
         src, dst = np.nonzero(self.B > 0)
         return list(zip(src.tolist(), dst.tolist()))
 
-    def adjacent(self, i, j):
-        return self.B[i, j] != 0
-
     def __eq__(self, other):
         return isinstance(other, Quiver) and np.array_equal(self.B, other.B)
 
@@ -98,23 +95,22 @@ class Quiver:
         return Quiver(Bp, self.meta, strict=self.strict)
 
     def composite_mutate(self, vertices):
-        """Mutate simultaneously at a pairwise disconnected vertex set.
-
-        The vertices must be pairwise non-adjacent, so the order of the
-        individual mutations is immaterial; this is asserted.
+        """Mutate simultaneously at a pairwise non-adjacent vertex set ks (this
+        is asserted), so the order of the mutations is immaterial and they are
+        one update: B' = B + [P]+[R]+ - [-P]+[-R]+ with P = B[:, ks] and
+        R = B[ks, :], and then the rows and columns in ks negated.
         """
-        vs = list(vertices)
-        for a in range(len(vs)):
-            for b in range(a + 1, len(vs)):
-                if self.adjacent(vs[a], vs[b]):
-                    raise ValueError(
-                        f"composite mutation set contains adjacent vertices "
-                        f"{vs[a]} and {vs[b]}"
-                    )
-        Q = self
-        for k in vs:
-            Q = Q.mutate(k)
-        return Q
+        ks = list(vertices)
+        B = self.B
+        inner = np.argwhere(B[np.ix_(ks, ks)])
+        if len(inner):  # the first pair (i, j) in row order has i < j
+            i, j = inner[0]
+            raise ValueError(f"composite mutation set contains adjacent vertices {ks[i]} and {ks[j]}")
+        P, R = B[:, ks], B[ks, :]
+        Bp = B + np.maximum(P, 0) @ np.maximum(R, 0) - np.maximum(-P, 0) @ np.maximum(-R, 0)
+        Bp[ks, :] = -R
+        Bp[:, ks] = -P
+        return Quiver(Bp, self.meta, strict=self.strict)
 
     # -- symmetry actions --------------------------------------------------
 

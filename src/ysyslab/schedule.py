@@ -30,6 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from .builders import ROMAN, involutions
+from .gfun import g_factors, transpose_factors
 from .quiver import FILL_BULLET, FILL_CIRCLE
 
 
@@ -126,10 +127,13 @@ def slot_matrices(model, sets):
 
 class Schedule:
     """The verified schedule of one case: its model, the vertex sets of the
-    2t slots and the exchange matrix at each slot.
+    2t slots, the exchange matrix at each slot, the (a, m) label of each
+    vertex, and the T- and Y-relation tables read off them (g and its
+    transpose numerators, see gfun).
 
-    Making one runs slot_matrices, which raises ScheduleError on a mismatch,
-    so holding a Schedule means its one-period check has passed.  Instances
+    Making one runs slot_matrices and g_factors, and raises ScheduleError on
+    a quiver mismatch or an exchange relation not of T-relation shape, so
+    holding a Schedule means both one-period checks have passed.  Instances
     hash by identity.
     """
 
@@ -138,6 +142,13 @@ class Schedule:
         self.t = model.cartan["t"]
         self.sets = slot_sets(model)
         self.matrices = slot_matrices(model, self.sets)
+        fam, rank = model.spec.family, model.spec.rank
+        self.labels = [(column_fold(fam, rank, col), m) for col, m in map(model.position, range(model.n))]
+        try:
+            self.g = g_factors(self)
+        except ValueError as err:
+            raise ScheduleError(f"no T-relation (family {fam}, rank {rank}, level {model.spec.level}): {err}") from err
+        self.numerators = transpose_factors(self.g)
 
     def points(self, s_lo, s_hi):
         """The mutation points (s, v) with s_lo <= s < s_hi, as two int arrays

@@ -9,7 +9,7 @@ import numbers
 from dataclasses import asdict, dataclass, field
 
 from .builders import FamilySpec, build, cartan_data
-from .dilog import check_DI, check_functional_DI
+from .dilog import check_functional_DI, constant_DI
 from .mutclass import search_equivalence
 from .numeric import run_pairs, tropical_shadow_mismatches, worst_errors
 from .quiver import find_isomorphism
@@ -113,7 +113,7 @@ def _case_rows(case, cfg):
     shadow = tropical_shadow_mismatches(trop, seed=cfg["seeds"][0])
     row("tropical-shadow", not shadow, "small-parameter-slopes", mismatches=len(shadow))
 
-    rows.append(_constant_dilog_row(family, rank, level, cfg))
+    rows.append(_constant_dilog_row(case, cfg, sched))
     rep = check_functional_DI([tracked for tracked, _ in pairs])
     ok = rep["max_deviation"] < cfg["functional_tol"] and rep["seed_spread"] < cfg["functional_tol"]
     row(
@@ -145,17 +145,22 @@ def _pair_rows(pair, cfg):
     ]
 
 
-def _constant_dilog_row(family, rank, level, cfg):
-    lhs, rhs, err = check_DI(family, rank, level)
+def _constant_dilog_row(case, cfg, sched=None):
+    """The dilog-constant row of a case on its verified Schedule, which is
+    built here when not given; a ScheduleError makes a failing row."""
+    cid = _case_id(*case)
+    try:
+        lhs, rhs, err = constant_DI(sched or Schedule(build(FamilySpec(*case))))
+    except ScheduleError as error:
+        return _row(cid, "dilog-constant", False, "constant-dilog-identity", error=str(error))
     return _row(
-        _case_id(family, rank, level), "dilog-constant", err < cfg["dilog_tol"], "constant-dilog-identity",
-        lhs=lhs, rhs=rhs, abs_error=err,
+        cid, "dilog-constant", err < cfg["dilog_tol"], "constant-dilog-identity", lhs=lhs, rhs=rhs, abs_error=err
     )
 
 
 def _extra_dilog_rows(cfg):
     families = sorted({(f, r) for f, r, _ in cfg["cases"]})
-    return [_constant_dilog_row(f, r, lev, cfg) for lev in cfg["extra_dilog_levels"] for f, r in families]
+    return [_constant_dilog_row((f, r, lev), cfg) for lev in cfg["extra_dilog_levels"] for f, r in families]
 
 
 def _lists(v, depth):

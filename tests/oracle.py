@@ -8,10 +8,16 @@ brute-force reference for quiver.find_isomorphism, and matrix_refine_colors
 and matrix_canonical_key, which read the exchange matrix entry by entry, the
 reference for quiver.refine_colors and mutclass.canonical_key.  quiver_from_json
 reads back what Quiver.to_json writes, and compose_perms composes vertex
-permutations.  damped_constant_Y, a damped fixed-point loop over the
-constant relations, is the reference for the Newton solve of
-dilog.solve_constant_Y, and constant_residuals measures how far a solution
-is from those relations.  rogers_L_quad, adaptive quadrature of the
+permutations.
+
+g_factors and transpose_factors, the T- and Y-relation tables typed out
+family by family as printed, are the reference for gfun.g_factors and
+gfun.transpose_factors, which read them off the verified schedule.
+constant_relations drops their time shifts.  damped_constant_Y, a damped
+fixed-point loop over those printed constant relations, is the reference
+for the Newton solve of dilog.solve_constant_Y on the derived ones, and
+constant_residuals measures how far a solution is from the printed
+relations.  rogers_L_quad, adaptive quadrature of the
 defining integral, is the reference for the Bernoulli series of
 dilog.rogers_L; it is the only user of scipy, which the tests need and
 ysyslab itself does not.
@@ -40,7 +46,6 @@ import numpy as np
 from scipy import integrate
 
 from ysyslab.builders import cartan_data, dynkin_edges
-from ysyslab.dilog import constant_relations
 from ysyslab.quiver import Quiver, Vertex
 from ysyslab.roots import RootSystem, SigmaMap, neg_simple
 from ysyslab.schedule import slot_sets
@@ -204,8 +209,96 @@ def rogers_L_quad(x):
     return -0.5 * val
 
 
+def g_factors(family, rank, level, a, m):
+    """Neighbour factors (b, k, ds) of the T-relation centered at (a, m, u),
+    as printed, with the boundary factors (index 0, component 0, or top row
+    t_b*level) dropped."""
+    cd = cartan_data(family, rank)
+    out = []
+
+    def add(b, k, ds=0):
+        if b < 1 or k < 1 or k > cd["t_a"][b] * level - 1:
+            return
+        out.append((b, k, ds))
+
+    if family == "C":
+        r = rank
+        if a <= r - 2:
+            add(a - 1, m)
+            add(a + 1, m)
+        elif a == r - 1:
+            add(r - 2, m)
+            if m % 2 == 0:
+                add(r, m // 2, -1)
+                add(r, m // 2, +1)
+            else:
+                add(r, (m - 1) // 2)
+                add(r, (m + 1) // 2)
+        else:
+            add(r - 1, 2 * m)
+    elif family == "F4":
+        if a == 1:
+            add(2, m)
+        elif a == 2:
+            add(1, m)
+            add(3, 2 * m)
+        elif a == 3:
+            if m % 2 == 0:
+                add(2, m // 2, -1)
+                add(2, m // 2, +1)
+            else:
+                add(2, (m - 1) // 2)
+                add(2, (m + 1) // 2)
+            add(4, m)
+        else:
+            add(3, m)
+    elif family == "G2":
+        if a == 1:
+            add(2, 3 * m)
+        else:
+            q, rem = divmod(m, 3)
+            if rem == 0:
+                add(1, q, -2)
+                add(1, q)
+                add(1, q, +2)
+            elif rem == 1:
+                add(1, q, -1)
+                add(1, q, +1)
+                add(1, q + 1)
+            else:
+                add(1, q)
+                add(1, q + 1, -1)
+                add(1, q + 1, +1)
+    else:
+        raise ValueError(f"unknown family {family!r}")
+    return out
+
+
+def transpose_factors(family, rank, level):
+    """The printed Y-relation numerators {(a, m): [(b, k, ds)]}, built in one
+    pass over g_factors, listed in ascending (b, k)."""
+    cd = cartan_data(family, rank)
+    rows = [(a, m) for a in range(1, rank + 1) for m in range(1, cd["t_a"][a] * level)]
+    out = {row: [] for row in rows}
+    for b, k in rows:
+        for a, m, ds in g_factors(family, rank, level, b, k):
+            out[(a, m)].append((b, k, -ds))
+    return out
+
+
+def constant_relations(family, rank, level):
+    """(numerator, denominator) factor keys of the printed constant
+    Y-relation at each (a, m): transpose_factors without the time shifts,
+    and the factors (1 + 1/Y_(a,m+-1)) inside the grid."""
+    numerators = transpose_factors(family, rank, level)
+    return {
+        (a, m): ([(b, k) for b, k, _ in num], [(a, k) for k in (m - 1, m + 1) if (a, k) in numerators])
+        for (a, m), num in numerators.items()
+    }
+
+
 def damped_constant_Y(family, rank, level):
-    """Damped fixed-point solution of the constant coefficient system.
+    """Damped fixed-point solution of the printed constant coefficient system.
 
     Iterates Y <- (1-damping)*Y + damping*sqrt(RHS(Y)) with damping 0.5 from
     the all-ones start until the largest relative update drops below 1e-13.
@@ -230,7 +323,7 @@ def damped_constant_Y(family, rank, level):
 
 
 def constant_residuals(family, rank, level, Y):
-    """|Y^2 / RHS - 1| of each constant relation at Y."""
+    """|Y^2 / RHS - 1| of each printed constant relation at Y."""
     out = {}
     for key, (num, den) in constant_relations(family, rank, level).items():
         rhs = math.prod([1.0 + Y[f] for f in num]) / math.prod([1.0 + 1.0 / Y[f] for f in den])

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from tests.conftest import CASES, cached_dynamics, cached_numeric, cached_tropical
+from tests.conftest import CASES, cached_dynamics, cached_numeric, cached_schedule, cached_tropical
 from tests.oracle import D4_OUTER_EDGES, total_points
 from ysyslab.builders import FamilySpec, build, dynkin_edges
 from ysyslab.dilog import (
@@ -214,10 +214,11 @@ def test_criterion_10_property_suite():
     assert np.max(np.abs(rogers_L(xs) + rogers_L(1.0 - xs) - np.pi**2 / 6)) < 1e-12
 
     # constant fixed point is unique across starts
-    base = solve_constant_Y("C", 3, 2)
+    sched = cached_schedule("C", 3, 2)
+    base = solve_constant_Y(sched)
     for _ in range(20):
         start = {k: float(rng.uniform(0.1, 10.0)) for k in base}
-        other = solve_constant_Y("C", 3, 2, start=start)
+        other = solve_constant_Y(sched, start=start)
         assert max(abs(other[k] - base[k]) / base[k] for k in base) < 1e-10
 
     # tally total and level-rank duality

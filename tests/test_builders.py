@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from tests.conftest import cached_model
@@ -44,6 +45,10 @@ def test_invalid_specs():
         FamilySpec("F4", 3, 2)
     with pytest.raises(ValueError):
         FamilySpec("X9", 2, 2)
+    for rank, level in ((2.0, 2), (2, 3.0), (True, 2), (2, "3")):
+        with pytest.raises(ValueError, match="must be an integer"):
+            FamilySpec("C", rank, level)
+    assert FamilySpec("C", np.int64(2), 2).rank == 2
 
 
 def arrows_by_position(model):

@@ -227,6 +227,44 @@ def test_suite_validates_cases_before_work(config, bad, monkeypatch):
         run_suite(config)
 
 
+NON_INTEGER_CONFIGS = [
+    ({"cases": [["C", 2, 3.0]]}, "C:2:3.0: the level must be an integer"),
+    ({"cases": [["C", 2, 2]], "extra_dilog_levels": [2.5]}, "C:2:2.5: the level must be an integer"),
+    ({"cases": [], "pairs": [[["C", 3, 2.0], ["D", 4, 3]]]}, "C:3:2.0: the level must be an integer"),
+]
+
+
+@pytest.mark.parametrize("config,message", NON_INTEGER_CONFIGS)
+def test_suite_rejects_non_integer_rank_or_level(config, message, tmp_path, capsys):
+    # a float rank or level would reach the builders' range() calls; it is a
+    # config error, and the command line reports it without a traceback
+    with pytest.raises(ValueError, match=message):
+        suite.resolve_config(config)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    with pytest.raises(SystemExit) as err:
+        main(["suite", "--config", str(cfg)])
+    assert err.value.code == 2
+    stderr = capsys.readouterr().err
+    assert message in stderr and "Traceback" not in stderr
+
+
+def test_extra_level_schedule_error_is_a_fail_row(monkeypatch):
+    # an extra-level constant row verifies its own schedule; a globally
+    # opposite quiver passes the quiver cycle but not the T-relation shape,
+    # and the row fails with the error instead of raising
+    def opposite_at_level_3(spec):
+        m = builders.build(spec)
+        return type(m)(m.spec, m.quiver.opposite(), dict(m.index)) if spec.level == 3 else m
+
+    monkeypatch.setattr(suite, "build", opposite_at_level_3)
+    rows = run_suite({"cases": [["C", 2, 2]], "pairs": [], "seeds": [0], "extra_dilog_levels": [3]})
+    (row,) = [r for r in rows if r.case == "C:2:3"]
+    assert (row.check, row.status) == ("dilog-constant", "fail")
+    assert list(row.metrics) == ["error"] and "arrows out of vertex" in row.metrics["error"]
+    assert all(r.status == "pass" for r in rows if r.case == "C:2:2")
+
+
 def test_suite_accepts_numpy_and_tuple_values():
     cfg = suite.resolve_config(
         {"cases": (("C", 2, 2),), "seeds": (np.int64(3),), "dilog_tol": np.float64(1e-8), "depth_cap": np.int64(4)}

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from tests.conftest import CASES, cached_numeric
+from tests.conftest import CASES, cached_numeric, cached_schedule
 from tests.oracle import (
     constant_residuals,
     damped_constant_Y,
@@ -17,6 +17,7 @@ from ysyslab import dilog
 from ysyslab.dilog import (
     check_DI,
     check_functional_DI,
+    constant_DI,
     constant_relations,
     constant_system,
     di_rhs_exact,
@@ -78,7 +79,7 @@ def test_non_finite_input_raises(bad):
 
 def test_constant_solution_positive_with_tiny_residuals():
     for family, rank, level in [("C", 2, 2), ("C", 4, 3), ("F4", 4, 2), ("G2", 2, 3)]:
-        Y = solve_constant_Y(family, rank, level)
+        Y = solve_constant_Y(cached_schedule(family, rank, level))
         assert all(v > 0 for v in Y.values())
         assert max(constant_residuals(family, rank, level, Y).values()) < 1e-12
 
@@ -87,8 +88,9 @@ def test_constant_relation_structure():
     # the long-root relation carries the doubled middle factor, and the G2
     # thin-row relation carries exponents 1,2,3,2,1 on its five factors
     def rhs(family, rank, level, key):
-        keys, N, D = constant_system(family, rank, level)
-        Y = solve_constant_Y(family, rank, level)
+        sched = cached_schedule(family, rank, level)
+        keys, N, D = constant_system(sched)
+        Y = solve_constant_Y(sched)
         y = np.array([Y[k] for k in keys])
         i = keys.index(key)
         return np.prod((1 + y) ** N[i]) / np.prod((1 + 1 / y) ** D[i]), Y
@@ -112,16 +114,17 @@ def test_constant_relation_structure():
 
 def test_constant_system_counts_repeated_factors():
     for family, rank, level in CASES:
-        keys, N, D = constant_system(family, rank, level)
-        for i, (num, den) in enumerate(constant_relations(family, rank, level).values()):
+        sched = cached_schedule(family, rank, level)
+        keys, N, D = constant_system(sched)
+        for i, (num, den) in enumerate(constant_relations(sched).values()):
             assert N[i].sum() == len(num) and D[i].sum() == len(den)
-    keys, N, _ = constant_system("G2", 2, 2)
+    keys, N, _ = constant_system(cached_schedule("G2", 2, 2))
     assert N[keys.index((1, 1)), keys.index((2, 3))] == 3
 
 
 @pytest.mark.parametrize("family,rank,level", CASES)
 def test_newton_matches_damped_oracle(family, rank, level):
-    Y = solve_constant_Y(family, rank, level)
+    Y = solve_constant_Y(cached_schedule(family, rank, level))
     ref = damped_constant_Y(family, rank, level)
     assert Y.keys() == ref.keys()
     assert max(abs(Y[k] - ref[k]) / ref[k] for k in ref) <= 1e-10
@@ -143,7 +146,7 @@ def test_solver_raises_when_not_converged(monkeypatch):
     real = dilog._constant_F
     monkeypatch.setattr(dilog, "_constant_F", lambda N, D, z: np.abs(real(N, D, z)) + 1e-9)
     with pytest.raises(RuntimeError, match="did not converge"):
-        solve_constant_Y("C", 2, 2)
+        solve_constant_Y(cached_schedule("C", 2, 2))
 
 
 def test_check_DI_returns_three_floats():
@@ -155,16 +158,17 @@ def test_check_DI_returns_three_floats():
         lhs, rhs, err = result
         assert rhs == float(di_rhs_exact(*case))
         assert err == abs(lhs - rhs)
+        assert constant_DI(cached_schedule(*case)) == result
 
 
 def test_uniqueness_from_many_starts():
     rng = np.random.default_rng(9)
-    family, rank, level = "G2", 2, 3
-    base = solve_constant_Y(family, rank, level)
+    sched = cached_schedule("G2", 2, 3)
+    base = solve_constant_Y(sched)
     keys = sorted(base)
     for _ in range(20):
         start = {k: float(rng.uniform(0.1, 10.0)) for k in keys}
-        other = solve_constant_Y(family, rank, level, start=start)
+        other = solve_constant_Y(sched, start=start)
         rel = max(abs(other[k] - base[k]) / base[k] for k in keys)
         assert rel < 1e-10
 

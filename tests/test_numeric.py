@@ -3,10 +3,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from tests import oracle
 from tests.conftest import CASES, cached_model, cached_numeric, cached_schedule, cached_tropical
 from tests.oracle import NumericSeedPayload, grid_points, label_g, label_g_prime, run_payload
 from ysyslab import numeric
-from ysyslab.gfun import g_factors, transpose_factors
+from ysyslab.gfun import transpose_factors
 from ysyslab.numeric import (
     NumericRun,
     real_plus1,
@@ -17,52 +18,76 @@ from ysyslab.numeric import (
 from ysyslab.schedule import column_fold, mutate_slot, run_schedule, slot_sets
 from ysyslab.tropical import TropicalRun
 
+def derived_g(family, rank, level, a, m):
+    """The derived T-relation factors of (a, m)."""
+    return cached_schedule(family, rank, level).g[(a, m)]
+
+
 def test_g_factors_tables():
     # shifts are integers in scaled time: one unit is 1/2 for C and F4 (t=2)
     # and 1/3 for G2 (t=3)
     # long-root row couples to the doubled row below it
-    assert g_factors("C", 3, 2, 3, 1) == [(2, 2, 0)]
+    assert derived_g("C", 3, 2, 3, 1) == [(2, 2, 0)]
     # short chain rows couple to both neighbours, boundary dropped
-    assert g_factors("C", 4, 2, 1, 1) == [(2, 1, 0)]
-    assert set(g_factors("C", 4, 2, 2, 1)) == {(1, 1, 0), (3, 1, 0)}
+    assert derived_g("C", 4, 2, 1, 1) == [(2, 1, 0)]
+    assert set(derived_g("C", 4, 2, 2, 1)) == {(1, 1, 0), (3, 1, 0)}
     # the doubled row splits by parity: even rows reach across half-steps
-    assert g_factors("C", 3, 3, 2, 2) == [(1, 2, 0), (3, 1, -1), (3, 1, 1)]
-    assert g_factors("C", 3, 3, 2, 1) == [(1, 1, 0), (3, 1, 0)]
-    assert g_factors("C", 3, 3, 2, 5) == [(1, 5, 0), (3, 2, 0)]
+    assert derived_g("C", 3, 3, 2, 2) == [(1, 2, 0), (3, 1, -1), (3, 1, 1)]
+    assert derived_g("C", 3, 3, 2, 1) == [(1, 1, 0), (3, 1, 0)]
+    assert derived_g("C", 3, 3, 2, 5) == [(1, 5, 0), (3, 2, 0)]
     # G2: the tall rows couple to the thin row in three phase patterns
-    assert g_factors("G2", 2, 2, 2, 1) == [(1, 1, 0)]
-    assert g_factors("G2", 2, 2, 2, 3) == [(1, 1, -2), (1, 1, 0), (1, 1, 2)]
-    assert g_factors("G2", 2, 2, 2, 2) == [(1, 1, -1), (1, 1, 1)]
-    assert g_factors("G2", 2, 2, 1, 1) == [(2, 3, 0)]
+    assert derived_g("G2", 2, 2, 2, 1) == [(1, 1, 0)]
+    assert derived_g("G2", 2, 2, 2, 3) == [(1, 1, -2), (1, 1, 0), (1, 1, 2)]
+    assert derived_g("G2", 2, 2, 2, 2) == [(1, 1, -1), (1, 1, 1)]
+    assert derived_g("G2", 2, 2, 1, 1) == [(2, 3, 0)]
     # F4 middle rows
-    assert g_factors("F4", 4, 2, 2, 1) == [(1, 1, 0), (3, 2, 0)]
-    assert g_factors("F4", 4, 2, 3, 2) == [(2, 1, -1), (2, 1, 1), (4, 2, 0)]
-    assert all(type(ds) is int for _, _, ds in g_factors("G2", 2, 2, 2, 3))
+    assert derived_g("F4", 4, 2, 2, 1) == [(1, 1, 0), (3, 2, 0)]
+    assert derived_g("F4", 4, 2, 3, 2) == [(2, 1, -1), (2, 1, 1), (4, 2, 0)]
+    assert all(type(ds) is int for _, _, ds in derived_g("G2", 2, 2, 2, 3))
+
+
+#: C ranks 2-6 at levels 2-5, F4 at levels 2-5, G2 at levels 2-6, and four larger cases
+PRINTED_TABLE_CASES = (
+    [("C", r, lev) for r in range(2, 7) for lev in range(2, 6)]
+    + [("F4", 4, lev) for lev in range(2, 6)]
+    + [("G2", 2, lev) for lev in range(2, 7)]
+    + [("C", 8, 20), ("C", 6, 6), ("F4", 4, 8), ("G2", 2, 9)]
+)
+
+
+@pytest.mark.parametrize("family,rank,level", PRINTED_TABLE_CASES)
+def test_derived_tables_match_printed_tables(family, rank, level):
+    # the tables read off the schedule are the printed T- and Y-relations,
+    # factor for factor and in the same order
+    sched = cached_schedule(family, rank, level)
+    printed = oracle.transpose_factors(family, rank, level)
+    assert list(sched.g) == list(printed)
+    for a, m in printed:
+        assert sched.g[(a, m)] == oracle.g_factors(family, rank, level, a, m), (a, m)
+    assert sched.numerators == printed
 
 
 def test_transpose_is_adjoint():
     rng = np.random.default_rng(0)
     for family, rank, level in [("C", 3, 2), ("C", 4, 3), ("F4", 4, 2), ("G2", 2, 3)]:
-        from ysyslab.builders import cartan_data
-
-        cd = cartan_data(family, rank)
-        rows = [(a, m) for a in range(1, rank + 1) for m in range(1, cd["t_a"][a] * level)]
-        table = transpose_factors(family, rank, level)
+        sched = cached_schedule(family, rank, level)
+        rows = list(sched.g)
+        table = transpose_factors(sched.g)
         for _ in range(250):
             a, m = rows[rng.integers(len(rows))]
             b, k = rows[rng.integers(len(rows))]
             for ds in range(-2, 3):
                 lhs = table[(a, m)].count((b, k, ds))
-                rhs = g_factors(family, rank, level, b, k).count((a, m, -ds))
+                rhs = sched.g[(b, k)].count((a, m, -ds))
                 assert lhs == rhs
 
 
 def test_y_numerator_matches_printed_relations():
     # type C long-root relation: four neighbour factors across a full step
-    facs = transpose_factors("C", 3, 2)[(3, 1)]
+    facs = cached_schedule("C", 3, 2).numerators[(3, 1)]
     assert sorted(facs) == [(2, 1, 0), (2, 2, -1), (2, 2, 1), (2, 3, 0)]
     # G2 thin-row relation: nine factors spread over thirds
-    facs = transpose_factors("G2", 2, 2)[(1, 1)]
+    facs = cached_schedule("G2", 2, 2).numerators[(1, 1)]
     assert len(facs) == 9
     assert facs.count((2, 3, 0)) == 1
     assert {ds for (_, k, ds) in facs if k == 3} == {-2, 0, 2}
@@ -212,10 +237,11 @@ def test_off_grid_gather_raises(monkeypatch):
     # a factor off the parity class lands on an unfilled entry; it must
     # raise, not carry a NaN into the maxima of worst_errors
     pair = (cached_numeric("C", 2, 2, 0, True), cached_numeric("C", 2, 2, 0, False))
-    monkeypatch.setattr(numeric, "g_factors", lambda family, rank, level, a, m: [(a, m, 0)])
+    sched = pair[0].schedule
+    monkeypatch.setattr(sched, "g", {row: [(*row, 0)] for row in sched.g})
     with pytest.raises(ValueError, match=r"\(1, 1, 0/2\) is off the grid"):
         worst_errors([pair])
     monkeypatch.undo()
-    monkeypatch.setattr(numeric, "transpose_factors", lambda *args: {row: [(*row, 0)] for row in pair[0].rows})
+    monkeypatch.setattr(sched, "numerators", {row: [(*row, 0)] for row in sched.numerators})
     with pytest.raises(ValueError, match="off the grid"):
         pair[0].y_residuals()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tests.conftest import key_quivers
+from tests.conftest import CASES, cached_schedule, key_quivers
 from tests.oracle import exhaustive_isomorphism, matrix_refine_colors, quiver_from_json
 from ysyslab.quiver import (
     Quiver,
@@ -56,10 +56,21 @@ def test_mutate_out_of_range():
 
 def test_composite_requires_disconnected():
     Q = path_quiver([(0, 1), (1, 2)], 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="adjacent vertices 0 and 1"):
         Q.composite_mutate([0, 1])
+    with pytest.raises(ValueError, match="adjacent vertices 2 and 1"):  # in the order given
+        Q.composite_mutate([2, 0, 1])
     assert Q.composite_mutate([]) == Q
-    assert Q.composite_mutate([0, 2]) == Q.mutate(0).mutate(2)
+    # the one array update equals the mutations one vertex at a time on
+    # every slot set of every schedule
+    for case in CASES:
+        sched = cached_schedule(*case)
+        for ks, B in zip(sched.sets, sched.matrices, strict=True):
+            Q = Quiver(B)
+            want = Q
+            for k in ks:
+                want = want.mutate(k)
+            assert Q.composite_mutate(ks) == want, case
 
 
 def test_composite_order_independence_exhaustive():
@@ -73,7 +84,7 @@ def test_composite_order_independence_exhaustive():
         rng.shuffle(free)
         S = []
         for v in free:
-            if all(not Q.adjacent(v, w) for w in S):
+            if not Q.B[v, S].any():
                 S.append(v)
             if len(S) == 4:
                 break

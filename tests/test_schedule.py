@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -182,20 +183,23 @@ def test_numeric_run_matches_per_vertex_oracle(family, rank, level, tracked):
 
 def test_global_opposite_passes_cycle_but_flips_tropical_signs():
     # a global arrow flip commutes with mutation, so the quiver cycle alone
-    # cannot see it; the forward-window tropical positivity does
+    # cannot see it; the shape of the T-relations at the mutation points
+    # does, and so does the forward-window tropical positivity
     from ysyslab.tropical import POSITIVE, sign_classes
 
-    m = cached_model("C", 3, 2)
-    flipped = Schedule(type(m)(m.spec, m.quiver.opposite(), dict(m.index)))  # passes by the negation symmetry
-
-    def window_signs(sched):
-        E0 = np.eye(sched.model.n, dtype=np.int64)
-        Es, _ = run_schedule(sched, 0, 4, E0, tropical_plus1)
-        s, v = sched.points(0, 4)
-        return set(sign_classes(Es[s, v]).tolist())
-
-    assert window_signs(cached_schedule("C", 3, 2)) == {POSITIVE}
-    assert window_signs(flipped) != {POSITIVE}
+    for case in [("C", 3, 2), ("F4", 4, 3), ("G2", 2, 3)]:
+        good, m = cached_schedule(*case), cached_model(*case)
+        bad = type(m)(m.spec, m.quiver.opposite(), dict(m.index))
+        assert slot_sets(bad) == good.sets
+        # the one-period cycle passes by the negation symmetry
+        unverified = SimpleNamespace(t=good.t, sets=good.sets, matrices=schedule.slot_matrices(bad, good.sets))
+        with pytest.raises(ScheduleError, match="arrows out of vertex"):
+            Schedule(bad)
+        s, v = good.points(0, 2 * good.t)
+        E0 = np.eye(m.n, dtype=np.int64)
+        for sched, positive in ((good, True), (unverified, False)):
+            Es, _ = run_schedule(sched, 0, 2 * good.t, E0, tropical_plus1)
+            assert (set(sign_classes(Es[s, v]).tolist()) == {POSITIVE}) == positive, case
 
 
 def test_composite_after_first_step_gives_reflection():
