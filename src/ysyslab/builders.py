@@ -47,12 +47,19 @@ _G2_FAN = {
 }
 
 
+#: The rank of each family whose rank is fixed.
+FIXED_RANK = {"F4": 4, "G2": 2, "E6": 6}
+#: The least rank of each family whose rank is free.
+MIN_RANK = {"C": 2, "A": 1, "D": 3}
+
+
 @dataclass(frozen=True)
 class FamilySpec:
     """A build target: family in {"C","F4","G2","A","D","E6"} and level >= 2.
 
-    For "C" the rank is free (>= 2); F4 and G2 have fixed ranks 4 and 2.
-    Families "A", "D", "E6" request the square product with A_{level-1}.
+    F4, G2 and E6 have the fixed ranks of FIXED_RANK; C, A and D take any
+    rank from MIN_RANK on.  Families "A", "D", "E6" request the square
+    product with A_{level-1}.
     """
 
     family: str
@@ -66,15 +73,11 @@ class FamilySpec:
                 raise ValueError(f"the {name} must be an integer, not {value!r}")
         if self.level < 2:
             raise ValueError("level must be >= 2")
-        if self.family == "C" and self.rank < 2:
-            raise ValueError("type C needs rank >= 2")
-        if self.family == "F4" and self.rank != 4:
-            raise ValueError("type F4 has rank 4")
-        if self.family == "G2" and self.rank != 2:
-            raise ValueError("type G2 has rank 2")
-        if self.family == "E6" and self.rank != 6:
-            raise ValueError("type E6 has rank 6")
-        if self.family not in ("C", "F4", "G2", "A", "D", "E6"):
+        if self.family in FIXED_RANK and self.rank != FIXED_RANK[self.family]:
+            raise ValueError(f"type {self.family} has rank {FIXED_RANK[self.family]}")
+        if self.family in MIN_RANK and self.rank < MIN_RANK[self.family]:
+            raise ValueError(f"type {self.family} needs rank >= {MIN_RANK[self.family]}")
+        if self.family not in FIXED_RANK and self.family not in MIN_RANK:
             raise ValueError(f"unknown family {self.family!r}")
 
 
@@ -82,8 +85,8 @@ def cartan_data(family, rank=None):
     """Coxeter data (h, h_dual), scaling numbers t/t_a, and dim of the Lie algebra."""
     if family == "C":
         r = rank
-        if r is None or r < 2:
-            raise ValueError("type C needs a rank >= 2")
+        if r is None or r < MIN_RANK["C"]:
+            raise ValueError(f"type C needs rank >= {MIN_RANK['C']}")
         t_a = {a: 2 for a in range(1, r)}
         t_a[r] = 1
         return {"h": 2 * r, "h_dual": r + 1, "t": 2, "t_a": t_a, "dim": r * (2 * r + 1)}
@@ -267,8 +270,6 @@ def dynkin_edges(family, rank):
     if family == "A":
         return [(i, i + 1) for i in range(1, rank)]
     if family == "D":
-        if rank < 3:
-            raise ValueError("type D needs rank >= 3")
         return [(i, i + 1) for i in range(1, rank - 1)] + [(rank - 2, rank)]
     if family == "E6":
         return [(1, 2), (2, 3), (3, 5), (5, 6), (3, 4)]

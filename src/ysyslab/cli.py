@@ -9,10 +9,10 @@ import math
 from fractions import Fraction
 
 
-from .builders import FamilySpec, build
+from .builders import FIXED_RANK, FamilySpec, build
 from .dilog import check_functional_DI, constant_DI
 from .mutclass import search_equivalence
-from .numeric import NumericRun, run_pairs, worst_errors
+from .numeric import NumericRun, worst_errors
 from .quiver import find_isomorphism
 from .roots import format_d_symbol, level2_core, pl_dynamics
 from .schedule import TRANSFORMS, Schedule
@@ -126,8 +126,8 @@ def _cmd_tropical(args):
 
 
 def _cmd_numeric(args):
-    pairs = run_pairs(Schedule(build(args.spec)), range(args.seeds))
-    worst_res, worst_per = worst_errors(pairs)
+    sched, seeds = Schedule(build(args.spec)), tuple(range(args.seeds))
+    worst_res, worst_per = worst_errors(NumericRun(sched, seeds), NumericRun(sched, seeds, tracked=False))
     _emit(
         {
             "case": f"{args.family}:{args.rank}:{args.level}",
@@ -151,7 +151,7 @@ def _cmd_orbits(args):
     elif args.rank is not None:
         raise UsageError(f"--sigma {args.sigma} takes no --rank")
     else:
-        spec, fmt = FamilySpec(args.sigma, {"F4": 4, "G2": 2}[args.sigma], 2), str
+        spec, fmt = FamilySpec(args.sigma, FIXED_RANK[args.sigma], 2), str
     mdl = build(spec)
     sig, _ = pl_dynamics(Schedule(mdl), level2_core(mdl))
     for orbit in sig.orbit_decomposition():
@@ -163,17 +163,20 @@ def _cmd_dilog(args):
     lhs, rhs, err = constant_DI(sched)
     out = {"constant": {"lhs": lhs, "rhs": rhs, "abs_error": err}}
     if args.functional:
-        runs = [NumericRun(sched, seed=seed) for seed in range(5)]
-        out["functional"] = check_functional_DI(runs)
+        out["functional"] = check_functional_DI(NumericRun(sched, tuple(range(5))))
     _emit(out, args.out)
 
 
 def _cmd_mutclass(args):
     Q1 = build(args.left).quiver
     Q2 = build(args.right).quiver
-    res = search_equivalence(Q1, Q2, depth_cap=args.depth, node_cap=args.nodes)
+    out = {"found": False, "depth_cap": args.depth, "node_cap": args.nodes}
+    try:
+        res = search_equivalence(Q1, Q2, depth_cap=args.depth, node_cap=args.nodes)
+    except ValueError as err:  # a quiver past canonical_key's size or entry bound
+        res, out["error"] = None, str(err)
     if res is None:
-        _emit({"found": False, "depth_cap": args.depth, "node_cap": args.nodes})
+        _emit(out)
         raise SystemExit(2)
     path, _ = res
     iso = find_isomorphism(path.replay(), Q2)
@@ -251,7 +254,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
     if getattr(args, "family", None):
         if args.rank is None:
-            args.rank = {"C": 3, "F4": 4, "G2": 2, "E6": 6}.get(args.family, 3)
+            args.rank = FIXED_RANK.get(args.family, 3)
         try:
             args.spec = FamilySpec(args.family, args.rank, args.level)
         except ValueError as err:

@@ -158,26 +158,27 @@ def check_DI(family, rank, level):
 def functional_sums(run: NumericRun):
     """Normalized dilogarithm sums over one period of labelled coefficients.
 
-    Returns (S_minus, S_plus) with S_minus = (6/pi^2) * sum L(y/(1+y)) and
-    S_plus the companion sum of L(1/(1+y)); they target the negative and
-    positive tropical tallies respectively.
+    Returns one row (S_minus, S_plus) per seed of the run, with
+    S_minus = (6/pi^2) * sum L(y/(1+y)) and S_plus the companion sum of
+    L(1/(1+y)); they target the negative and positive tropical tallies
+    respectively.  Each seed's sum runs along its own contiguous row.
     """
     ys = run.labelled_coefficients(0, run.full_s)
-    s_minus = 6.0 / np.pi**2 * float(np.sum(rogers_L(ys / (1.0 + ys))))
-    s_plus = 6.0 / np.pi**2 * float(np.sum(rogers_L(1.0 / (1.0 + ys))))
-    return s_minus, s_plus
+    s_minus = 6.0 / np.pi**2 * np.sum(rogers_L(ys / (1.0 + ys)), axis=1)
+    s_plus = 6.0 / np.pi**2 * np.sum(rogers_L(1.0 / (1.0 + ys)), axis=1)
+    return np.stack([s_minus, s_plus], axis=1)
 
 
-def check_functional_DI(runs):
-    """Functional identities across tracked NumericRuns of one case, one per
-    random initialization.
+def check_functional_DI(run):
+    """Functional identities of a tracked NumericRun of one case, over its
+    random seeds.
 
-    Returns a dict with the per-run sums, the worst deviation from the
-    tropical tallies (N-, N+), and the spread across runs.
+    Returns a dict with the per-seed sums, the worst deviation from the
+    tropical tallies (N-, N+), and the spread across seeds.
     """
-    spec = runs[0].spec
+    spec = run.spec
     npos, nneg = expected_counts(spec.family, spec.rank, spec.level)
-    sums = np.array([functional_sums(run) for run in runs])
+    sums = functional_sums(run)
     dev_minus = float(np.max(np.abs(sums[:, 0] - nneg)))
     dev_plus = float(np.max(np.abs(sums[:, 1] - npos)))
     spread = float(max(np.ptp(sums[:, 0]), np.ptp(sums[:, 1])))

@@ -1,14 +1,15 @@
 """Coefficient and cluster dynamics over positive reals along the schedule.
 
-A run carries a cluster tuple x and (in tracked mode) a coefficient tuple
-y through the mutation schedule and records the full tuples at every time,
-in one array indexed by time.  One indexed assignment at its mutation
-points fills the labelled arrays T[a, m, s] and Y[a, m, s] (the schedule's
-labels name the (a, m) of each point).  Residual checks then certify the
-recursion relations and the periodicity claims row by row on slices of
-those arrays; they are initialization-free in the sense that any positive
-starting data must satisfy them.  The relations are the tables of the
-schedule (Schedule.g, Schedule.numerators), read off its exchange matrices.
+A run carries cluster tuples x and (in tracked mode) coefficient tuples y
+through the mutation schedule, one column per random seed, and records the
+full tuples at every time, in one array indexed by time.  One indexed
+assignment at its mutation points fills the labelled arrays T[a, m, s] and
+Y[a, m, s] (the schedule's labels name the (a, m) of each point).  Residual
+checks then certify the recursion relations and the periodicity claims row
+by row on slices of those arrays, every seed at once; they are
+initialization-free in the sense that any positive starting data must
+satisfy them.  The relations are the tables of the schedule (Schedule.g,
+Schedule.numerators), read off its exchange matrices.
 """
 
 from __future__ import annotations
@@ -36,33 +37,37 @@ def trivial_plus1(L):
 
 
 class NumericRun:
-    """Labelled values of one schedule run over a window around one period.
+    """Labelled values of one schedule run over a window around one period,
+    one column per seed.
 
-    The run record x[s - lo_s] (and y[s - lo_s] in a tracked run) holds the
-    cluster (and coefficient) tuple at time s, for lo_s <= s <= hi_s.
-    T[a, m, s - s0] and Y[a, m, s - s0] hold T^{(a)}_m(s/t) and
-    Y^{(a)}_m(s/t).  T is filled on the P+ grid and is 1 on the boundary
-    rows (a = 0, m = 0 and m = t_a*level); Y is filled on the P'+ grid, with
-    1 throughout a coefficient-free run.  Every other entry is NaN.  The run
-    is driven by a verified schedule.Schedule.
+    The run record x[s - lo_s, v, j] (and y[s - lo_s, v, j] in a tracked run)
+    holds the cluster (and coefficient) value of vertex v at time s from
+    seeds[j], for lo_s <= s <= hi_s.  T[a, m, s - s0, j] and
+    Y[a, m, s - s0, j] hold T^{(a)}_m(s/t) and Y^{(a)}_m(s/t).  T is filled
+    on the P+ grid and is 1 on the boundary rows (a = 0, m = 0 and
+    m = t_a*level); Y is filled on the P'+ grid, with 1 throughout a
+    coefficient-free run.  Every other entry is NaN, in every column.  The
+    run is driven by a verified schedule.Schedule; seeds is a tuple, and
+    memory grows linearly with its length.
     """
 
-    def __init__(self, schedule, seed=0, tracked=True):
+    def __init__(self, schedule, seeds=(0,), tracked=True):
         self.schedule = schedule
         self.model = schedule.model
-        cd, level = self.model.cartan, self.spec.level
+        self.seeds = seeds
+        cd, level, n = self.model.cartan, self.spec.level, self.model.n
         self.t = schedule.t
         self.full_s = 2 * (cd["h_dual"] + level) * self.t
         # the checked times [0, full_s + 2t), widened by three time units
         lo_s, hi_s = -3 * self.t, self.full_s + 5 * self.t
-        rng = np.random.default_rng(seed)
-        logx0 = np.log(rng.uniform(0.5, 2.0, self.model.n))
+        # each seed draws its cluster, then (when tracked) its coefficients
+        draws = np.log([np.random.default_rng(seed).uniform(0.5, 2.0, (1 + tracked, n)) for seed in seeds]).T
         self.tracked = tracked
         if tracked:
-            L0, oplus1 = np.log(rng.uniform(0.5, 2.0, self.model.n)), real_plus1
+            L0, oplus1 = draws[:, 1], real_plus1
         else:  # coefficient-free: the trivial semifield
-            L0, oplus1 = np.zeros(self.model.n), trivial_plus1
-        Ls, logxs = run_schedule(schedule, lo_s, hi_s, L0, oplus1, logx0)
+            L0, oplus1 = np.zeros((n, len(seeds))), trivial_plus1
+        Ls, logxs = run_schedule(schedule, lo_s, hi_s, L0, oplus1, draws[:, 0])
         with np.errstate(over="raise", under="raise"):  # a value off the float range raises
             self.x = np.exp(logxs, out=logxs)
             self.y = np.exp(Ls, out=Ls) if tracked else None
@@ -74,7 +79,7 @@ class NumericRun:
 
     def _fill(self, s0):
         """Fill T and Y from the mutation points of the run; s0 is the first time."""
-        shape = (self.spec.rank + 1, max(self.tops.values()) + 1, self.hi_s + 1 - s0)
+        shape = (self.spec.rank + 1, max(self.tops.values()) + 1, self.hi_s + 1 - s0, len(self.seeds))
         self.s0, self.T, self.Y = s0, np.full(shape, np.nan), np.full(shape, np.nan)
         self.T[0] = 1.0
         for a, top in self.tops.items():
@@ -90,15 +95,18 @@ class NumericRun:
         return self.model.spec
 
     def _times(self, arr, a, m, s_lo, s_hi):
-        """The times s in [s_lo, s_hi) at which arr[a, m] is filled."""
-        filled = ~np.isnan(arr[a, m, s_lo - self.s0 : s_hi - self.s0])
+        """The times s in [s_lo, s_hi) at which arr[a, m] is filled; every
+        seed's column has the same fill pattern."""
+        filled = ~np.isnan(arr[a, m, s_lo - self.s0 : s_hi - self.s0, 0])
         return np.flatnonzero(filled) + s_lo
 
     def _at(self, arr, a, m, s):
-        """arr[a, m] at the times s; raises if a time is off the grid."""
+        """arr[a, m] at the times s, one column per seed; raises if a time is
+        off the grid."""
         vals = arr[a, m, s - self.s0]
-        if np.isnan(vals).any():
-            bad = s[np.isnan(vals)][0]
+        off = np.isnan(vals).any(axis=1)
+        if off.any():
+            bad = s[off][0]
             raise ValueError(f"({a}, {m}, {bad}/{self.t}) is off the grid")
         return vals
 
@@ -170,28 +178,19 @@ class NumericRun:
         return self._periodicity_errors(self.Y)
 
     def labelled_coefficients(self, s_lo, s_hi):
-        """The Y values at the P'+ points with s_lo <= s < s_hi, in (s, a, m) order."""
-        ys = self.Y[:, :, s_lo - self.s0 : s_hi - self.s0].transpose(2, 0, 1).ravel()
-        return ys[~np.isnan(ys)]
+        """The Y values at the P'+ points with s_lo <= s < s_hi: one row per
+        seed, each in (s, a, m) order and contiguous."""
+        ys = self.Y[:, :, s_lo - self.s0 : s_hi - self.s0].transpose(3, 2, 0, 1).reshape(len(self.seeds), -1)
+        return np.compress(~np.isnan(ys[0]), ys, axis=1)
 
 
-def run_pairs(schedule, seeds):
-    """A (tracked, plain) pair of runs of one verified Schedule for each seed."""
-    return [(NumericRun(schedule, seed=seed), NumericRun(schedule, seed=seed, tracked=False)) for seed in seeds]
-
-
-def worst_errors(pairs):
-    """(worst residual, worst periodicity error) over (tracked, plain) run pairs:
-    the T-recursion in both runs and the Y-recursion in the tracked one, the
-    T values of the plain run and the Y values of the tracked one."""
-    res = max(
-        max(plain.t_residuals().max(), tracked.t_residuals().max(), tracked.y_residuals().max())
-        for tracked, plain in pairs
-    )
-    per = max(
-        max(plain.t_periodicity_errors().max(), tracked.y_periodicity_errors().max())
-        for tracked, plain in pairs
-    )
+def worst_errors(tracked, plain):
+    """(worst residual, worst periodicity error) over a tracked and a plain
+    run, every seed: the T-recursion in both runs and the Y-recursion in the
+    tracked one, the T values of the plain run and the Y values of the
+    tracked one."""
+    res = max(plain.t_residuals().max(), tracked.t_residuals().max(), tracked.y_residuals().max())
+    per = max(plain.t_periodicity_errors().max(), tracked.y_periodicity_errors().max())
     return float(res), float(per)
 
 

@@ -79,20 +79,11 @@ class Quiver:
     # -- mutation ----------------------------------------------------------
 
     def mutate(self, k):
-        """Fomin-Zelevinsky matrix mutation at vertex k.
-
-        B'_ij = -B_ij if i == k or j == k, otherwise
-        B'_ij = B_ij + sgn(B_ik) * max(B_ik * B_kj, 0).
-        """
+        """Fomin-Zelevinsky matrix mutation at vertex k: the composite
+        mutation at the one vertex set {k}."""
         if not 0 <= k < self.n:
             raise IndexError(f"vertex {k} out of range for n={self.n}")
-        B = self.B
-        col = B[:, k]
-        row = B[k, :]
-        Bp = B + np.sign(col)[:, None] * np.maximum(np.outer(col, row), 0)
-        Bp[k, :] = -B[k, :]
-        Bp[:, k] = -B[:, k]
-        return Quiver(Bp, self.meta, strict=self.strict)
+        return self.composite_mutate((k,))
 
     def composite_mutate(self, vertices):
         """Mutate simultaneously at a pairwise non-adjacent vertex set ks (this

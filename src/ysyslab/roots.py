@@ -220,9 +220,9 @@ def apart_mismatches_C(run):
 
     Row 1 of the tall columns follows the pl_dynamics of the schedule on
     that row, and row 3 vanishes under the thin-row projection at the same
-    times.  Also covers the interval formulas for row 2 and the circle
-    columns, and the vanishing of the core projection at the off-parity
-    times.
+    times.  At the mutation points of row 2 and of the circle columns, with
+    -h_dual*t <= s < 0, the thin-row projections follow interval formulas,
+    and the core projection of rows 1 and 3 of the same column vanishes.
     """
     m = run.model
     r = m.spec.rank
@@ -233,9 +233,6 @@ def apart_mismatches_C(run):
     h_dual = r + 1
     bad = []
 
-    def halves(lo, hi):  # scaled times s=2u, u in [lo, hi)
-        return range(int(2 * lo), int(2 * hi))
-
     def pi_a(vertex, s):
         return tuple(run.monomial(vertex, s)[keep].tolist())
 
@@ -243,34 +240,27 @@ def apart_mismatches_C(run):
         if got != tuple(want):
             bad.append((i_row, Fraction(s, 2), got, tuple(want)))
 
+    def interval(s, late_start, early_start):
+        """-[j, r-1] with j = late_start + s from u = s/2 = -h_dual/2 on,
+        and j = early_start - s before."""
+        j = late_start + s if s >= -h_dual else early_start - s
+        return [-c for c in a_interval(r - 1, j, r - 1)]
+
     _, alpha = pl_dynamics(run.schedule, keep)
     for (s, v), root in alpha.items():
         i = m.position(v)[0]
         record((i, 1), s, pi_a(v, s), [-c for c in root])
         # row 3 never meets the thin-row generators
         record((i, 3), s, pi_a(m.vid(i, 3), s), [0] * (r - 1))
-    for i in range(1, r):
-        for s in halves(-h_dual, 0):
-            u = Fraction(s, 2)
-            # row 2 mutates on the parity complementary to row 1
-            if (s % 2 == 0) == ((r + i) % 2 == 0):
-                if u >= -Fraction(h_dual, 2):
-                    want = [-c for c in a_interval(r - 1, 2 * r + 2 - i + s, r - 1)]
-                else:
-                    want = [-c for c in a_interval(r - 1, -1 - i - s, r - 1)]
-                record((i, 2), s, pi_a(m.vid(i, 2), s), want)
-            # core projection of rows 1 and 3 vanishes off the mutation parity
-            if (r + i + s) % 2 == 0:
-                for row in (1, 3):
-                    got = tuple(run.monomial(m.vid(i, row), s)[core].tolist())
-                    record((i, row), s, got, [0] * (r + 1))
-    for col, par in ((r, 0), (r + 1, 1)):
-        for s in halves(-h_dual, 0):
-            u = Fraction(s, 2)
-            if s % 2 == 0 and (s // 2) % 2 == par:
-                if u >= -Fraction(h_dual, 2):
-                    want = [-c for c in a_interval(r - 1, r + 2 + s, r - 1)]
-                else:
-                    want = [-c for c in a_interval(r - 1, -1 - r - s, r - 1)]
-                record((col, 1), s, pi_a(m.vid(col, 1), s), want)
+    for s, v in zip(*(a.tolist() for a in run.schedule.points(-h_dual * run.t, 0))):
+        col, row = m.position(v)
+        if col < r and row == 2:
+            record((col, 2), s, pi_a(v, s), interval(s, 2 * r + 2 - col, -1 - col))
+            # row 2 mutates on the parity complementary to rows 1 and 3,
+            # whose core projection vanishes at its points
+            for k in (1, 3):
+                got = tuple(run.monomial(m.vid(col, k), s)[core].tolist())
+                record((col, k), s, got, [0] * (r + 1))
+        elif col >= r:
+            record((col, 1), s, pi_a(v, s), interval(s, r + 2, -1 - r))
     return bad

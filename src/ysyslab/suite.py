@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass, field
 from .builders import FamilySpec, build, cartan_data
 from .dilog import check_functional_DI, constant_DI
 from .mutclass import search_equivalence
-from .numeric import run_pairs, tropical_shadow_mismatches, worst_errors
+from .numeric import NumericRun, tropical_shadow_mismatches, worst_errors
 from .quiver import find_isomorphism
 from .roots import apart_mismatches_C, tvector_mismatches
 from .schedule import Schedule, ScheduleError
@@ -105,8 +105,9 @@ def _case_rows(case, cfg):
             bad += apart_mismatches_C(trop)
         row("tvectors", not bad, "level2-root-identities", mismatches=len(bad))
 
-    pairs = run_pairs(sched, cfg["seeds"])
-    worst_res, worst_per = worst_errors(pairs)
+    seeds = tuple(cfg["seeds"])
+    tracked, plain = NumericRun(sched, seeds), NumericRun(sched, seeds, tracked=False)
+    worst_res, worst_per = worst_errors(tracked, plain)
     res_tol, per_tol = cfg["residual_tol"], cfg["periodicity_tol"]
     row("numeric-residuals", worst_res < res_tol, "recursion-residuals", max_residual=worst_res, tol=res_tol)
     row("numeric-periodicity", worst_per < per_tol, "labelled-periodicity", max_error=worst_per, tol=per_tol)
@@ -114,7 +115,7 @@ def _case_rows(case, cfg):
     row("tropical-shadow", not shadow, "small-parameter-slopes", mismatches=len(shadow))
 
     rows.append(_constant_dilog_row(case, cfg, sched))
-    rep = check_functional_DI([tracked for tracked, _ in pairs])
+    rep = check_functional_DI(tracked)
     ok = rep["max_deviation"] < cfg["functional_tol"] and rep["seed_spread"] < cfg["functional_tol"]
     row(
         "dilog-functional", ok, "functional-dilog-identity",

@@ -29,9 +29,13 @@ def cached_tropical(family, rank, level):
     return TropicalRun(cached_schedule(family, rank, level))
 
 
+#: The seeds of the cached numeric runs, one column each.
+SEEDS = (0, 1, 2, 3, 4)
+
+
 @lru_cache(maxsize=None)
-def cached_numeric(family, rank, level, seed, tracked):
-    return NumericRun(cached_schedule(family, rank, level), seed=seed, tracked=tracked)
+def cached_numeric(family, rank, level, tracked):
+    return NumericRun(cached_schedule(family, rank, level), SEEDS, tracked)
 
 
 @lru_cache(maxsize=None)

@@ -118,6 +118,17 @@ def run_payload(model, s_lo, s_hi, payload):
     return snapshots
 
 
+def fz_mutate(B, k):
+    """Fomin-Zelevinsky matrix mutation at vertex k, entry by entry:
+    B'_ij = -B_ij if i == k or j == k, otherwise
+    B'_ij = B_ij + sgn(B_ik) * max(B_ik * B_kj, 0)."""
+    n = len(B)
+    return np.array([
+        [-B[i][j] if k in (i, j) else B[i][j] + int(np.sign(B[i][k])) * max(B[i][k] * B[k][j], 0) for j in range(n)]
+        for i in range(n)
+    ])
+
+
 def quiver_from_json(text):
     """The Quiver that Quiver.to_json wrote as text."""
     data = json.loads(text)

@@ -45,6 +45,10 @@ def test_invalid_specs():
         FamilySpec("F4", 3, 2)
     with pytest.raises(ValueError):
         FamilySpec("X9", 2, 2)
+    for family, rank, message in (("A", 0, "type A needs rank >= 1"), ("D", 2, "type D needs rank >= 3"),
+                                  ("E6", 5, "type E6 has rank 6"), ("G2", 3, "type G2 has rank 2")):
+        with pytest.raises(ValueError, match=message):
+            FamilySpec(family, rank, 3)
     for rank, level in ((2.0, 2), (2, 3.0), (True, 2), (2, "3")):
         with pytest.raises(ValueError, match="must be an integer"):
             FamilySpec("C", rank, level)

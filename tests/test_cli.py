@@ -86,6 +86,9 @@ def test_numeric_report(capsys):
         (["mutclass", "--left", "C:2:2", "--right", "C:2:2", "--nodes", "0"], "must be a positive finite int"),
         (["mutclass", "--left", "C:2:2", "--right", "C:2:2", "--depth", "-1"], "must be a positive finite int"),
         (["orbits", "--sigma", "F4", "--rank", "99"], "--sigma F4 takes no --rank"),
+        (["build", "--family", "D", "--rank", "2", "--level", "3"], "type D needs rank >= 3"),
+        (["build", "--family", "A", "--rank", "0", "--level", "3"], "type A needs rank >= 1"),
+        (["build", "--family", "E6", "--rank", "5"], "type E6 has rank 6"),
     ],
 )
 def test_case_commands_reject_bad_input(argv, message, capsys):
@@ -107,6 +110,7 @@ def test_case_commands_reject_bad_input(argv, message, capsys):
         ('{"extra_dilog_levels": 5}', "extra_dilog_levels must be a list"),
         ('{"residual_tol": "x"}', "residual_tol must be a positive real number"),
         ('{"depth_cap": 1.5}', "depth_cap must be a positive int"),
+        ('{"pairs": [[["D", 2, 3], ["A", 2, 3]]]}', "case D:2:3: type D needs rank >= 3"),
     ],
 )
 def test_suite_rejects_bad_config_file(text, message, tmp_path, capsys):
@@ -148,6 +152,19 @@ def test_mutclass_found(capsys):
     main(["mutclass", "--left", "G2:2:2", "--right", "C:3:2", "--depth", "6"])
     rep = json.loads(capsys.readouterr().out)
     assert rep["found"] is True
+
+
+def test_mutclass_past_key_bound_is_not_found(capsys):
+    # C:6:6 has 65 vertices, past canonical_key's size bound: the search
+    # reports the bound as its error and exits 2, without a traceback
+    with pytest.raises(SystemExit) as err:
+        main(["mutclass", "--left", "C:6:6", "--right", "C:6:6"])
+    assert err.value.code == 2
+    rep = json.loads(capsys.readouterr().out)
+    assert rep == {
+        "found": False, "depth_cap": 12, "node_cap": 10**6,
+        "error": f"canonical_key supports at most {mutclass.SIZE_CAP} vertices",
+    }
 
 
 def test_suite_empty_config(capsys):
@@ -290,9 +307,9 @@ def test_suite_builds_each_run_once(monkeypatch):
     build = counted("build", builders.build)
     for module in (builders, suite):
         monkeypatch.setattr(module, "build", build)
-    seeds = [0, 1, 2]
-    run_suite({"cases": [["C", 2, 2]], "pairs": [], "seeds": seeds, "extra_dilog_levels": []})
-    assert counts == {"NumericRun": 2 * len(seeds), "TropicalRun": 1, "slot_matrices": 1, "build": 1}
+    # one tracked and one plain run carry all the seeds
+    run_suite({"cases": [["C", 2, 2]], "pairs": [], "seeds": [0, 1, 2], "extra_dilog_levels": []})
+    assert counts == {"NumericRun": 2, "TropicalRun": 1, "slot_matrices": 1, "build": 1}
 
 
 def test_suite_key_overflow_is_inconclusive(monkeypatch, tmp_path, capsys):

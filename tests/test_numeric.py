@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from tests import oracle
-from tests.conftest import CASES, cached_model, cached_numeric, cached_schedule, cached_tropical
+from tests.conftest import CASES, SEEDS, cached_model, cached_numeric, cached_schedule, cached_tropical
 from tests.oracle import NumericSeedPayload, grid_points, label_g, label_g_prime, run_payload
 from ysyslab import numeric
+from ysyslab.dilog import check_functional_DI
 from ysyslab.gfun import transpose_factors
 from ysyslab.numeric import (
     NumericRun,
@@ -115,7 +116,7 @@ def test_overflow_raises(monkeypatch):
 
         def huge(schedule, s_lo, s_hi, L, oplus1, logx):
             record = [L[None], logx[None]]  # the run record of time 0 alone
-            record[which] = np.full((1, schedule.model.n), 800.0)
+            record[which] = np.full_like(record[which], 800.0)
             return tuple(record)
 
         monkeypatch.setattr(numeric, "run_schedule", huge)
@@ -130,7 +131,7 @@ def test_underflow_raises(monkeypatch):
 
         def tiny(schedule, s_lo, s_hi, L, oplus1, logx):
             record = [L[None], logx[None]]  # the run record of time 0 alone
-            record[which] = np.full((1, schedule.model.n), -800.0)
+            record[which] = np.full_like(record[which], -800.0)
             return tuple(record)
 
         monkeypatch.setattr(numeric, "run_schedule", tiny)
@@ -140,14 +141,42 @@ def test_underflow_raises(monkeypatch):
 
 @pytest.mark.parametrize("family,rank,level", CASES)
 def test_residuals_and_periodicity(family, rank, level):
-    for seed in range(5):
-        tracked = cached_numeric(family, rank, level, seed, True)
-        plain = cached_numeric(family, rank, level, seed, False)
-        assert plain.t_residuals().max() < 1e-9
-        assert tracked.t_residuals().max() < 1e-9
-        assert tracked.y_residuals().max() < 1e-9
-        assert plain.t_periodicity_errors().max() < 1e-8
-        assert tracked.y_periodicity_errors().max() < 1e-8
+    tracked = cached_numeric(family, rank, level, True)
+    plain = cached_numeric(family, rank, level, False)
+    assert plain.t_residuals().shape[1] == tracked.y_periodicity_errors().shape[1] == len(SEEDS)
+    assert plain.t_residuals().max() < 1e-9
+    assert tracked.t_residuals().max() < 1e-9
+    assert tracked.y_residuals().max() < 1e-9
+    assert plain.t_periodicity_errors().max() < 1e-8
+    assert tracked.y_periodicity_errors().max() < 1e-8
+
+
+@pytest.mark.parametrize("family,rank,level", CASES)
+def test_batched_run_matches_single_seed_runs(family, rank, level):
+    # column j of a run over several seeds is the run of seed j alone, up to
+    # the rounding of a matrix product against a vector, with the same NaN
+    # pattern; so are its functional sums
+    sched = cached_schedule(family, rank, level)
+    for tracked in (True, False):
+        batched = cached_numeric(family, rank, level, tracked)
+        for j, seed in enumerate(SEEDS):
+            # each seed draws its cluster, then its coefficients when tracked
+            draws = np.random.default_rng(seed).uniform(0.5, 2.0, (2, sched.model.n))
+            np.testing.assert_allclose(batched.x[-batched.lo_s, :, j], draws[0], rtol=1e-15)
+            if tracked:
+                np.testing.assert_allclose(batched.y[-batched.lo_s, :, j], draws[1], rtol=1e-15)
+            single = NumericRun(sched, (seed,), tracked)
+            for name in ("x", "y", "T", "Y"):
+                got, want = getattr(batched, name), getattr(single, name)
+                if got is None:
+                    assert want is None and not tracked
+                    continue
+                assert got.shape == want.shape[:-1] + (len(SEEDS),) and want.shape[-1] == 1
+                np.testing.assert_allclose(got[..., j], want[..., 0], rtol=1e-12, err_msg=f"{name}, seed {seed}")
+            if tracked:
+                got, want = check_functional_DI(batched), check_functional_DI(single)
+                np.testing.assert_allclose(got["sums"][j], want["sums"][0], rtol=1e-12)
+                assert got["targets"] == want["targets"]
 
 
 @pytest.mark.parametrize("family,rank,level", CASES)
@@ -183,13 +212,13 @@ def test_trivial_semifield_projection():
 
 
 def test_y_residuals_need_tracking():
-    plain = cached_numeric("C", 2, 2, 0, False)
+    plain = cached_numeric("C", 2, 2, False)
     with pytest.raises(ValueError):
         plain.y_residuals()
 
 
 def test_boundary_labels_are_unit():
-    run = cached_numeric("C", 2, 2, 0, False)
+    run = cached_numeric("C", 2, 2, False)
     assert (run.T[0] == 1.0).all()
     assert (run.T[1, 0] == 1.0).all()
     assert (run.T[1, 4] == 1.0).all()  # top row for a short root at level 2
@@ -200,7 +229,7 @@ def test_boundary_labels_are_unit():
 def test_column_fold_inverts_label_map(family, rank, level):
     # each mutation point of a run's window, folded to (a, m, s), is the
     # point the per-family label map sends to it; the image is the P'+ grid
-    run = cached_numeric(family, rank, level, 0, True)
+    run = cached_numeric(family, rank, level, True)
     sets = slot_sets(run.model)
     image = []
     for s in range(run.lo_s, run.hi_s + 1):
@@ -216,8 +245,9 @@ def test_column_fold_inverts_label_map(family, rank, level):
 @pytest.mark.parametrize("tracked", [True, False])
 def test_labelled_arrays_match_label_lookups(family, rank, level, tracked):
     # the filled arrays equal, bit for bit, the per-point label lookups into
-    # the run record; every other entry is NaN, apart from the unit boundary
-    run = cached_numeric(family, rank, level, 0, tracked)
+    # the run record, in every seed's column; every other entry is NaN,
+    # apart from the unit boundary
+    run = cached_numeric(family, rank, level, tracked)
     T, Y = np.full_like(run.T, np.nan), np.full_like(run.Y, np.nan)
     T[0] = 1.0
     for a, t_a in run.model.cartan["t_a"].items():
@@ -236,12 +266,12 @@ def test_labelled_arrays_match_label_lookups(family, rank, level, tracked):
 def test_off_grid_gather_raises(monkeypatch):
     # a factor off the parity class lands on an unfilled entry; it must
     # raise, not carry a NaN into the maxima of worst_errors
-    pair = (cached_numeric("C", 2, 2, 0, True), cached_numeric("C", 2, 2, 0, False))
-    sched = pair[0].schedule
+    tracked, plain = cached_numeric("C", 2, 2, True), cached_numeric("C", 2, 2, False)
+    sched = tracked.schedule
     monkeypatch.setattr(sched, "g", {row: [(*row, 0)] for row in sched.g})
     with pytest.raises(ValueError, match=r"\(1, 1, 0/2\) is off the grid"):
-        worst_errors([pair])
+        worst_errors(tracked, plain)
     monkeypatch.undo()
     monkeypatch.setattr(sched, "numerators", {row: [(*row, 0)] for row in sched.numerators})
     with pytest.raises(ValueError, match="off the grid"):
-        pair[0].y_residuals()
+        tracked.y_residuals()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tests.conftest import CASES, cached_schedule, key_quivers
-from tests.oracle import exhaustive_isomorphism, matrix_refine_colors, quiver_from_json
+from tests.oracle import exhaustive_isomorphism, fz_mutate, matrix_refine_colors, quiver_from_json
 from ysyslab.quiver import (
     Quiver,
     find_isomorphism,
@@ -38,6 +38,18 @@ def test_mutation_is_involution_randomized():
         Qk = Q.relaxed().mutate(k)
         assert np.array_equal(Qk.B, -Qk.B.T)
         assert Qk.mutate(k) == Q.relaxed()
+
+
+def test_mutation_matches_entrywise_rule():
+    # Quiver.mutate is the one-vertex composite mutation; it must be the
+    # entrywise Fomin-Zelevinsky rule, multiple arrows included
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        n = int(rng.integers(1, 8))
+        B = np.triu(rng.integers(-2, 3, (n, n)), 1)
+        Q = Quiver(B - B.T, strict=False)
+        for k in range(n):
+            assert np.array_equal(Q.mutate(k).B, fz_mutate(Q.B.tolist(), k)), (Q.B, k)
 
 
 def test_mutation_hand_example():

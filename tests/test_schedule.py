@@ -168,17 +168,19 @@ def test_tropical_run_matches_per_vertex_oracle(family, rank, level):
 def test_numeric_run_matches_per_vertex_oracle(family, rank, level, tracked):
     # the window includes the backward margin, where a step from s must use
     # the matrix at s, not the one at s - 1
-    run = cached_numeric(family, rank, level, 0, tracked)
+    run = cached_numeric(family, rank, level, tracked)
     assert run.lo_s < 0
     i0 = -run.lo_s
-    want = run_payload(run.model, run.lo_s, run.hi_s, NumericSeedPayload(run.x[i0], run.y[i0] if tracked else None))
-    assert sorted(want) == list(range(run.lo_s, run.hi_s + 1)) and len(run.x) == len(want)
-    for s, (x, y) in want.items():
-        assert np.max(np.abs(run.x[s - run.lo_s] - x) / x) <= 1e-13, s
-        if tracked:
-            assert np.max(np.abs(run.y[s - run.lo_s] - y) / y) <= 1e-13, s
-        else:
-            assert run.y is None and y is None
+    for j in range(len(run.seeds)):  # each seed's column on its own
+        x0, y0 = run.x[i0, :, j], run.y[i0, :, j] if tracked else None
+        want = run_payload(run.model, run.lo_s, run.hi_s, NumericSeedPayload(x0, y0))
+        assert sorted(want) == list(range(run.lo_s, run.hi_s + 1)) and len(run.x) == len(want)
+        for s, (x, y) in want.items():
+            assert np.max(np.abs(run.x[s - run.lo_s, :, j] - x) / x) <= 1e-13, (s, j)
+            if tracked:
+                assert np.max(np.abs(run.y[s - run.lo_s, :, j] - y) / y) <= 1e-13, (s, j)
+            else:
+                assert run.y is None and y is None
 
 
 def test_global_opposite_passes_cycle_but_flips_tropical_signs():
