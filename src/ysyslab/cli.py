@@ -86,6 +86,8 @@ def _cmd_schedule(args):
     s_from, s_to = args.frm * t, args.to * t
     if s_from.denominator != 1 or s_to.denominator != 1:
         raise UsageError(f"--from and --to must be multiples of 1/{t} for type {args.family}")
+    if s_from > s_to:
+        raise UsageError(f"--from {args.frm} is after --to {args.to}")
     sched = Schedule(mdl)
     steps = []
     for s in range(int(s_from), int(s_to)):
@@ -173,7 +175,7 @@ def _cmd_mutclass(args):
     out = {"found": False, "depth_cap": args.depth, "node_cap": args.nodes}
     try:
         res = search_equivalence(Q1, Q2, depth_cap=args.depth, node_cap=args.nodes)
-    except ValueError as err:  # a quiver past canonical_key's size or entry bound
+    except ValueError as err:  # sizes that differ, or past canonical_key's size or entry bound
         res, out["error"] = None, str(err)
     if res is None:
         _emit(out)

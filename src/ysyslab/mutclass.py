@@ -4,10 +4,14 @@ Quivers are deduplicated up to isomorphism through a canonical key
 (iterative color refinement plus individualization backtracking on the
 directed {-1,0,1} graph).  The search itself is a bidirectional BFS over
 mutation classes that holds each exchange matrix as int rows and mutates
-it in plain Python (mutate_rows); a returned path replays from the
-left quiver with Quiver.mutate to an isomorphic copy of the right one, and
-the final isomorphism is recomputed independently, so neither a spurious
-key collision nor a fault of the row mutation can produce a false result.
+it in plain Python (mutate_rows).  A node skips the child that undoes its
+own move and, since mu_k mu_l = mu_l mu_k when B_kl = 0, the child at a
+lower vertex that commutes with its move, which an earlier node has already
+made; both skips are exact, so the BFS tree is the one without them.  A
+returned path replays from the left quiver with Quiver.mutate to an
+isomorphic copy of the right one, and the final isomorphism is recomputed
+independently, so neither a spurious key collision nor a fault of the row
+mutation can produce a false result.
 """
 
 from __future__ import annotations
@@ -106,10 +110,12 @@ def search_equivalence(Q1, Q2, depth_cap=12, node_cap=10**6):
     """Bidirectional BFS for a mutation path from Q1 to an isomorph of Q2.
 
     Returns (MutationPath, isomorphism) or None when the caps are exhausted
-    (which proves nothing: the search cannot certify inequivalence).
+    (which proves nothing: the search cannot certify inequivalence).  Raises
+    ValueError for quivers of different sizes, which mutation never joins,
+    and for a quiver past canonical_key's size or entry bound.
     """
     if Q1.n != Q2.n:
-        return None
+        raise ValueError(f"the quivers have {Q1.n} and {Q2.n} vertices; mutation keeps the vertex count")
     rows1, rows2 = Q1.B.tolist(), Q2.B.tolist()
     key1, key2 = canonical_key(rows1), canonical_key(rows2)
 
@@ -165,6 +171,28 @@ def search_equivalence(Q1, Q2, depth_cap=12, node_cap=10**6):
             rep, _, last = sides[side][key]
             for k in range(len(rep)):
                 if k == last:  # mu_k mu_k is the identity: the parent is seen
+                    continue
+                if last is not None and k < last and rep[last][k] == 0:
+                    # mu_k mu_l = mu_l mu_k when B_kl = 0 (math/0104151).  This
+                    # node X = mu_l(P), l = last, was inserted by its parent P.
+                    # Claim: the class of mu_k X is stored already, so keying
+                    # the child would only reach the `continue` below, and the
+                    # skip changes no insertion, node count, meet or move.  So
+                    # once a node is expanded, all its children's classes are
+                    # stored.  Proof by induction over the expansion order,
+                    # which is the insertion order:
+                    # - P tries its children in increasing k, so it reached
+                    #   step k before it inserted X at step l.
+                    # - Case 1: P's step k inserted Y = mu_k P.  Y precedes X
+                    #   in the frontier, and Y's step l builds
+                    #   mu_l mu_k P = mu_k X.  Y does not skip it: l != k is
+                    #   not Y's last move, and l > k.
+                    # - Case 2: the class of mu_k P was stored as R ~ mu_k P
+                    #   before X was inserted: P's step k found it, or it is
+                    #   the grandparent (k was P's last move), or P skipped k
+                    #   under this rule (the claim for P).  R was expanded
+                    #   before X, so its matching child, ~ mu_l mu_k P =
+                    #   mu_k X, is stored.
                     continue
                 child = mutate_rows(rep, k)
                 ckey = canonical_key(child)

@@ -6,9 +6,12 @@ time, with the exchange matrix that Quiver.mutate produces before that
 vertex, in multiplicative notation.  exhaustive_isomorphism is the
 brute-force reference for quiver.find_isomorphism, and matrix_refine_colors
 and matrix_canonical_key, which read the exchange matrix entry by entry, the
-reference for quiver.refine_colors and mutclass.canonical_key.  quiver_from_json
-reads back what Quiver.to_json writes, and compose_perms composes vertex
-permutations.
+reference for quiver.refine_colors and mutclass.canonical_key.
+search_equivalence, the bidirectional BFS that keys every child but the one
+undoing a node's own move, is the reference for mutclass.search_equivalence,
+which also skips the children that commuting mutations have already made.
+quiver_from_json reads back what Quiver.to_json writes, and compose_perms
+composes vertex permutations.
 
 g_factors and transpose_factors, the T- and Y-relation tables typed out
 family by family as printed, are the reference for gfun.g_factors and
@@ -39,6 +42,7 @@ level-2 core (and, for type C, on the thin row).
 
 import json
 import math
+from collections import deque
 from fractions import Fraction
 from itertools import permutations
 
@@ -46,7 +50,8 @@ import numpy as np
 from scipy import integrate
 
 from ysyslab.builders import cartan_data, dynkin_edges
-from ysyslab.quiver import Quiver, Vertex
+from ysyslab.mutclass import MutationPath, canonical_key, mutate_rows
+from ysyslab.quiver import Quiver, Vertex, find_isomorphism, invert_perm
 from ysyslab.roots import RootSystem, SigmaMap, neg_simple
 from ysyslab.schedule import slot_sets
 
@@ -206,6 +211,87 @@ def matrix_canonical_key(Q):
 
     search(matrix_refine_colors(B, [0] * n))
     return best
+
+
+def search_equivalence(Q1, Q2, depth_cap=12, node_cap=10**6):
+    """Bidirectional BFS for a mutation path from Q1 to an isomorph of Q2.
+
+    Returns (MutationPath, isomorphism) or None when the caps are exhausted
+    (which proves nothing: the search cannot certify inequivalence).
+    """
+    if Q1.n != Q2.n:
+        return None
+    rows1, rows2 = Q1.B.tolist(), Q2.B.tolist()
+    key1, key2 = canonical_key(rows1), canonical_key(rows2)
+
+    # store per side: key -> (representative rows, parent key, vertex mutated)
+    sides = [
+        {key1: (rows1, None, None)},
+        {key2: (rows2, None, None)},
+    ]
+    frontiers = [deque([key1]), deque([key2])]
+    depths = [0, 0]
+    nodes = 2
+
+    def path_to_root(side, key):
+        moves = []
+        while True:
+            _, parent, k = sides[side][key]
+            if parent is None:
+                return list(reversed(moves))
+            moves.append(k)
+            key = parent
+
+    def stitch(meet_key):
+        pa = path_to_root(0, meet_key)
+        pb = path_to_root(1, meet_key)
+        Ma = Quiver(sides[0][meet_key][0], strict=False)
+        Mb = Quiver(sides[1][meet_key][0], strict=False)
+        sigma = find_isomorphism(Ma, Mb)
+        if sigma is None:  # key collision; treat the meet as spurious
+            return None
+        inv = invert_perm(sigma)
+        moves = tuple(pa) + tuple(inv[k] for k in reversed(pb))
+        path = MutationPath(Q1, moves)
+        iso = find_isomorphism(path.replay(), Q2)
+        if iso is None:
+            return None
+        return path, iso
+
+    if key1 == key2:
+        result = stitch(key1)
+        if result is not None:
+            return result
+
+    while any(frontiers):
+        side = 0 if (frontiers[0] and (not frontiers[1] or len(frontiers[0]) <= len(frontiers[1]))) else 1
+        if depths[side] >= depth_cap:
+            if depths[1 - side] >= depth_cap or not frontiers[1 - side]:
+                return None
+            side = 1 - side
+        depths[side] += 1
+        nxt = deque()
+        while frontiers[side]:
+            key = frontiers[side].popleft()
+            rep, _, last = sides[side][key]
+            for k in range(len(rep)):
+                if k == last:  # mu_k mu_k is the identity: the parent is seen
+                    continue
+                child = mutate_rows(rep, k)
+                ckey = canonical_key(child)
+                if ckey in sides[side]:
+                    continue
+                sides[side][ckey] = (child, key, k)
+                nodes += 1
+                if ckey in sides[1 - side]:
+                    result = stitch(ckey)
+                    if result is not None:
+                        return result
+                if nodes > node_cap:
+                    return None
+                nxt.append(ckey)
+        frontiers[side] = nxt
+    return None
 
 
 def rogers_L_quad(x):

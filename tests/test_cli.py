@@ -37,6 +37,11 @@ def test_schedule_listing(capsys):
     assert steps[0]["from"] == "0" and steps[-1]["to"] == "2"
 
 
+def test_schedule_empty_interval(capsys):
+    main(["schedule", "--family", "C", "--rank", "2", "--level", "2", "--from", "1", "--to", "1"])
+    assert json.loads(capsys.readouterr().out) == []
+
+
 def test_schedule_listing_is_verified(monkeypatch):
     # the listing comes from a verified Schedule: a quiver with an arrow
     # inside the first slot fails the one-period check and is not listed
@@ -89,6 +94,8 @@ def test_numeric_report(capsys):
         (["build", "--family", "D", "--rank", "2", "--level", "3"], "type D needs rank >= 3"),
         (["build", "--family", "A", "--rank", "0", "--level", "3"], "type A needs rank >= 1"),
         (["build", "--family", "E6", "--rank", "5"], "type E6 has rank 6"),
+        (["schedule", "--family", "C", "--rank", "2", "--level", "2", "--from", "1", "--to", "0"],
+         "--from 1 is after --to 0"),
     ],
 )
 def test_case_commands_reject_bad_input(argv, message, capsys):
@@ -165,6 +172,18 @@ def test_mutclass_past_key_bound_is_not_found(capsys):
         "found": False, "depth_cap": 12, "node_cap": 10**6,
         "error": f"canonical_key supports at most {mutclass.SIZE_CAP} vertices",
     }
+
+
+def test_pair_of_different_sizes_names_the_reason(capsys):
+    # no mutation joins quivers of 5 and 8 vertices: the error says so, and
+    # the caps, which played no part, are not the only explanation given
+    message = "the quivers have 5 and 8 vertices; mutation keeps the vertex count"
+    with pytest.raises(SystemExit) as err:
+        main(["mutclass", "--left", "C:2:2", "--right", "C:3:2"])
+    assert err.value.code == 2
+    assert json.loads(capsys.readouterr().out)["error"] == message
+    (row,) = run_suite({"cases": [], "pairs": [[["C", 2, 2], ["C", 3, 2]]], "extra_dilog_levels": []})
+    assert (row.status, row.metrics["error"]) == ("inconclusive", message)
 
 
 def test_suite_empty_config(capsys):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tests import oracle
 from tests.conftest import cached_model, key_quivers
 from tests.oracle import matrix_canonical_key
 from ysyslab import mutclass
@@ -123,9 +124,11 @@ def test_search_respects_caps():
 
 
 def test_mismatched_sizes():
+    # no mutation path joins quivers of different sizes; the caps play no part
     Q1 = cached_model("C", 2, 2).quiver
     Q2 = cached_model("C", 3, 2).quiver
-    assert search_equivalence(Q1, Q2) is None
+    with pytest.raises(ValueError, match="the quivers have 5 and 8 vertices; mutation keeps the vertex count"):
+        search_equivalence(Q1, Q2)
 
 
 def test_replay_standalone():
@@ -134,15 +137,68 @@ def test_replay_standalone():
     assert path.replay() == Q.relaxed().mutate(0).mutate(1).mutate(0)
 
 
-# the path each default pair finds, and its canonical_key calls; mu_k mu_k is
-# the identity, so a node never re-keys the child that undoes its own move
-# (F4:4:2~D:5:3 makes 6578 calls when every node also keys its undo child)
+def random_quiver(rng):
+    n = int(rng.integers(3, 10))
+    U = np.triu(rng.integers(-2, 3, (n, n)), 1)
+    return Quiver(U - U.T, strict=False)
+
+
+def search_outcome(search, Q1, Q2, **caps):
+    try:
+        res = search(Q1, Q2, **caps)
+    except ValueError as err:
+        return str(err)
+    return None if res is None else (res[0].moves, tuple(res[1]))
+
+
+def test_pruned_search_matches_reference():
+    # the commuting skip only drops children whose class is already stored, so
+    # the search meets, caps and returns exactly where the unpruned one does
+    rng = np.random.default_rng(23)
+    ends = {"found": 0, "none": 0, "error": 0}
+    for _ in range(22):
+        Q1 = random_quiver(rng)
+        Q2 = Q1
+        for _ in range(int(rng.integers(0, 9))):
+            Q2 = Q2.mutate(int(rng.integers(Q1.n)))
+        Q2 = Q2.apply_perm(rng.permutation(Q1.n).tolist())
+        for depth_cap in (2, 3, 5):
+            for node_cap in [*range(2, 61), 10**5]:
+                caps = {"depth_cap": depth_cap, "node_cap": node_cap}
+                got = search_outcome(search_equivalence, Q1, Q2, **caps)
+                assert got == search_outcome(oracle.search_equivalence, Q1, Q2, **caps), caps
+                ends["none" if got is None else "error" if isinstance(got, str) else "found"] += 1
+    assert min(ends.values()) > 0, ends  # every kind of end is compared
+
+
+def test_commuting_mutations_agree():
+    # mu_k mu_l = mu_l mu_k when B_kl = 0, the identity the commuting skip rests on
+    rng = np.random.default_rng(5)
+    adjacent_differ = False
+    for _ in range(200):
+        B = random_quiver(rng).B.tolist()
+        for k in range(len(B)):
+            for l in range(k):
+                same = mutate_rows(mutate_rows(B, l), k) == mutate_rows(mutate_rows(B, k), l)
+                if B[k][l] == 0:
+                    assert same, (B, k, l)
+                elif not same:
+                    adjacent_differ = True
+    assert adjacent_differ  # control: the identity needs B_kl = 0
+
+
+# the path each default pair finds, and its canonical_key calls.  A node keys
+# neither the child that undoes its own move (mu_k mu_k is the identity) nor
+# a child at a lower vertex k with B_kl = 0 for its own move l (mu_k mu_l =
+# mu_l mu_k, so an earlier node has made it).  Without the commuting skip
+# F4:4:2~D:5:3 makes 5922 calls and G2:2:3~C:3:3 345, with the same moves;
+# without either skip F4:4:2~D:5:3 makes 6578.
 DEFAULT_PAIR_SEARCHES = {
     "C:3:2~D:4:3": ((7, 4, 6), 19),
-    "F4:4:2~D:5:3": ((7, 0, 2, 6, 7, 1, 8, 6, 4), 5922),
+    "F4:4:2~D:5:3": ((7, 0, 2, 6, 7, 1, 8, 6, 4), 3504),
     "C:2:3~A:3:4": ((0, 4), 12),
     "G2:2:2~C:3:2": ((2,), 5),
-    "G2:2:3~C:3:3": ((2, 1, 3, 12, 7), 345),
+    "G2:2:3~C:3:3": ((2, 1, 3, 12, 7), 249),
 }
 
 
