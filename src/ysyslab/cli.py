@@ -6,6 +6,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import sys
 from fractions import Fraction
 
 
@@ -103,8 +104,12 @@ def _cmd_schedule(args):
 
 
 def _cmd_tropical(args):
-    run = TropicalRun(Schedule(build(args.spec)))
-    counts = run.count_signs()
+    try:
+        run = TropicalRun(Schedule(build(args.spec)))
+        counts = run.count_signs()
+    except ArithmeticError as err:  # an exponent past the float64 exact range, or a mixed monomial
+        print(f"ysyslab tropical: error: {err}", file=sys.stderr)
+        raise SystemExit(1) from None
     s, v, classes = run.point_signs(0, run.full_s)
     points = [
         {

@@ -5,13 +5,14 @@ Quivers are deduplicated up to isomorphism through a canonical key
 directed {-1,0,1} graph).  The search itself is a bidirectional BFS over
 mutation classes that holds each exchange matrix as int rows and mutates
 it in plain Python (mutate_rows).  A node skips the child that undoes its
-own move and, since mu_k mu_l = mu_l mu_k when B_kl = 0, the child at a
-lower vertex that commutes with its move, which an earlier node has already
-made; both skips are exact, so the BFS tree is the one without them.  A
-returned path replays from the left quiver with Quiver.mutate to an
-isomorphic copy of the right one, and the final isomorphism is recomputed
-independently, so neither a spurious key collision nor a fault of the row
-mutation can produce a false result.
+own move; since mu_k mu_l = mu_l mu_k when B_kl = 0, the child at a lower
+vertex that commutes with its move; and, by the pentagon relation, the child
+mu_k mu_l mu_k G of a grandparent G when |B_kl| = 1.  An earlier node has
+already made each of these, so the skips are exact, and the BFS tree is the
+one without them.  A returned path replays from the left quiver with
+Quiver.mutate to an isomorphic copy of the right one, and the final
+isomorphism is recomputed independently, so neither a spurious key collision
+nor a fault of the row mutation can produce a false result.
 """
 
 from __future__ import annotations
@@ -168,7 +169,8 @@ def search_equivalence(Q1, Q2, depth_cap=12, node_cap=10**6):
         nxt = deque()
         while frontiers[side]:
             key = frontiers[side].popleft()
-            rep, _, last = sides[side][key]
+            rep, parent, last = sides[side][key]
+            before = None if parent is None else sides[side][parent][2]
             for k in range(len(rep)):
                 if k == last:  # mu_k mu_k is the identity: the parent is seen
                     continue
@@ -193,6 +195,18 @@ def search_equivalence(Q1, Q2, depth_cap=12, node_cap=10**6):
                     #   under this rule (the claim for P).  R was expanded
                     #   before X, so its matching child, ~ mu_l mu_k P =
                     #   mu_k X, is stored.
+                    continue
+                if k == before and abs(rep[last][k]) == 1:
+                    # The pentagon: X = mu_l(P) and P = mu_k(G), k being P's
+                    # own last move.  When |B_kl| = 1, mu_k mu_l mu_k mu_l
+                    # mu_k G is G with k and l swapped (math/0104151), so
+                    # mu_k X = mu_k mu_l mu_k G ~ mu_k mu_l G.  The same
+                    # claim holds with this skip, by the same induction:
+                    # - G was expanded before X, so the class of mu_l G is
+                    #   stored as some R of depth at most depth(X) - 1.
+                    # - The BFS expands a side layer by layer, so R was
+                    #   expanded in an earlier pass than X, and its child
+                    #   matching mu_k mu_l G ~ mu_k X is stored.
                     continue
                 child = mutate_rows(rep, k)
                 ckey = canonical_key(child)

@@ -20,12 +20,14 @@ points: the vertex of column col and row m mutated at time u carries
 Y^{(a)}_m(u) and T^{(a)}_m(u - 1/t_a), with a = column_fold(col).
 Schedule.points lists the mutation points of a time window, and
 run_schedule records a seed at every time of one, so a run's value at a
-point (s, v) is one array read.
+point (s, v) is one array read.  A Schedule holds one SlotOperator per slot
+and direction, so a run's step only indexes them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -127,7 +129,8 @@ def slot_matrices(model, sets):
 
 class Schedule:
     """The verified schedule of one case: its model, the vertex sets of the
-    2t slots, the exchange matrix at each slot, the (a, m) label of each
+    2t slots, the exchange matrix at each slot, the forward and backward
+    SlotOperator of each slot (slot_operators), the (a, m) label of each
     vertex, and the T- and Y-relation tables read off them (g and its
     transpose numerators, see gfun).
 
@@ -142,6 +145,7 @@ class Schedule:
         self.t = model.cartan["t"]
         self.sets = slot_sets(model)
         self.matrices = slot_matrices(model, self.sets)
+        self.forward, self.backward = slot_operators(self.sets, self.matrices)
         fam, rank = model.spec.family, model.spec.rank
         self.labels = [(column_fold(fam, rank, col), m) for col, m in map(model.position, range(model.n))]
         try:
@@ -158,8 +162,39 @@ class Schedule:
         return s, v
 
 
-def mutate_slot(B, ks, L, oplus1, logx=None):
-    """Mutate the seed (L, logx) at the pairwise non-adjacent vertices ks of B.
+class SlotOperator(NamedTuple):
+    """The composite mutation at the pairwise non-adjacent vertices ks of an
+    exchange matrix B: ks as an index array, and P = B[ks] with its positive
+    parts plus = [P]+ and minus = [-P]+, in float64 so that mutate_slot's
+    products run in BLAS."""
+
+    ks: np.ndarray
+    P: np.ndarray
+    plus: np.ndarray
+    minus: np.ndarray
+
+
+def slot_operator(B, ks):
+    """The SlotOperator of mutating B at the vertices ks."""
+    ks = np.array(ks, dtype=np.intp)
+    P = B[ks].astype(np.float64)
+    return SlotOperator(ks, P, np.maximum(P, 0), np.maximum(-P, 0))
+
+
+def slot_operators(sets, matrices):
+    """(forward, backward): the SlotOperator of a step from each slot s.
+
+    A forward step mutates the matrix at s at its own set; a backward step
+    from s undoes the slot before s, applying that slot's set to the matrix
+    at s.
+    """
+    forward = [slot_operator(B, ks) for B, ks in zip(matrices, sets)]
+    backward = [slot_operator(B, sets[s - 1]) for s, B in enumerate(matrices)]
+    return forward, backward
+
+
+def mutate_slot(op, L, oplus1, logx=None):
+    """Mutate the seed (L, logx) by the SlotOperator op of vertices ks in B.
 
     The seed is written additively: L holds the coefficients (one entry, or
     one exponent row, per vertex) of a semifield whose y (+) 1 is oplus1,
@@ -170,16 +205,17 @@ def mutate_slot(B, ks, L, oplus1, logx=None):
                   - oplus1(L_k) - logx_k.
 
     Non-adjacency keeps the rows of B at ks fixed inside the slot, so the
-    slot is one array update.  Returns new arrays.
+    slot is one array update.  The products are taken in float64 and the
+    result cast back to L's dtype, so an integer L stays exact while every
+    partial sum is below 2**53 (TropicalRun checks this).  Returns new arrays.
     """
-    ks = list(ks)
-    P = B[ks]
+    ks, P = op.ks, op.P
     Lk = L[ks]
     plus1 = oplus1(Lk)
-    L = L + np.maximum(P, 0).T @ Lk - P.T @ plus1
+    L = (L + op.plus.T @ Lk - P.T @ plus1).astype(L.dtype, copy=False)
     L[ks] = -Lk
     if logx is not None:
-        xk = np.logaddexp(Lk + np.maximum(-P, 0) @ logx, np.maximum(P, 0) @ logx)
+        xk = np.logaddexp(Lk + op.minus @ logx, op.plus @ logx)
         logx = logx.copy()
         logx[ks] = xk - plus1 - logx[ks]
     return L, logx
@@ -194,10 +230,10 @@ def run_schedule(schedule, s_lo, s_hi, L, oplus1, logx=None):
     """
     if not s_lo <= 0 <= s_hi:
         raise ValueError(f"the window [{s_lo}, {s_hi}] must contain time 0")
-    t, sets, mats = schedule.t, schedule.sets, schedule.matrices
+    period = 2 * schedule.t
     Ls = np.empty((s_hi - s_lo + 1, *L.shape), dtype=L.dtype)
     xs = None if logx is None else np.empty((s_hi - s_lo + 1, *logx.shape))
-    for step, stop in ((1, s_hi), (-1, s_lo)):
+    for step, stop, ops in ((1, s_hi, schedule.forward), (-1, s_lo, schedule.backward)):
         s, Lc, xc = 0, L, logx
         while True:
             Ls[s - s_lo] = Lc
@@ -205,9 +241,6 @@ def run_schedule(schedule, s_lo, s_hi, L, oplus1, logx=None):
                 xs[s - s_lo] = xc
             if s == stop:
                 break
-            # a backward step from s undoes the slot before s, applying its
-            # composite mutation to the matrix at s
-            ks = sets[s % (2 * t) if step > 0 else (s - 1) % (2 * t)]
-            Lc, xc = mutate_slot(mats[s % (2 * t)], ks, Lc, oplus1, xc)
+            Lc, xc = mutate_slot(ops[s % period], Lc, oplus1, xc)
             s += step
     return Ls, xs

@@ -66,24 +66,23 @@ def _row(case, check, ok, statement, **metrics):
     return VerificationReport(case, check, "pass" if ok else "fail", statement, metrics)
 
 
-def _case_rows(case, cfg):
+def _tropical_rows(sched, case, seed, row):
+    """The rows read off the case's TropicalRun, passed to row; when the run
+    raises (an exponent past the float64 exact range), each of them fails
+    carrying the error."""
     family, rank, level = case
-    cid = _case_id(family, rank, level)
-    rows = []
-
-    def row(check, ok, statement, **metrics):
-        rows.append(_row(cid, check, ok, statement, **metrics))
-
-    # scheduled mutation cycle (quiver transforms asserted over one period),
-    # checked once here; every run of the case is driven by this Schedule
     try:
-        sched = Schedule(build(FamilySpec(family, rank, level)))
-        row("schedule", True, "scheduled-quiver-cycle", vertices=sched.model.n)
-    except ScheduleError as err:
-        row("schedule", False, "scheduled-quiver-cycle", error=str(err))
-        return rows
-
-    trop = TropicalRun(sched)
+        trop = TropicalRun(sched)
+    except ArithmeticError as err:
+        checks = [
+            ("tropical-counts", "sign-count-closed-form"),
+            ("tropical-periodicity", "tropical-half-full-periodicity"),
+            ("tropical-signs", "region-sign-classification"),
+            ("tropical-shadow", "small-parameter-slopes"),
+        ] + [("tvectors", "level2-root-identities")] * (level == 2)
+        for check, statement in checks:
+            row(check, False, statement, error=str(err))
+        return
     try:
         counts = trop.count_signs()
         want = expected_counts(family, rank, level)
@@ -105,14 +104,34 @@ def _case_rows(case, cfg):
             bad += apart_mismatches_C(trop)
         row("tvectors", not bad, "level2-root-identities", mismatches=len(bad))
 
+    shadow = tropical_shadow_mismatches(trop, seed=seed)
+    row("tropical-shadow", not shadow, "small-parameter-slopes", mismatches=len(shadow))
+
+
+def _case_rows(case, cfg):
+    family, rank, level = case
+    cid = _case_id(family, rank, level)
+    rows = []
+
+    def row(check, ok, statement, **metrics):
+        rows.append(_row(cid, check, ok, statement, **metrics))
+
+    # scheduled mutation cycle (quiver transforms asserted over one period),
+    # checked once here; every run of the case is driven by this Schedule
+    try:
+        sched = Schedule(build(FamilySpec(family, rank, level)))
+        row("schedule", True, "scheduled-quiver-cycle", vertices=sched.model.n)
+    except ScheduleError as err:
+        row("schedule", False, "scheduled-quiver-cycle", error=str(err))
+        return rows
+
+    _tropical_rows(sched, case, cfg["seeds"][0], row)
     seeds = tuple(cfg["seeds"])
     tracked, plain = NumericRun(sched, seeds), NumericRun(sched, seeds, tracked=False)
     worst_res, worst_per = worst_errors(tracked, plain)
     res_tol, per_tol = cfg["residual_tol"], cfg["periodicity_tol"]
     row("numeric-residuals", worst_res < res_tol, "recursion-residuals", max_residual=worst_res, tol=res_tol)
     row("numeric-periodicity", worst_per < per_tol, "labelled-periodicity", max_error=worst_per, tol=per_tol)
-    shadow = tropical_shadow_mismatches(trop, seed=cfg["seeds"][0])
-    row("tropical-shadow", not shadow, "small-parameter-slopes", mismatches=len(shadow))
 
     rows.append(_constant_dilog_row(case, cfg, sched))
     rep = check_functional_DI(tracked)

@@ -4,7 +4,8 @@ A tropical coefficient is a Laurent monomial in the initial generators
 y_v (one per vertex), stored as its integer exponent vector.  Tropical
 addition takes componentwise minima, so y (+) 1 has exponent vector
 min(e, 0), and the exchange rule of schedule.mutate_slot acts on the
-exponent rows by exact integer arithmetic.
+int64 exponent rows through float64 products, which are exact while every
+partial sum stays below 2**53; TropicalRun checks that once per run.
 """
 
 from __future__ import annotations
@@ -58,7 +59,8 @@ class TropicalRun:
 
     E[s - lo_s] holds the exponent rows of the coefficients at time s: row v
     is the monomial of y_v.  The record spans the times the checks read,
-    -h_dual*t <= s < 2*full_s.
+    -h_dual*t <= s < 2*full_s.  Making one raises ArithmeticError when an
+    exponent is too large for the float64 products of the run to be exact.
     """
 
     def __init__(self, schedule):
@@ -71,6 +73,15 @@ class TropicalRun:
         self.lo_s = -cd["h_dual"] * self.t
         E0 = np.eye(self.model.n, dtype=np.int64)
         self.E, _ = run_schedule(schedule, self.lo_s, 2 * self.full_s - 1, E0, tropical_plus1)
+        # every step's input is a recorded row of E, so each partial sum of
+        # its products is at most max|E| * max|B| * n in absolute value
+        e = max(int(self.E.max()), -int(self.E.min()))
+        b = max(max(int(B.max()), -int(B.min())) for B in schedule.matrices)
+        if e * b * self.model.n >= 2**53:
+            raise ArithmeticError(
+                f"tropical exponents up to {e} with |B| up to {b} on {self.model.n} vertices "
+                "leave the exact integer range of float64 (2**53)"
+            )
         self.omega = np.array(involutions(self.model)["omega"])
 
     @property

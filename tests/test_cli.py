@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ysyslab import builders, cli, mutclass, schedule, suite
+from ysyslab import builders, cli, mutclass, schedule, suite, tropical
 from ysyslab.cli import main
 from ysyslab.numeric import NumericRun
 from ysyslab.quiver import Quiver
@@ -299,6 +299,29 @@ def test_extra_level_schedule_error_is_a_fail_row(monkeypatch):
     assert (row.check, row.status) == ("dilog-constant", "fail")
     assert list(row.metrics) == ["error"] and "arrows out of vertex" in row.metrics["error"]
     assert all(r.status == "pass" for r in rows if r.case == "C:2:2")
+
+
+def test_tropical_exponent_past_exact_range_fails_rows(monkeypatch, capsys):
+    # the tropical step takes its products in float64; a run whose exponents
+    # could leave the exact integer range fails every row read off it, with
+    # the error, and the tropical command says why instead of a traceback
+    real = tropical.run_schedule
+
+    def planted(*args):
+        E, xs = real(*args)
+        E[-1, 0, 0] = 2**52
+        return E, xs
+
+    monkeypatch.setattr(tropical, "run_schedule", planted)
+    rows = run_suite({"cases": [["C", 2, 2]], "pairs": [], "seeds": [0], "extra_dilog_levels": []})
+    failed = {r.check: r.metrics for r in rows if r.status != "pass"}
+    assert sorted(failed) == ["tropical-counts", "tropical-periodicity", "tropical-shadow", "tropical-signs", "tvectors"]
+    assert all(list(m) == ["error"] and "2**53" in m["error"] for m in failed.values())
+    with pytest.raises(SystemExit) as err:
+        main(["tropical", "--family", "C", "--rank", "2", "--level", "2"])
+    assert err.value.code == 1
+    out, stderr = capsys.readouterr()
+    assert "exponents up to 4503599627370496" in stderr and "Traceback" not in stderr and "points" not in out
 
 
 def test_suite_accepts_numpy_and_tuple_values():

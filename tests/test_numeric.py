@@ -16,7 +16,7 @@ from ysyslab.numeric import (
     tropical_shadow_mismatches,
     worst_errors,
 )
-from ysyslab.schedule import column_fold, mutate_slot, run_schedule, slot_sets
+from ysyslab.schedule import column_fold, mutate_slot, run_schedule, slot_operator, slot_sets
 from ysyslab.tropical import TropicalRun
 
 def derived_g(family, rank, level, a, m):
@@ -103,8 +103,8 @@ def test_seed_double_mutation_restores():
     logx = np.log(rng.uniform(0.5, 2.0, m.n))
     logy = np.log(rng.uniform(0.5, 2.0, m.n))
     for ks in ([0], slot_sets(m)[0]):
-        L, lx = mutate_slot(m.quiver.B, ks, logy, real_plus1, logx)
-        L, lx = mutate_slot(m.quiver.composite_mutate(ks).B, ks, L, real_plus1, lx)
+        L, lx = mutate_slot(slot_operator(m.quiver.B, ks), logy, real_plus1, logx)
+        L, lx = mutate_slot(slot_operator(m.quiver.composite_mutate(ks).B, ks), L, real_plus1, lx)
         assert np.allclose(np.exp(lx), np.exp(logx), rtol=1e-12)
         assert np.allclose(np.exp(L), np.exp(logy), rtol=1e-12)
 

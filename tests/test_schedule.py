@@ -194,7 +194,8 @@ def test_global_opposite_passes_cycle_but_flips_tropical_signs():
         bad = type(m)(m.spec, m.quiver.opposite(), dict(m.index))
         assert slot_sets(bad) == good.sets
         # the one-period cycle passes by the negation symmetry
-        unverified = SimpleNamespace(t=good.t, sets=good.sets, matrices=schedule.slot_matrices(bad, good.sets))
+        forward, backward = schedule.slot_operators(good.sets, schedule.slot_matrices(bad, good.sets))
+        unverified = SimpleNamespace(t=good.t, forward=forward, backward=backward)
         with pytest.raises(ScheduleError, match="arrows out of vertex"):
             Schedule(bad)
         s, v = good.points(0, 2 * good.t)

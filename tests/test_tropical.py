@@ -15,7 +15,7 @@ from tests.oracle import (
 )
 from ysyslab.builders import FamilySpec, build, involutions
 from ysyslab.quiver import FILL_CIRCLE, Quiver
-from ysyslab.schedule import mutate_slot
+from ysyslab.schedule import mutate_slot, slot_operator
 from ysyslab.tropical import (
     MIXED,
     NEGATIVE,
@@ -44,7 +44,7 @@ def rank2_quiver():
 def test_mutation_rule_hand_example():
     # one arrow 1 -> 2; mutating at 1 sends y2 to y2*y1
     Q = rank2_quiver()
-    E, _ = mutate_slot(Q.B, [0], np.eye(2, dtype=np.int64), tropical_plus1)
+    E, _ = mutate_slot(slot_operator(Q.B, [0]), np.eye(2, dtype=np.int64), tropical_plus1)
     assert E.tolist() == [[-1, 0], [1, 1]]
 
 
@@ -68,9 +68,29 @@ def test_mutation_involution_randomized():
         for k in order:
             if not B[k, ks].any():
                 ks.append(int(k))
-        E, _ = mutate_slot(Q.B, ks, E0, tropical_plus1)
-        E, _ = mutate_slot(Q.composite_mutate(ks).B, ks, E, tropical_plus1)
+        E, _ = mutate_slot(slot_operator(Q.B, ks), E0, tropical_plus1)
+        E, _ = mutate_slot(slot_operator(Q.composite_mutate(ks).B, ks), E, tropical_plus1)
         assert np.array_equal(E, E0)
+
+
+def test_float_products_match_integer_step():
+    # mutate_slot takes an int64 seed's products in float64; below 2**53 they
+    # are exact, so the step equals the integer rule for exponents up to 2**40
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        n = int(rng.integers(2, 9))
+        B = np.triu(rng.integers(-2, 3, (n, n)), 1)
+        B = B - B.T
+        ks = []
+        for k in rng.permutation(n)[: int(rng.integers(1, n + 1))]:
+            if not B[k, ks].any():
+                ks.append(int(k))
+        E0 = rng.integers(-(2**40), 2**40 + 1, (n, n))
+        P, Ek = B[ks], E0[ks]
+        want = E0 + np.maximum(P, 0).T @ Ek - P.T @ np.minimum(Ek, 0)
+        want[ks] = -Ek
+        E, _ = mutate_slot(slot_operator(B, ks), E0, tropical_plus1)
+        assert E.dtype == np.int64 and np.array_equal(E, want)
 
 
 def test_first_window_positivity_level2():
