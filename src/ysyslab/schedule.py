@@ -21,7 +21,8 @@ Y^{(a)}_m(u) and T^{(a)}_m(u - 1/t_a), with a = column_fold(col).
 Schedule.points lists the mutation points of a time window, and
 run_schedule records a seed at every time of one, so a run's value at a
 point (s, v) is one array read.  A Schedule holds one SlotOperator per slot
-and direction, so a run's step only indexes them.
+and direction, so a run's step only indexes them, and one GatherPlan, the
+record rows of every value its numeric checks read.
 """
 
 from __future__ import annotations
@@ -131,13 +132,14 @@ class Schedule:
     """The verified schedule of one case: its model, the vertex sets of the
     2t slots, the exchange matrix at each slot, the forward and backward
     SlotOperator of each slot (slot_operators), the (a, m) label of each
-    vertex, and the T- and Y-relation tables read off them (g and its
-    transpose numerators, see gfun).
+    vertex, the T- and Y-relation tables read off them (g and its
+    transpose numerators, see gfun), and the GatherPlan of those relations.
 
-    Making one runs slot_matrices and g_factors, and raises ScheduleError on
-    a quiver mismatch or an exchange relation not of T-relation shape, so
-    holding a Schedule means both one-period checks have passed.  Instances
-    hash by identity.
+    Making one runs slot_matrices, g_factors and GatherPlan, and raises
+    ScheduleError on a quiver mismatch, an exchange relation not of
+    T-relation shape or a relation that reads off the grid, so holding a
+    Schedule means all three checks have passed.  Instances hash by
+    identity.
     """
 
     def __init__(self, model):
@@ -153,13 +155,18 @@ class Schedule:
         except ValueError as err:
             raise ScheduleError(f"no T-relation (family {fam}, rank {rank}, level {model.spec.level}): {err}") from err
         self.numerators = transpose_factors(self.g)
+        self.plan = GatherPlan(self)
 
     def points(self, s_lo, s_hi):
         """The mutation points (s, v) with s_lo <= s < s_hi, as two int arrays
         in time order: vertex v is mutated at time s, in the slot s mod 2t."""
-        pairs = [(s, v) for s in range(s_lo, s_hi) for v in self.sets[s % (2 * self.t)]]
-        s, v = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-        return s, v
+        period = 2 * self.t
+        slot = np.repeat(np.arange(period), [len(ks) for ks in self.sets])
+        starts = np.arange(s_lo - s_lo % period, s_hi, period)  # the periods that meet the window
+        s = (starts[:, None] + slot).ravel()
+        v = np.tile(np.array([w for ks in self.sets for w in ks], dtype=np.int64), len(starts))
+        keep = (s_lo <= s) & (s < s_hi)
+        return s[keep], v[keep]
 
 
 class SlotOperator(NamedTuple):
@@ -186,10 +193,12 @@ def slot_operators(sets, matrices):
 
     A forward step mutates the matrix at s at its own set; a backward step
     from s undoes the slot before s, applying that slot's set to the matrix
-    at s.
+    at s.  That slot's step negated the rows of its set (they are pairwise
+    non-adjacent), so the backward operator is the forward one of the slot
+    before with P negated and the positive parts swapped, sharing them.
     """
     forward = [slot_operator(B, ks) for B, ks in zip(matrices, sets)]
-    backward = [slot_operator(B, sets[s - 1]) for s, B in enumerate(matrices)]
+    backward = [SlotOperator(op.ks, -op.P, op.minus, op.plus) for op in forward[-1:] + forward[:-1]]
     return forward, backward
 
 
@@ -244,3 +253,176 @@ def run_schedule(schedule, s_lo, s_hi, L, oplus1, logx=None):
             Lc, xc = mutate_slot(ops[s % period], Lc, oplus1, xc)
             s += step
     return Ls, xs
+
+
+# -- the gather plan -------------------------------------------------------------
+
+#: Plan entries that are not record rows: an exact 1.0 (a boundary row of T,
+#: or an absent factor) and a value off the grid.
+UNIT, OFF = -1, -2
+
+
+class Relations(NamedTuple):
+    """Record rows of the relations centered at the points of one grid, one
+    row of each array per center: lhs the two values whose product is the
+    left side, adjacent the rows m-1 and m+1 at the center, factors the
+    neighbour factors padded with UNIT, center the coefficient at the
+    center (T-relations only), and relation the index of the center's row
+    in the relation tables."""
+
+    lhs: np.ndarray
+    adjacent: np.ndarray
+    factors: np.ndarray
+    center: np.ndarray | None
+    relation: np.ndarray
+
+
+def _padded(table, rows):
+    """(b, k, ds, pad): the factors of each row of a relation table as
+    (rows, width) int arrays, padded to the longest list; pad marks the
+    padding."""
+    lengths = np.array([len(table[row]) for row in rows])
+    pad = np.arange(lengths.max()) >= lengths[:, None]
+    out = np.zeros((*pad.shape, 3), dtype=np.int64)
+    out[~pad] = np.array([f for row in rows for f in table[row]], dtype=np.int64).reshape(-1, 3)
+    return out[..., 0], out[..., 1], out[..., 2], pad
+
+
+class GatherPlan:
+    """The record rows of every value the numeric checks of a Schedule read,
+    over the window lo_s <= s <= hi_s, from -3t to full_s + 5t (full_s is
+    one full period).
+
+    A run record of the window, flattened to one row per (time, vertex) and
+    one column per seed, holds the value of vertex v at time s in row
+    (s - lo_s)*n + v.  The label (a, m) of a mutation point (s, v) names
+    Y^{(a)}_m(s/t) and T^{(a)}_m(s/t - 1/t_a), so each labelled value is one
+    row (y_rows and t_rows), and the boundary rows of T are UNIT.
+
+    The slots repeat every 2t steps, so shifting every value a relation
+    reads by 2t steps shifts its rows by 2t*n.  t_relation and y_relation
+    therefore hold the T-relations centered at the P'+ points and the
+    Y-relations centered at the P+ points of one slot period, 0 <= s < 2t,
+    and translated gives those of every center with 0 <= s < full_s, row by
+    row of the relation tables and in time order within a row.  t_period
+    and y_period are (base, other) pairs of row arrays: each labelled value
+    with 0 <= s < 2t paired with its value one full period later, then with
+    the row-flipped value half a period later, row by row.  Making one
+    raises ScheduleError naming the first value a relation reads off the
+    grid.  The plan holds indices only, so it gathers records of any value
+    type.
+    """
+
+    def __init__(self, schedule):
+        model, t = schedule.model, schedule.t
+        spec, cd = model.spec, model.cartan
+        self.t, self.n = t, model.n
+        self.full_s = 2 * (cd["h_dual"] + spec.level) * t
+        self.lo_s, self.hi_s = -3 * t, self.full_s + 5 * t
+        self.tops = np.zeros(spec.rank + 1, dtype=np.int64)
+        self.lags = np.zeros_like(self.tops)
+        for a, t_a in cd["t_a"].items():
+            self.tops[a], self.lags[a] = t_a * spec.level, t // t_a
+        self._context = f"family {spec.family}, rank {spec.rank}, level {spec.level}"
+
+        # the vertex labelled (a, m) in each slot, OFF where there is none
+        s, v = schedule.points(0, 2 * t)
+        a, m = np.array(schedule.labels).T[:, v]
+        self._vertex = np.full((spec.rank + 1, self.tops.max() + 1, 2 * t), OFF)
+        self._vertex[a, m, s] = v
+
+        keys = list(schedule.g)
+        ra, rm = np.array(keys).T[:, :, None]  # one row per relation
+        period = np.arange(2 * t)
+
+        # T-relations at the P'+ points
+        ri, s = np.nonzero(self.y_rows(ra, rm, period) != OFF)
+        a, m, dt = ra[ri], rm[ri], self.lags[ra[ri]]
+        b, k, ds, pad = (x[ri] for x in _padded(schedule.g, keys))
+        self.t_relation = Relations(
+            lhs=self._relation_rows(self.t_rows, a, m, s[:, None] + dt * [-1, 1]),
+            adjacent=self._relation_rows(self.t_rows, a, m + [-1, 1], s[:, None]),
+            factors=self._relation_rows(self.t_rows, b, k, s[:, None] + ds, pad),
+            center=self._relation_rows(self.y_rows, a[:, 0], m[:, 0], s),
+            relation=ri,
+        )
+
+        # Y-relations at the P+ points; a boundary row carries no factor
+        ri, s = np.nonzero(self.t_rows(ra, rm, period) != OFF)
+        a, m, dt = ra[ri], rm[ri], self.lags[ra[ri]]
+        b, k, ds, pad = (x[ri] for x in _padded(schedule.numerators, keys))
+        rows_m = m + [-1, 1]
+        self.y_relation = Relations(
+            lhs=self._relation_rows(self.y_rows, a, m, s[:, None] + dt * [-1, 1]),
+            adjacent=self._relation_rows(self.y_rows, a, rows_m, s[:, None], (rows_m == 0) | (rows_m == self.tops[a])),
+            factors=self._relation_rows(self.y_rows, b, k, s[:, None] + ds, pad),
+            center=None,
+            relation=ri,
+        )
+        self.t_period = self._periodicity(self.t_rows, ra, rm)
+        self.y_period = self._periodicity(self.y_rows, ra, rm)
+
+    def y_rows(self, a, m, s):
+        """The record rows of Y^{(a)}_m(s/t), broadcast over a, m and s: OFF
+        where no mutation point of the window carries it."""
+        on = (self.lo_s <= s) & (s <= self.hi_s) & (0 <= m) & (m < self._vertex.shape[1])
+        v = self._vertex[a, np.where(on, m, 0), s % (2 * self.t)]
+        return np.where(on & (v != OFF), (s - self.lo_s) * self.n + v, OFF)
+
+    def t_rows(self, a, m, s):
+        """The record rows of T^{(a)}_m(s/t), broadcast over a, m and s: UNIT
+        on the boundary rows a = 0, m = 0 and m = t_a*level, OFF off the P+
+        grid and the window."""
+        return np.where((a == 0) | (m == 0) | (m == self.tops[a]), UNIT, self.y_rows(a, m, s + self.lags[a]))
+
+    def translated(self, relations):
+        """The Relations of every center with 0 <= s < full_s, from those of
+        one slot period: each of its rows shifted by each whole slot period
+        (UNIT stays UNIT), in (relation, time) order."""
+        shifts = 2 * self.t * self.n * np.arange(self.full_s // (2 * self.t))
+        lhs, adjacent, factors, center, relation = relations
+        relation = np.tile(relation, len(shifts))
+        order = np.argsort(relation, kind="stable")
+
+        def every_period(rows):
+            shifted = np.where(rows == UNIT, UNIT, rows + shifts.reshape(-1, *[1] * rows.ndim))
+            return shifted.reshape(-1, *rows.shape[1:])[order]
+
+        center = None if center is None else every_period(center)
+        return Relations(every_period(lhs), every_period(adjacent), every_period(factors), center, relation[order])
+
+    def coefficients(self, s_lo, s_hi):
+        """The record rows of the P'+ points with s_lo <= s < s_hi, in
+        (s, a, m) order."""
+        s = np.arange(max(s_lo, self.lo_s), min(s_hi, self.hi_s + 1))
+        by_label = self._vertex[:, :, s % (2 * self.t)].transpose(2, 0, 1).reshape(len(s), -1)
+        i, j = np.nonzero(by_label != OFF)
+        return (s[i] - self.lo_s) * self.n + by_label[i, j]
+
+    def _checked(self, lookup, a, m, s, unit=None):
+        """lookup(a, m, s), UNIT where unit holds; raises ScheduleError at the
+        first value off the grid."""
+        rows = lookup(a, m, s) if unit is None else np.where(unit, UNIT, lookup(a, m, s))
+        off = np.flatnonzero(rows == OFF)
+        if off.size:
+            a, m, s = (int(np.broadcast_to(x, rows.shape).flat[off[0]]) for x in (a, m, s))
+            raise ScheduleError(f"({a}, {m}, {s}/{self.t}) is off the grid, read by a relation ({self._context})")
+        return rows
+
+    def _relation_rows(self, lookup, a, m, s, unit=None):
+        """The checked rows of one slot period of relations; their translates
+        by the last slot period must stay inside the window too."""
+        rows = self._checked(lookup, a, m, s, unit)
+        self._checked(lookup, a, m, s + self.full_s - 2 * self.t, unit)
+        return rows
+
+    def _periodicity(self, lookup, ra, rm):
+        """The periodicity pairs of the values that lookup finds at 0 <= s < 2t."""
+        ri, s = np.nonzero(lookup(ra, rm, np.arange(2 * self.t)) != OFF)
+        a, m = ra[ri, 0], rm[ri, 0]
+        base = lookup(a, m, s)
+        full = self._checked(lookup, a, m, s + self.full_s)
+        half = self._checked(lookup, a, self.tops[a] - m, s + self.full_s // 2)
+        # row by row: the full pairs of a row, then its half pairs
+        order = np.argsort(np.concatenate([2 * ri, 2 * ri + 1]), kind="stable")
+        return np.concatenate([base, base])[order], np.concatenate([full, half])[order]

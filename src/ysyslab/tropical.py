@@ -130,43 +130,36 @@ class TropicalRun:
                 bad.append((Fraction(s, self.t), m.position(v), dst[v]))
         return bad
 
-    def expected_sign(self, v, s):
-        """Sign predicted by the region/row classification, or None outside it.
+    def sign_pattern_mismatches(self):
+        """Mutation points whose tropical sign contradicts the region/row
+        classification, as (position, u, got, want).
 
         Region one (0 <= u < level): every mutation-point monomial is
         positive.  Region two (-h_dual <= u < 0): circle rows and the bullet
         rows that are multiples of t are negative; the remaining bullet rows
-        are negative except at an explicit finite list of times, where they
-        are positive.
+        are negative except at the times of positive_times, where they are
+        positive.
         """
         m = self.model
-        u = Fraction(s, self.t)
-        if 0 <= u < m.spec.level:
-            return POSITIVE
-        if not -m.cartan["h_dual"] <= u < 0:
-            return None
-        meta = m.quiver.meta[v]
-        if meta.fill == FILL_CIRCLE or meta.row % self.t == 0:
-            return NEGATIVE
-        if m.spec.family == "C":
-            hd = Fraction(m.cartan["h_dual"])
-            pos_times = [-hd / 2, -hd / 2 - Fraction(1, 2)]
-        elif m.spec.family == "F4":
-            pos_times = [Fraction(x) for x in ("-2", "-5/2", "-9/2", "-5", "-7", "-15/2")]
-        else:
-            pos_times = [Fraction(x) for x in ("-1", "-4/3", "-5/3", "-8/3", "-3", "-10/3")]
-        return POSITIVE if u in pos_times else NEGATIVE
+        s, v, got = self.point_signs(-m.cartan["h_dual"] * self.t, m.spec.level * self.t)
+        meta = m.quiver.meta
+        exceptional = np.array([x.fill != FILL_CIRCLE and x.row % self.t != 0 for x in meta])[v]
+        positive = (s >= 0) | (exceptional & np.isin(s, positive_times(m.spec.family, m.cartan["h_dual"])))
+        want = np.where(positive, POSITIVE, NEGATIVE)
+        return [
+            (m.position(v[i]), Fraction(int(s[i]), self.t), str(got[i]), str(want[i]))
+            for i in np.flatnonzero(got != want)
+        ]
 
-    def sign_pattern_mismatches(self):
-        """Mutation points whose tropical sign contradicts the classification."""
-        bad = []
-        lo = -self.model.cartan["h_dual"] * self.t
-        s, v, classes = self.point_signs(lo, self.model.spec.level * self.t)
-        for s, v, got in zip(s.tolist(), v.tolist(), classes.tolist()):
-            want = self.expected_sign(v, s)
-            if want is not None and got != want:
-                bad.append((self.model.position(v), Fraction(s, self.t), got, want))
-        return bad
+
+def positive_times(family, h_dual):
+    """The region-two times s = t*u at which the bullet rows that are not
+    multiples of t are positive (u = -h_dual/2 and -h_dual/2 - 1/2 for C)."""
+    return {
+        "C": (-h_dual - 1, -h_dual),
+        "F4": (-15, -14, -10, -9, -5, -4),
+        "G2": (-10, -9, -8, -5, -4, -3),
+    }[family]
 
 
 def expected_counts(family, rank, level):

@@ -27,7 +27,12 @@ ysyslab itself does not.
 
 The parity classes P+ / P'+ and the label maps label_g / label_g_prime are
 the per-family formulas of the grid bijection: the reference for
-schedule.column_fold and for the labelled arrays of numeric.NumericRun.
+schedule.column_fold and for the record rows of schedule.GatherPlan.
+LabelledArrays, the NaN-filled labelled arrays of a run and the relation
+and periodicity checks read from them row by row, is the reference for the
+GatherPlan gathers of numeric.NumericRun.  expected_sign, the region sign
+classification with its typed times as fractions, point by point, is the
+reference for tropical.TropicalRun.sign_pattern_mismatches.
 The per-family closed forms of the tropical boundary tuples, the sign
 tallies and the doubled functional sums, as printed, are the reference for
 tropical.boundary_targets, which reads them off omega, and for
@@ -51,9 +56,10 @@ from scipy import integrate
 
 from ysyslab.builders import cartan_data, dynkin_edges
 from ysyslab.mutclass import MutationPath, canonical_key, mutate_rows
-from ysyslab.quiver import Quiver, Vertex, find_isomorphism, invert_perm
+from ysyslab.quiver import FILL_CIRCLE, Quiver, Vertex, find_isomorphism, invert_perm
 from ysyslab.roots import RootSystem, SigmaMap, neg_simple
 from ysyslab.schedule import slot_sets
+from ysyslab.tropical import NEGATIVE, POSITIVE
 
 
 class TropicalCoefficients:
@@ -490,6 +496,152 @@ def label_g(model, a, m, s_w):
     cluster variable sits at the mutation point of that coefficient.
     """
     return label_g_prime(model, a, m, s_w + model.cartan["t"] // model.cartan["t_a"][a])
+
+
+class LabelledArrays:
+    """The labelled arrays of a numeric.NumericRun, filled with NaN off the
+    grid, and the relation and periodicity checks read row by row from
+    them: the reference for the GatherPlan gathers of NumericRun.
+
+    T[a, m, s - s0, j] and Y[a, m, s - s0, j] hold T^{(a)}_m(s/t) and
+    Y^{(a)}_m(s/t) of seed j.  T is filled on the P+ grid and is 1 on the
+    boundary rows (a = 0, m = 0 and m = t_a*level); Y is filled on the P'+
+    grid, with 1 throughout a coefficient-free run.  Every other entry is
+    NaN, and a gather that meets one raises.
+    """
+
+    def __init__(self, run):
+        self.run, self.schedule, self.t = run, run.schedule, run.t
+        self.full_s, self.lo_s, self.hi_s, self.tracked = run.full_s, run.lo_s, run.hi_s, run.tracked
+        cd, level = run.model.cartan, run.spec.level
+        self.tops = {a: t_a * level for a, t_a in cd["t_a"].items()}
+        self.lags = {a: self.t // t_a for a, t_a in cd["t_a"].items()}
+        self.rows = list(self.schedule.g)
+        # T of a point at s sits at s - t/t_a >= lo_s - t
+        s0 = self.lo_s - self.t
+        shape = (run.spec.rank + 1, max(self.tops.values()) + 1, self.hi_s + 1 - s0, len(run.seeds))
+        self.s0, self.T, self.Y = s0, np.full(shape, np.nan), np.full(shape, np.nan)
+        self.T[0] = 1.0
+        for a, top in self.tops.items():
+            self.T[a, [0, top]] = 1.0
+        node, row = np.array(self.schedule.labels).T
+        lag = np.array([self.lags[a] for a in node])
+        s, v = self.schedule.points(self.lo_s, self.hi_s + 1)
+        self.T[node[v], row[v], s - lag[v] - s0] = run.x[s - self.lo_s, v]
+        self.Y[node[v], row[v], s - s0] = 1.0 if run.y is None else run.y[s - self.lo_s, v]
+
+    def _times(self, arr, a, m, s_lo, s_hi):
+        """The times s in [s_lo, s_hi) at which arr[a, m] is filled; every
+        seed's column has the same fill pattern."""
+        filled = ~np.isnan(arr[a, m, s_lo - self.s0 : s_hi - self.s0, 0])
+        return np.flatnonzero(filled) + s_lo
+
+    def _at(self, arr, a, m, s):
+        """arr[a, m] at the times s, one column per seed; raises if a time is
+        off the grid."""
+        vals = arr[a, m, s - self.s0]
+        off = np.isnan(vals).any(axis=1)
+        if off.any():
+            bad = s[off][0]
+            raise ValueError(f"({a}, {m}, {bad}/{self.t}) is off the grid")
+        return vals
+
+    def t_residuals(self):
+        out = []
+        for a, m in self.rows:
+            s, dt = self._times(self.Y, a, m, 0, self.full_s), self.lags[a]
+            lhs = self._at(self.T, a, m, s - dt) * self._at(self.T, a, m, s + dt)
+            adj = self._at(self.T, a, m - 1, s) * self._at(self.T, a, m + 1, s)
+            mon = 1.0
+            for b, k, ds in self.schedule.g[(a, m)]:
+                mon *= self._at(self.T, b, k, s + ds)
+            if self.tracked:
+                yk = self._at(self.Y, a, m, s)
+                rhs = (yk * mon + adj) / (1.0 + yk)
+            else:
+                rhs = adj + mon
+            out.append(np.abs(lhs - rhs) / np.maximum(np.abs(lhs), np.abs(rhs)))
+        return np.concatenate(out)
+
+    def y_residuals(self):
+        numerators = self.schedule.numerators
+        out = []
+        for a, m in self.rows:
+            s, dt = self._times(self.T, a, m, 0, self.full_s), self.lags[a]
+            lhs = self._at(self.Y, a, m, s - dt) * self._at(self.Y, a, m, s + dt)
+            num = 1.0
+            for b, k, ds in numerators[(a, m)]:
+                num *= 1.0 + self._at(self.Y, b, k, s + ds)
+            den = 1.0
+            for k in (m - 1, m + 1):  # the boundary rows carry no factor
+                if (a, k) in numerators:
+                    den *= 1.0 + 1.0 / self._at(self.Y, a, k, s)
+            rhs = num / den
+            out.append(np.abs(lhs - rhs) / np.maximum(np.abs(lhs), np.abs(rhs)))
+        return np.concatenate(out)
+
+    def _periodicity_errors(self, arr):
+        """V_m(u + full) = V_m(u) and V_{top-m}(u + half) = V_m(u), row by row."""
+        half = self.full_s // 2
+        errs = []
+        for a, m in self.rows:
+            s = self._times(arr, a, m, 0, 2 * self.t)
+            base = self._at(arr, a, m, s)
+            errs.append(np.abs(self._at(arr, a, m, s + self.full_s) - base) / np.abs(base))
+            errs.append(np.abs(self._at(arr, a, self.tops[a] - m, s + half) - base) / np.abs(base))
+        return np.concatenate(errs)
+
+    def t_periodicity_errors(self):
+        return self._periodicity_errors(self.T)
+
+    def y_periodicity_errors(self):
+        return self._periodicity_errors(self.Y)
+
+    def labelled_coefficients(self, s_lo, s_hi):
+        ys = self.Y[:, :, s_lo - self.s0 : s_hi - self.s0].transpose(3, 2, 0, 1).reshape(len(self.run.seeds), -1)
+        return np.compress(~np.isnan(ys[0]), ys, axis=1)
+
+
+def expected_sign(run, v, s):
+    """Sign of the monomial of vertex v at time s of a tropical.TropicalRun
+    predicted by the region/row classification, or None outside it.
+
+    Region one (0 <= u < level): every mutation-point monomial is
+    positive.  Region two (-h_dual <= u < 0): circle rows and the bullet
+    rows that are multiples of t are negative; the remaining bullet rows
+    are negative except at an explicit finite list of times, where they
+    are positive.
+    """
+    m = run.model
+    u = Fraction(s, run.t)
+    if 0 <= u < m.spec.level:
+        return POSITIVE
+    if not -m.cartan["h_dual"] <= u < 0:
+        return None
+    meta = m.quiver.meta[v]
+    if meta.fill == FILL_CIRCLE or meta.row % run.t == 0:
+        return NEGATIVE
+    if m.spec.family == "C":
+        hd = Fraction(m.cartan["h_dual"])
+        pos_times = [-hd / 2, -hd / 2 - Fraction(1, 2)]
+    elif m.spec.family == "F4":
+        pos_times = [Fraction(x) for x in ("-2", "-5/2", "-9/2", "-5", "-7", "-15/2")]
+    else:
+        pos_times = [Fraction(x) for x in ("-1", "-4/3", "-5/3", "-8/3", "-3", "-10/3")]
+    return POSITIVE if u in pos_times else NEGATIVE
+
+
+def sign_pattern_mismatches(run):
+    """The (position, u, got, want) of each mutation point whose tropical
+    sign contradicts expected_sign, point by point."""
+    bad = []
+    lo = -run.model.cartan["h_dual"] * run.t
+    s, v, classes = run.point_signs(lo, run.model.spec.level * run.t)
+    for s, v, got in zip(s.tolist(), v.tolist(), classes.tolist()):
+        want = expected_sign(run, v, s)
+        if want is not None and got != want:
+            bad.append((run.model.position(v), Fraction(s, run.t), got, want))
+    return bad
 
 
 def family_boundary_targets(model):

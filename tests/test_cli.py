@@ -375,6 +375,24 @@ def test_suite_key_overflow_is_inconclusive(monkeypatch, tmp_path, capsys):
     assert "inconclusive" in capsys.readouterr().out
 
 
+def test_off_grid_relation_fails_schedule_row(monkeypatch, tmp_path, capsys):
+    # a relation table that reads off the grid fails the case's schedule row
+    # with the error, and the CLI ends without a traceback
+    good = schedule.g_factors
+    monkeypatch.setattr(schedule, "g_factors", lambda sched: {row: [(*row, 0)] for row in good(sched)})
+    config = {"cases": [["C", 2, 2]], "pairs": [], "extra_dilog_levels": []}
+    (row,) = run_suite(config)
+    assert (row.case, row.check, row.status) == ("C:2:2", "schedule", "fail")
+    assert row.metrics["error"].startswith("(1, 1, 0/2) is off the grid")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    with pytest.raises(SystemExit) as err:
+        main(["suite", "--config", str(cfg)])
+    assert err.value.code == 1
+    out, errout = capsys.readouterr()
+    assert "fail" in out and "Traceback" not in out + errout
+
+
 def test_tracer_targets_resolve():
     # the benchmark's tracer wraps these names; a rename must fail here
     tree = ast.parse(TRACER.read_text())

@@ -151,9 +151,22 @@ def search_outcome(search, Q1, Q2, **caps):
     return None if res is None else (res[0].moves, tuple(res[1]))
 
 
-def test_pruned_search_matches_reference():
-    # the commuting skip only drops children whose class is already stored, so
-    # the search meets, caps and returns exactly where the unpruned one does
+def test_pruned_search_matches_reference(monkeypatch):
+    # the commuting and pentagon skips only drop children whose class is
+    # already stored, so the search meets, caps and returns exactly where the
+    # unpruned one does, and computes the same set of distinct keys
+    keys = {mutclass: set(), oracle: set()}
+
+    def recording(module):
+        def wrapped(rows):
+            key = canonical_key(rows)
+            keys[module].add(key)
+            return key
+
+        return wrapped
+
+    for module in keys:
+        monkeypatch.setattr(module, "canonical_key", recording(module))
     rng = np.random.default_rng(23)
     ends = {"found": 0, "none": 0, "error": 0}
     for _ in range(22):
@@ -165,8 +178,11 @@ def test_pruned_search_matches_reference():
         for depth_cap in (2, 3, 5):
             for node_cap in [*range(2, 61), 10**5]:
                 caps = {"depth_cap": depth_cap, "node_cap": node_cap}
+                for seen in keys.values():
+                    seen.clear()
                 got = search_outcome(search_equivalence, Q1, Q2, **caps)
                 assert got == search_outcome(oracle.search_equivalence, Q1, Q2, **caps), caps
+                assert keys[mutclass] == keys[oracle], caps
                 ends["none" if got is None else "error" if isinstance(got, str) else "found"] += 1
     assert min(ends.values()) > 0, ends  # every kind of end is compared
 

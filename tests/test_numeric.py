@@ -5,8 +5,8 @@ import pytest
 
 from tests import oracle
 from tests.conftest import CASES, SEEDS, cached_model, cached_numeric, cached_schedule, cached_tropical
-from tests.oracle import NumericSeedPayload, grid_points, label_g, label_g_prime, run_payload
-from ysyslab import numeric
+from tests.oracle import LabelledArrays, NumericSeedPayload, grid_points, label_g, label_g_prime, run_payload
+from ysyslab import numeric, schedule
 from ysyslab.dilog import check_functional_DI
 from ysyslab.gfun import transpose_factors
 from ysyslab.numeric import (
@@ -16,7 +16,17 @@ from ysyslab.numeric import (
     tropical_shadow_mismatches,
     worst_errors,
 )
-from ysyslab.schedule import column_fold, mutate_slot, run_schedule, slot_operator, slot_sets
+from ysyslab.schedule import (
+    OFF,
+    UNIT,
+    Schedule,
+    ScheduleError,
+    column_fold,
+    mutate_slot,
+    run_schedule,
+    slot_operator,
+    slot_sets,
+)
 from ysyslab.tropical import TropicalRun
 
 def derived_g(family, rank, level, a, m):
@@ -154,8 +164,8 @@ def test_residuals_and_periodicity(family, rank, level):
 @pytest.mark.parametrize("family,rank,level", CASES)
 def test_batched_run_matches_single_seed_runs(family, rank, level):
     # column j of a run over several seeds is the run of seed j alone, up to
-    # the rounding of a matrix product against a vector, with the same NaN
-    # pattern; so are its functional sums
+    # the rounding of a matrix product against a vector; so are its labelled
+    # coefficients and its functional sums
     sched = cached_schedule(family, rank, level)
     for tracked in (True, False):
         batched = cached_numeric(family, rank, level, tracked)
@@ -166,8 +176,11 @@ def test_batched_run_matches_single_seed_runs(family, rank, level):
             if tracked:
                 np.testing.assert_allclose(batched.y[-batched.lo_s, :, j], draws[1], rtol=1e-15)
             single = NumericRun(sched, (seed,), tracked)
-            for name in ("x", "y", "T", "Y"):
+            window = (batched.lo_s, batched.hi_s + 1)
+            for name in ("x", "y", "labelled_coefficients"):
                 got, want = getattr(batched, name), getattr(single, name)
+                if callable(got):  # one row per seed
+                    got, want = got(*window).T, want(*window).T
                 if got is None:
                     assert want is None and not tracked
                     continue
@@ -218,11 +231,16 @@ def test_y_residuals_need_tracking():
 
 
 def test_boundary_labels_are_unit():
+    # the plan reads the boundary rows of T as UNIT at every time of the
+    # window, and a run gathers an exact 1.0 there, in every seed's column
     run = cached_numeric("C", 2, 2, False)
-    assert (run.T[0] == 1.0).all()
-    assert (run.T[1, 0] == 1.0).all()
-    assert (run.T[1, 4] == 1.0).all()  # top row for a short root at level 2
-    assert (run.T[2, 2] == 1.0).all()  # top row for the long root at level 2
+    plan = run.schedule.plan
+    times = np.arange(run.lo_s - run.t, run.hi_s + 1)
+    for a, m in [(0, k) for k in range(5)] + [(1, 0), (1, 4), (2, 0), (2, 2)]:
+        # rows 0 and 4 of a short root, and 0 and 2 of the long root, at level 2
+        rows = plan.t_rows(a, m, times)
+        assert (rows == UNIT).all(), (a, m)
+        assert (run.t_values(rows) == 1.0).all()
 
 
 @pytest.mark.parametrize("family,rank,level", CASES)
@@ -244,34 +262,70 @@ def test_column_fold_inverts_label_map(family, rank, level):
 @pytest.mark.parametrize("family,rank,level", CASES)
 @pytest.mark.parametrize("tracked", [True, False])
 def test_labelled_arrays_match_label_lookups(family, rank, level, tracked):
-    # the filled arrays equal, bit for bit, the per-point label lookups into
-    # the run record, in every seed's column; every other entry is NaN,
-    # apart from the unit boundary
+    # over the whole box of labels and times, the plan's record rows are the
+    # per-point label lookups into the run record: one row for each P'+
+    # coefficient and each P+ cluster variable of the window, UNIT on the
+    # boundary of T, and OFF everywhere else; the values a run gathers there
+    # are the record's, bit for bit, in every seed's column
     run = cached_numeric(family, rank, level, tracked)
-    T, Y = np.full_like(run.T, np.nan), np.full_like(run.Y, np.nan)
-    T[0] = 1.0
-    for a, t_a in run.model.cartan["t_a"].items():
-        T[a, 0] = T[a, t_a * level] = 1.0
+    plan, n, s0 = run.schedule.plan, run.model.n, run.lo_s - run.t
+    tops = {a: t_a * level for a, t_a in run.model.cartan["t_a"].items()}
+    box = np.meshgrid(np.arange(rank + 1), np.arange(max(tops.values()) + 1), np.arange(s0, run.hi_s + 1), indexing="ij")
+    T, Y = np.full(box[0].shape, OFF), np.full(box[0].shape, OFF)
+    T[0] = UNIT
+    for a, top in tops.items():
+        T[a, 0] = T[a, top] = UNIT
+    record_y = run.y if tracked else np.ones_like(run.x)
+    want_t, want_y = [], []
     for a, m, s in grid_points(family, rank, level, run.lo_s, run.hi_s + 1, prime=True):
         v, _ = label_g_prime(run.model, a, m, s)
-        Y[a, m, s - run.s0] = run.y[s - run.lo_s, v] if tracked else 1.0
-    for a, m, s_w in grid_points(family, rank, level, run.s0, run.hi_s + 1):
+        Y[a, m, s - s0] = (s - run.lo_s) * n + v
+        want_y.append(record_y[s - run.lo_s, v])
+    for a, m, s_w in grid_points(family, rank, level, s0, run.hi_s + 1):
         v, s = label_g(run.model, a, m, s_w)
         if run.lo_s <= s <= run.hi_s:
-            T[a, m, s_w - run.s0] = run.x[s - run.lo_s, v]
-    assert np.array_equal(run.T, T, equal_nan=True)
-    assert np.array_equal(run.Y, Y, equal_nan=True)
+            T[a, m, s_w - s0] = (s - run.lo_s) * n + v
+            want_t.append(run.x[s - run.lo_s, v])
+    assert np.array_equal(plan.y_rows(*box), Y)
+    assert np.array_equal(plan.t_rows(*box), T)
+    # grid_points lists in (s, a, m) order, the box in (a, m, s) order
+    order = (2, 0, 1)
+    assert np.array_equal(run.y_values(Y.transpose(order)[Y.transpose(order) >= 0]), want_y)
+    assert np.array_equal(run.t_values(T.transpose(order)[T.transpose(order) >= 0]), want_t)
+    assert (run.t_values(T[T == UNIT]) == 1.0).all()
+
+
+@pytest.mark.parametrize("family,rank,level", CASES)
+@pytest.mark.parametrize("tracked", [True, False])
+def test_plan_gathers_match_labelled_arrays(family, rank, level, tracked):
+    # every check gathered through the plan equals, bit for bit and in the
+    # same order, the row-by-row reads of the NaN-filled labelled arrays
+    run = cached_numeric(family, rank, level, tracked)
+    ref = LabelledArrays(run)
+    names = ["t_residuals", "t_periodicity_errors", "y_periodicity_errors"] + ["y_residuals"] * tracked
+    for name in names:
+        got, want = getattr(run, name)(), getattr(ref, name)()
+        assert got.shape == want.shape and np.array_equal(got, want), name
+    for window in [(0, run.full_s), (run.lo_s, run.hi_s + 1), (run.t + 1, 3 * run.t)]:
+        got, want = run.labelled_coefficients(*window), ref.labelled_coefficients(*window)
+        assert got.shape == want.shape and np.array_equal(got, want), window
+        assert got.flags.c_contiguous  # each seed's functional sum runs along a contiguous row
+
+
+def planted(table):
+    """A relation table whose every row reads itself at its own time: off the
+    parity class, so off the grid."""
+    return {row: [(*row, 0)] for row in table}
 
 
 def test_off_grid_gather_raises(monkeypatch):
-    # a factor off the parity class lands on an unfilled entry; it must
-    # raise, not carry a NaN into the maxima of worst_errors
-    tracked, plain = cached_numeric("C", 2, 2, True), cached_numeric("C", 2, 2, False)
-    sched = tracked.schedule
-    monkeypatch.setattr(sched, "g", {row: [(*row, 0)] for row in sched.g})
-    with pytest.raises(ValueError, match=r"\(1, 1, 0/2\) is off the grid"):
-        worst_errors(tracked, plain)
+    # a factor off the parity class reads a value no mutation point carries;
+    # making the Schedule raises, so no run can carry it into worst_errors
+    model = cached_model("C", 2, 2)
+    monkeypatch.setattr(schedule, "g_factors", lambda sched: planted(cached_schedule("C", 2, 2).g))
+    with pytest.raises(ScheduleError, match=r"\(1, 1, 0/2\) is off the grid"):
+        Schedule(model)
     monkeypatch.undo()
-    monkeypatch.setattr(sched, "numerators", {row: [(*row, 0)] for row in sched.numerators})
-    with pytest.raises(ValueError, match="off the grid"):
-        tracked.y_residuals()
+    monkeypatch.setattr(schedule, "transpose_factors", planted)
+    with pytest.raises(ScheduleError, match="off the grid"):
+        Schedule(model)

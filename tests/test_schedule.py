@@ -101,6 +101,17 @@ def test_points_match_slot_loop(family, rank, level):
     assert [a.size for a in sched.points(2, 2)] == [0, 0]
 
 
+@pytest.mark.parametrize("family,rank,level", CASES)
+def test_backward_operators_undo_the_slot_before(family, rank, level):
+    # the shared backward operator of slot s is the operator of the set of
+    # slot s-1 on the matrix at s, entry for entry
+    sched = cached_schedule(family, rank, level)
+    for s, op in enumerate(sched.backward):
+        want = schedule.slot_operator(sched.matrices[s], sched.sets[s - 1])
+        for got, ref in zip(op, want):
+            assert got.dtype == ref.dtype and np.array_equal(got, ref), s
+
+
 def test_run_schedule_window_must_contain_time_zero():
     sched = cached_schedule("C", 2, 2)
     E0 = np.eye(sched.model.n, dtype=np.int64)

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from tests import oracle
 from tests.conftest import CASES, cached_tropical
 from tests.oracle import (
     CLOSED_FORM_CASES,
@@ -129,6 +130,28 @@ def test_boundary_tuples(family, rank, level):
 @pytest.mark.parametrize("family,rank,level", CASES)
 def test_region_sign_patterns(family, rank, level):
     assert cached_tropical(family, rank, level).sign_pattern_mismatches() == []
+
+
+def test_planted_sign_faults_are_reported():
+    # a negated monomial in region one, and another at an exceptional
+    # positive time of region two (u = -5/2 on F4), are reported exactly as
+    # the point-by-point classification reports them
+    run = cached_tropical("F4", 4, 2)
+    meta = run.model.quiver.meta
+    s1, v1 = (int(a[0]) for a in run.schedule.points(1, 2))
+    s2, v2 = next(
+        (int(s), int(v))
+        for s, v in zip(*run.schedule.points(-5, -4))
+        if meta[v].fill != FILL_CIRCLE and meta[v].row % run.t and sign_classes(run.monomial(v, s)) == POSITIVE
+    )
+    broken = planted(run, s1, v1, -run.monomial(v1, s1))
+    broken = planted(broken, s2, v2, -run.monomial(v2, s2))
+    got = broken.sign_pattern_mismatches()
+    assert got == oracle.sign_pattern_mismatches(broken)
+    assert got == [
+        (run.model.position(v2), Fraction(-5, 2), NEGATIVE, POSITIVE),
+        (run.model.position(v1), Fraction(1, 2), NEGATIVE, POSITIVE),
+    ]
 
 
 def _positive_exception_times(run):
