@@ -1,14 +1,21 @@
 """Constructors for the level-restricted exchange quivers.
 
-The quivers for types C_r, F4 and G2 are generated from local orientation
-rules read off the defining diagrams:
+The quivers for types C_r, F4 and G2 fold the columns of a figure onto the
+Dynkin nodes, one column table per family (column_table).  Column col of
+node a has t_a*level - 1 rows and is a tall (bullet) column when t_a = t, a
+short (circle) one otherwise.  The arrows follow local orientation rules
+read off the defining diagrams:
 
 * every column alternates vertex signs (or region tags) with the row index;
 * vertical arrows run from "+" to "-" inside each column;
-* horizontal arrows between tall (bullet) columns run from "-" to "+";
+* horizontal arrows between same-fill neighbour columns run from "-" to "+";
 * a tall column meets its short (circle) neighbours only at matching grid
   heights: bullet row t*k fans out to circle row k, and "-" circles send
   diagonals back into the adjacent bullet rows.
+
+One builder applies these rules for C and F4; G2 fans its bullet column out
+to the circles by their region tags.  The symmetries (involutions) are read
+off the column table too.
 
 Square products of simply laced Dynkin diagrams with an A_{level-1} chain
 are provided for the mutation-equivalence checks.
@@ -18,6 +25,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
+from itertools import permutations
 
 import numpy as np
 
@@ -97,6 +105,23 @@ def cartan_data(family, rank=None):
     raise ValueError(f"no Cartan data for family {family!r}")
 
 
+def column_table(family, rank):
+    """{col: a}, the Dynkin node a of each column of the C/F4/G2 figure, in
+    column order.
+
+    The vertex in column col and row m that is mutated at time u carries
+    Y^{(a)}_m(u) and T^{(a)}_m(u - 1/t_a); these mutation points are the
+    labelled values, one for each point of the P'+ grid.
+    """
+    if family == "C":
+        return {col: min(col, rank) for col in range(1, rank + 2)}  # both circle columns carry a = r
+    if family == "F4":
+        return {1: 1, 2: 2, 3: 3, 4: 4, 5: 2, 6: 1}
+    if family == "G2":
+        return {1: 1, 2: 1, 3: 1, 4: 2}
+    raise ValueError(f"no column table for family {family!r}")
+
+
 class QuiverModel:
     """A built quiver together with its vertex index and symmetry data."""
 
@@ -104,7 +129,9 @@ class QuiverModel:
         self.spec = spec
         self.quiver = quiver
         self.index = index  # (col, row) -> vertex id
-        self.cartan = cartan_data(spec.family, spec.rank) if spec.family in ("C", "F4", "G2") else None
+        folded = spec.family in ("C", "F4", "G2")
+        self.cartan = cartan_data(spec.family, spec.rank) if folded else None
+        self.columns = column_table(spec.family, spec.rank) if folded else None  # col -> Dynkin node a
 
     @property
     def n(self):
@@ -142,123 +169,63 @@ def _finish(spec, verts, arrows):
     return QuiverModel(spec, Quiver(B, meta), index)
 
 
-def _sign_chain(plus_on_odd):
-    return lambda row: "+" if (row % 2 == 1) == plus_on_odd else "-"
+def _arrow(p, q, forward):
+    return (p, q) if forward else (q, p)
 
 
-def _vertical_arrows(col, rows, sign_of):
-    out = []
-    for k in range(1, rows):
-        a, b = (col, k), (col, k + 1)
-        out.append((a, b) if sign_of(k) == "+" else (b, a))
-    return out
+def _grid(spec, tag):
+    """The vertices of a C/F4/G2 figure, tagged tag(col, row), in vertex
+    order, and the vertical arrows, which leave the "+" or I/II/III vertex of
+    each pair of neighbours in a column.
+
+    Column col of node a = column_table[col] has t_a*level - 1 rows and is a
+    bullet column when t_a = t, a circle column otherwise; the vertex order
+    lists the bullet columns, then the circle columns, each in column order.
+    """
+    cd = cartan_data(spec.family, spec.rank)
+    t_a = {col: cd["t_a"][a] for col, a in column_table(spec.family, spec.rank).items()}
+    verts, arrows = [], []
+    for col in sorted(t_a, key=lambda col: t_a[col] != cd["t"]):
+        fill = FILL_BULLET if t_a[col] == cd["t"] else FILL_CIRCLE
+        rows = range(1, t_a[col] * spec.level)
+        verts += [((col, k), Vertex(col, k, fill, tag(col, k))) for k in rows]
+        arrows += [_arrow((col, k), (col, k + 1), tag(col, k) in ("+", "I", "II", "III")) for k in rows[:-1]]
+    return verts, arrows
 
 
-def _build_C(spec):
-    r, lev = spec.rank, spec.level
-    tall, short = 2 * lev - 1, lev - 1
+def _build_folded(spec, plus_on_odd, pairs, fan):
+    """A C or F4 quiver: "+" on the odd rows of the columns in plus_on_odd
+    and on the even rows of the others; along each row of a same-fill column
+    pair, an arrow from its "-" vertex to its "+" one; and bullet row 2k of
+    the tall column fan[0] fanning out to row k of each circle column in
+    fan[1], whose "-" rows send diagonals back to bullet rows 2k - 1, 2k + 1.
+    """
 
-    def bullet_sign(i, row):
-        return "+" if (r - i + row) % 2 == 0 else "-"
+    def sign(col, row):
+        return "+" if (row % 2 == 1) == (col in plus_on_odd) else "-"
 
-    circle_sign = {r: _sign_chain(True), r + 1: _sign_chain(False)}
-
-    verts = []
-    for i in range(1, r):
-        for k in range(1, tall + 1):
-            verts.append(((i, k), Vertex(i, k, FILL_BULLET, bullet_sign(i, k))))
-    for i in (r, r + 1):
-        for k in range(1, short + 1):
-            verts.append(((i, k), Vertex(i, k, FILL_CIRCLE, circle_sign[i](k))))
-
-    arrows = []
-    for i in range(1, r):
-        arrows += _vertical_arrows(i, tall, lambda k, i=i: bullet_sign(i, k))
-    for i in (r, r + 1):
-        arrows += _vertical_arrows(i, short, circle_sign[i])
-    # bullet-bullet rows: "-" -> "+"
-    for i in range(1, r - 1):
-        for k in range(1, tall + 1):
-            a, b = (i, k), (i + 1, k)
-            arrows.append((a, b) if bullet_sign(i, k) == "-" else (b, a))
-    # tall column r-1 meets the circle columns
-    for k in range(1, short + 1):
-        for c in (r, r + 1):
-            arrows.append(((r - 1, 2 * k), (c, k)))
-            if circle_sign[c](k) == "-":
-                arrows.append(((c, k), (r - 1, 2 * k - 1)))
-                arrows.append(((c, k), (r - 1, 2 * k + 1)))
-    return _finish(spec, verts, arrows)
-
-
-def _build_F4(spec):
-    lev = spec.level
-    tall, short = 2 * lev - 1, lev - 1
-    circle_cols = (1, 2, 5, 6)
-    sign_of = {
-        1: _sign_chain(True),
-        2: _sign_chain(False),
-        3: _sign_chain(True),
-        4: _sign_chain(False),
-        5: _sign_chain(True),
-        6: _sign_chain(False),
-    }
-
-    verts = []
-    for i in (3, 4):
-        for k in range(1, tall + 1):
-            verts.append(((i, k), Vertex(i, k, FILL_BULLET, sign_of[i](k))))
-    for i in circle_cols:
-        for k in range(1, short + 1):
-            verts.append(((i, k), Vertex(i, k, FILL_CIRCLE, sign_of[i](k))))
-
-    arrows = []
-    for i in (3, 4):
-        arrows += _vertical_arrows(i, tall, sign_of[i])
-    for i in circle_cols:
-        arrows += _vertical_arrows(i, short, sign_of[i])
-    for k in range(1, tall + 1):  # bullet pair 4 -- 3
-        a, b = (4, k), (3, k)
-        arrows.append((a, b) if sign_of[4](k) == "-" else (b, a))
-    for k in range(1, short + 1):
-        for a, b in ((1, 2), (5, 6)):  # circle pairs
-            lo, hi = (a, k), (b, k)
-            arrows.append((lo, hi) if sign_of[a](k) == "-" else (hi, lo))
-        for c in (2, 5):  # fan from the central tall column
-            arrows.append(((3, 2 * k), (c, k)))
-            if sign_of[c](k) == "-":
-                arrows.append(((c, k), (3, 2 * k - 1)))
-                arrows.append(((c, k), (3, 2 * k + 1)))
+    verts, arrows = _grid(spec, sign)
+    for a, b in pairs:
+        arrows += [_arrow((a, k), (b, k), sign(a, k) == "-") for (col, k), _ in verts if col == a]
+    tall, circles = fan
+    for c, k in (pos for pos, _ in verts if pos[0] in circles):
+        arrows.append(((tall, 2 * k), (c, k)))
+        if sign(c, k) == "-":
+            arrows += [((c, k), (tall, 2 * k - 1)), ((c, k), (tall, 2 * k + 1))]
     return _finish(spec, verts, arrows)
 
 
 def _build_G2(spec):
-    lev = spec.level
-    tall, short = 3 * lev - 1, lev - 1
+    def tag(col, row):
+        if col == 4:
+            return "+" if row % 2 == 1 else "-"
+        return _G2_TAGS[(col, row % 2)]
 
-    def bullet_sign(row):
-        return "+" if row % 2 == 1 else "-"
-
-    verts = []
-    for k in range(1, tall + 1):
-        verts.append(((4, k), Vertex(4, k, FILL_BULLET, bullet_sign(k))))
-    for i in (1, 2, 3):
-        for k in range(1, short + 1):
-            verts.append(((i, k), Vertex(i, k, FILL_CIRCLE, _G2_TAGS[(i, k % 2)])))
-
-    arrows = _vertical_arrows(4, tall, bullet_sign)
-    for i in (1, 2, 3):
-        for k in range(1, short):
-            a, b = (i, k), (i, k + 1)
-            # sources are the I/II/III-tagged circles
-            arrows.append((a, b) if _G2_TAGS[(i, k % 2)] in ("I", "II", "III") else (b, a))
-    for i in (1, 2, 3):
-        for k in range(1, short + 1):
-            outs, ins = _G2_FAN[_G2_TAGS[(i, k % 2)]]
-            for d in outs:
-                arrows.append(((i, k), (4, 3 * k + d)))
-            for d in ins:
-                arrows.append(((4, 3 * k + d), (i, k)))
+    verts, arrows = _grid(spec, tag)
+    for (i, k), _ in verts:
+        if i != 4:
+            outs, ins = _G2_FAN[tag(i, k)]
+            arrows += [((i, k), (4, 3 * k + d)) for d in outs] + [((4, 3 * k + d), (i, k)) for d in ins]
     return _finish(spec, verts, arrows)
 
 
@@ -319,9 +286,11 @@ def build(spec):
     if not isinstance(spec, FamilySpec):
         raise TypeError("build expects a FamilySpec")
     if spec.family == "C":
-        return _build_C(spec)
+        r = spec.rank
+        plus_on_odd = {i for i in range(1, r) if (r - i) % 2} | {r}
+        return _build_folded(spec, plus_on_odd, [(i, i + 1) for i in range(1, r - 1)], (r - 1, (r, r + 1)))
     if spec.family == "F4":
-        return _build_F4(spec)
+        return _build_folded(spec, {1, 3, 5}, [(3, 4), (1, 2), (5, 6)], (3, (2, 5)))
     if spec.family == "G2":
         return _build_G2(spec)
     return _build_square_product(spec)
@@ -331,57 +300,30 @@ def build(spec):
 
 
 def involutions(m):
-    """Symmetry permutations of a built C/F4/G2 quiver.
+    """Symmetry permutations of a built C/F4/G2 quiver, read off its column table.
 
-    Returns a dict with "omega" always present, "r" for C/F4, and "nu_<s>"
-    for every permutation s of {1,2,3} for G2 (keyed e.g. "nu_132" meaning
-    columns 1,2,3 are renamed to 1,3,2 in one-line notation).
+    "omega" sends (col, row) to (sigma(col), t_a*level - row), with a the
+    node of col.  sigma reverses the columns of each node when h_dual is odd
+    (F4 and even-rank C, where it swaps a node's two columns) and is the
+    identity otherwise.  C and F4 also have "r", that reversal on its own,
+    keeping the rows.  G2 has "nu_<s>" for every permutation s of {1,2,3}
+    instead (keyed e.g. "nu_132" meaning columns 1,2,3 are renamed to 1,3,2
+    in one-line notation).
     """
-    spec = m.spec
-    lev = spec.level
-    out = {}
-    if spec.family == "C":
-        r = spec.rank
-
-        def refl(col, row):
-            if col <= r - 1:
-                return (col, row)
-            return (2 * r + 1 - col, row)
-
-        def omega(col, row):
-            if col <= r - 1:
-                return (col, 2 * lev - row)
-            if r % 2 == 0:
-                return (2 * r + 1 - col, lev - row)
-            return (col, lev - row)
-
-        out["r"] = m.perm_from_position_map(refl)
-        out["omega"] = m.perm_from_position_map(omega)
-    elif spec.family == "F4":
-
-        def refl(col, row):
-            return ({1: 6, 2: 5, 5: 2, 6: 1}.get(col, col), row)
-
-        def omega(col, row):
-            if col in (3, 4):
-                return (col, 2 * lev - row)
-            return ({1: 6, 2: 5, 5: 2, 6: 1}[col], lev - row)
-
-        out["r"] = m.perm_from_position_map(refl)
-        out["omega"] = m.perm_from_position_map(omega)
-    elif spec.family == "G2":
-
-        def omega(col, row):
-            if col == 4:
-                return (col, 3 * lev - row)
-            return (col, lev - row)
-
-        out["omega"] = m.perm_from_position_map(omega)
-        for s in ((1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)):
-            def nu(col, row, s=s):
-                return (s[col - 1], row) if col != 4 else (col, row)
-
-            out["nu_" + "".join(map(str, s))] = m.perm_from_position_map(nu)
-    else:
+    if m.columns is None:
         raise ValueError("involutions are defined for the C/F4/G2 quivers only")
+    node_cols = {}
+    for col, a in m.columns.items():
+        node_cols.setdefault(a, []).append(col)
+    mirror = {col: cols[-1 - i] for cols in node_cols.values() for i, col in enumerate(cols)}
+    sigma = mirror if m.cartan["h_dual"] % 2 else {col: col for col in mirror}
+    t_a, lev = m.cartan["t_a"], m.spec.level
+    out = {"omega": m.perm_from_position_map(lambda col, row: (sigma[col], t_a[m.columns[col]] * lev - row))}
+    if m.spec.family == "G2":
+        for s in permutations((1, 2, 3)):
+            out["nu_" + "".join(map(str, s))] = m.perm_from_position_map(
+                lambda col, row, s=s: (s[col - 1] if col != 4 else col, row)
+            )
+    else:
+        out["r"] = m.perm_from_position_map(lambda col, row: (mirror[col], row))
     return out

@@ -16,7 +16,7 @@ from .mutclass import search_equivalence
 from .numeric import NumericRun, worst_errors
 from .quiver import find_isomorphism
 from .roots import format_d_symbol, level2_core, pl_dynamics
-from .schedule import TRANSFORMS, Schedule
+from .schedule import TRANSFORMS, Schedule, ScheduleError
 from .suite import resolve_config, run_suite, suite_passed
 from .tropical import TropicalRun
 
@@ -104,12 +104,8 @@ def _cmd_schedule(args):
 
 
 def _cmd_tropical(args):
-    try:
-        run = TropicalRun(Schedule(build(args.spec)))
-        counts = run.count_signs()
-    except ArithmeticError as err:  # an exponent past the float64 exact range, or a mixed monomial
-        print(f"ysyslab tropical: error: {err}", file=sys.stderr)
-        raise SystemExit(1) from None
+    run = TropicalRun(Schedule(build(args.spec)))
+    counts = run.count_signs()
     s, v, classes = run.point_signs(0, run.full_s)
     points = [
         {
@@ -272,6 +268,11 @@ def main(argv=None):
         args.fn(args)
     except UsageError as err:
         ap.error(str(err))
+    # a schedule that fails its checks, or a tropical exponent past the
+    # float64 exact range or a mixed monomial
+    except (ScheduleError, ArithmeticError) as err:
+        print(f"ysyslab {args.cmd}: error: {err}", file=sys.stderr)
+        raise SystemExit(1) from None
 
 
 if __name__ == "__main__":

@@ -166,25 +166,28 @@ def worst_errors(tracked, plain):
 
 # -- tropical shadow -----------------------------------------------------------
 
+#: The small parameter the shadow run starts its coefficients at.
+SHADOW_EPS = 1e-12
 
-def tropical_shadow_mismatches(trop, seed=0, eps=1e-12):
+
+def tropical_shadow_mismatches(trop, seed=0):
     """Compare the exponents of a TropicalRun against small-parameter numeric slopes.
 
-    Coefficients are started at y_v = eps**(e_v) for a random integer
+    Coefficients are started at y_v = SHADOW_EPS**(e_v) for a random integer
     direction e; after running the TropicalRun's own verified schedule,
-    log(y_i(u)) / log(eps) must approach the pairing of the tropical
+    log(y_i(u)) / log(SHADOW_EPS) must approach the pairing of the tropical
     exponent vector with e at every mutation point with -2 <= u < 2, to
-    within sqrt(eps).
+    within sqrt(SHADOW_EPS).
     """
     mdl = trop.model
     e = np.random.default_rng(seed).integers(1, 4, mdl.n)
-    logy0 = e * np.log(eps)
+    logy0 = e * np.log(SHADOW_EPS)
     t = trop.t
     Ls, _ = run_schedule(trop.schedule, -2 * t, 2 * t, logy0, real_plus1)
     s, v = trop.schedule.points(-2 * t, 2 * t)
-    slopes = Ls[s + 2 * t, v] / np.log(eps)
+    slopes = Ls[s + 2 * t, v] / np.log(SHADOW_EPS)
     want = trop.E[s - trop.lo_s, v] @ e
     return [
         (mdl.position(v[i]), Fraction(int(s[i]), t), slopes[i], int(want[i]))
-        for i in np.flatnonzero(np.abs(slopes - want) > math.sqrt(eps))
+        for i in np.flatnonzero(np.abs(slopes - want) > math.sqrt(SHADOW_EPS))
     ]

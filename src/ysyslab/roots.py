@@ -12,7 +12,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .schedule import column_fold
 
 
 class RootSystem:
@@ -124,11 +123,10 @@ def neg_simple(rs, i):
 
 
 def level2_core(model):
-    """The level-2 core: the vertex in row t_a of each quiver column, with
-    a = column_fold(col), in column order."""
-    spec, t_a = model.spec, model.cartan["t_a"]
-    cols = sorted({meta.col for meta in model.quiver.meta})
-    return [model.vid(col, t_a[column_fold(spec.family, spec.rank, col)]) for col in cols]
+    """The level-2 core: the vertex in row t_a of each quiver column of node
+    a in the column table, in column order."""
+    t_a = model.cartan["t_a"]
+    return [model.vid(col, t_a[a]) for col, a in model.columns.items()]
 
 
 def pl_dynamics(schedule, vertices):
@@ -230,7 +228,7 @@ def apart_mismatches_C(run):
         raise ValueError("this check is specific to type C at level 2")
     keep = [m.vid(i, 1) for i in range(1, r)]
     core = level2_core(m)
-    h_dual = r + 1
+    h_dual = m.cartan["h_dual"]
     bad = []
 
     def pi_a(vertex, s):
@@ -238,7 +236,7 @@ def apart_mismatches_C(run):
 
     def record(i_row, s, got, want):
         if got != tuple(want):
-            bad.append((i_row, Fraction(s, 2), got, tuple(want)))
+            bad.append((i_row, Fraction(s, run.t), got, tuple(want)))
 
     def interval(s, late_start, early_start):
         """-[j, r-1] with j = late_start + s from u = s/2 = -h_dual/2 on,

@@ -1,4 +1,4 @@
-"""Time-indexed mutation schedules, the column fold, and the schedule runner.
+"""Time-indexed mutation schedules and the schedule runner.
 
 Time u runs over (1/t)*Z and is stored as the exact scaled integer s = t*u.
 One period of the quiver sequence is two time units, i.e. 2t steps:
@@ -17,7 +17,8 @@ or sign-convention fault in the builders.
 
 The labelled values T^{(a)}_m(u) and Y^{(a)}_m(u) sit at the mutation
 points: the vertex of column col and row m mutated at time u carries
-Y^{(a)}_m(u) and T^{(a)}_m(u - 1/t_a), with a = column_fold(col).
+Y^{(a)}_m(u) and T^{(a)}_m(u - 1/t_a), with a = model.columns[col], the node
+of col in the column table of builders.
 Schedule.points lists the mutation points of a time window, and
 run_schedule records a seed at every time of one, so a run's value at a
 point (s, v) is one array read.  A Schedule holds one SlotOperator per slot
@@ -37,7 +38,7 @@ from .gfun import g_factors, transpose_factors
 from .quiver import FILL_BULLET, FILL_CIRCLE
 
 
-# -- mutation slots and the column fold -----------------------------------------
+# -- mutation slots ---------------------------------------------------------------
 
 
 #: The tag of the circles mutated at each of the 2t slots; the "+" bullets
@@ -54,22 +55,6 @@ def slot_sets(model):
         tuple(v for v, m in enumerate(meta) if (m.fill, m.tag) in ((FILL_CIRCLE, tag), bullets[k % 2]))
         for k, tag in enumerate(CIRCLE_TAGS[model.spec.family])
     ]
-
-
-def column_fold(family, rank, col):
-    """The Dynkin node a of quiver column col.
-
-    The vertex in column col and row m that is mutated at time u carries
-    Y^{(a)}_m(u) and T^{(a)}_m(u - 1/t_a); these mutation points are the
-    labelled values, one for each point of the P'+ grid.
-    """
-    if family == "C":
-        return min(col, rank)  # the two circle columns both carry a = r
-    if family == "F4":
-        return col if col <= 4 else 7 - col  # columns 6, 5 mirror 1, 2
-    if family == "G2":
-        return 1 if col <= 3 else 2
-    raise ValueError(f"unknown family {family!r}")
 
 
 #: The expected quiver at each of the 2t slots, as the involution of
@@ -149,7 +134,7 @@ class Schedule:
         self.matrices = slot_matrices(model, self.sets)
         self.forward, self.backward = slot_operators(self.sets, self.matrices)
         fam, rank = model.spec.family, model.spec.rank
-        self.labels = [(column_fold(fam, rank, col), m) for col, m in map(model.position, range(model.n))]
+        self.labels = [(model.columns[col], m) for col, m in map(model.position, range(model.n))]
         try:
             self.g = g_factors(self)
         except ValueError as err:

@@ -27,7 +27,7 @@ ysyslab itself does not.
 
 The parity classes P+ / P'+ and the label maps label_g / label_g_prime are
 the per-family formulas of the grid bijection: the reference for
-schedule.column_fold and for the record rows of schedule.GatherPlan.
+the column table and for the record rows of schedule.GatherPlan.
 LabelledArrays, the NaN-filled labelled arrays of a run and the relation
 and periodicity checks read from them row by row, is the reference for the
 GatherPlan gathers of numeric.NumericRun.  expected_sign, the region sign
@@ -43,6 +43,14 @@ for their sum.
 The typed sigma words and alpha tables, one per family, are the reference
 for roots.pl_dynamics, which derives both from the verified schedule on the
 level-2 core (and, for type C, on the thin row).
+
+build_C, build_F4 and build_G2, the quiver builders typed family by family,
+are the reference for builders.build, which builds the C and F4 quivers with
+one builder from the column table.  involutions, with omega and the
+reflection r typed per family, column_fold, the Dynkin node of each column
+typed per family, and level2_core, which reads it, are the reference for
+builders.involutions, the column table (builders.column_table) and
+roots.level2_core, which read the table.
 """
 
 import json
@@ -54,9 +62,9 @@ from itertools import permutations
 import numpy as np
 from scipy import integrate
 
-from ysyslab.builders import cartan_data, dynkin_edges
+from ysyslab.builders import _G2_FAN, _G2_TAGS, _finish, cartan_data, dynkin_edges
 from ysyslab.mutclass import MutationPath, canonical_key, mutate_rows
-from ysyslab.quiver import FILL_CIRCLE, Quiver, Vertex, find_isomorphism, invert_perm
+from ysyslab.quiver import FILL_BULLET, FILL_CIRCLE, Quiver, Vertex, find_isomorphism, invert_perm
 from ysyslab.roots import RootSystem, SigmaMap, neg_simple
 from ysyslab.schedule import slot_sets
 from ysyslab.tropical import NEGATIVE, POSITIVE
@@ -839,3 +847,207 @@ def thin_row_alpha_C(rank, i, u):
     sig = sigma_C_apart(rank)
     power = -u if u.denominator == 1 else Fraction(1, 2) - u
     return sig(neg_simple(sig.rs, i), power=int(power))
+
+
+# -- the typed C/F4/G2 builders, symmetries and column fold ------------------
+
+
+def _sign_chain(plus_on_odd):
+    return lambda row: "+" if (row % 2 == 1) == plus_on_odd else "-"
+
+
+def _vertical_arrows(col, rows, sign_of):
+    out = []
+    for k in range(1, rows):
+        a, b = (col, k), (col, k + 1)
+        out.append((a, b) if sign_of(k) == "+" else (b, a))
+    return out
+
+
+def build_C(spec):
+    r, lev = spec.rank, spec.level
+    tall, short = 2 * lev - 1, lev - 1
+
+    def bullet_sign(i, row):
+        return "+" if (r - i + row) % 2 == 0 else "-"
+
+    circle_sign = {r: _sign_chain(True), r + 1: _sign_chain(False)}
+
+    verts = []
+    for i in range(1, r):
+        for k in range(1, tall + 1):
+            verts.append(((i, k), Vertex(i, k, FILL_BULLET, bullet_sign(i, k))))
+    for i in (r, r + 1):
+        for k in range(1, short + 1):
+            verts.append(((i, k), Vertex(i, k, FILL_CIRCLE, circle_sign[i](k))))
+
+    arrows = []
+    for i in range(1, r):
+        arrows += _vertical_arrows(i, tall, lambda k, i=i: bullet_sign(i, k))
+    for i in (r, r + 1):
+        arrows += _vertical_arrows(i, short, circle_sign[i])
+    # bullet-bullet rows: "-" -> "+"
+    for i in range(1, r - 1):
+        for k in range(1, tall + 1):
+            a, b = (i, k), (i + 1, k)
+            arrows.append((a, b) if bullet_sign(i, k) == "-" else (b, a))
+    # tall column r-1 meets the circle columns
+    for k in range(1, short + 1):
+        for c in (r, r + 1):
+            arrows.append(((r - 1, 2 * k), (c, k)))
+            if circle_sign[c](k) == "-":
+                arrows.append(((c, k), (r - 1, 2 * k - 1)))
+                arrows.append(((c, k), (r - 1, 2 * k + 1)))
+    return _finish(spec, verts, arrows)
+
+
+def build_F4(spec):
+    lev = spec.level
+    tall, short = 2 * lev - 1, lev - 1
+    circle_cols = (1, 2, 5, 6)
+    sign_of = {
+        1: _sign_chain(True),
+        2: _sign_chain(False),
+        3: _sign_chain(True),
+        4: _sign_chain(False),
+        5: _sign_chain(True),
+        6: _sign_chain(False),
+    }
+
+    verts = []
+    for i in (3, 4):
+        for k in range(1, tall + 1):
+            verts.append(((i, k), Vertex(i, k, FILL_BULLET, sign_of[i](k))))
+    for i in circle_cols:
+        for k in range(1, short + 1):
+            verts.append(((i, k), Vertex(i, k, FILL_CIRCLE, sign_of[i](k))))
+
+    arrows = []
+    for i in (3, 4):
+        arrows += _vertical_arrows(i, tall, sign_of[i])
+    for i in circle_cols:
+        arrows += _vertical_arrows(i, short, sign_of[i])
+    for k in range(1, tall + 1):  # bullet pair 4 -- 3
+        a, b = (4, k), (3, k)
+        arrows.append((a, b) if sign_of[4](k) == "-" else (b, a))
+    for k in range(1, short + 1):
+        for a, b in ((1, 2), (5, 6)):  # circle pairs
+            lo, hi = (a, k), (b, k)
+            arrows.append((lo, hi) if sign_of[a](k) == "-" else (hi, lo))
+        for c in (2, 5):  # fan from the central tall column
+            arrows.append(((3, 2 * k), (c, k)))
+            if sign_of[c](k) == "-":
+                arrows.append(((c, k), (3, 2 * k - 1)))
+                arrows.append(((c, k), (3, 2 * k + 1)))
+    return _finish(spec, verts, arrows)
+
+
+def build_G2(spec):
+    lev = spec.level
+    tall, short = 3 * lev - 1, lev - 1
+
+    def bullet_sign(row):
+        return "+" if row % 2 == 1 else "-"
+
+    verts = []
+    for k in range(1, tall + 1):
+        verts.append(((4, k), Vertex(4, k, FILL_BULLET, bullet_sign(k))))
+    for i in (1, 2, 3):
+        for k in range(1, short + 1):
+            verts.append(((i, k), Vertex(i, k, FILL_CIRCLE, _G2_TAGS[(i, k % 2)])))
+
+    arrows = _vertical_arrows(4, tall, bullet_sign)
+    for i in (1, 2, 3):
+        for k in range(1, short):
+            a, b = (i, k), (i, k + 1)
+            # sources are the I/II/III-tagged circles
+            arrows.append((a, b) if _G2_TAGS[(i, k % 2)] in ("I", "II", "III") else (b, a))
+    for i in (1, 2, 3):
+        for k in range(1, short + 1):
+            outs, ins = _G2_FAN[_G2_TAGS[(i, k % 2)]]
+            for d in outs:
+                arrows.append(((i, k), (4, 3 * k + d)))
+            for d in ins:
+                arrows.append(((4, 3 * k + d), (i, k)))
+    return _finish(spec, verts, arrows)
+
+
+def involutions(m):
+    """Symmetry permutations of a built C/F4/G2 quiver.
+
+    Returns a dict with "omega" always present, "r" for C/F4, and "nu_<s>"
+    for every permutation s of {1,2,3} for G2 (keyed e.g. "nu_132" meaning
+    columns 1,2,3 are renamed to 1,3,2 in one-line notation).
+    """
+    spec = m.spec
+    lev = spec.level
+    out = {}
+    if spec.family == "C":
+        r = spec.rank
+
+        def refl(col, row):
+            if col <= r - 1:
+                return (col, row)
+            return (2 * r + 1 - col, row)
+
+        def omega(col, row):
+            if col <= r - 1:
+                return (col, 2 * lev - row)
+            if r % 2 == 0:
+                return (2 * r + 1 - col, lev - row)
+            return (col, lev - row)
+
+        out["r"] = m.perm_from_position_map(refl)
+        out["omega"] = m.perm_from_position_map(omega)
+    elif spec.family == "F4":
+
+        def refl(col, row):
+            return ({1: 6, 2: 5, 5: 2, 6: 1}.get(col, col), row)
+
+        def omega(col, row):
+            if col in (3, 4):
+                return (col, 2 * lev - row)
+            return ({1: 6, 2: 5, 5: 2, 6: 1}[col], lev - row)
+
+        out["r"] = m.perm_from_position_map(refl)
+        out["omega"] = m.perm_from_position_map(omega)
+    elif spec.family == "G2":
+
+        def omega(col, row):
+            if col == 4:
+                return (col, 3 * lev - row)
+            return (col, lev - row)
+
+        out["omega"] = m.perm_from_position_map(omega)
+        for s in ((1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)):
+            def nu(col, row, s=s):
+                return (s[col - 1], row) if col != 4 else (col, row)
+
+            out["nu_" + "".join(map(str, s))] = m.perm_from_position_map(nu)
+    else:
+        raise ValueError("involutions are defined for the C/F4/G2 quivers only")
+    return out
+
+
+def column_fold(family, rank, col):
+    """The Dynkin node a of quiver column col.
+
+    The vertex in column col and row m that is mutated at time u carries
+    Y^{(a)}_m(u) and T^{(a)}_m(u - 1/t_a); these mutation points are the
+    labelled values, one for each point of the P'+ grid.
+    """
+    if family == "C":
+        return min(col, rank)  # the two circle columns both carry a = r
+    if family == "F4":
+        return col if col <= 4 else 7 - col  # columns 6, 5 mirror 1, 2
+    if family == "G2":
+        return 1 if col <= 3 else 2
+    raise ValueError(f"unknown family {family!r}")
+
+
+def level2_core(model):
+    """The level-2 core: the vertex in row t_a of each quiver column, with
+    a = column_fold(col), in column order."""
+    spec, t_a = model.spec, model.cartan["t_a"]
+    cols = sorted({meta.col for meta in model.quiver.meta})
+    return [model.vid(col, t_a[column_fold(spec.family, spec.rank, col)]) for col in cols]

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from tests.conftest import cached_model
+from tests import oracle
 from tests.oracle import compose_perms
 from ysyslab.builders import FamilySpec, build, cartan_data, involutions
+from ysyslab.roots import level2_core
 from ysyslab.quiver import FILL_BULLET, FILL_CIRCLE
 
 
@@ -34,6 +36,25 @@ def test_cartan_data():
     g2 = cartan_data("G2")
     assert (g2["t"], g2["t_a"]) == (3, {1: 1, 2: 3})
     assert cartan_data("C", 2)["dim"] == 10 and f4["dim"] == 52 and g2["dim"] == 14
+
+
+FOLDED_CASES = [("C", rank, level) for rank in range(2, 9) for level in range(2, 9)] + [
+    (family, rank, level) for family, rank in (("F4", 4), ("G2", 2)) for level in range(2, 9)
+]
+
+
+@pytest.mark.parametrize("family,rank,level", FOLDED_CASES)
+def test_column_table_matches_typed_builders(family, rank, level):
+    # the quiver, its vertex order, its symmetries, the node of every column
+    # and the level-2 core all equal the ones typed family by family
+    spec = FamilySpec(family, rank, level)
+    m, ref = build(spec), {"C": oracle.build_C, "F4": oracle.build_F4, "G2": oracle.build_G2}[family](spec)
+    assert np.array_equal(m.quiver.B, ref.quiver.B)
+    assert m.quiver.meta == ref.quiver.meta
+    assert list(m.index.items()) == list(ref.index.items())
+    assert involutions(m) == oracle.involutions(ref)
+    assert m.columns == {col: oracle.column_fold(family, rank, col) for col in sorted({v.col for v in m.quiver.meta})}
+    assert level2_core(m) == oracle.level2_core(ref)
 
 
 def test_invalid_specs():

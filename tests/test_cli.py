@@ -42,9 +42,10 @@ def test_schedule_empty_interval(capsys):
     assert json.loads(capsys.readouterr().out) == []
 
 
-def test_schedule_listing_is_verified(monkeypatch):
+def test_schedule_listing_is_verified(monkeypatch, capsys):
     # the listing comes from a verified Schedule: a quiver with an arrow
-    # inside the first slot fails the one-period check and is not listed
+    # inside the first slot fails the one-period check and is not listed;
+    # the command ends with the check's error
     def with_arrow_in_slot(spec):
         m = builders.build(spec)
         i, j = schedule.slot_sets(m)[0][:2]
@@ -53,8 +54,11 @@ def test_schedule_listing_is_verified(monkeypatch):
         return type(m)(m.spec, Quiver(B, m.quiver.meta), dict(m.index))
 
     monkeypatch.setattr(cli, "build", with_arrow_in_slot)
-    with pytest.raises(schedule.ScheduleError, match="adjacent"):
+    with pytest.raises(SystemExit) as err:
         main(["schedule", "--family", "C", "--rank", "3", "--level", "2"])
+    assert err.value.code == 1
+    out, stderr = capsys.readouterr()
+    assert out == "" and stderr.startswith("ysyslab schedule: error: step from u=0: ") and "adjacent" in stderr
 
 
 def test_tropical_report(capsys):
@@ -391,6 +395,29 @@ def test_off_grid_relation_fails_schedule_row(monkeypatch, tmp_path, capsys):
     assert err.value.code == 1
     out, errout = capsys.readouterr()
     assert "fail" in out and "Traceback" not in out + errout
+
+
+CASE_COMMANDS = {
+    "schedule": ["--family", "C", "--rank", "2", "--level", "2"],
+    "tropical": ["--family", "C", "--rank", "2", "--level", "2"],
+    "numeric": ["--family", "C", "--rank", "2", "--level", "2"],
+    "dilog": ["--family", "C", "--rank", "2", "--level", "2"],
+    "orbits": ["--sigma", "C", "--rank", "3"],  # the level-2 core of C_2
+}
+
+
+@pytest.mark.parametrize("cmd", sorted(CASE_COMMANDS))
+def test_off_grid_relation_ends_case_command_with_error(cmd, monkeypatch, capsys):
+    # the same planted table makes every command that verifies a schedule
+    # exit 1 with one error line naming the command, not a traceback
+    good = schedule.g_factors
+    monkeypatch.setattr(schedule, "g_factors", lambda sched: {row: [(*row, 0)] for row in good(sched)})
+    with pytest.raises(SystemExit) as err:
+        main([cmd, *CASE_COMMANDS[cmd]])
+    assert err.value.code == 1
+    out, stderr = capsys.readouterr()
+    assert stderr.startswith(f"ysyslab {cmd}: error: (1, 1, 0/2) is off the grid")
+    assert stderr.count("\n") == 1 and "Traceback" not in out + stderr
 
 
 def test_tracer_targets_resolve():

@@ -21,7 +21,6 @@ from ysyslab.schedule import (
     UNIT,
     Schedule,
     ScheduleError,
-    column_fold,
     mutate_slot,
     run_schedule,
     slot_operator,
@@ -245,15 +244,16 @@ def test_boundary_labels_are_unit():
 
 @pytest.mark.parametrize("family,rank,level", CASES)
 def test_column_fold_inverts_label_map(family, rank, level):
-    # each mutation point of a run's window, folded to (a, m, s), is the
-    # point the per-family label map sends to it; the image is the P'+ grid
+    # each mutation point of a run's window, folded to (a, m, s) by the
+    # column table, is the point the per-family label map sends to it; the
+    # image is the P'+ grid
     run = cached_numeric(family, rank, level, True)
     sets = slot_sets(run.model)
     image = []
     for s in range(run.lo_s, run.hi_s + 1):
         for v in sets[s % (2 * run.t)]:
             col, m = run.model.position(v)
-            a = column_fold(family, rank, col)
+            a = run.model.columns[col]
             assert label_g_prime(run.model, a, m, s) == (v, s)
             image.append((a, m, s))
     assert sorted(image) == sorted(grid_points(family, rank, level, run.lo_s, run.hi_s + 1, prime=True))
