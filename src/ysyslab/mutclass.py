@@ -1,18 +1,32 @@
 """Mutation-equivalence certification by bidirectional search.
 
-Quivers are deduplicated up to isomorphism through a canonical key
-(iterative color refinement plus individualization backtracking on the
-directed {-1,0,1} graph).  The search itself is a bidirectional BFS over
-mutation classes that holds each exchange matrix as int rows and mutates
-it in plain Python (mutate_rows).  A node skips the child that undoes its
-own move; since mu_k mu_l = mu_l mu_k when B_kl = 0, the child at a lower
-vertex that commutes with its move; and, by the pentagon relation, the child
+The search is a bidirectional BFS over mutation classes.  It expands one
+node at a time: the node's exchange matrix is held as int16 bytes, and all
+its children are mutated (quiver.mutations), refined and classed as one
+numpy batch.  A node skips the child that undoes its own move; since
+mu_k mu_l = mu_l mu_k when B_kl = 0, the child at a lower vertex that
+commutes with its move; and, by the pentagon relation, the child
 mu_k mu_l mu_k G of a grandparent G when |B_kl| = 1.  An earlier node has
 already made each of these, so the skips are exact, and the BFS tree is the
-one without them.  A returned path replays from the left quiver with
-Quiver.mutate to an isomorphic copy of the right one, and the final
-isomorphism is recomputed independently, so neither a spurious key collision
-nor a fault of the row mutation can produce a false result.
+one without them.
+
+Classes are told apart exactly.  Color refinement (refine) gives each
+vertex a signature: its color in the high bits plus the sum over its
+nonzero entries of a fixed 64-bit mix of (entry, neighbour color).  The
+coloring is isomorphism-invariant, and a hash collision can only make it
+coarser.  A discrete coloring keys its class by the int16 bytes of the
+matrix relabelled by the coloring, a complete key.  Any other coloring
+puts the matrix in the bucket of its sorted signatures, where a
+color-respecting backtracking test (quiver.match_colors) finds its class
+among the bucket's members.  Both sides share one registry of classes, and
+the children of a node are deduplicated, met and counted against node_cap
+in increasing k, as if each were mutated and classed alone.
+
+A returned path replays from the left quiver with Quiver.mutate to an
+isomorphic copy of the right one, and the final isomorphism is recomputed
+independently, so no fault of the classing can produce a false result.
+canonical_key, the complete canonical form of one matrix by
+individualization, gives a key per matrix; the search does not call it.
 """
 
 from __future__ import annotations
@@ -21,50 +35,41 @@ from array import array
 from collections import deque
 from dataclasses import dataclass
 
-from .quiver import Quiver, find_isomorphism, invert_perm, neighbours, refine_colors
+import numpy as np
+
+from .quiver import Quiver, find_isomorphism, invert_perm, match_colors, mutations, neighbours, refine_colors
 
 SIZE_CAP = 24
-ENTRY_CAP = 32767  # the key stores entries as int16
+ENTRY_CAP = 32767  # keys and stored matrices hold entries as int16
+
+#: multipliers and shifts of the splitmix64 finalizer that signature_mix applies
+_MIX = tuple(np.uint64(c) for c in (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB, 30, 27, 31))
+_COLOR_SHIFT = np.uint64(58)  # a signature's color bits; any color below SIZE_CAP fits
 
 
-def mutate_rows(rows, k):
-    """Fomin-Zelevinsky mutation at vertex k of an exchange matrix held as int
-    rows; returns a tuple of int tuples.  Row k is negated; a row i with
-    b = B_ik != 0 gets B_ij + b * max(sgn(b) B_kj, 0) off column k and -b in
-    it; every other row is shared with the input, which is not modified.
-    Tuples are sized exactly, so a search holding thousands of matrices
-    keeps no spare list capacity."""
-    rk = rows[k]
-    ups = ([max(x, 0) for x in rk], [max(-x, 0) for x in rk])
-    out = []
-    for i, row in enumerate(rows):
-        b = row[k]
-        if i == k:
-            row = tuple([-x for x in row])
-        elif b:
-            new = [x + b * up for x, up in zip(row, ups[b < 0])]
-            new[k] = -b
-            row = tuple(new)
-        out.append(row)
-    return tuple(out)
+def _size_error():
+    return ValueError(f"canonical_key supports at most {SIZE_CAP} vertices")
+
+
+def _entry_error():
+    return ValueError(f"canonical_key supports entries of at most {ENTRY_CAP} in absolute value")
 
 
 def canonical_key(rows):
     """Permutation-invariant byte encoding of an exchange matrix B given by its
-    int rows (n <= 24, entries within +-32767): the int16 bytes of B
+    int rows (n <= SIZE_CAP, entries within +-ENTRY_CAP): the int16 bytes of B
     reordered by a discrete coloring."""
     n = len(rows)
     if n > SIZE_CAP:
-        raise ValueError(f"canonical_key supports at most {SIZE_CAP} vertices")
+        raise _size_error()
+    if any(max(row) > ENTRY_CAP or -min(row) > ENTRY_CAP for row in rows):
+        raise _entry_error()
     adj = neighbours(rows)
     best = None
 
     def encode(colors):
         order = sorted(range(n), key=colors.__getitem__)
-        try:
-            return array("h", [rows[i][j] for i in order for j in order]).tobytes()
-        except OverflowError:
-            raise ValueError(f"canonical_key supports entries of at most {ENTRY_CAP} in absolute value") from None
+        return array("h", [rows[i][j] for i in order for j in order]).tobytes()
 
     def search(colors):
         nonlocal best
@@ -93,6 +98,95 @@ def canonical_key(rows):
     return best
 
 
+def signature_mix(entries, colors):
+    """A fixed 64-bit mix of each pair of an int64 entry and a neighbour
+    color, broadcast against each other: the splitmix64 finalizer of
+    entry * K + color, wrapping."""
+    k0, k1, k2, s0, s1, s2 = _MIX
+    x = entries.astype(np.uint64) * k0 + colors.astype(np.uint64)
+    x ^= x >> s0
+    x *= k1
+    x ^= x >> s1
+    x *= k2
+    x ^= x >> s2
+    return x
+
+
+def refine(C):
+    """Color refinement of each matrix of the batch C, shape (m, n, n).
+
+    A vertex's signature is its color in the top bits plus the sum of
+    signature_mix over its row's nonzero entries and their columns'
+    colors; its new color is the number of vertices of its matrix with a
+    smaller signature.  Starting from one color, this repeats until no
+    color changes.  Returns the colors, shape (m, n), and the last
+    signatures.
+    """
+    nonzero = C != 0
+    colors = np.zeros(C.shape[:2], dtype=np.int64)
+    while True:
+        mixed = signature_mix(C, colors[:, None, :])
+        mixed *= nonzero
+        sums = mixed.sum(axis=2, dtype=np.uint64)
+        sigs = (colors.astype(np.uint64) << _COLOR_SHIFT) | (sums >> (np.uint64(64) - _COLOR_SHIFT))
+        new = (sigs[:, None, :] < sigs[:, :, None]).sum(axis=2)
+        if (new == colors).all():
+            return colors, sigs
+        colors = new
+
+
+def unpack(rep, n):
+    """The int64 exchange matrix whose int16 bytes are rep."""
+    return np.frombuffer(rep, dtype=np.int16).reshape(n, n).astype(np.int64)
+
+
+def unskipped(B, last, before):
+    """The vertices k, in increasing order, whose child mu_k B the search
+    classes, for a node B made by the move last from a node made by the
+    move before (None where there was no move)."""
+    row = None if last is None else B[last].tolist()
+    ks = []
+    for k in range(len(B)):
+        if k == last:  # mu_k mu_k is the identity: the parent is seen
+            continue
+        if last is not None and k < last and row[k] == 0:
+            # mu_k mu_l = mu_l mu_k when B_kl = 0 (math/0104151).  This
+            # node X = mu_l(P), l = last, was inserted by its parent P.
+            # Claim: the class of mu_k X is stored already, so classing
+            # the child would only find it stored, and the skip
+            # changes no insertion, node count, meet or move.  So
+            # once a node is expanded, all its children's classes are
+            # stored.  Proof by induction over the expansion order,
+            # which is the insertion order:
+            # - P tries its children in increasing k, so it reached
+            #   step k before it inserted X at step l.
+            # - Case 1: P's step k inserted Y = mu_k P.  Y precedes X
+            #   in the frontier, and Y's step l builds
+            #   mu_l mu_k P = mu_k X.  Y does not skip it: l != k is
+            #   not Y's last move, and l > k.
+            # - Case 2: the class of mu_k P was stored as R ~ mu_k P
+            #   before X was inserted: P's step k found it, or it is
+            #   the grandparent (k was P's last move), or P skipped k
+            #   under this rule (the claim for P).  R was expanded
+            #   before X, so its matching child, ~ mu_l mu_k P =
+            #   mu_k X, is stored.
+            continue
+        if k == before and abs(row[k]) == 1:
+            # The pentagon: X = mu_l(P) and P = mu_k(G), k being P's
+            # own last move.  When |B_kl| = 1, mu_k mu_l mu_k mu_l
+            # mu_k G is G with k and l swapped (math/0104151), so
+            # mu_k X = mu_k mu_l mu_k G ~ mu_k mu_l G.  The same
+            # claim holds with this skip, by the same induction:
+            # - G was expanded before X, so the class of mu_l G is
+            #   stored as some R of depth at most depth(X) - 1.
+            # - The BFS expands a side layer by layer, so R was
+            #   expanded in an earlier pass than X, and its child
+            #   matching mu_k mu_l G ~ mu_k X is stored.
+            continue
+        ks.append(k)
+    return ks
+
+
 @dataclass
 class MutationPath:
     """A replayable vertex sequence from start to (an isomorph of) a target."""
@@ -107,6 +201,145 @@ class MutationPath:
         return Q
 
 
+class Search:
+    """The state of one bidirectional search from Q1 to Q2 (see
+    search_equivalence).
+
+    Classes are numbered in the order either side meets them: keys maps the
+    relabelled bytes of a discretely colored class to its number, and
+    buckets maps sorted signature bytes to a (number, int16 matrix bytes,
+    colors) triple per class with those signatures.  sides[s] maps each
+    class that side s stores to (int16 bytes of its representative, parent
+    class, vertex mutated).  classified counts the matrices classed and
+    iso_tests the isomorphism tests run.
+    """
+
+    def __init__(self, Q1, Q2):
+        self.Q1, self.Q2, self.n = Q1, Q2, Q1.n
+        self.keys = {}
+        self.buckets = {}
+        self.classes = 0
+        self.classified = 0
+        self.iso_tests = 0
+        self.sides = [{}, {}]
+
+    def classify(self, C):
+        """The class number of each matrix of the batch C, in order, or None
+        for a matrix with an entry past ENTRY_CAP, which stays unclassed."""
+        m, n, _ = C.shape
+        over = (np.abs(C) > ENTRY_CAP).any(axis=(1, 2)).tolist()
+        colors, sigs = refine(C)
+        discrete = (np.sort(colors, axis=1) == np.arange(n)).all(axis=1).tolist()
+        order = np.argsort(colors, axis=1)
+        relabelled = C[np.arange(m)[:, None, None], order[:, :, None], order[:, None, :]].astype(np.int16)
+        self.classified += m
+        ids = []
+        for b in range(m):
+            if over[b]:
+                ids.append(None)
+                continue
+            if discrete[b]:
+                cid = self.keys.setdefault(relabelled[b].tobytes(), self.classes)
+            else:
+                cid = self._bucket_class(C[b], colors[b].tolist(), np.sort(sigs[b]).tobytes())
+            if cid == self.classes:
+                self.classes += 1
+            ids.append(cid)
+        return ids
+
+    def _bucket_class(self, M, colors, bucket_key):
+        """The class number of the matrix M, whose coloring is not discrete:
+        that of the bucket member isomorphic to it, or the next new one."""
+        bucket = self.buckets.setdefault(bucket_key, [])
+        rows = M.tolist()
+        for cid, rep, member_colors in bucket:
+            self.iso_tests += 1
+            if match_colors(rows, unpack(rep, self.n).tolist(), colors, list(member_colors)) is not None:
+                return cid
+        bucket.append((self.classes, M.astype(np.int16).tobytes(), bytes(colors)))
+        return self.classes
+
+    def path_to_root(self, side, cid):
+        store = self.sides[side]
+        moves = []
+        while True:
+            _, parent, k = store[cid]
+            if parent is None:
+                return list(reversed(moves))
+            moves.append(k)
+            cid = parent
+
+    def stitch(self, meet):
+        pa = self.path_to_root(0, meet)
+        pb = self.path_to_root(1, meet)
+        Ma = Quiver(unpack(self.sides[0][meet][0], self.n), strict=False)
+        Mb = Quiver(unpack(self.sides[1][meet][0], self.n), strict=False)
+        sigma = find_isomorphism(Ma, Mb)
+        if sigma is None:  # a classing fault; treat the meet as spurious
+            return None
+        inv = invert_perm(sigma)
+        moves = tuple(pa) + tuple(inv[k] for k in reversed(pb))
+        path = MutationPath(self.Q1, moves)
+        iso = find_isomorphism(path.replay(), self.Q2)
+        if iso is None:
+            return None
+        return path, iso
+
+    def run(self, depth_cap, node_cap):
+        """(MutationPath, isomorphism), or None when the caps are exhausted."""
+        n = self.n
+        if n > SIZE_CAP:
+            raise _size_error()
+        roots = [self.classify(Q.B[None])[0] for Q in (self.Q1, self.Q2)]
+        if None in roots:
+            raise _entry_error()
+        for store, Q, cid in zip(self.sides, (self.Q1, self.Q2), roots):
+            store[cid] = (Q.B.astype(np.int16).tobytes(), None, None)
+        frontiers = [deque([roots[0]]), deque([roots[1]])]
+        depths = [0, 0]
+        nodes = 2
+
+        if roots[0] == roots[1]:
+            result = self.stitch(roots[0])
+            if result is not None:
+                return result
+
+        while any(frontiers):
+            side = 0 if (frontiers[0] and (not frontiers[1] or len(frontiers[0]) <= len(frontiers[1]))) else 1
+            if depths[side] >= depth_cap:
+                if depths[1 - side] >= depth_cap or not frontiers[1 - side]:
+                    return None
+                side = 1 - side
+            depths[side] += 1
+            store, other = self.sides[side], self.sides[1 - side]
+            nxt = deque()
+            while frontiers[side]:
+                cid = frontiers[side].popleft()
+                rep, parent, last = store[cid]
+                B = unpack(rep, n)
+                ks = unskipped(B, last, None if parent is None else store[parent][2])
+                C = mutations(B, ks)
+                # one child at a time in increasing k, as if each were made
+                # alone: an earlier child may meet or reach node_cap before
+                # a later one's entry bound counts
+                for k, child, ccid in zip(ks, C, self.classify(C)):
+                    if ccid is None:
+                        raise _entry_error()
+                    if ccid in store:
+                        continue
+                    store[ccid] = (child.astype(np.int16).tobytes(), cid, k)
+                    nodes += 1
+                    if ccid in other:
+                        result = self.stitch(ccid)
+                        if result is not None:
+                            return result
+                    if nodes > node_cap:
+                        return None
+                    nxt.append(ccid)
+            frontiers[side] = nxt
+        return None
+
+
 def search_equivalence(Q1, Q2, depth_cap=12, node_cap=10**6):
     """Bidirectional BFS for a mutation path from Q1 to an isomorph of Q2.
 
@@ -117,109 +350,4 @@ def search_equivalence(Q1, Q2, depth_cap=12, node_cap=10**6):
     """
     if Q1.n != Q2.n:
         raise ValueError(f"the quivers have {Q1.n} and {Q2.n} vertices; mutation keeps the vertex count")
-    rows1, rows2 = Q1.B.tolist(), Q2.B.tolist()
-    key1, key2 = canonical_key(rows1), canonical_key(rows2)
-
-    # store per side: key -> (representative rows, parent key, vertex mutated)
-    sides = [
-        {key1: (rows1, None, None)},
-        {key2: (rows2, None, None)},
-    ]
-    frontiers = [deque([key1]), deque([key2])]
-    depths = [0, 0]
-    nodes = 2
-
-    def path_to_root(side, key):
-        moves = []
-        while True:
-            _, parent, k = sides[side][key]
-            if parent is None:
-                return list(reversed(moves))
-            moves.append(k)
-            key = parent
-
-    def stitch(meet_key):
-        pa = path_to_root(0, meet_key)
-        pb = path_to_root(1, meet_key)
-        Ma = Quiver(sides[0][meet_key][0], strict=False)
-        Mb = Quiver(sides[1][meet_key][0], strict=False)
-        sigma = find_isomorphism(Ma, Mb)
-        if sigma is None:  # key collision; treat the meet as spurious
-            return None
-        inv = invert_perm(sigma)
-        moves = tuple(pa) + tuple(inv[k] for k in reversed(pb))
-        path = MutationPath(Q1, moves)
-        iso = find_isomorphism(path.replay(), Q2)
-        if iso is None:
-            return None
-        return path, iso
-
-    if key1 == key2:
-        result = stitch(key1)
-        if result is not None:
-            return result
-
-    while any(frontiers):
-        side = 0 if (frontiers[0] and (not frontiers[1] or len(frontiers[0]) <= len(frontiers[1]))) else 1
-        if depths[side] >= depth_cap:
-            if depths[1 - side] >= depth_cap or not frontiers[1 - side]:
-                return None
-            side = 1 - side
-        depths[side] += 1
-        nxt = deque()
-        while frontiers[side]:
-            key = frontiers[side].popleft()
-            rep, parent, last = sides[side][key]
-            before = None if parent is None else sides[side][parent][2]
-            for k in range(len(rep)):
-                if k == last:  # mu_k mu_k is the identity: the parent is seen
-                    continue
-                if last is not None and k < last and rep[last][k] == 0:
-                    # mu_k mu_l = mu_l mu_k when B_kl = 0 (math/0104151).  This
-                    # node X = mu_l(P), l = last, was inserted by its parent P.
-                    # Claim: the class of mu_k X is stored already, so keying
-                    # the child would only reach the `continue` below, and the
-                    # skip changes no insertion, node count, meet or move.  So
-                    # once a node is expanded, all its children's classes are
-                    # stored.  Proof by induction over the expansion order,
-                    # which is the insertion order:
-                    # - P tries its children in increasing k, so it reached
-                    #   step k before it inserted X at step l.
-                    # - Case 1: P's step k inserted Y = mu_k P.  Y precedes X
-                    #   in the frontier, and Y's step l builds
-                    #   mu_l mu_k P = mu_k X.  Y does not skip it: l != k is
-                    #   not Y's last move, and l > k.
-                    # - Case 2: the class of mu_k P was stored as R ~ mu_k P
-                    #   before X was inserted: P's step k found it, or it is
-                    #   the grandparent (k was P's last move), or P skipped k
-                    #   under this rule (the claim for P).  R was expanded
-                    #   before X, so its matching child, ~ mu_l mu_k P =
-                    #   mu_k X, is stored.
-                    continue
-                if k == before and abs(rep[last][k]) == 1:
-                    # The pentagon: X = mu_l(P) and P = mu_k(G), k being P's
-                    # own last move.  When |B_kl| = 1, mu_k mu_l mu_k mu_l
-                    # mu_k G is G with k and l swapped (math/0104151), so
-                    # mu_k X = mu_k mu_l mu_k G ~ mu_k mu_l G.  The same
-                    # claim holds with this skip, by the same induction:
-                    # - G was expanded before X, so the class of mu_l G is
-                    #   stored as some R of depth at most depth(X) - 1.
-                    # - The BFS expands a side layer by layer, so R was
-                    #   expanded in an earlier pass than X, and its child
-                    #   matching mu_k mu_l G ~ mu_k X is stored.
-                    continue
-                child = mutate_rows(rep, k)
-                ckey = canonical_key(child)
-                if ckey in sides[side]:
-                    continue
-                sides[side][ckey] = (child, key, k)
-                nodes += 1
-                if ckey in sides[1 - side]:
-                    result = stitch(ckey)
-                    if result is not None:
-                        return result
-                if nodes > node_cap:
-                    return None
-                nxt.append(ckey)
-        frontiers[side] = nxt
-    return None
+    return Search(Q1, Q2).run(depth_cap, node_cap)

@@ -79,11 +79,10 @@ class Quiver:
     # -- mutation ----------------------------------------------------------
 
     def mutate(self, k):
-        """Fomin-Zelevinsky matrix mutation at vertex k: the composite
-        mutation at the one vertex set {k}."""
+        """Fomin-Zelevinsky matrix mutation at vertex k (see mutations)."""
         if not 0 <= k < self.n:
             raise IndexError(f"vertex {k} out of range for n={self.n}")
-        return self.composite_mutate((k,))
+        return Quiver(mutations(self.B, (k,))[0], self.meta, strict=self.strict)
 
     def composite_mutate(self, vertices):
         """Mutate simultaneously at a pairwise non-adjacent vertex set ks (this
@@ -135,6 +134,21 @@ class Quiver:
         )
 
 
+def mutations(B, ks):
+    """The Fomin-Zelevinsky mutations of the exchange matrix B at each vertex
+    k of ks, as one (len(ks), n, n) int64 array: B + [P]+[R]+ - [-P]+[-R]+
+    with P the column and R the row of B at k, and then row k set to -R and
+    column k to -P.  B is not modified."""
+    ks = np.asarray(ks, dtype=np.intp)
+    P, R = B[:, ks].T, B[ks, :]
+    out = B + np.maximum(P, 0)[:, :, None] * np.maximum(R, 0)[:, None, :]
+    out -= np.maximum(-P, 0)[:, :, None] * np.maximum(-R, 0)[:, None, :]
+    at = np.arange(len(ks))
+    out[at, ks, :] = -R
+    out[at, :, ks] = -P
+    return out
+
+
 def invert_perm(p):
     inv = [0] * len(p)
     for i, pi in enumerate(p):
@@ -174,8 +188,8 @@ def refine_colors(adj, colors):
 def find_isomorphism(Q1, Q2):
     """Permutation p with Q1.apply_perm(p) == Q2, or None.
 
-    Backtracking over refinement color classes; intended for the n <= 40
-    quivers this project builds.
+    Backtracking over refinement color classes (see match_colors); intended
+    for the n <= 40 quivers this project builds.
     """
     if Q1.n != Q2.n:
         return None
@@ -185,13 +199,24 @@ def find_isomorphism(Q1, Q2):
     c2 = refine_colors(neighbours(B2), [0] * n)
     if sorted(c1) != sorted(c2):
         return None
+    return match_colors(B1, B2, c1, c2)
 
-    # Map vertices of Q1 in order of ascending color-class size.
+
+def match_colors(B1, B2, c1, c2):
+    """Permutation p with B2[p[i]][p[j]] == B1[i][j] and c2[p[i]] == c1[i]
+    for all i, j, or None, for the int rows B1, B2 of two exchange matrices
+    and isomorphism-invariant colorings c1, c2 of their vertices.
+
+    Backtracking that maps the vertices of B1 in order of ascending color
+    class size, each to a free vertex of its color in B2 whose entries
+    agree with those already placed; it stops at the first complete map.
+    """
+    n = len(B1)
     class_size = {c: c1.count(c) for c in set(c1)}
     order = sorted(range(n), key=lambda i: (class_size[c1[i]], c1[i], i))
     candidates = [[j for j in range(n) if c2[j] == c1[i]] for i in order]
 
-    assignment = [-1] * n  # Q1 vertex -> Q2 vertex
+    assignment = [-1] * n  # B1 vertex -> B2 vertex
     used = [False] * n
 
     def place(pos):

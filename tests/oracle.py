@@ -7,9 +7,14 @@ vertex, in multiplicative notation.  exhaustive_isomorphism is the
 brute-force reference for quiver.find_isomorphism, and matrix_refine_colors
 and matrix_canonical_key, which read the exchange matrix entry by entry, the
 reference for quiver.refine_colors and mutclass.canonical_key.
-search_equivalence, the bidirectional BFS that keys every child but the one
-undoing a node's own move, is the reference for mutclass.search_equivalence,
-which also skips the children that commuting mutations have already made.
+search_equivalence, the bidirectional BFS that mutates each child alone on
+int rows (mutate_rows) and keys it with mutclass.canonical_key, and that
+skips only the child undoing a node's own move, is the reference for
+mutclass.search_equivalence, which mutates, refines and classes all the
+children of a node as one numpy batch, and also skips the children that
+commuting mutations and the pentagon relation have already made.
+mutate_rows, the row mutation that search used, is also a reference for
+quiver.mutations.
 quiver_from_json reads back what Quiver.to_json writes, and compose_perms
 composes vertex permutations.
 
@@ -63,7 +68,7 @@ import numpy as np
 from scipy import integrate
 
 from ysyslab.builders import _G2_FAN, _G2_TAGS, _finish, cartan_data, dynkin_edges
-from ysyslab.mutclass import MutationPath, canonical_key, mutate_rows
+from ysyslab.mutclass import MutationPath, canonical_key
 from ysyslab.quiver import FILL_BULLET, FILL_CIRCLE, Quiver, Vertex, find_isomorphism, invert_perm
 from ysyslab.roots import RootSystem, SigmaMap, neg_simple
 from ysyslab.schedule import slot_sets
@@ -227,11 +232,36 @@ def matrix_canonical_key(Q):
     return best
 
 
-def search_equivalence(Q1, Q2, depth_cap=12, node_cap=10**6):
+def mutate_rows(rows, k):
+    """Fomin-Zelevinsky mutation at vertex k of an exchange matrix held as int
+    rows; returns a tuple of int tuples.  Row k is negated; a row i with
+    b = B_ik != 0 gets B_ij + b * max(sgn(b) B_kj, 0) off column k and -b in
+    it; every other row is shared with the input, which is not modified.
+    Tuples are sized exactly, so a search holding thousands of matrices
+    keeps no spare list capacity."""
+    rk = rows[k]
+    ups = ([max(x, 0) for x in rk], [max(-x, 0) for x in rk])
+    out = []
+    for i, row in enumerate(rows):
+        b = row[k]
+        if i == k:
+            row = tuple([-x for x in row])
+        elif b:
+            new = [x + b * up for x, up in zip(row, ups[b < 0])]
+            new[k] = -b
+            row = tuple(new)
+        out.append(row)
+    return tuple(out)
+
+
+def search_equivalence(Q1, Q2, depth_cap=12, node_cap=10**6, stores=None):
     """Bidirectional BFS for a mutation path from Q1 to an isomorph of Q2.
 
     Returns (MutationPath, isomorphism) or None when the caps are exhausted
-    (which proves nothing: the search cannot certify inequivalence).
+    (which proves nothing: the search cannot certify inequivalence).  A list
+    given as stores is set to the two sides' stores, canonical key ->
+    (representative rows, parent key, vertex mutated), once both roots are
+    keyed; the search then fills them.
     """
     if Q1.n != Q2.n:
         return None
@@ -243,6 +273,8 @@ def search_equivalence(Q1, Q2, depth_cap=12, node_cap=10**6):
         {key1: (rows1, None, None)},
         {key2: (rows2, None, None)},
     ]
+    if stores is not None:
+        stores[:] = sides
     frontiers = [deque([key1]), deque([key2])]
     depths = [0, 0]
     nodes = 2

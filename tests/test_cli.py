@@ -359,14 +359,11 @@ def test_suite_builds_each_run_once(monkeypatch):
 
 
 def test_suite_key_overflow_is_inconclusive(monkeypatch, tmp_path, capsys):
-    # canonical_key refuses an entry past ENTRY_CAP; the suite reports the
-    # pair inconclusive with the error, and the CLI ends without a traceback
-    message = f"canonical_key supports entries of at most {mutclass.ENTRY_CAP} in absolute value"
-
-    def overflow(rows):
-        raise ValueError(message)
-
-    monkeypatch.setattr(mutclass, "canonical_key", overflow)
+    # the search refuses an entry past ENTRY_CAP, here every arrow of the
+    # roots; the suite reports the pair inconclusive with the error, and the
+    # CLI ends without a traceback
+    monkeypatch.setattr(mutclass, "ENTRY_CAP", 0)
+    message = "canonical_key supports entries of at most 0 in absolute value"
     config = {"cases": [], "pairs": [[["G2", 2, 2], ["C", 3, 2]]], "extra_dilog_levels": []}
     (row,) = run_suite(config)
     assert (row.case, row.check, row.status) == ("G2:2:2~C:3:2", "mutation-equivalence", "inconclusive")

@@ -1,13 +1,15 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
 from tests import oracle
 from tests.conftest import cached_model, key_quivers
-from tests.oracle import matrix_canonical_key
+from tests.oracle import matrix_canonical_key, mutate_rows
 from ysyslab import mutclass
 from ysyslab.builders import FamilySpec, build, involutions
-from ysyslab.mutclass import MutationPath, canonical_key, mutate_rows, search_equivalence
-from ysyslab.quiver import Quiver, find_isomorphism
+from ysyslab.mutclass import MutationPath, Search, canonical_key, search_equivalence, unpack
+from ysyslab.quiver import Quiver, find_isomorphism, mutations
 from ysyslab.suite import DEFAULT_PAIRS
 
 
@@ -71,13 +73,41 @@ def test_key_matches_matrix_oracle():
 
 
 def test_row_mutation_matches_quiver_mutate():
-    # the search's plain-Python mutation against the numpy Quiver.mutate that
-    # MutationPath.replay keeps as the independent check
+    # the search's batch mutation, the Quiver.mutate that MutationPath.replay
+    # keeps as the independent check, and the oracle's row mutation
     for Q in key_quivers():
         rows = Q.B.tolist()
+        batch = mutations(Q.B, range(Q.n))
         for k in range(Q.n):
-            assert np.array_equal(mutate_rows(rows, k), Q.mutate(k).B)
-        assert rows == Q.B.tolist()  # the input rows are left as they were
+            assert np.array_equal(batch[k], Q.mutate(k).B)
+            assert np.array_equal(batch[k], mutate_rows(rows, k))
+        assert rows == Q.B.tolist()  # the input is left as it was
+
+
+def constant_mix(entries, colors):
+    return np.full(np.broadcast_shapes(entries.shape, colors.shape), 1 << 32, dtype=np.uint64)
+
+
+@pytest.mark.parametrize("constant", [False, True], ids=["hashed", "constant-mix"])
+def test_classes_match_canonical_keys(constant, monkeypatch):
+    # one batch per size: two matrices share a class exactly when they
+    # share a canonical key, whether the refinement was discrete or not;
+    # with a constant signature mix every matrix takes the isomorphism test
+    if constant:
+        monkeypatch.setattr(mutclass, "signature_mix", constant_mix)
+    by_size = {}
+    for Q in key_quivers():
+        by_size.setdefault(Q.n, []).append(Q)
+    tests = 0
+    for quivers in by_size.values():
+        search = Search(quivers[0], quivers[0])
+        ids = search.classify(np.array([Q.B for Q in quivers]))
+        first = {}
+        for Q, cid in zip(quivers, ids):
+            assert first.setdefault(key(Q), cid) == cid
+        assert len(set(ids)) == len(first)
+        tests += search.iso_tests
+    assert tests > 100  # control: many matrices take the isomorphism test
 
 
 def test_key_equality_iff_isomorphic_small_class():
@@ -143,48 +173,122 @@ def random_quiver(rng):
     return Quiver(U - U.T, strict=False)
 
 
-def search_outcome(search, Q1, Q2, **caps):
+def run_outcome(run):
     try:
-        res = search(Q1, Q2, **caps)
+        res = run()
     except ValueError as err:
         return str(err)
     return None if res is None else (res[0].moves, tuple(res[1]))
 
 
-def test_pruned_search_matches_reference(monkeypatch):
-    # the commuting and pentagon skips only drop children whose class is
-    # already stored, so the search meets, caps and returns exactly where the
-    # unpruned one does, and computes the same set of distinct keys
-    keys = {mutclass: set(), oracle: set()}
+@lru_cache(maxsize=None)
+def rep_key(rep, n):
+    """The canonical key of the matrix whose int16 bytes are rep."""
+    return canonical_key(unpack(rep, n).tolist())
 
-    def recording(module):
-        def wrapped(rows):
-            key = canonical_key(rows)
-            keys[module].add(key)
-            return key
 
-        return wrapped
+class CountingSearch(Search):
+    """A Search that counts the matrices it left unclassed past ENTRY_CAP."""
 
-    for module in keys:
-        monkeypatch.setattr(module, "canonical_key", recording(module))
-    rng = np.random.default_rng(23)
-    ends = {"found": 0, "none": 0, "error": 0}
-    for _ in range(22):
-        Q1 = random_quiver(rng)
+    over_cap = 0
+
+    def classify(self, C):
+        ids = super().classify(C)
+        self.over_cap += ids.count(None)
+        return ids
+
+
+def stored_classes(Q1, Q2, depth_cap, node_cap):
+    """The outcome of mutclass's search, and per side the set of canonical
+    keys of the matrices that side stores, with the Search itself."""
+    search = CountingSearch(Q1, Q2)
+    got = run_outcome(lambda: search.run(depth_cap, node_cap))
+    return got, [{rep_key(rep, Q1.n) for rep, _, _ in side.values()} for side in search.sides], search
+
+
+def oracle_classes(Q1, Q2, **caps):
+    """The outcome of the oracle's search and the keys each side stores."""
+    stores = [{}, {}]
+    got = run_outcome(lambda: oracle.search_equivalence(Q1, Q2, stores=stores, **caps))
+    return got, [set(store) for store in stores]
+
+
+def random_pairs(rng, count, make=random_quiver):
+    """count pairs of a random quiver and a relabelled random mutation of it."""
+    for _ in range(count):
+        Q1 = make(rng)
         Q2 = Q1
         for _ in range(int(rng.integers(0, 9))):
             Q2 = Q2.mutate(int(rng.integers(Q1.n)))
-        Q2 = Q2.apply_perm(rng.permutation(Q1.n).tolist())
+        yield Q1, Q2.apply_perm(rng.permutation(Q1.n).tolist())
+
+
+def test_pruned_search_matches_reference():
+    # the commuting and pentagon skips only drop children whose class is
+    # already stored, so the search meets, caps and returns exactly where the
+    # unpruned row search does, and each side stores the same classes
+    rng = np.random.default_rng(23)
+    ends = {"found": 0, "none": 0, "error": 0}
+    for Q1, Q2 in random_pairs(rng, 22):
         for depth_cap in (2, 3, 5):
             for node_cap in [*range(2, 61), 10**5]:
                 caps = {"depth_cap": depth_cap, "node_cap": node_cap}
-                for seen in keys.values():
-                    seen.clear()
-                got = search_outcome(search_equivalence, Q1, Q2, **caps)
-                assert got == search_outcome(oracle.search_equivalence, Q1, Q2, **caps), caps
-                assert keys[mutclass] == keys[oracle], caps
+                got, stored, _ = stored_classes(Q1, Q2, **caps)
+                assert (got, stored) == oracle_classes(Q1, Q2, **caps), caps
                 ends["none" if got is None else "error" if isinstance(got, str) else "found"] += 1
     assert min(ends.values()) > 0, ends  # every kind of end is compared
+
+
+SMALL_PAIRS = [pair for pair in DEFAULT_PAIRS if pair != (("F4", 4, 2), ("D", 5, 3))]
+
+
+def test_search_exact_when_signatures_collide(monkeypatch):
+    # with a constant signature mix a signature only counts the vertex's
+    # neighbours, so the coloring is the degree partition, which is never
+    # discrete: every matrix takes a bucket and the isomorphism test, and
+    # the outcomes and the classes each side stores stay the oracle's
+    monkeypatch.setattr(mutclass, "signature_mix", constant_mix)
+    cases = [((build(FamilySpec(*a)).quiver, build(FamilySpec(*b)).quiver), (12, 10**6)) for a, b in SMALL_PAIRS]
+    rng = np.random.default_rng(23)
+    cases += [(pair, (depth_cap, 10**5)) for pair in random_pairs(rng, 22) for depth_cap in (2, 3, 5)]
+    tests = 0
+    for (Q1, Q2), (depth_cap, node_cap) in cases:
+        got, stored, search = stored_classes(Q1, Q2, depth_cap, node_cap)
+        assert (got, stored) == oracle_classes(Q1, Q2, depth_cap=depth_cap, node_cap=node_cap)
+        assert not search.keys  # no coloring was discrete
+        tests += search.iso_tests
+    assert tests > 1000
+
+
+def sparse_quiver(rng):
+    n = int(rng.integers(3, 10))
+    U = np.triu(rng.choice([-1, 0, 0, 1], (n, n)), 1)
+    return Quiver(U - U.T, strict=False)
+
+
+def test_entry_cap_error_in_k_order(monkeypatch):
+    # an over-cap child raises only when the loop reaches it in k order, as
+    # in the oracle, which keys one child at a time: an earlier child of the
+    # same batch may meet or reach node_cap first
+    monkeypatch.setattr(mutclass, "ENTRY_CAP", 1)
+    message = "canonical_key supports entries of at most 1 in absolute value"
+    rng = np.random.default_rng(29)
+    ends = {"found": 0, "none": 0, "error": 0, "an over-cap child was left unreached": 0}
+    for Q1, Q2 in random_pairs(rng, 22, sparse_quiver):
+        for depth_cap in (2, 3):
+            for node_cap in [*range(2, 41), 10**5]:
+                caps = {"depth_cap": depth_cap, "node_cap": node_cap}
+                got, stored, search = stored_classes(Q1, Q2, **caps)
+                assert (got, stored) == oracle_classes(Q1, Q2, **caps), caps
+                if isinstance(got, str):
+                    assert got == message
+                    ends["error"] += 1
+                    continue
+                ends["none" if got is None else "found"] += 1
+                # every over-cap child reached raises, so one classed here
+                # was left unreached in its batch
+                ends["an over-cap child was left unreached"] += search.over_cap > 0
+    assert min(ends.values()) > 0, ends
 
 
 def test_commuting_mutations_agree():
@@ -228,20 +332,24 @@ def test_pentagon_mutations_swap():
     assert other_differ  # control: the identity needs |B_kl| = 1
 
 
-# the path each default pair finds, and its canonical_key calls.  A node keys
-# neither the child that undoes its own move (mu_k mu_k is the identity), nor
-# a child at a lower vertex k with B_kl = 0 for its own move l (mu_k mu_l =
-# mu_l mu_k, so an earlier node has made it), nor the child at its parent's
-# own move k when |B_kl| = 1 (the pentagon).  Without the pentagon skip
-# F4:4:2~D:5:3 makes 3504 calls and G2:2:3~C:3:3 249, with the same moves;
-# without the commuting skip too, 5922 and 345; without any skip
-# F4:4:2~D:5:3 makes 6578.
+# the path each default pair finds, the classes each side stores when it
+# returns, and the matrices it classes.  A node classes neither the child
+# that undoes its own move (mu_k mu_k is the identity), nor a child at a
+# lower vertex k with B_kl = 0 for its own move l (mu_k mu_l = mu_l mu_k, so
+# an earlier node has made it), nor the child at its parent's own move k
+# when |B_kl| = 1 (the pentagon).  Without the pentagon skip F4:4:2~D:5:3
+# keys 3504 matrices and G2:2:3~C:3:3 249 one at a time, with the same
+# moves; without the commuting skip too, 5922 and 345; without any skip
+# F4:4:2~D:5:3 keys 6578.  A node's children are classed as one batch, so
+# the count includes the children after the meet in the batch where the
+# search returns: one at a time, the same searches keyed 19 / 3127 / 12 /
+# 5 / 248 matrices, and a batch holds at most n - 1 children.
 DEFAULT_PAIR_SEARCHES = {
-    "C:3:2~D:4:3": ((7, 4, 6), 19),
-    "F4:4:2~D:5:3": ((7, 0, 2, 6, 7, 1, 8, 6, 4), 3127),
-    "C:2:3~A:3:4": ((0, 4), 12),
-    "G2:2:2~C:3:2": ((2,), 5),
-    "G2:2:3~C:3:3": ((2, 1, 3, 12, 7), 248),
+    "C:3:2~D:4:3": ((7, 4, 6), (7, 6), 25),
+    "F4:4:2~D:5:3": ((7, 0, 2, 6, 7, 1, 8, 6, 4), (730, 1397), 3131),
+    "C:2:3~A:3:4": ((0, 4), (4, 2), 20),
+    "G2:2:2~C:3:2": ((2,), (4, 1), 10),
+    "G2:2:3~C:3:3": ((2, 1, 3, 12, 7), (134, 95), 258),
 }
 
 
@@ -249,11 +357,24 @@ def pair_id(pair):
     return "~".join(":".join(map(str, side)) for side in pair)
 
 
+def recording_searches(monkeypatch):
+    """The list that each Search made by search_equivalence joins."""
+    searches = []
+
+    class Recording(Search):
+        def __init__(self, Q1, Q2):
+            super().__init__(Q1, Q2)
+            searches.append(self)
+
+    monkeypatch.setattr(mutclass, "Search", Recording)
+    return searches
+
+
 @pytest.mark.parametrize("pair", DEFAULT_PAIRS, ids=pair_id)
 def test_default_pair_moves_and_key_calls(pair, monkeypatch):
-    keyed = []
-    real = mutclass.canonical_key
-    monkeypatch.setattr(mutclass, "canonical_key", lambda Q: keyed.append(1) or real(Q))
+    searches = recording_searches(monkeypatch)
     Q1, Q2 = (build(FamilySpec(*side)).quiver for side in pair)
     path, _ = search_equivalence(Q1, Q2)
-    assert (path.moves, len(keyed)) == DEFAULT_PAIR_SEARCHES[pair_id(pair)]
+    (search,) = searches
+    stored = tuple(map(len, search.sides))
+    assert (path.moves, stored, search.classified) == DEFAULT_PAIR_SEARCHES[pair_id(pair)]
