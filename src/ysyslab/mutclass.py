@@ -1,14 +1,16 @@
 """Mutation-equivalence certification by bidirectional search.
 
-The search is a bidirectional BFS over mutation classes.  It expands one
-node at a time: the node's exchange matrix is held as int16 bytes, and all
-its children are mutated (quiver.mutations), refined and classed as one
-numpy batch.  A node skips the child that undoes its own move; since
-mu_k mu_l = mu_l mu_k when B_kl = 0, the child at a lower vertex that
-commutes with its move; and, by the pentagon relation, the child
-mu_k mu_l mu_k G of a grandparent G when |B_kl| = 1.  An earlier node has
-already made each of these, so the skips are exact, and the BFS tree is the
-one without them.
+The search is a bidirectional BFS over mutation classes.  Each node's
+exchange matrix is held as int16 bytes.  A side walks its frontier in
+order and gathers the children of consecutive nodes into groups of at most
+GROUP_BYTES; each group is mutated (quiver.mutations, one (matrix, vertex)
+pair per child), refined and classed as one numpy batch, and a node is
+unpacked only when its group is filled.  A node skips the child that undoes
+its own move; since mu_k mu_l = mu_l mu_k when B_kl = 0, the child at a
+lower vertex that commutes with its move; and, by the pentagon relation,
+the child mu_k mu_l mu_k G of a grandparent G when |B_kl| = 1.  An earlier
+node has already made each of these, so the skips are exact, and the BFS
+tree is the one without them.
 
 Classes are told apart exactly.  Color refinement (refine) gives each
 vertex a signature: its color in the high bits plus the sum over its
@@ -19,8 +21,11 @@ matrix relabelled by the coloring, a complete key.  Any other coloring
 puts the matrix in the bucket of its sorted signatures, where a
 color-respecting backtracking test (quiver.match_colors) finds its class
 among the bucket's members.  Both sides share one registry of classes, and
-the children of a node are deduplicated, met and counted against node_cap
-in increasing k, as if each were mutated and classed alone.
+the children of a group are deduplicated, met and counted against node_cap
+node by node and in increasing k within a node, as if each were mutated
+and classed alone; so grouping changes no stored class, move or outcome,
+and only the children of the last group past the meet or node_cap are
+classed in vain.
 
 A returned path replays from the left quiver with Quiver.mutate to an
 isomorphic copy of the right one, and the final isomorphism is recomputed
@@ -41,6 +46,13 @@ from .quiver import Quiver, find_isomorphism, invert_perm, match_colors, mutatio
 
 SIZE_CAP = 24
 ENTRY_CAP = 32767  # keys and stored matrices hold entries as int16
+#: the int32 children that one classing batch may hold.  16 KiB is 40
+#: children at n = 10.  In bench/run.py suite rounds on a 2-core machine,
+#: against one node per batch (verdict_s 0.41 s, peak_rss_mb 40.39-40.42),
+#: 16 KiB gave 0.31 s and 40.39-40.48 MB, 24 KiB 0.30 s and 40.53-40.62 MB,
+#: and 32 KiB 0.29 s and 40.51-40.56 MB: refine's uint64 arrays grow with
+#: the batch, and the time saved past 16 KiB costs memory.
+GROUP_BYTES = 16 * 1024
 
 #: multipliers and shifts of the splitmix64 finalizer that signature_mix applies
 _MIX = tuple(np.uint64(c) for c in (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB, 30, 27, 31))
@@ -99,11 +111,13 @@ def canonical_key(rows):
 
 
 def signature_mix(entries, colors):
-    """A fixed 64-bit mix of each pair of an int64 entry and a neighbour
-    color, broadcast against each other: the splitmix64 finalizer of
-    entry * K + color, wrapping."""
+    """A fixed 64-bit mix of each pair of an integer entry and a neighbour
+    color, the colors broadcast against the entries: the splitmix64
+    finalizer of entry * K + color, wrapping."""
     k0, k1, k2, s0, s1, s2 = _MIX
-    x = entries.astype(np.uint64) * k0 + colors.astype(np.uint64)
+    x = entries.astype(np.uint64)
+    x *= k0
+    x += colors.astype(np.uint64)
     x ^= x >> s0
     x *= k1
     x ^= x >> s1
@@ -119,20 +133,31 @@ def refine(C):
     signature_mix over its row's nonzero entries and their columns'
     colors; its new color is the number of vertices of its matrix with a
     smaller signature.  Starting from one color, this repeats until no
-    color changes.  Returns the colors, shape (m, n), and the last
-    signatures.
+    color of the matrix changes.  A matrix leaves the batch in the round
+    where its colors repeat, since every later round would repeat that
+    one.  Returns the colors, shape (m, n), and the last signatures: for
+    each matrix, those of refining it alone.
     """
-    nonzero = C != 0
     colors = np.zeros(C.shape[:2], dtype=np.int64)
+    sigs = np.zeros(C.shape[:2], dtype=np.uint64)
+    live = np.arange(len(C))  # the batch rows of the matrices still refined
+    nonzero = C != 0
+    current = colors
     while True:
-        mixed = signature_mix(C, colors[:, None, :])
+        mixed = signature_mix(C, current[:, None, :])
         mixed *= nonzero
         sums = mixed.sum(axis=2, dtype=np.uint64)
-        sigs = (colors.astype(np.uint64) << _COLOR_SHIFT) | (sums >> (np.uint64(64) - _COLOR_SHIFT))
-        new = (sigs[:, None, :] < sigs[:, :, None]).sum(axis=2)
-        if (new == colors).all():
-            return colors, sigs
-        colors = new
+        last = (current.astype(np.uint64) << _COLOR_SHIFT) | (sums >> (np.uint64(64) - _COLOR_SHIFT))
+        new = (last[:, None, :] < last[:, :, None]).sum(axis=2)
+        settled = (new == current).all(axis=1)
+        if settled.any():
+            colors[live[settled]] = new[settled]
+            sigs[live[settled]] = last[settled]
+            moving = ~settled
+            if not moving.any():
+                return colors, sigs
+            live, C, nonzero, new = live[moving], C[moving], nonzero[moving], new[moving]
+        current = new
 
 
 def unpack(rep, n):
@@ -210,8 +235,9 @@ class Search:
     buckets maps sorted signature bytes to a (number, int16 matrix bytes,
     colors) triple per class with those signatures.  sides[s] maps each
     class that side s stores to (int16 bytes of its representative, parent
-    class, vertex mutated).  classified counts the matrices classed and
-    iso_tests the isomorphism tests run.
+    class, vertex mutated).  classified counts the matrices classed,
+    batches the classify calls that classed them, and iso_tests the
+    isomorphism tests run.
     """
 
     def __init__(self, Q1, Q2):
@@ -220,19 +246,24 @@ class Search:
         self.buckets = {}
         self.classes = 0
         self.classified = 0
+        self.batches = 0
         self.iso_tests = 0
         self.sides = [{}, {}]
 
     def classify(self, C):
         """The class number of each matrix of the batch C, in order, or None
         for a matrix with an entry past ENTRY_CAP, which stays unclassed."""
-        m, n, _ = C.shape
+        m = len(C)
         over = (np.abs(C) > ENTRY_CAP).any(axis=(1, 2)).tolist()
         colors, sigs = refine(C)
-        discrete = (np.sort(colors, axis=1) == np.arange(n)).all(axis=1).tolist()
+        sigs.sort(axis=1)
+        # settled colors are the ranks of the signatures, so they are
+        # discrete when the signatures are distinct
+        discrete = (sigs[:, 1:] != sigs[:, :-1]).all(axis=1).tolist()
         order = np.argsort(colors, axis=1)
         relabelled = C[np.arange(m)[:, None, None], order[:, :, None], order[:, None, :]].astype(np.int16)
         self.classified += m
+        self.batches += 1
         ids = []
         for b in range(m):
             if over[b]:
@@ -241,7 +272,7 @@ class Search:
             if discrete[b]:
                 cid = self.keys.setdefault(relabelled[b].tobytes(), self.classes)
             else:
-                cid = self._bucket_class(C[b], colors[b].tolist(), np.sort(sigs[b]).tobytes())
+                cid = self._bucket_class(C[b], colors[b].tolist(), sigs[b].tobytes())
             if cid == self.classes:
                 self.classes += 1
             ids.append(cid)
@@ -313,16 +344,15 @@ class Search:
             depths[side] += 1
             store, other = self.sides[side], self.sides[1 - side]
             nxt = deque()
-            while frontiers[side]:
-                cid = frontiers[side].popleft()
-                rep, parent, last = store[cid]
-                B = unpack(rep, n)
-                ks = unskipped(B, last, None if parent is None else store[parent][2])
-                C = mutations(B, ks)
-                # one child at a time in increasing k, as if each were made
-                # alone: an earlier child may meet or reach node_cap before
-                # a later one's entry bound counts
-                for k, child, ccid in zip(ks, C, self.classify(C)):
+            for group in self._groups(store, frontiers[side]):
+                parents = np.frombuffer(b"".join(rep for _, rep, _ in group), dtype=np.int16)
+                # int32 holds every child of an int16 node: one of the two
+                # products is 0, so |entry| <= 32767 + 32767**2 < 2**31
+                C = mutations(parents.reshape(-1, n, n).astype(np.int32), [k for _, _, k in group])
+                # one child at a time, node by node and in increasing k, as
+                # if each were made alone: an earlier child may meet or
+                # reach node_cap before a later one's entry bound counts
+                for (cid, _, k), child, ccid in zip(group, C, self.classify(C)):
                     if ccid is None:
                         raise _entry_error()
                     if ccid in store:
@@ -338,6 +368,25 @@ class Search:
                     nxt.append(ccid)
             frontiers[side] = nxt
         return None
+
+    def _groups(self, store, frontier):
+        """The children to class of the nodes of frontier, as (node, its
+        int16 bytes, k) in node order and then in increasing k, in lists of
+        at most GROUP_BYTES of int32 matrices (at least one child).  Each
+        node is unpacked when its group is filled."""
+        n = self.n
+        room = max(1, GROUP_BYTES // (4 * n * n))
+        group = []
+        for cid in frontier:
+            rep, parent, last = store[cid]
+            B = np.frombuffer(rep, dtype=np.int16).reshape(n, n)
+            for k in unskipped(B, last, None if parent is None else store[parent][2]):
+                group.append((cid, rep, k))
+                if len(group) == room:
+                    yield group
+                    group = []
+        if group:
+            yield group
 
 
 def search_equivalence(Q1, Q2, depth_cap=12, node_cap=10**6):

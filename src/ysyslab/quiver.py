@@ -135,15 +135,18 @@ class Quiver:
 
 
 def mutations(B, ks):
-    """The Fomin-Zelevinsky mutations of the exchange matrix B at each vertex
-    k of ks, as one (len(ks), n, n) int64 array: B + [P]+[R]+ - [-P]+[-R]+
-    with P the column and R the row of B at k, and then row k set to -R and
-    column k to -P.  B is not modified."""
+    """The Fomin-Zelevinsky mutation of an exchange matrix at each vertex k
+    of ks, as one (len(ks), n, n) array of B's dtype: B + [P]+[R]+ -
+    [-P]+[-R]+ with P the column and R the row at k, and then row k set to
+    -R and column k to -P.  B is one (n, n) matrix, mutated at every k, or
+    a stack (len(ks), n, n) whose matrix b is mutated at ks[b].  B is not
+    modified."""
     ks = np.asarray(ks, dtype=np.intp)
-    P, R = B[:, ks].T, B[ks, :]
+    B = np.broadcast_to(B, (len(ks),) + B.shape[-2:])
+    at = np.arange(len(ks))
+    P, R = B[at, :, ks], B[at, ks, :]
     out = B + np.maximum(P, 0)[:, :, None] * np.maximum(R, 0)[:, None, :]
     out -= np.maximum(-P, 0)[:, :, None] * np.maximum(-R, 0)[:, None, :]
-    at = np.arange(len(ks))
     out[at, ks, :] = -R
     out[at, :, ks] = -P
     return out

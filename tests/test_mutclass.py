@@ -84,6 +84,22 @@ def test_row_mutation_matches_quiver_mutate():
         assert rows == Q.B.tolist()  # the input is left as it was
 
 
+def test_stacked_mutation_matches_one_at_a_time():
+    # the search mutates a stack of int32 matrices, each at its own vertex,
+    # as Quiver.mutate mutates one int64 matrix
+    rng = np.random.default_rng(7)
+    by_size = {}
+    for Q in key_quivers():
+        by_size.setdefault(Q.n, []).append(Q)
+    for quivers in by_size.values():
+        ks = rng.integers(quivers[0].n, size=len(quivers)).tolist()
+        stack = np.array([Q.B for Q in quivers], dtype=np.int32)
+        got = mutations(stack, ks)
+        assert got.dtype == np.int32
+        for Q, k, child in zip(quivers, ks, got):
+            assert np.array_equal(child, Q.mutate(k).B)
+
+
 def constant_mix(entries, colors):
     return np.full(np.broadcast_shapes(entries.shape, colors.shape), 1 << 32, dtype=np.uint64)
 
@@ -108,6 +124,48 @@ def test_classes_match_canonical_keys(constant, monkeypatch):
         assert len(set(ids)) == len(first)
         tests += search.iso_tests
     assert tests > 100  # control: many matrices take the isomorphism test
+
+
+def refine_alone(M):
+    """The colors and signatures of color refinement of the one matrix M,
+    recomputed every round until no color changes, and the rounds taken."""
+    colors = np.zeros(len(M), dtype=np.int64)
+    rounds = 0
+    while True:
+        rounds += 1
+        mixed = mutclass.signature_mix(M, colors[None, :]) * (M != 0)
+        sums = mixed.sum(axis=1, dtype=np.uint64)
+        shift = mutclass._COLOR_SHIFT
+        sigs = (colors.astype(np.uint64) << shift) | (sums >> (np.uint64(64) - shift))
+        new = (sigs[None, :] < sigs[:, None]).sum(axis=1)
+        if (new == colors).all():
+            return colors, sigs, rounds
+        colors = new
+
+
+@pytest.mark.parametrize("constant", [False, True], ids=["hashed", "constant-mix"])
+def test_refine_batch_matches_each_alone(constant, monkeypatch):
+    # a matrix leaves refine's batch once its colors repeat; the colors and
+    # signatures of the batch stay bit for bit those of refining each matrix
+    # alone, while other matrices of the batch go on refining
+    if constant:
+        monkeypatch.setattr(mutclass, "signature_mix", constant_mix)
+    by_size = {}
+    for Q in key_quivers():
+        by_size.setdefault(Q.n, [np.zeros((Q.n, Q.n), dtype=np.int64)]).append(Q.B)
+    rounds = set()
+    for mats in by_size.values():
+        batch = np.array(mats)
+        colors, sigs = mutclass.refine(batch)
+        assert (colors.dtype, sigs.dtype) == (np.int64, np.uint64)
+        for M, got_colors, got_sigs in zip(batch, colors, sigs):
+            want_colors, want_sigs, taken = refine_alone(M)
+            assert np.array_equal(got_colors, want_colors)
+            assert np.array_equal(got_sigs, want_sigs)
+            rounds.add(taken)
+    # control: the zero matrices settle in the first round and others take
+    # more; a constant mix sees only degrees, which settle in the second
+    assert min(rounds) == 1 and max(rounds) >= (2 if constant else 3), rounds
 
 
 def test_key_equality_iff_isomorphic_small_class():
@@ -213,6 +271,11 @@ def oracle_classes(Q1, Q2, **caps):
     return got, [set(store) for store in stores]
 
 
+@lru_cache(maxsize=None)
+def cached_oracle_classes(Q1, Q2, depth_cap, node_cap):
+    return oracle_classes(Q1, Q2, depth_cap=depth_cap, node_cap=node_cap)
+
+
 def random_pairs(rng, count, make=random_quiver):
     """count pairs of a random quiver and a relabelled random mutation of it."""
     for _ in range(count):
@@ -234,9 +297,49 @@ def test_pruned_search_matches_reference():
             for node_cap in [*range(2, 61), 10**5]:
                 caps = {"depth_cap": depth_cap, "node_cap": node_cap}
                 got, stored, _ = stored_classes(Q1, Q2, **caps)
-                assert (got, stored) == oracle_classes(Q1, Q2, **caps), caps
+                assert (got, stored) == cached_oracle_classes(Q1, Q2, **caps), caps
                 ends["none" if got is None else "error" if isinstance(got, str) else "found"] += 1
     assert min(ends.values()) > 0, ends  # every kind of end is compared
+
+
+#: GROUP_BYTES patched to one child per batch, and to more than any layer
+GROUP_BOUNDS = {"one-child": 1, "whole-layer": 10**9}
+
+
+def grouping_cases():
+    """The five default pairs, uncapped and with node caps that end them
+    inside a layer, and the random pairs and depth caps of
+    test_pruned_search_matches_reference with every other node cap."""
+    cases = []
+    for pair in DEFAULT_PAIRS:
+        Q1, Q2 = (build(FamilySpec(*side)).quiver for side in pair)
+        cases += [(Q1, Q2, 12, node_cap) for node_cap in (4, 10, 100, 1000, 10**6)]
+    rng = np.random.default_rng(23)
+    for Q1, Q2 in random_pairs(rng, 22):
+        cases += [(Q1, Q2, depth_cap, node_cap) for depth_cap in (2, 3, 5) for node_cap in [*range(2, 61, 2), 10**5]]
+    return cases
+
+
+@pytest.mark.parametrize("bound", GROUP_BOUNDS.values(), ids=GROUP_BOUNDS.keys())
+def test_grouping_matches_reference(bound, monkeypatch):
+    # children are taken in node order and then in increasing k whatever the
+    # batch bound, so each search meets, caps and returns where the oracle
+    # does, and each side stores the same classes
+    monkeypatch.setattr(mutclass, "GROUP_BYTES", bound)
+    ends = {"found": 0, "none": 0}
+    for Q1, Q2, depth_cap, node_cap in grouping_cases():
+        got, stored, search = stored_classes(Q1, Q2, depth_cap, node_cap)
+        assert (got, stored) == cached_oracle_classes(Q1, Q2, depth_cap, node_cap), (depth_cap, node_cap)
+        if bound == 1:
+            assert search.batches == search.classified
+        else:  # the two roots, then one batch per layer
+            assert search.batches <= 2 + 2 * depth_cap
+        if not isinstance(got, str):
+            ends["none" if got is None else "found"] += 1
+    # control: searches that find a path and searches that node_cap ends are
+    # both compared; with a whole layer per batch, node_cap ends a search
+    # inside that batch unless it falls on the layer's last child
+    assert min(ends.values()) > 0, ends
 
 
 SMALL_PAIRS = [pair for pair in DEFAULT_PAIRS if pair != (("F4", 4, 2), ("D", 5, 3))]
@@ -270,6 +373,22 @@ def test_entry_cap_error_in_k_order(monkeypatch):
     # an over-cap child raises only when the loop reaches it in k order, as
     # in the oracle, which keys one child at a time: an earlier child of the
     # same batch may meet or reach node_cap first
+    assert min(entry_cap_ends(monkeypatch).values()) > 0
+
+
+@pytest.mark.parametrize("bound", GROUP_BOUNDS.values(), ids=GROUP_BOUNDS.keys())
+def test_entry_cap_error_in_k_order_at_group_bound(bound, monkeypatch):
+    monkeypatch.setattr(mutclass, "GROUP_BYTES", bound)
+    ends = entry_cap_ends(monkeypatch)
+    unreached = ends.pop("an over-cap child was left unreached")
+    assert min(ends.values()) > 0, ends
+    # a batch of one child classes no child that the loop does not reach
+    assert (unreached > 0) == (bound > 1)
+
+
+def entry_cap_ends(monkeypatch):
+    """How the searches of random sparse pairs end, each compared with the
+    oracle's, with ENTRY_CAP patched to 1."""
     monkeypatch.setattr(mutclass, "ENTRY_CAP", 1)
     message = "canonical_key supports entries of at most 1 in absolute value"
     rng = np.random.default_rng(29)
@@ -288,7 +407,7 @@ def test_entry_cap_error_in_k_order(monkeypatch):
                 # every over-cap child reached raises, so one classed here
                 # was left unreached in its batch
                 ends["an over-cap child was left unreached"] += search.over_cap > 0
-    assert min(ends.values()) > 0, ends
+    return ends
 
 
 def test_commuting_mutations_agree():
@@ -333,23 +452,25 @@ def test_pentagon_mutations_swap():
 
 
 # the path each default pair finds, the classes each side stores when it
-# returns, and the matrices it classes.  A node classes neither the child
-# that undoes its own move (mu_k mu_k is the identity), nor a child at a
-# lower vertex k with B_kl = 0 for its own move l (mu_k mu_l = mu_l mu_k, so
-# an earlier node has made it), nor the child at its parent's own move k
-# when |B_kl| = 1 (the pentagon).  Without the pentagon skip F4:4:2~D:5:3
-# keys 3504 matrices and G2:2:3~C:3:3 249 one at a time, with the same
-# moves; without the commuting skip too, 5922 and 345; without any skip
-# F4:4:2~D:5:3 keys 6578.  A node's children are classed as one batch, so
-# the count includes the children after the meet in the batch where the
-# search returns: one at a time, the same searches keyed 19 / 3127 / 12 /
-# 5 / 248 matrices, and a batch holds at most n - 1 children.
+# returns, the matrices it classes and the batches it classes them in.  A
+# node classes neither the child that undoes its own move (mu_k mu_k is the
+# identity), nor a child at a lower vertex k with B_kl = 0 for its own move
+# l (mu_k mu_l = mu_l mu_k, so an earlier node has made it), nor the child
+# at its parent's own move k when |B_kl| = 1 (the pentagon).  Without the
+# pentagon skip F4:4:2~D:5:3 keys 3504 matrices and G2:2:3~C:3:3 249 one at
+# a time, with the same moves; without the commuting skip too, 5922 and
+# 345; without any skip F4:4:2~D:5:3 keys 6578.  The children of several
+# nodes are classed as one batch of at most GROUP_BYTES, so the count
+# includes the children after the meet in the batch where the search
+# returns: one at a time, the same searches keyed 19 / 3127 / 12 / 5 / 248
+# matrices, and one batch per node classed 25 / 3131 / 20 / 10 / 258 in
+# 5 / 660 / 4 / 3 / 29 batches.  The two roots are a batch each.
 DEFAULT_PAIR_SEARCHES = {
-    "C:3:2~D:4:3": ((7, 4, 6), (7, 6), 25),
-    "F4:4:2~D:5:3": ((7, 0, 2, 6, 7, 1, 8, 6, 4), (730, 1397), 3131),
-    "C:2:3~A:3:4": ((0, 4), (4, 2), 20),
-    "G2:2:2~C:3:2": ((2,), (4, 1), 10),
-    "G2:2:3~C:3:3": ((2, 1, 3, 12, 7), (134, 95), 258),
+    "C:3:2~D:4:3": ((7, 4, 6), (7, 6), 44, 5),
+    "F4:4:2~D:5:3": ((7, 0, 2, 6, 7, 1, 8, 6, 4), (730, 1397), 3163, 86),
+    "C:2:3~A:3:4": ((0, 4), (4, 2), 20, 4),
+    "G2:2:2~C:3:2": ((2,), (4, 1), 10, 3),
+    "G2:2:3~C:3:3": ((2, 1, 3, 12, 7), (134, 95), 263, 16),
 }
 
 
@@ -377,4 +498,4 @@ def test_default_pair_moves_and_key_calls(pair, monkeypatch):
     path, _ = search_equivalence(Q1, Q2)
     (search,) = searches
     stored = tuple(map(len, search.sides))
-    assert (path.moves, stored, search.classified) == DEFAULT_PAIR_SEARCHES[pair_id(pair)]
+    assert (path.moves, stored, search.classified, search.batches) == DEFAULT_PAIR_SEARCHES[pair_id(pair)]
