@@ -130,7 +130,7 @@ def _cmd_tropical(args):
 
 def _cmd_numeric(args):
     sched, seeds = Schedule(build(args.spec)), tuple(range(args.seeds))
-    worst_res, worst_per = worst_errors(NumericRun(sched, seeds), NumericRun(sched, seeds, tracked=False))
+    worst_res, worst_per = worst_errors(NumericRun(sched, seeds))
     _emit(
         {
             "case": f"{args.family}:{args.rank}:{args.level}",

@@ -170,8 +170,8 @@ def functional_sums(run: NumericRun):
 
 
 def check_functional_DI(run):
-    """Functional identities of a tracked NumericRun of one case, over its
-    random seeds.
+    """Functional identities of a NumericRun of one case, over the random
+    seeds of its positive-real block.
 
     Returns a dict with the per-seed sums, the worst deviation from the
     tropical tallies (N-, N+), and the spread across seeds.

@@ -1,15 +1,18 @@
 """Coefficient and cluster dynamics over positive reals along the schedule.
 
-A run carries cluster tuples x and (in tracked mode) coefficient tuples y
-through the mutation schedule, one column per random seed, and records the
-full tuples at every time, in one array indexed by time.  The schedule's
-GatherPlan names the record row of each labelled value T^{(a)}_m and
-Y^{(a)}_m (the schedule's labels name the (a, m) of each point), so the
-residual checks certify the recursion relations and the periodicity claims
-as a few whole-array gathers, every relation and seed at once; they are
-initialization-free in the sense that any positive starting data must
-satisfy them.  The relations are the tables of the schedule (Schedule.g,
-Schedule.numerators), read off its exchange matrices.
+One run carries cluster tuples x and coefficient tuples y through the
+mutation schedule and records the full tuples at every time, in one array
+indexed by time, with the columns [positive-real seeds | coefficient-free
+seeds]: the J random seeds with coefficients in the positive reals, then
+the same cluster draws in the trivial semifield, where y (+) 1 = 1 keeps
+every y exactly 1.  The schedule's GatherPlan names the record row of each
+labelled value T^{(a)}_m and Y^{(a)}_m (the schedule's labels name the
+(a, m) of each point), so the residual checks certify the recursion
+relations and the periodicity claims as a few whole-array gathers, every
+relation and seed at once; they are initialization-free in the sense that
+any positive starting data must satisfy them.  The relations are the tables
+of the schedule (Schedule.g, Schedule.numerators), read off its exchange
+matrices.
 """
 
 from __future__ import annotations
@@ -31,45 +34,52 @@ def real_plus1(L):
     return np.logaddexp(0.0, L)
 
 
-def trivial_plus1(L):
-    """The one-element semifield: 1 (+) 1 = 1, so log(y (+) 1) = 0."""
-    return np.zeros_like(L)
-
-
 class NumericRun:
     """The run record of one schedule over the window of its GatherPlan,
-    one column per seed, and the relation and periodicity checks gathered
-    from it.
+    one column per seed and semifield, and the relation and periodicity
+    checks gathered from it.
 
-    The run record x[s - lo_s, v, j] (and y[s - lo_s, v, j] in a tracked run)
-    holds the cluster (and coefficient) value of vertex v at time s from
-    seeds[j], for lo_s <= s <= hi_s.  The schedule's GatherPlan names the
-    record row of each labelled value T^{(a)}_m(s/t) (in x) and
-    Y^{(a)}_m(s/t) (in y), so every check is a few whole-array gathers; T is
-    1 on its boundary rows, and Y is 1 throughout a coefficient-free run.
-    The run is driven by a verified schedule.Schedule; seeds is a tuple, and
-    memory grows linearly with its length.
+    The run record x[s - lo_s, v, c] (and y[s - lo_s, v, c]) holds the
+    cluster (and coefficient) value of vertex v at time s, for
+    lo_s <= s <= hi_s.  Column j < J (the slice real) runs seeds[j] with
+    coefficients in the positive reals, and column J + j (the slice free)
+    the same cluster draw coefficient-free, with y exactly 1.  The
+    schedule's GatherPlan names the record row of each labelled value
+    T^{(a)}_m(s/t) (in x) and Y^{(a)}_m(s/t) (in y), so every check is a
+    few whole-array gathers; T is 1 on its boundary rows.  The T-relations
+    are read in both blocks, the Y checks in real and T periodicity in
+    free.  The run is driven by a verified schedule.Schedule with one
+    run_schedule call; seeds is a non-empty tuple, and memory grows
+    linearly with its length.
     """
 
-    def __init__(self, schedule, seeds=(0,), tracked=True):
+    def __init__(self, schedule, seeds=(0,)):
+        if len(seeds) == 0:
+            raise ValueError("NumericRun needs at least one seed; seeds is empty")
         self.schedule = schedule
         self.model = schedule.model
         self.seeds = seeds
         self.t = schedule.t
         plan = schedule.plan
         self.full_s, self.lo_s, self.hi_s = plan.full_s, plan.lo_s, plan.hi_s
-        n = self.model.n
-        # each seed draws its cluster, then (when tracked) its coefficients
-        draws = np.log([np.random.default_rng(seed).uniform(0.5, 2.0, (1 + tracked, n)) for seed in seeds]).T
-        self.tracked = tracked
-        if tracked:
-            L0, oplus1 = draws[:, 1], real_plus1
-        else:  # coefficient-free: the trivial semifield
-            L0, oplus1 = np.zeros((n, len(seeds))), trivial_plus1
-        Ls, logxs = run_schedule(schedule, self.lo_s, self.hi_s, L0, oplus1, draws[:, 0])
+        J = len(seeds)
+        self.real, self.free = slice(0, J), slice(J, 2 * J)
+        # each seed draws its cluster, then its coefficients; both blocks
+        # start from the same cluster draw
+        draws = np.log([np.random.default_rng(seed).uniform(0.5, 2.0, (2, self.model.n)) for seed in seeds]).T
+        logx = np.tile(draws[:, 0], 2)
+        L = np.concatenate([draws[:, 1], np.zeros_like(draws[:, 1])], axis=1)
+        Ls, logxs = run_schedule(schedule, self.lo_s, self.hi_s, L, self._plus1, logx)
         with np.errstate(over="raise", under="raise"):  # a value off the float range raises
             self.x = np.exp(logxs, out=logxs)
-            self.y = np.exp(Ls, out=Ls) if tracked else None
+            self.y = np.exp(Ls, out=Ls)
+
+    def _plus1(self, L):
+        """log(y (+) 1) column by column: log(1 + y) in the positive-real
+        block and exactly 0 in the coefficient-free one, where 1 (+) 1 = 1."""
+        out = np.logaddexp(0.0, L)
+        out[:, self.free] = 0.0
+        return out
 
     @property
     def spec(self):
@@ -77,37 +87,34 @@ class NumericRun:
 
     def t_values(self, rows):
         """The T values at record rows of the schedule's GatherPlan, one
-        column per seed."""
-        return gather(self.x.reshape(-1, len(self.seeds)), rows)
+        column per record column."""
+        return gather(self.x.reshape(-1, self.x.shape[-1]), rows)
 
     def y_values(self, rows):
         """The Y values at record rows of the schedule's GatherPlan, one
-        column per seed."""
-        if self.y is None:  # coefficient-free: every Y is 1
-            return np.ones((*np.shape(rows), len(self.seeds)))
-        return gather(self.y.reshape(-1, len(self.seeds)), rows)
+        column per seed of the positive-real block."""
+        return gather(self.y.reshape(-1, self.y.shape[-1])[:, self.real], rows)
 
     # -- relation residuals -------------------------------------------------
 
     def t_residuals(self):
         """Relative residuals of the cluster-variable recursion at all P'+
-        centers inside one period (coefficient-free in untracked mode)."""
+        centers inside one period, one column per record column: with the
+        coefficients in the positive-real block, coefficient-free in the
+        other."""
         plan = self.schedule.plan
         rel = plan.translated(plan.t_relation)
         lhs, adj = self.t_values(rel.lhs), self.t_values(rel.adjacent)
         lhs, adj = lhs[:, 0] * lhs[:, 1], adj[:, 0] * adj[:, 1]
         mon = np.prod(self.t_values(rel.factors), axis=1)  # in table order; the padding is an exact 1.0
-        if self.tracked:
-            yk = self.y_values(rel.center)
-            rhs = (yk * mon + adj) / (1.0 + yk)
-        else:
-            rhs = adj + mon
+        rhs = adj + mon
+        yk = self.y_values(rel.center)
+        rhs[:, self.real] = (yk * mon[:, self.real] + adj[:, self.real]) / (1.0 + yk)
         return np.abs(lhs - rhs) / np.maximum(np.abs(lhs), np.abs(rhs))
 
     def y_residuals(self):
-        """Relative residuals of the coefficient recursion at all P+ centers."""
-        if not self.tracked:
-            raise ValueError("coefficient residuals need a tracked run")
+        """Relative residuals of the coefficient recursion at all P+ centers,
+        in the positive-real block."""
         plan = self.schedule.plan
         rel = plan.translated(plan.y_relation)
         lhs = self.y_values(rel.lhs)
@@ -123,26 +130,27 @@ class NumericRun:
 
     def t_periodicity_errors(self):
         """Relative half/full periodicity errors of the labelled T values, on
-        the P+ class.
+        the P+ class, in the coefficient-free block.
 
         The half statement is checked as T_{top-m}(u + half) = T_m(u); the
         row flip compensates the parity-class swap of the half shift, so
         both ends carry labels of the realized parity class.
         """
         base, other = self.schedule.plan.t_period
-        base = self.t_values(base)
-        return np.abs(self.t_values(other) - base) / np.abs(base)
+        base = self.t_values(base)[:, self.free]
+        return np.abs(self.t_values(other)[:, self.free] - base) / np.abs(base)
 
     def y_periodicity_errors(self):
-        """Periodicity errors of the labelled Y values, on the P'+ class, as
-        t_periodicity_errors."""
+        """Periodicity errors of the labelled Y values, on the P'+ class, in
+        the positive-real block, as t_periodicity_errors."""
         base, other = self.schedule.plan.y_period
         base = self.y_values(base)
         return np.abs(self.y_values(other) - base) / np.abs(base)
 
     def labelled_coefficients(self, s_lo, s_hi):
         """The Y values at the P'+ points with s_lo <= s < s_hi: one row per
-        seed, each in (s, a, m) order and contiguous."""
+        seed of the positive-real block, each in (s, a, m) order and
+        contiguous."""
         return np.ascontiguousarray(self.y_values(self.schedule.plan.coefficients(s_lo, s_hi)).T)
 
 
@@ -154,13 +162,12 @@ def gather(record, rows):
     return out
 
 
-def worst_errors(tracked, plain):
-    """(worst residual, worst periodicity error) over a tracked and a plain
-    run, every seed: the T-recursion in both runs and the Y-recursion in the
-    tracked one, the T values of the plain run and the Y values of the
-    tracked one."""
-    res = max(plain.t_residuals().max(), tracked.t_residuals().max(), tracked.y_residuals().max())
-    per = max(plain.t_periodicity_errors().max(), tracked.y_periodicity_errors().max())
+def worst_errors(run):
+    """(worst residual, worst periodicity error) of a NumericRun, every seed:
+    the T-recursion in both blocks and the Y-recursion, the T values of the
+    coefficient-free block and the Y values.  A NaN anywhere is the worst."""
+    res = np.max([run.t_residuals().max(), run.y_residuals().max()])
+    per = np.max([run.t_periodicity_errors().max(), run.y_periodicity_errors().max()])
     return float(res), float(per)
 
 

@@ -127,14 +127,14 @@ def _case_rows(case, cfg):
 
     _tropical_rows(sched, case, cfg["seeds"][0], row)
     seeds = tuple(cfg["seeds"])
-    tracked, plain = NumericRun(sched, seeds), NumericRun(sched, seeds, tracked=False)
-    worst_res, worst_per = worst_errors(tracked, plain)
+    run = NumericRun(sched, seeds)
+    worst_res, worst_per = worst_errors(run)
     res_tol, per_tol = cfg["residual_tol"], cfg["periodicity_tol"]
     row("numeric-residuals", worst_res < res_tol, "recursion-residuals", max_residual=worst_res, tol=res_tol)
     row("numeric-periodicity", worst_per < per_tol, "labelled-periodicity", max_error=worst_per, tol=per_tol)
 
     rows.append(_constant_dilog_row(case, cfg, sched))
-    rep = check_functional_DI(tracked)
+    rep = check_functional_DI(run)
     ok = rep["max_deviation"] < cfg["functional_tol"] and rep["seed_spread"] < cfg["functional_tol"]
     row(
         "dilog-functional", ok, "functional-dilog-identity",

@@ -34,8 +34,8 @@ SEEDS = (0, 1, 2, 3, 4)
 
 
 @lru_cache(maxsize=None)
-def cached_numeric(family, rank, level, tracked):
-    return NumericRun(cached_schedule(family, rank, level), SEEDS, tracked)
+def cached_numeric(family, rank, level):
+    return NumericRun(cached_schedule(family, rank, level), SEEDS)
 
 
 @lru_cache(maxsize=None)

@@ -33,11 +33,15 @@ ysyslab itself does not.
 The parity classes P+ / P'+ and the label maps label_g / label_g_prime are
 the per-family formulas of the grid bijection: the reference for
 the column table and for the record rows of schedule.GatherPlan.
-LabelledArrays, the NaN-filled labelled arrays of a run and the relation
-and periodicity checks read from them row by row, is the reference for the
-GatherPlan gathers of numeric.NumericRun.  expected_sign, the region sign
-classification with its typed times as fractions, point by point, is the
-reference for tropical.TropicalRun.sign_pattern_mismatches.
+LabelledArrays, the NaN-filled labelled arrays of one block of a run and
+the relation and periodicity checks read from them row by row, is the
+reference for the GatherPlan gathers of numeric.NumericRun.  NumericRun, a
+run in one semifield driven by its own run_schedule call, is the reference
+for the two column blocks of numeric.NumericRun: a tracked one for the
+positive-real block and a plain one (trivial_plus1) for the
+coefficient-free block.  expected_sign, the region sign classification
+with its typed times as fractions, point by point, is the reference for
+tropical.TropicalRun.sign_pattern_mismatches.
 The per-family closed forms of the tropical boundary tuples, the sign
 tallies and the doubled functional sums, as printed, are the reference for
 tropical.boundary_targets, which reads them off omega, and for
@@ -71,7 +75,8 @@ from ysyslab.builders import _G2_FAN, _G2_TAGS, _finish, cartan_data, dynkin_edg
 from ysyslab.mutclass import MutationPath, canonical_key
 from ysyslab.quiver import FILL_BULLET, FILL_CIRCLE, Quiver, Vertex, find_isomorphism, invert_perm
 from ysyslab.roots import RootSystem, SigmaMap, neg_simple
-from ysyslab.schedule import slot_sets
+from ysyslab.numeric import gather, real_plus1
+from ysyslab.schedule import UNIT, run_schedule, slot_sets
 from ysyslab.tropical import NEGATIVE, POSITIVE
 
 
@@ -539,20 +544,22 @@ def label_g(model, a, m, s_w):
 
 
 class LabelledArrays:
-    """The labelled arrays of a numeric.NumericRun, filled with NaN off the
-    grid, and the relation and periodicity checks read row by row from
-    them: the reference for the GatherPlan gathers of NumericRun.
+    """The labelled arrays of one block of a numeric.NumericRun, filled with
+    NaN off the grid, and the relation and periodicity checks read row by
+    row from them: the reference for the GatherPlan gathers of NumericRun.
 
-    T[a, m, s - s0, j] and Y[a, m, s - s0, j] hold T^{(a)}_m(s/t) and
-    Y^{(a)}_m(s/t) of seed j.  T is filled on the P+ grid and is 1 on the
-    boundary rows (a = 0, m = 0 and m = t_a*level); Y is filled on the P'+
-    grid, with 1 throughout a coefficient-free run.  Every other entry is
-    NaN, and a gather that meets one raises.
+    The block is the positive-real one when tracked, else the
+    coefficient-free one.  T[a, m, s - s0, j] and Y[a, m, s - s0, j] hold
+    T^{(a)}_m(s/t) and Y^{(a)}_m(s/t) of seed j.  T is filled on the P+ grid
+    and is 1 on the boundary rows (a = 0, m = 0 and m = t_a*level); Y is
+    filled on the P'+ grid, with 1 throughout the coefficient-free block.
+    Every other entry is NaN, and a gather that meets one raises.
     """
 
-    def __init__(self, run):
+    def __init__(self, run, tracked):
         self.run, self.schedule, self.t = run, run.schedule, run.t
-        self.full_s, self.lo_s, self.hi_s, self.tracked = run.full_s, run.lo_s, run.hi_s, run.tracked
+        self.full_s, self.lo_s, self.hi_s, self.tracked = run.full_s, run.lo_s, run.hi_s, tracked
+        x = run.x[..., run.real if tracked else run.free]
         cd, level = run.model.cartan, run.spec.level
         self.tops = {a: t_a * level for a, t_a in cd["t_a"].items()}
         self.lags = {a: self.t // t_a for a, t_a in cd["t_a"].items()}
@@ -567,8 +574,8 @@ class LabelledArrays:
         node, row = np.array(self.schedule.labels).T
         lag = np.array([self.lags[a] for a in node])
         s, v = self.schedule.points(self.lo_s, self.hi_s + 1)
-        self.T[node[v], row[v], s - lag[v] - s0] = run.x[s - self.lo_s, v]
-        self.Y[node[v], row[v], s - s0] = 1.0 if run.y is None else run.y[s - self.lo_s, v]
+        self.T[node[v], row[v], s - lag[v] - s0] = x[s - self.lo_s, v]
+        self.Y[node[v], row[v], s - s0] = run.y[s - self.lo_s, v, run.real] if tracked else 1.0
 
     def _times(self, arr, a, m, s_lo, s_hi):
         """The times s in [s_lo, s_hi) at which arr[a, m] is filled; every
@@ -640,6 +647,89 @@ class LabelledArrays:
     def labelled_coefficients(self, s_lo, s_hi):
         ys = self.Y[:, :, s_lo - self.s0 : s_hi - self.s0].transpose(3, 2, 0, 1).reshape(len(self.run.seeds), -1)
         return np.compress(~np.isnan(ys[0]), ys, axis=1)
+
+
+def trivial_plus1(L):
+    """The one-element semifield: 1 (+) 1 = 1, so log(y (+) 1) = 0."""
+    return np.zeros_like(L)
+
+
+class NumericRun:
+    """A run record in one semifield: the positive reals when tracked, else
+    the trivial semifield, one column per seed, driven by its own
+    run_schedule call, and the checks gathered from it.  Two of these, one
+    tracked and one plain, are the reference for the two column blocks of
+    numeric.NumericRun.
+
+    x[s - lo_s, v, j] (and y[s - lo_s, v, j] when tracked) holds the cluster
+    (and coefficient) value of vertex v at time s from seeds[j]; Y is 1
+    throughout a plain run.
+    """
+
+    def __init__(self, schedule, seeds=(0,), tracked=True):
+        self.schedule = schedule
+        self.model = schedule.model
+        self.seeds = seeds
+        self.t = schedule.t
+        plan = schedule.plan
+        self.full_s, self.lo_s, self.hi_s = plan.full_s, plan.lo_s, plan.hi_s
+        n = self.model.n
+        # each seed draws its cluster, then (when tracked) its coefficients
+        draws = np.log([np.random.default_rng(seed).uniform(0.5, 2.0, (1 + tracked, n)) for seed in seeds]).T
+        self.tracked = tracked
+        if tracked:
+            L0, oplus1 = draws[:, 1], real_plus1
+        else:  # coefficient-free: the trivial semifield
+            L0, oplus1 = np.zeros((n, len(seeds))), trivial_plus1
+        Ls, logxs = run_schedule(schedule, self.lo_s, self.hi_s, L0, oplus1, draws[:, 0])
+        self.x = np.exp(logxs)
+        self.y = np.exp(Ls) if tracked else None
+
+    def t_values(self, rows):
+        return gather(self.x.reshape(-1, len(self.seeds)), rows)
+
+    def y_values(self, rows):
+        if self.y is None:  # coefficient-free: every Y is 1
+            return np.ones((*np.shape(rows), len(self.seeds)))
+        return gather(self.y.reshape(-1, len(self.seeds)), rows)
+
+    def t_residuals(self):
+        plan = self.schedule.plan
+        rel = plan.translated(plan.t_relation)
+        lhs, adj = self.t_values(rel.lhs), self.t_values(rel.adjacent)
+        lhs, adj = lhs[:, 0] * lhs[:, 1], adj[:, 0] * adj[:, 1]
+        mon = np.prod(self.t_values(rel.factors), axis=1)
+        if self.tracked:
+            yk = self.y_values(rel.center)
+            rhs = (yk * mon + adj) / (1.0 + yk)
+        else:
+            rhs = adj + mon
+        return np.abs(lhs - rhs) / np.maximum(np.abs(lhs), np.abs(rhs))
+
+    def y_residuals(self):
+        plan = self.schedule.plan
+        rel = plan.translated(plan.y_relation)
+        lhs = self.y_values(rel.lhs)
+        lhs = lhs[:, 0] * lhs[:, 1]
+        num = 1.0 + self.y_values(rel.factors)
+        num[rel.factors == UNIT] = 1.0
+        den = 1.0 + 1.0 / self.y_values(rel.adjacent)
+        den[rel.adjacent == UNIT] = 1.0
+        rhs = np.prod(num, axis=1) / np.prod(den, axis=1)
+        return np.abs(lhs - rhs) / np.maximum(np.abs(lhs), np.abs(rhs))
+
+    def t_periodicity_errors(self):
+        base, other = self.schedule.plan.t_period
+        base = self.t_values(base)
+        return np.abs(self.t_values(other) - base) / np.abs(base)
+
+    def y_periodicity_errors(self):
+        base, other = self.schedule.plan.y_period
+        base = self.y_values(base)
+        return np.abs(self.y_values(other) - base) / np.abs(base)
+
+    def labelled_coefficients(self, s_lo, s_hi):
+        return np.ascontiguousarray(self.y_values(self.schedule.plan.coefficients(s_lo, s_hi)).T)
 
 
 def expected_sign(run, v, s):

@@ -114,19 +114,9 @@ def test_criterion_5_tvector_identities():
 def test_criterion_6_numeric_residuals_and_periodicity():
     worst_res = worst_per = 0.0
     for family, rank, level in CASES:
-        tracked = cached_numeric(family, rank, level, True)
-        plain = cached_numeric(family, rank, level, False)
-        worst_res = max(
-            worst_res,
-            plain.t_residuals().max(),
-            tracked.t_residuals().max(),
-            tracked.y_residuals().max(),
-        )
-        worst_per = max(
-            worst_per,
-            plain.t_periodicity_errors().max(),
-            tracked.y_periodicity_errors().max(),
-        )
+        run = cached_numeric(family, rank, level)
+        worst_res = max(worst_res, run.t_residuals().max(), run.y_residuals().max())
+        worst_per = max(worst_per, run.t_periodicity_errors().max(), run.y_periodicity_errors().max())
     assert worst_res < 1e-9
     assert worst_per < 1e-8
     _ok("criterion-6", f"max residual {worst_res:.2e}, max periodicity error {worst_per:.2e}")
@@ -149,7 +139,7 @@ def test_criterion_7_constant_dilog():
 
 def test_criterion_8_functional_dilog():
     for family, rank, level in CASES:
-        rep = check_functional_DI(cached_numeric(family, rank, level, True))
+        rep = check_functional_DI(cached_numeric(family, rank, level))
         assert rep["max_deviation"] < 1e-6, (family, rank, level)
         assert rep["seed_spread"] < 1e-6, (family, rank, level)
         npos, nneg = expected_counts(family, rank, level)

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ysyslab import builders, cli, mutclass, schedule, suite, tropical
+from ysyslab import builders, cli, mutclass, numeric, schedule, suite, tropical
 from ysyslab.cli import main
 from ysyslab.numeric import NumericRun
 from ysyslab.quiver import Quiver
@@ -353,9 +353,13 @@ def test_suite_builds_each_run_once(monkeypatch):
     build = counted("build", builders.build)
     for module in (builders, suite):
         monkeypatch.setattr(module, "build", build)
-    # one tracked and one plain run carry all the seeds
+    run_schedule = counted("run_schedule", schedule.run_schedule)
+    for module in (schedule, numeric, tropical):
+        monkeypatch.setattr(module, "run_schedule", run_schedule)
+    # one numeric run carries all the seeds in both semifields; with the
+    # tropical run and the tropical shadow, the case makes three sweeps
     run_suite({"cases": [["C", 2, 2]], "pairs": [], "seeds": [0, 1, 2], "extra_dilog_levels": []})
-    assert counts == {"NumericRun": 2, "TropicalRun": 1, "slot_matrices": 1, "build": 1}
+    assert counts == {"NumericRun": 1, "TropicalRun": 1, "run_schedule": 3, "slot_matrices": 1, "build": 1}
 
 
 def test_suite_key_overflow_is_inconclusive(monkeypatch, tmp_path, capsys):

@@ -187,7 +187,7 @@ def test_constant_identity(family, rank, level):
 
 def test_functional_identity_small_cases():
     for family, rank, level in [("C", 2, 2), ("G2", 2, 2)]:
-        rep = check_functional_DI(cached_numeric(family, rank, level, True))
+        rep = check_functional_DI(cached_numeric(family, rank, level))
         assert len(rep["sums"]) == 5
         assert rep["max_deviation"] < 1e-6
         assert rep["seed_spread"] < 1e-6

@@ -9,13 +9,7 @@ from tests.oracle import LabelledArrays, NumericSeedPayload, grid_points, label_
 from ysyslab import numeric, schedule
 from ysyslab.dilog import check_functional_DI
 from ysyslab.gfun import transpose_factors
-from ysyslab.numeric import (
-    NumericRun,
-    real_plus1,
-    trivial_plus1,
-    tropical_shadow_mismatches,
-    worst_errors,
-)
+from ysyslab.numeric import NumericRun, gather, real_plus1, tropical_shadow_mismatches, worst_errors
 from ysyslab.schedule import (
     OFF,
     UNIT,
@@ -130,7 +124,7 @@ def test_overflow_raises(monkeypatch):
 
         monkeypatch.setattr(numeric, "run_schedule", huge)
         with pytest.raises(FloatingPointError):
-            NumericRun(cached_schedule("C", 2, 2), tracked=True)
+            NumericRun(cached_schedule("C", 2, 2))
 
 
 def test_underflow_raises(monkeypatch):
@@ -145,19 +139,103 @@ def test_underflow_raises(monkeypatch):
 
         monkeypatch.setattr(numeric, "run_schedule", tiny)
         with pytest.raises(FloatingPointError):
-            NumericRun(cached_schedule("C", 2, 2), tracked=True)
+            NumericRun(cached_schedule("C", 2, 2))
 
 
 @pytest.mark.parametrize("family,rank,level", CASES)
 def test_residuals_and_periodicity(family, rank, level):
-    tracked = cached_numeric(family, rank, level, True)
-    plain = cached_numeric(family, rank, level, False)
-    assert plain.t_residuals().shape[1] == tracked.y_periodicity_errors().shape[1] == len(SEEDS)
-    assert plain.t_residuals().max() < 1e-9
-    assert tracked.t_residuals().max() < 1e-9
-    assert tracked.y_residuals().max() < 1e-9
-    assert plain.t_periodicity_errors().max() < 1e-8
-    assert tracked.y_periodicity_errors().max() < 1e-8
+    # the T-relations are read in both blocks, one column per record column;
+    # the Y checks in the positive-real block and T periodicity in the
+    # coefficient-free one, one column per seed
+    run = cached_numeric(family, rank, level)
+    assert run.t_residuals().shape[1] == 2 * len(SEEDS)
+    assert run.y_residuals().shape[1] == run.t_periodicity_errors().shape[1] == len(SEEDS)
+    assert run.y_periodicity_errors().shape[1] == len(SEEDS)
+    assert run.t_residuals().max() < 1e-9
+    assert run.y_residuals().max() < 1e-9
+    assert run.t_periodicity_errors().max() < 1e-8
+    assert run.y_periodicity_errors().max() < 1e-8
+
+
+@pytest.mark.parametrize("family,rank,level", CASES)
+def test_blocks_match_two_run_oracle(family, rank, level, monkeypatch):
+    # the positive-real block is the tracked run of the two-run path and the
+    # coefficient-free block its plain run, to 1e-13 relative in the record
+    # (BLAS may block a wider product differently) and to 1e-13 in the
+    # relative residuals and periodicity errors; the coefficient-free
+    # log-coefficients are exactly 0 at every time, so its Y is exactly 1
+    recorded, real = [], numeric.run_schedule
+
+    def recording(*args):
+        Ls, logxs = real(*args)
+        recorded.append(Ls.copy())  # the log record, before the run exponentiates it in place
+        return Ls, logxs
+
+    sched = cached_schedule(family, rank, level)
+    tracked, plain = oracle.NumericRun(sched, SEEDS), oracle.NumericRun(sched, SEEDS, tracked=False)
+    monkeypatch.setattr(numeric, "run_schedule", recording)
+    run = NumericRun(sched, SEEDS)
+    (Ls,) = recorded
+    assert not Ls[..., run.free].any()
+    assert (run.y[..., run.free] == 1.0).all()
+    rows = run.schedule.plan.coefficients(run.lo_s, run.hi_s + 1)
+    assert (gather(run.y.reshape(-1, 2 * len(SEEDS))[:, run.free], rows) == 1.0).all()
+
+    def close(got, want, rtol=1e-13, atol=0.0, name=""):
+        assert got.shape == want.shape, name
+        np.testing.assert_allclose(got, want, rtol=rtol, atol=atol, err_msg=name)
+
+    close(run.x[..., run.real], tracked.x, name="tracked x")
+    close(run.y[..., run.real], tracked.y, name="tracked y")
+    close(run.x[..., run.free], plain.x, name="plain x")
+    window = (run.lo_s, run.hi_s + 1)
+    close(run.labelled_coefficients(*window), tracked.labelled_coefficients(*window), name="coefficients")
+    checks = [
+        (run.t_residuals()[:, run.real], tracked.t_residuals(), "tracked t_residuals"),
+        (run.t_residuals()[:, run.free], plain.t_residuals(), "plain t_residuals"),
+        (run.y_residuals(), tracked.y_residuals(), "y_residuals"),
+        (run.t_periodicity_errors(), plain.t_periodicity_errors(), "t_periodicity_errors"),
+        (run.y_periodicity_errors(), tracked.y_periodicity_errors(), "y_periodicity_errors"),
+    ]
+    for got, want, name in checks:
+        close(got, want, rtol=0.0, atol=1e-13, name=name)
+
+
+def earliest_y_relation_row(plan):
+    """The record row of the earliest Y a Y-relation reads: before time 0, so
+    no T-relation and no periodicity pair reads it."""
+    return plan.translated(plan.y_relation).lhs.min()
+
+
+#: Where a NaN goes in test_worst_errors_propagate_nan: the record, the
+#: block, the plan row, and which of (worst residual, worst periodicity
+#: error) it reaches.
+NAN_PLANTS = {
+    "tracked-x": ("x", "real", lambda plan: plan.t_period[0][0], (True, False)),
+    "tracked-y": ("y", "real", earliest_y_relation_row, (True, False)),
+    "tracked-y-periodic": ("y", "real", lambda plan: plan.y_period[0][0], (True, True)),
+    "free-x": ("x", "free", lambda plan: plan.t_period[0][0], (True, True)),
+}
+
+
+@pytest.mark.parametrize("plant", NAN_PLANTS)
+def test_worst_errors_propagate_nan(plant):
+    # a NaN in a value that a check reads is the worst error of that check,
+    # wherever it falls among the per-check maxima: the tracked-y plant
+    # reaches the Y-relations alone, the last residual maximum taken
+    record, block, where, affected = NAN_PLANTS[plant]
+    run = NumericRun(cached_schedule("C", 2, 2), SEEDS)
+    row = where(run.schedule.plan)
+    getattr(run, record).reshape(-1, 2 * len(SEEDS))[row, getattr(run, block).start + 1] = np.nan
+    got, clean = worst_errors(run), worst_errors(cached_numeric("C", 2, 2))
+    assert all(np.isfinite(clean))
+    for g, c, hit in zip(got, clean, affected):
+        assert np.isnan(g) if hit else g == c, (got, clean)
+
+
+def test_numeric_run_rejects_empty_seeds():
+    with pytest.raises(ValueError, match="seeds is empty"):
+        NumericRun(cached_schedule("C", 2, 2), ())
 
 
 @pytest.mark.parametrize("family,rank,level", CASES)
@@ -165,30 +243,30 @@ def test_batched_run_matches_single_seed_runs(family, rank, level):
     # column j of a run over several seeds is the run of seed j alone, up to
     # the rounding of a matrix product against a vector; so are its labelled
     # coefficients and its functional sums
+    # (in each block: column j in the positive-real block, J + j in the
+    # coefficient-free one)
     sched = cached_schedule(family, rank, level)
-    for tracked in (True, False):
-        batched = cached_numeric(family, rank, level, tracked)
-        for j, seed in enumerate(SEEDS):
-            # each seed draws its cluster, then its coefficients when tracked
-            draws = np.random.default_rng(seed).uniform(0.5, 2.0, (2, sched.model.n))
-            np.testing.assert_allclose(batched.x[-batched.lo_s, :, j], draws[0], rtol=1e-15)
-            if tracked:
-                np.testing.assert_allclose(batched.y[-batched.lo_s, :, j], draws[1], rtol=1e-15)
-            single = NumericRun(sched, (seed,), tracked)
-            window = (batched.lo_s, batched.hi_s + 1)
-            for name in ("x", "y", "labelled_coefficients"):
-                got, want = getattr(batched, name), getattr(single, name)
-                if callable(got):  # one row per seed
-                    got, want = got(*window).T, want(*window).T
-                if got is None:
-                    assert want is None and not tracked
-                    continue
-                assert got.shape == want.shape[:-1] + (len(SEEDS),) and want.shape[-1] == 1
-                np.testing.assert_allclose(got[..., j], want[..., 0], rtol=1e-12, err_msg=f"{name}, seed {seed}")
-            if tracked:
-                got, want = check_functional_DI(batched), check_functional_DI(single)
-                np.testing.assert_allclose(got["sums"][j], want["sums"][0], rtol=1e-12)
-                assert got["targets"] == want["targets"]
+    batched, J = cached_numeric(family, rank, level), len(SEEDS)
+    for j, seed in enumerate(SEEDS):
+        # each seed draws its cluster, then its coefficients; both blocks
+        # start from the same cluster draw, and the coefficient-free y is 1
+        draws = np.random.default_rng(seed).uniform(0.5, 2.0, (2, sched.model.n))
+        for col, y0 in ((j, draws[1]), (J + j, 1.0)):
+            np.testing.assert_allclose(batched.x[-batched.lo_s, :, col], draws[0], rtol=1e-15)
+            np.testing.assert_allclose(batched.y[-batched.lo_s, :, col], y0, rtol=1e-15)
+        single = NumericRun(sched, (seed,))
+        window = (batched.lo_s, batched.hi_s + 1)
+        for name in ("x", "y", "labelled_coefficients"):
+            got, want = getattr(batched, name), getattr(single, name)
+            if callable(got):  # one row per seed of the positive-real block
+                got, want = got(*window).T[..., [j]], want(*window).T
+            else:  # both blocks
+                got = got[..., [j, J + j]]
+            assert got.shape == want.shape, name
+            np.testing.assert_allclose(got, want, rtol=1e-12, err_msg=f"{name}, seed {seed}")
+        got, want = check_functional_DI(batched), check_functional_DI(single)
+        np.testing.assert_allclose(got["sums"][j], want["sums"][0], rtol=1e-12)
+        assert got["targets"] == want["targets"]
 
 
 @pytest.mark.parametrize("family,rank,level", CASES)
@@ -206,33 +284,43 @@ def test_tropical_shadow_reports_one_wrong_exponent(delta):
 
 
 def test_trivial_semifield_projection():
-    # the coefficient-free run is the exchange rule in the one-element
+    # the coefficient-free block is the exchange rule in the one-element
     # semifield; it agrees value for value with the plain two-monomial
     # exchange, and its coefficients never move
     for family, rank, level in [("C", 2, 2), ("F4", 4, 2), ("G2", 2, 2)]:
-        mdl = cached_model(family, rank, level)
-        t = mdl.cartan["t"]
-        x0 = np.random.default_rng(0).uniform(0.5, 2.0, mdl.n)
-        plain = run_payload(mdl, -2 * t, 2 * t, NumericSeedPayload(x0))
-        Ls, logxs = run_schedule(
-            cached_schedule(family, rank, level), -2 * t, 2 * t, np.zeros(mdl.n), trivial_plus1, np.log(x0)
-        )
-        assert sorted(plain) == list(range(-2 * t, 2 * t + 1)) and len(logxs) == len(plain)
+        run = cached_numeric(family, rank, level)
+        t, col = run.t, run.free.start
+        x0 = np.random.default_rng(SEEDS[0]).uniform(0.5, 2.0, run.model.n)
+        plain = run_payload(run.model, -2 * t, 2 * t, NumericSeedPayload(x0))
+        assert sorted(plain) == list(range(-2 * t, 2 * t + 1))
         for s, (x, _) in plain.items():
-            assert np.max(np.abs(np.exp(logxs[s + 2 * t]) - x)) <= 1e-12
-        assert not Ls.any()
+            assert np.max(np.abs(run.x[s - run.lo_s, :, col] - x)) <= 1e-12
+        assert (run.y[..., run.free] == 1.0).all()
 
 
-def test_y_residuals_need_tracking():
-    plain = cached_numeric("C", 2, 2, False)
-    with pytest.raises(ValueError):
-        plain.y_residuals()
+def test_y_checks_read_the_positive_real_block():
+    # the Y-relations, Y periodicity and the labelled coefficients read the
+    # positive-real block alone: a NaN in the coefficient-free y reaches none
+    # of them, and the same NaN in the positive-real y reaches each one
+    clean = cached_numeric("C", 2, 2)
+    plan = clean.schedule.plan
+    row = plan.y_period[0][0]
+    names = ("y_residuals", "y_periodicity_errors")
+    for block, reached in (("free", False), ("real", True)):
+        run = NumericRun(clean.schedule, SEEDS)
+        run.y.reshape(-1, 2 * len(SEEDS))[row, getattr(run, block).start] = np.nan
+        for name in names:
+            got, want = getattr(run, name)(), getattr(clean, name)()
+            assert got.shape == want.shape and got.shape[1] == len(SEEDS)
+            assert np.isnan(got).any() == reached and (reached or np.array_equal(got, want)), (block, name)
+        coefficients = run.labelled_coefficients(0, run.full_s)
+        assert coefficients.shape[0] == len(SEEDS) and np.isnan(coefficients).any() == reached, block
 
 
 def test_boundary_labels_are_unit():
     # the plan reads the boundary rows of T as UNIT at every time of the
     # window, and a run gathers an exact 1.0 there, in every seed's column
-    run = cached_numeric("C", 2, 2, False)
+    run = cached_numeric("C", 2, 2)
     plan = run.schedule.plan
     times = np.arange(run.lo_s - run.t, run.hi_s + 1)
     for a, m in [(0, k) for k in range(5)] + [(1, 0), (1, 4), (2, 0), (2, 2)]:
@@ -247,7 +335,7 @@ def test_column_fold_inverts_label_map(family, rank, level):
     # each mutation point of a run's window, folded to (a, m, s) by the
     # column table, is the point the per-family label map sends to it; the
     # image is the P'+ grid
-    run = cached_numeric(family, rank, level, True)
+    run = cached_numeric(family, rank, level)
     sets = slot_sets(run.model)
     image = []
     for s in range(run.lo_s, run.hi_s + 1):
@@ -266,8 +354,11 @@ def test_labelled_arrays_match_label_lookups(family, rank, level, tracked):
     # per-point label lookups into the run record: one row for each P'+
     # coefficient and each P+ cluster variable of the window, UNIT on the
     # boundary of T, and OFF everywhere else; the values a run gathers there
-    # are the record's, bit for bit, in every seed's column
-    run = cached_numeric(family, rank, level, tracked)
+    # are the record's, bit for bit, in every seed's column of the
+    # positive-real block (tracked) or the coefficient-free one, whose Y
+    # gathers are exactly 1.0
+    run = cached_numeric(family, rank, level)
+    cols = run.real if tracked else run.free
     plan, n, s0 = run.schedule.plan, run.model.n, run.lo_s - run.t
     tops = {a: t_a * level for a, t_a in run.model.cartan["t_a"].items()}
     box = np.meshgrid(np.arange(rank + 1), np.arange(max(tops.values()) + 1), np.arange(s0, run.hi_s + 1), indexing="ij")
@@ -275,7 +366,9 @@ def test_labelled_arrays_match_label_lookups(family, rank, level, tracked):
     T[0] = UNIT
     for a, top in tops.items():
         T[a, 0] = T[a, top] = UNIT
-    record_y = run.y if tracked else np.ones_like(run.x)
+    record_x, record_y = run.x[..., cols], run.y[..., cols]
+    if not tracked:
+        assert (record_y == 1.0).all()
     want_t, want_y = [], []
     for a, m, s in grid_points(family, rank, level, run.lo_s, run.hi_s + 1, prime=True):
         v, _ = label_g_prime(run.model, a, m, s)
@@ -285,13 +378,16 @@ def test_labelled_arrays_match_label_lookups(family, rank, level, tracked):
         v, s = label_g(run.model, a, m, s_w)
         if run.lo_s <= s <= run.hi_s:
             T[a, m, s_w - s0] = (s - run.lo_s) * n + v
-            want_t.append(run.x[s - run.lo_s, v])
+            want_t.append(record_x[s - run.lo_s, v])
     assert np.array_equal(plan.y_rows(*box), Y)
     assert np.array_equal(plan.t_rows(*box), T)
     # grid_points lists in (s, a, m) order, the box in (a, m, s) order
     order = (2, 0, 1)
-    assert np.array_equal(run.y_values(Y.transpose(order)[Y.transpose(order) >= 0]), want_y)
-    assert np.array_equal(run.t_values(T.transpose(order)[T.transpose(order) >= 0]), want_t)
+    y_rows = Y.transpose(order)[Y.transpose(order) >= 0]
+    assert np.array_equal(gather(run.y.reshape(-1, run.y.shape[-1])[:, cols], y_rows), want_y)
+    if tracked:
+        assert np.array_equal(run.y_values(y_rows), want_y)
+    assert np.array_equal(run.t_values(T.transpose(order)[T.transpose(order) >= 0])[:, cols], want_t)
     assert (run.t_values(T[T == UNIT]) == 1.0).all()
 
 
@@ -299,11 +395,20 @@ def test_labelled_arrays_match_label_lookups(family, rank, level, tracked):
 @pytest.mark.parametrize("tracked", [True, False])
 def test_plan_gathers_match_labelled_arrays(family, rank, level, tracked):
     # every check gathered through the plan equals, bit for bit and in the
-    # same order, the row-by-row reads of the NaN-filled labelled arrays
-    run = cached_numeric(family, rank, level, tracked)
-    ref = LabelledArrays(run)
-    names = ["t_residuals", "t_periodicity_errors", "y_periodicity_errors"] + ["y_residuals"] * tracked
-    for name in names:
+    # same order, the row-by-row reads of the NaN-filled labelled arrays of
+    # the block it reads: the T-relations in both blocks, the Y checks in the
+    # positive-real block (tracked) and T periodicity in the coefficient-free
+    # one
+    run = cached_numeric(family, rank, level)
+    ref = LabelledArrays(run, tracked)
+    cols = run.real if tracked else run.free
+    got, want = run.t_residuals()[:, cols], ref.t_residuals()
+    assert got.shape == want.shape and np.array_equal(got, want), "t_residuals"
+    if not tracked:
+        got, want = run.t_periodicity_errors(), ref.t_periodicity_errors()
+        assert got.shape == want.shape and np.array_equal(got, want), "t_periodicity_errors"
+        return
+    for name in ("y_residuals", "y_periodicity_errors"):
         got, want = getattr(run, name)(), getattr(ref, name)()
         assert got.shape == want.shape and np.array_equal(got, want), name
     for window in [(0, run.full_s), (run.lo_s, run.hi_s + 1), (run.t + 1, 3 * run.t)]:

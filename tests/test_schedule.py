@@ -179,10 +179,13 @@ def test_tropical_run_matches_per_vertex_oracle(family, rank, level):
 def test_numeric_run_matches_per_vertex_oracle(family, rank, level, tracked):
     # the window includes the backward margin, where a step from s must use
     # the matrix at s, not the one at s - 1
-    run = cached_numeric(family, rank, level, tracked)
+    # (each column of the positive-real block when tracked, else of the
+    # coefficient-free block, whose y stays exactly 1)
+    run = cached_numeric(family, rank, level)
     assert run.lo_s < 0
     i0 = -run.lo_s
-    for j in range(len(run.seeds)):  # each seed's column on its own
+    block = run.real if tracked else run.free
+    for j in range(block.start, block.stop):  # each seed's column on its own
         x0, y0 = run.x[i0, :, j], run.y[i0, :, j] if tracked else None
         want = run_payload(run.model, run.lo_s, run.hi_s, NumericSeedPayload(x0, y0))
         assert sorted(want) == list(range(run.lo_s, run.hi_s + 1)) and len(run.x) == len(want)
@@ -191,7 +194,7 @@ def test_numeric_run_matches_per_vertex_oracle(family, rank, level, tracked):
             if tracked:
                 assert np.max(np.abs(run.y[s - run.lo_s, :, j] - y) / y) <= 1e-13, (s, j)
             else:
-                assert run.y is None and y is None
+                assert y is None and (run.y[s - run.lo_s, :, j] == 1.0).all(), (s, j)
 
 
 def test_global_opposite_passes_cycle_but_flips_tropical_signs():
