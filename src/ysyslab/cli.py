@@ -268,8 +268,9 @@ def main(argv=None):
         args.fn(args)
     except UsageError as err:
         ap.error(str(err))
-    # a schedule that fails its checks, or a tropical exponent past the
-    # float64 exact range or a mixed monomial
+    # a schedule that fails its checks, a tropical exponent past the int8
+    # range or the float64 exact range, a mixed monomial, or a numeric value
+    # off the float range (FloatingPointError)
     except (ScheduleError, ArithmeticError) as err:
         print(f"ysyslab {args.cmd}: error: {err}", file=sys.stderr)
         raise SystemExit(1) from None

@@ -42,8 +42,9 @@ def rogers_L(x):
     0 and pi^2/6.  Raises ValueError for input outside [0, 1], NaN included.
     """
     x = np.asarray(x, dtype=float)
-    if np.any(~((x >= 0) & (x <= 1))):
-        raise ValueError("rogers_L is defined on [0, 1]")
+    outside = ~((x >= 0) & (x <= 1))
+    if np.any(outside):
+        raise ValueError(f"rogers_L is defined on [0, 1], not at {x[outside].flat[0]}")
     upper = x > 0.5
     y = np.where(upper, 1.0 - x, x)
     u = -np.log1p(-y)
@@ -174,11 +175,16 @@ def check_functional_DI(run):
     seeds of its positive-real block.
 
     Returns a dict with the per-seed sums, the worst deviation from the
-    tropical tallies (N-, N+), and the spread across seeds.
+    tropical tallies (N-, N+), and the spread across seeds; or, when a
+    coefficient puts a Rogers dilogarithm argument outside [0, 1] (a NaN,
+    say), a dict whose one key "error" says so.
     """
     spec = run.spec
     npos, nneg = expected_counts(spec.family, spec.rank, spec.level)
-    sums = functional_sums(run)
+    try:
+        sums = functional_sums(run)
+    except ValueError as err:
+        return {"error": f"labelled coefficients off the positive reals: {err}"}
     dev_minus = float(np.max(np.abs(sums[:, 0] - nneg)))
     dev_plus = float(np.max(np.abs(sums[:, 1] - npos)))
     spread = float(max(np.ptp(sums[:, 0]), np.ptp(sums[:, 1])))

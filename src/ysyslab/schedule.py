@@ -187,6 +187,15 @@ def slot_operators(sets, matrices):
     return forward, backward
 
 
+#: For each integer dtype of a seed's L, the integers a float64 step result
+#: may hold to be cast back exactly: the dtype's range, inside the float64
+#: exact integers.  Built once, since np.iinfo is slow next to a small step.
+CAST_RANGE = {
+    np.dtype(t): (max(int(np.iinfo(t).min), -(2**53)), min(int(np.iinfo(t).max), 2**53))
+    for t in (np.int8, np.int16, np.int32, np.int64)
+}
+
+
 def mutate_slot(op, L, oplus1, logx=None):
     """Mutate the seed (L, logx) by the SlotOperator op of vertices ks in B.
 
@@ -200,14 +209,27 @@ def mutate_slot(op, L, oplus1, logx=None):
 
     Non-adjacency keeps the rows of B at ks fixed inside the slot, so the
     slot is one array update.  The products are taken in float64 and the
-    result cast back to L's dtype, so an integer L stays exact while every
-    partial sum is below 2**53 (TropicalRun checks this).  Returns new arrays.
+    result cast back to L's dtype.  For an integer L the result is checked
+    against CAST_RANGE before the cast, which would wrap silently, and an
+    entry outside it raises ArithmeticError; the products are exact while
+    every partial sum is below 2**53 (TropicalRun checks this).  Returns new
+    arrays.
     """
     ks, P = op.ks, op.P
-    Lk = L[ks]
+    Lk = L[ks].astype(np.float64, copy=False)  # in float64, -(-128) does not wrap
     plus1 = oplus1(Lk)
-    L = (L + op.plus.T @ Lk - P.T @ plus1).astype(L.dtype, copy=False)
-    L[ks] = -Lk
+    new = L + op.plus.T @ Lk - P.T @ plus1
+    new[ks] = -Lk
+    bounds = CAST_RANGE.get(L.dtype)
+    if bounds is not None:
+        lo, hi = bounds
+        low, high = new.min(), new.max()
+        if low < lo or high > hi:
+            raise ArithmeticError(
+                f"a mutation step gives the entry {high if high > hi else low:g}, "
+                f"outside the {L.dtype} range [{lo}, {hi}]"
+            )
+    L = new.astype(L.dtype, copy=False)
     if logx is not None:
         xk = np.logaddexp(Lk + op.minus @ logx, op.plus @ logx)
         logx = logx.copy()

@@ -68,8 +68,8 @@ def _row(case, check, ok, statement, **metrics):
 
 def _tropical_rows(sched, case, seed, row):
     """The rows read off the case's TropicalRun, passed to row; when the run
-    raises (an exponent past the float64 exact range), each of them fails
-    carrying the error."""
+    raises (an exponent past the int8 range of its record or the float64
+    exact range), each of them fails carrying the error."""
     family, rank, level = case
     try:
         trop = TropicalRun(sched)
@@ -126,21 +126,35 @@ def _case_rows(case, cfg):
         return rows
 
     _tropical_rows(sched, case, cfg["seeds"][0], row)
-    seeds = tuple(cfg["seeds"])
-    run = NumericRun(sched, seeds)
+    rows.append(_constant_dilog_row(case, cfg, sched))
+    _numeric_rows(sched, tuple(cfg["seeds"]), cfg, row)
+    return rows
+
+
+def _numeric_rows(sched, seeds, cfg, row):
+    """The rows read off the case's NumericRun, passed to row; when the run
+    raises (a value off the float range), each of them fails carrying the
+    error, and dilog-functional fails with check_functional_DI's error."""
+    try:
+        run = NumericRun(sched, seeds)
+    except FloatingPointError as err:
+        row("numeric-residuals", False, "recursion-residuals", error=str(err))
+        row("numeric-periodicity", False, "labelled-periodicity", error=str(err))
+        row("dilog-functional", False, "functional-dilog-identity", error=str(err))
+        return
     worst_res, worst_per = worst_errors(run)
     res_tol, per_tol = cfg["residual_tol"], cfg["periodicity_tol"]
     row("numeric-residuals", worst_res < res_tol, "recursion-residuals", max_residual=worst_res, tol=res_tol)
     row("numeric-periodicity", worst_per < per_tol, "labelled-periodicity", max_error=worst_per, tol=per_tol)
-
-    rows.append(_constant_dilog_row(case, cfg, sched))
     rep = check_functional_DI(run)
+    if "error" in rep:
+        row("dilog-functional", False, "functional-dilog-identity", error=rep["error"])
+        return
     ok = rep["max_deviation"] < cfg["functional_tol"] and rep["seed_spread"] < cfg["functional_tol"]
     row(
         "dilog-functional", ok, "functional-dilog-identity",
         max_deviation=rep["max_deviation"], seed_spread=rep["seed_spread"], targets=list(rep["targets"]),
     )
-    return rows
 
 
 def _pair_rows(pair, cfg):

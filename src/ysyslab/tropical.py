@@ -3,9 +3,11 @@
 A tropical coefficient is a Laurent monomial in the initial generators
 y_v (one per vertex), stored as its integer exponent vector.  Tropical
 addition takes componentwise minima, so y (+) 1 has exponent vector
-min(e, 0), and the exchange rule of schedule.mutate_slot acts on the
-int64 exponent rows through float64 products, which are exact while every
-partial sum stays below 2**53; TropicalRun checks that once per run.
+min(e, 0), and the exchange rule of schedule.mutate_slot acts on the int8
+exponent rows through float64 products.  Each step checks its float64
+result against the int8 range before the cast back, so an exponent past
+it raises ArithmeticError instead of wrapping; the products are exact while
+every partial sum stays below 2**53, which TropicalRun checks once per run.
 """
 
 from __future__ import annotations
@@ -57,10 +59,11 @@ class TropicalRun:
     """Tropical evaluation of the coefficient tuple over a time window, driven
     by a verified schedule.Schedule.
 
-    E[s - lo_s] holds the exponent rows of the coefficients at time s: row v
-    is the monomial of y_v.  The record spans the times the checks read,
-    -h_dual*t <= s < 2*full_s.  Making one raises ArithmeticError when an
-    exponent is too large for the float64 products of the run to be exact.
+    E[s - lo_s] holds the int8 exponent rows of the coefficients at time s:
+    row v is the monomial of y_v.  The record spans the times the checks
+    read, -h_dual*t <= s < 2*full_s.  Making one raises ArithmeticError when
+    a step's exponent leaves the int8 range (the guard of mutate_slot) or is
+    too large for the float64 products of the run to be exact.
     """
 
     def __init__(self, schedule):
@@ -71,7 +74,7 @@ class TropicalRun:
         self.half_s = (cd["h_dual"] + self.spec.level) * self.t
         self.full_s = 2 * self.half_s
         self.lo_s = -cd["h_dual"] * self.t
-        E0 = np.eye(self.model.n, dtype=np.int64)
+        E0 = np.eye(self.model.n, dtype=np.int8)
         self.E, _ = run_schedule(schedule, self.lo_s, 2 * self.full_s - 1, E0, tropical_plus1)
         # every step's input is a recorded row of E, so each partial sum of
         # its products is at most max|E| * max|B| * n in absolute value
@@ -109,14 +112,23 @@ class TropicalRun:
         return int((classes == POSITIVE).sum()), int((classes == NEGATIVE).sum())
 
     def periodicity_mismatches(self):
-        """Coordinates violating half (with omega) or full periodicity."""
-        bad = []
-        for s in range(0, self.full_s):
-            E0, Eh, Ef = (self.E[s + ds - self.lo_s] for ds in (0, self.half_s, self.full_s))
-            for v in np.flatnonzero((Eh != E0[self.omega]).any(1)):
-                bad.append(("half", self.model.position(v), Fraction(s, self.t)))
-            if not np.array_equal(Ef, E0):
-                bad.append(("full", None, Fraction(s, self.t)))
+        """Coordinates violating half (with omega) or full periodicity, for
+        0 <= s < full_s in time order: at each time the half mismatches by
+        vertex, then the full one.
+
+        The record is compared one slot period (2t times) at a time, so the
+        comparison holds 2t*n^2 entries, not full_s*n^2.
+        """
+        bad, period = [], 2 * self.t
+        for c in range(-self.lo_s, self.full_s - self.lo_s, period):
+            base = self.E[c : c + period]
+            half = (self.E[c + self.half_s : c + self.half_s + period] != base[:, self.omega]).any(2)
+            full = (self.E[c + self.full_s : c + self.full_s + period] != base).any((1, 2))
+            for i in np.flatnonzero(half.any(1) | full):
+                u = Fraction(c + self.lo_s + int(i), self.t)
+                bad += [("half", self.model.position(v), u) for v in np.flatnonzero(half[i])]
+                if full[i]:
+                    bad.append(("full", None, u))
         return bad
 
     def boundary_mismatches(self):

@@ -41,7 +41,10 @@ for the two column blocks of numeric.NumericRun: a tracked one for the
 positive-real block and a plain one (trivial_plus1) for the
 coefficient-free block.  expected_sign, the region sign classification
 with its typed times as fractions, point by point, is the reference for
-tropical.TropicalRun.sign_pattern_mismatches.
+tropical.TropicalRun.sign_pattern_mismatches, and periodicity_mismatches,
+which compares the record one time at a time, the reference for
+tropical.TropicalRun.periodicity_mismatches, which compares one slot
+period at a time.
 The per-family closed forms of the tropical boundary tuples, the sign
 tallies and the doubled functional sums, as printed, are the reference for
 tropical.boundary_targets, which reads them off omega, and for
@@ -771,6 +774,19 @@ def sign_pattern_mismatches(run):
         want = expected_sign(run, v, s)
         if want is not None and got != want:
             bad.append((run.model.position(v), Fraction(s, run.t), got, want))
+    return bad
+
+
+def periodicity_mismatches(run):
+    """The half (with omega) and full periodicity mismatches of a
+    tropical.TropicalRun, one time s at a time for 0 <= s < full_s."""
+    bad = []
+    for s in range(0, run.full_s):
+        E0, Eh, Ef = (run.E[s + ds - run.lo_s] for ds in (0, run.half_s, run.full_s))
+        for v in np.flatnonzero((Eh != E0[run.omega]).any(1)):
+            bad.append(("half", run.model.position(v), Fraction(s, run.t)))
+        if not np.array_equal(Ef, E0):
+            bad.append(("full", None, Fraction(s, run.t)))
     return bad
 
 

@@ -306,13 +306,37 @@ def test_extra_level_schedule_error_is_a_fail_row(monkeypatch):
 
 
 def test_tropical_exponent_past_exact_range_fails_rows(monkeypatch, capsys):
-    # the tropical step takes its products in float64; a run whose exponents
-    # could leave the exact integer range fails every row read off it, with
-    # the error, and the tropical command says why instead of a traceback
+    # the tropical record is int8, and each step checks its float64 result
+    # against that range before the cast back; a run whose exponents leave
+    # it fails every row read off it, with the error, and the tropical
+    # command says why instead of a traceback
+    real = tropical.run_schedule
+
+    def planted(schedule, s_lo, s_hi, L, oplus1):
+        # every entry 100: the first step adds two rows of them
+        return real(schedule, s_lo, s_hi, np.full_like(L, 100), oplus1)
+
+    monkeypatch.setattr(tropical, "run_schedule", planted)
+    rows = run_suite({"cases": [["C", 2, 2]], "pairs": [], "seeds": [0], "extra_dilog_levels": []})
+    failed = {r.check: r.metrics for r in rows if r.status != "pass"}
+    assert sorted(failed) == ["tropical-counts", "tropical-periodicity", "tropical-shadow", "tropical-signs", "tvectors"]
+    message = "outside the int8 range [-128, 127]"
+    assert all(list(m) == ["error"] and message in m["error"] for m in failed.values())
+    with pytest.raises(SystemExit) as err:
+        main(["tropical", "--family", "C", "--rank", "2", "--level", "2"])
+    assert err.value.code == 1
+    out, stderr = capsys.readouterr()
+    assert message in stderr and "Traceback" not in stderr and "points" not in out
+
+
+def test_tropical_exponent_past_float_exact_range_fails_rows(monkeypatch):
+    # the once-per-run check still bounds the float64 partial sums by 2**53,
+    # here on a record widened to int64 and planted past it
     real = tropical.run_schedule
 
     def planted(*args):
         E, xs = real(*args)
+        E = E.astype(np.int64)
         E[-1, 0, 0] = 2**52
         return E, xs
 
@@ -321,11 +345,55 @@ def test_tropical_exponent_past_exact_range_fails_rows(monkeypatch, capsys):
     failed = {r.check: r.metrics for r in rows if r.status != "pass"}
     assert sorted(failed) == ["tropical-counts", "tropical-periodicity", "tropical-shadow", "tropical-signs", "tvectors"]
     assert all(list(m) == ["error"] and "2**53" in m["error"] for m in failed.values())
+
+
+NUMERIC_CHECKS = ["dilog-functional", "numeric-periodicity", "numeric-residuals"]
+
+
+def test_numeric_overflow_fails_rows(monkeypatch, capsys):
+    # a numeric run whose values leave the float range fails its rows, with
+    # the error, and leaves the other rows of the case as they were; the
+    # numeric command says why instead of a traceback
+    real = numeric.run_schedule
+
+    def planted(*args):
+        Ls, xs = real(*args)
+        if xs is not None:  # the cluster record; the shadow run has none
+            xs[5, 0, 0] = 800.0
+        return Ls, xs
+
+    monkeypatch.setattr(numeric, "run_schedule", planted)
+    rows = run_suite({"cases": [["C", 2, 2]], "pairs": [], "seeds": [0], "extra_dilog_levels": []})
+    failed = {r.check: r.metrics for r in rows if r.status != "pass"}
+    assert sorted(failed) == NUMERIC_CHECKS and len(rows) == 10
+    assert all(m == {"error": "overflow encountered in exp"} for m in failed.values())
     with pytest.raises(SystemExit) as err:
-        main(["tropical", "--family", "C", "--rank", "2", "--level", "2"])
+        main(["numeric", "--family", "C", "--rank", "2", "--level", "2"])
     assert err.value.code == 1
     out, stderr = capsys.readouterr()
-    assert "exponents up to 4503599627370496" in stderr and "Traceback" not in stderr and "points" not in out
+    assert "overflow encountered in exp" in stderr and "Traceback" not in stderr and out == ""
+
+
+def test_nan_coefficient_fails_functional_row(monkeypatch):
+    # a NaN in one positive-real Y value that the functional identity sums
+    # is the worst numeric error, and the functional row fails with the
+    # error rather than raising out of rogers_L
+    real = NumericRun.__init__
+
+    def planted(self, *args):
+        real(self, *args)
+        row = self.schedule.plan.coefficients(0, self.full_s)[3]
+        self.y.reshape(-1, self.y.shape[-1])[row, self.real.start] = np.nan
+
+    monkeypatch.setattr(NumericRun, "__init__", planted)
+    rows = run_suite({"cases": [["C", 2, 2]], "pairs": [], "seeds": [0], "extra_dilog_levels": []})
+    failed = {r.check: r.metrics for r in rows if r.status != "pass"}
+    assert sorted(failed) == NUMERIC_CHECKS and len(rows) == 10
+    assert np.isnan(failed["numeric-residuals"]["max_residual"])
+    assert np.isnan(failed["numeric-periodicity"]["max_error"])
+    assert failed["dilog-functional"] == {
+        "error": "labelled coefficients off the positive reals: rogers_L is defined on [0, 1], not at nan"
+    }
 
 
 def test_suite_accepts_numpy_and_tuple_values():

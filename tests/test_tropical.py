@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tests import oracle
-from tests.conftest import CASES, cached_tropical
+from tests.conftest import CASES, cached_schedule, cached_tropical
 from tests.oracle import (
     CLOSED_FORM_CASES,
     family_boundary_targets,
@@ -16,12 +16,13 @@ from tests.oracle import (
 )
 from ysyslab.builders import FamilySpec, build, involutions
 from ysyslab.quiver import FILL_CIRCLE, Quiver
-from ysyslab.schedule import mutate_slot, slot_operator
+from ysyslab.schedule import mutate_slot, run_schedule, slot_operator
 from ysyslab.tropical import (
     MIXED,
     NEGATIVE,
     POSITIVE,
     UNIT,
+    TropicalRun,
     boundary_targets,
     expected_counts,
     sign_classes,
@@ -92,6 +93,59 @@ def test_float_products_match_integer_step():
         want[ks] = -Ek
         E, _ = mutate_slot(slot_operator(B, ks), E0, tropical_plus1)
         assert E.dtype == np.int64 and np.array_equal(E, want)
+
+
+@pytest.mark.parametrize(
+    "b, seed, want",
+    [
+        (1, [[127, 0], [1, 0]], 128),  # row 1 gains [b]+ times row 0
+        (2, [[127, 0], [46, 0]], 300),
+        (-2, [[-100, 0], [0, 0]], -200),  # row 1 loses b times min(row 0, 0)
+        (1, [[-128, 0], [0, 0]], 128),  # the exchanged row 0 is negated
+    ],
+    ids=["128", "300", "-200", "negated-128"],
+)
+def test_step_past_int8_range_raises(b, seed, want):
+    # the float64 result is checked before the cast back to int8, which
+    # would wrap 128, 300 and -200 to -128, 44 and 56 without a warning
+    op = slot_operator(np.array([[0, b], [-b, 0]]), [0])
+    E, _ = mutate_slot(op, np.array(seed, dtype=np.int64), tropical_plus1)
+    assert want in E  # the exact step
+    with pytest.raises(ArithmeticError, match=re.escape(f"entry {want}, outside the int8 range [-128, 127]")):
+        mutate_slot(op, np.array(seed, dtype=np.int8), tropical_plus1)
+
+
+@pytest.mark.parametrize("family,rank,level", [("C", 6, 6), ("F4", 4, 5), ("G2", 2, 6)])
+def test_int8_record_matches_int64_run(family, rank, level):
+    # the record starts from an int8 identity and stays int8; entry for
+    # entry it is the run of an int64 identity over the same window
+    run = TropicalRun(cached_schedule(family, rank, level))
+    E0 = np.eye(run.model.n, dtype=np.int64)
+    want, _ = run_schedule(run.schedule, run.lo_s, run.lo_s + len(run.E) - 1, E0, tropical_plus1)
+    assert run.E.dtype == np.int8 and want.dtype == np.int64
+    assert np.array_equal(run.E, want)
+
+
+@pytest.mark.parametrize("family,rank,level", CASES)
+def test_block_periodicity_matches_oracle(family, rank, level):
+    # one slot period at a time gives the per-time oracle's list, in its
+    # order, on the clean run and with faults planted on both edges of a
+    # slot period, at the first and last base time, and at times read only
+    # as half or full targets
+    run = cached_tropical(family, rank, level)
+    assert run.periodicity_mismatches() == oracle.periodicity_mismatches(run) == []
+    period, n, last = 2 * run.t, run.model.n, run.full_s - 1
+    broken = run
+    for s, vs in [
+        (0, [0]), (period - 1, [n - 1, 0]), (period, [1]), (last, [2, n - 1]),
+        (run.full_s + 1, [0]), (run.full_s + run.half_s + 1, [n - 1]),
+    ]:
+        for v in vs:
+            broken = planted(broken, s, v, broken.monomial(v, s) + 1)
+    got = broken.periodicity_mismatches()
+    assert got == oracle.periodicity_mismatches(broken)
+    assert {kind for kind, *_ in got} == {"half", "full"}
+    assert {u for *_, u in got} >= {Fraction(s, run.t) for s in (0, period - 1, period, last)}
 
 
 def test_first_window_positivity_level2():
