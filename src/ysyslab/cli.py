@@ -14,7 +14,6 @@ from .builders import FIXED_RANK, FamilySpec, build
 from .dilog import check_functional_DI, constant_DI
 from .mutclass import search_equivalence
 from .numeric import NumericRun, worst_errors
-from .quiver import find_isomorphism
 from .roots import format_d_symbol, level2_core, pl_dynamics
 from .schedule import TRANSFORMS, Schedule, ScheduleError
 from .suite import resolve_config, run_suite, suite_passed
@@ -176,13 +175,12 @@ def _cmd_mutclass(args):
     out = {"found": False, "depth_cap": args.depth, "node_cap": args.nodes}
     try:
         res = search_equivalence(Q1, Q2, depth_cap=args.depth, node_cap=args.nodes)
-    except ValueError as err:  # sizes that differ, or past canonical_key's size or entry bound
+    except ValueError as err:  # sizes that differ, or past the search's size or entry bound
         res, out["error"] = None, str(err)
     if res is None:
         _emit(out)
         raise SystemExit(2)
-    path, _ = res
-    iso = find_isomorphism(path.replay(), Q2)
+    path, iso = res
     _emit({"found": True, "moves": list(path.moves), "isomorphism": list(iso)})
 
 
@@ -269,9 +267,10 @@ def main(argv=None):
     except UsageError as err:
         ap.error(str(err))
     # a schedule that fails its checks, a tropical exponent past the int8
-    # range or the float64 exact range, a mixed monomial, or a numeric value
-    # off the float range (FloatingPointError)
-    except (ScheduleError, ArithmeticError) as err:
+    # range or the float64 exact range, a mixed monomial, a numeric value
+    # off the float range (FloatingPointError), or an output path that
+    # cannot be written (OSError)
+    except (ScheduleError, ArithmeticError, OSError) as err:
         print(f"ysyslab {args.cmd}: error: {err}", file=sys.stderr)
         raise SystemExit(1) from None
 

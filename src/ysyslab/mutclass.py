@@ -60,11 +60,11 @@ _COLOR_SHIFT = np.uint64(58)  # a signature's color bits; any color below SIZE_C
 
 
 def _size_error():
-    return ValueError(f"canonical_key supports at most {SIZE_CAP} vertices")
+    return ValueError(f"the mutation search supports at most {SIZE_CAP} vertices")
 
 
 def _entry_error():
-    return ValueError(f"canonical_key supports entries of at most {ENTRY_CAP} in absolute value")
+    return ValueError(f"the mutation search supports entries of at most {ENTRY_CAP} in absolute value")
 
 
 def canonical_key(rows):
@@ -395,7 +395,8 @@ def search_equivalence(Q1, Q2, depth_cap=12, node_cap=10**6):
     Returns (MutationPath, isomorphism) or None when the caps are exhausted
     (which proves nothing: the search cannot certify inequivalence).  Raises
     ValueError for quivers of different sizes, which mutation never joins,
-    and for a quiver past canonical_key's size or entry bound.
+    and for a quiver of more than SIZE_CAP = 24 vertices or with an entry
+    past +-ENTRY_CAP = +-32767, the int16 bound of its stored matrices.
     """
     if Q1.n != Q2.n:
         raise ValueError(f"the quivers have {Q1.n} and {Q2.n} vertices; mutation keeps the vertex count")

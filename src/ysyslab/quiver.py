@@ -84,24 +84,6 @@ class Quiver:
             raise IndexError(f"vertex {k} out of range for n={self.n}")
         return Quiver(mutations(self.B, (k,))[0], self.meta, strict=self.strict)
 
-    def composite_mutate(self, vertices):
-        """Mutate simultaneously at a pairwise non-adjacent vertex set ks (this
-        is asserted), so the order of the mutations is immaterial and they are
-        one update: B' = B + [P]+[R]+ - [-P]+[-R]+ with P = B[:, ks] and
-        R = B[ks, :], and then the rows and columns in ks negated.
-        """
-        ks = list(vertices)
-        B = self.B
-        inner = np.argwhere(B[np.ix_(ks, ks)])
-        if len(inner):  # the first pair (i, j) in row order has i < j
-            i, j = inner[0]
-            raise ValueError(f"composite mutation set contains adjacent vertices {ks[i]} and {ks[j]}")
-        P, R = B[:, ks], B[ks, :]
-        Bp = B + np.maximum(P, 0) @ np.maximum(R, 0) - np.maximum(-P, 0) @ np.maximum(-R, 0)
-        Bp[ks, :] = -R
-        Bp[:, ks] = -P
-        return Quiver(Bp, self.meta, strict=self.strict)
-
     # -- symmetry actions --------------------------------------------------
 
     def opposite(self):
@@ -135,20 +117,27 @@ class Quiver:
 
 
 def mutations(B, ks):
-    """The Fomin-Zelevinsky mutation of an exchange matrix at each vertex k
-    of ks, as one (len(ks), n, n) array of B's dtype: B + [P]+[R]+ -
-    [-P]+[-R]+ with P the column and R the row at k, and then row k set to
-    -R and column k to -P.  B is one (n, n) matrix, mutated at every k, or
-    a stack (len(ks), n, n) whose matrix b is mutated at ks[b].  B is not
+    """The Fomin-Zelevinsky mutation of an exchange matrix at each entry of
+    ks, as one (len(ks), n, n) array of B's dtype.  ks lists one vertex per
+    matrix, or is an (m, j) array of sets of j pairwise non-adjacent
+    vertices, one set per matrix; mutations at non-adjacent vertices
+    commute, so a set is one update.  With P the columns (n, j) and R the
+    rows (j, n) at the set, the result is B + [P]+[R]+ - [-P]+[-R]+ with the
+    set's rows then set to -R and its columns to -P.  Adjacency is not
+    checked.  B is one (n, n) matrix, mutated at every entry of ks, or a
+    stack (len(ks), n, n) whose matrix b is mutated at ks[b].  B is not
     modified."""
     ks = np.asarray(ks, dtype=np.intp)
+    if ks.ndim == 1:
+        ks = ks[:, None]
     B = np.broadcast_to(B, (len(ks),) + B.shape[-2:])
-    at = np.arange(len(ks))
-    P, R = B[at, :, ks], B[at, ks, :]
-    out = B + np.maximum(P, 0)[:, :, None] * np.maximum(R, 0)[:, None, :]
-    out -= np.maximum(-P, 0)[:, :, None] * np.maximum(-R, 0)[:, None, :]
+    at = np.arange(len(ks))[:, None]
+    Pt, R = B[at, :, ks], B[at, ks, :]  # both (m, j, n): Pt[b, c] is column ks[b, c]
+    P = Pt.transpose(0, 2, 1)
+    out = B + np.maximum(P, 0) @ np.maximum(R, 0)
+    out -= np.maximum(-P, 0) @ np.maximum(-R, 0)
     out[at, ks, :] = -R
-    out[at, :, ks] = -P
+    out[at, :, ks] = -Pt
     return out
 
 

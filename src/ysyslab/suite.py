@@ -165,7 +165,7 @@ def _pair_rows(pair, cfg):
     metrics = {"depth_cap": cfg["depth_cap"], "node_cap": cfg["node_cap"]}
     try:
         res = search_equivalence(Q1, Q2, **metrics)
-    except ValueError as err:  # sizes that differ, or past canonical_key's size or entry bound
+    except ValueError as err:  # sizes that differ, or past the search's size or entry bound
         res, metrics["error"] = None, str(err)
     if res is None:
         return [VerificationReport(cid, "mutation-equivalence", "inconclusive", "mutation-equivalence", metrics)]

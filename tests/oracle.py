@@ -14,7 +14,10 @@ mutclass.search_equivalence, which mutates, refines and classes all the
 children of a node as one numpy batch, and also skips the children that
 commuting mutations and the pentagon relation have already made.
 mutate_rows, the row mutation that search used, is also a reference for
-quiver.mutations.
+quiver.mutations.  composite_mutate, which mutates a Quiver at a pairwise
+non-adjacent vertex set in one update after checking the set, is the
+reference for quiver.mutations on vertex sets and for the adjacency check
+of schedule.slot_matrices.
 quiver_from_json reads back what Quiver.to_json writes, and compose_perms
 composes vertex permutations.
 
@@ -159,6 +162,24 @@ def fz_mutate(B, k):
         [-B[i][j] if k in (i, j) else B[i][j] + int(np.sign(B[i][k])) * max(B[i][k] * B[k][j], 0) for j in range(n)]
         for i in range(n)
     ])
+
+
+def composite_mutate(Q, vertices):
+    """Mutate the Quiver Q simultaneously at a pairwise non-adjacent vertex
+    set ks (this is asserted), so the order of the mutations is immaterial
+    and they are one update: B' = B + [P]+[R]+ - [-P]+[-R]+ with P = B[:, ks]
+    and R = B[ks, :], and then the rows and columns in ks negated."""
+    ks = list(vertices)
+    B = Q.B
+    inner = np.argwhere(B[np.ix_(ks, ks)])
+    if len(inner):  # the first pair (i, j) in row order has i < j
+        i, j = inner[0]
+        raise ValueError(f"composite mutation set contains adjacent vertices {ks[i]} and {ks[j]}")
+    P, R = B[:, ks], B[ks, :]
+    Bp = B + np.maximum(P, 0) @ np.maximum(R, 0) - np.maximum(-P, 0) @ np.maximum(-R, 0)
+    Bp[ks, :] = -R
+    Bp[:, ks] = -P
+    return Quiver(Bp, Q.meta, strict=Q.strict)
 
 
 def quiver_from_json(text):

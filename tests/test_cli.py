@@ -166,7 +166,7 @@ def test_mutclass_found(capsys):
 
 
 def test_mutclass_past_key_bound_is_not_found(capsys):
-    # C:6:6 has 65 vertices, past canonical_key's size bound: the search
+    # C:6:6 has 65 vertices, past the search's size bound: the search
     # reports the bound as its error and exits 2, without a traceback
     with pytest.raises(SystemExit) as err:
         main(["mutclass", "--left", "C:6:6", "--right", "C:6:6"])
@@ -174,7 +174,7 @@ def test_mutclass_past_key_bound_is_not_found(capsys):
     rep = json.loads(capsys.readouterr().out)
     assert rep == {
         "found": False, "depth_cap": 12, "node_cap": 10**6,
-        "error": f"canonical_key supports at most {mutclass.SIZE_CAP} vertices",
+        "error": f"the mutation search supports at most {mutclass.SIZE_CAP} vertices",
     }
 
 
@@ -435,7 +435,7 @@ def test_suite_key_overflow_is_inconclusive(monkeypatch, tmp_path, capsys):
     # roots; the suite reports the pair inconclusive with the error, and the
     # CLI ends without a traceback
     monkeypatch.setattr(mutclass, "ENTRY_CAP", 0)
-    message = "canonical_key supports entries of at most 0 in absolute value"
+    message = "the mutation search supports entries of at most 0 in absolute value"
     config = {"cases": [], "pairs": [[["G2", 2, 2], ["C", 3, 2]]], "extra_dilog_levels": []}
     (row,) = run_suite(config)
     assert (row.case, row.check, row.status) == ("G2:2:2~C:3:2", "mutation-equivalence", "inconclusive")
@@ -487,6 +487,33 @@ def test_off_grid_relation_ends_case_command_with_error(cmd, monkeypatch, capsys
     out, stderr = capsys.readouterr()
     assert stderr.startswith(f"ysyslab {cmd}: error: (1, 1, 0/2) is off the grid")
     assert stderr.count("\n") == 1 and "Traceback" not in out + stderr
+
+
+OUT_COMMANDS = {
+    "build": ["--family", "C", "--rank", "2", "--level", "2", "--out"],
+    "schedule": ["--family", "C", "--rank", "2", "--level", "2", "--out"],
+    "tropical": ["--family", "C", "--rank", "2", "--level", "2", "--report"],
+    "numeric": ["--family", "C", "--rank", "2", "--level", "2", "--seeds", "1", "--out"],
+    "dilog": ["--family", "C", "--rank", "2", "--level", "2", "--out"],
+    "suite": ["--out"],
+}
+
+
+@pytest.mark.parametrize("cmd", sorted(OUT_COMMANDS))
+def test_unwritable_output_path_ends_with_error(cmd, tmp_path, capsys):
+    # an output path in a missing directory ends the command with one error
+    # line naming it and exit 1, not a traceback
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"cases": [], "pairs": [], "extra_dilog_levels": []}))
+    target = tmp_path / "missing" / "out.json"
+    argv = [cmd, *(["--config", str(cfg)] if cmd == "suite" else []), *OUT_COMMANDS[cmd], str(target)]
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 1
+    out, stderr = capsys.readouterr()
+    assert stderr.startswith(f"ysyslab {cmd}: error: [Errno 2] No such file or directory: ")
+    assert str(target) in stderr and stderr.count("\n") == 1 and "Traceback" not in out + stderr
+    assert not target.parent.exists()
 
 
 def test_tracer_targets_resolve():

@@ -390,7 +390,7 @@ def entry_cap_ends(monkeypatch):
     """How the searches of random sparse pairs end, each compared with the
     oracle's, with ENTRY_CAP patched to 1."""
     monkeypatch.setattr(mutclass, "ENTRY_CAP", 1)
-    message = "canonical_key supports entries of at most 1 in absolute value"
+    message = "the mutation search supports entries of at most 1 in absolute value"
     rng = np.random.default_rng(29)
     ends = {"found": 0, "none": 0, "error": 0, "an over-cap child was left unreached": 0}
     for Q1, Q2 in random_pairs(rng, 22, sparse_quiver):

@@ -2,11 +2,18 @@ import numpy as np
 import pytest
 
 from tests.conftest import CASES, cached_schedule, key_quivers
-from tests.oracle import exhaustive_isomorphism, fz_mutate, matrix_refine_colors, quiver_from_json
+from tests.oracle import (
+    composite_mutate,
+    exhaustive_isomorphism,
+    fz_mutate,
+    matrix_refine_colors,
+    quiver_from_json,
+)
 from ysyslab.quiver import (
     Quiver,
     find_isomorphism,
     invert_perm,
+    mutations,
     neighbours,
     refine_colors,
 )
@@ -69,10 +76,10 @@ def test_mutate_out_of_range():
 def test_composite_requires_disconnected():
     Q = path_quiver([(0, 1), (1, 2)], 3)
     with pytest.raises(ValueError, match="adjacent vertices 0 and 1"):
-        Q.composite_mutate([0, 1])
+        composite_mutate(Q, [0, 1])
     with pytest.raises(ValueError, match="adjacent vertices 2 and 1"):  # in the order given
-        Q.composite_mutate([2, 0, 1])
-    assert Q.composite_mutate([]) == Q
+        composite_mutate(Q, [2, 0, 1])
+    assert composite_mutate(Q, []) == Q
     # the one array update equals the mutations one vertex at a time on
     # every slot set of every schedule
     for case in CASES:
@@ -82,7 +89,7 @@ def test_composite_requires_disconnected():
             want = Q
             for k in ks:
                 want = want.mutate(k)
-            assert Q.composite_mutate(ks) == want, case
+            assert composite_mutate(Q, ks) == want, case
 
 
 def test_composite_order_independence_exhaustive():
@@ -107,6 +114,69 @@ def test_composite_order_independence_exhaustive():
                 cur = cur.mutate(k)
             results.add(cur)
         assert len(results) == 1
+
+
+SCALE_CASES = [("C", 6, 6), ("F4", 4, 5), ("G2", 2, 6)]
+
+
+@pytest.mark.parametrize("family,rank,level", CASES + SCALE_CASES)
+def test_set_mutation_matches_composite_oracle(family, rank, level):
+    # each slot set mutated as one (1, j) entry of ks gives the oracle's
+    # composite mutation of the slot's matrix, and the next slot's matrix
+    sched = cached_schedule(family, rank, level)
+    period = len(sched.sets)
+    for s, (ks, B) in enumerate(zip(sched.sets, sched.matrices, strict=True)):
+        got = mutations(B, [ks])
+        assert got.shape == (1, *B.shape) and got.dtype == B.dtype
+        assert np.array_equal(got[0], composite_mutate(Quiver(B), ks).B)
+        assert np.array_equal(got[0], sched.matrices[(s + 1) % period])
+
+
+def non_adjacent_set(rng, B, j):
+    """A random set of j pairwise non-adjacent vertices of B, in random
+    order, or None when the greedy draw finds fewer."""
+    ks = []
+    for k in rng.permutation(len(B)).tolist():
+        if not B[k, ks].any():
+            ks.append(k)
+        if len(ks) == j:
+            return ks
+    return None
+
+
+def test_stacked_set_mutation_matches_one_vertex_at_a_time():
+    # an int32 stack of relaxed skew matrices, each mutated at its own set
+    # of j pairwise non-adjacent vertices, stays int32 and equals the
+    # entrywise rule applied one vertex of the set at a time
+    rng = np.random.default_rng(23)
+    for _ in range(60):
+        n = int(rng.integers(2, 11))
+        j = int(rng.integers(1, n // 2 + 2))
+        stack, sets = [], []
+        while len(stack) < 8:
+            U = np.triu(rng.integers(-2, 3, (n, n)) * (rng.random((n, n)) < 0.3), 1)
+            B = U - U.T
+            ks = non_adjacent_set(rng, B, j)
+            if ks is not None:
+                stack.append(B)
+                sets.append(ks)
+        stack = np.array(stack, dtype=np.int32)
+        before = stack.copy()
+        got = mutations(stack, np.array(sets))
+        assert got.dtype == np.int32 and got.shape == stack.shape
+        assert np.array_equal(stack, before)  # the input is left as it was
+        for B, ks, child in zip(stack, sets, got):
+            want = B.tolist()
+            for k in ks:
+                want = fz_mutate(want, k).tolist()
+            assert np.array_equal(child, want), (B, ks)
+
+
+def test_empty_set_mutation_returns_B():
+    rng = np.random.default_rng(2)
+    for B in (random_skew(rng, 6).B, path_quiver([(0, 1)], 2).B.astype(np.int32)):
+        got = mutations(B, [()])
+        assert got.dtype == B.dtype and np.array_equal(got, B[None])
 
 
 def test_opposite_and_perm_identities():

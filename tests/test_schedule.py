@@ -8,6 +8,7 @@ from tests.conftest import CASES, cached_model, cached_numeric, cached_schedule,
 from tests.oracle import (
     NumericSeedPayload,
     TropicalCoefficients,
+    composite_mutate,
     grid_points,
     label_g,
     label_g_prime,
@@ -164,6 +165,27 @@ def test_adjacent_slot_vertices_fail(monkeypatch):
         TropicalRun(Schedule(bad))
 
 
+@pytest.mark.parametrize("reverse", [False, True])
+def test_inner_arrow_names_the_pair_in_the_order_given(reverse, monkeypatch):
+    # an arrow inside a slot set fails Schedule before the slot is mutated,
+    # naming the first adjacent pair in row order of the set as it is given,
+    # as the oracle's composite mutation does
+    m = cached_model("C", 3, 2)
+    sets = [ks[::-1] if reverse else ks for ks in slot_sets(m)]
+    i, j = sorted(sets[0])[:2]
+    B = m.quiver.B.copy()
+    B[i, j], B[j, i] = 1, -1
+    bad = type(m)(m.spec, Quiver(B, m.quiver.meta), dict(m.index))
+    monkeypatch.setattr(schedule, "slot_sets", lambda model: sets)
+    monkeypatch.setattr(schedule, "mutations", refuse_slot_step)
+    first, second = (j, i) if reverse else (i, j)
+    message = f"composite mutation set contains adjacent vertices {first} and {second}"
+    with pytest.raises(ValueError, match=message):
+        composite_mutate(bad.quiver, sets[0])
+    with pytest.raises(ScheduleError, match=f"^step from u=0: {message}$"):
+        Schedule(bad)
+
+
 @pytest.mark.parametrize("family,rank,level", CASES)
 def test_tropical_run_matches_per_vertex_oracle(family, rank, level):
     run = cached_tropical(family, rank, level)
@@ -222,7 +244,7 @@ def test_global_opposite_passes_cycle_but_flips_tropical_signs():
 def test_composite_after_first_step_gives_reflection():
     m = cached_model("C", 3, 2)
     sets = slot_sets(m)
-    Q = m.quiver.composite_mutate(sets[0]).composite_mutate(sets[1])
+    Q = composite_mutate(composite_mutate(m.quiver, sets[0]), sets[1])
     assert Q == m.quiver.apply_perm(involutions(m)["r"])
 
 
