@@ -1,4 +1,4 @@
-"""Constructors for the level-restricted exchange quivers.
+"""Constructors for the level-l exchange quivers, all with simple arrows.
 
 The quivers for types C_r, F4 and G2 fold the columns of a figure onto the
 Dynkin nodes, one column table per family (column_table).  Column col of
@@ -153,6 +153,8 @@ class QuiverModel:
 
 
 def _finish(spec, verts, arrows):
+    """The QuiverModel of verts and arrows.  Each arrow writes +-1, and one given
+    twice or against another raises ValueError, so B has entries in {-1, 0, 1}."""
     index = {}
     meta = []
     for pos, vert in verts:

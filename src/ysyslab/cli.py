@@ -4,6 +4,7 @@ dilog, mutclass, and suite subcommands, all emitting JSON."""
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -185,9 +186,11 @@ def _cmd_mutclass(args):
 
 
 def _cmd_suite(args):
-    rows = run_suite(args.config)
-    if args.out:
-        _write("\n".join(r.to_json() for r in rows), args.out)
+    # the report file is opened first, so an unwritable path fails before the run
+    with open(args.out, "w") if args.out else contextlib.nullcontext() as fh:
+        rows = run_suite(args.config)
+        if fh:
+            fh.write("\n".join(r.to_json() for r in rows) + "\n")
     for r in rows:
         print(f"{r.status:12s} {r.case:12s} {r.check}")
     n_fail = sum(r.status != "pass" for r in rows)
@@ -267,9 +270,8 @@ def main(argv=None):
     except UsageError as err:
         ap.error(str(err))
     # a schedule that fails its checks, a tropical exponent past the int8
-    # range or the float64 exact range, a mixed monomial, a numeric value
-    # off the float range (FloatingPointError), or an output path that
-    # cannot be written (OSError)
+    # range, a mixed monomial, a numeric value off the float range
+    # (FloatingPointError), or an output path that cannot be written (OSError)
     except (ScheduleError, ArithmeticError, OSError) as err:
         print(f"ysyslab {args.cmd}: error: {err}", file=sys.stderr)
         raise SystemExit(1) from None

@@ -220,7 +220,7 @@ class MutationPath:
     moves: tuple
 
     def replay(self):
-        Q = self.start.relaxed()
+        Q = self.start
         for k in self.moves:
             Q = Q.mutate(k)
         return Q
@@ -303,8 +303,8 @@ class Search:
     def stitch(self, meet):
         pa = self.path_to_root(0, meet)
         pb = self.path_to_root(1, meet)
-        Ma = Quiver(unpack(self.sides[0][meet][0], self.n), strict=False)
-        Mb = Quiver(unpack(self.sides[1][meet][0], self.n), strict=False)
+        Ma = Quiver(unpack(self.sides[0][meet][0], self.n))
+        Mb = Quiver(unpack(self.sides[1][meet][0], self.n))
         sigma = find_isomorphism(Ma, Mb)
         if sigma is None:  # a classing fault; treat the meet as spurious
             return None

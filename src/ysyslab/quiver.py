@@ -1,10 +1,10 @@
 """Exact quivers as skew-symmetric integer matrices, with mutation,
 isomorphism testing, and vertex-permutation actions.
 
-Every quiver handled here has entries in {-1, 0, 1} (no multiple arrows,
-no loops).  The arrow convention is fixed globally:
+The builders make simple arrows (entries in {-1, 0, 1}); a Quiver also holds
+the multiple arrows that mutation makes.  The arrow convention is fixed globally:
 
-    i --> j   <=>   B[i, j] = 1
+    i --> j   <=>   B[i, j] > 0
 """
 
 from __future__ import annotations
@@ -35,21 +35,16 @@ class Vertex:
 
 
 class Quiver:
-    """Immutable quiver on n vertices with exchange matrix B.
+    """Immutable quiver on n vertices with the skew-symmetric integer
+    exchange matrix B."""
 
-    strict quivers (the default, and everything the builders produce)
-    additionally assert entries in {-1,0,1}; free mutation-class search
-    relaxes that bound, since general mutation creates multiple arrows.
-    """
-
-    def __init__(self, B, meta=None, strict=True):
+    def __init__(self, B, meta=None):
         B = np.asarray(B, dtype=np.int64)
         if B.ndim != 2 or B.shape[0] != B.shape[1]:
             raise ValueError("B must be a square matrix")
         self.n = B.shape[0]
         self.B = B
         self.B.setflags(write=False)
-        self.strict = strict
         if meta is None:
             meta = tuple(Vertex(0, k + 1) for k in range(self.n))
         self.meta = tuple(meta)
@@ -57,11 +52,6 @@ class Quiver:
             raise ValueError("meta length must equal vertex count")
         if not np.array_equal(self.B, -self.B.T):
             raise ValueError("B is not skew-symmetric")
-        if strict and np.abs(self.B).max(initial=0) > 1:
-            raise ValueError("entries outside {-1,0,1}")
-
-    def relaxed(self):
-        return Quiver(self.B, self.meta, strict=False)
 
     # -- basic queries ----------------------------------------------------
 
@@ -82,12 +72,12 @@ class Quiver:
         """Fomin-Zelevinsky matrix mutation at vertex k (see mutations)."""
         if not 0 <= k < self.n:
             raise IndexError(f"vertex {k} out of range for n={self.n}")
-        return Quiver(mutations(self.B, (k,))[0], self.meta, strict=self.strict)
+        return Quiver(mutations(self.B, (k,))[0], self.meta)
 
     # -- symmetry actions --------------------------------------------------
 
     def opposite(self):
-        return Quiver(-self.B, self.meta, strict=self.strict)
+        return Quiver(-self.B, self.meta)
 
     def apply_perm(self, perm):
         """Relabel vertices by the bijection perm: B'[p(i), p(j)] = B[i, j]."""
@@ -99,7 +89,7 @@ class Quiver:
         meta = [None] * self.n
         for i in range(self.n):
             meta[p[i]] = self.meta[i]
-        return Quiver(Bp, meta, strict=self.strict)
+        return Quiver(Bp, meta)
 
     # -- serialization -----------------------------------------------------
 

@@ -216,8 +216,8 @@ def mutate_slot(op, L, oplus1, logx=None):
     result cast back to L's dtype.  For an integer L the result is checked
     against CAST_RANGE before the cast, which would wrap silently, and an
     entry outside it raises ArithmeticError; the products are exact while
-    every partial sum is below 2**53 (TropicalRun checks this).  Returns new
-    arrays.
+    every partial sum is below 2**53, which holds for an int8 L and a B with
+    entries in {-1, 0, 1} (see tropical.TropicalRun).  Returns new arrays.
     """
     ks, P = op.ks, op.P
     Lk = L[ks].astype(np.float64, copy=False)  # in float64, -(-128) does not wrap

@@ -68,8 +68,8 @@ def _row(case, check, ok, statement, **metrics):
 
 def _tropical_rows(sched, case, seed, row):
     """The rows read off the case's TropicalRun, passed to row; when the run
-    raises (an exponent past the int8 range of its record or the float64
-    exact range), each of them fails carrying the error."""
+    raises (an exponent past the int8 range of its record), each of them
+    fails carrying the error."""
     family, rank, level = case
     try:
         trop = TropicalRun(sched)
@@ -193,8 +193,9 @@ def _constant_dilog_row(case, cfg, sched=None):
 
 
 def _extra_dilog_rows(cfg):
-    families = sorted({(f, r) for f, r, _ in cfg["cases"]})
-    return [_constant_dilog_row((f, r, lev), cfg) for lev in cfg["extra_dilog_levels"] for f, r in families]
+    """The dilog-constant rows at the extra levels, but for the cases' own."""
+    extra = {(f, r, lev) for f, r, _ in cfg["cases"] for lev in cfg["extra_dilog_levels"]}
+    return [_constant_dilog_row(case, cfg) for case in sorted(extra - set(cfg["cases"]))]
 
 
 def _lists(v, depth):
@@ -231,7 +232,8 @@ def resolve_config(config=None):
 
     Raises ValueError on a config that is not a mapping, a key that
     DEFAULT_CONFIG does not have, a value of the wrong type, an empty seed
-    list, or a case or pair that cannot be run.
+    list, a pair that is not two cases, a case or pair listed twice, or a
+    case or pair that cannot be run.
     """
     config = config or {}
     if not isinstance(config, dict):
@@ -243,10 +245,16 @@ def resolve_config(config=None):
     for key, (kind, ok) in _VALUE_TYPES.items():
         if not ok(cfg[key]):
             raise ValueError(f"{key} must be {kind}, not {cfg[key]!r}")
-    cfg["cases"] = [tuple(c) for c in cfg["cases"]]
-    cfg["pairs"] = [tuple(map(tuple, p)) for p in cfg["pairs"]]
     if not cfg["seeds"]:
         raise ValueError("seeds must list at least one seed")
+    cfg["cases"] = [tuple(c) for c in cfg["cases"]]
+    cfg["pairs"] = [tuple(map(tuple, p)) for p in cfg["pairs"]]
+    for key in ("cases", "pairs"):
+        for i, item in enumerate(cfg[key]):
+            if key == "pairs" and len(item) != 2:
+                raise ValueError(f"pair {json.dumps(item)} must be two cases, not {len(item)}")
+            if item in cfg[key][:i]:
+                raise ValueError(f"{key} lists {json.dumps(item)} twice")
     extra = [(f, r, lev) for f, r, _ in cfg["cases"] for lev in cfg["extra_dilog_levels"]]
     for case in cfg["cases"] + extra + [side for pair in cfg["pairs"] for side in pair]:
         try:

@@ -6,8 +6,8 @@ addition takes componentwise minima, so y (+) 1 has exponent vector
 min(e, 0), and the exchange rule of schedule.mutate_slot acts on the int8
 exponent rows through float64 products.  Each step checks its float64
 result against the int8 range before the cast back, so an exponent past
-it raises ArithmeticError instead of wrapping; the products are exact while
-every partial sum stays below 2**53, which TropicalRun checks once per run.
+it raises ArithmeticError instead of wrapping.  The products are exact:
+see TropicalRun for the bound.
 """
 
 from __future__ import annotations
@@ -62,8 +62,11 @@ class TropicalRun:
     E[s - lo_s] holds the int8 exponent rows of the coefficients at time s:
     row v is the monomial of y_v.  The record spans the times the checks
     read, -h_dual*t <= s < 2*full_s.  Making one raises ArithmeticError when
-    a step's exponent leaves the int8 range (the guard of mutate_slot) or is
-    too large for the float64 products of the run to be exact.
+    a step's exponent leaves the int8 range (the guard of mutate_slot).
+
+    The float64 products of every step are exact: a step's input is an int8
+    row, and each slot matrix is the built quiver relabelled or opposite, with
+    entries in {-1, 0, 1}, so no partial sum exceeds 128*(2n + 1) < 2**53.
     """
 
     def __init__(self, schedule):
@@ -76,15 +79,6 @@ class TropicalRun:
         self.lo_s = -cd["h_dual"] * self.t
         E0 = np.eye(self.model.n, dtype=np.int8)
         self.E, _ = run_schedule(schedule, self.lo_s, 2 * self.full_s - 1, E0, tropical_plus1)
-        # every step's input is a recorded row of E, so each partial sum of
-        # its products is at most max|E| * max|B| * n in absolute value
-        e = max(int(self.E.max()), -int(self.E.min()))
-        b = max(max(int(B.max()), -int(B.min())) for B in schedule.matrices)
-        if e * b * self.model.n >= 2**53:
-            raise ArithmeticError(
-                f"tropical exponents up to {e} with |B| up to {b} on {self.model.n} vertices "
-                "leave the exact integer range of float64 (2**53)"
-            )
         self.omega = np.array(involutions(self.model)["omega"])
 
     @property

@@ -61,10 +61,10 @@ CASES = (
 def key_quivers():
     """Quivers to check canonical keys on: four random mutation walks of 10
     steps from each CASES quiver the key supports, a relabelled copy of every
-    step, and 1000 random relaxed skew matrices with entries in {0, +-1, +-2}."""
+    step, and 1000 random skew matrices with entries in {0, +-1, +-2}."""
     rng = np.random.default_rng(17)
     out = []
-    starts = [cached_model(*case).quiver.relaxed() for case in CASES]
+    starts = [cached_model(*case).quiver for case in CASES]
     for Q in [Q for Q in starts if Q.n <= SIZE_CAP] * 4:
         for _ in range(10):
             Q = Q.mutate(int(rng.integers(Q.n)))
@@ -72,5 +72,5 @@ def key_quivers():
     for _ in range(1000):
         n = int(rng.integers(2, 13))
         U = np.triu(rng.integers(-2, 3, (n, n)), 1)
-        out.append(Quiver(U - U.T, strict=False))
+        out.append(Quiver(U - U.T))
     return tuple(out)

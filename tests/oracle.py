@@ -179,7 +179,7 @@ def composite_mutate(Q, vertices):
     Bp = B + np.maximum(P, 0) @ np.maximum(R, 0) - np.maximum(-P, 0) @ np.maximum(-R, 0)
     Bp[ks, :] = -R
     Bp[:, ks] = -P
-    return Quiver(Bp, Q.meta, strict=Q.strict)
+    return Quiver(Bp, Q.meta)
 
 
 def quiver_from_json(text):
@@ -320,8 +320,8 @@ def search_equivalence(Q1, Q2, depth_cap=12, node_cap=10**6, stores=None):
     def stitch(meet_key):
         pa = path_to_root(0, meet_key)
         pb = path_to_root(1, meet_key)
-        Ma = Quiver(sides[0][meet_key][0], strict=False)
-        Mb = Quiver(sides[1][meet_key][0], strict=False)
+        Ma = Quiver(sides[0][meet_key][0])
+        Mb = Quiver(sides[1][meet_key][0])
         sigma = find_isomorphism(Ma, Mb)
         if sigma is None:  # key collision; treat the meet as spurious
             return None

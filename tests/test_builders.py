@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from tests.conftest import cached_model
+from tests.conftest import CASES, cached_model
 from tests import oracle
 from tests.oracle import compose_perms
-from ysyslab.builders import FamilySpec, build, cartan_data, involutions
+from ysyslab.builders import FamilySpec, _finish, build, cartan_data, involutions
 from ysyslab.roots import level2_core
-from ysyslab.quiver import FILL_BULLET, FILL_CIRCLE
+from ysyslab.quiver import FILL_BULLET, FILL_CIRCLE, Vertex
+from ysyslab.suite import DEFAULT_PAIRS
 
 
 def vertex_count(family, rank, level):
@@ -238,3 +239,40 @@ def test_square_product_shape():
             assert total == 4 and signs in ({1}, {-1})
     d = build(FamilySpec("D", 5, 3))
     assert d.n == 10
+
+
+SQUARE_PRODUCTS = sorted({side for pair in DEFAULT_PAIRS for side in pair if side[0] in ("A", "D")}) + [
+    ("E6", 6, 2),
+    ("E6", 6, 3),
+]
+
+
+@pytest.mark.parametrize("family,rank,level", list(CASES) + SQUARE_PRODUCTS)
+def test_built_quivers_have_simple_arrows(family, rank, level):
+    # the builders are the one place that writes B: +-1 per arrow, so every
+    # built quiver has entries in {-1, 0, 1}; Quiver itself holds any
+    # skew-symmetric matrix and does not check this again
+    B = build(FamilySpec(family, rank, level)).quiver.B
+    assert set(np.unique(B).tolist()) <= {-1, 0, 1} and B.any()
+
+
+def finish(arrows):
+    verts = [((1, row), Vertex(1, row)) for row in (1, 2, 3)]
+    return _finish(FamilySpec("C", 2, 2), verts, arrows)
+
+
+@pytest.mark.parametrize(
+    "arrows",
+    [[((1, 1), (1, 2)), ((1, 1), (1, 2))], [((1, 1), (1, 2)), ((1, 2), (1, 1))]],
+    ids=["repeated", "antiparallel"],
+)
+def test_finish_refuses_a_second_arrow_between_two_vertices(arrows):
+    assert finish(arrows[:1]).quiver.B[0, 1] == 1
+    with pytest.raises(ValueError, match="duplicate arrow"):
+        finish(arrows)
+
+
+def test_finish_refuses_a_loop():
+    # a loop writes +1 then -1 on the diagonal, which is not skew-symmetric
+    with pytest.raises(ValueError, match="B is not skew-symmetric"):
+        finish([((1, 2), (1, 2))])

@@ -122,6 +122,11 @@ def test_case_commands_reject_bad_input(argv, message, capsys):
         ('{"residual_tol": "x"}', "residual_tol must be a positive real number"),
         ('{"depth_cap": 1.5}', "depth_cap must be a positive int"),
         ('{"pairs": [[["D", 2, 3], ["A", 2, 3]]]}', "case D:2:3: type D needs rank >= 3"),
+        ('{"pairs": [[["C", 2, 2]]]}', 'pair [["C", 2, 2]] must be two cases, not 1'),
+        ('{"pairs": [[["C", 2, 2], ["C", 2, 2], ["C", 2, 2]]]}', "must be two cases, not 3"),
+        ('{"cases": [["C", 2, 2], ["C", 2, 2]]}', 'cases lists ["C", 2, 2] twice'),
+        ('{"pairs": [[["C", 3, 2], ["D", 4, 3]], [["C", 3, 2], ["D", 4, 3]]]}',
+         'pairs lists [["C", 3, 2], ["D", 4, 3]] twice'),
     ],
 )
 def test_suite_rejects_bad_config_file(text, message, tmp_path, capsys):
@@ -130,7 +135,8 @@ def test_suite_rejects_bad_config_file(text, message, tmp_path, capsys):
     with pytest.raises(SystemExit) as err:
         main(["suite", "--config", str(cfg)])
     assert err.value.code == 2
-    assert message in capsys.readouterr().err
+    stderr = capsys.readouterr().err
+    assert message in stderr and "Traceback" not in stderr
 
 
 def test_dilog_report(capsys):
@@ -254,7 +260,13 @@ BAD_VALUES = [
         ({"cases": [["C", 2, 2]], "extra_dilog_levels": [1]}, "C:2:1"),
         ({"cases": [], "pairs": [[["C", 3, 2], ["D", 4, 1]]]}, "D:4:1"),
     ]
-    + [({"cases": [["C", 2, 2]], key: value}, f"^{key} must be") for key, value in BAD_VALUES],
+    + [({"cases": [["C", 2, 2]], key: value}, f"^{key} must be") for key, value in BAD_VALUES]
+    + [
+        ({"cases": [], "pairs": [[["C", 2, 2]]]}, "not 1"),
+        ({"cases": [], "pairs": [[["C", 2, 2]] * 3]}, "not 3"),
+        ({"cases": [["C", 2, 2], ["G2", 2, 2], ["C", 2, 2]]}, "twice"),
+        ({"cases": [], "pairs": [[["C", 3, 2], ["D", 4, 3]]] * 2}, "twice"),
+    ],
 )
 def test_suite_validates_cases_before_work(config, bad, monkeypatch):
     def no_work(*args):
@@ -327,24 +339,6 @@ def test_tropical_exponent_past_exact_range_fails_rows(monkeypatch, capsys):
     assert err.value.code == 1
     out, stderr = capsys.readouterr()
     assert message in stderr and "Traceback" not in stderr and "points" not in out
-
-
-def test_tropical_exponent_past_float_exact_range_fails_rows(monkeypatch):
-    # the once-per-run check still bounds the float64 partial sums by 2**53,
-    # here on a record widened to int64 and planted past it
-    real = tropical.run_schedule
-
-    def planted(*args):
-        E, xs = real(*args)
-        E = E.astype(np.int64)
-        E[-1, 0, 0] = 2**52
-        return E, xs
-
-    monkeypatch.setattr(tropical, "run_schedule", planted)
-    rows = run_suite({"cases": [["C", 2, 2]], "pairs": [], "seeds": [0], "extra_dilog_levels": []})
-    failed = {r.check: r.metrics for r in rows if r.status != "pass"}
-    assert sorted(failed) == ["tropical-counts", "tropical-periodicity", "tropical-shadow", "tropical-signs", "tvectors"]
-    assert all(list(m) == ["error"] and "2**53" in m["error"] for m in failed.values())
 
 
 NUMERIC_CHECKS = ["dilog-functional", "numeric-periodicity", "numeric-residuals"]
@@ -514,6 +508,39 @@ def test_unwritable_output_path_ends_with_error(cmd, tmp_path, capsys):
     assert stderr.startswith(f"ysyslab {cmd}: error: [Errno 2] No such file or directory: ")
     assert str(target) in stderr and stderr.count("\n") == 1 and "Traceback" not in out + stderr
     assert not target.parent.exists()
+
+
+def test_suite_unwritable_out_fails_before_the_run(monkeypatch, capsys):
+    # --out is opened first, so an unwritable path ends the command before
+    # any case or search runs
+    def no_run(config):
+        raise AssertionError("run_suite ran before the report file was opened")
+
+    monkeypatch.setattr(cli, "run_suite", no_run)
+    target = "/nonexistent/r.jsonl"
+    with pytest.raises(SystemExit) as err:
+        main(["suite", "--out", target])
+    assert err.value.code == 1
+    out, stderr = capsys.readouterr()
+    assert stderr == f"ysyslab suite: error: [Errno 2] No such file or directory: {target!r}\n"
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "config,rows",
+    [
+        (None, 141),
+        ({"cases": [["C", 2, 5]], "pairs": []}, 9),
+        ({"cases": [["C", 2, 5], ["C", 2, 2]], "pairs": [], "extra_dilog_levels": [5, 2, 5, 3]}, 20),
+    ],
+    ids=["default", "case-at-extra-level", "extra-levels-repeated-and-configured"],
+)
+def test_report_keys_are_unique(config, rows):
+    # an extra dilog level that a configured case already runs, or that is
+    # listed twice, adds no second dilog-constant row
+    report = run_suite(config)
+    keys = Counter((r.case, r.check) for r in report)
+    assert len(report) == rows and max(keys.values()) == 1
 
 
 def test_tracer_targets_resolve():

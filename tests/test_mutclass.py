@@ -62,7 +62,7 @@ def test_key_entry_cap():
     B = np.zeros((3, 3), dtype=np.int64)
     B[0, 1], B[1, 0] = 40000, -40000
     with pytest.raises(ValueError, match="32767"):
-        key(Quiver(B, strict=False))
+        key(Quiver(B))
 
 
 def test_key_matches_matrix_oracle():
@@ -170,7 +170,7 @@ def test_refine_batch_matches_each_alone(constant, monkeypatch):
 
 def test_key_equality_iff_isomorphic_small_class():
     # expand a small neighbourhood of the mutation class and cross-validate
-    start = cached_model("C", 2, 2).quiver.relaxed()
+    start = cached_model("C", 2, 2).quiver
     seen = [start]
     frontier = [start]
     for _ in range(2):
@@ -200,7 +200,7 @@ def test_search_finds_small_pair_and_replays():
     Q2 = cached_model("C", 3, 2).quiver
     path, iso = search_equivalence(Q1, Q2, depth_cap=6, node_cap=10**5)
     final = path.replay()
-    assert final.apply_perm(iso) == Q2.relaxed()
+    assert final.apply_perm(iso) == Q2
 
 
 def test_search_respects_caps():
@@ -222,13 +222,13 @@ def test_mismatched_sizes():
 def test_replay_standalone():
     Q = cached_model("C", 2, 2).quiver
     path = MutationPath(Q, (0, 1, 0))
-    assert path.replay() == Q.relaxed().mutate(0).mutate(1).mutate(0)
+    assert path.replay() == Q.mutate(0).mutate(1).mutate(0)
 
 
 def random_quiver(rng):
     n = int(rng.integers(3, 10))
     U = np.triu(rng.integers(-2, 3, (n, n)), 1)
-    return Quiver(U - U.T, strict=False)
+    return Quiver(U - U.T)
 
 
 def run_outcome(run):
@@ -366,7 +366,7 @@ def test_search_exact_when_signatures_collide(monkeypatch):
 def sparse_quiver(rng):
     n = int(rng.integers(3, 10))
     U = np.triu(rng.choice([-1, 0, 0, 1], (n, n)), 1)
-    return Quiver(U - U.T, strict=False)
+    return Quiver(U - U.T)
 
 
 def test_entry_cap_error_in_k_order(monkeypatch):

@@ -42,9 +42,9 @@ def test_mutation_is_involution_randomized():
         n = int(rng.integers(2, 9))
         Q = random_skew(rng, n)
         k = int(rng.integers(0, n))
-        Qk = Q.relaxed().mutate(k)
+        Qk = Q.mutate(k)
         assert np.array_equal(Qk.B, -Qk.B.T)
-        assert Qk.mutate(k) == Q.relaxed()
+        assert Qk.mutate(k) == Q
 
 
 def test_mutation_matches_entrywise_rule():
@@ -54,7 +54,7 @@ def test_mutation_matches_entrywise_rule():
     for _ in range(300):
         n = int(rng.integers(1, 8))
         B = np.triu(rng.integers(-2, 3, (n, n)), 1)
-        Q = Quiver(B - B.T, strict=False)
+        Q = Quiver(B - B.T)
         for k in range(n):
             assert np.array_equal(Q.mutate(k).B, fz_mutate(Q.B.tolist(), k)), (Q.B, k)
 
@@ -98,7 +98,7 @@ def test_composite_order_independence_exhaustive():
     rng = np.random.default_rng(3)
     for _ in range(50):
         n = 9
-        Q = random_skew(rng, n).relaxed()
+        Q = random_skew(rng, n)
         free = [v for v in range(n)]
         rng.shuffle(free)
         S = []
@@ -145,9 +145,9 @@ def non_adjacent_set(rng, B, j):
 
 
 def test_stacked_set_mutation_matches_one_vertex_at_a_time():
-    # an int32 stack of relaxed skew matrices, each mutated at its own set
-    # of j pairwise non-adjacent vertices, stays int32 and equals the
-    # entrywise rule applied one vertex of the set at a time
+    # an int32 stack of skew matrices with multiple arrows, each mutated at
+    # its own set of j pairwise non-adjacent vertices, stays int32 and equals
+    # the entrywise rule applied one vertex of the set at a time
     rng = np.random.default_rng(23)
     for _ in range(60):
         n = int(rng.integers(2, 11))
@@ -240,9 +240,8 @@ def test_json_round_trip():
     assert Q2.meta == Q.meta
 
 
-def test_strict_entry_guard():
+def test_quiver_keeps_a_double_arrow():
+    # mutation makes multiple arrows, and a Quiver holds them
     B = np.zeros((2, 2), dtype=np.int64)
     B[0, 1], B[1, 0] = 2, -2
-    with pytest.raises(ValueError):
-        Quiver(B)
-    assert Quiver(B, strict=False).B[0, 1] == 2
+    assert Quiver(B).B[0, 1] == 2

@@ -60,7 +60,7 @@ def test_mutation_involution_randomized():
             for j in range(i + 1, n):
                 B[i, j] = rng.integers(-1, 2)
                 B[j, i] = -B[i, j]
-        Q = Quiver(B, strict=False)
+        Q = Quiver(B)
         E0 = rng.integers(-3, 4, (n, n))
         # a single vertex half the time, else a random maximal set of
         # pairwise non-adjacent vertices
@@ -125,6 +125,18 @@ def test_int8_record_matches_int64_run(family, rank, level):
     want, _ = run_schedule(run.schedule, run.lo_s, run.lo_s + len(run.E) - 1, E0, tropical_plus1)
     assert run.E.dtype == np.int8 and want.dtype == np.int64
     assert np.array_equal(run.E, want)
+
+
+@pytest.mark.parametrize("family,rank,level", list(CASES) + [("C", 6, 6), ("F4", 4, 5), ("G2", 2, 6)])
+def test_float_products_are_exact_on_int8_records(family, rank, level):
+    # TropicalRun does not re-check the 2**53 bound after the run; it rests
+    # on an int8 record (|E| <= 128, guarded per step by mutate_slot) and on
+    # slot matrices with entries in {-1, 0, 1}, so each partial sum of a
+    # step's products is at most 128*(2n + 1)
+    run = cached_tropical(family, rank, level)
+    assert all(set(np.unique(B).tolist()) <= {-1, 0, 1} for B in run.schedule.matrices)
+    assert run.E.dtype == np.int8
+    assert 128 * (2 * run.model.n + 1) < 2**53
 
 
 @pytest.mark.parametrize("family,rank,level", CASES)
