@@ -77,8 +77,8 @@ class NumericRun:
     def _plus1(self, L):
         """log(y (+) 1) column by column: log(1 + y) in the positive-real
         block and exactly 0 in the coefficient-free one, where 1 (+) 1 = 1."""
-        out = np.logaddexp(0.0, L)
-        out[:, self.free] = 0.0
+        out = np.zeros(L.shape)
+        np.logaddexp(0.0, L[:, self.real], out=out[:, self.real])
         return out
 
     @property

@@ -23,7 +23,10 @@ Schedule.points lists the mutation points of a time window, and
 run_schedule records a seed at every time of one, so a run's value at a
 point (s, v) is one array read.  A Schedule holds one SlotOperator per slot
 and direction, so a run's step only indexes them, and one GatherPlan, the
-record rows of every value its numeric checks read.
+record rows of every value its numeric checks read.  run_schedule carries
+the seed in float64, each slot step one affine update by a product
+(mutate_slot), and checks an integer record's range where it stores a
+time's seed.
 """
 
 from __future__ import annotations
@@ -160,21 +163,28 @@ class Schedule:
 
 class SlotOperator(NamedTuple):
     """The composite mutation at the pairwise non-adjacent vertices ks of an
-    exchange matrix B: ks as an index array, and P = B[ks] with its positive
-    parts plus = [P]+ and minus = [-P]+, in float64 so that mutate_slot's
-    products run in BLAS."""
+    exchange matrix B, as the two float64 matrices of mutate_slot's products
+    (so that they run in BLAS).  With P = B[ks] and the exchanged vertices
+    stacked on top of their oplus1 values:
+
+        W = [[P]+^T + D | -P^T]   (n x 2|ks|),   X = [[-P]+ ; [P]+]   (2|ks| x n),
+
+    where D is -2 at (ks[i], i) and 0 elsewhere.  Non-adjacency makes the
+    rows of W at ks zero but for that -2."""
 
     ks: np.ndarray
-    P: np.ndarray
-    plus: np.ndarray
-    minus: np.ndarray
+    W: np.ndarray
+    X: np.ndarray
 
 
 def slot_operator(B, ks):
     """The SlotOperator of mutating B at the vertices ks."""
     ks = np.array(ks, dtype=np.intp)
     P = B[ks].astype(np.float64)
-    return SlotOperator(ks, P, np.maximum(P, 0), np.maximum(-P, 0))
+    plus, minus = np.maximum(P, 0), np.maximum(-P, 0)
+    W = np.concatenate([plus.T, -P.T], axis=1)
+    W[ks, np.arange(len(ks))] = -2.0
+    return SlotOperator(ks, W, np.concatenate([minus, plus]))
 
 
 def slot_operators(sets, matrices):
@@ -182,17 +192,15 @@ def slot_operators(sets, matrices):
 
     A forward step mutates the matrix at s at its own set; a backward step
     from s undoes the slot before s, applying that slot's set to the matrix
-    at s.  That slot's step negated the rows of its set (they are pairwise
-    non-adjacent), so the backward operator is the forward one of the slot
-    before with P negated and the positive parts swapped, sharing them.
+    at s.
     """
     forward = [slot_operator(B, ks) for B, ks in zip(matrices, sets)]
-    backward = [SlotOperator(op.ks, -op.P, op.minus, op.plus) for op in forward[-1:] + forward[:-1]]
+    backward = [slot_operator(B, ks) for B, ks in zip(matrices, sets[-1:] + sets[:-1])]
     return forward, backward
 
 
-#: For each integer dtype of a seed's L, the integers a float64 step result
-#: may hold to be cast back exactly: the dtype's range, inside the float64
+#: For each integer dtype of a run record, the integers a float64 seed may
+#: hold to be stored in it exactly: the dtype's range, inside the float64
 #: exact integers.  Built once, since np.iinfo is slow next to a small step.
 CAST_RANGE = {
     np.dtype(t): (max(int(np.iinfo(t).min), -(2**53)), min(int(np.iinfo(t).max), 2**53))
@@ -201,7 +209,8 @@ CAST_RANGE = {
 
 
 def mutate_slot(op, L, oplus1, logx=None):
-    """Mutate the seed (L, logx) by the SlotOperator op of vertices ks in B.
+    """Mutate the float64 seed (L, logx) by the SlotOperator op of vertices
+    ks in B.
 
     The seed is written additively: L holds the coefficients (one entry, or
     one exponent row, per vertex) of a semifield whose y (+) 1 is oplus1,
@@ -212,33 +221,22 @@ def mutate_slot(op, L, oplus1, logx=None):
                   - oplus1(L_k) - logx_k.
 
     Non-adjacency keeps the rows of B at ks fixed inside the slot, so the
-    slot is one array update.  The products are taken in float64 and the
-    result cast back to L's dtype.  For an integer L the result is checked
-    against CAST_RANGE before the cast, which would wrap silently, and an
-    entry outside it raises ArithmeticError; the products are exact while
-    every partial sum is below 2**53, which holds for an int8 L and a B with
-    entries in {-1, 0, 1} (see tropical.TropicalRun).  Returns new arrays.
+    slot is one affine update, L + W @ [L[ks]; oplus1(L[ks])], and the
+    cluster one product X @ logx.  The -2 of W at each k sends L_k to
+    L_k - 2 L_k = -L_k exactly.  Returns new float64 arrays; run_schedule
+    checks an integer record's range where it stores a seed.
     """
-    ks, P = op.ks, op.P
-    Lk = L[ks].astype(np.float64, copy=False)  # in float64, -(-128) does not wrap
-    plus1 = oplus1(Lk)
-    new = L + op.plus.T @ Lk - P.T @ plus1
-    new[ks] = -Lk
-    bounds = CAST_RANGE.get(L.dtype)
-    if bounds is not None:
-        lo, hi = bounds
-        low, high = new.min(), new.max()
-        if low < lo or high > hi:
-            raise ArithmeticError(
-                f"a mutation step gives the entry {high if high > hi else low:g}, "
-                f"outside the {L.dtype} range [{lo}, {hi}]"
-            )
-    L = new.astype(L.dtype, copy=False)
+    ks = op.ks
+    m = len(ks)
+    Lk = L[ks]
+    stacked = np.concatenate([Lk, oplus1(Lk)])
+    new = op.W @ stacked
+    new += L
     if logx is not None:
-        xk = np.logaddexp(Lk + op.minus @ logx, op.plus @ logx)
+        sums = op.X @ logx  # the [-P]+ sums on top of the [P]+ ones
         logx = logx.copy()
-        logx[ks] = xk - plus1 - logx[ks]
-    return L, logx
+        logx[ks] = np.logaddexp(Lk + sums[:m], sums[m:]) - stacked[m:] - logx[ks]
+    return new, logx
 
 
 def run_schedule(schedule, s_lo, s_hi, L, oplus1, logx=None):
@@ -247,15 +245,25 @@ def run_schedule(schedule, s_lo, s_hi, L, oplus1, logx=None):
 
     Returns the run record (Ls, xs): Ls[s - s_lo] and xs[s - s_lo] are L
     and logx at time s, for s_lo <= s <= s_hi; xs is None without logx.
+    Ls has L's dtype, and the seed is carried from step to step in float64.
+    For an integer record each time's seed is checked against CAST_RANGE
+    before it is stored, since the cast would wrap silently, and an entry
+    outside it raises ArithmeticError.  The float64 steps are exact while
+    every partial sum is below 2**53, which holds for an int8 record and a
+    B with entries in {-1, 0, 1} (see tropical.TropicalRun).
     """
     if not s_lo <= 0 <= s_hi:
         raise ValueError(f"the window [{s_lo}, {s_hi}] must contain time 0")
     period = 2 * schedule.t
+    bounds = CAST_RANGE.get(L.dtype)
     Ls = np.empty((s_hi - s_lo + 1, *L.shape), dtype=L.dtype)
     xs = None if logx is None else np.empty((s_hi - s_lo + 1, *logx.shape))
+    L0 = L.astype(np.float64, copy=False)
     for step, stop, ops in ((1, s_hi, schedule.forward), (-1, s_lo, schedule.backward)):
-        s, Lc, xc = 0, L, logx
+        s, Lc, xc = 0, L0, logx
         while True:
+            if bounds is not None:
+                _check_range(Lc, L.dtype, *bounds)
             Ls[s - s_lo] = Lc
             if xs is not None:
                 xs[s - s_lo] = xc
@@ -264,6 +272,16 @@ def run_schedule(schedule, s_lo, s_hi, L, oplus1, logx=None):
             Lc, xc = mutate_slot(ops[s % period], Lc, oplus1, xc)
             s += step
     return Ls, xs
+
+
+def _check_range(L, dtype, lo, hi):
+    """Raise ArithmeticError unless every entry of the float64 seed L is in
+    [lo, hi], the CAST_RANGE of the record's dtype."""
+    low, high = L.min(), L.max()
+    if low < lo or high > hi:
+        raise ArithmeticError(
+            f"a mutation step gives the entry {high if high > hi else low:g}, outside the {dtype} range [{lo}, {hi}]"
+        )
 
 
 # -- the gather plan -------------------------------------------------------------

@@ -3,11 +3,11 @@
 A tropical coefficient is a Laurent monomial in the initial generators
 y_v (one per vertex), stored as its integer exponent vector.  Tropical
 addition takes componentwise minima, so y (+) 1 has exponent vector
-min(e, 0), and the exchange rule of schedule.mutate_slot acts on the int8
-exponent rows through float64 products.  Each step checks its float64
-result against the int8 range before the cast back, so an exponent past
-it raises ArithmeticError instead of wrapping.  The products are exact:
-see TropicalRun for the bound.
+min(e, 0).  schedule.run_schedule carries the exponent rows in float64,
+one product per slot step (schedule.mutate_slot), and records them as
+int8.  It checks each time's rows against the int8 range before it stores
+them, so an exponent past it raises ArithmeticError instead of wrapping.
+The products are exact: see TropicalRun for the bound.
 """
 
 from __future__ import annotations
@@ -62,11 +62,14 @@ class TropicalRun:
     E[s - lo_s] holds the int8 exponent rows of the coefficients at time s:
     row v is the monomial of y_v.  The record spans the times the checks
     read, -h_dual*t <= s < 2*full_s.  Making one raises ArithmeticError when
-    a step's exponent leaves the int8 range (the guard of mutate_slot).
+    a step's exponent leaves the int8 range (the guard of run_schedule).
 
-    The float64 products of every step are exact: a step's input is an int8
-    row, and each slot matrix is the built quiver relabelled or opposite, with
-    entries in {-1, 0, 1}, so no partial sum exceeds 128*(2n + 1) < 2**53.
+    The float64 product of every step, L + W @ [L[ks]; min(L[ks], 0)], is
+    exact.  Each slot matrix is the built quiver relabelled or opposite,
+    with entries in {-1, 0, 1}, so every entry of a slot operator's W is in
+    {-2, -1, 0, 1}, and each -2 sits in a row that is otherwise zero.  A
+    step's input is a seed that run_schedule has already checked against
+    the int8 range, so no partial sum exceeds 128*(2n + 1) < 2**53.
     """
 
     def __init__(self, schedule):

@@ -3,10 +3,14 @@
 The per-vertex exchange rules, driven by Quiver.mutate, are the reference
 for the slot step of ysyslab.schedule: each payload mutates one vertex at a
 time, with the exchange matrix that Quiver.mutate produces before that
-vertex, in multiplicative notation.  exhaustive_isomorphism is the
-brute-force reference for quiver.find_isomorphism, and matrix_refine_colors
-and matrix_canonical_key, which read the exchange matrix entry by entry, the
-reference for quiver.refine_colors and mutclass.canonical_key.
+vertex, in multiplicative notation.  two_product_step, the slot step as two
+products that casts an integer seed back to its dtype after every step, and
+run_two_product, which drives it, are the reference for the one-product
+step of schedule.mutate_slot and the float64 seed that run_schedule
+carries.  exhaustive_isomorphism is the brute-force reference for
+quiver.find_isomorphism, and matrix_refine_colors and matrix_canonical_key,
+which read the exchange matrix entry by entry, the reference for
+quiver.refine_colors and mutclass.canonical_key.
 search_equivalence, the bidirectional BFS that mutates each child alone on
 int rows (mutate_rows) and keys it with mutclass.canonical_key, and that
 skips only the child undoing a node's own move, is the reference for
@@ -82,7 +86,7 @@ from ysyslab.mutclass import MutationPath, canonical_key
 from ysyslab.quiver import FILL_BULLET, FILL_CIRCLE, Quiver, Vertex, find_isomorphism, invert_perm
 from ysyslab.roots import RootSystem, SigmaMap, neg_simple
 from ysyslab.numeric import gather, real_plus1
-from ysyslab.schedule import UNIT, run_schedule, slot_sets
+from ysyslab.schedule import CAST_RANGE, UNIT, run_schedule, slot_sets
 from ysyslab.tropical import NEGATIVE, POSITIVE
 
 
@@ -151,6 +155,56 @@ def run_payload(model, s_lo, s_hi, payload):
             s += step
             snapshots[s] = pl.snapshot()
     return snapshots
+
+
+def two_product_step(B, ks, L, oplus1, logx=None):
+    """The slot step of the seed (L, logx) at the pairwise non-adjacent
+    vertices ks of B as two products, with the exchanged rows scattered in,
+    in L's dtype: an integer L goes to float64 for the products and back,
+    after a range check that raises ArithmeticError."""
+    ks = np.array(ks, dtype=np.intp)
+    P = B[ks].astype(np.float64)
+    plus, minus = np.maximum(P, 0), np.maximum(-P, 0)
+    Lk = L[ks].astype(np.float64, copy=False)  # in float64, -(-128) does not wrap
+    plus1 = oplus1(Lk)
+    new = L + plus.T @ Lk - P.T @ plus1
+    new[ks] = -Lk
+    bounds = CAST_RANGE.get(L.dtype)
+    if bounds is not None:
+        lo, hi = bounds
+        low, high = new.min(), new.max()
+        if low < lo or high > hi:
+            raise ArithmeticError(
+                f"a mutation step gives the entry {high if high > hi else low:g}, "
+                f"outside the {L.dtype} range [{lo}, {hi}]"
+            )
+    L = new.astype(L.dtype, copy=False)
+    if logx is not None:
+        xk = np.logaddexp(Lk + minus @ logx, plus @ logx)
+        logx = logx.copy()
+        logx[ks] = xk - plus1 - logx[ks]
+    return L, logx
+
+
+def run_two_product(schedule, s_lo, s_hi, L, oplus1, logx=None):
+    """The run record of schedule.run_schedule, each step a two_product_step
+    on the slot matrices and sets of the Schedule: a forward step from s at
+    the set of s, a backward step from s at the set of s - 1."""
+    period = 2 * schedule.t
+    Ls = np.empty((s_hi - s_lo + 1, *L.shape), dtype=L.dtype)
+    xs = None if logx is None else np.empty((s_hi - s_lo + 1, *logx.shape))
+    for step, stop in ((1, s_hi), (-1, s_lo)):
+        s, Lc, xc = 0, L, logx
+        while True:
+            Ls[s - s_lo] = Lc
+            if xs is not None:
+                xs[s - s_lo] = xc
+            if s == stop:
+                break
+            ks = schedule.sets[s % period if step > 0 else (s - 1) % period]
+            Lc, xc = two_product_step(schedule.matrices[s % period], ks, Lc, oplus1, xc)
+            s += step
+    return Ls, xs
 
 
 def fz_mutate(B, k):

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from tests.conftest import CASES, cached_model, cached_numeric, cached_schedule, cached_tropical
+from tests.conftest import CASES, SEEDS, cached_model, cached_numeric, cached_schedule, cached_tropical
 from tests.oracle import (
     NumericSeedPayload,
     TropicalCoefficients,
@@ -14,12 +14,13 @@ from tests.oracle import (
     label_g_prime,
     parity_plus,
     run_payload,
+    run_two_product,
 )
 from ysyslab.builders import involutions
 from ysyslab.quiver import Quiver
-from ysyslab import schedule
+from ysyslab import numeric, schedule
 from ysyslab.schedule import Schedule, ScheduleError, run_schedule, slot_sets
-from ysyslab.numeric import NumericRun
+from ysyslab.numeric import NumericRun, tropical_shadow_mismatches
 from ysyslab.cli import main
 from ysyslab.tropical import TropicalRun, tropical_plus1
 
@@ -104,8 +105,8 @@ def test_points_match_slot_loop(family, rank, level):
 
 @pytest.mark.parametrize("family,rank,level", CASES)
 def test_backward_operators_undo_the_slot_before(family, rank, level):
-    # the shared backward operator of slot s is the operator of the set of
-    # slot s-1 on the matrix at s, entry for entry
+    # the backward operator of slot s is the operator of the set of slot
+    # s-1 on the matrix at s, entry for entry
     sched = cached_schedule(family, rank, level)
     for s, op in enumerate(sched.backward):
         want = schedule.slot_operator(sched.matrices[s], sched.sets[s - 1])
@@ -217,6 +218,34 @@ def test_numeric_run_matches_per_vertex_oracle(family, rank, level, tracked):
                 assert np.max(np.abs(run.y[s - run.lo_s, :, j] - y) / y) <= 1e-13, (s, j)
             else:
                 assert y is None and (run.y[s - run.lo_s, :, j] == 1.0).all(), (s, j)
+
+
+@pytest.mark.parametrize("family,rank,level", list(CASES) + [("C", 6, 6), ("F4", 4, 5), ("G2", 2, 6)])
+def test_one_product_runs_match_two_product_reference(family, rank, level, monkeypatch):
+    # the tropical record is the two-product reference's bit for bit, as
+    # int8; the numeric and shadow records, whose float sums the one product
+    # regroups, agree with it to 1e-12 relative
+    sched, trop = cached_schedule(family, rank, level), cached_tropical(family, rank, level)
+    E0 = np.eye(sched.model.n, dtype=np.int8)
+    want, _ = run_two_product(sched, trop.lo_s, trop.lo_s + len(trop.E) - 1, E0, tropical_plus1)
+    assert trop.E.dtype == want.dtype == np.int8 and np.array_equal(trop.E, want)
+
+    runs = []
+
+    def recorded(*args):
+        Ls, xs = run_schedule(*args)
+        runs.append((args, Ls.copy(), xs if xs is None else xs.copy()))
+        return Ls, xs
+
+    monkeypatch.setattr(numeric, "run_schedule", recorded)
+    NumericRun(sched, SEEDS)
+    tropical_shadow_mismatches(trop)
+    (numeric_args, Ls, xs), (shadow_args, shadow, _) = runs
+    want_L, want_x = run_two_product(*numeric_args)
+    for got, ref in ((Ls, want_L), (xs, want_x)):  # the values y = exp(L) and x = exp(logx)
+        assert np.max(np.abs(np.exp(got) - np.exp(ref)) / np.exp(ref)) <= 1e-12
+    want_shadow, _ = run_two_product(*shadow_args)
+    assert np.max(np.abs(shadow - want_shadow) / np.abs(want_shadow)) <= 1e-12
 
 
 def test_global_opposite_passes_cycle_but_flips_tropical_signs():

@@ -1,6 +1,7 @@
 import copy
 import re
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -76,9 +77,15 @@ def test_mutation_involution_randomized():
         assert np.array_equal(E, E0)
 
 
+def one_step_schedule(op):
+    """An unverified schedule whose first forward step is op, for run_schedule
+    over the window [0, 1]."""
+    return SimpleNamespace(t=1, forward=[op], backward=[])
+
+
 def test_float_products_match_integer_step():
-    # mutate_slot takes an int64 seed's products in float64; below 2**53 they
-    # are exact, so the step equals the integer rule for exponents up to 2**40
+    # run_schedule carries an int64 seed in float64; below 2**53 the step's
+    # product is exact, so it equals the integer rule for exponents up to 2**40
     rng = np.random.default_rng(5)
     for _ in range(200):
         n = int(rng.integers(2, 9))
@@ -92,8 +99,8 @@ def test_float_products_match_integer_step():
         P, Ek = B[ks], E0[ks]
         want = E0 + np.maximum(P, 0).T @ Ek - P.T @ np.minimum(Ek, 0)
         want[ks] = -Ek
-        E, _ = mutate_slot(slot_operator(B, ks), E0, tropical_plus1)
-        assert E.dtype == np.int64 and np.array_equal(E, want)
+        Es, _ = run_schedule(one_step_schedule(slot_operator(B, ks)), 0, 1, E0, tropical_plus1)
+        assert Es.dtype == np.int64 and np.array_equal(Es[0], E0) and np.array_equal(Es[1], want)
 
 
 @pytest.mark.parametrize(
@@ -107,13 +114,14 @@ def test_float_products_match_integer_step():
     ids=["128", "300", "-200", "negated-128"],
 )
 def test_step_past_int8_range_raises(b, seed, want):
-    # the float64 result is checked before the cast back to int8, which
-    # would wrap 128, 300 and -200 to -128, 44 and 56 without a warning
-    op = slot_operator(np.array([[0, b], [-b, 0]]), [0])
-    E, _ = mutate_slot(op, np.array(seed, dtype=np.int64), tropical_plus1)
-    assert want in E  # the exact step
+    # run_schedule checks each float64 seed before the store casts it to the
+    # int8 record, which would wrap 128, 300 and -200 to -128, 44 and 56
+    # without a warning
+    sched = one_step_schedule(slot_operator(np.array([[0, b], [-b, 0]]), [0]))
+    Es, _ = run_schedule(sched, 0, 1, np.array(seed, dtype=np.int64), tropical_plus1)
+    assert want in Es[1]  # the exact step
     with pytest.raises(ArithmeticError, match=re.escape(f"entry {want}, outside the int8 range [-128, 127]")):
-        mutate_slot(op, np.array(seed, dtype=np.int8), tropical_plus1)
+        run_schedule(sched, 0, 1, np.array(seed, dtype=np.int8), tropical_plus1)
 
 
 @pytest.mark.parametrize("family,rank,level", [("C", 6, 6), ("F4", 4, 5), ("G2", 2, 6)])
@@ -130,11 +138,17 @@ def test_int8_record_matches_int64_run(family, rank, level):
 @pytest.mark.parametrize("family,rank,level", list(CASES) + [("C", 6, 6), ("F4", 4, 5), ("G2", 2, 6)])
 def test_float_products_are_exact_on_int8_records(family, rank, level):
     # TropicalRun does not re-check the 2**53 bound after the run; it rests
-    # on an int8 record (|E| <= 128, guarded per step by mutate_slot) and on
-    # slot matrices with entries in {-1, 0, 1}, so each partial sum of a
-    # step's products is at most 128*(2n + 1)
+    # on an int8 record (|E| <= 128, each seed checked by run_schedule before
+    # it is stored) and on slot operators whose W has entries in
+    # {-2, -1, 0, 1}, each -2 alone in its row, so each partial sum of a
+    # step's product is at most 128*(2n + 1)
     run = cached_tropical(family, rank, level)
     assert all(set(np.unique(B).tolist()) <= {-1, 0, 1} for B in run.schedule.matrices)
+    for op in run.schedule.forward + run.schedule.backward:
+        assert set(np.unique(op.W).tolist()) <= {-2, -1, 0, 1}
+        rows = np.flatnonzero((op.W == -2).any(1))
+        assert rows.tolist() == sorted(op.ks.tolist())
+        assert ((op.W[rows] != 0).sum(1) == 1).all()
     assert run.E.dtype == np.int8
     assert 128 * (2 * run.model.n + 1) < 2**53
 
