@@ -90,7 +90,11 @@ def _tropical_rows(sched, case, seed, row):
     except ArithmeticError as err:
         row("tropical-counts", False, "sign-count-closed-form", error=str(err))
     per = trop.periodicity_mismatches()
-    row("tropical-periodicity", not per, "tropical-half-full-periodicity", mismatches=len(per))
+    first = {}
+    if per:
+        kind, pos, u = per[0]
+        first["first_mismatch"] = [kind, pos, str(u)]
+    row("tropical-periodicity", not per, "tropical-half-full-periodicity", mismatches=len(per), **first)
     sgn = trop.sign_pattern_mismatches()
     bnd = trop.boundary_mismatches()
     row(

@@ -8,6 +8,11 @@ one product per slot step (schedule.mutate_slot), and records them as
 int8.  It checks each time's rows against the int8 range before it stores
 them, so an exponent past it raises ArithmeticError instead of wrapping.
 The products are exact: see TropicalRun for the bound.
+
+TropicalRun records one full period and the backward window the checks
+read, -h_dual*t <= s <= full_s.  Full periodicity is checked once, on the
+seed, and the half statement with omega over the first half period; the
+rest of both statements follows exactly (see periodicity_mismatches).
 """
 
 from __future__ import annotations
@@ -61,8 +66,11 @@ class TropicalRun:
 
     E[s - lo_s] holds the int8 exponent rows of the coefficients at time s:
     row v is the monomial of y_v.  The record spans the times the checks
-    read, -h_dual*t <= s < 2*full_s.  Making one raises ArithmeticError when
-    a step's exponent leaves the int8 range (the guard of run_schedule).
+    read, lo_s = -h_dual*t <= s <= full_s: the sign region and the boundary
+    times from u = -h_dual to u = level, the shadow window -2t <= s < 2t,
+    one full period of mutation points, and the seed one period on, at
+    full_s.  Making one raises ArithmeticError when a step's exponent leaves
+    the int8 range (the guard of run_schedule).
 
     The float64 product of every step, L + W @ [L[ks]; min(L[ks], 0)], is
     exact.  Each slot matrix is the built quiver relabelled or opposite,
@@ -81,7 +89,7 @@ class TropicalRun:
         self.full_s = 2 * self.half_s
         self.lo_s = -cd["h_dual"] * self.t
         E0 = np.eye(self.model.n, dtype=np.int8)
-        self.E, _ = run_schedule(schedule, self.lo_s, 2 * self.full_s - 1, E0, tropical_plus1)
+        self.E, _ = run_schedule(schedule, self.lo_s, self.full_s, E0, tropical_plus1)
         self.omega = np.array(involutions(self.model)["omega"])
 
     @property
@@ -109,24 +117,29 @@ class TropicalRun:
         return int((classes == POSITIVE).sum()), int((classes == NEGATIVE).sum())
 
     def periodicity_mismatches(self):
-        """Coordinates violating half (with omega) or full periodicity, for
-        0 <= s < full_s in time order: at each time the half mismatches by
-        vertex, then the full one.
+        """Coordinates violating half (with omega) or full periodicity: the
+        half mismatches in time order, by vertex, then the full one.
 
-        The record is compared one slot period (2t times) at a time, so the
-        comparison holds 2t*n^2 entries, not full_s*n^2.
+        Full periodicity is compared once, on the seed: E at full_s against
+        E at 0, reported at u = 0.  The half statement, E(s + half_s)[v] =
+        E(s)[omega(v)], is compared for 0 <= s < half_s, one slot period
+        (2t times) at a time, so a comparison holds 2t*n^2 entries.  Both
+        statements then hold at every s >= 0, exactly, on two premises:
+        - step s applies the slot operator of s mod 2t to the exponent rows,
+          exactly in integers, and full_s is a multiple of 2t, so E(full_s)
+          = E(0) gives E(s + full_s) = E(s) for every s >= 0;
+        - omega is an involution, so for half_s <= s < full_s the half
+          statement at s - half_s and full periodicity give E(s + half_s) =
+          E(s - half_s) = E(s)[omega].
         """
-        bad, period = [], 2 * self.t
-        for c in range(-self.lo_s, self.full_s - self.lo_s, period):
-            base = self.E[c : c + period]
-            half = (self.E[c + self.half_s : c + self.half_s + period] != base[:, self.omega]).any(2)
-            full = (self.E[c + self.full_s : c + self.full_s + period] != base).any((1, 2))
-            for i in np.flatnonzero(half.any(1) | full):
-                u = Fraction(c + self.lo_s + int(i), self.t)
-                bad += [("half", self.model.position(v), u) for v in np.flatnonzero(half[i])]
-                if full[i]:
-                    bad.append(("full", None, u))
-        return bad
+        bad, i0, period = [], -self.lo_s, 2 * self.t
+        for c in range(0, self.half_s, period):
+            base = self.E[i0 + c : i0 + min(c + period, self.half_s)]
+            ahead = self.E[i0 + c + self.half_s : i0 + c + self.half_s + len(base)]
+            for i, v in np.argwhere((ahead != base[:, self.omega]).any(2)):
+                bad.append(("half", self.model.position(v), Fraction(c + int(i), self.t)))
+        full = not np.array_equal(self.E[i0 + self.full_s], self.E[i0])
+        return bad + [("full", None, Fraction(0))] * full
 
     def boundary_mismatches(self):
         """Vertices whose coefficient at u = level or u = -h_dual is not its

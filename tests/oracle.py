@@ -48,10 +48,14 @@ for the two column blocks of numeric.NumericRun: a tracked one for the
 positive-real block and a plain one (trivial_plus1) for the
 coefficient-free block.  expected_sign, the region sign classification
 with its typed times as fractions, point by point, is the reference for
-tropical.TropicalRun.sign_pattern_mismatches, and periodicity_mismatches,
-which compares the record one time at a time, the reference for
-tropical.TropicalRun.periodicity_mismatches, which compares one slot
-period at a time.
+tropical.TropicalRun.sign_pattern_mismatches.  periodicity_mismatches,
+which runs the schedule over two full periods and compares each time of
+the first with the same time half and one period later, is the reference
+for tropical.TropicalRun.periodicity_mismatches, which compares the seed
+one period on and the first half period, one slot period at a time, on a
+record of one period.  record_periodicity_mismatches, the same per-time
+comparison on a given record at given times, is the reference for the
+latter on a record with a planted fault.
 The per-family closed forms of the tropical boundary tuples, the sign
 tallies and the doubled functional sums, as printed, are the reference for
 tropical.boundary_targets, which reads them off omega, and for
@@ -87,7 +91,7 @@ from ysyslab.quiver import FILL_BULLET, FILL_CIRCLE, Quiver, Vertex, find_isomor
 from ysyslab.roots import RootSystem, SigmaMap, neg_simple
 from ysyslab.numeric import gather, real_plus1
 from ysyslab.schedule import CAST_RANGE, UNIT, run_schedule, slot_sets
-from ysyslab.tropical import NEGATIVE, POSITIVE
+from ysyslab.tropical import NEGATIVE, POSITIVE, tropical_plus1
 
 
 class TropicalCoefficients:
@@ -853,16 +857,28 @@ def sign_pattern_mismatches(run):
 
 
 def periodicity_mismatches(run):
-    """The half (with omega) and full periodicity mismatches of a
-    tropical.TropicalRun, one time s at a time for 0 <= s < full_s."""
+    """The half (with omega) and full periodicity mismatches of the schedule
+    of a tropical.TropicalRun, one time s at a time for 0 <= s < full_s.
+
+    It compares the record of its own int64 run over two full periods,
+    0 <= s < 2*full_s, so it reads neither run.E nor the premises that let
+    TropicalRun stop at full_s."""
+    E0 = np.eye(run.model.n, dtype=np.int64)
+    E, _ = run_schedule(run.schedule, 0, 2 * run.full_s - 1, E0, tropical_plus1)
+    return record_periodicity_mismatches(run, E, 0, range(run.full_s), range(run.full_s))
+
+
+def record_periodicity_mismatches(run, E, lo_s, half_times, full_times):
+    """The half (with omega) mismatches at half_times by vertex, then the
+    full ones at full_times, of the record E[s - lo_s] of a
+    tropical.TropicalRun's schedule, one time s at a time."""
     bad = []
-    for s in range(0, run.full_s):
-        E0, Eh, Ef = (run.E[s + ds - run.lo_s] for ds in (0, run.half_s, run.full_s))
+    for s in half_times:
+        E0, Eh = E[s - lo_s], E[s + run.half_s - lo_s]
         for v in np.flatnonzero((Eh != E0[run.omega]).any(1)):
             bad.append(("half", run.model.position(v), Fraction(s, run.t)))
-        if not np.array_equal(Ef, E0):
-            bad.append(("full", None, Fraction(s, run.t)))
-    return bad
+    full = [s for s in full_times if not np.array_equal(E[s + run.full_s - lo_s], E[s - lo_s])]
+    return bad + [("full", None, Fraction(s, run.t)) for s in full]
 
 
 def family_boundary_targets(model):

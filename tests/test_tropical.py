@@ -18,7 +18,8 @@ from tests.oracle import (
 )
 from ysyslab.builders import FamilySpec, build, involutions
 from ysyslab.quiver import FILL_CIRCLE, Quiver
-from ysyslab.schedule import mutate_slot, run_schedule, slot_operator
+from ysyslab.roots import level2_core, pl_dynamics
+from ysyslab.schedule import Schedule, mutate_slot, run_schedule, slot_operator
 from ysyslab.tropical import (
     MIXED,
     NEGATIVE,
@@ -30,6 +31,11 @@ from ysyslab.tropical import (
     sign_classes,
     tropical_plus1,
 )
+
+
+#: The cases of the benchmark's scale workload, and three larger ones.
+SCALE_CASES = [("C", 6, 6), ("F4", 4, 5), ("G2", 2, 6)]
+LARGE_CASES = [("C", 12, 12), ("F4", 4, 24), ("G2", 2, 30)]
 
 
 def test_sign_classification():
@@ -124,7 +130,7 @@ def test_step_past_int8_range_raises(b, seed, want):
         run_schedule(sched, 0, 1, np.array(seed, dtype=np.int8), tropical_plus1)
 
 
-@pytest.mark.parametrize("family,rank,level", [("C", 6, 6), ("F4", 4, 5), ("G2", 2, 6)])
+@pytest.mark.parametrize("family,rank,level", SCALE_CASES)
 def test_int8_record_matches_int64_run(family, rank, level):
     # the record starts from an int8 identity and stays int8; entry for
     # entry it is the run of an int64 identity over the same window
@@ -135,7 +141,7 @@ def test_int8_record_matches_int64_run(family, rank, level):
     assert np.array_equal(run.E, want)
 
 
-@pytest.mark.parametrize("family,rank,level", list(CASES) + [("C", 6, 6), ("F4", 4, 5), ("G2", 2, 6)])
+@pytest.mark.parametrize("family,rank,level", list(CASES) + SCALE_CASES)
 def test_float_products_are_exact_on_int8_records(family, rank, level):
     # TropicalRun does not re-check the 2**53 bound after the run; it rests
     # on an int8 record (|E| <= 128, each seed checked by run_schedule before
@@ -155,24 +161,97 @@ def test_float_products_are_exact_on_int8_records(family, rank, level):
 
 @pytest.mark.parametrize("family,rank,level", CASES)
 def test_block_periodicity_matches_oracle(family, rank, level):
-    # one slot period at a time gives the per-time oracle's list, in its
-    # order, on the clean run and with faults planted on both edges of a
-    # slot period, at the first and last base time, and at times read only
-    # as half or full targets
+    # with faults planted on both edges of a slot period, at the first and
+    # last base time, and at times read only as half or full targets, the
+    # check gives the per-time reference's list on the same record, in its
+    # order
     run = cached_tropical(family, rank, level)
-    assert run.periodicity_mismatches() == oracle.periodicity_mismatches(run) == []
-    period, n, last = 2 * run.t, run.model.n, run.full_s - 1
+    period, n, last = 2 * run.t, run.model.n, run.half_s - 1
     broken = run
     for s, vs in [
         (0, [0]), (period - 1, [n - 1, 0]), (period, [1]), (last, [2, n - 1]),
-        (run.full_s + 1, [0]), (run.full_s + run.half_s + 1, [n - 1]),
+        (run.full_s, [n - 1]), (run.half_s + 1, [n - 1]),
     ]:
         for v in vs:
             broken = planted(broken, s, v, broken.monomial(v, s) + 1)
     got = broken.periodicity_mismatches()
-    assert got == oracle.periodicity_mismatches(broken)
+    assert got == record_reference(broken)
     assert {kind for kind, *_ in got} == {"half", "full"}
-    assert {u for *_, u in got} >= {Fraction(s, run.t) for s in (0, period - 1, period, last)}
+    assert {u for *_, u in got} >= {Fraction(s, run.t) for s in (0, 1, period - 1, period, last)}
+
+
+@pytest.mark.parametrize("family,rank,level", list(CASES) + SCALE_CASES + LARGE_CASES)
+def test_one_period_record_premises(family, rank, level):
+    # periodicity_mismatches compares the seed and one half period and
+    # derives the rest: that needs omega to be an involution and full_s to
+    # be twice half_s and a whole number of slot periods; and the record
+    # -h_dual*t <= s <= full_s must hold every time a tropical check reads
+    case = (family, rank, level)
+    run = TropicalRun(Schedule(build(FamilySpec(*case)))) if case in LARGE_CASES else cached_tropical(*case)
+    m, t, sched = run.model, run.t, run.schedule
+    hd = m.cartan["h_dual"]
+    assert np.array_equal(run.omega[run.omega], np.arange(m.n))
+    assert run.full_s == 2 * run.half_s and run.full_s % (2 * t) == 0
+    assert (run.lo_s, run.lo_s + len(run.E) - 1) == (-hd * t, run.full_s)
+    reads = {0, run.full_s - 1, run.full_s, *boundary_targets(m, run.omega)}  # counts, periodicity, boundary
+    reads |= {-hd * t, level * t - 1, *sched.points(-hd * t, level * t)[0].tolist()}  # sign region
+    reads |= {-2 * t, 2 * t - 1, *sched.points(-2 * t, 2 * t)[0].tolist()}  # shadow window
+    if level == 2:
+        roots = [level2_core(m)] + [[m.vid(i, 1) for i in range(1, rank)]] * (family == "C")
+        reads |= {s for vertices in roots for s, _ in pl_dynamics(sched, vertices)[1]}
+    assert run.lo_s <= min(reads) and max(reads) <= run.full_s
+
+
+def record_reference(run):
+    """The per-time reference of TropicalRun.periodicity_mismatches on the
+    run's own record: the half statement at each time 0 <= s < half_s, then
+    full periodicity on the seed."""
+    return oracle.record_periodicity_mismatches(run, run.E, run.lo_s, range(run.half_s), [0])
+
+
+@pytest.mark.parametrize("family,rank,level", CASES)
+def test_every_planted_time_is_reported(family, rank, level):
+    # each time 0 <= s <= full_s is read: as a half base, a half target or
+    # the full target; one changed entry there is reported, as the per-time
+    # reference on the same record reports it
+    run = cached_tropical(family, rank, level)
+    for s in range(run.full_s + 1):
+        v = s % run.model.n
+        broken = planted(run, s, v, run.monomial(v, s) + np.eye(run.model.n, dtype=np.int64)[s % 3])
+        got = broken.periodicity_mismatches()
+        assert got and got == record_reference(broken), s
+
+
+def with_forward(schedule, i, op):
+    """A copy of the schedule whose forward step from slot i applies op."""
+    broken = copy.copy(schedule)
+    broken.forward = list(schedule.forward)
+    broken.forward[i] = op
+    return broken
+
+
+@pytest.mark.parametrize("family,rank,level", list(CASES) + SCALE_CASES)
+def test_wrong_dynamics_fail_both_checks(family, rank, level):
+    # a forward step from slot i built from the matrix of slot j != i breaks
+    # the dynamics; unless the int8 guard stops the run first, or the record
+    # comes out as the clean one, both checks fail, and each mismatch the
+    # seed and half-period check reports is one the two-period oracle reports
+    clean = cached_tropical(family, rank, level)
+    sched = clean.schedule
+    period, tried = 2 * sched.t, 0
+    for i in range(period):
+        for j in set(range(period)) - {i}:
+            try:
+                run = TropicalRun(with_forward(sched, i, slot_operator(sched.matrices[j], sched.sets[i])))
+            except ArithmeticError:
+                continue
+            got, want = run.periodicity_mismatches(), oracle.periodicity_mismatches(run)
+            if np.array_equal(run.E, clean.E):
+                assert got == want == [], (i, j)
+                continue
+            assert got and want and set(got) <= set(want), (i, j)
+            tried += 1
+    assert tried
 
 
 def test_first_window_positivity_level2():
@@ -198,9 +277,12 @@ def test_level_rank_duality():
             assert cached_tropical("C", r, lev).count_signs() == (npr, nmr)
 
 
-@pytest.mark.parametrize("family,rank,level", CASES)
+@pytest.mark.parametrize("family,rank,level", list(CASES) + SCALE_CASES)
 def test_periodicity_exact(family, rank, level):
-    assert cached_tropical(family, rank, level).periodicity_mismatches() == []
+    # the one-period record and the seed comparison agree with the per-time
+    # comparison over two full periods that the oracle runs itself
+    run = cached_tropical(family, rank, level)
+    assert run.periodicity_mismatches() == oracle.periodicity_mismatches(run) == []
 
 
 @pytest.mark.parametrize("family,rank,level", CASES)
@@ -294,15 +376,14 @@ def test_unit_monomial_raises():
 
 def test_planted_periodicity_fault_is_reported():
     # one changed exponent at time s = 1 breaks the half statement at the
-    # vertex omega maps it to, and the full statement, both at u = 1/2
+    # vertex omega maps it to, at u = 1/2; one changed at s = full_s breaks
+    # the full statement, which is compared on the seed, at u = 0
     run = cached_tropical("C", 3, 2)
-    v = 2
-    broken = planted(run, 1, v, run.monomial(v, 1) + np.eye(run.model.n, dtype=np.int64)[0])
-    u = Fraction(1, 2)
-    assert broken.periodicity_mismatches() == [
-        ("half", run.model.position(run.omega[v]), u),
-        ("full", None, u),
-    ]
+    v, bump = 2, np.eye(run.model.n, dtype=np.int64)[0]
+    broken = planted(run, 1, v, run.monomial(v, 1) + bump)
+    assert broken.periodicity_mismatches() == [("half", run.model.position(run.omega[v]), Fraction(1, 2))]
+    broken = planted(run, run.full_s, v, run.monomial(v, run.full_s) + bump)
+    assert broken.periodicity_mismatches() == [("full", None, Fraction(0))]
 
 
 def test_planted_boundary_fault_is_reported():
