@@ -21,12 +21,12 @@ Y^{(a)}_m(u) and T^{(a)}_m(u - 1/t_a), with a = model.columns[col], the node
 of col in the column table of builders.
 Schedule.points lists the mutation points of a time window, and
 run_schedule records a seed at every time of one, so a run's value at a
-point (s, v) is one array read.  A Schedule holds one SlotOperator per slot
-and direction, so a run's step only indexes them, and one GatherPlan, the
-record rows of every value its numeric checks read.  run_schedule carries
-the seed in float64, each slot step one affine update by a product
-(mutate_slot), and checks an integer record's range where it stores a
-time's seed.
+point (s, v) is one array read.  A Schedule holds one SlotOperator per slot,
+so a run's step only indexes them, and one GatherPlan, the record rows of
+every value its numeric checks read.  run_schedule carries the seed in
+float64, each slot step one affine update by a product (mutate_slot), a
+backward step the slot before's on the inverted coefficients, and checks an
+integer record's range where it stores a time's seed.
 """
 
 from __future__ import annotations
@@ -122,9 +122,9 @@ def slot_matrices(model, sets):
 
 class Schedule:
     """The verified schedule of one case: its model, the vertex sets of the
-    2t slots, the exchange matrix at each slot, the forward and backward
-    SlotOperator of each slot (slot_operators), the (a, m) label of each
-    vertex, the T- and Y-relation tables read off them (g and its
+    2t slots, the exchange matrix and the SlotOperator of each slot
+    (operators, which run_schedule applies both ways), the (a, m) label of
+    each vertex, the T- and Y-relation tables read off them (g and its
     transpose numerators, see gfun), and the GatherPlan of those relations.
 
     Making one runs slot_matrices, g_factors and GatherPlan, and raises
@@ -139,7 +139,7 @@ class Schedule:
         self.t = model.cartan["t"]
         self.sets = slot_sets(model)
         self.matrices = slot_matrices(model, self.sets)
-        self.forward, self.backward = slot_operators(self.sets, self.matrices)
+        self.operators = [slot_operator(B, ks) for B, ks in zip(self.matrices, self.sets)]
         fam, rank = model.spec.family, model.spec.rank
         self.labels = [(model.columns[col], m) for col, m in map(model.position, range(model.n))]
         try:
@@ -187,18 +187,6 @@ def slot_operator(B, ks):
     return SlotOperator(ks, W, np.concatenate([minus, plus]))
 
 
-def slot_operators(sets, matrices):
-    """(forward, backward): the SlotOperator of a step from each slot s.
-
-    A forward step mutates the matrix at s at its own set; a backward step
-    from s undoes the slot before s, applying that slot's set to the matrix
-    at s.
-    """
-    forward = [slot_operator(B, ks) for B, ks in zip(matrices, sets)]
-    backward = [slot_operator(B, ks) for B, ks in zip(matrices, sets[-1:] + sets[:-1])]
-    return forward, backward
-
-
 #: For each integer dtype of a run record, the integers a float64 seed may
 #: hold to be stored in it exactly: the dtype's range, inside the float64
 #: exact integers.  Built once, since np.iinfo is slow next to a small step.
@@ -243,11 +231,17 @@ def run_schedule(schedule, s_lo, s_hi, L, oplus1, logx=None):
     """Drive the seed (L, logx) of mutate_slot through a verified Schedule,
     from time 0 forward to s_hi and backward to s_lo, with s_lo <= 0 <= s_hi.
 
+    The step forward from s applies the operator of slot s.  The step back
+    from s mutates at the set of slot s - 1, whose rows in the matrix at s
+    are those at s - 1 negated; as y (+) 1 = y (y^-1 (+) 1) in any semifield,
+    it is the operator of slot s - 1 on (-L, logx), with the new L negated
+    back.  The backward sweep carries -L, so it negates once per stored time.
+
     Returns the run record (Ls, xs): Ls[s - s_lo] and xs[s - s_lo] are L
     and logx at time s, for s_lo <= s <= s_hi; xs is None without logx.
     Ls has L's dtype, and the seed is carried from step to step in float64.
     For an integer record each time's seed is checked against CAST_RANGE
-    before it is stored, since the cast would wrap silently, and an entry
+    as it will be stored, since the cast would wrap silently, and an entry
     outside it raises ArithmeticError.  The float64 steps are exact while
     every partial sum is below 2**53, which holds for an int8 record and a
     B with entries in {-1, 0, 1} (see tropical.TropicalRun).
@@ -259,17 +253,18 @@ def run_schedule(schedule, s_lo, s_hi, L, oplus1, logx=None):
     Ls = np.empty((s_hi - s_lo + 1, *L.shape), dtype=L.dtype)
     xs = None if logx is None else np.empty((s_hi - s_lo + 1, *logx.shape))
     L0 = L.astype(np.float64, copy=False)
-    for step, stop, ops in ((1, s_hi, schedule.forward), (-1, s_lo, schedule.backward)):
-        s, Lc, xc = 0, L0, logx
+    for step, stop in ((1, s_hi), (-1, s_lo)):
+        s, Lc, xc = 0, step * L0, logx  # backward, L is carried negated
         while True:
+            L_s = Lc if step > 0 else -Lc
             if bounds is not None:
-                _check_range(Lc, L.dtype, *bounds)
-            Ls[s - s_lo] = Lc
+                _check_range(L_s, L.dtype, *bounds)
+            Ls[s - s_lo] = L_s
             if xs is not None:
                 xs[s - s_lo] = xc
             if s == stop:
                 break
-            Lc, xc = mutate_slot(ops[s % period], Lc, oplus1, xc)
+            Lc, xc = mutate_slot(schedule.operators[(s if step > 0 else s - 1) % period], Lc, oplus1, xc)
             s += step
     return Ls, xs
 

@@ -76,8 +76,8 @@ class TropicalRun:
     exact.  Each slot matrix is the built quiver relabelled or opposite,
     with entries in {-1, 0, 1}, so every entry of a slot operator's W is in
     {-2, -1, 0, 1}, and each -2 sits in a row that is otherwise zero.  A
-    step's input is a seed that run_schedule has already checked against
-    the int8 range, so no partial sum exceeds 128*(2n + 1) < 2**53.
+    step's input is an int8-checked seed, negated on a backward step, so no
+    partial sum exceeds 128*(2n + 1) < 2**53.
     """
 
     def __init__(self, schedule):
@@ -97,6 +97,9 @@ class TropicalRun:
         return self.model.spec
 
     def monomial(self, v, s):
+        """The exponent row of v at time s, for lo_s <= s <= full_s only."""
+        if not self.lo_s <= s <= self.full_s:
+            raise IndexError(f"time s={s} is outside the tropical record [{self.lo_s}, {self.full_s}]")
         return self.E[s - self.lo_s, v]
 
     def point_signs(self, s_lo, s_hi):

@@ -342,21 +342,20 @@ def test_tropical_exponent_past_exact_range_fails_rows(monkeypatch, capsys):
 
 
 def test_periodicity_row_names_first_mismatch(monkeypatch):
-    # the forward step from slot 0 built from slot 2's matrix breaks the
-    # dynamics; the failing periodicity row names the first mismatch that
+    # slot 0's operator built from slot 2's matrix breaks the dynamics; the
+    # failing periodicity row names the first mismatch that
     # TropicalRun.periodicity_mismatches lists, and a passing row has no
     # such key
-    real = schedule.slot_operators
+    real = schedule.Schedule.__init__
 
-    def planted(sets, matrices):
-        forward, backward = real(sets, matrices)
-        forward[0] = schedule.slot_operator(matrices[2], sets[0])
-        return forward, backward
+    def planted(self, model):
+        real(self, model)
+        self.operators[0] = schedule.slot_operator(self.matrices[2], self.sets[0])
 
     cfg = {"cases": [["C", 2, 2]], "pairs": [], "seeds": [0], "extra_dilog_levels": []}
     clean = next(r for r in run_suite(cfg) if r.check == "tropical-periodicity")
     assert clean.status == "pass" and clean.metrics == {"mismatches": 0}
-    monkeypatch.setattr(schedule, "slot_operators", planted)
+    monkeypatch.setattr(schedule.Schedule, "__init__", planted)
     row = next(r for r in run_suite(cfg) if r.check == "tropical-periodicity")
     per = TropicalRun(schedule.Schedule(builders.build(builders.FamilySpec("C", 2, 2)))).periodicity_mismatches()
     assert row.status == "fail" and row.metrics["mismatches"] == len(per) == 41

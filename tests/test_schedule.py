@@ -15,12 +15,13 @@ from tests.oracle import (
     parity_plus,
     run_payload,
     run_two_product,
+    two_product_step,
 )
 from ysyslab.builders import involutions
 from ysyslab.quiver import Quiver
 from ysyslab import numeric, schedule
 from ysyslab.schedule import Schedule, ScheduleError, run_schedule, slot_sets
-from ysyslab.numeric import NumericRun, tropical_shadow_mismatches
+from ysyslab.numeric import NumericRun, real_plus1, tropical_shadow_mismatches
 from ysyslab.cli import main
 from ysyslab.tropical import TropicalRun, tropical_plus1
 
@@ -105,13 +106,48 @@ def test_points_match_slot_loop(family, rank, level):
 
 @pytest.mark.parametrize("family,rank,level", CASES)
 def test_backward_operators_undo_the_slot_before(family, rank, level):
-    # the backward operator of slot s is the operator of the set of slot
-    # s-1 on the matrix at s, entry for entry
+    # the step back from slot s runs the operator of slot s-1; the rows of
+    # the matrix at s at the set of s-1 are those of the matrix at s-1
+    # negated, and the step is the two-product step of that set on the
+    # matrix at s, entry for entry, on an integer seed with entries +-128
     sched = cached_schedule(family, rank, level)
-    for s, op in enumerate(sched.backward):
-        want = schedule.slot_operator(sched.matrices[s], sched.sets[s - 1])
-        for got, ref in zip(op, want):
-            assert got.dtype == ref.dtype and np.array_equal(got, ref), s
+    rng = np.random.default_rng(7)
+    for s, B in enumerate(sched.matrices):
+        ks = list(sched.sets[s - 1])
+        assert np.array_equal(B[ks], -sched.matrices[s - 1][ks]), s
+        rotated = SimpleNamespace(t=sched.t, operators=sched.operators[s:] + sched.operators[:s])  # starts at slot s
+        L = rng.choice([-128, -1, 0, 1, 128], (sched.model.n, 3))
+        Ls, _ = run_schedule(rotated, -1, 0, L, tropical_plus1)
+        want, _ = two_product_step(B, ks, L, tropical_plus1)
+        assert np.array_equal(Ls[0], want), s
+
+
+def test_backward_step_is_inverted_forward_step():
+    # run_schedule steps back from s by the operator of slot s-1 on -L and
+    # negates back; that is the step at the same set on B_s = mutate(B_{s-1}),
+    # bit for bit on integers (entries +-128 included) and to 1e-12 on reals
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        n = int(rng.integers(2, 9))
+        B = np.triu(rng.integers(-2, 3, (n, n)), 1)
+        B = B - B.T
+        ks = []
+        for k in rng.permutation(n)[: int(rng.integers(1, n + 1))]:
+            if not B[k, ks].any():
+                ks.append(int(k))
+        back = SimpleNamespace(t=1, operators=[schedule.slot_operator(B, ks)] * 2)
+        Bs = composite_mutate(Quiver(B), ks).B
+        L = rng.integers(-128, 129, (n, n))
+        edge = rng.random((n, n)) < 0.25
+        L[edge] = rng.choice([-128, 128], edge.sum())
+        Ls, _ = run_schedule(back, -1, 0, L, tropical_plus1)
+        want, _ = two_product_step(Bs, ks, L, tropical_plus1)
+        assert Ls.dtype == want.dtype == np.int64 and np.array_equal(Ls[0], want)
+        L, logx = rng.normal(0, 3, n), rng.normal(0, 1, n)
+        Ls, xs = run_schedule(back, -1, 0, L, real_plus1, logx)
+        want_L, want_x = two_product_step(Bs, ks, L, real_plus1, logx)
+        for got, ref in ((Ls[0], want_L), (xs[0], want_x)):  # the values y = exp(L) and x = exp(logx)
+            assert np.max(np.abs(np.exp(got) - np.exp(ref)) / np.exp(ref)) <= 1e-12
 
 
 def test_run_schedule_window_must_contain_time_zero():
@@ -259,8 +295,8 @@ def test_global_opposite_passes_cycle_but_flips_tropical_signs():
         bad = type(m)(m.spec, m.quiver.opposite(), dict(m.index))
         assert slot_sets(bad) == good.sets
         # the one-period cycle passes by the negation symmetry
-        forward, backward = schedule.slot_operators(good.sets, schedule.slot_matrices(bad, good.sets))
-        unverified = SimpleNamespace(t=good.t, forward=forward, backward=backward)
+        matrices = schedule.slot_matrices(bad, good.sets)
+        unverified = SimpleNamespace(t=good.t, operators=list(map(schedule.slot_operator, matrices, good.sets)))
         with pytest.raises(ScheduleError, match="arrows out of vertex"):
             Schedule(bad)
         s, v = good.points(0, 2 * good.t)

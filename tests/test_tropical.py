@@ -84,9 +84,10 @@ def test_mutation_involution_randomized():
 
 
 def one_step_schedule(op):
-    """An unverified schedule whose first forward step is op, for run_schedule
-    over the window [0, 1]."""
-    return SimpleNamespace(t=1, forward=[op], backward=[])
+    """An unverified schedule whose every slot operator is op, for
+    run_schedule over the window [0, 1], the step op, or [-1, 0], the step
+    back that op undoes."""
+    return SimpleNamespace(t=1, operators=[op, op])
 
 
 def test_float_products_match_integer_step():
@@ -110,24 +111,33 @@ def test_float_products_match_integer_step():
 
 
 @pytest.mark.parametrize(
-    "b, seed, want",
+    "step, b, seed, want",
     [
-        (1, [[127, 0], [1, 0]], 128),  # row 1 gains [b]+ times row 0
-        (2, [[127, 0], [46, 0]], 300),
-        (-2, [[-100, 0], [0, 0]], -200),  # row 1 loses b times min(row 0, 0)
-        (1, [[-128, 0], [0, 0]], 128),  # the exchanged row 0 is negated
+        (1, 1, [[127, 0], [1, 0]], 128),  # row 1 gains [b]+ times row 0
+        (1, 2, [[127, 0], [46, 0]], 300),
+        (1, -2, [[-100, 0], [0, 0]], -200),  # row 1 loses b times min(row 0, 0)
+        (1, 1, [[-128, 0], [0, 0]], 128),  # the exchanged row 0 is negated
+        (-1, -1, [[127, 0], [1, 0]], 128),  # back: row 1 gains [-b]+ times row 0
+        (-1, 1, [[-128, 0], [0, 0]], 128),  # back: row 0 is negated
+        (-1, 1, [[-100, 0], [-28, 0]], -128),  # back: the int8 minimum is stored
     ],
-    ids=["128", "300", "-200", "negated-128"],
+    ids=["128", "300", "-200", "negated-128", "backward-128", "backward-negated-128", "backward-stores-min"],
 )
-def test_step_past_int8_range_raises(b, seed, want):
+def test_step_past_int8_range_raises(step, b, seed, want):
     # run_schedule checks each float64 seed before the store casts it to the
     # int8 record, which would wrap 128, 300 and -200 to -128, 44 and 56
-    # without a warning
+    # without a warning; the backward sweep carries the seed negated, and the
+    # check names the entry as stored, against the true int8 range
     sched = one_step_schedule(slot_operator(np.array([[0, b], [-b, 0]]), [0]))
-    Es, _ = run_schedule(sched, 0, 1, np.array(seed, dtype=np.int64), tropical_plus1)
-    assert want in Es[1]  # the exact step
+    window = sorted((0, step))
+    Es, _ = run_schedule(sched, *window, np.array(seed, dtype=np.int64), tropical_plus1)
+    assert want in Es[max(step, 0)]  # the exact step
+    if -128 <= want <= 127:
+        E8, _ = run_schedule(sched, *window, np.array(seed, dtype=np.int8), tropical_plus1)
+        assert E8.dtype == np.int8 and np.array_equal(E8, Es)
+        return
     with pytest.raises(ArithmeticError, match=re.escape(f"entry {want}, outside the int8 range [-128, 127]")):
-        run_schedule(sched, 0, 1, np.array(seed, dtype=np.int8), tropical_plus1)
+        run_schedule(sched, *window, np.array(seed, dtype=np.int8), tropical_plus1)
 
 
 @pytest.mark.parametrize("family,rank,level", SCALE_CASES)
@@ -144,13 +154,15 @@ def test_int8_record_matches_int64_run(family, rank, level):
 @pytest.mark.parametrize("family,rank,level", list(CASES) + SCALE_CASES)
 def test_float_products_are_exact_on_int8_records(family, rank, level):
     # TropicalRun does not re-check the 2**53 bound after the run; it rests
-    # on an int8 record (|E| <= 128, each seed checked by run_schedule before
-    # it is stored) and on slot operators whose W has entries in
+    # on an int8 record (each seed checked by run_schedule before it is
+    # stored, so a step's input lies in [-128, 127] forward and, negated, in
+    # [-127, 128] backward) and on slot operators whose W has entries in
     # {-2, -1, 0, 1}, each -2 alone in its row, so each partial sum of a
     # step's product is at most 128*(2n + 1)
     run = cached_tropical(family, rank, level)
     assert all(set(np.unique(B).tolist()) <= {-1, 0, 1} for B in run.schedule.matrices)
-    for op in run.schedule.forward + run.schedule.backward:
+    assert len(run.schedule.operators) == 2 * run.t
+    for op in run.schedule.operators:
         assert set(np.unique(op.W).tolist()) <= {-2, -1, 0, 1}
         rows = np.flatnonzero((op.W == -2).any(1))
         assert rows.tolist() == sorted(op.ks.tolist())
@@ -222,27 +234,29 @@ def test_every_planted_time_is_reported(family, rank, level):
         assert got and got == record_reference(broken), s
 
 
-def with_forward(schedule, i, op):
-    """A copy of the schedule whose forward step from slot i applies op."""
+def with_operator(schedule, i, op):
+    """A copy of the schedule whose slot i applies op: the step forward from
+    each time of slot i, and the step back to it."""
     broken = copy.copy(schedule)
-    broken.forward = list(schedule.forward)
-    broken.forward[i] = op
+    broken.operators = list(schedule.operators)
+    broken.operators[i] = op
     return broken
 
 
 @pytest.mark.parametrize("family,rank,level", list(CASES) + SCALE_CASES)
 def test_wrong_dynamics_fail_both_checks(family, rank, level):
-    # a forward step from slot i built from the matrix of slot j != i breaks
-    # the dynamics; unless the int8 guard stops the run first, or the record
-    # comes out as the clean one, both checks fail, and each mismatch the
-    # seed and half-period check reports is one the two-period oracle reports
+    # slot i's operator built from the matrix of slot j != i breaks the
+    # dynamics, both the step from slot i and the step back to it; unless
+    # the int8 guard stops the run first, or the record comes out as the
+    # clean one, both checks fail, and each mismatch the seed and
+    # half-period check reports is one the two-period oracle reports
     clean = cached_tropical(family, rank, level)
     sched = clean.schedule
     period, tried = 2 * sched.t, 0
     for i in range(period):
         for j in set(range(period)) - {i}:
             try:
-                run = TropicalRun(with_forward(sched, i, slot_operator(sched.matrices[j], sched.sets[i])))
+                run = TropicalRun(with_operator(sched, i, slot_operator(sched.matrices[j], sched.sets[i])))
             except ArithmeticError:
                 continue
             got, want = run.periodicity_mismatches(), oracle.periodicity_mismatches(run)
@@ -252,6 +266,19 @@ def test_wrong_dynamics_fail_both_checks(family, rank, level):
             assert got and want and set(got) <= set(want), (i, j)
             tried += 1
     assert tried
+
+
+def test_monomial_outside_record_raises():
+    # the record spans lo_s <= s <= full_s; a time just outside it, on
+    # either side, is an IndexError naming that span, not a row read from
+    # the other end of the record
+    run = cached_tropical("C", 3, 3)
+    for s in (run.lo_s, run.full_s):
+        assert np.array_equal(run.monomial(0, s), run.E[s - run.lo_s, 0])
+    for s in (run.lo_s - 1, run.full_s + 1):
+        span = f"time s={s} is outside the tropical record [{run.lo_s}, {run.full_s}]"
+        with pytest.raises(IndexError, match=re.escape(span)):
+            run.monomial(0, s)
 
 
 def test_first_window_positivity_level2():
