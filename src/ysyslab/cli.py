@@ -108,13 +108,8 @@ def _cmd_tropical(args):
     counts = run.count_signs()
     s, v, classes = run.point_signs(0, run.full_s)
     points = [
-        {
-            "vertex": list(run.model.position(v)),
-            "u": str(Fraction(s, run.t)),
-            "exponents": run.monomial(v, s).tolist(),
-            "sign": sign,
-        }
-        for s, v, sign in zip(s.tolist(), v.tolist(), classes.tolist())
+        {"vertex": list(run.model.position(v)), "u": str(Fraction(s, run.t)), "exponents": e, "sign": sign}
+        for s, v, e, sign in zip(s.tolist(), v.tolist(), run.monomial(v, s).tolist(), classes.tolist())
     ]
     _emit(
         {

@@ -193,7 +193,7 @@ def tropical_shadow_mismatches(trop, seed=0):
     Ls, _ = run_schedule(trop.schedule, -2 * t, 2 * t, logy0, real_plus1)
     s, v = trop.schedule.points(-2 * t, 2 * t)
     slopes = Ls[s + 2 * t, v] / np.log(SHADOW_EPS)
-    want = trop.E[s - trop.lo_s, v] @ e
+    want = trop.monomial(v, s) @ e
     return [
         (mdl.position(v[i]), Fraction(int(s[i]), t), slopes[i], int(want[i]))
         for i in np.flatnonzero(np.abs(slopes - want) > math.sqrt(SHADOW_EPS))

@@ -11,9 +11,10 @@ One period of the quiver sequence is two time units, i.e. 2t steps:
   circle regions I..VI, passing through column-permuted (and opposite)
   copies of the quiver.
 
-A Schedule verifies the expected quiver at each slot over one period when
-it is made, and every run is driven by one; a failure means a transcription
-or sign-convention fault in the builders.
+A Schedule verifies the expected quiver at each slot over one period, and
+that the slots half a period apart are relabellings of each other by the
+involution omega, when it is made, and every run is driven by one; a
+failure means a transcription or sign-convention fault in the builders.
 
 The labelled values T^{(a)}_m(u) and Y^{(a)}_m(u) sit at the mutation
 points: the vertex of column col and row m mutated at time u carries
@@ -73,9 +74,9 @@ TRANSFORMS = {
 }
 
 
-def expected_quivers(model):
-    """Expected exchange matrix at each slot, relative to the initial quiver."""
-    invs = involutions(model)
+def expected_quivers(model, invs):
+    """Expected exchange matrix at each slot, relative to the initial quiver,
+    with invs the model's builders.involutions."""
     out = []
     for name, opposite in TRANSFORMS[model.spec.family]:
         B = model.quiver.B if name == "id" else model.quiver.apply_perm(invs[name]).B
@@ -90,18 +91,18 @@ class ScheduleError(AssertionError):
     """A step produced a quiver different from the expected transform."""
 
 
-def slot_matrices(model, sets):
+def slot_matrices(model, sets, invs):
     """The exchange matrix at each slot, verified by one period of mutation.
 
     The initial exchange matrix is mutated through one forward period at
     the slot sets with quiver.mutations, and every step is compared with
-    expected_quivers.  Each slot set is first checked to be pairwise
-    non-adjacent, so its composite mutation is an involution: the one
-    forward period also certifies every backward step and every later
-    period.
+    expected_quivers (invs are the model's builders.involutions).  Each
+    slot set is first checked to be pairwise non-adjacent, so its composite
+    mutation is an involution: the one forward period also certifies every
+    backward step and every later period.
     """
     t = model.cartan["t"]
-    expected = expected_quivers(model)
+    expected = expected_quivers(model, invs)
     B = model.quiver.B
     for s, ks in enumerate(sets):
         inner = np.argwhere(B[np.ix_(ks, ks)])
@@ -121,33 +122,65 @@ def slot_matrices(model, sets):
 
 
 class Schedule:
-    """The verified schedule of one case: its model, the vertex sets of the
-    2t slots, the exchange matrix and the SlotOperator of each slot
+    """The verified schedule of one case: its model, the half-period
+    involution omega of its vertices (builders.involutions), the vertex sets
+    of the 2t slots, the exchange matrix and the SlotOperator of each slot
     (operators, which run_schedule applies both ways), the (a, m) label of
     each vertex, the T- and Y-relation tables read off them (g and its
     transpose numerators, see gfun), and the GatherPlan of those relations.
 
-    Making one runs slot_matrices, g_factors and GatherPlan, and raises
-    ScheduleError on a quiver mismatch, an exchange relation not of
-    T-relation shape or a relation that reads off the grid, so holding a
-    Schedule means all three checks have passed.  Instances hash by
-    identity.
+    Making one runs slot_matrices, checks that the schedule is
+    omega-equivariant, runs g_factors and GatherPlan, and raises
+    ScheduleError on a quiver mismatch, an operator that is not
+    equivariant, an exchange relation not of T-relation shape or a relation
+    that reads off the grid, so holding a Schedule means all four checks
+    have passed.  Equivariance is the premise of the tropical half record
+    (tropical.TropicalRun): with half_s = (h_dual + level)*t, half a
+    period, the operator of slot (j + half_s) mod 2t is the operator of
+    slot j with its vertices relabelled by omega, so the step at s + half_s
+    is the step at s relabelled.  Instances hash by identity.
     """
 
     def __init__(self, model):
         self.model = model
         self.t = model.cartan["t"]
+        self.half_s = (model.cartan["h_dual"] + model.spec.level) * self.t
+        invs = involutions(model)
+        self.omega = np.array(invs["omega"])
         self.sets = slot_sets(model)
-        self.matrices = slot_matrices(model, self.sets)
+        self.matrices = slot_matrices(model, self.sets, invs)
         self.operators = [slot_operator(B, ks) for B, ks in zip(self.matrices, self.sets)]
         fam, rank = model.spec.family, model.spec.rank
+        context = f"family {fam}, rank {rank}, level {model.spec.level}"
+        self._check_equivariance(context)
         self.labels = [(model.columns[col], m) for col, m in map(model.position, range(model.n))]
         try:
             self.g = g_factors(self)
         except ValueError as err:
-            raise ScheduleError(f"no T-relation (family {fam}, rank {rank}, level {model.spec.level}): {err}") from err
+            raise ScheduleError(f"no T-relation ({context}): {err}") from err
         self.numerators = transpose_factors(self.g)
         self.plan = GatherPlan(self)
+
+    def _check_equivariance(self, context):
+        """Raise ScheduleError unless, for every slot j, the operator of slot
+        j2 = (j + half_s) mod 2t is the operator of slot j relabelled by
+        omega: its ks are omega(ks), and its W is that of slot j with the
+        vertex axis relabelled by omega and each ks block put in the order
+        of slot j2's ks.  W holds all of P = B[ks], from which X is built
+        too, so this is the whole operator."""
+        period, omega = 2 * self.t, self.omega
+        for j, op in enumerate(self.operators):
+            j2 = (j + self.half_s) % period
+            image, m = self.operators[j2], len(op.ks)
+            column = np.full(self.model.n, -1)
+            column[image.ks] = np.arange(len(image.ks))
+            c = column[omega[op.ks]]  # slot j2's column of each of slot j's, -1 for none
+            ks_axis = np.concatenate([c, c + m])
+            same = len(image.ks) == m and (c >= 0).all() and np.array_equal(image.W[np.ix_(omega, ks_axis)], op.W)
+            if not same:
+                raise ScheduleError(
+                    f"the operator of slot {j2} is not that of slot {j} relabelled by omega ({context})"
+                )
 
     def points(self, s_lo, s_hi):
         """The mutation points (s, v) with s_lo <= s < s_hi, as two int arrays
@@ -242,9 +275,10 @@ def run_schedule(schedule, s_lo, s_hi, L, oplus1, logx=None):
     Ls has L's dtype, and the seed is carried from step to step in float64.
     For an integer record each time's seed is checked against CAST_RANGE
     as it will be stored, since the cast would wrap silently, and an entry
-    outside it raises ArithmeticError.  The float64 steps are exact while
-    every partial sum is below 2**53, which holds for an int8 record and a
-    B with entries in {-1, 0, 1} (see tropical.TropicalRun).
+    outside it raises ArithmeticError naming the time and the vertex.  The
+    float64 steps are exact while every partial sum is below 2**53, which
+    holds for an int8 record and a B with entries in {-1, 0, 1} (see
+    tropical.TropicalRun).
     """
     if not s_lo <= 0 <= s_hi:
         raise ValueError(f"the window [{s_lo}, {s_hi}] must contain time 0")
@@ -258,7 +292,7 @@ def run_schedule(schedule, s_lo, s_hi, L, oplus1, logx=None):
         while True:
             L_s = Lc if step > 0 else -Lc
             if bounds is not None:
-                _check_range(L_s, L.dtype, *bounds)
+                _check_range(L_s, s, L.dtype, *bounds)
             Ls[s - s_lo] = L_s
             if xs is not None:
                 xs[s - s_lo] = xc
@@ -269,13 +303,17 @@ def run_schedule(schedule, s_lo, s_hi, L, oplus1, logx=None):
     return Ls, xs
 
 
-def _check_range(L, dtype, lo, hi):
-    """Raise ArithmeticError unless every entry of the float64 seed L is in
-    [lo, hi], the CAST_RANGE of the record's dtype."""
+def _check_range(L, s, dtype, lo, hi):
+    """Raise ArithmeticError unless every entry of the float64 seed L of time
+    s is in [lo, hi], the CAST_RANGE of the record's dtype; the error names
+    the time, the entry farthest out and the vertex (row of L) holding it."""
     low, high = L.min(), L.max()
     if low < lo or high > hi:
+        entry = high if high > hi else low
+        v = np.argwhere(L == entry)[0][0]
         raise ArithmeticError(
-            f"a mutation step gives the entry {high if high > hi else low:g}, outside the {dtype} range [{lo}, {hi}]"
+            f"a mutation step to time s={s} gives the entry {entry:g} at vertex {v}, "
+            f"outside the {dtype} range [{lo}, {hi}]"
         )
 
 

@@ -67,49 +67,52 @@ def _row(case, check, ok, statement, **metrics):
 
 
 def _tropical_rows(sched, case, seed, row):
-    """The rows read off the case's TropicalRun, passed to row; when the run
-    raises (an exponent past the int8 range of its record), each of them
-    fails carrying the error."""
+    """The rows read off the case's TropicalRun, passed to row.  A row whose
+    reads raise ArithmeticError fails carrying the error: every row when the
+    run raises (an exponent past the int8 range of its record), and the rows
+    read through the relabelled record when its seed comparison fails
+    (tropical.PeriodicityError)."""
     family, rank, level = case
+
+    def counts(trop):
+        got, want = trop.count_signs(), expected_counts(family, rank, level)
+        return got == want, {"got": list(got), "expected": list(want)}
+
+    def periodicity(trop):
+        per = trop.periodicity_mismatches()
+        first = {"first_mismatch": [per[0][0], per[0][1], str(per[0][2])]} if per else {}
+        return not per, {"mismatches": len(per), **first}
+
+    def signs(trop):
+        sgn, bnd = trop.sign_pattern_mismatches(), trop.boundary_mismatches()
+        return not (sgn or bnd), {"region_mismatches": len(sgn), "boundary_mismatches": len(bnd)}
+
+    def tvectors(trop):
+        bad = tvector_mismatches(trop) + (apart_mismatches_C(trop) if family == "C" else [])
+        return not bad, {"mismatches": len(bad)}
+
+    def shadow(trop):
+        bad = tropical_shadow_mismatches(trop, seed=seed)
+        return not bad, {"mismatches": len(bad)}
+
+    checks = [
+        ("tropical-counts", "sign-count-closed-form", counts),
+        ("tropical-periodicity", "tropical-half-full-periodicity", periodicity),
+        ("tropical-signs", "region-sign-classification", signs),
+        ("tropical-shadow", "small-parameter-slopes", shadow),
+    ] + [("tvectors", "level2-root-identities", tvectors)] * (level == 2)
     try:
         trop = TropicalRun(sched)
     except ArithmeticError as err:
-        checks = [
-            ("tropical-counts", "sign-count-closed-form"),
-            ("tropical-periodicity", "tropical-half-full-periodicity"),
-            ("tropical-signs", "region-sign-classification"),
-            ("tropical-shadow", "small-parameter-slopes"),
-        ] + [("tvectors", "level2-root-identities")] * (level == 2)
-        for check, statement in checks:
+        for check, statement, _ in checks:
             row(check, False, statement, error=str(err))
         return
-    try:
-        counts = trop.count_signs()
-        want = expected_counts(family, rank, level)
-        row("tropical-counts", counts == want, "sign-count-closed-form", got=list(counts), expected=list(want))
-    except ArithmeticError as err:
-        row("tropical-counts", False, "sign-count-closed-form", error=str(err))
-    per = trop.periodicity_mismatches()
-    first = {}
-    if per:
-        kind, pos, u = per[0]
-        first["first_mismatch"] = [kind, pos, str(u)]
-    row("tropical-periodicity", not per, "tropical-half-full-periodicity", mismatches=len(per), **first)
-    sgn = trop.sign_pattern_mismatches()
-    bnd = trop.boundary_mismatches()
-    row(
-        "tropical-signs", not (sgn or bnd), "region-sign-classification",
-        region_mismatches=len(sgn), boundary_mismatches=len(bnd),
-    )
-
-    if level == 2:
-        bad = tvector_mismatches(trop)
-        if family == "C":
-            bad += apart_mismatches_C(trop)
-        row("tvectors", not bad, "level2-root-identities", mismatches=len(bad))
-
-    shadow = tropical_shadow_mismatches(trop, seed=seed)
-    row("tropical-shadow", not shadow, "small-parameter-slopes", mismatches=len(shadow))
+    for check, statement, read in checks:
+        try:
+            ok, metrics = read(trop)
+        except ArithmeticError as err:
+            ok, metrics = False, {"error": str(err)}
+        row(check, ok, statement, **metrics)
 
 
 def _case_rows(case, cfg):

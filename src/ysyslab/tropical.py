@@ -9,10 +9,11 @@ int8.  It checks each time's rows against the int8 range before it stores
 them, so an exponent past it raises ArithmeticError instead of wrapping.
 The products are exact: see TropicalRun for the bound.
 
-TropicalRun records one full period and the backward window the checks
-read, -h_dual*t <= s <= full_s.  Full periodicity is checked once, on the
-seed, and the half statement with omega over the first half period; the
-rest of both statements follows exactly (see periodicity_mismatches).
+TropicalRun runs forward only, over the first half period 0 <= s <= half_s,
+and serves every time of -h_dual*t <= s <= full_s from that record by
+relabelling with the half-period involution omega.  Its premise, that the
+schedule is omega-equivariant, is checked when the Schedule is made; the
+half statement itself is compared once, on the seed (see TropicalRun).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .builders import cartan_data, involutions
+from .builders import cartan_data
 from .quiver import FILL_CIRCLE
 from .schedule import run_schedule
 
@@ -60,89 +61,103 @@ def boundary_targets(model, omega):
     }
 
 
-class TropicalRun:
-    """Tropical evaluation of the coefficient tuple over a time window, driven
-    by a verified schedule.Schedule.
+class PeriodicityError(ArithmeticError):
+    """A read of a TropicalRun whose seed comparison failed: its record then
+    gives no time but those it was run over, so no check may pass on it."""
 
-    E[s - lo_s] holds the int8 exponent rows of the coefficients at time s:
-    row v is the monomial of y_v.  The record spans the times the checks
-    read, lo_s = -h_dual*t <= s <= full_s: the sign region and the boundary
-    times from u = -h_dual to u = level, the shadow window -2t <= s < 2t,
-    one full period of mutation points, and the seed one period on, at
-    full_s.  Making one raises ArithmeticError when a step's exponent leaves
-    the int8 range (the guard of run_schedule).
+
+class TropicalRun:
+    """Tropical evaluation of the coefficient tuple along a verified
+    schedule.Schedule, run forward over the first half period.
+
+    H[s] holds the int8 exponent rows of the coefficients at time s, for
+    0 <= s <= half_s = (h_dual + level)*t: row v is the monomial of y_v.
+    monomial reads the times the checks need, lo_s = -h_dual*t <= s <=
+    full_s = 2*half_s, from H by relabelling: with q, r = divmod(s, half_s),
+
+        E(s)[v] = H[r][omega(v)] when q is odd, H[r][v] when q is even.
+
+    That is exact on two premises.  The Schedule is omega-equivariant (it
+    checks so when it is made): the operator of slot (j + half_s) mod 2t is
+    that of slot j relabelled by omega, and each step is exact in integers,
+    so E(s + half_s) = E(s)[omega] for every s, either way, as soon as it
+    holds at s = 0.  And that seed comparison, H[half_s] = H[0][omega], is
+    made once here (seed_mismatches lists the vertices where it fails);
+    omega is an involution, so full periodicity follows.  When the
+    comparison fails, every read of monomial raises PeriodicityError, so
+    the counts, signs, t-vectors and shadow never pass on relabelled rows.
+    Making one raises ArithmeticError when a step's exponent leaves the
+    int8 range (the guard of run_schedule).
 
     The float64 product of every step, L + W @ [L[ks]; min(L[ks], 0)], is
     exact.  Each slot matrix is the built quiver relabelled or opposite,
     with entries in {-1, 0, 1}, so every entry of a slot operator's W is in
     {-2, -1, 0, 1}, and each -2 sits in a row that is otherwise zero.  A
-    step's input is an int8-checked seed, negated on a backward step, so no
-    partial sum exceeds 128*(2n + 1) < 2**53.
+    step's input is an int8-checked seed, so no partial sum exceeds
+    128*(2n + 1) < 2**53.
     """
 
     def __init__(self, schedule):
         self.schedule = schedule
         self.model = schedule.model
-        cd = self.model.cartan
         self.t = schedule.t
-        self.half_s = (cd["h_dual"] + self.spec.level) * self.t
+        self.half_s = schedule.half_s
         self.full_s = 2 * self.half_s
-        self.lo_s = -cd["h_dual"] * self.t
+        self.lo_s = -self.model.cartan["h_dual"] * self.t
+        self.omega = schedule.omega
         E0 = np.eye(self.model.n, dtype=np.int8)
-        self.E, _ = run_schedule(schedule, self.lo_s, self.full_s, E0, tropical_plus1)
-        self.omega = np.array(involutions(self.model)["omega"])
+        self.H, _ = run_schedule(schedule, 0, self.half_s, E0, tropical_plus1)
+        self.seed_mismatches = seed_mismatches(self.H, self.omega)
 
     @property
     def spec(self):
         return self.model.spec
 
     def monomial(self, v, s):
-        """The exponent row of v at time s, for lo_s <= s <= full_s only."""
-        if not self.lo_s <= s <= self.full_s:
-            raise IndexError(f"time s={s} is outside the tropical record [{self.lo_s}, {self.full_s}]")
-        return self.E[s - self.lo_s, v]
+        """The exponent rows of vertices v at times s, broadcast over arrays,
+        for lo_s <= s <= full_s only: H read through omega (see TropicalRun)."""
+        s = np.asarray(s)
+        outside = (s < self.lo_s) | (s > self.full_s)
+        if outside.any():
+            bad = s.flat[np.argmax(outside)]
+            raise IndexError(f"time s={bad} is outside the tropical record [{self.lo_s}, {self.full_s}]")
+        if len(self.seed_mismatches):
+            pos, u = self.model.position(self.seed_mismatches[0]), Fraction(self.half_s, self.t)
+            raise PeriodicityError(
+                f"the seed comparison E({u})[v] = E(0)[omega(v)] fails at {len(self.seed_mismatches)} of "
+                f"{self.model.n} vertices, first at {pos}, so no time is read from the half record"
+            )
+        q, r = np.divmod(s, self.half_s)
+        return self.H[r, np.where(q % 2, self.omega[v], v)]
 
     def point_signs(self, s_lo, s_hi):
         """(s, v, classes): the mutation points with s_lo <= s < s_hi, as
         Schedule.points lists them, and the sign class of each one's monomial."""
         s, v = self.schedule.points(s_lo, s_hi)
-        classes = sign_classes(self.E[s_lo - self.lo_s : s_hi - self.lo_s])
-        return s, v, classes[s - s_lo, v]
+        return s, v, sign_classes(self.monomial(v, s))
 
     # -- headline checks ------------------------------------------------------
 
     def count_signs(self):
-        """(N+, N-) over one full period; raises on a mixed or unit monomial."""
-        s, v, classes = self.point_signs(0, self.full_s)
+        """(N+, N-) over one full period; raises on a mixed or unit monomial.
+
+        The points of the second half period are those of the first with
+        their vertices relabelled by omega, and so are their monomials, so
+        the tallies are twice those over 0 <= s < half_s."""
+        s, v, classes = self.point_signs(0, self.half_s)
         for i in np.flatnonzero((classes != POSITIVE) & (classes != NEGATIVE))[:1]:
             pos, u = self.model.position(v[i]), Fraction(int(s[i]), self.t)
             raise ArithmeticError(f"{classes[i]} tropical monomial at vertex {pos}, u={u}")
-        return int((classes == POSITIVE).sum()), int((classes == NEGATIVE).sum())
+        return 2 * int((classes == POSITIVE).sum()), 2 * int((classes == NEGATIVE).sum())
 
     def periodicity_mismatches(self):
-        """Coordinates violating half (with omega) or full periodicity: the
-        half mismatches in time order, by vertex, then the full one.
+        """The vertices violating half periodicity with omega on the seed, as
+        ("half", position, u = 0): those v with E(half_s)[v] != E(0)[omega(v)].
 
-        Full periodicity is compared once, on the seed: E at full_s against
-        E at 0, reported at u = 0.  The half statement, E(s + half_s)[v] =
-        E(s)[omega(v)], is compared for 0 <= s < half_s, one slot period
-        (2t times) at a time, so a comparison holds 2t*n^2 entries.  Both
-        statements then hold at every s >= 0, exactly, on two premises:
-        - step s applies the slot operator of s mod 2t to the exponent rows,
-          exactly in integers, and full_s is a multiple of 2t, so E(full_s)
-          = E(0) gives E(s + full_s) = E(s) for every s >= 0;
-        - omega is an involution, so for half_s <= s < full_s the half
-          statement at s - half_s and full periodicity give E(s + half_s) =
-          E(s - half_s) = E(s)[omega].
-        """
-        bad, i0, period = [], -self.lo_s, 2 * self.t
-        for c in range(0, self.half_s, period):
-            base = self.E[i0 + c : i0 + min(c + period, self.half_s)]
-            ahead = self.E[i0 + c + self.half_s : i0 + c + self.half_s + len(base)]
-            for i, v in np.argwhere((ahead != base[:, self.omega]).any(2)):
-                bad.append(("half", self.model.position(v), Fraction(c + int(i), self.t)))
-        full = not np.array_equal(self.E[i0 + self.full_s], self.E[i0])
-        return bad + [("full", None, Fraction(0))] * full
+        This one comparison gives the half statement, E(s + half_s)[v] =
+        E(s)[omega(v)], at every s, and full periodicity too, since omega is
+        an involution (see TropicalRun)."""
+        return [("half", self.model.position(v), Fraction(0)) for v in self.seed_mismatches]
 
     def boundary_mismatches(self):
         """Vertices whose coefficient at u = level or u = -h_dual is not its
@@ -151,7 +166,7 @@ class TropicalRun:
         bad = []
         for s, dst in boundary_targets(m, self.omega).items():
             want = -np.eye(m.n, dtype=np.int64)[[m.vid(*pos) for pos in dst]]
-            for v in np.flatnonzero((self.E[s - self.lo_s] != want).any(1)):
+            for v in np.flatnonzero((self.monomial(np.arange(m.n), s) != want).any(1)):
                 bad.append((Fraction(s, self.t), m.position(v), dst[v]))
         return bad
 
@@ -175,6 +190,12 @@ class TropicalRun:
             (m.position(v[i]), Fraction(int(s[i]), self.t), str(got[i]), str(want[i]))
             for i in np.flatnonzero(got != want)
         ]
+
+
+def seed_mismatches(H, omega):
+    """The vertices v at which the last time of the record H is not its first
+    relabelled by omega: H[-1][v] != H[0][omega(v)]."""
+    return np.flatnonzero((H[-1] != H[0][omega]).any(1))
 
 
 def positive_times(family, h_dual):

@@ -29,6 +29,13 @@ def cached_tropical(family, rank, level):
     return TropicalRun(cached_schedule(family, rank, level))
 
 
+def relabelled_window(run):
+    """Every time the TropicalRun serves, lo_s <= s <= full_s, read through
+    monomial: window[s - lo_s, v] is the exponent row of v at time s."""
+    times = np.arange(run.lo_s, run.full_s + 1)
+    return run.monomial(np.arange(run.model.n), times[:, None])
+
+
 #: The seeds of the cached numeric runs, one column each.
 SEEDS = (0, 1, 2, 3, 4)
 

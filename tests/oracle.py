@@ -52,10 +52,13 @@ tropical.TropicalRun.sign_pattern_mismatches.  periodicity_mismatches,
 which runs the schedule over two full periods and compares each time of
 the first with the same time half and one period later, is the reference
 for tropical.TropicalRun.periodicity_mismatches, which compares the seed
-one period on and the first half period, one slot period at a time, on a
-record of one period.  record_periodicity_mismatches, the same per-time
+half a period on with the seed relabelled by omega, on a forward record of
+half a period.  record_periodicity_mismatches, the same per-time
 comparison on a given record at given times, is the reference for the
-latter on a record with a planted fault.
+latter on a record with a planted fault.  tropical_record, the record run
+in both directions from time 0 by run_two_product, is the reference for
+the times tropical.TropicalRun.monomial reads from its half record through
+omega.
 The per-family closed forms of the tropical boundary tuples, the sign
 tallies and the doubled functional sums, as printed, are the reference for
 tropical.boundary_targets, which reads them off omega, and for
@@ -861,11 +864,19 @@ def periodicity_mismatches(run):
     of a tropical.TropicalRun, one time s at a time for 0 <= s < full_s.
 
     It compares the record of its own int64 run over two full periods,
-    0 <= s < 2*full_s, so it reads neither run.E nor the premises that let
-    TropicalRun stop at full_s."""
+    0 <= s < 2*full_s, so it reads neither run.H nor the premises that let
+    TropicalRun stop at half_s."""
     E0 = np.eye(run.model.n, dtype=np.int64)
     E, _ = run_schedule(run.schedule, 0, 2 * run.full_s - 1, E0, tropical_plus1)
     return record_periodicity_mismatches(run, E, 0, range(run.full_s), range(run.full_s))
+
+
+def tropical_record(run):
+    """The int8 tropical record E[s - lo_s] of a tropical.TropicalRun's
+    schedule at every time lo_s <= s <= full_s, run in both directions from
+    an int8 identity by run_two_product."""
+    E0 = np.eye(run.model.n, dtype=np.int8)
+    return run_two_product(run.schedule, run.lo_s, run.full_s, E0, tropical_plus1)[0]
 
 
 def record_periodicity_mismatches(run, E, lo_s, half_times, full_times):

@@ -341,26 +341,52 @@ def test_tropical_exponent_past_exact_range_fails_rows(monkeypatch, capsys):
     assert message in stderr and "Traceback" not in stderr and "points" not in out
 
 
-def test_periodicity_row_names_first_mismatch(monkeypatch):
-    # slot 0's operator built from slot 2's matrix breaks the dynamics; the
-    # failing periodicity row names the first mismatch that
-    # TropicalRun.periodicity_mismatches lists, and a passing row has no
-    # such key
+def plant_slot0_from_slot2(monkeypatch):
+    """Make every Schedule, once it has checked its operators, apply slot 2's
+    matrix at slot 0's set, which breaks the dynamics."""
     real = schedule.Schedule.__init__
 
     def planted(self, model):
         real(self, model)
         self.operators[0] = schedule.slot_operator(self.matrices[2], self.sets[0])
 
+    monkeypatch.setattr(schedule.Schedule, "__init__", planted)
+
+
+def test_periodicity_row_names_first_mismatch(monkeypatch):
+    # slot 0's operator built from slot 2's matrix breaks the dynamics; the
+    # failing periodicity row names the first mismatch of the seed
+    # comparison that TropicalRun.periodicity_mismatches lists, and a
+    # passing row has no such key
     cfg = {"cases": [["C", 2, 2]], "pairs": [], "seeds": [0], "extra_dilog_levels": []}
     clean = next(r for r in run_suite(cfg) if r.check == "tropical-periodicity")
     assert clean.status == "pass" and clean.metrics == {"mismatches": 0}
-    monkeypatch.setattr(schedule.Schedule, "__init__", planted)
+    plant_slot0_from_slot2(monkeypatch)
     row = next(r for r in run_suite(cfg) if r.check == "tropical-periodicity")
     per = TropicalRun(schedule.Schedule(builders.build(builders.FamilySpec("C", 2, 2)))).periodicity_mismatches()
-    assert row.status == "fail" and row.metrics["mismatches"] == len(per) == 41
+    assert row.status == "fail" and row.metrics["mismatches"] == len(per) == 5
     assert json.loads(row.to_json())["metrics"]["first_mismatch"] == ["half", [1, 1], "0"]
-    assert per[0] == ("half", (1, 1), 0) and ("full", None, 0) in per
+    assert per[0] == ("half", (1, 1), 0) and {kind for kind, *_ in per} == {"half"}
+
+
+def test_failed_seed_comparison_fails_dependent_rows(monkeypatch, capsys):
+    # with the seed comparison failed, the rows read through the relabelled
+    # half record fail with the error naming that comparison, and never
+    # pass; the periodicity row reports the comparison itself, and the
+    # tropical command exits 1 with the error instead of a traceback
+    plant_slot0_from_slot2(monkeypatch)
+    rows = run_suite({"cases": [["C", 2, 2]], "pairs": [], "seeds": [0], "extra_dilog_levels": []})
+    tropical_rows = {r.check: r for r in rows if r.check.startswith("tropical-") or r.check == "tvectors"}
+    message = "the seed comparison E(5)[v] = E(0)[omega(v)] fails at 5 of 5 vertices, first at (1, 1)"
+    for check in ("tropical-counts", "tropical-signs", "tvectors", "tropical-shadow"):
+        row = tropical_rows.pop(check)
+        assert row.status == "fail" and list(row.metrics) == ["error"] and message in row.metrics["error"], check
+    assert list(tropical_rows) == ["tropical-periodicity"] and tropical_rows["tropical-periodicity"].status == "fail"
+    with pytest.raises(SystemExit) as err:
+        main(["tropical", "--family", "C", "--rank", "2", "--level", "2"])
+    assert err.value.code == 1
+    out, stderr = capsys.readouterr()
+    assert message in stderr and "Traceback" not in stderr and "points" not in out
 
 
 NUMERIC_CHECKS = ["dilog-functional", "numeric-periodicity", "numeric-residuals"]

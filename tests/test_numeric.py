@@ -286,7 +286,7 @@ def test_tropical_shadow(family, rank, level):
 def test_tropical_shadow_reports_one_wrong_exponent(delta):
     trop = TropicalRun(cached_schedule("G2", 2, 2))
     s, v = (a[-1] for a in trop.schedule.points(0, trop.t))
-    trop.E[s - trop.lo_s, v, 0] += delta
+    trop.H[s, v, 0] += delta  # 0 <= s < t, a time the half record holds as it is
     bad = tropical_shadow_mismatches(trop, seed=11)
     assert [(pos, u) for pos, u, *_ in bad] == [(trop.model.position(v), Fraction(s, trop.t))]
 

@@ -4,7 +4,15 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from tests.conftest import CASES, SEEDS, cached_model, cached_numeric, cached_schedule, cached_tropical
+from tests.conftest import (
+    CASES,
+    SEEDS,
+    cached_model,
+    cached_numeric,
+    cached_schedule,
+    cached_tropical,
+    relabelled_window,
+)
 from tests.oracle import (
     NumericSeedPayload,
     TropicalCoefficients,
@@ -163,7 +171,7 @@ def test_run_schedule_window_must_contain_time_zero():
 @pytest.mark.parametrize("family,rank,level", CASES)
 def test_full_period_returns_quiver(family, rank, level):
     sched = Schedule(cached_model(family, rank, level))  # raises ScheduleError on any mismatch
-    for got, want in zip(sched.matrices, schedule.expected_quivers(sched.model), strict=True):
+    for got, want in zip(sched.matrices, schedule.expected_quivers(sched.model, involutions(sched.model)), strict=True):
         assert np.array_equal(got, want)
     assert sched.sets == slot_sets(sched.model)
 
@@ -225,12 +233,14 @@ def test_inner_arrow_names_the_pair_in_the_order_given(reverse, monkeypatch):
 
 @pytest.mark.parametrize("family,rank,level", CASES)
 def test_tropical_run_matches_per_vertex_oracle(family, rank, level):
+    # every time the half record serves, through omega, is the per-vertex
+    # run's, backward times included
     run = cached_tropical(family, rank, level)
-    hi = run.lo_s + len(run.E) - 1
-    want = run_payload(run.model, run.lo_s, hi, TropicalCoefficients(np.eye(run.model.n)))
-    assert sorted(want) == list(range(run.lo_s, hi + 1))
+    window = relabelled_window(run)
+    want = run_payload(run.model, run.lo_s, run.full_s, TropicalCoefficients(np.eye(run.model.n)))
+    assert sorted(want) == list(range(run.lo_s, run.full_s + 1)) and len(window) == len(want)
     for s, E in want.items():
-        assert np.array_equal(run.E[s - run.lo_s], E), s
+        assert np.array_equal(window[s - run.lo_s], E), s
 
 
 @pytest.mark.parametrize("family,rank,level", CASES)
@@ -258,13 +268,13 @@ def test_numeric_run_matches_per_vertex_oracle(family, rank, level, tracked):
 
 @pytest.mark.parametrize("family,rank,level", list(CASES) + [("C", 6, 6), ("F4", 4, 5), ("G2", 2, 6)])
 def test_one_product_runs_match_two_product_reference(family, rank, level, monkeypatch):
-    # the tropical record is the two-product reference's bit for bit, as
-    # int8; the numeric and shadow records, whose float sums the one product
-    # regroups, agree with it to 1e-12 relative
+    # the half tropical record is the two-product reference's bit for bit,
+    # as int8; the numeric and shadow records, whose float sums the one
+    # product regroups, agree with it to 1e-12 relative
     sched, trop = cached_schedule(family, rank, level), cached_tropical(family, rank, level)
     E0 = np.eye(sched.model.n, dtype=np.int8)
-    want, _ = run_two_product(sched, trop.lo_s, trop.lo_s + len(trop.E) - 1, E0, tropical_plus1)
-    assert trop.E.dtype == want.dtype == np.int8 and np.array_equal(trop.E, want)
+    want, _ = run_two_product(sched, 0, trop.half_s, E0, tropical_plus1)
+    assert trop.H.dtype == want.dtype == np.int8 and np.array_equal(trop.H, want)
 
     runs = []
 
@@ -295,7 +305,7 @@ def test_global_opposite_passes_cycle_but_flips_tropical_signs():
         bad = type(m)(m.spec, m.quiver.opposite(), dict(m.index))
         assert slot_sets(bad) == good.sets
         # the one-period cycle passes by the negation symmetry
-        matrices = schedule.slot_matrices(bad, good.sets)
+        matrices = schedule.slot_matrices(bad, good.sets, involutions(bad))
         unverified = SimpleNamespace(t=good.t, operators=list(map(schedule.slot_operator, matrices, good.sets)))
         with pytest.raises(ScheduleError, match="arrows out of vertex"):
             Schedule(bad)
@@ -304,6 +314,49 @@ def test_global_opposite_passes_cycle_but_flips_tropical_signs():
         for sched, positive in ((good, True), (unverified, False)):
             Es, _ = run_schedule(sched, 0, 2 * good.t, E0, tropical_plus1)
             assert (set(sign_classes(Es[s, v]).tolist()) == {POSITIVE}) == positive, case
+
+
+@pytest.mark.parametrize("family,rank,level", CASES)
+def test_non_equivariant_operator_raises(family, rank, level, monkeypatch):
+    # the tropical half record rests on each slot's operator being that of
+    # the slot half a period before relabelled by omega; with slot i's
+    # operator built from the matrix of slot j != i, making the Schedule
+    # raises, naming the slots, exactly when the operators no longer act
+    # equivariantly on a random integer seed (L, logx): the operator of
+    # slot i + half_s on the seed relabelled by omega gives the result of
+    # slot i's relabelled, every sum exact.  When half_s is a whole number
+    # of slot periods, every slot matrix is omega-invariant, so
+    # no such plant breaks the premise; the seed comparison catches those
+    # (test_tropical.test_wrong_dynamics_fail_both_checks)
+    good = cached_schedule(family, rank, level)
+    n, omega, period = good.model.n, good.omega, 2 * good.t
+    half = good.half_s
+    assert half == (good.model.cartan["h_dual"] + level) * good.t
+    assert half % period in (0, 2, 3)
+    rng = np.random.default_rng(3)
+    L, logx = rng.integers(-3, 4, (2, n, 3 * n)).astype(float)
+
+    def equivariant(op, image):
+        got = schedule.mutate_slot(image, L[omega], tropical_plus1, logx[omega])
+        want = schedule.mutate_slot(op, L, tropical_plus1, logx)
+        return all(np.array_equal(g, w[omega]) for g, w in zip(got, want))
+
+    real, raised = schedule.slot_operator, 0
+    for i in range(period):
+        for j in set(range(period)) - {i}:
+            ops = list(good.operators)
+            ops[i] = real(good.matrices[j], good.sets[i])
+            i2 = (i + half) % period
+            calls = iter(range(period))
+            monkeypatch.setattr(schedule, "slot_operator", lambda B, ks: ops[next(calls)])
+            if equivariant(ops[i], ops[i2]) and equivariant(ops[i2], ops[i]):
+                Schedule(good.model)
+                continue
+            message = r"the operator of slot \d is not that of slot \d relabelled by omega"
+            with pytest.raises(ScheduleError, match=message):
+                Schedule(good.model)
+            raised += 1
+    assert raised or half % period == 0
 
 
 def test_composite_after_first_step_gives_reflection():

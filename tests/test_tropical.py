@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from tests import oracle
-from tests.conftest import CASES, cached_schedule, cached_tropical
+from tests.conftest import CASES, cached_schedule, cached_tropical, relabelled_window
 from tests.oracle import (
     CLOSED_FORM_CASES,
     composite_mutate,
@@ -25,9 +25,11 @@ from ysyslab.tropical import (
     NEGATIVE,
     POSITIVE,
     UNIT,
+    PeriodicityError,
     TropicalRun,
     boundary_targets,
     expected_counts,
+    seed_mismatches,
     sign_classes,
     tropical_plus1,
 )
@@ -36,6 +38,8 @@ from ysyslab.tropical import (
 #: The cases of the benchmark's scale workload, and three larger ones.
 SCALE_CASES = [("C", 6, 6), ("F4", 4, 5), ("G2", 2, 6)]
 LARGE_CASES = [("C", 12, 12), ("F4", 4, 24), ("G2", 2, 30)]
+#: The case with the largest tropical record.
+C16 = ("C", 16, 16)
 
 
 def test_sign_classification():
@@ -111,54 +115,56 @@ def test_float_products_match_integer_step():
 
 
 @pytest.mark.parametrize(
-    "step, b, seed, want",
+    "step, b, seed, want, vertex",
     [
-        (1, 1, [[127, 0], [1, 0]], 128),  # row 1 gains [b]+ times row 0
-        (1, 2, [[127, 0], [46, 0]], 300),
-        (1, -2, [[-100, 0], [0, 0]], -200),  # row 1 loses b times min(row 0, 0)
-        (1, 1, [[-128, 0], [0, 0]], 128),  # the exchanged row 0 is negated
-        (-1, -1, [[127, 0], [1, 0]], 128),  # back: row 1 gains [-b]+ times row 0
-        (-1, 1, [[-128, 0], [0, 0]], 128),  # back: row 0 is negated
-        (-1, 1, [[-100, 0], [-28, 0]], -128),  # back: the int8 minimum is stored
+        (1, 1, [[127, 0], [1, 0]], 128, 1),  # row 1 gains [b]+ times row 0
+        (1, 2, [[127, 0], [46, 0]], 300, 1),
+        (1, -2, [[-100, 0], [0, 0]], -200, 1),  # row 1 loses b times min(row 0, 0)
+        (1, 1, [[-128, 0], [0, 0]], 128, 0),  # the exchanged row 0 is negated
+        (-1, -1, [[127, 0], [1, 0]], 128, 1),  # back: row 1 gains [-b]+ times row 0
+        (-1, 1, [[-128, 0], [0, 0]], 128, 0),  # back: row 0 is negated
+        (-1, 1, [[-100, 0], [-28, 0]], -128, 1),  # back: the int8 minimum is stored
     ],
     ids=["128", "300", "-200", "negated-128", "backward-128", "backward-negated-128", "backward-stores-min"],
 )
-def test_step_past_int8_range_raises(step, b, seed, want):
+def test_step_past_int8_range_raises(step, b, seed, want, vertex):
     # run_schedule checks each float64 seed before the store casts it to the
     # int8 record, which would wrap 128, 300 and -200 to -128, 44 and 56
     # without a warning; the backward sweep carries the seed negated, and the
-    # check names the entry as stored, against the true int8 range
+    # check names the time, the entry as stored and the vertex (the row)
+    # holding it, against the true int8 range
     sched = one_step_schedule(slot_operator(np.array([[0, b], [-b, 0]]), [0]))
     window = sorted((0, step))
     Es, _ = run_schedule(sched, *window, np.array(seed, dtype=np.int64), tropical_plus1)
-    assert want in Es[max(step, 0)]  # the exact step
+    assert want in Es[max(step, 0), vertex]  # the exact step
     if -128 <= want <= 127:
         E8, _ = run_schedule(sched, *window, np.array(seed, dtype=np.int8), tropical_plus1)
         assert E8.dtype == np.int8 and np.array_equal(E8, Es)
         return
-    with pytest.raises(ArithmeticError, match=re.escape(f"entry {want}, outside the int8 range [-128, 127]")):
+    message = f"a mutation step to time s={step} gives the entry {want} at vertex {vertex}, outside the int8 range"
+    with pytest.raises(ArithmeticError, match=re.escape(f"{message} [-128, 127]")):
         run_schedule(sched, *window, np.array(seed, dtype=np.int8), tropical_plus1)
 
 
 @pytest.mark.parametrize("family,rank,level", SCALE_CASES)
 def test_int8_record_matches_int64_run(family, rank, level):
-    # the record starts from an int8 identity and stays int8; entry for
-    # entry it is the run of an int64 identity over the same window
+    # the half record starts from an int8 identity and stays int8; entry for
+    # entry it is the run of an int64 identity over 0 <= s <= half_s
     run = TropicalRun(cached_schedule(family, rank, level))
     E0 = np.eye(run.model.n, dtype=np.int64)
-    want, _ = run_schedule(run.schedule, run.lo_s, run.lo_s + len(run.E) - 1, E0, tropical_plus1)
-    assert run.E.dtype == np.int8 and want.dtype == np.int64
-    assert np.array_equal(run.E, want)
+    want, _ = run_schedule(run.schedule, 0, run.half_s, E0, tropical_plus1)
+    assert run.H.dtype == np.int8 and want.dtype == np.int64
+    assert np.array_equal(run.H, want)
 
 
 @pytest.mark.parametrize("family,rank,level", list(CASES) + SCALE_CASES)
 def test_float_products_are_exact_on_int8_records(family, rank, level):
     # TropicalRun does not re-check the 2**53 bound after the run; it rests
     # on an int8 record (each seed checked by run_schedule before it is
-    # stored, so a step's input lies in [-128, 127] forward and, negated, in
-    # [-127, 128] backward) and on slot operators whose W has entries in
-    # {-2, -1, 0, 1}, each -2 alone in its row, so each partial sum of a
-    # step's product is at most 128*(2n + 1)
+    # stored, so the input of each forward step lies in [-128, 127]) and on
+    # slot operators whose W has entries in {-2, -1, 0, 1}, each -2 alone in
+    # its row, so each partial sum of a step's product is at most
+    # 128*(2n + 1)
     run = cached_tropical(family, rank, level)
     assert all(set(np.unique(B).tolist()) <= {-1, 0, 1} for B in run.schedule.matrices)
     assert len(run.schedule.operators) == 2 * run.t
@@ -167,44 +173,43 @@ def test_float_products_are_exact_on_int8_records(family, rank, level):
         rows = np.flatnonzero((op.W == -2).any(1))
         assert rows.tolist() == sorted(op.ks.tolist())
         assert ((op.W[rows] != 0).sum(1) == 1).all()
-    assert run.E.dtype == np.int8
+    assert run.H.dtype == np.int8
     assert 128 * (2 * run.model.n + 1) < 2**53
 
 
 @pytest.mark.parametrize("family,rank,level", CASES)
 def test_block_periodicity_matches_oracle(family, rank, level):
-    # with faults planted on both edges of a slot period, at the first and
-    # last base time, and at times read only as half or full targets, the
-    # check gives the per-time reference's list on the same record, in its
-    # order
+    # with faults planted in the seed, in its image half a period on and
+    # at times inside the half record, the check gives the per-time
+    # reference's list on the same record, in its order: the seed faults,
+    # each at the vertex whose comparison it breaks, and none of the others
     run = cached_tropical(family, rank, level)
     period, n, last = 2 * run.t, run.model.n, run.half_s - 1
     broken = run
-    for s, vs in [
-        (0, [0]), (period - 1, [n - 1, 0]), (period, [1]), (last, [2, n - 1]),
-        (run.full_s, [n - 1]), (run.half_s + 1, [n - 1]),
-    ]:
+    for r, vs in [(0, [0, n - 1]), (1, [0]), (period - 1, [n - 1, 0]), (period, [1]), (last, [2, n - 1])]:
         for v in vs:
-            broken = planted(broken, s, v, broken.monomial(v, s) + 1)
+            broken = planted_row(broken, r, v, broken.H[r, v] + 1)
+    broken = planted_row(broken, run.half_s, 1, broken.H[run.half_s, 1] - 1)
     got = broken.periodicity_mismatches()
     assert got == record_reference(broken)
-    assert {kind for kind, *_ in got} == {"half", "full"}
-    assert {u for *_, u in got} >= {Fraction(s, run.t) for s in (0, 1, period - 1, period, last)}
+    positions = {run.model.position(v) for v in (run.omega[0], run.omega[n - 1], 1)}
+    assert {(kind, u) for kind, _, u in got} == {("half", 0)} and {pos for _, pos, _ in got} == positions
 
 
 @pytest.mark.parametrize("family,rank,level", list(CASES) + SCALE_CASES + LARGE_CASES)
 def test_one_period_record_premises(family, rank, level):
-    # periodicity_mismatches compares the seed and one half period and
-    # derives the rest: that needs omega to be an involution and full_s to
-    # be twice half_s and a whole number of slot periods; and the record
-    # -h_dual*t <= s <= full_s must hold every time a tropical check reads
+    # periodicity_mismatches compares the seed and its image half a period
+    # on, and monomial relabels the half record by omega: full periodicity
+    # follows when omega is an involution and full_s is twice half_s; the
+    # record holds 0 <= s <= half_s, and the times it serves,
+    # -h_dual*t <= s <= full_s, must hold every time a tropical check reads
     case = (family, rank, level)
     run = TropicalRun(Schedule(build(FamilySpec(*case)))) if case in LARGE_CASES else cached_tropical(*case)
     m, t, sched = run.model, run.t, run.schedule
     hd = m.cartan["h_dual"]
     assert np.array_equal(run.omega[run.omega], np.arange(m.n))
     assert run.full_s == 2 * run.half_s and run.full_s % (2 * t) == 0
-    assert (run.lo_s, run.lo_s + len(run.E) - 1) == (-hd * t, run.full_s)
+    assert len(run.H) == run.half_s + 1 and (run.lo_s, run.full_s) == (-hd * t, 2 * run.half_s)
     reads = {0, run.full_s - 1, run.full_s, *boundary_targets(m, run.omega)}  # counts, periodicity, boundary
     reads |= {-hd * t, level * t - 1, *sched.points(-hd * t, level * t)[0].tolist()}  # sign region
     reads |= {-2 * t, 2 * t - 1, *sched.points(-2 * t, 2 * t)[0].tolist()}  # shadow window
@@ -216,22 +221,37 @@ def test_one_period_record_premises(family, rank, level):
 
 def record_reference(run):
     """The per-time reference of TropicalRun.periodicity_mismatches on the
-    run's own record: the half statement at each time 0 <= s < half_s, then
-    full periodicity on the seed."""
-    return oracle.record_periodicity_mismatches(run, run.E, run.lo_s, range(run.half_s), [0])
+    run's own half record: the half statement at time 0."""
+    return oracle.record_periodicity_mismatches(run, run.H, 0, [0], [])
 
 
 @pytest.mark.parametrize("family,rank,level", CASES)
 def test_every_planted_time_is_reported(family, rank, level):
-    # each time 0 <= s <= full_s is read: as a half base, a half target or
-    # the full target; one changed entry there is reported, as the per-time
-    # reference on the same record reports it
+    # each time lo_s <= s <= full_s is read from one entry of the half
+    # record; one changed entry there moves every time that entry serves,
+    # s + k*half_s with the vertex relabelled by omega when k is odd, and
+    # no other; in the seed it fails the seed comparison, as the per-time
+    # reference on the same record reports it, and then every read raises
     run = cached_tropical(family, rank, level)
-    for s in range(run.full_s + 1):
-        v = s % run.model.n
-        broken = planted(run, s, v, run.monomial(v, s) + np.eye(run.model.n, dtype=np.int64)[s % 3])
+    n, clean = run.model.n, relabelled_window(run)
+    for s in range(run.lo_s, run.full_s + 1):
+        v = s % n
+        broken = planted(run, s, v, run.monomial(v, s) + np.eye(n, dtype=np.int64)[s % 3])
         got = broken.periodicity_mismatches()
-        assert got and got == record_reference(broken), s
+        assert got == record_reference(broken), s
+        if s % run.half_s == 0:
+            assert got, s
+            with pytest.raises(PeriodicityError):
+                broken.monomial(v, s)
+            continue
+        assert got == [], s
+        moved = {tuple(x) for x in np.argwhere((relabelled_window(broken) != clean).any(2))}
+        served = {
+            (s2 - run.lo_s, v if (s2 - s) // run.half_s % 2 == 0 else run.omega[v])
+            for s2 in range(run.lo_s, run.full_s + 1)
+            if (s2 - s) % run.half_s == 0
+        }
+        assert moved == served, s
 
 
 def with_operator(schedule, i, op):
@@ -245,11 +265,12 @@ def with_operator(schedule, i, op):
 
 @pytest.mark.parametrize("family,rank,level", list(CASES) + SCALE_CASES)
 def test_wrong_dynamics_fail_both_checks(family, rank, level):
-    # slot i's operator built from the matrix of slot j != i breaks the
-    # dynamics, both the step from slot i and the step back to it; unless
-    # the int8 guard stops the run first, or the record comes out as the
-    # clean one, both checks fail, and each mismatch the seed and
-    # half-period check reports is one the two-period oracle reports
+    # slot i's operator built from the matrix of slot j != i, planted after
+    # the Schedule has checked its operators, breaks the dynamics; unless
+    # the int8 guard stops the run first, or the half record comes out as
+    # the clean one, both checks fail: each mismatch the seed comparison
+    # reports is one the two-period oracle reports, and no read of the
+    # record passes
     clean = cached_tropical(family, rank, level)
     sched = clean.schedule
     period, tried = 2 * sched.t, 0
@@ -260,12 +281,43 @@ def test_wrong_dynamics_fail_both_checks(family, rank, level):
             except ArithmeticError:
                 continue
             got, want = run.periodicity_mismatches(), oracle.periodicity_mismatches(run)
-            if np.array_equal(run.E, clean.E):
+            if np.array_equal(run.H, clean.H):
                 assert got == want == [], (i, j)
                 continue
             assert got and want and set(got) <= set(want), (i, j)
+            with pytest.raises(PeriodicityError, match="seed comparison"):
+                run.count_signs()
             tried += 1
     assert tried
+
+
+@pytest.mark.parametrize("family,rank,level", list(CASES) + SCALE_CASES + LARGE_CASES + [C16])
+def test_relabelled_window_matches_two_direction_record(family, rank, level):
+    # every time lo_s <= s <= full_s read from the half record through omega
+    # is, bit for bit, the record run in both directions from time 0
+    case = (family, rank, level)
+    cached = case in CASES or case in SCALE_CASES
+    run = cached_tropical(*case) if cached else TropicalRun(Schedule(build(FamilySpec(*case))))
+    window = relabelled_window(run)
+    assert window.dtype == np.int8 and np.array_equal(window, oracle.tropical_record(run))
+    assert 2 * run.H.nbytes <= window.nbytes
+
+
+def test_failed_seed_comparison_fails_every_read():
+    # with the seed comparison failed, monomial raises at every time, even
+    # those the half record was run over, naming the failed comparison and
+    # its first vertex; the counts, signs and boundary reads fail with it
+    run = cached_tropical("C", 3, 2)
+    broken = planted_row(run, run.half_s, 4, -run.H[run.half_s, 4])
+    u = Fraction(run.half_s, run.t)
+    message = re.escape(f"the seed comparison E({u})[v] = E(0)[omega(v)] fails at 1 of 8 vertices, first at (2, 2)")
+    assert run.model.position(4) == (2, 2)
+    for s in (run.lo_s, 0, 1, run.half_s, run.full_s):
+        with pytest.raises(PeriodicityError, match=message):
+            broken.monomial(0, s)
+    for read in (broken.count_signs, broken.sign_pattern_mismatches, broken.boundary_mismatches):
+        with pytest.raises(PeriodicityError, match=message):
+            read()
 
 
 def test_monomial_outside_record_raises():
@@ -273,8 +325,9 @@ def test_monomial_outside_record_raises():
     # either side, is an IndexError naming that span, not a row read from
     # the other end of the record
     run = cached_tropical("C", 3, 3)
+    record = oracle.tropical_record(run)
     for s in (run.lo_s, run.full_s):
-        assert np.array_equal(run.monomial(0, s), run.E[s - run.lo_s, 0])
+        assert np.array_equal(run.monomial(0, s), record[s - run.lo_s, 0])
     for s in (run.lo_s - 1, run.full_s + 1):
         span = f"time s={s} is outside the tropical record [{run.lo_s}, {run.full_s}]"
         with pytest.raises(IndexError, match=re.escape(span)):
@@ -377,17 +430,26 @@ def test_exceptional_positive_times_exact():
     }
 
 
-def planted(run, s, v, vec):
-    """A copy of the run whose monomial of vertex v at time s is vec."""
+def planted_row(run, r, w, vec):
+    """A copy of the run whose half record holds vec as row w of time r, with
+    its seed comparison made again."""
     broken = copy.copy(run)
-    broken.E = run.E.copy()
-    broken.E[s - run.lo_s, v] = vec
+    broken.H = run.H.copy()
+    broken.H[r, w] = vec
+    broken.seed_mismatches = seed_mismatches(broken.H, broken.omega)
     return broken
+
+
+def planted(run, s, v, vec):
+    """A copy of the run whose monomial of vertex v at time s is vec: the
+    entry of the half record that serves it, changed."""
+    q, r = divmod(s, run.half_s)
+    return planted_row(run, r, run.omega[v] if q % 2 else v, vec)
 
 
 def test_mixed_monomial_raises():
     run = cached_tropical("C", 2, 2)
-    broken = planted(run, 0, run.schedule.sets[0][0], [1, -1, 0, 0, 0])
+    broken = planted(run, 2, run.schedule.sets[2][0], [1, -1, 0, 0, 0])
     with pytest.raises(ArithmeticError, match="mixed"):
         broken.count_signs()
 
@@ -402,23 +464,34 @@ def test_unit_monomial_raises():
 
 
 def test_planted_periodicity_fault_is_reported():
-    # one changed exponent at time s = 1 breaks the half statement at the
-    # vertex omega maps it to, at u = 1/2; one changed at s = full_s breaks
-    # the full statement, which is compared on the seed, at u = 0
+    # one changed exponent of the seed breaks the half statement at the
+    # vertex omega maps it to, and one changed at s = half_s at its own
+    # vertex, both at u = 0; one changed at s = 1 is read by no comparison,
+    # since E(1 + half_s) is read from it
     run = cached_tropical("C", 3, 2)
     v, bump = 2, np.eye(run.model.n, dtype=np.int64)[0]
+    broken = planted_row(run, 0, v, run.H[0, v] + bump)
+    assert broken.periodicity_mismatches() == [("half", run.model.position(run.omega[v]), Fraction(0))]
+    broken = planted_row(run, run.half_s, v, run.H[run.half_s, v] + bump)
+    assert broken.periodicity_mismatches() == [("half", run.model.position(v), Fraction(0))]
     broken = planted(run, 1, v, run.monomial(v, 1) + bump)
-    assert broken.periodicity_mismatches() == [("half", run.model.position(run.omega[v]), Fraction(1, 2))]
-    broken = planted(run, run.full_s, v, run.monomial(v, run.full_s) + bump)
-    assert broken.periodicity_mismatches() == [("full", None, Fraction(0))]
+    assert broken.periodicity_mismatches() == []
+    assert np.array_equal(broken.monomial(run.omega[v], 1 + run.half_s), run.monomial(v, 1) + bump)
 
 
 def test_planted_boundary_fault_is_reported():
+    # u = level and u = -h_dual are half a period apart, so both boundary
+    # tuples are read from one time of the half record: a fault at vertex v
+    # at u = level shows at u = -h_dual at omega(v)
     run = cached_tropical("G2", 2, 3)
     s, v = 3 * run.t, 5
     broken = planted(run, s, v, -run.monomial(v, s))
-    dst = boundary_targets(run.model, run.omega)[s][v]
-    assert broken.boundary_mismatches() == [(Fraction(3), run.model.position(v), dst)]
+    targets, w = boundary_targets(run.model, run.omega), run.omega[v]
+    assert s - run.half_s == -4 * run.t
+    assert broken.boundary_mismatches() == [
+        (Fraction(3), run.model.position(v), targets[s][v]),
+        (Fraction(-4), run.model.position(w), targets[-4 * run.t][w]),
+    ]
 
 
 @pytest.mark.parametrize("family,rank,level", CLOSED_FORM_CASES)
