@@ -49,8 +49,8 @@ class NumericRun:
     few whole-array gathers; T is 1 on its boundary rows.  The T-relations
     are read in both blocks, the Y checks in real and T periodicity in
     free.  The run is driven by a verified schedule.Schedule with one
-    run_schedule call; seeds is a non-empty tuple, and memory grows
-    linearly with its length.
+    run_schedule call from the seed draws at lo_s; seeds is a non-empty
+    tuple, and memory grows linearly with its length.
     """
 
     def __init__(self, schedule, seeds=(0,)):
@@ -183,16 +183,16 @@ def tropical_shadow_mismatches(trop, seed=0):
     Coefficients are started at y_v = SHADOW_EPS**(e_v) for a random integer
     direction e; after running the TropicalRun's own verified schedule,
     log(y_i(u)) / log(SHADOW_EPS) must approach the pairing of the tropical
-    exponent vector with e at every mutation point with -2 <= u < 2, to
+    exponent vector with e at every mutation point with 0 <= u < 4, to
     within sqrt(SHADOW_EPS).
     """
     mdl = trop.model
     e = np.random.default_rng(seed).integers(1, 4, mdl.n)
     logy0 = e * np.log(SHADOW_EPS)
     t = trop.t
-    Ls, _ = run_schedule(trop.schedule, -2 * t, 2 * t, logy0, real_plus1)
-    s, v = trop.schedule.points(-2 * t, 2 * t)
-    slopes = Ls[s + 2 * t, v] / np.log(SHADOW_EPS)
+    Ls, _ = run_schedule(trop.schedule, 0, 4 * t, logy0, real_plus1)
+    s, v = trop.schedule.points(0, 4 * t)
+    slopes = Ls[s, v] / np.log(SHADOW_EPS)
     want = trop.monomial(v, s) @ e
     return [
         (mdl.position(v[i]), Fraction(int(s[i]), t), slopes[i], int(want[i]))

@@ -204,13 +204,12 @@ def tvector_mismatches(run):
         raise ValueError("t-vector identities are a level-2 statement")
     core = level2_core(m)
     _, alpha = pl_dynamics(run.schedule, core)
-    bad = []
-    for (s, v), root in alpha.items():
-        got = tuple(run.monomial(v, s)[core].tolist())
-        want = tuple(-c for c in root)
-        if got != want:
-            bad.append((core.index(v) + 1, Fraction(s, run.t), got, want))
-    return bad
+    s, v = np.array(list(alpha)).T
+    got, want = run.monomial(v, s)[:, core], -np.array(list(alpha.values()))
+    return [
+        (core.index(v[i]) + 1, Fraction(int(s[i]), run.t), tuple(got[i].tolist()), tuple(want[i].tolist()))
+        for i in np.flatnonzero((got != want).any(1))
+    ]
 
 
 def apart_mismatches_C(run):
@@ -229,36 +228,33 @@ def apart_mismatches_C(run):
     keep = [m.vid(i, 1) for i in range(1, r)]
     core = level2_core(m)
     h_dual = m.cartan["h_dual"]
-    bad = []
-
-    def pi_a(vertex, s):
-        return tuple(run.monomial(vertex, s)[keep].tolist())
-
-    def record(i_row, s, got, want):
-        if got != tuple(want):
-            bad.append((i_row, Fraction(s, run.t), got, tuple(want)))
+    reads = []  # (row label, s, vertex, projection, want), in report order
 
     def interval(s, late_start, early_start):
         """-[j, r-1] with j = late_start + s from u = s/2 = -h_dual/2 on,
         and j = early_start - s before."""
         j = late_start + s if s >= -h_dual else early_start - s
-        return [-c for c in a_interval(r - 1, j, r - 1)]
+        return tuple(-c for c in a_interval(r - 1, j, r - 1))
 
     _, alpha = pl_dynamics(run.schedule, keep)
     for (s, v), root in alpha.items():
         i = m.position(v)[0]
-        record((i, 1), s, pi_a(v, s), [-c for c in root])
+        reads.append(((i, 1), s, v, keep, tuple(-c for c in root)))
         # row 3 never meets the thin-row generators
-        record((i, 3), s, pi_a(m.vid(i, 3), s), [0] * (r - 1))
+        reads.append(((i, 3), s, m.vid(i, 3), keep, (0,) * (r - 1)))
     for s, v in zip(*(a.tolist() for a in run.schedule.points(-h_dual * run.t, 0))):
         col, row = m.position(v)
         if col < r and row == 2:
-            record((col, 2), s, pi_a(v, s), interval(s, 2 * r + 2 - col, -1 - col))
+            reads.append(((col, 2), s, v, keep, interval(s, 2 * r + 2 - col, -1 - col)))
             # row 2 mutates on the parity complementary to rows 1 and 3,
             # whose core projection vanishes at its points
-            for k in (1, 3):
-                got = tuple(run.monomial(m.vid(col, k), s)[core].tolist())
-                record((col, k), s, got, [0] * (r + 1))
+            reads += [((col, k), s, m.vid(col, k), core, (0,) * (r + 1)) for k in (1, 3)]
         elif col >= r:
-            record((col, 1), s, pi_a(v, s), interval(s, r + 2, -1 - r))
+            reads.append(((col, 1), s, v, keep, interval(s, r + 2, -1 - r)))
+    _, times, vertices, _, _ = zip(*reads)
+    bad = []
+    for (i_row, s, _, cols, want), row in zip(reads, run.monomial(np.array(vertices), np.array(times))):
+        got = tuple(row[cols].tolist())
+        if got != want:
+            bad.append((i_row, Fraction(s, run.t), got, want))
     return bad

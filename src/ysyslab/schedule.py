@@ -24,10 +24,10 @@ Schedule.points lists the mutation points of a time window, and
 run_schedule records a seed at every time of one, so a run's value at a
 point (s, v) is one array read.  A Schedule holds one SlotOperator per slot,
 so a run's step only indexes them, and one GatherPlan, the record rows of
-every value its numeric checks read.  run_schedule carries the seed in
-float64, each slot step one affine update by a product (mutate_slot), a
-backward step the slot before's on the inverted coefficients, and checks an
-integer record's range where it stores a time's seed.
+every value its numeric checks read.  run_schedule carries the seed forward
+from the first time of its window in float64, each slot step one affine
+update by a product (mutate_slot), and checks an integer record's range
+where it stores a time's seed.
 """
 
 from __future__ import annotations
@@ -98,8 +98,8 @@ def slot_matrices(model, sets, invs):
     the slot sets with quiver.mutations, and every step is compared with
     expected_quivers (invs are the model's builders.involutions).  Each
     slot set is first checked to be pairwise non-adjacent, so its composite
-    mutation is an involution: the one forward period also certifies every
-    backward step and every later period.
+    mutation is one update; the period ends on the initial matrix, so it
+    certifies every later one.
     """
     t = model.cartan["t"]
     expected = expected_quivers(model, invs)
@@ -125,7 +125,7 @@ class Schedule:
     """The verified schedule of one case: its model, the half-period
     involution omega of its vertices (builders.involutions), the vertex sets
     of the 2t slots, the exchange matrix and the SlotOperator of each slot
-    (operators, which run_schedule applies both ways), the (a, m) label of
+    (operators, which run_schedule applies in time order), the (a, m) label of
     each vertex, the T- and Y-relation tables read off them (g and its
     transpose numerators, see gfun), and the GatherPlan of those relations.
 
@@ -262,13 +262,8 @@ def mutate_slot(op, L, oplus1, logx=None):
 
 def run_schedule(schedule, s_lo, s_hi, L, oplus1, logx=None):
     """Drive the seed (L, logx) of mutate_slot through a verified Schedule,
-    from time 0 forward to s_hi and backward to s_lo, with s_lo <= 0 <= s_hi.
-
-    The step forward from s applies the operator of slot s.  The step back
-    from s mutates at the set of slot s - 1, whose rows in the matrix at s
-    are those at s - 1 negated; as y (+) 1 = y (y^-1 (+) 1) in any semifield,
-    it is the operator of slot s - 1 on (-L, logx), with the new L negated
-    back.  The backward sweep carries -L, so it negates once per stored time.
+    forward from time s_lo, where it stands, to s_hi; the step out of time
+    s applies the operator of slot s mod 2t.
 
     Returns the run record (Ls, xs): Ls[s - s_lo] and xs[s - s_lo] are L
     and logx at time s, for s_lo <= s <= s_hi; xs is None without logx.
@@ -280,26 +275,21 @@ def run_schedule(schedule, s_lo, s_hi, L, oplus1, logx=None):
     holds for an int8 record and a B with entries in {-1, 0, 1} (see
     tropical.TropicalRun).
     """
-    if not s_lo <= 0 <= s_hi:
-        raise ValueError(f"the window [{s_lo}, {s_hi}] must contain time 0")
+    if s_lo > s_hi:
+        raise ValueError(f"the window [{s_lo}, {s_hi}] is empty")
     period = 2 * schedule.t
     bounds = CAST_RANGE.get(L.dtype)
     Ls = np.empty((s_hi - s_lo + 1, *L.shape), dtype=L.dtype)
     xs = None if logx is None else np.empty((s_hi - s_lo + 1, *logx.shape))
-    L0 = L.astype(np.float64, copy=False)
-    for step, stop in ((1, s_hi), (-1, s_lo)):
-        s, Lc, xc = 0, step * L0, logx  # backward, L is carried negated
-        while True:
-            L_s = Lc if step > 0 else -Lc
-            if bounds is not None:
-                _check_range(L_s, s, L.dtype, *bounds)
-            Ls[s - s_lo] = L_s
-            if xs is not None:
-                xs[s - s_lo] = xc
-            if s == stop:
-                break
-            Lc, xc = mutate_slot(schedule.operators[(s if step > 0 else s - 1) % period], Lc, oplus1, xc)
-            s += step
+    Lc = L.astype(np.float64, copy=False)
+    for i, s in enumerate(range(s_lo, s_hi + 1)):
+        if bounds is not None:
+            _check_range(Lc, s, L.dtype, *bounds)
+        Ls[i] = Lc
+        if xs is not None:
+            xs[i] = logx
+        if s < s_hi:
+            Lc, logx = mutate_slot(schedule.operators[s % period], Lc, oplus1, logx)
     return Ls, xs
 
 
@@ -352,8 +342,10 @@ def _padded(table, rows):
 
 class GatherPlan:
     """The record rows of every value the numeric checks of a Schedule read,
-    over the window lo_s <= s <= hi_s, from -3t to full_s + 5t (full_s is
-    one full period).
+    over the window lo_s <= s <= hi_s, from -2t to full_s + 3t (full_s is
+    one full period).  The relations and periodicity pairs read from -t to
+    full_s + 2t on C and F4 and to full_s + 8t/3 on G2, and -2t is a whole
+    slot period, so a run from lo_s takes the steps of a run from 0.
 
     A run record of the window, flattened to one row per (time, vertex) and
     one column per seed, holds the value of vertex v at time s in row
@@ -380,7 +372,7 @@ class GatherPlan:
         spec, cd = model.spec, model.cartan
         self.t, self.n = t, model.n
         self.full_s = 2 * (cd["h_dual"] + spec.level) * t
-        self.lo_s, self.hi_s = -3 * t, self.full_s + 5 * t
+        self.lo_s, self.hi_s = -2 * t, self.full_s + 3 * t
         self.tops = np.zeros(spec.rank + 1, dtype=np.int64)
         self.lags = np.zeros_like(self.tops)
         for a, t_a in cd["t_a"].items():

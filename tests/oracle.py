@@ -7,7 +7,10 @@ vertex, in multiplicative notation.  two_product_step, the slot step as two
 products that casts an integer seed back to its dtype after every step, and
 run_two_product, which drives it, are the reference for the one-product
 step of schedule.mutate_slot and the float64 seed that run_schedule
-carries.  exhaustive_isomorphism is the brute-force reference for
+carries.  run_payload and run_two_product run in both directions from time
+0: their forward part, from a seed at 0, is the reference for the forward
+runs of run_schedule, and their backward part for the negative times that
+tropical.TropicalRun.monomial reads through omega.  exhaustive_isomorphism is the brute-force reference for
 quiver.find_isomorphism, and matrix_refine_colors and matrix_canonical_key,
 which read the exchange matrix entry by entry, the reference for
 quiver.refine_colors and mutclass.canonical_key.
@@ -149,7 +152,8 @@ class NumericSeedPayload:
 
 def run_payload(model, s_lo, s_hi, payload):
     """Snapshots of the payload at every time from 0 forward to s_hi and
-    backward to s_lo, mutating vertex by vertex with Quiver.mutate."""
+    backward to s_lo, with s_lo <= 0 <= s_hi, mutating vertex by vertex
+    with Quiver.mutate."""
     period = 2 * model.cartan["t"]
     sets = slot_sets(model)
     snapshots = {0: payload.snapshot()}
@@ -194,9 +198,10 @@ def two_product_step(B, ks, L, oplus1, logx=None):
 
 
 def run_two_product(schedule, s_lo, s_hi, L, oplus1, logx=None):
-    """The run record of schedule.run_schedule, each step a two_product_step
-    on the slot matrices and sets of the Schedule: a forward step from s at
-    the set of s, a backward step from s at the set of s - 1."""
+    """The run record over s_lo <= 0 <= s_hi of a seed at time 0, each step a
+    two_product_step on the slot matrices and sets of the Schedule: a
+    forward step from s at the set of s, a backward step from s at the set
+    of s - 1.  With s_lo = 0 it is the record of schedule.run_schedule."""
     period = 2 * schedule.t
     Ls = np.empty((s_hi - s_lo + 1, *L.shape), dtype=L.dtype)
     xs = None if logx is None else np.empty((s_hi - s_lo + 1, *logx.shape))
@@ -742,9 +747,9 @@ def trivial_plus1(L):
 class NumericRun:
     """A run record in one semifield: the positive reals when tracked, else
     the trivial semifield, one column per seed, driven by its own
-    run_schedule call, and the checks gathered from it.  Two of these, one
-    tracked and one plain, are the reference for the two column blocks of
-    numeric.NumericRun.
+    run_schedule call from its seed draws at lo_s, and the checks gathered
+    from it.  Two of these, one tracked and one plain, are the reference
+    for the two column blocks of numeric.NumericRun.
 
     x[s - lo_s, v, j] (and y[s - lo_s, v, j] when tracked) holds the cluster
     (and coefficient) value of vertex v at time s from seeds[j]; Y is 1

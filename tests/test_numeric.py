@@ -126,7 +126,7 @@ def test_overflow_raises(monkeypatch):
     for which in (0, 1):
 
         def huge(schedule, s_lo, s_hi, L, oplus1, logx):
-            record = [L[None], logx[None]]  # the run record of time 0 alone
+            record = [L[None], logx[None]]  # the run record of the seed's time alone
             record[which] = np.full_like(record[which], 800.0)
             return tuple(record)
 
@@ -141,7 +141,7 @@ def test_underflow_raises(monkeypatch):
     for which in (0, 1):
 
         def tiny(schedule, s_lo, s_hi, L, oplus1, logx):
-            record = [L[None], logx[None]]  # the run record of time 0 alone
+            record = [L[None], logx[None]]  # the run record of the seed's time alone
             record[which] = np.full_like(record[which], -800.0)
             return tuple(record)
 
@@ -260,8 +260,8 @@ def test_batched_run_matches_single_seed_runs(family, rank, level):
         # start from the same cluster draw, and the coefficient-free y is 1
         draws = np.random.default_rng(seed).uniform(0.5, 2.0, (2, sched.model.n))
         for col, y0 in ((j, draws[1]), (J + j, 1.0)):
-            np.testing.assert_allclose(batched.x[-batched.lo_s, :, col], draws[0], rtol=1e-15)
-            np.testing.assert_allclose(batched.y[-batched.lo_s, :, col], y0, rtol=1e-15)
+            np.testing.assert_allclose(batched.x[0, :, col], draws[0], rtol=1e-15)
+            np.testing.assert_allclose(batched.y[0, :, col], y0, rtol=1e-15)
         single = NumericRun(sched, (seed,))
         window = (batched.lo_s, batched.hi_s + 1)
         for name in ("x", "y", "labelled_coefficients"):
@@ -275,6 +275,32 @@ def test_batched_run_matches_single_seed_runs(family, rank, level):
         got, want = check_functional_DI(batched), check_functional_DI(single)
         np.testing.assert_allclose(got["sums"][j], want["sums"][0], rtol=1e-12)
         assert got["targets"] == want["targets"]
+
+
+@pytest.mark.parametrize("family,rank,level", [("C", 2, 2), ("C", 4, 3), ("F4", 4, 2), ("G2", 2, 3)])
+def test_numeric_record_starts_from_the_seed_draws(family, rank, level, monkeypatch):
+    # NumericRun stands at its seed draws at the record's first time, lo_s =
+    # -2t, and runs forward to hi_s; -2t is a whole slot period, so the
+    # record is, bit for bit, the run of the same seed forward from time 0
+    # over hi_s - lo_s steps
+    runs, real = [], numeric.run_schedule
+
+    def recording(*args):
+        runs.append(args)
+        return real(*args)
+
+    sched = cached_schedule(family, rank, level)
+    monkeypatch.setattr(numeric, "run_schedule", recording)
+    run = NumericRun(sched, SEEDS)
+    ((_, s_lo, s_hi, L, oplus1, logx),) = runs
+    assert (s_lo, s_hi) == (run.lo_s, run.hi_s) == (-2 * run.t, run.full_s + 3 * run.t)
+    J = len(SEEDS)
+    draws = np.array([np.random.default_rng(seed).uniform(0.5, 2.0, (2, sched.model.n)) for seed in SEEDS])
+    np.testing.assert_allclose(run.x[0], np.tile(draws[:, 0].T, 2), rtol=1e-15)
+    np.testing.assert_allclose(run.y[0, :, :J], draws[:, 1].T, rtol=1e-15)
+    assert (run.y[0, :, J:] == 1.0).all()
+    Ls, logxs = real(sched, 0, s_hi - s_lo, L, oplus1, logx)
+    assert np.array_equal(np.exp(logxs), run.x) and np.array_equal(np.exp(Ls), run.y)
 
 
 @pytest.mark.parametrize("family,rank,level", CASES)
@@ -294,15 +320,16 @@ def test_tropical_shadow_reports_one_wrong_exponent(delta):
 def test_trivial_semifield_projection():
     # the coefficient-free block is the exchange rule in the one-element
     # semifield; it agrees value for value with the plain two-monomial
-    # exchange, and its coefficients never move
+    # exchange, run from the seed's draw over two slot periods, and its
+    # coefficients never move
     for family, rank, level in [("C", 2, 2), ("F4", 4, 2), ("G2", 2, 2)]:
         run = cached_numeric(family, rank, level)
         t, col = run.t, run.free.start
         x0 = np.random.default_rng(SEEDS[0]).uniform(0.5, 2.0, run.model.n)
-        plain = run_payload(run.model, -2 * t, 2 * t, NumericSeedPayload(x0))
-        assert sorted(plain) == list(range(-2 * t, 2 * t + 1))
-        for s, (x, _) in plain.items():
-            assert np.max(np.abs(run.x[s - run.lo_s, :, col] - x)) <= 1e-12
+        plain = run_payload(run.model, 0, 4 * t, NumericSeedPayload(x0))
+        assert sorted(plain) == list(range(4 * t + 1))
+        for i, (x, _) in plain.items():  # record row i is time lo_s + i, a whole slot period before i
+            assert np.max(np.abs(run.x[i, :, col] - x)) <= 1e-12
         assert (run.y[..., run.free] == 1.0).all()
 
 

@@ -1,4 +1,5 @@
 import ast
+import copy
 from fractions import Fraction
 
 import numpy as np
@@ -14,7 +15,9 @@ from ysyslab.roots import (
     a_interval,
     apart_mismatches_C,
     format_d_symbol,
+    level2_core,
     neg_simple,
+    pl_dynamics,
     tvector_mismatches,
 )
 
@@ -520,6 +523,61 @@ def test_tvectors_level2(family, rank):
     assert tvector_mismatches(run) == []
     if family == "C":
         assert apart_mismatches_C(run) == []
+
+
+def planted_exponent(run, s, v, k):
+    """A copy of a TropicalRun whose monomial of vertex v at the negative
+    time s has exponent k raised by one: the half record entry that serves
+    it, at s + half_s, relabelled by omega."""
+    broken = copy.copy(run)
+    broken.H = run.H.copy()
+    broken.H[s + run.half_s, run.omega[v], k] += 1
+    return broken
+
+
+@pytest.mark.parametrize("family,rank", [("C", 3), ("F4", 4), ("G2", 2)])
+def test_planted_tvector_faults_are_reported(family, rank):
+    # a changed core exponent at the first and at the last point of alpha
+    # is reported at that node and time, with the core projection read and
+    # -alpha, in the order of alpha, and nothing else
+    run = cached_tropical(family, rank, 2)
+    core = level2_core(run.model)
+    _, alpha = pl_dynamics(run.schedule, core)
+    points = [next(iter(alpha)), list(alpha)[-1]]
+    broken = run
+    for s, v in points:
+        broken = planted_exponent(broken, s, v, core[0])
+    bump = np.eye(len(core), dtype=np.int64)[0]
+    want = [(core.index(v) + 1, Fraction(s, run.t), -np.array(alpha[s, v])) for s, v in points]
+    assert tvector_mismatches(broken) == [
+        (i, u, tuple((vec + bump).tolist()), tuple(vec.tolist())) for i, u, vec in want
+    ]
+
+
+def test_planted_apart_faults_are_reported():
+    # on C3 level 2: a changed thin-row exponent of row 3 at the first point
+    # of the thin-row alpha, of row 2 at the last row-2 point, and changed
+    # core exponents of rows 1 and 3 at that point, are each reported once,
+    # at the row, time, projection read and formula, in the order of the
+    # checks
+    run = cached_tropical("C", 3, 2)
+    m, r = run.model, 3
+    keep, core = [m.vid(i, 1) for i in range(1, r)], level2_core(m)
+    (s1, v1), _ = next(iter(pl_dynamics(run.schedule, keep)[1].items()))
+    i = m.position(v1)[0]
+    s2, v2 = [(s, v) for s, v in zip(*run.schedule.points(-m.cartan["h_dual"] * run.t, 0)) if m.position(v)[1] == 2][-1]
+    col = m.position(v2)[0]
+    plants = [((i, 3), s1, m.vid(i, 3), keep), ((col, 2), s2, v2, keep)]
+    plants += [((col, k), s2, m.vid(col, k), core) for k in (1, 3)]
+    broken = run
+    for _, s, w, cols in plants:
+        broken = planted_exponent(broken, s, w, cols[0])
+    want = []
+    for label, s, w, cols in plants:
+        clean = run.monomial(w, s)[cols].astype(np.int64)
+        got = clean + np.eye(len(cols), dtype=np.int64)[0]
+        want.append((label, Fraction(int(s), run.t), tuple(got.tolist()), tuple(clean.tolist())))
+    assert apart_mismatches_C(broken) == want
 
 
 def test_tvectors_require_level2():

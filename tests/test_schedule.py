@@ -1,4 +1,5 @@
 import json
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -23,13 +24,12 @@ from tests.oracle import (
     parity_plus,
     run_payload,
     run_two_product,
-    two_product_step,
 )
 from ysyslab.builders import involutions
 from ysyslab.quiver import Quiver
 from ysyslab import numeric, schedule
 from ysyslab.schedule import Schedule, ScheduleError, run_schedule, slot_sets
-from ysyslab.numeric import NumericRun, real_plus1, tropical_shadow_mismatches
+from ysyslab.numeric import NumericRun, tropical_shadow_mismatches
 from ysyslab.cli import main
 from ysyslab.tropical import TropicalRun, tropical_plus1
 
@@ -112,60 +112,34 @@ def test_points_match_slot_loop(family, rank, level):
     assert [a.size for a in sched.points(2, 2)] == [0, 0]
 
 
-@pytest.mark.parametrize("family,rank,level", CASES)
-def test_backward_operators_undo_the_slot_before(family, rank, level):
-    # the step back from slot s runs the operator of slot s-1; the rows of
-    # the matrix at s at the set of s-1 are those of the matrix at s-1
-    # negated, and the step is the two-product step of that set on the
-    # matrix at s, entry for entry, on an integer seed with entries +-128
-    sched = cached_schedule(family, rank, level)
-    rng = np.random.default_rng(7)
-    for s, B in enumerate(sched.matrices):
-        ks = list(sched.sets[s - 1])
-        assert np.array_equal(B[ks], -sched.matrices[s - 1][ks]), s
-        rotated = SimpleNamespace(t=sched.t, operators=sched.operators[s:] + sched.operators[:s])  # starts at slot s
-        L = rng.choice([-128, -1, 0, 1, 128], (sched.model.n, 3))
-        Ls, _ = run_schedule(rotated, -1, 0, L, tropical_plus1)
-        want, _ = two_product_step(B, ks, L, tropical_plus1)
-        assert np.array_equal(Ls[0], want), s
-
-
-def test_backward_step_is_inverted_forward_step():
-    # run_schedule steps back from s by the operator of slot s-1 on -L and
-    # negates back; that is the step at the same set on B_s = mutate(B_{s-1}),
-    # bit for bit on integers (entries +-128 included) and to 1e-12 on reals
-    rng = np.random.default_rng(11)
-    for _ in range(200):
-        n = int(rng.integers(2, 9))
-        B = np.triu(rng.integers(-2, 3, (n, n)), 1)
-        B = B - B.T
-        ks = []
-        for k in rng.permutation(n)[: int(rng.integers(1, n + 1))]:
-            if not B[k, ks].any():
-                ks.append(int(k))
-        back = SimpleNamespace(t=1, operators=[schedule.slot_operator(B, ks)] * 2)
-        Bs = composite_mutate(Quiver(B), ks).B
-        L = rng.integers(-128, 129, (n, n))
-        edge = rng.random((n, n)) < 0.25
-        L[edge] = rng.choice([-128, 128], edge.sum())
-        Ls, _ = run_schedule(back, -1, 0, L, tropical_plus1)
-        want, _ = two_product_step(Bs, ks, L, tropical_plus1)
-        assert Ls.dtype == want.dtype == np.int64 and np.array_equal(Ls[0], want)
-        L, logx = rng.normal(0, 3, n), rng.normal(0, 1, n)
-        Ls, xs = run_schedule(back, -1, 0, L, real_plus1, logx)
-        want_L, want_x = two_product_step(Bs, ks, L, real_plus1, logx)
-        for got, ref in ((Ls[0], want_L), (xs[0], want_x)):  # the values y = exp(L) and x = exp(logx)
-            assert np.max(np.abs(np.exp(got) - np.exp(ref)) / np.exp(ref)) <= 1e-12
-
-
-def test_run_schedule_window_must_contain_time_zero():
+def test_run_schedule_empty_window_raises():
+    # the seed stands at s_lo, which may be any time; a window with no time
+    # in it is refused, and a one-time window is the seed alone
     sched = cached_schedule("C", 2, 2)
     E0 = np.eye(sched.model.n, dtype=np.int64)
-    for s_lo, s_hi in ((1, 4), (-4, -1)):
-        with pytest.raises(ValueError, match="must contain time 0"):
+    for s_lo, s_hi in ((1, 0), (-1, -4)):
+        with pytest.raises(ValueError, match=re.escape(f"the window [{s_lo}, {s_hi}] is empty")):
             run_schedule(sched, s_lo, s_hi, E0, tropical_plus1)
-    Ls, xs = run_schedule(sched, 0, 0, E0, tropical_plus1)
-    assert xs is None and np.array_equal(Ls, E0[None])
+    for s in (-3, 0, 5):
+        Ls, xs = run_schedule(sched, s, s, E0, tropical_plus1)
+        assert xs is None and np.array_equal(Ls, E0[None])
+
+
+def test_run_schedule_steps_by_the_slot_of_each_time():
+    # the seed stands at s_lo and the step out of time s applies the
+    # operator of slot s mod 2t: a run from any s_lo is the two-product
+    # reference run from 0 of the schedule with its slots rotated to start
+    # at slot s_lo mod 2t, bit for bit
+    sched = cached_schedule("G2", 2, 2)
+    period, E0 = 2 * sched.t, np.eye(sched.model.n, dtype=np.int64)
+    for s_lo in (-7, -6, 0, 4, 13):
+        k = s_lo % period
+        rotated = SimpleNamespace(
+            t=sched.t, sets=sched.sets[k:] + sched.sets[:k], matrices=sched.matrices[k:] + sched.matrices[:k]
+        )
+        Ls, _ = run_schedule(sched, s_lo, s_lo + period + 2, E0, tropical_plus1)
+        want, _ = run_two_product(rotated, 0, period + 2, E0, tropical_plus1)
+        assert np.array_equal(Ls, want), s_lo
 
 
 @pytest.mark.parametrize("family,rank,level", CASES)
@@ -234,7 +208,7 @@ def test_inner_arrow_names_the_pair_in_the_order_given(reverse, monkeypatch):
 @pytest.mark.parametrize("family,rank,level", CASES)
 def test_tropical_run_matches_per_vertex_oracle(family, rank, level):
     # every time the half record serves, through omega, is the per-vertex
-    # run's, backward times included
+    # run's, negative times included
     run = cached_tropical(family, rank, level)
     window = relabelled_window(run)
     want = run_payload(run.model, run.lo_s, run.full_s, TropicalCoefficients(np.eye(run.model.n)))
@@ -246,24 +220,24 @@ def test_tropical_run_matches_per_vertex_oracle(family, rank, level):
 @pytest.mark.parametrize("family,rank,level", CASES)
 @pytest.mark.parametrize("tracked", [True, False])
 def test_numeric_run_matches_per_vertex_oracle(family, rank, level, tracked):
-    # the window includes the backward margin, where a step from s must use
-    # the matrix at s, not the one at s - 1
+    # the run stands at its seed at lo_s = -2t, a whole slot period before
+    # time 0, so record row i is the per-vertex run of that seed forward
+    # from time 0 after i steps
     # (each column of the positive-real block when tracked, else of the
     # coefficient-free block, whose y stays exactly 1)
     run = cached_numeric(family, rank, level)
-    assert run.lo_s < 0
-    i0 = -run.lo_s
+    assert run.lo_s == -2 * run.t
     block = run.real if tracked else run.free
     for j in range(block.start, block.stop):  # each seed's column on its own
-        x0, y0 = run.x[i0, :, j], run.y[i0, :, j] if tracked else None
-        want = run_payload(run.model, run.lo_s, run.hi_s, NumericSeedPayload(x0, y0))
-        assert sorted(want) == list(range(run.lo_s, run.hi_s + 1)) and len(run.x) == len(want)
-        for s, (x, y) in want.items():
-            assert np.max(np.abs(run.x[s - run.lo_s, :, j] - x) / x) <= 1e-13, (s, j)
+        x0, y0 = run.x[0, :, j], run.y[0, :, j] if tracked else None
+        want = run_payload(run.model, 0, run.hi_s - run.lo_s, NumericSeedPayload(x0, y0))
+        assert sorted(want) == list(range(len(run.x)))
+        for i, (x, y) in want.items():
+            assert np.max(np.abs(run.x[i, :, j] - x) / x) <= 1e-13, (i, j)
             if tracked:
-                assert np.max(np.abs(run.y[s - run.lo_s, :, j] - y) / y) <= 1e-13, (s, j)
+                assert np.max(np.abs(run.y[i, :, j] - y) / y) <= 1e-13, (i, j)
             else:
-                assert y is None and (run.y[s - run.lo_s, :, j] == 1.0).all(), (s, j)
+                assert y is None and (run.y[i, :, j] == 1.0).all(), (i, j)
 
 
 @pytest.mark.parametrize("family,rank,level", list(CASES) + [("C", 6, 6), ("F4", 4, 5), ("G2", 2, 6)])
@@ -287,10 +261,15 @@ def test_one_product_runs_match_two_product_reference(family, rank, level, monke
     NumericRun(sched, SEEDS)
     tropical_shadow_mismatches(trop)
     (numeric_args, Ls, xs), (shadow_args, shadow, _) = runs
-    want_L, want_x = run_two_product(*numeric_args)
+    # both start a whole number of slot periods from 0, so each is the
+    # reference run forward from 0 over as many steps
+    assert [args[1] % (2 * sched.t) for args in (numeric_args, shadow_args)] == [0, 0]
+    _, s_lo, s_hi, *seed = numeric_args
+    want_L, want_x = run_two_product(sched, 0, s_hi - s_lo, *seed)
     for got, ref in ((Ls, want_L), (xs, want_x)):  # the values y = exp(L) and x = exp(logx)
         assert np.max(np.abs(np.exp(got) - np.exp(ref)) / np.exp(ref)) <= 1e-12
-    want_shadow, _ = run_two_product(*shadow_args)
+    _, s_lo, s_hi, *seed = shadow_args
+    want_shadow, _ = run_two_product(sched, 0, s_hi - s_lo, *seed)
     assert np.max(np.abs(shadow - want_shadow) / np.abs(want_shadow)) <= 1e-12
 
 

@@ -88,9 +88,8 @@ def test_mutation_involution_randomized():
 
 
 def one_step_schedule(op):
-    """An unverified schedule whose every slot operator is op, for
-    run_schedule over the window [0, 1], the step op, or [-1, 0], the step
-    back that op undoes."""
+    """An unverified schedule whose every slot operator is op, so that
+    run_schedule over any window [s, s + 1] takes the step op."""
     return SimpleNamespace(t=1, operators=[op, op])
 
 
@@ -115,33 +114,33 @@ def test_float_products_match_integer_step():
 
 
 @pytest.mark.parametrize(
-    "step, b, seed, want, vertex",
+    "s_lo, b, seed, want, vertex",
     [
-        (1, 1, [[127, 0], [1, 0]], 128, 1),  # row 1 gains [b]+ times row 0
-        (1, 2, [[127, 0], [46, 0]], 300, 1),
-        (1, -2, [[-100, 0], [0, 0]], -200, 1),  # row 1 loses b times min(row 0, 0)
-        (1, 1, [[-128, 0], [0, 0]], 128, 0),  # the exchanged row 0 is negated
-        (-1, -1, [[127, 0], [1, 0]], 128, 1),  # back: row 1 gains [-b]+ times row 0
-        (-1, 1, [[-128, 0], [0, 0]], 128, 0),  # back: row 0 is negated
-        (-1, 1, [[-100, 0], [-28, 0]], -128, 1),  # back: the int8 minimum is stored
+        (0, 1, [[127, 0], [1, 0]], 128, 1),  # row 1 gains [b]+ times row 0
+        (0, 2, [[127, 0], [46, 0]], 300, 1),
+        (0, -2, [[-100, 0], [0, 0]], -200, 1),  # row 1 loses b times min(row 0, 0)
+        (0, 1, [[-128, 0], [0, 0]], 128, 0),  # the exchanged row 0 is negated
+        (-1, 1, [[127, 0], [1, 0]], 128, 1),  # the seed stands at s_lo = -1
+        (5, 1, [[-128, 0], [0, 0]], 128, 0),  # the seed stands at s_lo = 5
+        (0, -1, [[-100, 0], [-28, 0]], -128, 1),  # the int8 minimum is stored
     ],
-    ids=["128", "300", "-200", "negated-128", "backward-128", "backward-negated-128", "backward-stores-min"],
+    ids=["128", "300", "-200", "negated-128", "from-minus-one-128", "from-five-negated-128", "stores-min"],
 )
-def test_step_past_int8_range_raises(step, b, seed, want, vertex):
+def test_step_past_int8_range_raises(s_lo, b, seed, want, vertex):
     # run_schedule checks each float64 seed before the store casts it to the
     # int8 record, which would wrap 128, 300 and -200 to -128, 44 and 56
-    # without a warning; the backward sweep carries the seed negated, and the
-    # check names the time, the entry as stored and the vertex (the row)
-    # holding it, against the true int8 range
+    # without a warning; the seed stands at s_lo, and the check names the
+    # time of the step's result, the entry as stored and the vertex (the
+    # row) holding it, against the true int8 range
     sched = one_step_schedule(slot_operator(np.array([[0, b], [-b, 0]]), [0]))
-    window = sorted((0, step))
+    window = (s_lo, s_lo + 1)
     Es, _ = run_schedule(sched, *window, np.array(seed, dtype=np.int64), tropical_plus1)
-    assert want in Es[max(step, 0), vertex]  # the exact step
+    assert want in Es[1, vertex]  # the exact step
     if -128 <= want <= 127:
         E8, _ = run_schedule(sched, *window, np.array(seed, dtype=np.int8), tropical_plus1)
         assert E8.dtype == np.int8 and np.array_equal(E8, Es)
         return
-    message = f"a mutation step to time s={step} gives the entry {want} at vertex {vertex}, outside the int8 range"
+    message = f"a mutation step to time s={s_lo + 1} gives the entry {want} at vertex {vertex}, outside the int8 range"
     with pytest.raises(ArithmeticError, match=re.escape(f"{message} [-128, 127]")):
         run_schedule(sched, *window, np.array(seed, dtype=np.int8), tropical_plus1)
 
@@ -210,9 +209,9 @@ def test_one_period_record_premises(family, rank, level):
     assert np.array_equal(run.omega[run.omega], np.arange(m.n))
     assert run.full_s == 2 * run.half_s and run.full_s % (2 * t) == 0
     assert len(run.H) == run.half_s + 1 and (run.lo_s, run.full_s) == (-hd * t, 2 * run.half_s)
-    reads = {0, run.full_s - 1, run.full_s, *boundary_targets(m, run.omega)}  # counts, periodicity, boundary
+    reads = {0, run.full_s - 1, run.full_s, level * t}  # counts, periodicity, boundary
     reads |= {-hd * t, level * t - 1, *sched.points(-hd * t, level * t)[0].tolist()}  # sign region
-    reads |= {-2 * t, 2 * t - 1, *sched.points(-2 * t, 2 * t)[0].tolist()}  # shadow window
+    reads |= {0, 4 * t - 1, *sched.points(0, 4 * t)[0].tolist()}  # shadow window
     if level == 2:
         roots = [level2_core(m)] + [[m.vid(i, 1) for i in range(1, rank)]] * (family == "C")
         reads |= {s for vertices in roots for s, _ in pl_dynamics(sched, vertices)[1]}
@@ -255,8 +254,8 @@ def test_every_planted_time_is_reported(family, rank, level):
 
 
 def with_operator(schedule, i, op):
-    """A copy of the schedule whose slot i applies op: the step forward from
-    each time of slot i, and the step back to it."""
+    """A copy of the schedule whose slot i applies op: the step out of each
+    time of slot i."""
     broken = copy.copy(schedule)
     broken.operators = list(schedule.operators)
     broken.operators[i] = op
@@ -398,7 +397,7 @@ def test_planted_sign_faults_are_reported():
 
 
 def _positive_exception_times(run):
-    """Times in the backward window at which any thin-row monomial is positive."""
+    """Times of region two, -h_dual <= u < 0, at which any thin-row monomial is positive."""
     times = set()
     lo = -run.model.cartan["h_dual"] * run.t
     for s, v in zip(*run.schedule.points(lo, 0)):
@@ -481,26 +480,28 @@ def test_planted_periodicity_fault_is_reported():
 
 def test_planted_boundary_fault_is_reported():
     # u = level and u = -h_dual are half a period apart, so both boundary
-    # tuples are read from one time of the half record: a fault at vertex v
-    # at u = level shows at u = -h_dual at omega(v)
+    # tuples are read from one time of the half record; the check compares
+    # the one at u = level, and a fault there is reported once
     run = cached_tropical("G2", 2, 3)
     s, v = 3 * run.t, 5
     broken = planted(run, s, v, -run.monomial(v, s))
     targets, w = boundary_targets(run.model, run.omega), run.omega[v]
     assert s - run.half_s == -4 * run.t
-    assert broken.boundary_mismatches() == [
-        (Fraction(3), run.model.position(v), targets[s][v]),
-        (Fraction(-4), run.model.position(w), targets[-4 * run.t][w]),
-    ]
+    assert np.array_equal(broken.monomial(w, -4 * run.t), -run.monomial(w, -4 * run.t))
+    assert broken.boundary_mismatches() == [(Fraction(3), run.model.position(v), targets[v])]
 
 
 @pytest.mark.parametrize("family,rank,level", CLOSED_FORM_CASES)
 def test_closed_forms_match_family_formulas(family, rank, level):
     # the boundary targets read off omega and the tallies read off the Lie
     # data equal the per-family closed forms, and the doubled tallies the
-    # printed doubled functional sums
+    # printed doubled functional sums; the target at u = -h_dual is the one
+    # at u = level relabelled by omega
     model = build(FamilySpec(family, rank, level))
-    assert boundary_targets(model, involutions(model)["omega"]) == family_boundary_targets(model)
+    omega, t = involutions(model)["omega"], model.cartan["t"]
+    at_level = boundary_targets(model, omega)
+    at_minus_hd = [at_level[w] for w in omega]
+    assert {level * t: at_level, -model.cartan["h_dual"] * t: at_minus_hd} == family_boundary_targets(model)
     npos, nneg = expected_counts(family, rank, level)
     assert (npos, nneg) == family_expected_counts(family, rank, level)
     assert npos + nneg == total_points(family, rank, level)
