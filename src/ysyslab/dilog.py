@@ -86,15 +86,17 @@ def constant_system(schedule):
     order, and the count matrices of its numerator and denominator factors.
 
     N[i, j] (D[i, j]) counts the factors (1 + Y_j) ((1 + 1/Y_j)) in the
-    relation of keys[i]; a factor can repeat.
+    relation of keys[i]; a factor can repeat, so each matrix is filled by
+    one np.add.at over the (relation, factor) pairs of all the relations.
     """
     relations = constant_relations(schedule)
     keys = list(relations)
     index = {key: i for i, key in enumerate(keys)}
     N, D = np.zeros((2, len(keys), len(keys)))
-    for i, (num, den) in enumerate(relations.values()):
-        np.add.at(N[i], [index[f] for f in num], 1)
-        np.add.at(D[i], [index[f] for f in den], 1)
+    for counts, part in ((N, 0), (D, 1)):
+        pairs = [(i, index[f]) for i, factors in enumerate(relations.values()) for f in factors[part]]
+        i, j = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+        np.add.at(counts, (i, j), 1)
     return keys, N, D
 
 

@@ -30,12 +30,14 @@ def g_factors(schedule):
         raise ValueError(f"the vertices {sorted(set(range(len(labels))) - set(last))} are never mutated")
     g = {}
     for s, (ks, B) in enumerate(zip(sets, schedule.matrices)):
-        for v in ks:
+        Bk = B[list(ks)]
+        at, nbr = np.nonzero(Bk)  # every arrow at the slot, in (vertex, neighbour) order
+        outs, intos = [[] for _ in ks], [[] for _ in ks]
+        for i, w, outgoing in zip(at.tolist(), nbr.tolist(), (Bk[at, nbr] > 0).tolist()):
+            b, k = labels[w]
+            (outs if outgoing else intos)[i].append((b, k, last[w] + t // t_a[b] - s))
+        for v, out, into in zip(ks, outs, intos):
             a, m = labels[v]
-            out, into = [], []
-            for w in np.flatnonzero(B[v]).tolist():
-                b, k = labels[w]
-                (out if B[v, w] > 0 else into).append((b, k, last[w] + t // t_a[b] - s))
             out.sort()
             into.sort()
             adjacent = [(a, k, 0) for k in (m - 1, m + 1) if 0 < k < t_a[a] * level]

@@ -70,6 +70,14 @@ class RootSystem:
             raise ValueError(f"{vec} is not an almost positive root")
         return self.reflect(i, vec)
 
+    def sigma_batch(self, i, roots):
+        """sigma_i applied in place to each row of roots, an int array of
+        almost positive roots: the reflection s_i, but for the negative
+        simple roots other than -alpha_i, which it fixes.  The reflection
+        sends -alpha_i to alpha_i, as sigma_i does."""
+        fixed = (roots[:, i - 1] == 0) & (roots < 0).any(axis=1)
+        roots[:, i - 1] -= np.where(fixed, 0, roots @ self.cartan[i - 1])
+
 
 class SigmaMap:
     """A composite of sigma_i's; word is listed in application order."""
@@ -137,7 +145,11 @@ def pl_dynamics(schedule, vertices):
     applies sigma_i for the nodes it mutates; sigma is one period's slots in
     time order.  alpha[(s, v)] is the image of -alpha_i (v = vertices[i-1])
     under the slots s, s+1, ..., -1, for each mutation point (s, v) with
-    -h_dual*t <= s < 0.
+    -h_dual*t <= s < 0, in time order.
+
+    The roots are carried together in one sweep from -h_dual*t up to 0: a
+    point's root joins the batch at its time, and each node of each slot
+    applies its sigma to the whole batch at once (RootSystem.sigma_batch).
 
     Returns (sigma, alpha); sigma.rs is the root system.
     """
@@ -147,15 +159,16 @@ def pl_dynamics(schedule, vertices):
     rs = RootSystem(len(vertices), [(a + 1, b + 1) for a, b in np.argwhere(np.triu(B)).tolist()])
     node = {v: i for i, v in enumerate(vertices, start=1)}
     words = [[node[v] for v in ks if v in node] for ks in schedule.sets]
-    alpha = {}
-    s, v = schedule.points(-schedule.model.cartan["h_dual"] * schedule.t, 0)
-    for s, v in zip(s.tolist(), v.tolist()):
-        if v in node:
-            vec = neg_simple(rs, node[v])
-            for k in range(s, 0):
-                for i in words[k % len(words)]:
-                    vec = rs.sigma(i, vec)
-            alpha[s, v] = vec
+    start = -schedule.model.cartan["h_dual"] * schedule.t
+    s, v = schedule.points(start, 0)
+    on = np.isin(v, vertices)
+    s, v = s[on], v[on]
+    roots = -np.eye(rs.rank, dtype=np.int64)[[node[w] - 1 for w in v.tolist()]]
+    for k in range(start, 0):
+        batch = roots[: np.searchsorted(s, k, side="right")]  # the points at times up to k
+        for i in words[k % len(words)]:
+            rs.sigma_batch(i, batch)
+    alpha = dict(zip(zip(s.tolist(), v.tolist()), map(tuple, roots.tolist())))
     return SigmaMap(rs, [i for word in words for i in word]), alpha
 
 

@@ -32,6 +32,7 @@ where it stores a time's seed.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -99,11 +100,17 @@ def slot_matrices(model, sets, invs):
     expected_quivers (invs are the model's builders.involutions).  Each
     slot set is first checked to be pairwise non-adjacent, so its composite
     mutation is one update; the period ends on the initial matrix, so it
-    certifies every later one.
+    certifies every later one.  The cycle mutates a float64 copy of the
+    matrix, so that the products of quiver.mutations run in BLAS.  It is
+    exact: each matrix it mutates is the built one or one that matched its
+    expected quiver, so its entries are in {-1, 0, 1} (the builders make
+    simple arrows), and an update sums at most n products of two of them,
+    far inside the 2**53 float64 integers.  The matrices returned are the
+    int64 expected ones.
     """
     t = model.cartan["t"]
     expected = expected_quivers(model, invs)
-    B = model.quiver.B
+    B = model.quiver.B.astype(np.float64)
     for s, ks in enumerate(sets):
         inner = np.argwhere(B[np.ix_(ks, ks)])
         if len(inner):  # the first pair (i, j) in row order has i < j
@@ -310,7 +317,8 @@ def _check_range(L, s, dtype, lo, hi):
 # -- the gather plan -------------------------------------------------------------
 
 #: Plan entries that are not record rows: an exact 1.0 (a boundary row of T,
-#: or an absent factor) and a value off the grid.
+#: or an absent factor) and a value off the grid.  A flattened run record
+#: ends in one row of exact 1.0, the row that UNIT reads (numeric.gather).
 UNIT, OFF = -1, -2
 
 
@@ -361,10 +369,16 @@ class GatherPlan:
     row of the relation tables and in time order within a row.  t_period
     and y_period are (base, other) pairs of row arrays: each labelled value
     with 0 <= s < 2t paired with its value one full period later, then with
-    the row-flipped value half a period later, row by row.  Making one
-    raises ScheduleError naming the first value a relation reads off the
-    grid.  The plan holds indices only, so it gathers records of any value
-    type.
+    the row-flipped value half a period later, row by row.
+
+    Making one looks up every value it reads in one batched call, and
+    checks the translates of the relation reads by a bound on their
+    largest row; it raises ScheduleError naming the first value read off
+    the grid, in the order of the reads: the T-relations (lhs, adjacent,
+    factors, center), the Y-relations (lhs, adjacent, factors), each read
+    before its translates, then the T and the Y periodicity pairs (full,
+    then half).  The plan holds indices only, so it gathers records of any
+    value type.
     """
 
     def __init__(self, schedule):
@@ -388,46 +402,92 @@ class GatherPlan:
         keys = list(schedule.g)
         ra, rm = np.array(keys).T[:, :, None]  # one row per relation
         period = np.arange(2 * t)
+        # the P'+ centers (T-relations, Y periodicity) and the P+ centers
+        # (Y-relations, T periodicity) of one slot period, row by row
+        Y0, T0 = self.y_rows(ra, rm, period), self.t_rows(ra, rm, period)
+        t_ri, t_s = np.nonzero(Y0 != OFF)
+        y_ri, y_s = np.nonzero(T0 != OFF)
 
-        # T-relations at the P'+ points
-        ri, s = np.nonzero(self.y_rows(ra, rm, period) != OFF)
-        a, m, dt = ra[ri], rm[ri], self.lags[ra[ri]]
-        b, k, ds, pad = (x[ri] for x in _padded(schedule.g, keys))
-        self.t_relation = Relations(
-            lhs=self._relation_rows(self.t_rows, a, m, s[:, None] + dt * [-1, 1]),
-            adjacent=self._relation_rows(self.t_rows, a, m + [-1, 1], s[:, None]),
-            factors=self._relation_rows(self.t_rows, b, k, s[:, None] + ds, pad),
-            center=self._relation_rows(self.y_rows, a[:, 0], m[:, 0], s),
-            relation=ri,
-        )
-
-        # Y-relations at the P+ points; a boundary row carries no factor
-        ri, s = np.nonzero(self.t_rows(ra, rm, period) != OFF)
-        a, m, dt = ra[ri], rm[ri], self.lags[ra[ri]]
-        b, k, ds, pad = (x[ri] for x in _padded(schedule.numerators, keys))
+        # every read as (T or not, a, m, s, UNIT where), in the order of the checks
+        a, m, dt, s = ra[t_ri], rm[t_ri], self.lags[ra[t_ri]], t_s[:, None]
+        b, k, ds, pad = (x[t_ri] for x in _padded(schedule.g, keys))
+        reads = [
+            (True, a, m, s + dt * [-1, 1], False),
+            (True, a, m + [-1, 1], s, False),
+            (True, b, k, s + ds, pad),
+            (False, a[:, 0], m[:, 0], t_s, False),
+        ]
+        # a boundary row carries no factor in a Y-relation
+        a, m, dt, s = ra[y_ri], rm[y_ri], self.lags[ra[y_ri]], y_s[:, None]
+        b, k, ds, pad = (x[y_ri] for x in _padded(schedule.numerators, keys))
         rows_m = m + [-1, 1]
-        self.y_relation = Relations(
-            lhs=self._relation_rows(self.y_rows, a, m, s[:, None] + dt * [-1, 1]),
-            adjacent=self._relation_rows(self.y_rows, a, rows_m, s[:, None], (rows_m == 0) | (rows_m == self.tops[a])),
-            factors=self._relation_rows(self.y_rows, b, k, s[:, None] + ds, pad),
-            center=None,
-            relation=ri,
-        )
-        self.t_period = self._periodicity(self.t_rows, ra, rm)
-        self.y_period = self._periodicity(self.y_rows, ra, rm)
+        reads += [
+            (False, a, m, s + dt * [-1, 1], False),
+            (False, a, rows_m, s, (rows_m == 0) | (rows_m == self.tops[a])),
+            (False, b, k, s + ds, pad),
+        ]
+        relation_reads = len(reads)
+        for is_t, ri, s in ((True, y_ri, y_s), (False, t_ri, t_s)):
+            a, m = ra[ri, 0], rm[ri, 0]
+            reads += [(is_t, a, m, s + self.full_s, False), (is_t, a, self.tops[a] - m, s + self.full_s // 2, False)]
+        lhs, adjacent, factors, center, y_lhs, y_adjacent, y_factors, *period_rows = self._read(reads, relation_reads)
+
+        self.t_relation = Relations(lhs, adjacent, factors, center, t_ri)
+        self.y_relation = Relations(y_lhs, y_adjacent, y_factors, None, y_ri)
+        self.t_period = _pairs(y_ri, T0[y_ri, y_s], *period_rows[:2])
+        self.y_period = _pairs(t_ri, Y0[t_ri, t_s], *period_rows[2:])
 
     def y_rows(self, a, m, s):
         """The record rows of Y^{(a)}_m(s/t), broadcast over a, m and s: OFF
         where no mutation point of the window carries it."""
-        on = (self.lo_s <= s) & (s <= self.hi_s) & (0 <= m) & (m < self._vertex.shape[1])
-        v = self._vertex[a, np.where(on, m, 0), s % (2 * self.t)]
-        return np.where(on & (v != OFF), (s - self.lo_s) * self.n + v, OFF)
+        return self._rows(False, a, m, s)
 
     def t_rows(self, a, m, s):
         """The record rows of T^{(a)}_m(s/t), broadcast over a, m and s: UNIT
         on the boundary rows a = 0, m = 0 and m = t_a*level, OFF off the P+
         grid and the window."""
-        return np.where((a == 0) | (m == 0) | (m == self.tops[a]), UNIT, self.y_rows(a, m, s + self.lags[a]))
+        return self._rows(True, a, m, s)
+
+    def _rows(self, is_t, a, m, s):
+        """t_rows(a, m, s) where is_t holds and y_rows(a, m, s) elsewhere,
+        broadcast over is_t, a, m and s: T^{(a)}_m(s/t) is the Y of the
+        same label t/t_a steps later."""
+        s = s + is_t * self.lags[a]
+        on = (self.lo_s <= s) & (s <= self.hi_s) & (0 <= m) & (m < self._vertex.shape[1])
+        v = self._vertex[a, np.where(on, m, 0), s % (2 * self.t)]
+        rows = np.where(on & (v != OFF), (s - self.lo_s) * self.n + v, OFF)
+        return np.where(is_t & ((a == 0) | (m == 0) | (m == self.tops[a])), UNIT, rows)
+
+    def _read(self, reads, relations):
+        """The record rows of each read (is_t, a, m, s, unit) of a list, in
+        one lookup: _rows(is_t, a, m, s) broadcast over the five, UNIT where
+        unit holds.  The translates of the first `relations` reads by the
+        last slot period must stay inside the window too, so that
+        translated stays on the grid: no row of theirs may reach the bound
+        past which it shifts beyond hi_s.  Raises ScheduleError at the first
+        value off the grid, as described in the class docstring."""
+        shapes = [np.broadcast(*read).shape for read in reads]
+        sizes = [math.prod(shape) for shape in shapes]
+        ends = np.cumsum(sizes)
+        spans = list(zip(ends - sizes, ends, shapes))
+        columns = np.empty((5, ends[-1]), dtype=np.int64)
+        for read, (lo, hi, shape) in zip(reads, spans):
+            for column, x in zip(columns, read):
+                column[lo:hi].reshape(shape)[...] = x
+        is_t, a, m, s, unit = columns
+        rows = np.where(unit == 1, UNIT, self._rows(is_t == 1, a, m, s))
+        shift = self.full_s - 2 * self.t
+        bound = (self.hi_s - self.lo_s + 1 - shift) * self.n
+        if (rows == OFF).any() or rows[: ends[relations - 1]].max() >= bound:
+            for i, (lo, hi, _) in enumerate(spans):
+                checks = [(rows[lo:hi] == OFF, 0)] + [(rows[lo:hi] >= bound, shift)] * (i < relations)
+                for off, ds in checks:
+                    if off.any():
+                        j = lo + int(np.argmax(off))
+                        raise ScheduleError(
+                            f"({a[j]}, {m[j]}, {s[j] + ds}/{self.t}) is off the grid, read by a relation ({self._context})"
+                        )
+        return [rows[lo:hi].reshape(shape) for lo, hi, shape in spans]
 
     def translated(self, relations):
         """The Relations of every center with 0 <= s < full_s, from those of
@@ -447,36 +507,20 @@ class GatherPlan:
 
     def coefficients(self, s_lo, s_hi):
         """The record rows of the P'+ points with s_lo <= s < s_hi, in
-        (s, a, m) order."""
-        s = np.arange(max(s_lo, self.lo_s), min(s_hi, self.hi_s + 1))
+        (s, a, m) order.  Raises ValueError for an empty window and
+        IndexError for one that leaves [lo_s, hi_s]."""
+        if s_lo >= s_hi:
+            raise ValueError(f"the window [{s_lo}, {s_hi}) is empty")
+        if s_lo < self.lo_s or s_hi > self.hi_s + 1:
+            raise IndexError(f"the window [{s_lo}, {s_hi}) is outside the plan's window [{self.lo_s}, {self.hi_s}]")
+        s = np.arange(s_lo, s_hi)
         by_label = self._vertex[:, :, s % (2 * self.t)].transpose(2, 0, 1).reshape(len(s), -1)
         i, j = np.nonzero(by_label != OFF)
         return (s[i] - self.lo_s) * self.n + by_label[i, j]
 
-    def _checked(self, lookup, a, m, s, unit=None):
-        """lookup(a, m, s), UNIT where unit holds; raises ScheduleError at the
-        first value off the grid."""
-        rows = lookup(a, m, s) if unit is None else np.where(unit, UNIT, lookup(a, m, s))
-        off = np.flatnonzero(rows == OFF)
-        if off.size:
-            a, m, s = (int(np.broadcast_to(x, rows.shape).flat[off[0]]) for x in (a, m, s))
-            raise ScheduleError(f"({a}, {m}, {s}/{self.t}) is off the grid, read by a relation ({self._context})")
-        return rows
 
-    def _relation_rows(self, lookup, a, m, s, unit=None):
-        """The checked rows of one slot period of relations; their translates
-        by the last slot period must stay inside the window too."""
-        rows = self._checked(lookup, a, m, s, unit)
-        self._checked(lookup, a, m, s + self.full_s - 2 * self.t, unit)
-        return rows
-
-    def _periodicity(self, lookup, ra, rm):
-        """The periodicity pairs of the values that lookup finds at 0 <= s < 2t."""
-        ri, s = np.nonzero(lookup(ra, rm, np.arange(2 * self.t)) != OFF)
-        a, m = ra[ri, 0], rm[ri, 0]
-        base = lookup(a, m, s)
-        full = self._checked(lookup, a, m, s + self.full_s)
-        half = self._checked(lookup, a, self.tops[a] - m, s + self.full_s // 2)
-        # row by row: the full pairs of a row, then its half pairs
-        order = np.argsort(np.concatenate([2 * ri, 2 * ri + 1]), kind="stable")
-        return np.concatenate([base, base])[order], np.concatenate([full, half])[order]
+def _pairs(ri, base, full, half):
+    """The (base, other) periodicity pairs of the values base of relation
+    rows ri, row by row: the full pairs of a row, then its half pairs."""
+    order = np.argsort(np.concatenate([2 * ri, 2 * ri + 1]), kind="stable")
+    return np.concatenate([base, base])[order], np.concatenate([full, half])[order]

@@ -71,7 +71,17 @@ for their sum.
 
 The typed sigma words and alpha tables, one per family, are the reference
 for roots.pl_dynamics, which derives both from the verified schedule on the
-level-2 core (and, for type C, on the thin row).
+level-2 core (and, for type C, on the thin row).  per_point_alpha, which
+carries each point's root through its own chain of RootSystem.sigma calls,
+is the reference for the one sweep of pl_dynamics that carries them all
+together.
+
+PiecewisePlan, the gather plan built one lookup and one off-grid check per
+array, is the reference for the batched lookup of schedule.GatherPlan, and
+masked_gather, which writes 1.0 where a row is UNIT, for the unit row that
+numeric.NumericRun keeps at the end of each record.  int64_slot_cycle, the
+one-period cycle of quiver.mutations in int64, is the reference for the
+float64 cycle of schedule.slot_matrices.
 
 build_C, build_F4 and build_G2, the quiver builders typed family by family,
 are the reference for builders.build, which builds the C and F4 quivers with
@@ -93,10 +103,10 @@ from scipy import integrate
 
 from ysyslab.builders import _G2_FAN, _G2_TAGS, _finish, cartan_data, dynkin_edges
 from ysyslab.mutclass import MutationPath, canonical_key
-from ysyslab.quiver import FILL_BULLET, FILL_CIRCLE, Quiver, Vertex, find_isomorphism, invert_perm
+from ysyslab.quiver import FILL_BULLET, FILL_CIRCLE, Quiver, Vertex, find_isomorphism, invert_perm, mutations
 from ysyslab.roots import RootSystem, SigmaMap, neg_simple
-from ysyslab.numeric import gather, real_plus1
-from ysyslab.schedule import CAST_RANGE, UNIT, run_schedule, slot_sets
+from ysyslab.numeric import real_plus1
+from ysyslab.schedule import CAST_RANGE, OFF, UNIT, Relations, ScheduleError, _padded, run_schedule, slot_sets
 from ysyslab.tropical import NEGATIVE, POSITIVE, tropical_plus1
 
 
@@ -739,6 +749,108 @@ class LabelledArrays:
         return np.compress(~np.isnan(ys[0]), ys, axis=1)
 
 
+class PiecewisePlan:
+    """The gather plan of a verified Schedule built piece by piece: one
+    lookup and one off-grid check per relation array, one more for its
+    translate by the last slot period, and one per periodicity array,
+    each raising ScheduleError at its first value off the grid.  The
+    reference for the t_relation, y_relation, t_period, y_period and
+    coefficients of schedule.GatherPlan, which looks every read up in one
+    batch and bounds the translates by their largest row; it reads the
+    plan's y_rows and t_rows lookups and its window.
+    """
+
+    def __init__(self, schedule):
+        plan = schedule.plan
+        self.plan, self.t, self.full_s, self.tops, self.lags = plan, plan.t, plan.full_s, plan.tops, plan.lags
+        keys = list(schedule.g)
+        ra, rm = np.array(keys).T[:, :, None]  # one row per relation
+        period = np.arange(2 * self.t)
+
+        # T-relations at the P'+ points
+        ri, s = np.nonzero(plan.y_rows(ra, rm, period) != OFF)
+        a, m, dt = ra[ri], rm[ri], self.lags[ra[ri]]
+        b, k, ds, pad = (x[ri] for x in _padded(schedule.g, keys))
+        self.t_relation = Relations(
+            lhs=self._relation_rows(plan.t_rows, a, m, s[:, None] + dt * [-1, 1]),
+            adjacent=self._relation_rows(plan.t_rows, a, m + [-1, 1], s[:, None]),
+            factors=self._relation_rows(plan.t_rows, b, k, s[:, None] + ds, pad),
+            center=self._relation_rows(plan.y_rows, a[:, 0], m[:, 0], s),
+            relation=ri,
+        )
+
+        # Y-relations at the P+ points; a boundary row carries no factor
+        ri, s = np.nonzero(plan.t_rows(ra, rm, period) != OFF)
+        a, m, dt = ra[ri], rm[ri], self.lags[ra[ri]]
+        b, k, ds, pad = (x[ri] for x in _padded(schedule.numerators, keys))
+        rows_m = m + [-1, 1]
+        self.y_relation = Relations(
+            lhs=self._relation_rows(plan.y_rows, a, m, s[:, None] + dt * [-1, 1]),
+            adjacent=self._relation_rows(plan.y_rows, a, rows_m, s[:, None], (rows_m == 0) | (rows_m == self.tops[a])),
+            factors=self._relation_rows(plan.y_rows, b, k, s[:, None] + ds, pad),
+            center=None,
+            relation=ri,
+        )
+        self.t_period = self._periodicity(plan.t_rows, ra, rm)
+        self.y_period = self._periodicity(plan.y_rows, ra, rm)
+
+    def coefficients(self, s_lo, s_hi):
+        """The record rows of the P'+ points with s_lo <= s < s_hi, in
+        (s, a, m) order, clamped to the plan's window."""
+        plan = self.plan
+        s = np.arange(max(s_lo, plan.lo_s), min(s_hi, plan.hi_s + 1))
+        by_label = plan._vertex[:, :, s % (2 * self.t)].transpose(2, 0, 1).reshape(len(s), -1)
+        i, j = np.nonzero(by_label != OFF)
+        return (s[i] - plan.lo_s) * plan.n + by_label[i, j]
+
+    def _checked(self, lookup, a, m, s, unit=None):
+        """lookup(a, m, s), UNIT where unit holds; raises ScheduleError at the
+        first value off the grid."""
+        rows = lookup(a, m, s) if unit is None else np.where(unit, UNIT, lookup(a, m, s))
+        off = np.flatnonzero(rows == OFF)
+        if off.size:
+            a, m, s = (int(np.broadcast_to(x, rows.shape).flat[off[0]]) for x in (a, m, s))
+            raise ScheduleError(f"({a}, {m}, {s}/{self.t}) is off the grid, read by a relation ({self.plan._context})")
+        return rows
+
+    def _relation_rows(self, lookup, a, m, s, unit=None):
+        """The checked rows of one slot period of relations; their translates
+        by the last slot period must stay inside the window too."""
+        rows = self._checked(lookup, a, m, s, unit)
+        self._checked(lookup, a, m, s + self.full_s - 2 * self.t, unit)
+        return rows
+
+    def _periodicity(self, lookup, ra, rm):
+        """The periodicity pairs of the values that lookup finds at 0 <= s < 2t."""
+        ri, s = np.nonzero(lookup(ra, rm, np.arange(2 * self.t)) != OFF)
+        a, m = ra[ri, 0], rm[ri, 0]
+        base = lookup(a, m, s)
+        full = self._checked(lookup, a, m, s + self.full_s)
+        half = self._checked(lookup, a, self.tops[a] - m, s + self.full_s // 2)
+        # row by row: the full pairs of a row, then its half pairs
+        order = np.argsort(np.concatenate([2 * ri, 2 * ri + 1]), kind="stable")
+        return np.concatenate([base, base])[order], np.concatenate([full, half])[order]
+
+
+def int64_slot_cycle(model, sets):
+    """The exchange matrix after each slot step of one period, mutated in
+    int64 by quiver.mutations from the built matrix: the reference for the
+    float64 cycle of schedule.slot_matrices."""
+    B, out = model.quiver.B, []
+    for ks in sets:
+        B = mutations(B, [ks])[0]
+        out.append(B)
+    return out
+
+
+def masked_gather(record, rows):
+    """record[rows] for a flattened run record without a unit row, with an
+    exact 1.0 written where a row is UNIT."""
+    out = record[rows]
+    out[rows == UNIT] = 1.0
+    return out
+
+
 def trivial_plus1(L):
     """The one-element semifield: 1 (+) 1 = 1, so log(y (+) 1) = 0."""
     return np.zeros_like(L)
@@ -776,12 +888,12 @@ class NumericRun:
         self.y = np.exp(Ls) if tracked else None
 
     def t_values(self, rows):
-        return gather(self.x.reshape(-1, len(self.seeds)), rows)
+        return masked_gather(self.x.reshape(-1, len(self.seeds)), rows)
 
     def y_values(self, rows):
         if self.y is None:  # coefficient-free: every Y is 1
             return np.ones((*np.shape(rows), len(self.seeds)))
-        return gather(self.y.reshape(-1, len(self.seeds)), rows)
+        return masked_gather(self.y.reshape(-1, len(self.seeds)), rows)
 
     def t_residuals(self):
         plan = self.schedule.plan
@@ -1296,3 +1408,23 @@ def level2_core(model):
     spec, t_a = model.spec, model.cartan["t_a"]
     cols = sorted({meta.col for meta in model.quiver.meta})
     return [model.vid(col, t_a[column_fold(spec.family, spec.rank, col)]) for col in cols]
+
+
+def per_point_alpha(schedule, vertices, rs):
+    """alpha of roots.pl_dynamics point by point: for each mutation point
+    (s, v) with -h_dual*t <= s < 0 and v among vertices, in time order, the
+    image of -alpha_i (v = vertices[i-1]) under its own chain of
+    RootSystem.sigma calls through the slots s, s+1, ..., -1.  The
+    reference for the one sweep that carries every root together."""
+    node = {v: i for i, v in enumerate(vertices, start=1)}
+    words = [[node[v] for v in ks if v in node] for ks in schedule.sets]
+    alpha = {}
+    s, v = schedule.points(-schedule.model.cartan["h_dual"] * schedule.t, 0)
+    for s, v in zip(s.tolist(), v.tolist()):
+        if v in node:
+            vec = neg_simple(rs, node[v])
+            for k in range(s, 0):
+                for i in words[k % len(words)]:
+                    vec = rs.sigma(i, vec)
+            alpha[s, v] = vec
+    return alpha

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -469,3 +470,36 @@ def test_off_grid_gather_raises(monkeypatch):
     monkeypatch.setattr(schedule, "transpose_factors", planted)
     with pytest.raises(ScheduleError, match="off the grid"):
         Schedule(model)
+
+
+def test_coefficients_refuse_a_window_outside_the_plan():
+    # the plan's coefficient rows exist from lo_s to hi_s; a window that
+    # leaves that range raises IndexError naming both windows, through
+    # labelled_coefficients too, and an empty window raises ValueError,
+    # where each was clamped or failed in numpy before
+    run = cached_numeric("C", 2, 2)
+    plan = run.schedule.plan
+    outside = [(0, 10 * plan.full_s), (-100, 0), (plan.hi_s + 1, plan.hi_s + 3), (plan.lo_s - 1, 0), (0, plan.hi_s + 2)]
+    for s_lo, s_hi in outside:
+        message = f"the window [{s_lo}, {s_hi}) is outside the plan's window [{plan.lo_s}, {plan.hi_s}]"
+        for read in (plan.coefficients, run.labelled_coefficients):
+            with pytest.raises(IndexError, match=re.escape(message)):
+                read(s_lo, s_hi)
+    for s_lo, s_hi in ((5, 3), (4, 4)):
+        with pytest.raises(ValueError, match=re.escape(f"the window [{s_lo}, {s_hi}) is empty")):
+            run.labelled_coefficients(s_lo, s_hi)
+    full = plan.coefficients(plan.lo_s, plan.hi_s + 1)
+    assert np.array_equal(np.concatenate([plan.coefficients(plan.lo_s, 0), plan.coefficients(0, plan.hi_s + 1)]), full)
+
+
+def test_records_end_in_a_unit_row():
+    # each record is kept flattened, as the plan numbers its rows, with one
+    # trailing row of exact 1.0 that UNIT reads; x and y are views of the
+    # rest, so a value written through them is what the checks gather
+    run = NumericRun(cached_schedule("C", 2, 2), SEEDS)
+    for name in ("x", "y"):
+        record, flat = getattr(run, name), getattr(run, f"_{name}")
+        assert flat.shape == (record.shape[0] * record.shape[1] + 1, record.shape[2])
+        assert np.shares_memory(record, flat) and (flat[-1] == 1.0).all()
+        record[1, 2, 3] = 7.0
+        assert np.array_equal(gather(flat, np.array([[UNIT, run.model.n + 2]])), [[flat[-1], record[1, 2]]])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tests import oracle
-from tests.conftest import cached_dynamics, cached_tropical
+from tests.conftest import cached_dynamics, cached_schedule, cached_tropical
 from ysyslab.builders import dynkin_edges
 from ysyslab.cli import main
 from ysyslab.roots import (
@@ -97,6 +97,31 @@ def test_derived_dynamics_match_typed_tables(family, rank):
     )
     for (i, u), root in alpha.items():
         assert root == oracle.thin_row_alpha_C(rank, i, u), (i, u)
+
+
+@pytest.mark.parametrize("family,rank", [("C", r) for r in range(2, 7)] + [("F4", 4), ("G2", 2)])
+def test_one_sweep_dynamics_match_per_point_chains(family, rank):
+    # pl_dynamics carries every point's root together in one sweep; alpha is,
+    # key for key, value for value and in the same order, each point's own
+    # chain of sigma calls, on the level-2 core and, for type C, on the thin
+    # row; the roots are tuples of Python ints
+    sched = cached_schedule(family, rank, 2)
+    m = sched.model
+    for vertices in [level2_core(m)] + ([[m.vid(i, 1) for i in range(1, rank)]] if family == "C" else []):
+        sigma, alpha = pl_dynamics(sched, vertices)
+        want = oracle.per_point_alpha(sched, vertices, sigma.rs)
+        assert list(alpha.items()) == list(want.items())
+        assert all(type(c) is int for root in alpha.values() for c in root)
+
+
+@pytest.mark.parametrize("rs", list(ALL_SYSTEMS.values()), ids=list(ALL_SYSTEMS))
+def test_sigma_batch_is_sigma_row_by_row(rs):
+    # on every almost positive root at once, sigma_batch is sigma_i of each
+    roots = almost_positive(rs)
+    for i in range(1, rs.rank + 1):
+        batch = np.array(roots)
+        rs.sigma_batch(i, batch)
+        assert list(map(tuple, batch.tolist())) == [rs.sigma(i, vec) for vec in roots], i
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import re
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,19 +17,22 @@ from tests.conftest import (
 )
 from tests.oracle import (
     NumericSeedPayload,
+    PiecewisePlan,
     TropicalCoefficients,
     composite_mutate,
     grid_points,
+    int64_slot_cycle,
     label_g,
     label_g_prime,
     parity_plus,
     run_payload,
     run_two_product,
 )
-from ysyslab.builders import involutions
+from ysyslab.builders import FamilySpec, build, involutions
+from ysyslab.gfun import transpose_factors
 from ysyslab.quiver import Quiver
 from ysyslab import numeric, schedule
-from ysyslab.schedule import Schedule, ScheduleError, run_schedule, slot_sets
+from ysyslab.schedule import Relations, Schedule, ScheduleError, run_schedule, slot_sets
 from ysyslab.numeric import NumericRun, tropical_shadow_mismatches
 from ysyslab.cli import main
 from ysyslab.tropical import TropicalRun, tropical_plus1
@@ -353,3 +357,110 @@ def test_mutation_sets_match_printed_cycle():
     assert all(meta[v].fill == "bullet" and meta[v].tag == "-" for v in sets[1])
     circ2 = {meta[v].tag for v in sets[2] if meta[v].fill == "circle"}
     assert circ2 == {"-"}
+
+
+SCALE_CASES = [("C", 6, 6), ("F4", 4, 5), ("G2", 2, 6)]
+LARGE_CASES = [("C", 12, 12), ("F4", 4, 24), ("G2", 2, 30)]
+
+
+def case_schedule(case):
+    """The Schedule of a case: cached for CASES, made afresh for the larger
+    cases, so that the session does not keep them."""
+    return cached_schedule(*case) if case in CASES else Schedule(build(FamilySpec(*case)))
+
+
+@pytest.mark.parametrize("case", list(CASES) + SCALE_CASES + LARGE_CASES + [("C", 16, 16)], ids=str)
+def test_gather_plan_matches_piecewise_oracle(case):
+    # the plan, made by one batched lookup with its translates bounded by
+    # their largest row, is array for array and bit for bit the plan built
+    # one lookup and one off-grid check at a time
+    sched = case_schedule(case)
+    plan, ref = sched.plan, PiecewisePlan(sched)
+    for name in ("t_relation", "y_relation"):
+        for field, got, want in zip(Relations._fields, getattr(plan, name), getattr(ref, name), strict=True):
+            if want is None:
+                assert got is None, (name, field)
+                continue
+            assert got.dtype == want.dtype and got.shape == want.shape and np.array_equal(got, want), (name, field)
+    for name in ("t_period", "y_period"):
+        for got, want in zip(getattr(plan, name), getattr(ref, name), strict=True):
+            assert got.dtype == want.dtype and got.shape == want.shape and np.array_equal(got, want), name
+    got, want = plan.coefficients(0, plan.full_s), ref.coefficients(0, plan.full_s)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def shifted(table, by):
+    """A relation table whose first factor of each row is read by steps
+    later: two slot periods keep it on the grid, but its translate by the
+    last slot period leaves the window."""
+    return {row: [(b, k, ds + by * (i == 0)) for i, (b, k, ds) in enumerate(factors)] for row, factors in table.items()}
+
+
+PLANTS = {
+    "t-factor-at-its-own-time": lambda g, t: ({row: [(*row, 0)] for row in g}, None),
+    "t-factor-translate-out": lambda g, t: (shifted(g, 6 * t), None),
+    "y-factor-at-its-own-time": lambda g, t: (g, {row: [(*row, 0)] for row in g}),
+    "y-factor-translate-out": lambda g, t: (g, shifted(transpose_factors(g), 6 * t)),
+}
+
+
+@pytest.mark.parametrize("plant", PLANTS)
+@pytest.mark.parametrize("case", [("C", 2, 2), ("F4", 4, 3), ("G2", 2, 3)], ids=str)
+def test_off_grid_reads_raise_the_piecewise_error(plant, case, monkeypatch):
+    # a relation table that reads off the grid, at the read itself or only
+    # at its translate by the last slot period, fails the Schedule with the
+    # error of the piece-by-piece plan: the same value, first in the same
+    # order of reads
+    good = cached_schedule(*case)
+    g, numerators = PLANTS[plant](good.g, good.t)
+    numerators = transpose_factors(g) if numerators is None else numerators
+    with pytest.raises(ScheduleError) as want:
+        PiecewisePlan(SimpleNamespace(g=g, numerators=numerators, plan=good.plan))
+    monkeypatch.setattr(schedule, "g_factors", lambda sched: g)
+    monkeypatch.setattr(schedule, "transpose_factors", lambda table: numerators)
+    with pytest.raises(ScheduleError) as got:
+        Schedule(good.model)
+    assert str(got.value) == str(want.value)
+    assert "is off the grid, read by a relation" in str(got.value)
+
+
+@pytest.mark.parametrize("case", list(CASES) + LARGE_CASES, ids=str)
+def test_float_slot_cycle_is_the_int64_cycle(case, monkeypatch):
+    # slot_matrices mutates a float64 copy of the exchange matrix, so that
+    # the products run in BLAS; at every slot its matrix is, entry for
+    # entry, that of the int64 cycle of quiver.mutations, while the
+    # Schedule's matrices stay int64; a quiver fault planted at one step
+    # still raises the mismatch message naming that step
+    model = cached_model(*case) if case in CASES else build(FamilySpec(*case))
+    sets, invs, t = slot_sets(model), involutions(model), model.cartan["t"]
+    steps, mutations = [], schedule.mutations
+
+    def recording(B, ks):
+        out = mutations(B, ks)
+        steps.append(out[0].copy())
+        return out
+
+    monkeypatch.setattr(schedule, "mutations", recording)
+    matrices = schedule.slot_matrices(model, sets, invs)
+    want = int64_slot_cycle(model, sets)
+    assert [B.dtype for B in steps] == [np.dtype(np.float64)] * len(want)
+    assert all(np.array_equal(got, B) for got, B in zip(steps, want, strict=True))
+    assert [B.dtype for B in matrices] == [np.dtype(np.int64)] * len(sets)
+    if case in CASES:
+        assert all(B.dtype == np.int64 for B in cached_schedule(*case).matrices)
+    bad_step = len(sets) // 2
+
+    def planted(B, ks):
+        out = mutations(B, ks)
+        if len(steps) == bad_step:  # reverse the first arrow of this step's matrix
+            i, j = np.argwhere(out[0])[0]
+            out[0, i, j], out[0, j, i] = -out[0, i, j], -out[0, j, i]
+        steps.append(None)
+        return out
+
+    steps.clear()
+    monkeypatch.setattr(schedule, "mutations", planted)
+    spec = model.spec
+    message = f"quiver mismatch after step to u={Fraction(bad_step + 1, t)} (family {spec.family}, rank {spec.rank}, level {spec.level})"
+    with pytest.raises(ScheduleError, match=re.escape(message)):
+        schedule.slot_matrices(model, sets, invs)
