@@ -1,17 +1,19 @@
 """Coefficient and cluster dynamics over positive reals along the schedule.
 
 One run carries cluster tuples x and coefficient tuples y through the
-mutation schedule and records the full tuples at every time, in one array
-indexed by time, with the columns [positive-real seeds | coefficient-free
-seeds]: the J random seeds with coefficients in the positive reals, then
-the same cluster draws in the trivial semifield, where y (+) 1 = 1 keeps
-every y exactly 1.  The schedule's GatherPlan names the record row of each
-labelled value T^{(a)}_m and Y^{(a)}_m (the schedule's labels name the
-(a, m) of each point), so the residual checks certify the recursion
-relations and the periodicity claims as a few whole-array gathers, every
-relation and seed at once; they are initialization-free in the sense that
-any positive starting data must satisfy them.  The relations are the tables
-of the schedule (Schedule.g, Schedule.numerators), read off its exchange
+mutation schedule and records the full tuples at every time, in two arrays
+indexed by time.  The cluster record has the columns [positive-real seeds |
+coefficient-free seeds]: the J random seeds with coefficients in the
+positive reals, then the same cluster draws in the trivial semifield, where
+y (+) 1 = 1 keeps every y exactly 1.  The coefficient record holds the J
+positive-real columns alone, since the coefficient-free y is 1 throughout.
+The schedule's GatherPlan names the record row of each labelled value
+T^{(a)}_m and Y^{(a)}_m (the schedule's labels name the (a, m) of each
+point), so the residual checks certify the recursion relations and the
+periodicity claims as whole-array gathers, one factor of every relation and
+seed at a time; they are initialization-free in the sense that any
+positive starting data must satisfy them.  The relations are the tables of
+the schedule (Schedule.g, Schedule.numerators), read off its exchange
 matrices.
 """
 
@@ -29,33 +31,34 @@ import numpy.random  # noqa: F401
 from .schedule import UNIT, run_schedule
 
 
-def real_plus1(L):
+def real_plus1(L, out=None):
     """log(1 + y) for the positive reals y = exp(L)."""
-    return np.logaddexp(0.0, L)
+    return np.logaddexp(0.0, L, out=out)
 
 
 class NumericRun:
-    """The run record of one schedule over the window of its GatherPlan,
+    """The run records of one schedule over the window of its GatherPlan,
     one column per seed and semifield, and the relation and periodicity
-    checks gathered from it.
+    checks gathered from them.
 
-    The run record x[s - lo_s, v, c] (and y[s - lo_s, v, c]) holds the
-    cluster (and coefficient) value of vertex v at time s, for
-    lo_s <= s <= hi_s.  Column j < J (the slice real) runs seeds[j] with
-    coefficients in the positive reals, and column J + j (the slice free)
-    the same cluster draw coefficient-free, with y exactly 1.  The
-    schedule's GatherPlan names the record row of each labelled value
-    T^{(a)}_m(s/t) (in x) and Y^{(a)}_m(s/t) (in y), so every check is a
-    few whole-array gathers; T is 1 on its boundary rows.  The T-relations
-    are read in both blocks, the Y checks in real and T periodicity in
-    free.  The run is driven by a verified schedule.Schedule with one
-    run_schedule call from the seed draws at lo_s; seeds is a non-empty
+    The run records x[s - lo_s, v, c] and y[s - lo_s, v, j] hold the
+    cluster and the coefficient value of vertex v at time s, for
+    lo_s <= s <= hi_s.  Column j < J of x (the slice real) and column j of
+    y run seeds[j] with coefficients in the positive reals, and column
+    J + j of x (the slice free) the same cluster draw coefficient-free,
+    with y exactly 1, which no record holds.  The schedule's GatherPlan
+    names the record row of each labelled value T^{(a)}_m(s/t) (in x) and
+    Y^{(a)}_m(s/t) (in y), so every check is a few whole-array gathers; T
+    is 1 on its boundary rows.  The T-relations are read in both blocks of
+    x, the Y checks in y and T periodicity in free.  The run is driven by a
+    verified schedule.Schedule with one run_schedule call from the seed
+    draws at lo_s, which fills the records in logs; seeds is a non-empty
     tuple, and memory grows linearly with its length.
 
     Each record is kept flattened to one row per (time, vertex), as the
-    plan numbers them, with one trailing row of exact 1.0 that UNIT reads;
-    x and y are views of all but that row, so every plan read is one
-    np.take (gather).
+    plan numbers them, with one trailing row of exact 1.0 that UNIT reads,
+    and is exponentiated in place; x and y are views of all but that row,
+    so every plan read is one np.take (gather).
     """
 
     def __init__(self, schedule, seeds=(0,)):
@@ -67,23 +70,20 @@ class NumericRun:
         self.t = schedule.t
         plan = schedule.plan
         self.full_s, self.lo_s, self.hi_s = plan.full_s, plan.lo_s, plan.hi_s
-        J = len(seeds)
+        J, n, times = len(seeds), self.model.n, self.hi_s - self.lo_s + 1
         self.real, self.free = slice(0, J), slice(J, 2 * J)
         # each seed draws its cluster, then its coefficients; both blocks
         # start from the same cluster draw
-        draws = np.log([np.random.default_rng(seed).uniform(0.5, 2.0, (2, self.model.n)) for seed in seeds]).T
-        logx = np.tile(draws[:, 0], 2)
-        L = np.concatenate([draws[:, 1], np.zeros_like(draws[:, 1])], axis=1)
-        Ls, logxs = run_schedule(schedule, self.lo_s, self.hi_s, L, self._plus1, logx)
-        self._x, self._y = _exp_record(logxs), _exp_record(Ls)
-        self.x, self.y = self._x[:-1].reshape(logxs.shape), self._y[:-1].reshape(Ls.shape)
-
-    def _plus1(self, L):
-        """log(y (+) 1) column by column: log(1 + y) in the positive-real
-        block and exactly 0 in the coefficient-free one, where 1 (+) 1 = 1."""
-        out = np.zeros(L.shape)
-        np.logaddexp(0.0, L[:, self.real], out=out[:, self.real])
-        return out
+        draws = np.log([np.random.default_rng(seed).uniform(0.5, 2.0, (2, n)) for seed in seeds]).T
+        logy, logx = draws[:, 1], np.tile(draws[:, 0], 2)
+        self._x, self._y = np.empty((times * n + 1, 2 * J)), np.empty((times * n + 1, J))
+        self.x, self.y = self._x[:-1].reshape(times, n, 2 * J), self._y[:-1].reshape(times, n, J)
+        run_schedule(schedule, self.lo_s, self.hi_s, logy, real_plus1, logx, (self.y, self.x))
+        # a value off the float range raises FloatingPointError
+        with np.errstate(over="raise", under="raise"):
+            for record in (self._x, self._y):
+                np.exp(record[:-1], out=record[:-1])
+                record[-1] = 1.0
 
     @property
     def spec(self):
@@ -91,44 +91,48 @@ class NumericRun:
 
     def t_values(self, rows):
         """The T values at record rows of the schedule's GatherPlan, one
-        column per record column."""
+        column per column of x."""
         return gather(self._x, rows)
 
     def y_values(self, rows):
         """The Y values at record rows of the schedule's GatherPlan, one
         column per seed of the positive-real block."""
-        return gather(self._y, rows)[..., self.real]
+        return gather(self._y, rows)
 
     # -- relation residuals -------------------------------------------------
 
     def t_residuals(self):
         """Relative residuals of the cluster-variable recursion at all P'+
-        centers inside one period, one column per record column: with the
+        centers inside one period, one column per column of x: with the
         coefficients in the positive-real block, coefficient-free in the
         other."""
         plan = self.schedule.plan
         rel = plan.translated(plan.t_relation)
-        lhs, adj = self.t_values(rel.lhs), self.t_values(rel.adjacent)
-        lhs, adj = lhs[:, 0] * lhs[:, 1], adj[:, 0] * adj[:, 1]
-        mon = _product(self.t_values(rel.factors))  # the padding is an exact 1.0
-        rhs = adj + mon
+        lhs, adj = gather_prod(self._x, rel.lhs), gather_prod(self._x, rel.adjacent)
+        rhs = gather_prod(self._x, rel.factors)  # the monomial; the padding is an exact 1.0
+        # adj + mon coefficient-free, (yk mon + adj) / (1 + yk) with the
+        # coefficients, in place over the monomial
         yk = self.y_values(rel.center)
-        rhs[:, self.real] = (yk * mon[:, self.real] + adj[:, self.real]) / (1.0 + yk)
-        return np.abs(lhs - rhs) / np.maximum(np.abs(lhs), np.abs(rhs))
+        rhs[:, self.free] += adj[:, self.free]
+        real = rhs[:, self.real]
+        real *= yk
+        real += adj[:, self.real]
+        yk += 1.0
+        real /= yk
+        del adj, yk
+        return _relative_residuals(lhs, rhs)
 
     def y_residuals(self):
         """Relative residuals of the coefficient recursion at all P+ centers,
         in the positive-real block."""
         plan = self.schedule.plan
         rel = plan.translated(plan.y_relation)
-        lhs = self.y_values(rel.lhs)
-        lhs = lhs[:, 0] * lhs[:, 1]
-        num = 1.0 + self.y_values(rel.factors)
-        num[rel.factors == UNIT] = 1.0  # the padding
-        den = 1.0 + 1.0 / self.y_values(rel.adjacent)
-        den[rel.adjacent == UNIT] = 1.0  # the boundary rows carry no factor
-        rhs = _product(num) / _product(den)
-        return np.abs(lhs - rhs) / np.maximum(np.abs(lhs), np.abs(rhs))
+        lhs = gather_prod(self._y, rel.lhs)
+        # 1 + Y of each factor over 1 + 1/Y of each adjacent row; the
+        # padding and the boundary rows carry no factor
+        rhs = gather_prod(self._y, rel.factors, _one_plus)
+        rhs /= gather_prod(self._y, rel.adjacent, _one_plus_inverse)
+        return _relative_residuals(lhs, rhs)
 
     # -- periodicity ----------------------------------------------------------
 
@@ -158,17 +162,6 @@ class NumericRun:
         return np.ascontiguousarray(self.y_values(self.schedule.plan.coefficients(s_lo, s_hi)).T)
 
 
-def _exp_record(logs):
-    """exp of a (time, vertex, column) log run record, flattened to one row
-    per (time, vertex) and followed by one row of exact 1.0 (see gather).
-    A value off the float range raises FloatingPointError."""
-    record = np.empty((logs.shape[0] * logs.shape[1] + 1, logs.shape[2]))
-    with np.errstate(over="raise", under="raise"):
-        np.exp(logs.reshape(record.shape[0] - 1, -1), out=record[:-1])
-    record[-1] = 1.0
-    return record
-
-
 def gather(record, rows):
     """record[rows] in one np.take, for a flattened run record and plan
     rows; a record that ends in a row of exact 1.0, as NumericRun keeps
@@ -176,13 +169,45 @@ def gather(record, rows):
     return np.take(record, rows, axis=0)
 
 
-def _product(values):
-    """The product of values along axis 1, multiplied left to right as
-    np.prod multiplies them, bit for bit, but column by column in place,
-    at a fraction of its cost on a narrow axis."""
-    out = values[:, 0].copy()
-    for j in range(1, values.shape[1]):
-        out *= values[:, j]
+def gather_prod(record, rows, term=None):
+    """The product along axis 1 of the record values at (relations, factors)
+    plan rows, gathered one factor column at a time and multiplied into the
+    first in place, left to right as np.prod multiplies them, bit for bit.
+    term(values, rows), when given, turns each gathered column into its
+    factor in place first."""
+    out = None
+    for column in rows.T:
+        values = gather(record, column)
+        if term is not None:
+            term(values, column)
+        if out is None:
+            out = values
+        else:
+            out *= values
+    return out
+
+
+def _one_plus(y, rows):
+    """y -> 1 + y in place, and 1.0 where rows is UNIT."""
+    y += 1.0
+    y[rows == UNIT] = 1.0
+
+
+def _one_plus_inverse(y, rows):
+    """y -> 1 + 1/y in place, and 1.0 where rows is UNIT."""
+    np.divide(1.0, y, out=y)
+    _one_plus(y, rows)
+
+
+def _relative_residuals(lhs, rhs):
+    """|lhs - rhs| / max(|lhs|, |rhs|), elementwise, bit for bit, computed
+    in place over lhs and rhs, which it overwrites."""
+    out = lhs - rhs
+    np.abs(out, out=out)
+    np.abs(lhs, out=lhs)
+    np.abs(rhs, out=rhs)
+    np.maximum(lhs, rhs, out=lhs)
+    out /= lhs
     return out
 
 

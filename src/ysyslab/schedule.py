@@ -26,8 +26,9 @@ point (s, v) is one array read.  A Schedule holds one SlotOperator per slot,
 so a run's step only indexes them, and one GatherPlan, the record rows of
 every value its numeric checks read.  run_schedule carries the seed forward
 from the first time of its window in float64, each slot step one affine
-update by a product (mutate_slot), and checks an integer record's range
-where it stores a time's seed.
+update by a product written into the next time's row of a float record (or
+of a two-row carry for an integer one), and checks an integer record's
+range where it stores a time's seed.
 """
 
 from __future__ import annotations
@@ -203,7 +204,7 @@ class Schedule:
 
 class SlotOperator(NamedTuple):
     """The composite mutation at the pairwise non-adjacent vertices ks of an
-    exchange matrix B, as the two float64 matrices of mutate_slot's products
+    exchange matrix B, as the two float64 matrices of run_schedule's products
     (so that they run in BLAS).  With P = B[ks] and the exchanged vertices
     stacked on top of their oplus1 values:
 
@@ -236,47 +237,36 @@ CAST_RANGE = {
 }
 
 
-def mutate_slot(op, L, oplus1, logx=None):
-    """Mutate the float64 seed (L, logx) by the SlotOperator op of vertices
-    ks in B.
+def run_schedule(schedule, s_lo, s_hi, L, oplus1, logx=None, out=None):
+    """Drive the seed (L, logx) through a verified Schedule, forward from
+    time s_lo, where it stands, to s_hi; the step out of time s applies the
+    SlotOperator op of slot s mod 2t, at its vertices ks.
 
     The seed is written additively: L holds the coefficients (one entry, or
-    one exponent row, per vertex) of a semifield whose y (+) 1 is oplus1,
-    and logx the log cluster.  Each k in ks sends
+    one exponent row, per vertex) of a semifield whose y (+) 1 is
+    oplus1(L, out=...), and logx the log cluster.  Each k in ks sends
 
         L_j    -> L_j + [B_kj]+ L_k - B_kj oplus1(L_k)   (j != k),   L_k -> -L_k,
         logx_k -> logaddexp(L_k + sum_i [-B_ki]+ logx_i, sum_i [B_ki]+ logx_i)
                   - oplus1(L_k) - logx_k.
 
-    Non-adjacency keeps the rows of B at ks fixed inside the slot, so the
-    slot is one affine update, L + W @ [L[ks]; oplus1(L[ks])], and the
+    Non-adjacency keeps the rows of B at ks fixed inside the slot, so a
+    step is one affine update, L + W @ [L[ks]; oplus1(L[ks])], and the
     cluster one product X @ logx.  The -2 of W at each k sends L_k to
-    L_k - 2 L_k = -L_k exactly.  Returns new float64 arrays; run_schedule
-    checks an integer record's range where it stores a seed.
-    """
-    ks = op.ks
-    m = len(ks)
-    Lk = L[ks]
-    stacked = np.concatenate([Lk, oplus1(Lk)])
-    new = op.W @ stacked
-    new += L
-    if logx is not None:
-        sums = op.X @ logx  # the [-P]+ sums on top of the [P]+ ones
-        logx = logx.copy()
-        logx[ks] = np.logaddexp(Lk + sums[:m], sums[m:]) - stacked[m:] - logx[ks]
-    return new, logx
-
-
-def run_schedule(schedule, s_lo, s_hi, L, oplus1, logx=None):
-    """Drive the seed (L, logx) of mutate_slot through a verified Schedule,
-    forward from time s_lo, where it stands, to s_hi; the step out of time
-    s applies the operator of slot s mod 2t.
+    L_k - 2 L_k = -L_k exactly.  A 2-D logx may carry more columns than L:
+    its first L.shape[1] columns pair with L's, and the rest run
+    coefficient-free, in the trivial semifield, where y = 1 and y (+) 1 = 1,
+    so L_k and oplus1(L_k) drop out of their update.
 
     Returns the run record (Ls, xs): Ls[s - s_lo] and xs[s - s_lo] are L
     and logx at time s, for s_lo <= s <= s_hi; xs is None without logx.
-    Ls has L's dtype, and the seed is carried from step to step in float64.
-    For an integer record each time's seed is checked against CAST_RANGE
-    as it will be stored, since the cast would wrap silently, and an entry
+    Ls has L's dtype and xs is float64; out=(Ls, xs) fills records of those
+    shapes instead and returns them.  A float64 record carries its own seed,
+    each step writing the next time's row from the last, and any other
+    record a two-row float64 carry; each step's products go to buffers
+    sized for the largest slot, so a step allocates nothing.  For an
+    integer record each time's seed is checked against CAST_RANGE as it
+    will be stored, since the cast would wrap silently, and an entry
     outside it raises ArithmeticError naming the time and the vertex.  The
     float64 steps are exact while every partial sum is below 2**53, which
     holds for an int8 record and a B with entries in {-1, 0, 1} (see
@@ -284,19 +274,50 @@ def run_schedule(schedule, s_lo, s_hi, L, oplus1, logx=None):
     """
     if s_lo > s_hi:
         raise ValueError(f"the window [{s_lo}, {s_hi}] is empty")
+    times = s_hi - s_lo + 1
+    if out is None:
+        out = np.empty((times, *L.shape), dtype=L.dtype), None if logx is None else np.empty((times, *logx.shape))
+    Ls, xs = out
+    shapes = [None if seed is None else (times, *seed.shape) for seed in (L, logx)]
+    if [None if record is None else record.shape for record in out] != shapes:
+        raise ValueError(f"out must be records of shapes {shapes}, for the seed at each time of [{s_lo}, {s_hi}]")
+    bounds, inplace = CAST_RANGE.get(Ls.dtype), Ls.dtype == np.float64
+    carry = Ls if inplace else np.empty((2, *L.shape))
+    carry[0] = L
+    width = 2 * max(len(op.ks) for op in schedule.operators)
+    stacked = np.empty((width, *L.shape[1:]))
+    if xs is not None:
+        xs[0] = logx
+        sums = np.empty((width, *logx.shape[1:]))
+        paired = (..., slice(None, L.shape[1] if L.ndim == 2 else None))  # the columns of logx with a coefficient
     period = 2 * schedule.t
-    bounds = CAST_RANGE.get(L.dtype)
-    Ls = np.empty((s_hi - s_lo + 1, *L.shape), dtype=L.dtype)
-    xs = None if logx is None else np.empty((s_hi - s_lo + 1, *logx.shape))
-    Lc = L.astype(np.float64, copy=False)
     for i, s in enumerate(range(s_lo, s_hi + 1)):
-        if bounds is not None:
-            _check_range(Lc, s, L.dtype, *bounds)
-        Ls[i] = Lc
+        Lc = carry[i if inplace else i % 2]
+        if not inplace:
+            if bounds is not None:
+                _check_range(Lc, s, Ls.dtype, *bounds)
+            Ls[i] = Lc
+        if s == s_hi:
+            break
+        op = schedule.operators[s % period]
+        m = len(op.ks)
+        Lk, plus = stacked[:m], stacked[m : 2 * m]
+        np.take(Lc, op.ks, axis=0, out=Lk, mode="clip")  # ks is in range; "raise" would buffer
+        oplus1(Lk, out=plus)
+        new = carry[i + 1 if inplace else 1 - i % 2]
+        np.matmul(op.W, stacked[: 2 * m], out=new)
+        new += Lc
         if xs is not None:
-            xs[i] = logx
-        if s < s_hi:
-            Lc, logx = mutate_slot(schedule.operators[s % period], Lc, oplus1, logx)
+            x, new_x = xs[i], xs[i + 1]
+            minus, plus_sums = sums[:m], sums[m : 2 * m]  # the [-P]+ sums on top of the [P]+ ones
+            np.matmul(op.X, x, out=sums[: 2 * m])
+            minus[paired] += Lk
+            np.logaddexp(minus, plus_sums, out=minus)
+            minus[paired] -= plus
+            np.take(x, op.ks, axis=0, out=plus_sums, mode="clip")
+            minus -= plus_sums
+            new_x[...] = x
+            new_x[op.ks] = minus
     return Ls, xs
 
 

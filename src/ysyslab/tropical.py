@@ -4,9 +4,9 @@ A tropical coefficient is a Laurent monomial in the initial generators
 y_v (one per vertex), stored as its integer exponent vector.  Tropical
 addition takes componentwise minima, so y (+) 1 has exponent vector
 min(e, 0).  schedule.run_schedule carries the exponent rows in float64,
-one product per slot step (schedule.mutate_slot), and records them as
-int8.  It checks each time's rows against the int8 range before it stores
-them, so an exponent past it raises ArithmeticError instead of wrapping.
+one product per slot step, and records them as int8.  It checks each
+time's rows against the int8 range before it stores them, so an exponent
+past it raises ArithmeticError instead of wrapping.
 The products are exact: see TropicalRun for the bound.
 
 TropicalRun runs forward only, over the first half period 0 <= s <= half_s,
@@ -32,15 +32,16 @@ UNIT = "unit"
 MIXED = "mixed"
 
 
-def tropical_plus1(E):
+def tropical_plus1(E, out=None):
     """Exponent rows of y (+) 1 for the monomials with exponent rows E."""
-    return np.minimum(E, 0)
+    return np.minimum(E, 0, out=out)
 
 
 def sign_classes(E):
     """The sign class of each exponent vector along the last axis of E:
-    positive, negative, unit or mixed."""
-    pos, neg = (E > 0).any(-1), (E < 0).any(-1)
+    positive, negative, unit or mixed.  It reduces E along that axis
+    without a mask of E's size."""
+    pos, neg = E.max(-1) > 0, E.min(-1) < 0
     return np.select([pos & neg, pos, neg], [MIXED, POSITIVE, NEGATIVE], UNIT)
 
 

@@ -6,11 +6,13 @@ time, with the exchange matrix that Quiver.mutate produces before that
 vertex, in multiplicative notation.  two_product_step, the slot step as two
 products that casts an integer seed back to its dtype after every step, and
 run_two_product, which drives it, are the reference for the one-product
-step of schedule.mutate_slot and the float64 seed that run_schedule
-carries.  run_payload and run_two_product run in both directions from time
-0: their forward part, from a seed at 0, is the reference for the forward
-runs of run_schedule, and their backward part for the negative times that
-tropical.TropicalRun.monomial reads through omega.  exhaustive_isomorphism is the brute-force reference for
+step and the float64 seed that schedule.run_schedule carries.  mutate_slot,
+that one-product step returning new arrays, and run_slots, a loop of it, are
+the bit-for-bit reference for run_schedule, which writes the same products
+into its records in place.  run_payload and run_two_product run in both
+directions from time 0: their forward part, from a seed at 0, is the
+reference for the forward runs of run_schedule, and their backward part for
+the negative times that tropical.TropicalRun.monomial reads through omega.  exhaustive_isomorphism is the brute-force reference for
 quiver.find_isomorphism, and matrix_refine_colors and matrix_canonical_key,
 which read the exchange matrix entry by entry, the reference for
 quiver.refine_colors and mutclass.canonical_key.
@@ -48,8 +50,9 @@ the relation and periodicity checks read from them row by row, is the
 reference for the GatherPlan gathers of numeric.NumericRun.  NumericRun, a
 run in one semifield driven by its own run_schedule call, is the reference
 for the two column blocks of numeric.NumericRun: a tracked one for the
-positive-real block and a plain one (trivial_plus1) for the
-coefficient-free block.  expected_sign, the region sign classification
+positive-real block and a plain one (trivial_plus1, on log-coefficients
+of 0) for the coefficient-free block, whose y numeric.NumericRun does not
+record.  expected_sign, the region sign classification
 with its typed times as fractions, point by point, is the reference for
 tropical.TropicalRun.sign_pattern_mismatches.  periodicity_mismatches,
 which runs the schedule over two full periods and compares each time of
@@ -205,6 +208,50 @@ def two_product_step(B, ks, L, oplus1, logx=None):
         logx = logx.copy()
         logx[ks] = xk - plus1 - logx[ks]
     return L, logx
+
+
+def mutate_slot(op, L, oplus1, logx=None):
+    """Mutate the float64 seed (L, logx) by the schedule.SlotOperator op of
+    vertices ks, returning new float64 arrays: the step reference for
+    schedule.run_schedule, which writes the same products into its records.
+
+    Non-adjacency keeps the rows of B at ks fixed inside the slot, so the
+    slot is one affine update, L + W @ [L[ks]; oplus1(L[ks])], and the
+    cluster one product X @ logx, with
+
+        logx_k -> logaddexp(L_k + sum_i [-B_ki]+ logx_i, sum_i [B_ki]+ logx_i)
+                  - oplus1(L_k) - logx_k.
+
+    The columns of a 2-D logx past L's run coefficient-free: L_k and
+    oplus1(L_k) are 0 there, the trivial semifield's y = 1 in logs."""
+    ks = op.ks
+    m = len(ks)
+    Lk = L[ks]
+    stacked = np.concatenate([Lk, oplus1(Lk)])
+    new = op.W @ stacked
+    new += L
+    if logx is not None:
+        sums = op.X @ logx  # the [-P]+ sums on top of the [P]+ ones
+        plus1 = stacked[m:]
+        if L.ndim == 2 and logx.shape[1] > L.shape[1]:
+            pad = ((0, 0), (0, logx.shape[1] - L.shape[1]))
+            Lk, plus1 = np.pad(Lk, pad), np.pad(plus1, pad)
+        logx = logx.copy()
+        logx[ks] = np.logaddexp(Lk + sums[:m], sums[m:]) - plus1 - logx[ks]
+    return new, logx
+
+
+def run_slots(schedule, s_lo, s_hi, L, oplus1, logx=None):
+    """The run record (Ls, xs) of schedule.run_schedule, as a loop of
+    mutate_slot steps on float64 seeds, each stored in L's dtype."""
+    period = 2 * schedule.t
+    Lc, Ls, xs = L.astype(np.float64), [], []
+    for s in range(s_lo, s_hi + 1):
+        Ls.append(Lc.astype(L.dtype))
+        xs.append(logx)
+        if s < s_hi:
+            Lc, logx = mutate_slot(schedule.operators[s % period], Lc, oplus1, logx)
+    return np.array(Ls), None if logx is None else np.array(xs)
 
 
 def run_two_product(schedule, s_lo, s_hi, L, oplus1, logx=None):
@@ -675,7 +722,7 @@ class LabelledArrays:
         lag = np.array([self.lags[a] for a in node])
         s, v = self.schedule.points(self.lo_s, self.hi_s + 1)
         self.T[node[v], row[v], s - lag[v] - s0] = x[s - self.lo_s, v]
-        self.Y[node[v], row[v], s - s0] = run.y[s - self.lo_s, v, run.real] if tracked else 1.0
+        self.Y[node[v], row[v], s - s0] = run.y[s - self.lo_s, v] if tracked else 1.0
 
     def _times(self, arr, a, m, s_lo, s_hi):
         """The times s in [s_lo, s_hi) at which arr[a, m] is filled; every
@@ -851,9 +898,12 @@ def masked_gather(record, rows):
     return out
 
 
-def trivial_plus1(L):
+def trivial_plus1(L, out=None):
     """The one-element semifield: 1 (+) 1 = 1, so log(y (+) 1) = 0."""
-    return np.zeros_like(L)
+    if out is None:
+        return np.zeros_like(L)
+    out[...] = 0.0
+    return out
 
 
 class NumericRun:

@@ -1,5 +1,7 @@
 import re
+import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,7 +26,6 @@ from ysyslab.schedule import (
     UNIT,
     Schedule,
     ScheduleError,
-    mutate_slot,
     run_schedule,
     slot_operator,
     slot_sets,
@@ -115,10 +116,11 @@ def test_seed_double_mutation_restores():
     logx = np.log(rng.uniform(0.5, 2.0, m.n))
     logy = np.log(rng.uniform(0.5, 2.0, m.n))
     for ks in ([0], slot_sets(m)[0]):
-        L, lx = mutate_slot(slot_operator(m.quiver.B, ks), logy, real_plus1, logx)
-        L, lx = mutate_slot(slot_operator(composite_mutate(m.quiver, ks).B, ks), L, real_plus1, lx)
-        assert np.allclose(np.exp(lx), np.exp(logx), rtol=1e-12)
-        assert np.allclose(np.exp(L), np.exp(logy), rtol=1e-12)
+        # the two steps as an unverified two-slot schedule
+        ops = [slot_operator(m.quiver.B, ks), slot_operator(composite_mutate(m.quiver, ks).B, ks)]
+        Ls, lxs = run_schedule(SimpleNamespace(t=1, operators=ops), 0, 2, logy, real_plus1, logx)
+        assert np.allclose(np.exp(lxs[2]), np.exp(logx), rtol=1e-12)
+        assert np.allclose(np.exp(Ls[2]), np.exp(logy), rtol=1e-12)
 
 
 def test_overflow_raises(monkeypatch):
@@ -126,10 +128,10 @@ def test_overflow_raises(monkeypatch):
     # float range fails when the run turns them into values
     for which in (0, 1):
 
-        def huge(schedule, s_lo, s_hi, L, oplus1, logx):
-            record = [L[None], logx[None]]  # the run record of the seed's time alone
-            record[which] = np.full_like(record[which], 800.0)
-            return tuple(record)
+        def huge(schedule, s_lo, s_hi, L, oplus1, logx, out):
+            out[0][...], out[1][...] = L, logx  # the seed at every time
+            out[which][...] = 800.0
+            return out
 
         monkeypatch.setattr(numeric, "run_schedule", huge)
         with pytest.raises(FloatingPointError):
@@ -141,10 +143,10 @@ def test_underflow_raises(monkeypatch):
     # underflowing to 0, and that raises too
     for which in (0, 1):
 
-        def tiny(schedule, s_lo, s_hi, L, oplus1, logx):
-            record = [L[None], logx[None]]  # the run record of the seed's time alone
-            record[which] = np.full_like(record[which], -800.0)
-            return tuple(record)
+        def tiny(schedule, s_lo, s_hi, L, oplus1, logx, out):
+            out[0][...], out[1][...] = L, logx  # the seed at every time
+            out[which][...] = -800.0
+            return out
 
         monkeypatch.setattr(numeric, "run_schedule", tiny)
         with pytest.raises(FloatingPointError):
@@ -171,8 +173,9 @@ def test_blocks_match_two_run_oracle(family, rank, level, monkeypatch):
     # the positive-real block is the tracked run of the two-run path and the
     # coefficient-free block its plain run, to 1e-13 relative in the record
     # (BLAS may block a wider product differently) and to 1e-13 in the
-    # relative residuals and periodicity errors; the coefficient-free
-    # log-coefficients are exactly 0 at every time, so its Y is exactly 1
+    # relative residuals and periodicity errors; the coefficient-free Y is
+    # exactly 1 and not recorded: the log-coefficient record and y hold the
+    # positive-real block alone
     recorded, real = [], numeric.run_schedule
 
     def recording(*args):
@@ -185,17 +188,15 @@ def test_blocks_match_two_run_oracle(family, rank, level, monkeypatch):
     monkeypatch.setattr(numeric, "run_schedule", recording)
     run = NumericRun(sched, SEEDS)
     (Ls,) = recorded
-    assert not Ls[..., run.free].any()
-    assert (run.y[..., run.free] == 1.0).all()
-    rows = run.schedule.plan.coefficients(run.lo_s, run.hi_s + 1)
-    assert (gather(run.y.reshape(-1, 2 * len(SEEDS))[:, run.free], rows) == 1.0).all()
+    assert Ls.shape == run.y.shape == (*run.x.shape[:2], len(SEEDS))
+    assert run.x.shape[-1] == 2 * len(SEEDS)
 
     def close(got, want, rtol=1e-13, atol=0.0, name=""):
         assert got.shape == want.shape, name
         np.testing.assert_allclose(got, want, rtol=rtol, atol=atol, err_msg=name)
 
     close(run.x[..., run.real], tracked.x, name="tracked x")
-    close(run.y[..., run.real], tracked.y, name="tracked y")
+    close(run.y, tracked.y, name="tracked y")
     close(run.x[..., run.free], plain.x, name="plain x")
     window = (run.lo_s, run.hi_s + 1)
     close(run.labelled_coefficients(*window), tracked.labelled_coefficients(*window), name="coefficients")
@@ -235,11 +236,30 @@ def test_worst_errors_propagate_nan(plant):
     record, block, where, affected = NAN_PLANTS[plant]
     run = NumericRun(cached_schedule("C", 2, 2), SEEDS)
     row = where(run.schedule.plan)
-    getattr(run, record).reshape(-1, 2 * len(SEEDS))[row, getattr(run, block).start + 1] = np.nan
+    values = getattr(run, record)
+    values.reshape(-1, values.shape[-1])[row, getattr(run, block).start + 1] = np.nan
     got, clean = worst_errors(run), worst_errors(cached_numeric("C", 2, 2))
     assert all(np.isfinite(clean))
     for g, c, hit in zip(got, clean, affected):
         assert np.isnan(g) if hit else g == c, (got, clean)
+
+
+def test_numeric_run_keeps_each_record_once():
+    # NumericRun has run_schedule fill its flat records in logs and
+    # exponentiates them in place, so making one holds no second copy of a
+    # record: over C:6:6 and five seeds it peaks at most a quarter of its two
+    # records' bytes above what it keeps
+    sched = cached_schedule("C", 6, 6)
+    NumericRun(cached_schedule("C", 2, 2), SEEDS)  # first-use allocations
+    tracemalloc.start()
+    try:
+        run = NumericRun(sched, SEEDS)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    records = run._x.nbytes + run._y.nbytes
+    assert run._y.shape[1] == len(SEEDS) and run._x.shape[1] == 2 * len(SEEDS)
+    assert peak - kept <= records / 4, (peak - kept, records)
 
 
 def test_numeric_run_rejects_empty_seeds():
@@ -252,25 +272,25 @@ def test_batched_run_matches_single_seed_runs(family, rank, level):
     # column j of a run over several seeds is the run of seed j alone, up to
     # the rounding of a matrix product against a vector; so are its labelled
     # coefficients and its functional sums
-    # (in each block: column j in the positive-real block, J + j in the
-    # coefficient-free one)
+    # (in each block of x: column j in the positive-real block, J + j in the
+    # coefficient-free one; y holds column j alone)
     sched = cached_schedule(family, rank, level)
     batched, J = cached_numeric(family, rank, level), len(SEEDS)
     for j, seed in enumerate(SEEDS):
         # each seed draws its cluster, then its coefficients; both blocks
-        # start from the same cluster draw, and the coefficient-free y is 1
+        # start from the same cluster draw
         draws = np.random.default_rng(seed).uniform(0.5, 2.0, (2, sched.model.n))
-        for col, y0 in ((j, draws[1]), (J + j, 1.0)):
+        for col in (j, J + j):
             np.testing.assert_allclose(batched.x[0, :, col], draws[0], rtol=1e-15)
-            np.testing.assert_allclose(batched.y[0, :, col], y0, rtol=1e-15)
+        np.testing.assert_allclose(batched.y[0, :, j], draws[1], rtol=1e-15)
         single = NumericRun(sched, (seed,))
         window = (batched.lo_s, batched.hi_s + 1)
         for name in ("x", "y", "labelled_coefficients"):
             got, want = getattr(batched, name), getattr(single, name)
             if callable(got):  # one row per seed of the positive-real block
                 got, want = got(*window).T[..., [j]], want(*window).T
-            else:  # both blocks
-                got = got[..., [j, J + j]]
+            else:  # both blocks of x, the positive-real one of y
+                got = got[..., [j, J + j] if name == "x" else [j]]
             assert got.shape == want.shape, name
             np.testing.assert_allclose(got, want, rtol=1e-12, err_msg=f"{name}, seed {seed}")
         got, want = check_functional_DI(batched), check_functional_DI(single)
@@ -293,13 +313,13 @@ def test_numeric_record_starts_from_the_seed_draws(family, rank, level, monkeypa
     sched = cached_schedule(family, rank, level)
     monkeypatch.setattr(numeric, "run_schedule", recording)
     run = NumericRun(sched, SEEDS)
-    ((_, s_lo, s_hi, L, oplus1, logx),) = runs
+    ((_, s_lo, s_hi, L, oplus1, logx, _),) = runs
     assert (s_lo, s_hi) == (run.lo_s, run.hi_s) == (-2 * run.t, run.full_s + 3 * run.t)
     J = len(SEEDS)
     draws = np.array([np.random.default_rng(seed).uniform(0.5, 2.0, (2, sched.model.n)) for seed in SEEDS])
     np.testing.assert_allclose(run.x[0], np.tile(draws[:, 0].T, 2), rtol=1e-15)
-    np.testing.assert_allclose(run.y[0, :, :J], draws[:, 1].T, rtol=1e-15)
-    assert (run.y[0, :, J:] == 1.0).all()
+    np.testing.assert_allclose(run.y[0], draws[:, 1].T, rtol=1e-15)
+    assert run.y.shape[-1] == J
     Ls, logxs = real(sched, 0, s_hi - s_lo, L, oplus1, logx)
     assert np.array_equal(np.exp(logxs), run.x) and np.array_equal(np.exp(Ls), run.y)
 
@@ -331,20 +351,23 @@ def test_trivial_semifield_projection():
         assert sorted(plain) == list(range(4 * t + 1))
         for i, (x, _) in plain.items():  # record row i is time lo_s + i, a whole slot period before i
             assert np.max(np.abs(run.x[i, :, col] - x)) <= 1e-12
-        assert (run.y[..., run.free] == 1.0).all()
+        assert run.y.shape[-1] == len(SEEDS)  # no record of the coefficient-free y
 
 
 def test_y_checks_read_the_positive_real_block():
     # the Y-relations, Y periodicity and the labelled coefficients read the
-    # positive-real block alone: a NaN in the coefficient-free y reaches none
-    # of them, and the same NaN in the positive-real y reaches each one
+    # positive-real block alone, the one block y holds: a NaN in the
+    # coefficient-free block, which x alone holds, reaches none of them, and
+    # the same NaN in the positive-real y reaches each one
     clean = cached_numeric("C", 2, 2)
     plan = clean.schedule.plan
     row = plan.y_period[0][0]
     names = ("y_residuals", "y_periodicity_errors")
-    for block, reached in (("free", False), ("real", True)):
+    assert clean.y.shape[-1] == len(SEEDS)
+    for record, block, reached in (("x", "free", False), ("y", "real", True)):
         run = NumericRun(clean.schedule, SEEDS)
-        run.y.reshape(-1, 2 * len(SEEDS))[row, getattr(run, block).start] = np.nan
+        values = getattr(run, record)
+        values.reshape(-1, values.shape[-1])[row, getattr(run, block).start] = np.nan
         for name in names:
             got, want = getattr(run, name)(), getattr(clean, name)()
             assert got.shape == want.shape and got.shape[1] == len(SEEDS)
@@ -390,9 +413,10 @@ def test_labelled_arrays_match_label_lookups(family, rank, level, tracked):
     # per-point label lookups into the run record: one row for each P'+
     # coefficient and each P+ cluster variable of the window, UNIT on the
     # boundary of T, and OFF everywhere else; the values a run gathers there
-    # are the record's, bit for bit, in every seed's column of the
-    # positive-real block (tracked) or the coefficient-free one, whose Y
-    # gathers are exactly 1.0
+    # are the record's, bit for bit: T in every seed's column of the
+    # positive-real block (tracked) or the coefficient-free one, and Y in
+    # every column of y, which holds the positive-real block alone (the
+    # coefficient-free Y is 1 throughout, and no record holds it)
     run = cached_numeric(family, rank, level)
     cols = run.real if tracked else run.free
     plan, n, s0 = run.schedule.plan, run.model.n, run.lo_s - run.t
@@ -402,14 +426,13 @@ def test_labelled_arrays_match_label_lookups(family, rank, level, tracked):
     T[0] = UNIT
     for a, top in tops.items():
         T[a, 0] = T[a, top] = UNIT
-    record_x, record_y = run.x[..., cols], run.y[..., cols]
-    if not tracked:
-        assert (record_y == 1.0).all()
+    record_x = run.x[..., cols]
+    assert run.y.shape[-1] == len(SEEDS)
     want_t, want_y = [], []
     for a, m, s in grid_points(family, rank, level, run.lo_s, run.hi_s + 1, prime=True):
         v, _ = label_g_prime(run.model, a, m, s)
         Y[a, m, s - s0] = (s - run.lo_s) * n + v
-        want_y.append(record_y[s - run.lo_s, v])
+        want_y.append(run.y[s - run.lo_s, v])
     for a, m, s_w in grid_points(family, rank, level, s0, run.hi_s + 1):
         v, s = label_g(run.model, a, m, s_w)
         if run.lo_s <= s <= run.hi_s:
@@ -420,9 +443,8 @@ def test_labelled_arrays_match_label_lookups(family, rank, level, tracked):
     # grid_points lists in (s, a, m) order, the box in (a, m, s) order
     order = (2, 0, 1)
     y_rows = Y.transpose(order)[Y.transpose(order) >= 0]
-    assert np.array_equal(gather(run.y.reshape(-1, run.y.shape[-1])[:, cols], y_rows), want_y)
-    if tracked:
-        assert np.array_equal(run.y_values(y_rows), want_y)
+    assert np.array_equal(gather(run.y.reshape(-1, run.y.shape[-1]), y_rows), want_y)
+    assert np.array_equal(run.y_values(y_rows), want_y)
     assert np.array_equal(run.t_values(T.transpose(order)[T.transpose(order) >= 0])[:, cols], want_t)
     assert (run.t_values(T[T == UNIT]) == 1.0).all()
 
@@ -461,9 +483,11 @@ def planted(table):
 
 def test_off_grid_gather_raises(monkeypatch):
     # a factor off the parity class reads a value no mutation point carries;
-    # making the Schedule raises, so no run can carry it into worst_errors
-    model = cached_model("C", 2, 2)
-    monkeypatch.setattr(schedule, "g_factors", lambda sched: planted(cached_schedule("C", 2, 2).g))
+    # making the Schedule raises, so no run can carry it into worst_errors;
+    # the planted table is read off a Schedule made before the patch, whose
+    # making would otherwise call the patched g_factors
+    model, good = cached_model("C", 2, 2), cached_schedule("C", 2, 2)
+    monkeypatch.setattr(schedule, "g_factors", lambda sched: planted(good.g))
     with pytest.raises(ScheduleError, match=r"\(1, 1, 0/2\) is off the grid"):
         Schedule(model)
     monkeypatch.undo()

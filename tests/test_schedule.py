@@ -25,15 +25,18 @@ from tests.oracle import (
     label_g,
     label_g_prime,
     parity_plus,
+    mutate_slot,
     run_payload,
+    run_slots,
     run_two_product,
+    trivial_plus1,
 )
 from ysyslab.builders import FamilySpec, build, involutions
 from ysyslab.gfun import transpose_factors
 from ysyslab.quiver import Quiver
-from ysyslab import numeric, schedule
+from ysyslab import numeric, schedule, tropical
 from ysyslab.schedule import Relations, Schedule, ScheduleError, run_schedule, slot_sets
-from ysyslab.numeric import NumericRun, tropical_shadow_mismatches
+from ysyslab.numeric import NumericRun, real_plus1, tropical_shadow_mismatches
 from ysyslab.cli import main
 from ysyslab.tropical import TropicalRun, tropical_plus1
 
@@ -147,6 +150,49 @@ def test_run_schedule_steps_by_the_slot_of_each_time():
 
 
 @pytest.mark.parametrize("family,rank,level", CASES)
+def test_run_schedule_matches_slot_step_loop(family, rank, level):
+    # run_schedule writes each step's products into its records in place (a
+    # float64 record carries its own seed, an int8 one a two-row float64
+    # carry) and is, bit for bit, the loop of the reference step that
+    # returns new arrays: on the int8 tropical half record, on a 1-D float
+    # shadow seed, and on a numeric cluster whose columns past L's run
+    # coefficient-free
+    sched = cached_schedule(family, rank, level)
+    plan, n = sched.plan, sched.model.n
+    rng = np.random.default_rng(7)
+    logy = rng.integers(1, 4, n) * np.log(1e-12)
+    L, logx = np.log(rng.uniform(0.5, 2.0, (2, n, 3)))
+    runs = [
+        (0, sched.half_s, np.eye(n, dtype=np.int8), tropical_plus1, None),
+        (0, 4 * sched.t, logy, real_plus1, None),
+        (plan.lo_s, plan.hi_s, L, real_plus1, np.concatenate([logx, logx[:, :2]], axis=1)),
+    ]
+    for s_lo, s_hi, *seed in runs:
+        got, want = run_schedule(sched, s_lo, s_hi, *seed), run_slots(sched, s_lo, s_hi, *seed)
+        for g, w in zip(got, want, strict=True):
+            assert (g is None) == (w is None)
+            if g is not None:
+                assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes(), (s_lo, s_hi)
+
+
+def test_run_schedule_fills_records_given_as_out():
+    # records passed as out= are filled and returned as they are, so that a
+    # caller can run into arrays it keeps; records of other shapes are
+    # refused
+    sched = cached_schedule("C", 2, 2)
+    n, J = sched.model.n, 2
+    L, logx = np.log(np.random.default_rng(1).uniform(0.5, 2.0, (2, n, J)))
+    logx = np.tile(logx, 2)
+    want = run_schedule(sched, -4, 0, L, real_plus1, logx)
+    out = np.empty((5, n, J)), np.empty((5, n, 2 * J))
+    got = run_schedule(sched, -4, 0, L, real_plus1, logx, out)
+    assert all(g is o and np.array_equal(g, w) for g, o, w in zip(got, out, want, strict=True))
+    for bad in ((out[0][1:], out[1]), (out[0], None), (out[0], out[1][..., :J])):
+        with pytest.raises(ValueError, match=re.escape("out must be records of shapes")):
+            run_schedule(sched, -4, 0, L, real_plus1, logx, bad)
+
+
+@pytest.mark.parametrize("family,rank,level", CASES)
 def test_full_period_returns_quiver(family, rank, level):
     sched = Schedule(cached_model(family, rank, level))  # raises ScheduleError on any mismatch
     for got, want in zip(sched.matrices, schedule.expected_quivers(sched.model, involutions(sched.model)), strict=True):
@@ -170,7 +216,7 @@ def test_flipped_orientation_rule_fails_first_step(monkeypatch):
             if ci == cj and abs(ri - rj) == 1:
                 B[i, j] = -m.quiver.B[i, j]
     bad = type(m)(m.spec, Quiver(B, m.quiver.meta), dict(m.index))
-    monkeypatch.setattr(schedule, "mutate_slot", refuse_slot_step)
+    monkeypatch.setattr(numeric, "run_schedule", refuse_slot_step)
     with pytest.raises(ScheduleError):  # raised before any run exists
         NumericRun(Schedule(bad))
 
@@ -183,7 +229,7 @@ def test_adjacent_slot_vertices_fail(monkeypatch):
     B = m.quiver.B.copy()
     B[i, j], B[j, i] = 1, -1
     bad = type(m)(m.spec, Quiver(B, m.quiver.meta), dict(m.index))
-    monkeypatch.setattr(schedule, "mutate_slot", refuse_slot_step)
+    monkeypatch.setattr(tropical, "run_schedule", refuse_slot_step)
     with pytest.raises(ScheduleError, match="adjacent"):  # raised before any run exists
         TropicalRun(Schedule(bad))
 
@@ -228,9 +274,11 @@ def test_numeric_run_matches_per_vertex_oracle(family, rank, level, tracked):
     # time 0, so record row i is the per-vertex run of that seed forward
     # from time 0 after i steps
     # (each column of the positive-real block when tracked, else of the
-    # coefficient-free block, whose y stays exactly 1)
+    # coefficient-free block, whose y is exactly 1 and not recorded: the
+    # y record has the positive-real columns alone)
     run = cached_numeric(family, rank, level)
     assert run.lo_s == -2 * run.t
+    assert run.y.shape == (*run.x.shape[:2], len(SEEDS))
     block = run.real if tracked else run.free
     for j in range(block.start, block.stop):  # each seed's column on its own
         x0, y0 = run.x[0, :, j], run.y[0, :, j] if tracked else None
@@ -241,7 +289,7 @@ def test_numeric_run_matches_per_vertex_oracle(family, rank, level, tracked):
             if tracked:
                 assert np.max(np.abs(run.y[i, :, j] - y) / y) <= 1e-13, (i, j)
             else:
-                assert y is None and (run.y[i, :, j] == 1.0).all(), (i, j)
+                assert y is None, (i, j)
 
 
 @pytest.mark.parametrize("family,rank,level", list(CASES) + [("C", 6, 6), ("F4", 4, 5), ("G2", 2, 6)])
@@ -268,8 +316,12 @@ def test_one_product_runs_match_two_product_reference(family, rank, level, monke
     # both start a whole number of slot periods from 0, so each is the
     # reference run forward from 0 over as many steps
     assert [args[1] % (2 * sched.t) for args in (numeric_args, shadow_args)] == [0, 0]
-    _, s_lo, s_hi, *seed = numeric_args
-    want_L, want_x = run_two_product(sched, 0, s_hi - s_lo, *seed)
+    _, s_lo, s_hi, L, oplus1, logx, _ = numeric_args
+    J = L.shape[1]
+    want_L, want_x = run_two_product(sched, 0, s_hi - s_lo, L, oplus1, logx[:, :J])
+    # the columns of logx past L's run coefficient-free, in the trivial semifield
+    _, want_free = run_two_product(sched, 0, s_hi - s_lo, np.zeros_like(L), trivial_plus1, logx[:, J:])
+    want_x = np.concatenate([want_x, want_free], axis=-1)
     for got, ref in ((Ls, want_L), (xs, want_x)):  # the values y = exp(L) and x = exp(logx)
         assert np.max(np.abs(np.exp(got) - np.exp(ref)) / np.exp(ref)) <= 1e-12
     _, s_lo, s_hi, *seed = shadow_args
@@ -320,8 +372,8 @@ def test_non_equivariant_operator_raises(family, rank, level, monkeypatch):
     L, logx = rng.integers(-3, 4, (2, n, 3 * n)).astype(float)
 
     def equivariant(op, image):
-        got = schedule.mutate_slot(image, L[omega], tropical_plus1, logx[omega])
-        want = schedule.mutate_slot(op, L, tropical_plus1, logx)
+        got = mutate_slot(image, L[omega], tropical_plus1, logx[omega])
+        want = mutate_slot(op, L, tropical_plus1, logx)
         return all(np.array_equal(g, w[omega]) for g, w in zip(got, want))
 
     real, raised = schedule.slot_operator, 0

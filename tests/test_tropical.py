@@ -19,7 +19,7 @@ from tests.oracle import (
 from ysyslab.builders import FamilySpec, build, involutions
 from ysyslab.quiver import FILL_CIRCLE, Quiver
 from ysyslab.roots import level2_core, pl_dynamics
-from ysyslab.schedule import Schedule, mutate_slot, run_schedule, slot_operator
+from ysyslab.schedule import Schedule, run_schedule, slot_operator
 from ysyslab.tropical import (
     MIXED,
     NEGATIVE,
@@ -58,8 +58,8 @@ def rank2_quiver():
 def test_mutation_rule_hand_example():
     # one arrow 1 -> 2; mutating at 1 sends y2 to y2*y1
     Q = rank2_quiver()
-    E, _ = mutate_slot(slot_operator(Q.B, [0]), np.eye(2, dtype=np.int64), tropical_plus1)
-    assert E.tolist() == [[-1, 0], [1, 1]]
+    Es, _ = run_schedule(one_step_schedule(slot_operator(Q.B, [0])), 0, 1, np.eye(2, dtype=np.int64), tropical_plus1)
+    assert Es[1].tolist() == [[-1, 0], [1, 1]]
 
 
 def test_mutation_involution_randomized():
@@ -82,9 +82,10 @@ def test_mutation_involution_randomized():
         for k in order:
             if not B[k, ks].any():
                 ks.append(int(k))
-        E, _ = mutate_slot(slot_operator(Q.B, ks), E0, tropical_plus1)
-        E, _ = mutate_slot(slot_operator(composite_mutate(Q, ks).B, ks), E, tropical_plus1)
-        assert np.array_equal(E, E0)
+        # the two steps as an unverified two-slot schedule
+        ops = [slot_operator(Q.B, ks), slot_operator(composite_mutate(Q, ks).B, ks)]
+        Es, _ = run_schedule(SimpleNamespace(t=1, operators=ops), 0, 2, E0, tropical_plus1)
+        assert np.array_equal(Es[2], E0)
 
 
 def one_step_schedule(op):
