@@ -25,10 +25,9 @@ run_schedule records a seed at every time of one, so a run's value at a
 point (s, v) is one array read.  A Schedule holds one SlotOperator per slot,
 so a run's step only indexes them, and one GatherPlan, the record rows of
 every value its numeric checks read.  run_schedule carries the seed forward
-from the first time of its window in float64, each slot step one affine
-update by a product written into the next time's row of a float record (or
-of a two-row carry for an integer one), and checks an integer record's
-range where it stores a time's seed.
+from the first time of its window in a two-row float64 carry, each slot
+step one affine update by a product written into the carry's other row,
+and checks an integer record's range where it stores a time's seed.
 """
 
 from __future__ import annotations
@@ -261,9 +260,9 @@ def run_schedule(schedule, s_lo, s_hi, L, oplus1, logx=None, out=None):
     Returns the run record (Ls, xs): Ls[s - s_lo] and xs[s - s_lo] are L
     and logx at time s, for s_lo <= s <= s_hi; xs is None without logx.
     Ls has L's dtype and xs is float64; out=(Ls, xs) fills records of those
-    shapes instead and returns them.  A float64 record carries its own seed,
-    each step writing the next time's row from the last, and any other
-    record a two-row float64 carry; each step's products go to buffers
+    shapes instead and returns them.  The seed runs in a two-row float64
+    carry, each step writing the next time's seed over the last but one
+    before the record stores it, and each step's products go to buffers
     sized for the largest slot, so a step allocates nothing.  For an
     integer record each time's seed is checked against CAST_RANGE as it
     will be stored, since the cast would wrap silently, and an entry
@@ -281,8 +280,7 @@ def run_schedule(schedule, s_lo, s_hi, L, oplus1, logx=None, out=None):
     shapes = [None if seed is None else (times, *seed.shape) for seed in (L, logx)]
     if [None if record is None else record.shape for record in out] != shapes:
         raise ValueError(f"out must be records of shapes {shapes}, for the seed at each time of [{s_lo}, {s_hi}]")
-    bounds, inplace = CAST_RANGE.get(Ls.dtype), Ls.dtype == np.float64
-    carry = Ls if inplace else np.empty((2, *L.shape))
+    bounds, carry = CAST_RANGE.get(Ls.dtype), np.empty((2, *L.shape))
     carry[0] = L
     width = 2 * max(len(op.ks) for op in schedule.operators)
     stacked = np.empty((width, *L.shape[1:]))
@@ -292,11 +290,10 @@ def run_schedule(schedule, s_lo, s_hi, L, oplus1, logx=None, out=None):
         paired = (..., slice(None, L.shape[1] if L.ndim == 2 else None))  # the columns of logx with a coefficient
     period = 2 * schedule.t
     for i, s in enumerate(range(s_lo, s_hi + 1)):
-        Lc = carry[i if inplace else i % 2]
-        if not inplace:
-            if bounds is not None:
-                _check_range(Lc, s, Ls.dtype, *bounds)
-            Ls[i] = Lc
+        Lc = carry[i % 2]
+        if bounds is not None:
+            _check_range(Lc, s, Ls.dtype, *bounds)
+        Ls[i] = Lc
         if s == s_hi:
             break
         op = schedule.operators[s % period]
@@ -304,7 +301,7 @@ def run_schedule(schedule, s_lo, s_hi, L, oplus1, logx=None, out=None):
         Lk, plus = stacked[:m], stacked[m : 2 * m]
         np.take(Lc, op.ks, axis=0, out=Lk, mode="clip")  # ks is in range; "raise" would buffer
         oplus1(Lk, out=plus)
-        new = carry[i + 1 if inplace else 1 - i % 2]
+        new = carry[1 - i % 2]
         np.matmul(op.W, stacked[: 2 * m], out=new)
         new += Lc
         if xs is not None:
