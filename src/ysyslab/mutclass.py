@@ -14,18 +14,22 @@ tree is the one without them.
 
 Classes are told apart exactly.  Color refinement (refine) gives each
 vertex a signature: its color in the high bits plus the sum over its
-nonzero entries of a fixed 64-bit mix of (entry, neighbour color).  The
-coloring is isomorphism-invariant, and a hash collision can only make it
-coarser.  A discrete coloring keys its class by the int16 bytes of the
-matrix relabelled by the coloring, a complete key.  Any other coloring
-puts the matrix in the bucket of its sorted signatures, where a
+nonzero entries of a fixed 64-bit mix of (entry, neighbour color).  It
+stops for a matrix when its colors repeat or turn discrete, so for a
+discrete coloring the signatures are those of the round that made it
+discrete.  The coloring is isomorphism-invariant, and a hash collision can
+only make it coarser.  A discrete coloring keys its class by the int16
+bytes of the matrix relabelled by the coloring, a complete key.  Any other
+coloring puts the matrix in the bucket of its sorted signatures, where a
 color-respecting backtracking test (quiver.match_colors) finds its class
-among the bucket's members.  Both sides share one registry of classes, and
-the children of a group are deduplicated, met and counted against node_cap
-node by node and in increasing k within a node, as if each were mutated
-and classed alone; so grouping changes no stored class, move or outcome,
-and only the children of the last group past the meet or node_cap are
-classed in vain.
+among the bucket's members; a matrix that opens a bucket takes a new class
+with no test.  The keys, signatures and stored matrices of a group are
+sliced out of one bytes object per array.  Both sides share one registry
+of classes, and the children of a group are deduplicated, met and counted
+against node_cap node by node and in increasing k within a node, as if
+each were mutated and classed alone; so grouping changes no stored class,
+move or outcome, and only the children of the last group past the meet or
+node_cap are classed in vain.
 
 A returned path replays from the left quiver with Quiver.mutate to an
 isomorphic copy of the right one, and the final isomorphism is recomputed
@@ -46,13 +50,14 @@ from .quiver import Quiver, find_isomorphism, invert_perm, match_colors, mutatio
 
 SIZE_CAP = 24
 ENTRY_CAP = 32767  # keys and stored matrices hold entries as int16
-#: the int32 children that one classing batch may hold.  16 KiB is 40
-#: children at n = 10.  In bench/run.py suite rounds on a 2-core machine,
-#: against one node per batch (verdict_s 0.41 s, peak_rss_mb 40.39-40.42),
-#: 16 KiB gave 0.31 s and 40.39-40.48 MB, 24 KiB 0.30 s and 40.53-40.62 MB,
-#: and 32 KiB 0.29 s and 40.51-40.56 MB: refine's uint64 arrays grow with
-#: the batch, and the time saved past 16 KiB costs memory.
-GROUP_BYTES = 16 * 1024
+#: the int32 children that one classing batch may hold.  32 KiB is 81
+#: children at n = 10 and 20 at n = 20.  In three rounds each of
+#: bench/run.py --workload suite --seconds 20 on a 2-core machine, 16 KiB
+#: gave verdict_s 0.2216-0.2260 s and peak_rss_mb 40.32-40.34 MB, 32 KiB
+#: 0.2088-0.2107 s and 40.57-40.61 MB, and 64 KiB 0.2045-0.2082 s and
+#: 40.99-41.02 MB: refine's uint64 arrays grow with the batch, and past
+#: 32 KiB the memory grows faster than the time falls.
+GROUP_BYTES = 32 * 1024
 
 #: multipliers and shifts of the splitmix64 finalizer that signature_mix applies
 _MIX = tuple(np.uint64(c) for c in (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB, 30, 27, 31))
@@ -132,12 +137,15 @@ def refine(C):
     A vertex's signature is its color in the top bits plus the sum of
     signature_mix over its row's nonzero entries and their columns'
     colors; its new color is the number of vertices of its matrix with a
-    smaller signature.  Starting from one color, this repeats until no
-    color of the matrix changes.  A matrix leaves the batch in the round
-    where its colors repeat, since every later round would repeat that
-    one.  Returns the colors, shape (m, n), and the last signatures: for
-    each matrix, those of refining it alone.
+    smaller signature.  Starting from one color, this repeats until the
+    colors of a matrix repeat or turn discrete, and the matrix then leaves
+    the batch: a signature's top bits are its color, so the round after a
+    discrete coloring ranks the vertices by their colors again and repeats
+    it.  Returns the colors, shape (m, n), and the last signatures: for
+    each matrix, those of refining it alone, so for a discrete coloring
+    those of the round that made it discrete.
     """
+    n = C.shape[1]
     colors = np.zeros(C.shape[:2], dtype=np.int64)
     sigs = np.zeros(C.shape[:2], dtype=np.uint64)
     live = np.arange(len(C))  # the batch rows of the matrices still refined
@@ -149,7 +157,10 @@ def refine(C):
         sums = mixed.sum(axis=2, dtype=np.uint64)
         last = (current.astype(np.uint64) << _COLOR_SHIFT) | (sums >> (np.uint64(64) - _COLOR_SHIFT))
         new = (last[:, None, :] < last[:, :, None]).sum(axis=2)
-        settled = (new == current).all(axis=1)
+        # a color is the number of smaller signatures, so tied vertices
+        # share the lowest rank of their tie, and the colors are distinct
+        # exactly when they sum to 0 + 1 + ... + (n - 1)
+        settled = (new == current).all(axis=1) | (new.sum(axis=1) == n * (n - 1) // 2)
         if settled.any():
             colors[live[settled]] = new[settled]
             sigs[live[settled]] = last[settled]
@@ -253,7 +264,7 @@ class Search:
     def classify(self, C):
         """The class number of each matrix of the batch C, in order, or None
         for a matrix with an entry past ENTRY_CAP, which stays unclassed."""
-        m = len(C)
+        m, n = len(C), self.n
         over = (np.abs(C) > ENTRY_CAP).any(axis=(1, 2)).tolist()
         colors, sigs = refine(C)
         sigs.sort(axis=1)
@@ -261,7 +272,11 @@ class Search:
         # discrete when the signatures are distinct
         discrete = (sigs[:, 1:] != sigs[:, :-1]).all(axis=1).tolist()
         order = np.argsort(colors, axis=1)
-        relabelled = C[np.arange(m)[:, None, None], order[:, :, None], order[:, None, :]].astype(np.int16)
+        C16 = C.astype(np.int16)  # wraps only the over-cap matrices, which stay unclassed
+        # one bytes object per array, sliced per matrix
+        keys = C16[np.arange(m)[:, None, None], order[:, :, None], order[:, None, :]].tobytes()
+        reps, color_bytes, sig_bytes = C16.tobytes(), colors.astype(np.uint8).tobytes(), sigs.tobytes()
+        size = 2 * n * n
         self.classified += m
         self.batches += 1
         ids = []
@@ -270,24 +285,28 @@ class Search:
                 ids.append(None)
                 continue
             if discrete[b]:
-                cid = self.keys.setdefault(relabelled[b].tobytes(), self.classes)
+                cid = self.keys.setdefault(keys[b * size : (b + 1) * size], self.classes)
             else:
-                cid = self._bucket_class(C[b], colors[b].tolist(), sigs[b].tobytes())
+                bucket = self.buckets.setdefault(sig_bytes[8 * n * b : 8 * n * (b + 1)], [])
+                rep, member_colors = reps[b * size : (b + 1) * size], color_bytes[n * b : n * (b + 1)]
+                cid = self._bucket_class(bucket, C[b], rep, member_colors)
             if cid == self.classes:
                 self.classes += 1
             ids.append(cid)
         return ids
 
-    def _bucket_class(self, M, colors, bucket_key):
-        """The class number of the matrix M, whose coloring is not discrete:
-        that of the bucket member isomorphic to it, or the next new one."""
-        bucket = self.buckets.setdefault(bucket_key, [])
-        rows = M.tolist()
-        for cid, rep, member_colors in bucket:
-            self.iso_tests += 1
-            if match_colors(rows, unpack(rep, self.n).tolist(), colors, list(member_colors)) is not None:
-                return cid
-        bucket.append((self.classes, M.astype(np.int16).tobytes(), bytes(colors)))
+    def _bucket_class(self, bucket, M, rep, colors):
+        """The class number of the matrix M, with int16 bytes rep and a
+        coloring, as bytes, that is not discrete: that of the member of its
+        bucket isomorphic to it, or the next new one, with which M joins the
+        bucket."""
+        if bucket:
+            rows, color_list = M.tolist(), list(colors)
+            for cid, member, member_colors in bucket:
+                self.iso_tests += 1
+                if match_colors(rows, unpack(member, self.n).tolist(), color_list, list(member_colors)) is not None:
+                    return cid
+        bucket.append((self.classes, rep, colors))
         return self.classes
 
     def path_to_root(self, side, cid):
@@ -352,12 +371,13 @@ class Search:
                 # one child at a time, node by node and in increasing k, as
                 # if each were made alone: an earlier child may meet or
                 # reach node_cap before a later one's entry bound counts
-                for (cid, _, k), child, ccid in zip(group, C, self.classify(C)):
+                reps, size = C.astype(np.int16).tobytes(), 2 * n * n
+                for b, ((cid, _, k), ccid) in enumerate(zip(group, self.classify(C))):
                     if ccid is None:
                         raise _entry_error()
                     if ccid in store:
                         continue
-                    store[ccid] = (child.astype(np.int16).tobytes(), cid, k)
+                    store[ccid] = (reps[b * size : (b + 1) * size], cid, k)
                     nodes += 1
                     if ccid in other:
                         result = self.stitch(ccid)

@@ -263,9 +263,11 @@ def run_schedule(schedule, s_lo, s_hi, L, oplus1, logx=None, out=None):
     shapes instead and returns them.  The seed runs in a two-row float64
     carry, each step writing the next time's seed over the last but one
     before the record stores it, and each step's products go to buffers
-    sized for the largest slot, so a step allocates nothing.  For an
-    integer record each time's seed is checked against CAST_RANGE as it
-    will be stored, since the cast would wrap silently, and an entry
+    sized for the largest slot, so a step allocates nothing.  Each slot's
+    operator arrays and its views of those buffers are gathered once per
+    call, and the step out of time s looks them up by its slot s mod 2t.
+    For an integer record each time's seed is checked against CAST_RANGE as
+    it will be stored, since the cast would wrap silently, and an entry
     outside it raises ArithmeticError naming the time and the vertex.  The
     float64 steps are exact while every partial sum is below 2**53, which
     holds for an int8 record and a B with entries in {-1, 0, 1} (see
@@ -288,6 +290,17 @@ def run_schedule(schedule, s_lo, s_hi, L, oplus1, logx=None, out=None):
         xs[0] = logx
         sums = np.empty((width, *logx.shape[1:]))
         paired = (..., slice(None, L.shape[1] if L.ndim == 2 else None))  # the columns of logx with a coefficient
+    # each slot's operator and buffer views, made once per call
+    slots = []
+    for op in schedule.operators:
+        m = len(op.ks)
+        views = (op.ks, op.W, op.X, stacked[:m], stacked[m : 2 * m], stacked[: 2 * m])
+        if xs is None:
+            views += (None,) * 4
+        else:
+            minus = sums[:m]  # the [-P]+ sums on top of the [P]+ ones
+            views += (sums[: 2 * m], minus, sums[m : 2 * m], minus[paired])
+        slots.append(views)
     period = 2 * schedule.t
     for i, s in enumerate(range(s_lo, s_hi + 1)):
         Lc = carry[i % 2]
@@ -296,25 +309,22 @@ def run_schedule(schedule, s_lo, s_hi, L, oplus1, logx=None, out=None):
         Ls[i] = Lc
         if s == s_hi:
             break
-        op = schedule.operators[s % period]
-        m = len(op.ks)
-        Lk, plus = stacked[:m], stacked[m : 2 * m]
-        np.take(Lc, op.ks, axis=0, out=Lk, mode="clip")  # ks is in range; "raise" would buffer
+        ks, W, X, Lk, plus, stack, both, minus, plus_sums, minus_paired = slots[s % period]
+        Lc.take(ks, 0, Lk, "clip")  # ks is in range; "raise" would buffer
         oplus1(Lk, out=plus)
         new = carry[1 - i % 2]
-        np.matmul(op.W, stacked[: 2 * m], out=new)
+        np.matmul(W, stack, out=new)
         new += Lc
         if xs is not None:
             x, new_x = xs[i], xs[i + 1]
-            minus, plus_sums = sums[:m], sums[m : 2 * m]  # the [-P]+ sums on top of the [P]+ ones
-            np.matmul(op.X, x, out=sums[: 2 * m])
-            minus[paired] += Lk
+            np.matmul(X, x, out=both)
+            minus_paired += Lk
             np.logaddexp(minus, plus_sums, out=minus)
-            minus[paired] -= plus
-            np.take(x, op.ks, axis=0, out=plus_sums, mode="clip")
+            minus_paired -= plus
+            x.take(ks, 0, plus_sums, "clip")
             minus -= plus_sums
             new_x[...] = x
-            new_x[op.ks] = minus
+            new_x[ks] = minus
     return Ls, xs
 
 

@@ -126,9 +126,10 @@ def test_classes_match_canonical_keys(constant, monkeypatch):
     assert tests > 100  # control: many matrices take the isomorphism test
 
 
-def refine_alone(M):
+def refine_alone(M, stop_discrete=True):
     """The colors and signatures of color refinement of the one matrix M,
-    recomputed every round until no color changes, and the rounds taken."""
+    recomputed every round until no color changes or, with stop_discrete,
+    until the colors are distinct, and the rounds taken."""
     colors = np.zeros(len(M), dtype=np.int64)
     rounds = 0
     while True:
@@ -138,22 +139,24 @@ def refine_alone(M):
         shift = mutclass._COLOR_SHIFT
         sigs = (colors.astype(np.uint64) << shift) | (sums >> (np.uint64(64) - shift))
         new = (sigs[None, :] < sigs[:, None]).sum(axis=1)
-        if (new == colors).all():
-            return colors, sigs, rounds
+        if (new == colors).all() or (stop_discrete and len(set(new.tolist())) == len(M)):
+            return new, sigs, rounds
         colors = new
 
 
 @pytest.mark.parametrize("constant", [False, True], ids=["hashed", "constant-mix"])
 def test_refine_batch_matches_each_alone(constant, monkeypatch):
-    # a matrix leaves refine's batch once its colors repeat; the colors and
-    # signatures of the batch stay bit for bit those of refining each matrix
-    # alone, while other matrices of the batch go on refining
+    # a matrix leaves refine's batch once its colors repeat or turn
+    # discrete; the colors and signatures of the batch stay bit for bit
+    # those of refining each matrix alone, while other matrices of the batch
+    # go on refining, and the colors are those of refining until a round
+    # repeats them
     if constant:
         monkeypatch.setattr(mutclass, "signature_mix", constant_mix)
     by_size = {}
     for Q in key_quivers():
         by_size.setdefault(Q.n, [np.zeros((Q.n, Q.n), dtype=np.int64)]).append(Q.B)
-    rounds = set()
+    rounds, early = set(), 0
     for mats in by_size.values():
         batch = np.array(mats)
         colors, sigs = mutclass.refine(batch)
@@ -162,10 +165,16 @@ def test_refine_batch_matches_each_alone(constant, monkeypatch):
             want_colors, want_sigs, taken = refine_alone(M)
             assert np.array_equal(got_colors, want_colors)
             assert np.array_equal(got_sigs, want_sigs)
+            repeated, _, taken_to_repeat = refine_alone(M, stop_discrete=False)
+            assert np.array_equal(got_colors, repeated)
             rounds.add(taken)
+            early += taken < taken_to_repeat
     # control: the zero matrices settle in the first round and others take
-    # more; a constant mix sees only degrees, which settle in the second
+    # more; a constant mix sees only degrees, which settle in the second and
+    # are never discrete, while hashed colorings often turn discrete a round
+    # before they repeat
     assert min(rounds) == 1 and max(rounds) >= (2 if constant else 3), rounds
+    assert (early > 0) != constant, early
 
 
 def test_key_equality_iff_isomorphic_small_class():
@@ -467,10 +476,10 @@ def test_pentagon_mutations_swap():
 # 5 / 660 / 4 / 3 / 29 batches.  The two roots are a batch each.
 DEFAULT_PAIR_SEARCHES = {
     "C:3:2~D:4:3": ((7, 4, 6), (7, 6), 44, 5),
-    "F4:4:2~D:5:3": ((7, 0, 2, 6, 7, 1, 8, 6, 4), (730, 1397), 3163, 86),
+    "F4:4:2~D:5:3": ((7, 0, 2, 6, 7, 1, 8, 6, 4), (730, 1397), 3178, 46),
     "C:2:3~A:3:4": ((0, 4), (4, 2), 20, 4),
     "G2:2:2~C:3:2": ((2,), (4, 1), 10, 3),
-    "G2:2:3~C:3:3": ((2, 1, 3, 12, 7), (134, 95), 263, 16),
+    "G2:2:3~C:3:3": ((2, 1, 3, 12, 7), (134, 95), 264, 10),
 }
 
 

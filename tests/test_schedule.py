@@ -151,12 +151,11 @@ def test_run_schedule_steps_by_the_slot_of_each_time():
 
 @pytest.mark.parametrize("family,rank,level", CASES)
 def test_run_schedule_matches_slot_step_loop(family, rank, level):
-    # run_schedule writes each step's products into its records in place (a
-    # float64 record carries its own seed, an int8 one a two-row float64
-    # carry) and is, bit for bit, the loop of the reference step that
-    # returns new arrays: on the int8 tropical half record, on a 1-D float
-    # shadow seed, and on a numeric cluster whose columns past L's run
-    # coefficient-free
+    # run_schedule carries the seed of every record dtype in a two-row
+    # float64 carry, writes each step's products into buffers it holds, and
+    # is, bit for bit, the loop of the reference step that returns new
+    # arrays: on the int8 tropical half record, on a 1-D float shadow seed,
+    # and on a numeric cluster whose columns past L's run coefficient-free
     sched = cached_schedule(family, rank, level)
     plan, n = sched.plan, sched.model.n
     rng = np.random.default_rng(7)
@@ -173,6 +172,25 @@ def test_run_schedule_matches_slot_step_loop(family, rank, level):
             assert (g is None) == (w is None)
             if g is not None:
                 assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes(), (s_lo, s_hi)
+
+
+@pytest.mark.parametrize("family,rank,level", [("C", 3, 2), ("G2", 2, 3)])
+@pytest.mark.parametrize("s_lo", [-3, 1, 5])
+def test_numeric_run_off_slot_zero_matches_slot_step_loop(family, rank, level, s_lo):
+    # every numeric run starts at a multiple of the slot period, so this
+    # pins the per-slot views of the cluster step at the other offsets: a
+    # window from s_lo over more than one slot period, whose cluster carries
+    # two coefficient-free columns past L's three, equals the reference loop
+    # bit for bit
+    sched = cached_schedule(family, rank, level)
+    n, period = sched.model.n, 2 * sched.t
+    assert s_lo % period != 0
+    L, logx = np.log(np.random.default_rng(11).uniform(0.5, 2.0, (2, n, 3)))
+    seed = (L, real_plus1, np.concatenate([logx, logx[:, :2]], axis=1))
+    got = run_schedule(sched, s_lo, s_lo + 2 * period + 1, *seed)
+    want = run_slots(sched, s_lo, s_lo + 2 * period + 1, *seed)
+    for g, w in zip(got, want, strict=True):
+        assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
 
 
 def test_run_schedule_fills_records_given_as_out():
