@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .builders import FIXED_RANK, FamilySpec, build
 from .dilog import check_functional_DI, constant_DI
-from .mutclass import search_equivalence
+from .mutclass import DEPTH_CAP, NODE_CAP, search_equivalence
 from .numeric import NumericRun, worst_errors
 from .roots import format_d_symbol, level2_core, pl_dynamics
 from .schedule import TRANSFORMS, Schedule, ScheduleError
@@ -241,8 +241,8 @@ def main(argv=None):
     p = sub.add_parser("mutclass", help="search a mutation equivalence")
     p.add_argument("--left", required=True, type=_parse_case, help="family:rank:level")
     p.add_argument("--right", required=True, type=_parse_case, help="family:rank:level")
-    p.add_argument("--depth", type=_positive(int), default=12)
-    p.add_argument("--nodes", type=_positive(int), default=10**6)
+    p.add_argument("--depth", type=_positive(int), default=DEPTH_CAP)
+    p.add_argument("--nodes", type=_positive(int), default=NODE_CAP)
     p.set_defaults(fn=_cmd_mutclass)
 
     p = sub.add_parser("suite", help="run the whole verification suite")

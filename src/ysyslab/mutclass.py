@@ -49,6 +49,8 @@ import numpy as np
 from .quiver import Quiver, find_isomorphism, invert_perm, match_colors, mutations, neighbours, refine_colors
 
 SIZE_CAP = 24
+#: the default caps of search_equivalence, of the suite's pairs and of ysyslab mutclass
+DEPTH_CAP, NODE_CAP = 12, 10**6
 ENTRY_CAP = 32767  # keys and stored matrices hold entries as int16
 #: the int32 children that one classing batch may hold.  32 KiB is 81
 #: children at n = 10 and 20 at n = 20.  In three rounds each of
@@ -409,7 +411,7 @@ class Search:
             yield group
 
 
-def search_equivalence(Q1, Q2, depth_cap=12, node_cap=10**6):
+def search_equivalence(Q1, Q2, depth_cap=DEPTH_CAP, node_cap=NODE_CAP):
     """Bidirectional BFS for a mutation path from Q1 to an isomorph of Q2.
 
     Returns (MutationPath, isomorphism) or None when the caps are exhausted

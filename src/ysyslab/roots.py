@@ -4,6 +4,11 @@ and the identities tying level-2 tropical exponent vectors to negated roots.
 
 Roots are kept as integer tuples over the simple-root basis.  An almost
 positive root is either a positive root or the negative of a simple root.
+The piecewise-linear reflection sigma_i exists once, as
+RootSystem.sigma_batch on an array of almost positive roots: pl_dynamics
+carries the level-2 points through it in one sweep, and
+SigmaMap.orbit_decomposition applies a word to every almost positive root
+at once.
 """
 
 from __future__ import annotations
@@ -13,10 +18,10 @@ from fractions import Fraction
 import numpy as np
 
 
-
 class RootSystem:
-    """Positive roots and simple reflections of the simply laced Dynkin
-    diagram with nodes 1..rank and the given edges."""
+    """Positive roots, simple reflections and the piecewise-linear
+    reflections sigma_i (sigma_batch) of the simply laced Dynkin diagram
+    with nodes 1..rank and the given edges."""
 
     def __init__(self, rank, edges):
         self.rank = rank
@@ -53,23 +58,6 @@ class RootSystem:
         out[i - 1] -= sum(a * c for a, c in zip(self._rows[i - 1], vec))
         return tuple(out)
 
-    def is_positive_root(self, vec):
-        return tuple(vec) in self.positive_roots
-
-    def _negative_simple(self, vec):
-        if sum(abs(c) for c in vec) == 1 and min(vec) == -1:
-            return vec.index(-1) + 1
-        return None
-
-    def sigma(self, i, vec):
-        """Piecewise-linear analogue of s_i on almost positive roots."""
-        j = self._negative_simple(vec)
-        if j is not None:
-            return tuple(-c for c in vec) if j == i else tuple(vec)
-        if not self.is_positive_root(vec):
-            raise ValueError(f"{vec} is not an almost positive root")
-        return self.reflect(i, vec)
-
     def sigma_batch(self, i, roots):
         """sigma_i applied in place to each row of roots, an int array of
         almost positive roots: the reflection s_i, but for the negative
@@ -80,46 +68,40 @@ class RootSystem:
 
 
 class SigmaMap:
-    """A composite of sigma_i's; word is listed in application order."""
+    """A composite of sigma_i's; word is listed in application order.  It
+    permutes the almost positive roots, so its orbits are cycles."""
 
     def __init__(self, rs, word):
         self.rs = rs
         self.word = tuple(word)
 
-    def __call__(self, vec, power=1):
-        if power < 0:
-            raise ValueError("negative sigma powers are not used here")
-        for _ in range(power):
-            for i in self.word:
-                vec = self.rs.sigma(i, vec)
-        return tuple(vec)
-
     def orbit_decomposition(self):
         """Cycles of the composite on almost positive roots.
 
-        Seeds run through the negatives of the simple roots first, then any
-        positive roots not yet visited; each cycle is returned in iteration
-        order starting from its seed.
+        Seeds run through the negatives of the simple roots first, then the
+        positive roots in decreasing order; each cycle starts from its first
+        seed and follows the composite.  The word is applied once, by
+        RootSystem.sigma_batch, to all the seeds together, and its image read
+        as a permutation of them.
         """
         rs = self.rs
         seeds = [neg_simple(rs, i) for i in range(1, rs.rank + 1)]
         seeds += sorted(rs.positive_roots, reverse=True)
-        cap = len(rs.positive_roots) + rs.rank + 2
-        seen = set()
+        image = np.array(seeds, dtype=np.int64)
+        for i in self.word:
+            rs.sigma_batch(i, image)
+        index = {root: k for k, root in enumerate(seeds)}
+        succ = [index[root] for root in map(tuple, image.tolist())]
+        seen = [False] * len(seeds)
         orbits = []
-        for seed in seeds:
-            if seed in seen:
-                continue
-            cycle = [seed]
-            seen.add(seed)
-            cur = self(seed)
-            while cur != seed:
-                cycle.append(cur)
-                seen.add(cur)
-                cur = self(cur)
-                if len(cycle) > cap:
-                    raise RuntimeError("sigma orbit failed to close; wrong word?")
-            orbits.append(cycle)
+        for first in range(len(seeds)):
+            cycle, k = [], first
+            while not seen[k]:
+                seen[k] = True
+                cycle.append(seeds[k])
+                k = succ[k]
+            if cycle:
+                orbits.append(cycle)
         return orbits
 
 
@@ -145,7 +127,7 @@ def pl_dynamics(schedule, vertices):
     applies sigma_i for the nodes it mutates; sigma is one period's slots in
     time order.  alpha[(s, v)] is the image of -alpha_i (v = vertices[i-1])
     under the slots s, s+1, ..., -1, for each mutation point (s, v) with
-    -h_dual*t <= s < 0, in time order.
+    -h_dual*t = schedule.region_two_s <= s < 0, in time order.
 
     The roots are carried together in one sweep from -h_dual*t up to 0: a
     point's root joins the batch at its time, and each node of each slot
@@ -159,7 +141,7 @@ def pl_dynamics(schedule, vertices):
     rs = RootSystem(len(vertices), [(a + 1, b + 1) for a, b in np.argwhere(np.triu(B)).tolist()])
     node = {v: i for i, v in enumerate(vertices, start=1)}
     words = [[node[v] for v in ks if v in node] for ks in schedule.sets]
-    start = -schedule.model.cartan["h_dual"] * schedule.t
+    start = schedule.region_two_s
     s, v = schedule.points(start, 0)
     on = np.isin(v, vertices)
     s, v = s[on], v[on]
@@ -255,7 +237,7 @@ def apart_mismatches_C(run):
         reads.append(((i, 1), s, v, keep, tuple(-c for c in root)))
         # row 3 never meets the thin-row generators
         reads.append(((i, 3), s, m.vid(i, 3), keep, (0,) * (r - 1)))
-    for s, v in zip(*(a.tolist() for a in run.schedule.points(-h_dual * run.t, 0))):
+    for s, v in zip(*(a.tolist() for a in run.schedule.points(run.region_two_s, 0))):
         col, row = m.position(v)
         if col < r and row == 2:
             reads.append(((col, 2), s, v, keep, interval(s, 2 * r + 2 - col, -1 - col)))

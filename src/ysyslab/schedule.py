@@ -129,12 +129,19 @@ def slot_matrices(model, sets, invs):
 
 
 class Schedule:
-    """The verified schedule of one case: its model, the half-period
-    involution omega of its vertices (builders.involutions), the vertex sets
-    of the 2t slots, the exchange matrix and the SlotOperator of each slot
-    (operators, which run_schedule applies in time order), the (a, m) label of
-    each vertex, the T- and Y-relation tables read off them (g and its
-    transpose numerators, see gfun), and the GatherPlan of those relations.
+    """The verified schedule of one case: its model, its time frame, the
+    half-period involution omega of its vertices (builders.involutions), the
+    vertex sets of the 2t slots, the exchange matrix and the SlotOperator of
+    each slot (operators, which run_schedule applies in time order), the
+    (a, m) label of each vertex, the T- and Y-relation tables read off them
+    (g and its transpose numerators, see gfun), and the GatherPlan of those
+    relations.
+
+    The time frame is half_s = (h_dual + level)*t, half a period; full_s =
+    2*half_s, one period; and region_two_s = -h_dual*t, the first time of
+    region two (-h_dual <= u < 0) of the tropical sign pattern and of the
+    level-2 root dynamics.  It is not GatherPlan.lo_s, the -2t start of the
+    numeric window.
 
     Making one runs slot_matrices, checks that the schedule is
     omega-equivariant, runs g_factors and GatherPlan, and raises
@@ -142,16 +149,17 @@ class Schedule:
     equivariant, an exchange relation not of T-relation shape or a relation
     that reads off the grid, so holding a Schedule means all four checks
     have passed.  Equivariance is the premise of the tropical half record
-    (tropical.TropicalRun): with half_s = (h_dual + level)*t, half a
-    period, the operator of slot (j + half_s) mod 2t is the operator of
-    slot j with its vertices relabelled by omega, so the step at s + half_s
-    is the step at s relabelled.  Instances hash by identity.
+    (tropical.TropicalRun): the operator of slot (j + half_s) mod 2t is the
+    operator of slot j with its vertices relabelled by omega, so the step
+    at s + half_s is the step at s relabelled.  Instances hash by identity.
     """
 
     def __init__(self, model):
         self.model = model
         self.t = model.cartan["t"]
         self.half_s = (model.cartan["h_dual"] + model.spec.level) * self.t
+        self.full_s = 2 * self.half_s
+        self.region_two_s = -model.cartan["h_dual"] * self.t
         invs = involutions(model)
         self.omega = np.array(invs["omega"])
         self.sets = slot_sets(model)
@@ -379,9 +387,10 @@ def _padded(table, rows):
 class GatherPlan:
     """The record rows of every value the numeric checks of a Schedule read,
     over the window lo_s <= s <= hi_s, from -2t to full_s + 3t (full_s is
-    one full period).  The relations and periodicity pairs read from -t to
-    full_s + 2t on C and F4 and to full_s + 8t/3 on G2, and -2t is a whole
-    slot period, so a run from lo_s takes the steps of a run from 0.
+    the Schedule's, one full period).  The relations and periodicity pairs
+    read from -t to full_s + 2t on C and F4 and to full_s + 8t/3 on G2, and
+    -2t is a whole slot period, so a run from lo_s takes the steps of a run
+    from 0.
 
     A run record of the window, flattened to one row per (time, vertex) and
     one column per seed, holds the value of vertex v at time s in row
@@ -413,7 +422,7 @@ class GatherPlan:
         model, t = schedule.model, schedule.t
         spec, cd = model.spec, model.cartan
         self.t, self.n = t, model.n
-        self.full_s = 2 * (cd["h_dual"] + spec.level) * t
+        self.full_s = schedule.full_s
         self.lo_s, self.hi_s = -2 * t, self.full_s + 3 * t
         self.tops = np.zeros(spec.rank + 1, dtype=np.int64)
         self.lags = np.zeros_like(self.tops)

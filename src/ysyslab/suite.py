@@ -10,7 +10,7 @@ from dataclasses import asdict, dataclass, field
 
 from .builders import FamilySpec, build, cartan_data
 from .dilog import check_functional_DI, constant_DI
-from .mutclass import search_equivalence
+from .mutclass import DEPTH_CAP, NODE_CAP, search_equivalence
 from .numeric import NumericRun, tropical_shadow_mismatches, worst_errors
 from .quiver import find_isomorphism
 from .roots import apart_mismatches_C, tvector_mismatches
@@ -40,8 +40,8 @@ DEFAULT_CONFIG = {
     "dilog_tol": 1e-8,
     "functional_tol": 1e-6,
     "extra_dilog_levels": [5],
-    "depth_cap": 12,
-    "node_cap": 10**6,
+    "depth_cap": DEPTH_CAP,
+    "node_cap": NODE_CAP,
 }
 
 

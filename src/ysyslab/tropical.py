@@ -69,8 +69,9 @@ class TropicalRun:
 
     H[s] holds the int8 exponent rows of the coefficients at time s, for
     0 <= s <= half_s = (h_dual + level)*t: row v is the monomial of y_v.
-    monomial reads the times the checks need, lo_s = -h_dual*t <= s <=
-    full_s = 2*half_s, from H by relabelling: with q, r = divmod(s, half_s),
+    monomial reads the times the checks need, region_two_s = -h_dual*t <=
+    s <= full_s = 2*half_s, from H by relabelling: with q, r =
+    divmod(s, half_s),
 
         E(s)[v] = H[r][omega(v)] when q is odd, H[r][v] when q is even.
 
@@ -98,9 +99,8 @@ class TropicalRun:
         self.schedule = schedule
         self.model = schedule.model
         self.t = schedule.t
-        self.half_s = schedule.half_s
-        self.full_s = 2 * self.half_s
-        self.lo_s = -self.model.cartan["h_dual"] * self.t
+        self.half_s, self.full_s = schedule.half_s, schedule.full_s
+        self.region_two_s = schedule.region_two_s
         self.omega = schedule.omega
         E0 = np.eye(self.model.n, dtype=np.int8)
         self.H, _ = run_schedule(schedule, 0, self.half_s, E0, tropical_plus1)
@@ -112,12 +112,13 @@ class TropicalRun:
 
     def monomial(self, v, s):
         """The exponent rows of vertices v at times s, broadcast over arrays,
-        for lo_s <= s <= full_s only: H read through omega (see TropicalRun)."""
+        for region_two_s <= s <= full_s only: H read through omega (see
+        TropicalRun)."""
         s = np.asarray(s)
-        outside = (s < self.lo_s) | (s > self.full_s)
+        outside = (s < self.region_two_s) | (s > self.full_s)
         if outside.any():
             bad = s.flat[np.argmax(outside)]
-            raise IndexError(f"time s={bad} is outside the tropical record [{self.lo_s}, {self.full_s}]")
+            raise IndexError(f"time s={bad} is outside the tropical record [{self.region_two_s}, {self.full_s}]")
         if len(self.seed_mismatches):
             pos, u = self.model.position(self.seed_mismatches[0]), Fraction(self.half_s, self.t)
             raise PeriodicityError(
@@ -182,7 +183,7 @@ class TropicalRun:
         positive.
         """
         m = self.model
-        s, v, got = self.point_signs(-m.cartan["h_dual"] * self.t, m.spec.level * self.t)
+        s, v, got = self.point_signs(self.region_two_s, m.spec.level * self.t)
         meta = m.quiver.meta
         exceptional = np.array([x.fill != FILL_CIRCLE and x.row % self.t != 0 for x in meta])[v]
         positive = (s >= 0) | (exceptional & np.isin(s, positive_times(m.spec.family, m.cartan["h_dual"])))

@@ -30,9 +30,10 @@ def cached_tropical(family, rank, level):
 
 
 def relabelled_window(run):
-    """Every time the TropicalRun serves, lo_s <= s <= full_s, read through
-    monomial: window[s - lo_s, v] is the exponent row of v at time s."""
-    times = np.arange(run.lo_s, run.full_s + 1)
+    """Every time the TropicalRun serves, region_two_s <= s <= full_s, read
+    through monomial: window[s - region_two_s, v] is the exponent row of v
+    at time s."""
+    times = np.arange(run.region_two_s, run.full_s + 1)
     return run.monomial(np.arange(run.model.n), times[:, None])
 
 

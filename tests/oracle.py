@@ -72,12 +72,18 @@ tropical.expected_counts, which reads them off the Lie data, and
 total_points, the number of mutation points per period, is the reference
 for their sum.
 
-The typed sigma words and alpha tables, one per family, are the reference
+sigma, the piecewise-linear reflection of one almost positive root, which
+raises ValueError on any other vector, is the reference for
+RootSystem.sigma_batch, which reflects a whole array of them in place.
+ScalarSigmaMap, a composite of sigma's applied one root at a time, with
+powers, and its orbit decomposition, which follows each orbit root by root
+from its seed, is the reference for roots.SigmaMap, whose orbits come from
+one sweep of its word over every almost positive root.  The typed sigma
+words (ScalarSigmaMaps) and alpha tables, one per family, are the reference
 for roots.pl_dynamics, which derives both from the verified schedule on the
 level-2 core (and, for type C, on the thin row).  per_point_alpha, which
-carries each point's root through its own chain of RootSystem.sigma calls,
-is the reference for the one sweep of pl_dynamics that carries them all
-together.
+carries each point's root through its own chain of sigma calls, is the
+reference for the one sweep of pl_dynamics that carries them all together.
 
 PiecewisePlan, the gather plan built one lookup and one off-grid check per
 array, is the reference for the batched lookup of schedule.GatherPlan, and
@@ -107,7 +113,7 @@ from scipy import integrate
 from ysyslab.builders import _G2_FAN, _G2_TAGS, _finish, cartan_data, dynkin_edges
 from ysyslab.mutclass import MutationPath, canonical_key
 from ysyslab.quiver import FILL_BULLET, FILL_CIRCLE, Quiver, Vertex, find_isomorphism, invert_perm, mutations
-from ysyslab.roots import RootSystem, SigmaMap, neg_simple
+from ysyslab.roots import RootSystem, neg_simple
 from ysyslab.numeric import real_plus1
 from ysyslab.schedule import CAST_RANGE, OFF, UNIT, Relations, ScheduleError, _padded, run_schedule, slot_sets
 from ysyslab.tropical import NEGATIVE, POSITIVE, tropical_plus1
@@ -1039,11 +1045,12 @@ def periodicity_mismatches(run):
 
 
 def tropical_record(run):
-    """The int8 tropical record E[s - lo_s] of a tropical.TropicalRun's
-    schedule at every time lo_s <= s <= full_s, run in both directions from
-    an int8 identity by run_two_product."""
+    """The int8 tropical record E[s - region_two_s] of a
+    tropical.TropicalRun's schedule at every time region_two_s <= s <=
+    full_s, run in both directions from an int8 identity by
+    run_two_product."""
     E0 = np.eye(run.model.n, dtype=np.int8)
-    return run_two_product(run.schedule, run.lo_s, run.full_s, E0, tropical_plus1)[0]
+    return run_two_product(run.schedule, run.region_two_s, run.full_s, E0, tropical_plus1)[0]
 
 
 def record_periodicity_mismatches(run, E, lo_s, half_times, full_times):
@@ -1126,6 +1133,73 @@ def total_points(family, rank, level):
 D4_OUTER_EDGES = ((1, 4), (2, 4), (3, 4))
 
 
+def negative_simple(vec):
+    """i when vec is -alpha_i, None otherwise."""
+    if sum(abs(c) for c in vec) == 1 and min(vec) == -1:
+        return vec.index(-1) + 1
+    return None
+
+
+def is_positive_root(rs, vec):
+    return tuple(vec) in rs.positive_roots
+
+
+def sigma(rs, i, vec):
+    """The piecewise-linear analogue of s_i on one almost positive root of
+    the RootSystem rs: it fixes -alpha_j for j != i, sends -alpha_i to
+    alpha_i, and is s_i on the positive roots.  Raises ValueError on a root
+    that is not almost positive."""
+    j = negative_simple(vec)
+    if j is not None:
+        return tuple(-c for c in vec) if j == i else tuple(vec)
+    if not is_positive_root(rs, vec):
+        raise ValueError(f"{vec} is not an almost positive root")
+    return rs.reflect(i, vec)
+
+
+class ScalarSigmaMap:
+    """A composite of sigma's, word in application order, applied to one
+    root at a time; the reference for roots.SigmaMap, which applies its
+    word to every almost positive root at once with RootSystem.sigma_batch."""
+
+    def __init__(self, rs, word):
+        self.rs = rs
+        self.word = tuple(word)
+
+    def __call__(self, vec, power=1):
+        if power < 0:
+            raise ValueError("negative sigma powers are not used here")
+        for _ in range(power):
+            for i in self.word:
+                vec = sigma(self.rs, i, vec)
+        return tuple(vec)
+
+    def orbit_decomposition(self):
+        """Cycles of the composite on almost positive roots, each followed
+        root by root from its seed: the negatives of the simple roots first,
+        then the positive roots not yet visited, in decreasing order."""
+        rs = self.rs
+        seeds = [neg_simple(rs, i) for i in range(1, rs.rank + 1)]
+        seeds += sorted(rs.positive_roots, reverse=True)
+        cap = len(rs.positive_roots) + rs.rank + 2
+        seen = set()
+        orbits = []
+        for seed in seeds:
+            if seed in seen:
+                continue
+            cycle = [seed]
+            seen.add(seed)
+            cur = self(seed)
+            while cur != seed:
+                cycle.append(cur)
+                seen.add(cur)
+                cur = self(cur)
+                if len(cycle) > cap:
+                    raise RuntimeError("sigma orbit failed to close; wrong word?")
+            orbits.append(cycle)
+        return orbits
+
+
 def d_part_signs_C(rank):
     """+/- classes on the D_{rank+1} nodes 1..rank-1 (none on rank, rank+1)."""
     plus = [i for i in range(1, rank) if (i - rank) % 2 == 0]
@@ -1137,24 +1211,24 @@ def sigma_C(rank):
     """sigma = s- s+ s_{r+1} s- s+ s_r on D_{rank+1} almost positive roots."""
     plus, minus = d_part_signs_C(rank)
     word = [rank] + plus + minus + [rank + 1] + plus + minus
-    return SigmaMap(RootSystem(rank + 1, dynkin_edges("D", rank + 1)), word)
+    return ScalarSigmaMap(RootSystem(rank + 1, dynkin_edges("D", rank + 1)), word)
 
 
 def sigma_C_apart(rank):
     """sigma = s- s+ on A_{rank-1} (the thin-row analysis for type C)."""
     plus = [i for i in range(1, rank) if (i + rank) % 2 == 1]
     minus = [i for i in range(1, rank) if (i + rank) % 2 == 0]
-    return SigmaMap(RootSystem(rank - 1, dynkin_edges("A", rank - 1)), plus + minus)
+    return ScalarSigmaMap(RootSystem(rank - 1, dynkin_edges("A", rank - 1)), plus + minus)
 
 
 def sigma_F4():
     """sigma = s3 (s4 s2 s6) s3 (s4 s1 s5) on E6 almost positive roots."""
-    return SigmaMap(RootSystem(6, dynkin_edges("E6", 6)), [4, 1, 5, 3, 4, 2, 6, 3])
+    return ScalarSigmaMap(RootSystem(6, dynkin_edges("E6", 6)), [4, 1, 5, 3, 4, 2, 6, 3])
 
 
 def sigma_G2():
     """sigma = s3 s4 s1 s4 s2 s4 on D4 almost positive roots (node 4 central)."""
-    return SigmaMap(RootSystem(4, D4_OUTER_EDGES), [4, 2, 4, 1, 4, 3])
+    return ScalarSigmaMap(RootSystem(4, D4_OUTER_EDGES), [4, 2, 4, 1, 4, 3])
 
 
 def alpha_domain(family, rank):
@@ -1463,8 +1537,8 @@ def level2_core(model):
 def per_point_alpha(schedule, vertices, rs):
     """alpha of roots.pl_dynamics point by point: for each mutation point
     (s, v) with -h_dual*t <= s < 0 and v among vertices, in time order, the
-    image of -alpha_i (v = vertices[i-1]) under its own chain of
-    RootSystem.sigma calls through the slots s, s+1, ..., -1.  The
+    image of -alpha_i (v = vertices[i-1]) under its own chain of scalar
+    sigma calls through the slots s, s+1, ..., -1.  The
     reference for the one sweep that carries every root together."""
     node = {v: i for i, v in enumerate(vertices, start=1)}
     words = [[node[v] for v in ks if v in node] for ks in schedule.sets]
@@ -1475,6 +1549,6 @@ def per_point_alpha(schedule, vertices, rs):
             vec = neg_simple(rs, node[v])
             for k in range(s, 0):
                 for i in words[k % len(words)]:
-                    vec = rs.sigma(i, vec)
+                    vec = sigma(rs, i, vec)
             alpha[s, v] = vec
     return alpha

@@ -10,10 +10,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tests import oracle
+from tests.conftest import cached_dynamics
 from ysyslab import builders, cli, mutclass, numeric, schedule, suite, tropical
 from ysyslab.cli import main
 from ysyslab.numeric import NumericRun
 from ysyslab.quiver import Quiver
+from ysyslab.roots import format_d_symbol, neg_simple
 from ysyslab.suite import VerificationReport, run_suite, suite_passed
 from ysyslab.tropical import TropicalRun
 
@@ -160,9 +163,20 @@ def test_orbits_refuses_missing_rank():
 
 
 def test_orbits_output(capsys):
+    # --rank 10 is the D10 diagram of the C9 core: every almost positive
+    # root is printed once, and each line follows sigma from its seed and
+    # closes on it
     main(["orbits", "--sigma", "C", "--rank", "10"])
-    out = capsys.readouterr().out
-    assert "-a1 -> " in out and "{" in out
+    cycles = [line.split(" -> ") for line in capsys.readouterr().out.splitlines()]
+    derived, _ = cached_dynamics("C", 9)
+    sig = oracle.ScalarSigmaMap(derived.rs, derived.word)
+    roots = {format_d_symbol(9, vec): vec for vec in sig.rs.positive_roots}
+    roots.update((f"-a{i}", neg_simple(sig.rs, i)) for i in range(1, 11))
+    printed = [symbol for cycle in cycles for symbol in cycle[:-1]]
+    assert len(roots) == 100 and sorted(printed) == sorted(roots)
+    for cycle in cycles:
+        assert cycle[-1] == cycle[0]
+        assert [sig(roots[symbol]) for symbol in cycle[:-1]] == [roots[symbol] for symbol in cycle[1:]]
 
 
 def test_mutclass_found(capsys):

@@ -27,7 +27,12 @@ def almost_positive(rs):
 
 
 def is_almost_positive(rs, vec):
-    return rs.is_positive_root(vec) or rs._negative_simple(vec) is not None
+    return oracle.is_positive_root(rs, vec) or oracle.negative_simple(vec) is not None
+
+
+def scalar(sig):
+    """The oracle's scalar composite of a SigmaMap's root system and word."""
+    return oracle.ScalarSigmaMap(sig.rs, sig.word)
 
 
 # ---------------------------------------------------------------------------
@@ -45,21 +50,34 @@ ALL_SYSTEMS = {
 def test_sigma_is_involution_exhaustive(rs):
     for i in range(1, rs.rank + 1):
         for alpha in almost_positive(rs):
-            image = rs.sigma(i, alpha)
+            image = oracle.sigma(rs, i, alpha)
             assert is_almost_positive(rs, image)
-            assert rs.sigma(i, image) == tuple(alpha)
+            assert oracle.sigma(rs, i, image) == tuple(alpha)
+
+
+@pytest.mark.parametrize("rs", list(ALL_SYSTEMS.values()), ids=list(ALL_SYSTEMS))
+def test_sigma_batch_is_involution_exhaustive(rs):
+    # sigma_batch applied twice to every almost positive root at once is the
+    # identity, and its first application keeps them almost positive
+    roots = almost_positive(rs)
+    for i in range(1, rs.rank + 1):
+        batch = np.array(roots)
+        rs.sigma_batch(i, batch)
+        assert all(is_almost_positive(rs, vec) for vec in map(tuple, batch.tolist())), i
+        rs.sigma_batch(i, batch)
+        assert batch.tolist() == [list(vec) for vec in roots], i
 
 
 def test_sigma_on_negative_simples():
     rs = ALL_SYSTEMS["D5"]
-    assert rs.sigma(1, neg_simple(rs, 2)) == neg_simple(rs, 2)
-    assert rs.sigma(2, neg_simple(rs, 2)) == rs.simple(2)
+    assert oracle.sigma(rs, 1, neg_simple(rs, 2)) == neg_simple(rs, 2)
+    assert oracle.sigma(rs, 2, neg_simple(rs, 2)) == rs.simple(2)
 
 
 def test_sigma_rejects_non_roots():
     rs = RootSystem(3, dynkin_edges("A", 3))
     with pytest.raises(ValueError):
-        rs.sigma(1, (1, 0, 1))
+        oracle.sigma(rs, 1, (1, 0, 1))
 
 
 def test_root_system_rejects_infinite_type():
@@ -78,8 +96,9 @@ def test_derived_dynamics_match_typed_tables(family, rank):
     typed = {"C": lambda: oracle.sigma_C(rank), "F4": oracle.sigma_F4, "G2": oracle.sigma_G2}[family]()
     assert np.array_equal(sig.rs.cartan, typed.rs.cartan)
     assert sig.rs.positive_roots == typed.rs.positive_roots
+    composite = scalar(sig)
     for vec in almost_positive(typed.rs):
-        assert sig(vec) == typed(vec), vec
+        assert composite(vec) == typed(vec), vec
     assert sorted(alpha) == sorted(oracle.alpha_domain(family, rank))
     for (i, u), root in alpha.items():
         assert root == oracle.alpha_of(family, rank, i, u), (i, u)
@@ -89,8 +108,9 @@ def test_derived_dynamics_match_typed_tables(family, rank):
     sig, alpha = cached_dynamics(family, rank, thin=True)
     typed = oracle.sigma_C_apart(rank)
     assert np.array_equal(sig.rs.cartan, typed.rs.cartan)
+    composite = scalar(sig)
     for vec in almost_positive(typed.rs):
-        assert sig(vec) == typed(vec, power=2), vec
+        assert composite(vec) == typed(vec, power=2), vec
     plus = [i for i in range(1, rank) if (i + rank) % 2 == 1]
     assert sorted(alpha) == sorted(
         (i, Fraction(s, 2)) for i in range(1, rank) for s in range(-2 * rank - 2, 0) if (s % 2 == 0) == (i in plus)
@@ -116,12 +136,13 @@ def test_one_sweep_dynamics_match_per_point_chains(family, rank):
 
 @pytest.mark.parametrize("rs", list(ALL_SYSTEMS.values()), ids=list(ALL_SYSTEMS))
 def test_sigma_batch_is_sigma_row_by_row(rs):
-    # on every almost positive root at once, sigma_batch is sigma_i of each
+    # on every almost positive root at once, sigma_batch is the oracle's
+    # scalar sigma_i of each
     roots = almost_positive(rs)
     for i in range(1, rs.rank + 1):
         batch = np.array(roots)
         rs.sigma_batch(i, batch)
-        assert list(map(tuple, batch.tolist())) == [rs.sigma(i, vec) for vec in roots], i
+        assert list(map(tuple, batch.tolist())) == [oracle.sigma(rs, i, vec) for vec in roots], i
 
 
 # ---------------------------------------------------------------------------
@@ -135,15 +156,47 @@ def test_sigma_batch_is_sigma_row_by_row(rs):
 def test_orbits_partition_positive_roots(family, rank, count):
     sig, _ = cached_dynamics(family, rank)
     orbits = sig.orbit_decomposition()
-    positives = [v for orb in orbits for v in orb if sig.rs.is_positive_root(v)]
+    positives = [v for orb in orbits for v in orb if v in sig.rs.positive_roots]
     assert len(positives) == len(set(positives)) == count
     assert set(positives) == set(sig.rs.positive_roots)
 
 
-def test_orbit_guard_fires_on_wrong_word():
+DERIVED_DYNAMICS = [("C", r, thin) for r in range(2, 11) for thin in (False, True)] + [("F4", 4, False), ("G2", 2, False)]
+
+
+@pytest.mark.parametrize(
+    "family,rank,thin", DERIVED_DYNAMICS, ids=[f"{f}{r}{'-thin' if thin else ''}" for f, r, thin in DERIVED_DYNAMICS]
+)
+def test_orbit_sweep_matches_scalar_orbits(family, rank, thin):
+    # one batched sweep of the word gives the oracle's root-by-root orbits:
+    # orbit for orbit, root for root and in the same order
+    sig, _ = cached_dynamics(family, rank, thin)
+    assert sig.orbit_decomposition() == scalar(sig).orbit_decomposition()
+
+
+TYPED_WORDS = {f"C{r}": oracle.sigma_C(r) for r in range(2, 11)}
+TYPED_WORDS |= {f"C{r}-thin": oracle.sigma_C_apart(r) for r in range(2, 11)}
+TYPED_WORDS |= {"F4": oracle.sigma_F4(), "G2": oracle.sigma_G2()}
+
+
+@pytest.mark.parametrize("typed", list(TYPED_WORDS.values()), ids=list(TYPED_WORDS))
+def test_orbit_sweep_matches_typed_words(typed):
+    assert SigmaMap(typed.rs, typed.word).orbit_decomposition() == typed.orbit_decomposition()
+
+
+def test_one_letter_word_orbits_are_sigma1_cycles():
+    # sigma_1 is an involution: its orbits have one or two roots, each the
+    # other's image, and together they hold every almost positive root once
     rs = RootSystem(3, dynkin_edges("A", 3))
-    broken = SigmaMap(rs, [1])  # sigma_1 alone fixes -a2, fine; orbits still close
-    broken.orbit_decomposition()  # involution: closes in <= 2 steps
+    orbits = SigmaMap(rs, [1]).orbit_decomposition()
+    assert all(len(orbit) <= 2 for orbit in orbits)
+    for orbit in orbits:
+        assert oracle.sigma(rs, 1, orbit[-1]) == orbit[0]
+        assert oracle.sigma(rs, 1, orbit[0]) == orbit[-1]
+    roots = [vec for orbit in orbits for vec in orbit]
+    assert sorted(roots) == sorted(almost_positive(rs))
+    assert [neg_simple(rs, 1), rs.simple(1)] in orbits  # the one two-root orbit of a negative simple
+    assert [neg_simple(rs, 2)] in orbits and [neg_simple(rs, 3)] in orbits
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +232,7 @@ def _signed_simple(rs, token):
 
 
 def test_e6_orbits_verbatim():
-    sig, _ = cached_dynamics("F4", 4)
+    sig = scalar(cached_dynamics("F4", 4)[0])
     rs = sig.rs
     for start, chain, end in E6_ORBITS:
         cur = _signed_simple(rs, start)
@@ -198,7 +251,7 @@ D4_ORBITS = [
 
 
 def test_d4_orbits_verbatim():
-    sig, _ = cached_dynamics("G2", 2)
+    sig = scalar(cached_dynamics("G2", 2)[0])
     rs = sig.rs
     for start, chain, end in D4_ORBITS:
         cur = _signed_simple(rs, start)
@@ -292,13 +345,13 @@ def test_orbit_table_rank9():
 
 @pytest.mark.parametrize("rank", [4, 6])
 def test_corbit_structure_even(rank):
-    sig, _ = cached_dynamics("C", rank)
+    sig = scalar(cached_dynamics("C", rank)[0])
     rs = sig.rs
     half = rank // 2
     for i in range(1, rank):
-        assert all(rs.is_positive_root(sig(neg_simple(rs, i), power=k)) for k in range(1, half + 1))
+        assert all(oracle.is_positive_root(rs, sig(neg_simple(rs, i), power=k)) for k in range(1, half + 1))
         assert sig(neg_simple(rs, i), power=half + 1) == neg_simple(rs, i)
-        assert all(rs.is_positive_root(sig(rs.simple(i), power=k)) for k in range(half + 1))
+        assert all(oracle.is_positive_root(rs, sig(rs.simple(i), power=k)) for k in range(half + 1))
         assert sig(rs.simple(i), power=half + 1) == rs.simple(i)
     assert sig(neg_simple(rs, rank), power=half + 1) == neg_simple(rs, rank + 1)
     assert sig(neg_simple(rs, rank + 1), power=half + 2) == neg_simple(rs, rank)
@@ -306,7 +359,7 @@ def test_corbit_structure_even(rank):
 
 @pytest.mark.parametrize("rank", [5, 9])
 def test_corbit_structure_odd(rank):
-    sig, _ = cached_dynamics("C", rank)
+    sig = scalar(cached_dynamics("C", rank)[0])
     rs = sig.rs
     plus, minus = oracle.d_part_signs_C(rank)
     for i in plus:
@@ -395,7 +448,7 @@ def sigma_companion_A(rank):
     rs = RootSystem(2 * r + 1, dynkin_edges("A", 2 * r + 1))
     plus = [i for i in range(1, 2 * r + 2) if (i - r) % 2 == 0]
     minus = [i for i in range(1, 2 * r + 2) if (i - r) % 2 == 1]
-    return SigmaMap(rs, plus + minus)
+    return oracle.ScalarSigmaMap(rs, plus + minus)
 
 
 def rho_orbit_targets(rank):
@@ -406,7 +459,7 @@ def rho_orbit_targets(rank):
         cur = neg_simple(sig.rs, i)
         for _ in range(rank + 1):
             cur = sig(cur)
-            if not sig.rs.is_positive_root(cur):
+            if not oracle.is_positive_root(sig.rs, cur):
                 raise RuntimeError("orbit left the positive roots early")
             targets.add(cur)
     return targets
@@ -420,14 +473,14 @@ def rho_conjugation_mismatches(rank):
     wrap-around, where it lands on the diagram-mirror image of the right
     answer; the comparison folds through the mirror at those points.
     """
-    sig, _ = cached_dynamics("C", rank)
+    sig = scalar(cached_dynamics("C", rank)[0])
     rsD = sig.rs
     sigA = sigma_companion_A(rank)
     targets = rho_orbit_targets(rank)
     bad = []
     for vec in rsD.positive_roots:
         image = sig(vec)
-        if not rsD.is_positive_root(image):
+        if not oracle.is_positive_root(rsD, image):
             continue
         lhs = rho_C(rank, image)
         step = sigA(rho_C(rank, vec), power=2)

@@ -279,10 +279,10 @@ def test_tropical_run_matches_per_vertex_oracle(family, rank, level):
     # run's, negative times included
     run = cached_tropical(family, rank, level)
     window = relabelled_window(run)
-    want = run_payload(run.model, run.lo_s, run.full_s, TropicalCoefficients(np.eye(run.model.n)))
-    assert sorted(want) == list(range(run.lo_s, run.full_s + 1)) and len(window) == len(want)
+    want = run_payload(run.model, run.region_two_s, run.full_s, TropicalCoefficients(np.eye(run.model.n)))
+    assert sorted(want) == list(range(run.region_two_s, run.full_s + 1)) and len(window) == len(want)
     for s, E in want.items():
-        assert np.array_equal(window[s - run.lo_s], E), s
+        assert np.array_equal(window[s - run.region_two_s], E), s
 
 
 @pytest.mark.parametrize("family,rank,level", CASES)

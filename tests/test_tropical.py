@@ -209,14 +209,14 @@ def test_one_period_record_premises(family, rank, level):
     hd = m.cartan["h_dual"]
     assert np.array_equal(run.omega[run.omega], np.arange(m.n))
     assert run.full_s == 2 * run.half_s and run.full_s % (2 * t) == 0
-    assert len(run.H) == run.half_s + 1 and (run.lo_s, run.full_s) == (-hd * t, 2 * run.half_s)
+    assert len(run.H) == run.half_s + 1 and (run.region_two_s, run.full_s) == (-hd * t, 2 * run.half_s)
     reads = {0, run.full_s - 1, run.full_s, level * t}  # counts, periodicity, boundary
     reads |= {-hd * t, level * t - 1, *sched.points(-hd * t, level * t)[0].tolist()}  # sign region
     reads |= {0, 4 * t - 1, *sched.points(0, 4 * t)[0].tolist()}  # shadow window
     if level == 2:
         roots = [level2_core(m)] + [[m.vid(i, 1) for i in range(1, rank)]] * (family == "C")
         reads |= {s for vertices in roots for s, _ in pl_dynamics(sched, vertices)[1]}
-    assert run.lo_s <= min(reads) and max(reads) <= run.full_s
+    assert run.region_two_s <= min(reads) and max(reads) <= run.full_s
 
 
 def record_reference(run):
@@ -227,14 +227,14 @@ def record_reference(run):
 
 @pytest.mark.parametrize("family,rank,level", CASES)
 def test_every_planted_time_is_reported(family, rank, level):
-    # each time lo_s <= s <= full_s is read from one entry of the half
+    # each time region_two_s <= s <= full_s is read from one entry of the half
     # record; one changed entry there moves every time that entry serves,
     # s + k*half_s with the vertex relabelled by omega when k is odd, and
     # no other; in the seed it fails the seed comparison, as the per-time
     # reference on the same record reports it, and then every read raises
     run = cached_tropical(family, rank, level)
     n, clean = run.model.n, relabelled_window(run)
-    for s in range(run.lo_s, run.full_s + 1):
+    for s in range(run.region_two_s, run.full_s + 1):
         v = s % n
         broken = planted(run, s, v, run.monomial(v, s) + np.eye(n, dtype=np.int64)[s % 3])
         got = broken.periodicity_mismatches()
@@ -247,8 +247,8 @@ def test_every_planted_time_is_reported(family, rank, level):
         assert got == [], s
         moved = {tuple(x) for x in np.argwhere((relabelled_window(broken) != clean).any(2))}
         served = {
-            (s2 - run.lo_s, v if (s2 - s) // run.half_s % 2 == 0 else run.omega[v])
-            for s2 in range(run.lo_s, run.full_s + 1)
+            (s2 - run.region_two_s, v if (s2 - s) // run.half_s % 2 == 0 else run.omega[v])
+            for s2 in range(run.region_two_s, run.full_s + 1)
             if (s2 - s) % run.half_s == 0
         }
         assert moved == served, s
@@ -293,7 +293,7 @@ def test_wrong_dynamics_fail_both_checks(family, rank, level):
 
 @pytest.mark.parametrize("family,rank,level", list(CASES) + SCALE_CASES + LARGE_CASES + [C16])
 def test_relabelled_window_matches_two_direction_record(family, rank, level):
-    # every time lo_s <= s <= full_s read from the half record through omega
+    # every time region_two_s <= s <= full_s read from the half record through omega
     # is, bit for bit, the record run in both directions from time 0
     case = (family, rank, level)
     cached = case in CASES or case in SCALE_CASES
@@ -312,7 +312,7 @@ def test_failed_seed_comparison_fails_every_read():
     u = Fraction(run.half_s, run.t)
     message = re.escape(f"the seed comparison E({u})[v] = E(0)[omega(v)] fails at 1 of 8 vertices, first at (2, 2)")
     assert run.model.position(4) == (2, 2)
-    for s in (run.lo_s, 0, 1, run.half_s, run.full_s):
+    for s in (run.region_two_s, 0, 1, run.half_s, run.full_s):
         with pytest.raises(PeriodicityError, match=message):
             broken.monomial(0, s)
     for read in (broken.count_signs, broken.sign_pattern_mismatches, broken.boundary_mismatches):
@@ -321,15 +321,15 @@ def test_failed_seed_comparison_fails_every_read():
 
 
 def test_monomial_outside_record_raises():
-    # the record spans lo_s <= s <= full_s; a time just outside it, on
+    # the record spans region_two_s <= s <= full_s; a time just outside it, on
     # either side, is an IndexError naming that span, not a row read from
     # the other end of the record
     run = cached_tropical("C", 3, 3)
     record = oracle.tropical_record(run)
-    for s in (run.lo_s, run.full_s):
-        assert np.array_equal(run.monomial(0, s), record[s - run.lo_s, 0])
-    for s in (run.lo_s - 1, run.full_s + 1):
-        span = f"time s={s} is outside the tropical record [{run.lo_s}, {run.full_s}]"
+    for s in (run.region_two_s, run.full_s):
+        assert np.array_equal(run.monomial(0, s), record[s - run.region_two_s, 0])
+    for s in (run.region_two_s - 1, run.full_s + 1):
+        span = f"time s={s} is outside the tropical record [{run.region_two_s}, {run.full_s}]"
         with pytest.raises(IndexError, match=re.escape(span)):
             run.monomial(0, s)
 
