@@ -17,7 +17,7 @@ from .mutclass import DEPTH_CAP, NODE_CAP, search_equivalence
 from .numeric import NumericRun, worst_errors
 from .roots import format_d_symbol, level2_core, pl_dynamics
 from .schedule import TRANSFORMS, Schedule, ScheduleError
-from .suite import resolve_config, run_suite, suite_passed
+from .suite import PERIODICITY_TOL, RESIDUAL_TOL, resolve_config, run_suite, suite_passed
 from .tropical import TropicalRun
 
 
@@ -126,17 +126,21 @@ def _cmd_tropical(args):
 def _cmd_numeric(args):
     sched, seeds = Schedule(build(args.spec)), tuple(range(args.seeds))
     worst_res, worst_per = worst_errors(NumericRun(sched, seeds))
+    ok = bool(worst_res < RESIDUAL_TOL and worst_per < PERIODICITY_TOL)
     _emit(
         {
             "case": f"{args.family}:{args.rank}:{args.level}",
             "seeds": args.seeds,
             "max_residual": worst_res,
             "max_periodicity_error": worst_per,
-            "tol": args.tol,
-            "ok": bool(worst_res < args.tol and worst_per < args.tol),
+            "residual_tol": RESIDUAL_TOL,
+            "periodicity_tol": PERIODICITY_TOL,
+            "ok": ok,
         },
         args.out,
     )
+    if not ok:
+        raise SystemExit(1)
 
 
 def _cmd_orbits(args):
@@ -223,7 +227,6 @@ def main(argv=None):
     p = sub.add_parser("numeric", help="numeric residual and periodicity report")
     add_case_args(p)
     p.add_argument("--seeds", type=int, default=5)
-    p.add_argument("--tol", type=_positive(float), default=1e-8)
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_numeric)
 

@@ -166,7 +166,7 @@ def functional_sums(run: NumericRun):
     L(1/(1+y)); they target the negative and positive tropical tallies
     respectively.  Each seed's sum runs along its own contiguous row.
     """
-    ys = run.labelled_coefficients(0, run.full_s)
+    ys = run.labelled_coefficients()
     s_minus = 6.0 / np.pi**2 * np.sum(rogers_L(ys / (1.0 + ys)), axis=1)
     s_plus = 6.0 / np.pi**2 * np.sum(rogers_L(1.0 / (1.0 + ys)), axis=1)
     return np.stack([s_minus, s_plus], axis=1)

@@ -155,11 +155,11 @@ class NumericRun:
         base = self.y_values(base)
         return np.abs(self.y_values(other) - base) / np.abs(base)
 
-    def labelled_coefficients(self, s_lo, s_hi):
-        """The Y values at the P'+ points with s_lo <= s < s_hi: one row per
-        seed of the positive-real block, each in (s, a, m) order and
-        contiguous."""
-        return np.ascontiguousarray(self.y_values(self.schedule.plan.coefficients(s_lo, s_hi)).T)
+    def labelled_coefficients(self):
+        """The Y values at the P'+ points of one period, 0 <= s < full_s:
+        one row per seed of the positive-real block, each in (s, a, m)
+        order and contiguous."""
+        return np.ascontiguousarray(self.y_values(self.schedule.plan.coefficients()).T)
 
 
 def gather(record, rows):

@@ -542,15 +542,10 @@ class GatherPlan:
         center = None if center is None else every_period(center)
         return Relations(every_period(lhs), every_period(adjacent), every_period(factors), center, relation[order])
 
-    def coefficients(self, s_lo, s_hi):
-        """The record rows of the P'+ points with s_lo <= s < s_hi, in
-        (s, a, m) order.  Raises ValueError for an empty window and
-        IndexError for one that leaves [lo_s, hi_s]."""
-        if s_lo >= s_hi:
-            raise ValueError(f"the window [{s_lo}, {s_hi}) is empty")
-        if s_lo < self.lo_s or s_hi > self.hi_s + 1:
-            raise IndexError(f"the window [{s_lo}, {s_hi}) is outside the plan's window [{self.lo_s}, {self.hi_s}]")
-        s = np.arange(s_lo, s_hi)
+    def coefficients(self):
+        """The record rows of the P'+ points of one period, 0 <= s < full_s,
+        in (s, a, m) order."""
+        s = np.arange(self.full_s)
         by_label = self._vertex[:, :, s % (2 * self.t)].transpose(2, 0, 1).reshape(len(s), -1)
         i, j = np.nonzero(by_label != OFF)
         return (s[i] - self.lo_s) * self.n + by_label[i, j]

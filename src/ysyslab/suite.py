@@ -4,7 +4,6 @@ emits machine-readable report rows (one JSON object per case and check)."""
 from __future__ import annotations
 
 import json
-import math
 import numbers
 from dataclasses import asdict, dataclass, field
 
@@ -35,14 +34,15 @@ DEFAULT_CONFIG = {
     "cases": DEFAULT_CASES,
     "pairs": DEFAULT_PAIRS,
     "seeds": [0, 1, 2, 3, 4],
-    "residual_tol": 1e-9,
-    "periodicity_tol": 1e-8,
-    "dilog_tol": 1e-8,
-    "functional_tol": 1e-6,
     "extra_dilog_levels": [5],
-    "depth_cap": DEPTH_CAP,
-    "node_cap": NODE_CAP,
 }
+
+# the bounds of the acceptance criteria: relative for the recursion
+# residuals and periodicity, absolute for the dilogarithm identities
+RESIDUAL_TOL = 1e-9
+PERIODICITY_TOL = 1e-8
+DILOG_TOL = 1e-8
+FUNCTIONAL_TOL = 1e-6
 
 
 @dataclass
@@ -133,12 +133,12 @@ def _case_rows(case, cfg):
         return rows
 
     _tropical_rows(sched, case, cfg["seeds"][0], row)
-    rows.append(_constant_dilog_row(case, cfg, sched))
-    _numeric_rows(sched, tuple(cfg["seeds"]), cfg, row)
+    rows.append(_constant_dilog_row(case, sched))
+    _numeric_rows(sched, tuple(cfg["seeds"]), row)
     return rows
 
 
-def _numeric_rows(sched, seeds, cfg, row):
+def _numeric_rows(sched, seeds, row):
     """The rows read off the case's NumericRun, passed to row; when the run
     raises (a value off the float range), each of them fails carrying the
     error, and dilog-functional fails with check_functional_DI's error."""
@@ -150,28 +150,30 @@ def _numeric_rows(sched, seeds, cfg, row):
         row("dilog-functional", False, "functional-dilog-identity", error=str(err))
         return
     worst_res, worst_per = worst_errors(run)
-    res_tol, per_tol = cfg["residual_tol"], cfg["periodicity_tol"]
-    row("numeric-residuals", worst_res < res_tol, "recursion-residuals", max_residual=worst_res, tol=res_tol)
-    row("numeric-periodicity", worst_per < per_tol, "labelled-periodicity", max_error=worst_per, tol=per_tol)
+    row("numeric-residuals", worst_res < RESIDUAL_TOL, "recursion-residuals", max_residual=worst_res, tol=RESIDUAL_TOL)
+    row(
+        "numeric-periodicity", worst_per < PERIODICITY_TOL, "labelled-periodicity",
+        max_error=worst_per, tol=PERIODICITY_TOL,
+    )
     rep = check_functional_DI(run)
     if "error" in rep:
         row("dilog-functional", False, "functional-dilog-identity", error=rep["error"])
         return
-    ok = rep["max_deviation"] < cfg["functional_tol"] and rep["seed_spread"] < cfg["functional_tol"]
+    ok = rep["max_deviation"] < FUNCTIONAL_TOL and rep["seed_spread"] < FUNCTIONAL_TOL
     row(
         "dilog-functional", ok, "functional-dilog-identity",
         max_deviation=rep["max_deviation"], seed_spread=rep["seed_spread"], targets=list(rep["targets"]),
     )
 
 
-def _pair_rows(pair, cfg):
+def _pair_rows(pair):
     left, right = pair
     cid = f"{_case_id(*left)}~{_case_id(*right)}"
     Q1 = build(FamilySpec(*left)).quiver
     Q2 = build(FamilySpec(*right)).quiver
-    metrics = {"depth_cap": cfg["depth_cap"], "node_cap": cfg["node_cap"]}
+    metrics = {"depth_cap": DEPTH_CAP, "node_cap": NODE_CAP}
     try:
-        res = search_equivalence(Q1, Q2, **metrics)
+        res = search_equivalence(Q1, Q2)
     except ValueError as err:  # sizes that differ, or past the search's size or entry bound
         res, metrics["error"] = None, str(err)
     if res is None:
@@ -186,7 +188,7 @@ def _pair_rows(pair, cfg):
     ]
 
 
-def _constant_dilog_row(case, cfg, sched=None):
+def _constant_dilog_row(case, sched=None):
     """The dilog-constant row of a case on its verified Schedule, which is
     built here when not given; a ScheduleError makes a failing row."""
     cid = _case_id(*case)
@@ -195,14 +197,14 @@ def _constant_dilog_row(case, cfg, sched=None):
     except ScheduleError as error:
         return _row(cid, "dilog-constant", False, "constant-dilog-identity", error=str(error))
     return _row(
-        cid, "dilog-constant", err < cfg["dilog_tol"], "constant-dilog-identity", lhs=lhs, rhs=rhs, abs_error=err
+        cid, "dilog-constant", err < DILOG_TOL, "constant-dilog-identity", lhs=lhs, rhs=rhs, abs_error=err
     )
 
 
 def _extra_dilog_rows(cfg):
     """The dilog-constant rows at the extra levels, but for the cases' own."""
     extra = {(f, r, lev) for f, r, _ in cfg["cases"] for lev in cfg["extra_dilog_levels"]}
-    return [_constant_dilog_row(case, cfg) for case in sorted(extra - set(cfg["cases"]))]
+    return [_constant_dilog_row(case) for case in sorted(extra - set(cfg["cases"]))]
 
 
 def _lists(v, depth):
@@ -210,28 +212,21 @@ def _lists(v, depth):
     return isinstance(v, (list, tuple)) and (depth == 1 or all(_lists(x, depth - 1) for x in v))
 
 
-def _number(v, kind, low=0):
-    """v is a finite number of the numbers-ABC kind, above low; bools are not numbers here."""
-    return isinstance(v, kind) and not isinstance(v, bool) and low < v < math.inf
-
-
-_TOLERANCE = ("a positive real number", lambda v: _number(v, numbers.Real))
-_CAP = ("a positive int", lambda v: _number(v, numbers.Integral))
 _VALUE_TYPES = {  # key: (what its value must be, the test)
     "cases": ("a list of cases", lambda v: _lists(v, 2)),
     "pairs": ("a list of pairs of cases", lambda v: _lists(v, 3)),
-    "seeds": (
+    "seeds": (  # numbers-ABC ints, which numpy's are too; bools are not ints here
         "a list of non-negative ints",
-        lambda v: _lists(v, 1) and all(_number(x, numbers.Integral, low=-1) for x in v),
+        lambda v: _lists(v, 1)
+        and all(isinstance(x, numbers.Integral) and not isinstance(x, bool) and x >= 0 for x in v),
     ),
     "extra_dilog_levels": ("a list", lambda v: _lists(v, 1)),
-    "residual_tol": _TOLERANCE,
-    "periodicity_tol": _TOLERANCE,
-    "dilog_tol": _TOLERANCE,
-    "functional_tol": _TOLERANCE,
-    "depth_cap": _CAP,
-    "node_cap": _CAP,
 }
+
+
+def _dumps(item):
+    """item as JSON, numpy integers as ints and any other value JSON lacks as its str."""
+    return json.dumps(item, default=lambda v: int(v) if isinstance(v, numbers.Integral) else str(v))
 
 
 def resolve_config(config=None):
@@ -239,13 +234,13 @@ def resolve_config(config=None):
 
     Raises ValueError on a config that is not a mapping, a key that
     DEFAULT_CONFIG does not have, a value of the wrong type, an empty seed
-    list, a pair that is not two cases, a case or pair listed twice, or a
-    case or pair that cannot be run.
+    list, a pair that is not two cases, a case, pair or seed listed twice,
+    or a case or pair that cannot be run.
     """
     config = config or {}
     if not isinstance(config, dict):
         raise ValueError("the config must be a mapping of settings")
-    unknown = sorted(set(config) - set(DEFAULT_CONFIG))
+    unknown = sorted(set(config) - set(DEFAULT_CONFIG), key=str)
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(map(repr, unknown))}")
     cfg = {**DEFAULT_CONFIG, **config}
@@ -256,12 +251,12 @@ def resolve_config(config=None):
         raise ValueError("seeds must list at least one seed")
     cfg["cases"] = [tuple(c) for c in cfg["cases"]]
     cfg["pairs"] = [tuple(map(tuple, p)) for p in cfg["pairs"]]
-    for key in ("cases", "pairs"):
+    for key in ("cases", "pairs", "seeds"):
         for i, item in enumerate(cfg[key]):
             if key == "pairs" and len(item) != 2:
-                raise ValueError(f"pair {json.dumps(item)} must be two cases, not {len(item)}")
+                raise ValueError(f"pair {_dumps(item)} must be two cases, not {len(item)}")
             if item in cfg[key][:i]:
-                raise ValueError(f"{key} lists {json.dumps(item)} twice")
+                raise ValueError(f"{key} lists {_dumps(item)} twice")
     extra = [(f, r, lev) for f, r, _ in cfg["cases"] for lev in cfg["extra_dilog_levels"]]
     for case in cfg["cases"] + extra + [side for pair in cfg["pairs"] for side in pair]:
         try:
@@ -281,7 +276,7 @@ def run_suite(config=None):
     """
     cfg = resolve_config(config)
     rows = [row for case in cfg["cases"] for row in _case_rows(case, cfg)]
-    rows += [row for pair in cfg["pairs"] for row in _pair_rows(pair, cfg)]
+    rows += [row for pair in cfg["pairs"] for row in _pair_rows(pair)]
     rows += _extra_dilog_rows(cfg)
     rows.sort(key=lambda r: (r.case, r.check))
     return rows

@@ -802,6 +802,16 @@ class LabelledArrays:
         return np.compress(~np.isnan(ys[0]), ys, axis=1)
 
 
+def plan_coefficients(plan, s_lo, s_hi):
+    """The record rows of the P'+ points of a schedule.GatherPlan with
+    s_lo <= s < s_hi, in (s, a, m) order, clamped to the plan's window: the
+    reference for GatherPlan.coefficients, which reads 0 <= s < full_s."""
+    s = np.arange(max(s_lo, plan.lo_s), min(s_hi, plan.hi_s + 1))
+    by_label = plan._vertex[:, :, s % (2 * plan.t)].transpose(2, 0, 1).reshape(len(s), -1)
+    i, j = np.nonzero(by_label != OFF)
+    return (s[i] - plan.lo_s) * plan.n + by_label[i, j]
+
+
 class PiecewisePlan:
     """The gather plan of a verified Schedule built piece by piece: one
     lookup and one off-grid check per relation array, one more for its
@@ -848,13 +858,7 @@ class PiecewisePlan:
         self.y_period = self._periodicity(plan.y_rows, ra, rm)
 
     def coefficients(self, s_lo, s_hi):
-        """The record rows of the P'+ points with s_lo <= s < s_hi, in
-        (s, a, m) order, clamped to the plan's window."""
-        plan = self.plan
-        s = np.arange(max(s_lo, plan.lo_s), min(s_hi, plan.hi_s + 1))
-        by_label = plan._vertex[:, :, s % (2 * self.t)].transpose(2, 0, 1).reshape(len(s), -1)
-        i, j = np.nonzero(by_label != OFF)
-        return (s[i] - plan.lo_s) * plan.n + by_label[i, j]
+        return plan_coefficients(self.plan, s_lo, s_hi)
 
     def _checked(self, lookup, a, m, s, unit=None):
         """lookup(a, m, s), UNIT where unit holds; raises ScheduleError at the
@@ -987,7 +991,7 @@ class NumericRun:
         return np.abs(self.y_values(other) - base) / np.abs(base)
 
     def labelled_coefficients(self, s_lo, s_hi):
-        return np.ascontiguousarray(self.y_values(self.schedule.plan.coefficients(s_lo, s_hi)).T)
+        return np.ascontiguousarray(self.y_values(plan_coefficients(self.schedule.plan, s_lo, s_hi)).T)
 
 
 def expected_sign(run, v, s):

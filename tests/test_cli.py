@@ -73,9 +73,37 @@ def test_tropical_report(capsys):
 
 
 def test_numeric_report(capsys):
-    main(["numeric", "--family", "G2", "--rank", "2", "--level", "2", "--seeds", "2", "--tol", "1e-8"])
+    main(["numeric", "--family", "G2", "--rank", "2", "--level", "2", "--seeds", "2"])
     rep = json.loads(capsys.readouterr().out)
     assert rep["ok"] is True
+    assert (rep["residual_tol"], rep["periodicity_tol"]) == (suite.RESIDUAL_TOL, suite.PERIODICITY_TOL) == (1e-9, 1e-8)
+
+
+@pytest.mark.parametrize("case", [("C", 2, 2), ("G2", 2, 3)], ids=str)
+def test_numeric_gives_the_suite_verdict(case, capsys):
+    # the command's worst errors are those of the suite's numeric rows over
+    # the same seeds, and its ok holds exactly when both rows pass
+    seeds = [0, 1, 2, 3, 4]
+    rows = run_suite({"cases": [case], "pairs": [], "seeds": seeds, "extra_dilog_levels": []})
+    res, per = ({r.check: r for r in rows}[check] for check in ("numeric-residuals", "numeric-periodicity"))
+    family, rank, level = map(str, case)
+    main(["numeric", "--family", family, "--rank", rank, "--level", level, "--seeds", str(len(seeds))])
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["max_residual"] == res.metrics["max_residual"]
+    assert rep["max_periodicity_error"] == per.metrics["max_error"]
+    assert rep["ok"] is (res.status == per.status == "pass")
+
+
+def test_numeric_exits_1_when_its_verdict_fails(monkeypatch, capsys):
+    # a NaN residual, as a float overflow leaves, fails the verdict; the
+    # report is still printed, and the exit status says it failed
+    monkeypatch.setattr(cli, "worst_errors", lambda run: (float("nan"), 0.0))
+    with pytest.raises(SystemExit) as err:
+        main(["numeric", "--family", "C", "--rank", "2", "--level", "2", "--seeds", "1"])
+    assert err.value.code == 1
+    out = capsys.readouterr().out
+    rep = json.loads(out)
+    assert rep["ok"] is False and np.isnan(rep["max_residual"]) and '"max_residual": NaN' in out
 
 
 @pytest.mark.parametrize(
@@ -92,9 +120,10 @@ def test_numeric_report(capsys):
         (["schedule", "--family", "C", "--from", "1/3"], "multiples of 1/2 for type C"),
         (["schedule", "--family", "G2", "--to", "1/0"], "'1/0' is not a time"),
         (["orbits", "--sigma", "C", "--rank", "2"], "--sigma C needs --rank"),
-        (["numeric", "--family", "C", "--tol", "nan"], "must be a positive finite float, not 'nan'"),
-        (["numeric", "--family", "C", "--tol", "0"], "must be a positive finite float, not '0'"),
-        (["numeric", "--family", "C", "--tol", "x"], "must be a positive finite float, not 'x'"),
+        (["numeric", "--family", "C", "--tol", "1e-8"], "unrecognized arguments: --tol 1e-8"),
+        (["mutclass", "--left", "C:2:2", "--right", "C:2:2", "--nodes", "x"], "must be a positive finite int, not 'x'"),
+        (["mutclass", "--left", "C:2:2", "--right", "C:2:2", "--depth", "1.5"],
+         "must be a positive finite int, not '1.5'"),
         (["mutclass", "--left", "C:2:2", "--right", "C:2:2", "--nodes", "0"], "must be a positive finite int"),
         (["mutclass", "--left", "C:2:2", "--right", "C:2:2", "--depth", "-1"], "must be a positive finite int"),
         (["orbits", "--sigma", "F4", "--rank", "99"], "--sigma F4 takes no --rank"),
@@ -122,8 +151,8 @@ def test_case_commands_reject_bad_input(argv, message, capsys):
         ('{"cases": 5}', "cases must be a list of cases"),
         ('{"pairs": [5]}', "pairs must be a list of pairs of cases"),
         ('{"extra_dilog_levels": 5}', "extra_dilog_levels must be a list"),
-        ('{"residual_tol": "x"}', "residual_tol must be a positive real number"),
-        ('{"depth_cap": 1.5}', "depth_cap must be a positive int"),
+        ('{"residual_tol": 1e-9}', "unknown config keys: 'residual_tol'"),
+        ('{"depth_cap": 12}', "unknown config keys: 'depth_cap'"),
         ('{"pairs": [[["D", 2, 3], ["A", 2, 3]]]}', "case D:2:3: type D needs rank >= 3"),
         ('{"pairs": [[["C", 2, 2]]]}', 'pair [["C", 2, 2]] must be two cases, not 1'),
         ('{"pairs": [[["C", 2, 2], ["C", 2, 2], ["C", 2, 2]]]}', "must be two cases, not 3"),
@@ -260,9 +289,13 @@ BAD_VALUES = [
     ("cases", 5), ("cases", "C:2:2"), ("cases", [5]),
     ("pairs", 5), ("pairs", [5]), ("pairs", [[["C", 3, 2], 5]]),
     ("extra_dilog_levels", 5), ("extra_dilog_levels", "5"),
-    ("residual_tol", "x"), ("periodicity_tol", 0), ("dilog_tol", -1e-8),
-    ("functional_tol", float("nan")), ("functional_tol", float("inf")), ("residual_tol", True),
-    ("depth_cap", 1.5), ("depth_cap", 0), ("node_cap", "10"), ("node_cap", -1), ("node_cap", False),
+]
+
+# settings the config no longer has, each at its last default: the
+# tolerances and caps are the suite's and mutclass's constants
+REMOVED_KEYS = [
+    ("residual_tol", 1e-9), ("periodicity_tol", 1e-8), ("dilog_tol", 1e-8), ("functional_tol", 1e-6),
+    ("depth_cap", 12), ("node_cap", 10**6),
 ]
 
 
@@ -275,11 +308,20 @@ BAD_VALUES = [
         ({"cases": [], "pairs": [[["C", 3, 2], ["D", 4, 1]]]}, "D:4:1"),
     ]
     + [({"cases": [["C", 2, 2]], key: value}, f"^{key} must be") for key, value in BAD_VALUES]
+    + [({"cases": [["C", 2, 2]], key: value}, f"^unknown config keys: '{key}'$") for key, value in REMOVED_KEYS]
+    + [  # numpy ints are written as ints in the message; a seed listed twice
+        ({"cases": [("C", np.int64(2), 2)] * 2}, r'^cases lists \["C", 2, 2\] twice$'),
+        ({"cases": [], "pairs": [[("C", np.int64(3), 2)]]}, r'^pair \[\["C", 3, 2\]\] must be two cases, not 1$'),
+        ({"cases": [], "pairs": [[("C", 3, 2), ("D", np.int64(4), 3)]] * 2}, r"^pairs lists .* twice$"),
+        ({"cases": [["C", 2, 2]], "seeds": [0, 0]}, "^seeds lists 0 twice$"),
+        ({"cases": [["C", 2, 2]], "seeds": [np.int64(1), 2, np.int64(1)]}, "^seeds lists 1 twice$"),
+    ]
     + [
         ({"cases": [], "pairs": [[["C", 2, 2]]]}, "not 1"),
         ({"cases": [], "pairs": [[["C", 2, 2]] * 3]}, "not 3"),
         ({"cases": [["C", 2, 2], ["G2", 2, 2], ["C", 2, 2]]}, "twice"),
         ({"cases": [], "pairs": [[["C", 3, 2], ["D", 4, 3]]] * 2}, "twice"),
+        ({1: [], "casez": []}, "^unknown config keys: 1, 'casez'$"),  # keys of mixed types
     ],
 )
 def test_suite_validates_cases_before_work(config, bad, monkeypatch):
@@ -430,18 +472,24 @@ def test_numeric_overflow_fails_rows(monkeypatch, capsys):
     assert "overflow encountered in exp" in stderr and "Traceback" not in stderr and out == ""
 
 
-def test_nan_coefficient_fails_functional_row(monkeypatch):
-    # a NaN in one positive-real Y value that the functional identity sums
-    # is the worst numeric error, and the functional row fails with the
-    # error rather than raising out of rogers_L
+def plant_nan_coefficient(monkeypatch):
+    """Make every NumericRun carry a NaN in one positive-real Y value that
+    the functional identity sums."""
     real = NumericRun.__init__
 
     def planted(self, *args):
         real(self, *args)
-        row = self.schedule.plan.coefficients(0, self.full_s)[3]
+        row = self.schedule.plan.coefficients()[3]
         self.y.reshape(-1, self.y.shape[-1])[row, self.real.start] = np.nan
 
     monkeypatch.setattr(NumericRun, "__init__", planted)
+
+
+def test_nan_coefficient_fails_functional_row(monkeypatch):
+    # a NaN in one positive-real Y value that the functional identity sums
+    # is the worst numeric error, and the functional row fails with the
+    # error rather than raising out of rogers_L
+    plant_nan_coefficient(monkeypatch)
     rows = run_suite({"cases": [["C", 2, 2]], "pairs": [], "seeds": [0], "extra_dilog_levels": []})
     failed = {r.check: r.metrics for r in rows if r.status != "pass"}
     assert sorted(failed) == NUMERIC_CHECKS and len(rows) == 10
@@ -453,10 +501,14 @@ def test_nan_coefficient_fails_functional_row(monkeypatch):
 
 
 def test_suite_accepts_numpy_and_tuple_values():
-    cfg = suite.resolve_config(
-        {"cases": (("C", 2, 2),), "seeds": (np.int64(3),), "dilog_tol": np.float64(1e-8), "depth_cap": np.int64(4)}
-    )
-    assert cfg["cases"] == [("C", 2, 2)] and cfg["depth_cap"] == 4
+    cfg = suite.resolve_config({
+        "cases": (("C", np.int64(2), 2),),
+        "pairs": ((("C", 3, 2), ["D", np.int64(4), 3]),),
+        "seeds": (np.int64(3), 1),
+        "extra_dilog_levels": (np.int64(5),),
+    })
+    assert cfg["cases"] == [("C", 2, 2)] and cfg["pairs"] == [(("C", 3, 2), ("D", 4, 3))]
+    assert list(cfg["seeds"]) == [3, 1] and list(cfg["extra_dilog_levels"]) == [5]
 
 
 def test_suite_builds_each_run_once(monkeypatch):
@@ -631,15 +683,10 @@ def test_cli_import_leaves_scipy_out():
     assert out.stdout.strip() == "[]"
 
 
-def test_suite_exit_status_on_failure(tmp_path):
+def test_suite_exit_status_on_failure(monkeypatch, tmp_path):
+    plant_nan_coefficient(monkeypatch)  # fails the case's numeric rows
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({
-        "cases": [["C", 2, 2]],
-        "pairs": [],
-        "seeds": [0],
-        "extra_dilog_levels": [],
-        "residual_tol": 1e-300,  # a tolerance below any float residual forces a fail row
-    }))
+    cfg.write_text(json.dumps({"cases": [["C", 2, 2]], "pairs": [], "seeds": [0], "extra_dilog_levels": []}))
     with pytest.raises(SystemExit) as err:
         main(["suite", "--config", str(cfg)])
     assert err.value.code == 1

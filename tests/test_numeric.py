@@ -1,4 +1,3 @@
-import re
 import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
@@ -198,8 +197,7 @@ def test_blocks_match_two_run_oracle(family, rank, level, monkeypatch):
     close(run.x[..., run.real], tracked.x, name="tracked x")
     close(run.y, tracked.y, name="tracked y")
     close(run.x[..., run.free], plain.x, name="plain x")
-    window = (run.lo_s, run.hi_s + 1)
-    close(run.labelled_coefficients(*window), tracked.labelled_coefficients(*window), name="coefficients")
+    close(run.labelled_coefficients(), tracked.labelled_coefficients(0, run.full_s), name="coefficients")
     checks = [
         (run.t_residuals()[:, run.real], tracked.t_residuals(), "tracked t_residuals"),
         (run.t_residuals()[:, run.free], plain.t_residuals(), "plain t_residuals"),
@@ -284,11 +282,10 @@ def test_batched_run_matches_single_seed_runs(family, rank, level):
             np.testing.assert_allclose(batched.x[0, :, col], draws[0], rtol=1e-15)
         np.testing.assert_allclose(batched.y[0, :, j], draws[1], rtol=1e-15)
         single = NumericRun(sched, (seed,))
-        window = (batched.lo_s, batched.hi_s + 1)
         for name in ("x", "y", "labelled_coefficients"):
             got, want = getattr(batched, name), getattr(single, name)
             if callable(got):  # one row per seed of the positive-real block
-                got, want = got(*window).T[..., [j]], want(*window).T
+                got, want = got().T[..., [j]], want().T
             else:  # both blocks of x, the positive-real one of y
                 got = got[..., [j, J + j] if name == "x" else [j]]
             assert got.shape == want.shape, name
@@ -372,7 +369,7 @@ def test_y_checks_read_the_positive_real_block():
             got, want = getattr(run, name)(), getattr(clean, name)()
             assert got.shape == want.shape and got.shape[1] == len(SEEDS)
             assert np.isnan(got).any() == reached and (reached or np.array_equal(got, want)), (block, name)
-        coefficients = run.labelled_coefficients(0, run.full_s)
+        coefficients = run.labelled_coefficients()
         assert coefficients.shape[0] == len(SEEDS) and np.isnan(coefficients).any() == reached, block
 
 
@@ -469,10 +466,9 @@ def test_plan_gathers_match_labelled_arrays(family, rank, level, tracked):
     for name in ("y_residuals", "y_periodicity_errors"):
         got, want = getattr(run, name)(), getattr(ref, name)()
         assert got.shape == want.shape and np.array_equal(got, want), name
-    for window in [(0, run.full_s), (run.lo_s, run.hi_s + 1), (run.t + 1, 3 * run.t)]:
-        got, want = run.labelled_coefficients(*window), ref.labelled_coefficients(*window)
-        assert got.shape == want.shape and np.array_equal(got, want), window
-        assert got.flags.c_contiguous  # each seed's functional sum runs along a contiguous row
+    got, want = run.labelled_coefficients(), ref.labelled_coefficients(0, run.full_s)
+    assert got.shape == want.shape and np.array_equal(got, want), "labelled_coefficients"
+    assert got.flags.c_contiguous  # each seed's functional sum runs along a contiguous row
 
 
 def planted(table):
@@ -494,26 +490,6 @@ def test_off_grid_gather_raises(monkeypatch):
     monkeypatch.setattr(schedule, "transpose_factors", planted)
     with pytest.raises(ScheduleError, match="off the grid"):
         Schedule(model)
-
-
-def test_coefficients_refuse_a_window_outside_the_plan():
-    # the plan's coefficient rows exist from lo_s to hi_s; a window that
-    # leaves that range raises IndexError naming both windows, through
-    # labelled_coefficients too, and an empty window raises ValueError,
-    # where each was clamped or failed in numpy before
-    run = cached_numeric("C", 2, 2)
-    plan = run.schedule.plan
-    outside = [(0, 10 * plan.full_s), (-100, 0), (plan.hi_s + 1, plan.hi_s + 3), (plan.lo_s - 1, 0), (0, plan.hi_s + 2)]
-    for s_lo, s_hi in outside:
-        message = f"the window [{s_lo}, {s_hi}) is outside the plan's window [{plan.lo_s}, {plan.hi_s}]"
-        for read in (plan.coefficients, run.labelled_coefficients):
-            with pytest.raises(IndexError, match=re.escape(message)):
-                read(s_lo, s_hi)
-    for s_lo, s_hi in ((5, 3), (4, 4)):
-        with pytest.raises(ValueError, match=re.escape(f"the window [{s_lo}, {s_hi}) is empty")):
-            run.labelled_coefficients(s_lo, s_hi)
-    full = plan.coefficients(plan.lo_s, plan.hi_s + 1)
-    assert np.array_equal(np.concatenate([plan.coefficients(plan.lo_s, 0), plan.coefficients(0, plan.hi_s + 1)]), full)
 
 
 def test_records_end_in_a_unit_row():

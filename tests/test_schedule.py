@@ -455,7 +455,7 @@ def test_gather_plan_matches_piecewise_oracle(case):
     for name in ("t_period", "y_period"):
         for got, want in zip(getattr(plan, name), getattr(ref, name), strict=True):
             assert got.dtype == want.dtype and got.shape == want.shape and np.array_equal(got, want), name
-    got, want = plan.coefficients(0, plan.full_s), ref.coefficients(0, plan.full_s)
+    got, want = plan.coefficients(), ref.coefficients(0, plan.full_s)
     assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
