@@ -6,18 +6,16 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import math
 import sys
 from fractions import Fraction
-
 
 from .builders import FIXED_RANK, FamilySpec, build
 from .dilog import check_functional_DI, constant_DI
 from .mutclass import DEPTH_CAP, NODE_CAP, search_equivalence
 from .numeric import NumericRun, worst_errors
 from .roots import format_d_symbol, level2_core, pl_dynamics
-from .schedule import TRANSFORMS, Schedule, ScheduleError
-from .suite import PERIODICITY_TOL, RESIDUAL_TOL, resolve_config, run_suite, suite_passed
+from .schedule import TRANSFORMS, Schedule
+from .suite import FAILURES, PERIODICITY_TOL, RESIDUAL_TOL, resolve_config, run_suite, strict_json, suite_passed
 from .tropical import TropicalRun
 
 
@@ -26,19 +24,15 @@ class UsageError(Exception):
     it as a usage error."""
 
 
-def _positive(kind):
-    """An argparse type: a finite number of the given kind above 0."""
-
-    def parse(text):
-        try:
-            value = kind(text)
-        except ValueError:
-            value = math.nan
-        if not 0 < value < math.inf:
-            raise argparse.ArgumentTypeError(f"must be a positive finite {kind.__name__}, not {text!r}")
-        return value
-
-    return parse
+def _positive_int(text):
+    """An argparse type: an int above 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive int, not {text!r}")
+    return value
 
 
 def _time(text):
@@ -74,7 +68,7 @@ def _write(text, path=None):
 
 
 def _emit(data, path=None):
-    _write(json.dumps(data, indent=2, default=str), path)
+    _write(strict_json(data, indent=2, default=str), path)
 
 
 def _cmd_build(args):
@@ -172,9 +166,9 @@ def _cmd_dilog(args):
 def _cmd_mutclass(args):
     Q1 = build(args.left).quiver
     Q2 = build(args.right).quiver
-    out = {"found": False, "depth_cap": args.depth, "node_cap": args.nodes}
+    out = {"found": False, "depth_cap": DEPTH_CAP, "node_cap": args.nodes}
     try:
-        res = search_equivalence(Q1, Q2, depth_cap=args.depth, node_cap=args.nodes)
+        res = search_equivalence(Q1, Q2, node_cap=args.nodes)
     except ValueError as err:  # sizes that differ, or past the search's size or entry bound
         res, out["error"] = None, str(err)
     if res is None:
@@ -244,8 +238,7 @@ def main(argv=None):
     p = sub.add_parser("mutclass", help="search a mutation equivalence")
     p.add_argument("--left", required=True, type=_parse_case, help="family:rank:level")
     p.add_argument("--right", required=True, type=_parse_case, help="family:rank:level")
-    p.add_argument("--depth", type=_positive(int), default=DEPTH_CAP)
-    p.add_argument("--nodes", type=_positive(int), default=NODE_CAP)
+    p.add_argument("--nodes", type=_positive_int, default=NODE_CAP)
     p.set_defaults(fn=_cmd_mutclass)
 
     p = sub.add_parser("suite", help="run the whole verification suite")
@@ -267,10 +260,8 @@ def main(argv=None):
         args.fn(args)
     except UsageError as err:
         ap.error(str(err))
-    # a schedule that fails its checks, a tropical exponent past the int8
-    # range, a mixed monomial, a numeric value off the float range
-    # (FloatingPointError), or an output path that cannot be written (OSError)
-    except (ScheduleError, ArithmeticError, OSError) as err:
+    # the errors that fail a suite row, or an output path that cannot be written
+    except (*FAILURES, OSError) as err:
         print(f"ysyslab {args.cmd}: error: {err}", file=sys.stderr)
         raise SystemExit(1) from None
 

@@ -177,16 +177,16 @@ def check_functional_DI(run):
     seeds of its positive-real block.
 
     Returns a dict with the per-seed sums, the worst deviation from the
-    tropical tallies (N-, N+), and the spread across seeds; or, when a
-    coefficient puts a Rogers dilogarithm argument outside [0, 1] (a NaN,
-    say), a dict whose one key "error" says so.
+    tropical tallies (N-, N+), and the spread across seeds.  Raises
+    ArithmeticError when a coefficient puts a Rogers dilogarithm argument
+    outside [0, 1] (a NaN, say).
     """
     spec = run.spec
     npos, nneg = expected_counts(spec.family, spec.rank, spec.level)
     try:
         sums = functional_sums(run)
     except ValueError as err:
-        return {"error": f"labelled coefficients off the positive reals: {err}"}
+        raise ArithmeticError(f"labelled coefficients off the positive reals: {err}") from err
     dev_minus = float(np.max(np.abs(sums[:, 0] - nneg)))
     dev_plus = float(np.max(np.abs(sums[:, 1] - npos)))
     spread = float(max(np.ptp(sums[:, 0]), np.ptp(sums[:, 1])))

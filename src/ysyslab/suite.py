@@ -4,6 +4,7 @@ emits machine-readable report rows (one JSON object per case and check)."""
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import asdict, dataclass, field
 
@@ -11,7 +12,6 @@ from .builders import FamilySpec, build, cartan_data
 from .dilog import check_functional_DI, constant_DI
 from .mutclass import DEPTH_CAP, NODE_CAP, search_equivalence
 from .numeric import NumericRun, tropical_shadow_mismatches, worst_errors
-from .quiver import find_isomorphism
 from .roots import apart_mismatches_C, tvector_mismatches
 from .schedule import Schedule, ScheduleError
 from .tropical import TropicalRun, expected_counts
@@ -45,6 +45,26 @@ DILOG_TOL = 1e-8
 FUNCTIONAL_TOL = 1e-6
 
 
+# the errors that fail a report row: a schedule that fails its checks, a
+# tropical exponent past the int8 range, a failed seed comparison, a numeric
+# value off the float range, or coefficients off the positive reals
+FAILURES = (ScheduleError, ArithmeticError)
+
+
+def strict_json(data, **kwargs):
+    """data as JSON (RFC 8259), which has no NaN or infinity: a non-finite
+    float is written as the string "nan", "inf" or "-inf"."""
+
+    def finite(v):
+        if isinstance(v, dict):
+            return {k: finite(x) for k, x in v.items()}
+        if isinstance(v, (list, tuple)):
+            return [finite(x) for x in v]
+        return str(v) if isinstance(v, float) and not math.isfinite(v) else v
+
+    return json.dumps(finite(data), allow_nan=False, **kwargs)
+
+
 @dataclass
 class VerificationReport:
     case: str
@@ -54,7 +74,7 @@ class VerificationReport:
     metrics: dict = field(default_factory=dict)
 
     def to_json(self):
-        return json.dumps(asdict(self), sort_keys=True)
+        return strict_json(asdict(self), sort_keys=True)
 
 
 def _case_id(family, rank, level):
@@ -66,12 +86,31 @@ def _row(case, check, ok, statement, **metrics):
     return VerificationReport(case, check, "pass" if ok else "fail", statement, metrics)
 
 
-def _tropical_rows(sched, case, seed, row):
-    """The rows read off the case's TropicalRun, passed to row.  A row whose
-    reads raise ArithmeticError fails carrying the error: every row when the
-    run raises (an exponent past the int8 range of its record), and the rows
-    read through the relabelled record when its seed comparison fails
-    (tropical.PeriodicityError)."""
+def _attempt(fn, *args):
+    """fn(*args), or the FAILURES error that it raises."""
+    try:
+        return fn(*args)
+    except FAILURES as err:
+        return err
+
+
+def _read_rows(cid, value, reads):
+    """The rows of case cid, one per (check, statement, read) of reads, where
+    read(value) is an (ok, metrics) pair.  When value is the FAILURES error
+    that building it raised, every row fails carrying it; such an error
+    raised by one read fails that row alone."""
+    rows = []
+    for check, statement, read in reads:
+        got = value if isinstance(value, FAILURES) else _attempt(read, value)
+        ok, metrics = (False, {"error": str(got)}) if isinstance(got, FAILURES) else got
+        rows.append(_row(cid, check, ok, statement, **metrics))
+    return rows
+
+
+def _tropical_rows(sched, case, seed):
+    """The rows read off the case's TropicalRun, which raises for an exponent
+    past the int8 range; the reads through its relabelled record raise when
+    its seed comparison fails (tropical.PeriodicityError)."""
     family, rank, level = case
 
     def counts(trop):
@@ -95,116 +134,85 @@ def _tropical_rows(sched, case, seed, row):
         bad = tropical_shadow_mismatches(trop, seed=seed)
         return not bad, {"mismatches": len(bad)}
 
-    checks = [
+    reads = [
         ("tropical-counts", "sign-count-closed-form", counts),
         ("tropical-periodicity", "tropical-half-full-periodicity", periodicity),
         ("tropical-signs", "region-sign-classification", signs),
         ("tropical-shadow", "small-parameter-slopes", shadow),
     ] + [("tvectors", "level2-root-identities", tvectors)] * (level == 2)
-    try:
-        trop = TropicalRun(sched)
-    except ArithmeticError as err:
-        for check, statement, _ in checks:
-            row(check, False, statement, error=str(err))
-        return
-    for check, statement, read in checks:
-        try:
-            ok, metrics = read(trop)
-        except ArithmeticError as err:
-            ok, metrics = False, {"error": str(err)}
-        row(check, ok, statement, **metrics)
+    return _read_rows(_case_id(*case), _attempt(TropicalRun, sched), reads)
+
+
+def _numeric_rows(sched, case, seeds):
+    """The rows read off the case's NumericRun and its worst_errors, which
+    raise when a value leaves the float range; check_functional_DI raises
+    for labelled coefficients off the positive reals."""
+
+    def run_and_errors():
+        run = NumericRun(sched, seeds)
+        return (run, *worst_errors(run))
+
+    def functional(value):
+        rep = check_functional_DI(value[0])
+        metrics = {key: rep[key] for key in ("max_deviation", "seed_spread")}
+        return all(v < FUNCTIONAL_TOL for v in metrics.values()), {**metrics, "targets": list(rep["targets"])}
+
+    reads = [
+        ("numeric-residuals", "recursion-residuals",
+         lambda v: (v[1] < RESIDUAL_TOL, {"max_residual": v[1], "tol": RESIDUAL_TOL})),
+        ("numeric-periodicity", "labelled-periodicity",
+         lambda v: (v[2] < PERIODICITY_TOL, {"max_error": v[2], "tol": PERIODICITY_TOL})),
+        ("dilog-functional", "functional-dilog-identity", functional),
+    ]
+    return _read_rows(_case_id(*case), _attempt(run_and_errors), reads)
+
+
+def _constant_dilog_rows(case, sched=None):
+    """The dilog-constant row of a case on its verified Schedule, which is
+    built here when not given."""
+
+    def identity(sched):
+        lhs, rhs, err = constant_DI(sched)
+        return err < DILOG_TOL, {"lhs": lhs, "rhs": rhs, "abs_error": err}
+
+    value = sched or _attempt(Schedule, build(FamilySpec(*case)))
+    return _read_rows(_case_id(*case), value, [("dilog-constant", "constant-dilog-identity", identity)])
 
 
 def _case_rows(case, cfg):
-    family, rank, level = case
-    cid = _case_id(family, rank, level)
-    rows = []
-
-    def row(check, ok, statement, **metrics):
-        rows.append(_row(cid, check, ok, statement, **metrics))
-
-    # scheduled mutation cycle (quiver transforms asserted over one period),
-    # checked once here; every run of the case is driven by this Schedule
-    try:
-        sched = Schedule(build(FamilySpec(family, rank, level)))
-        row("schedule", True, "scheduled-quiver-cycle", vertices=sched.model.n)
-    except ScheduleError as err:
-        row("schedule", False, "scheduled-quiver-cycle", error=str(err))
-        return rows
-
-    _tropical_rows(sched, case, cfg["seeds"][0], row)
-    rows.append(_constant_dilog_row(case, sched))
-    _numeric_rows(sched, tuple(cfg["seeds"]), row)
+    """The rows of a case.  Its Schedule (the quiver transforms asserted over
+    one period) is verified once here and drives every run of the case; a
+    case whose Schedule fails has its schedule row alone."""
+    sched = _attempt(Schedule, build(FamilySpec(*case)))
+    reads = [("schedule", "scheduled-quiver-cycle", lambda s: (True, {"vertices": s.model.n}))]
+    rows = _read_rows(_case_id(*case), sched, reads)
+    if not isinstance(sched, FAILURES):
+        rows += _tropical_rows(sched, case, cfg["seeds"][0]) + _constant_dilog_rows(case, sched)
+        rows += _numeric_rows(sched, case, tuple(cfg["seeds"]))
     return rows
 
 
-def _numeric_rows(sched, seeds, row):
-    """The rows read off the case's NumericRun, passed to row; when the run
-    raises (a value off the float range), each of them fails carrying the
-    error, and dilog-functional fails with check_functional_DI's error."""
-    try:
-        run = NumericRun(sched, seeds)
-    except FloatingPointError as err:
-        row("numeric-residuals", False, "recursion-residuals", error=str(err))
-        row("numeric-periodicity", False, "labelled-periodicity", error=str(err))
-        row("dilog-functional", False, "functional-dilog-identity", error=str(err))
-        return
-    worst_res, worst_per = worst_errors(run)
-    row("numeric-residuals", worst_res < RESIDUAL_TOL, "recursion-residuals", max_residual=worst_res, tol=RESIDUAL_TOL)
-    row(
-        "numeric-periodicity", worst_per < PERIODICITY_TOL, "labelled-periodicity",
-        max_error=worst_per, tol=PERIODICITY_TOL,
-    )
-    rep = check_functional_DI(run)
-    if "error" in rep:
-        row("dilog-functional", False, "functional-dilog-identity", error=rep["error"])
-        return
-    ok = rep["max_deviation"] < FUNCTIONAL_TOL and rep["seed_spread"] < FUNCTIONAL_TOL
-    row(
-        "dilog-functional", ok, "functional-dilog-identity",
-        max_deviation=rep["max_deviation"], seed_spread=rep["seed_spread"], targets=list(rep["targets"]),
-    )
-
-
 def _pair_rows(pair):
+    """The mutation-equivalence row of a pair: pass with a path, which the
+    search has checked ends at an isomorph of the right quiver, or
+    inconclusive."""
     left, right = pair
     cid = f"{_case_id(*left)}~{_case_id(*right)}"
-    Q1 = build(FamilySpec(*left)).quiver
-    Q2 = build(FamilySpec(*right)).quiver
     metrics = {"depth_cap": DEPTH_CAP, "node_cap": NODE_CAP}
     try:
-        res = search_equivalence(Q1, Q2)
+        res = search_equivalence(build(FamilySpec(*left)).quiver, build(FamilySpec(*right)).quiver)
     except ValueError as err:  # sizes that differ, or past the search's size or entry bound
         res, metrics["error"] = None, str(err)
     if res is None:
         return [VerificationReport(cid, "mutation-equivalence", "inconclusive", "mutation-equivalence", metrics)]
-    path, _ = res
-    verified = find_isomorphism(path.replay(), Q2) is not None
-    return [
-        _row(
-            cid, "mutation-equivalence", verified, "mutation-equivalence",
-            path_length=len(path.moves), moves=list(path.moves),
-        )
-    ]
-
-
-def _constant_dilog_row(case, sched=None):
-    """The dilog-constant row of a case on its verified Schedule, which is
-    built here when not given; a ScheduleError makes a failing row."""
-    cid = _case_id(*case)
-    try:
-        lhs, rhs, err = constant_DI(sched or Schedule(build(FamilySpec(*case))))
-    except ScheduleError as error:
-        return _row(cid, "dilog-constant", False, "constant-dilog-identity", error=str(error))
-    return _row(
-        cid, "dilog-constant", err < DILOG_TOL, "constant-dilog-identity", lhs=lhs, rhs=rhs, abs_error=err
-    )
+    moves = list(res[0].moves)
+    return [_row(cid, "mutation-equivalence", True, "mutation-equivalence", path_length=len(moves), moves=moves)]
 
 
 def _extra_dilog_rows(cfg):
     """The dilog-constant rows at the extra levels, but for the cases' own."""
     extra = {(f, r, lev) for f, r, _ in cfg["cases"] for lev in cfg["extra_dilog_levels"]}
-    return [_constant_dilog_row(case) for case in sorted(extra - set(cfg["cases"]))]
+    return [row for case in sorted(extra - set(cfg["cases"])) for row in _constant_dilog_rows(case)]
 
 
 def _lists(v, depth):

@@ -24,6 +24,15 @@ ROOT = Path(__file__).resolve().parent.parent
 TRACER = ROOT / "bench" / "tracer.py"
 
 
+def strict_loads(text):
+    """text parsed as JSON (RFC 8259), which has no NaN or Infinity token."""
+
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 def test_build_json(capsys, tmp_path):
     main(["build", "--family", "C", "--rank", "2", "--level", "2"])
     data = json.loads(capsys.readouterr().out)
@@ -101,9 +110,27 @@ def test_numeric_exits_1_when_its_verdict_fails(monkeypatch, capsys):
     with pytest.raises(SystemExit) as err:
         main(["numeric", "--family", "C", "--rank", "2", "--level", "2", "--seeds", "1"])
     assert err.value.code == 1
-    out = capsys.readouterr().out
-    rep = json.loads(out)
-    assert rep["ok"] is False and np.isnan(rep["max_residual"]) and '"max_residual": NaN' in out
+    rep = strict_loads(capsys.readouterr().out)
+    assert rep["ok"] is False and rep["max_residual"] == "nan"
+
+
+def test_strict_json_writes_non_finite_floats_as_strings():
+    # a non-finite float, at any depth and as numpy's too, is its str; every
+    # other value is written as json.dumps writes it
+    data = {"a": [float("inf"), (np.float64("-inf"), 1.5)], "b": {"c": float("nan")}, "d": 2}
+    text = suite.strict_json(data, sort_keys=True)
+    assert strict_loads(text) == {"a": ["inf", ["-inf", 1.5]], "b": {"c": "nan"}, "d": 2}
+    assert suite.strict_json({"x": [0.1, 3]}) == json.dumps({"x": [0.1, 3]})
+
+
+def test_numeric_overflowed_residual_is_strict_json(capsys):
+    # C:20:20's residual evaluation overflows to NaN: the report writes it
+    # as the string "nan", and the command exits 1
+    with pytest.raises(SystemExit) as err:
+        main(["numeric", "--family", "C", "--rank", "20", "--level", "20", "--seeds", "2"])
+    assert err.value.code == 1
+    rep = strict_loads(capsys.readouterr().out)
+    assert (rep["max_residual"], rep["ok"]) == ("nan", False)
 
 
 @pytest.mark.parametrize(
@@ -121,17 +148,17 @@ def test_numeric_exits_1_when_its_verdict_fails(monkeypatch, capsys):
         (["schedule", "--family", "G2", "--to", "1/0"], "'1/0' is not a time"),
         (["orbits", "--sigma", "C", "--rank", "2"], "--sigma C needs --rank"),
         (["numeric", "--family", "C", "--tol", "1e-8"], "unrecognized arguments: --tol 1e-8"),
-        (["mutclass", "--left", "C:2:2", "--right", "C:2:2", "--nodes", "x"], "must be a positive finite int, not 'x'"),
-        (["mutclass", "--left", "C:2:2", "--right", "C:2:2", "--depth", "1.5"],
-         "must be a positive finite int, not '1.5'"),
-        (["mutclass", "--left", "C:2:2", "--right", "C:2:2", "--nodes", "0"], "must be a positive finite int"),
-        (["mutclass", "--left", "C:2:2", "--right", "C:2:2", "--depth", "-1"], "must be a positive finite int"),
+        (["mutclass", "--left", "C:2:2", "--right", "C:2:2", "--nodes", "x"], "must be a positive int, not 'x'"),
+        (["mutclass", "--left", "C:2:2", "--right", "C:2:2", "--nodes", "1.5"], "must be a positive int, not '1.5'"),
+        (["mutclass", "--left", "C:2:2", "--right", "C:2:2", "--nodes", "0"], "must be a positive int, not '0'"),
+        (["mutclass", "--left", "C:2:2", "--right", "C:2:2", "--nodes", "-1"], "must be a positive int, not '-1'"),
         (["orbits", "--sigma", "F4", "--rank", "99"], "--sigma F4 takes no --rank"),
         (["build", "--family", "D", "--rank", "2", "--level", "3"], "type D needs rank >= 3"),
         (["build", "--family", "A", "--rank", "0", "--level", "3"], "type A needs rank >= 1"),
         (["build", "--family", "E6", "--rank", "5"], "type E6 has rank 6"),
         (["schedule", "--family", "C", "--rank", "2", "--level", "2", "--from", "1", "--to", "0"],
          "--from 1 is after --to 0"),
+        (["mutclass", "--left", "G2:2:2", "--right", "C:3:2", "--depth", "6"], "unrecognized arguments: --depth 6"),
     ],
 )
 def test_case_commands_reject_bad_input(argv, message, capsys):
@@ -209,7 +236,7 @@ def test_orbits_output(capsys):
 
 
 def test_mutclass_found(capsys):
-    main(["mutclass", "--left", "G2:2:2", "--right", "C:3:2", "--depth", "6"])
+    main(["mutclass", "--left", "G2:2:2", "--right", "C:3:2"])
     rep = json.loads(capsys.readouterr().out)
     assert rep["found"] is True
 
@@ -485,6 +512,9 @@ def plant_nan_coefficient(monkeypatch):
     monkeypatch.setattr(NumericRun, "__init__", planted)
 
 
+NAN_MESSAGE = "labelled coefficients off the positive reals: rogers_L is defined on [0, 1], not at nan"
+
+
 def test_nan_coefficient_fails_functional_row(monkeypatch):
     # a NaN in one positive-real Y value that the functional identity sums
     # is the worst numeric error, and the functional row fails with the
@@ -495,9 +525,21 @@ def test_nan_coefficient_fails_functional_row(monkeypatch):
     assert sorted(failed) == NUMERIC_CHECKS and len(rows) == 10
     assert np.isnan(failed["numeric-residuals"]["max_residual"])
     assert np.isnan(failed["numeric-periodicity"]["max_error"])
-    assert failed["dilog-functional"] == {
-        "error": "labelled coefficients off the positive reals: rogers_L is defined on [0, 1], not at nan"
-    }
+    assert failed["dilog-functional"] == {"error": NAN_MESSAGE}
+    # the NaN metrics are written as strings, so each row is strict JSON
+    written = {r.check: strict_loads(r.to_json())["metrics"] for r in rows}
+    assert written["numeric-residuals"]["max_residual"] == written["numeric-periodicity"]["max_error"] == "nan"
+
+
+def test_nan_coefficient_ends_dilog_functional_with_error(monkeypatch, capsys):
+    # the functional identity cannot be evaluated on a NaN coefficient: the
+    # command exits 1 with one error line, and prints no report
+    plant_nan_coefficient(monkeypatch)
+    with pytest.raises(SystemExit) as err:
+        main(["dilog", "--family", "C", "--rank", "2", "--level", "2", "--functional"])
+    assert err.value.code == 1
+    out, stderr = capsys.readouterr()
+    assert out == "" and stderr == f"ysyslab dilog: error: {NAN_MESSAGE}\n"
 
 
 def test_suite_accepts_numpy_and_tuple_values():
